@@ -61,7 +61,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "run":
             if args.seeds is not None:
+                if args.seeds < 1:
+                    raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
                 cfg.seeds = list(range(args.seeds))
+            if args.parallel < 1:
+                raise ConfigError(f"--parallel must be at least 1, got {args.parallel}")
             out_dir = resolve_out_dir(args.out, cfg)
             summary = run_experiment(cfg, out_dir, parallel=args.parallel)
             print(json.dumps(summary, indent=2, sort_keys=True))

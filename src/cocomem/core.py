@@ -1,5 +1,5 @@
 """Shared domain types: decision vectors, memory windows, feasible sets,
-function oracles with memory, and per-round trace records.
+function oracles with memory, and the per-round trace table.
 
 A decision is a plain 1-D numpy array of finite floats.  A memory window
 holds the last m+1 decisions in round order (oldest first), so the loss
@@ -8,7 +8,6 @@ f_t(x_{t-m}, ..., x_t) is always evaluated on a full window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -72,17 +71,6 @@ class MemoryWindow:
     def newest(self) -> np.ndarray:
         return self._buf[-1]
 
-    @property
-    def oldest(self) -> np.ndarray:
-        return self._buf[0]
-
-    def flat(self) -> np.ndarray:
-        """Window stacked into a single (m+1)*d vector (for norms)."""
-        return self._buf.reshape(-1)
-
-    def copy(self) -> "MemoryWindow":
-        return MemoryWindow(self._buf)
-
     def __len__(self) -> int:
         return self._buf.shape[0]
 
@@ -114,7 +102,12 @@ class FeasibleSet:
     def center(self) -> np.ndarray:
         raise NotImplementedError
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
+    def extents(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-axis (lo, hi) of the set's bounding box."""
+        raise NotImplementedError
+
+    def contains(self, x, tol: float = 1e-9):
+        """Membership of one point, or of every row of an (n, d) array."""
         raise NotImplementedError
 
     def support(self, g: np.ndarray) -> float:
@@ -135,9 +128,12 @@ class Box(FeasibleSet):
     def center(self) -> np.ndarray:
         return 0.5 * (self.lo + self.hi)
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
-        x = as_decision(x, self.dim)
-        return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
+    def extents(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.lo, self.hi
+
+    def contains(self, x, tol: float = 1e-9):
+        x = np.asarray(x, dtype=float)
+        return np.all((x >= self.lo - tol) & (x <= self.hi + tol), axis=-1)
 
     def support(self, g: np.ndarray) -> float:
         return float(np.sum(np.where(g >= 0, g * self.hi, g * self.lo)))
@@ -159,9 +155,12 @@ class Ball(FeasibleSet):
     def center(self) -> np.ndarray:
         return self._center
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
-        x = as_decision(x, self.dim)
-        return bool(np.linalg.norm(x - self._center) <= self.radius + tol)
+    def extents(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._center - self.radius, self._center + self.radius
+
+    def contains(self, x, tol: float = 1e-9):
+        x = np.asarray(x, dtype=float)
+        return np.linalg.norm(x - self._center, axis=-1) <= self.radius + tol
 
     def support(self, g: np.ndarray) -> float:
         return float(g @ self._center) + self.radius * float(np.linalg.norm(g))
@@ -177,10 +176,10 @@ class Ball(FeasibleSet):
 class MemoryFunctionOracle:
     """A convex function of a memory window with closed-form gradients.
 
-    Subclasses provide the window value, the partial gradient w.r.t. the
-    newest slot, and the memory-less lift value/gradient.  `grad_splat`
-    must equal the sum of the partial gradients over all m+1 slots at a
-    constant window (the chain rule of the splat map x -> (x,...,x)).
+    Subclasses provide the window value and the memory-less lift
+    value/gradient.  `grad_splat` must equal the sum of the partial
+    gradients over all m+1 slots at a constant window (the chain rule of
+    the splat map x -> (x,...,x)).
 
     `lipschitz` bounds both the joint-window Lipschitz constant and the
     lift's gradient norm; `bound` bounds |value| over the feasible set.
@@ -192,9 +191,6 @@ class MemoryFunctionOracle:
     bound: float
 
     def value(self, window: MemoryWindow) -> float:
-        raise NotImplementedError
-
-    def grad_wrt_last(self, window: MemoryWindow) -> np.ndarray:
         raise NotImplementedError
 
     def value_splat(self, x) -> float:
@@ -226,10 +222,6 @@ class _MaxOracle(MemoryFunctionOracle):
     def value(self, window):
         return self._argmax_window(window)[1]
 
-    def grad_wrt_last(self, window):
-        k, _ = self._argmax_window(window)
-        return self.oracles[k].grad_wrt_last(window)
-
     def value_splat(self, x):
         return self._argmax_splat(x)[1]
 
@@ -257,36 +249,31 @@ def max_reduce(oracles) -> MemoryFunctionOracle:
 
 
 # ---------------------------------------------------------------------------
-# Per-round trace record
+# Per-round trace table
+
+ROUND_FIELDS = (
+    "t", "x", "f_mem", "f_splat", "g_mem", "g_splat", "g_plus_recorded", "v_dual",
+    "ccv_cum", "phi_prime", "lam", "surrogate", "grad_norm", "eta_or_mu",
+    "eps_f", "eps_g", "eps_z", "saturated",
+)
 
 
-@dataclass
-class RoundRecord:
-    """Everything a single round produced, for metrics and CSV emission.
+def round_table(n_rounds: int, dim: int) -> np.ndarray:
+    """Zeroed structured array with one row per round; a learner writes
+    each row once, as a tuple in `ROUND_FIELDS` order.
 
-    `v_dual` is the cumulative memory-less violation driving the penalty;
-    `ccv_cum` is the variant's official cumulative constraint violation
-    (they coincide except for the double-memory penalty-OGD runs, where
-    the dual update uses the lift while the CCV uses the window value).
-    `eta_or_mu` is the step size (OGD) or FTRL weight used to produce the
-    next decision.  The eps_* fields stay 0 for non-optimistic runs.
+    Every field is a column (`table["f_mem"]`, `table["x"]` of shape
+    (n_rounds, dim)); a row is a `np.record`, so `row.t` and `row.x` read
+    one round.  `v_dual` is the cumulative memory-less violation driving
+    the penalty; `ccv_cum` is the variant's official cumulative
+    constraint violation (they coincide except for the double-memory
+    penalty-OGD runs, where the dual update uses the lift while the CCV
+    uses the window value).  `eta_or_mu` is the step size (OGD) or FTRL
+    weight used to produce the next decision.  The eps_* fields stay 0
+    for non-optimistic runs; `saturated` marks rounds whose exponential
+    penalty hit its exponent cap.
     """
-
-    t: int
-    x: np.ndarray
-    f_mem: float
-    f_splat: float
-    g_mem: float
-    g_splat: float
-    g_plus_recorded: float
-    v_dual: float
-    ccv_cum: float
-    phi_prime: float
-    lam: float
-    surrogate: float
-    grad_norm: float
-    eta_or_mu: float
-    eps_f: float = 0.0
-    eps_g: float = 0.0
-    eps_z: float = 0.0
-    saturated: bool = False
+    fields = [("t", np.int64), ("x", float, (dim,))]
+    fields += [(name, float) for name in ROUND_FIELDS[2:-1]]
+    fields.append(("saturated", bool))
+    return np.zeros(n_rounds, dtype=np.dtype((np.record, fields)))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Ball, Box, FeasibleSet, MemoryFunctionOracle, MemoryWindow, as_decision
+from .core import Ball, Box, FeasibleSet, MemoryFunctionOracle, MemoryWindow
 
 RNG_NAME = "pcg64"
 
@@ -75,9 +75,6 @@ class _QuadraticTrackingLoss(MemoryFunctionOracle):
         diff = window.entries - self.c
         return 0.5 * float(np.sum(diff * diff)) / (self.memory + 1)
 
-    def grad_wrt_last(self, window: MemoryWindow) -> np.ndarray:
-        return (window.newest - self.c) / (self.memory + 1)
-
     def value_splat(self, x) -> float:
         diff = np.asarray(x, dtype=float) - self.c
         return 0.5 * float(diff @ diff)
@@ -99,9 +96,6 @@ class _AffineBudgetConstraint(MemoryFunctionOracle):
 
     def value(self, window: MemoryWindow) -> float:
         return float(np.mean(window.entries @ self.d_coef)) - self.delta
-
-    def grad_wrt_last(self, window: MemoryWindow) -> np.ndarray:
-        return self.d_coef / (self.memory + 1)
 
     def value_splat(self, x) -> float:
         return float(self.d_coef @ np.asarray(x, dtype=float)) - self.delta
@@ -194,6 +188,35 @@ class AppendixAInstance:
     def constraint(self, t: int) -> MemoryFunctionOracle:
         return _AffineBudgetConstraint(self.d_coef[t], self.delta, self.m, self.radius)
 
+    # -- lift math over a round range, for the benchmark solvers ------------
+
+    def lift_values(self, U: np.ndarray, rounds: range) -> np.ndarray:
+        """f-lift values at every row of U, shape (len(U), len(rounds))."""
+        c = self.c[rounds.start : rounds.stop]
+        sq = np.sum(U * U, axis=1)[:, None] - 2.0 * U @ c.T + np.sum(c * c, axis=1)[None, :]
+        return 0.5 * sq
+
+    def halfspaces(self, rounds: range, kind: str = "lift") -> tuple[np.ndarray, np.ndarray]:
+        """(A, b): the lifted budget constraints as {x : A x + b <= 0}, one
+        row per round.  The family has no slices, so only `lift` exists."""
+        if kind != "lift":
+            raise ValueError("slice-wise benchmark needs a separable instance")
+        d = self.d_coef[rounds.start : rounds.stop]
+        # a stride-0 view: adding it to a block costs what a scalar add does
+        return d, np.broadcast_to(-self.delta, len(d))
+
+    def lift_argmin_1d(self, lo: float, hi: float, rounds: range) -> tuple[float, float]:
+        """(x, total): minimizer on [lo, hi] of the summed f-lift (dim 1)."""
+        c = self.c[rounds.start : rounds.stop, 0]
+        x = float(np.clip(np.mean(c), lo, hi))
+        return x, 0.5 * float(np.sum((x - c) ** 2))
+
+    def lift_min_per_round(self, lo: np.ndarray, hi: np.ndarray, rounds: range) -> np.ndarray:
+        """Minimum of each round's f-lift on its own [lo_t, hi_t] (dim 1)."""
+        c = self.c[rounds.start : rounds.stop, 0]
+        x = np.clip(c, lo, hi)
+        return 0.5 * (x - c) ** 2
+
     def constants(self) -> InstanceConstants:
         root_d = math.sqrt(self.dim)
         l_f = self.radius + self.coef_bound * root_d
@@ -269,9 +292,6 @@ class _SeparableMemoryFunction(MemoryFunctionOracle):
         # window rows are oldest->newest; delay i touches row m-i
         rows = window.entries[::-1]
         return float(np.sum(rows * self.coeffs)) + float(np.sum(self.offsets))
-
-    def grad_wrt_last(self, window: MemoryWindow) -> np.ndarray:
-        return self.coeffs[0].copy()
 
     def value_splat(self, x) -> float:
         x = np.asarray(x, dtype=float)
@@ -404,6 +424,38 @@ class SeparableLinearInstance:
 
     def _radius_sup(self) -> float:
         return self.fset.diameter / 2.0
+
+    # -- lift math over a round range, for the benchmark solvers ------------
+
+    def lift_slopes(self, rounds: range) -> np.ndarray:
+        """Per-round f-lift gradient sum_i f_coef[t, i], shape (len(rounds), d)."""
+        return self.f_coef[rounds.start : rounds.stop].sum(axis=1)
+
+    def lift_values(self, U: np.ndarray, rounds: range) -> np.ndarray:
+        """f-lift values at every row of U, shape (len(U), len(rounds))."""
+        return U @ self.lift_slopes(rounds).T
+
+    def halfspaces(self, rounds: range, kind: str = "lift") -> tuple[np.ndarray, np.ndarray]:
+        """(A, b) with the benchmark set {x : A x + b <= 0}: one summed
+        half-space per round for `lift`, one per present constraint slice
+        for `slicewise`."""
+        coef = self.g_coef[rounds.start : rounds.stop]
+        off = self.g_off[rounds.start : rounds.stop]
+        if kind == "lift":
+            return coef.sum(axis=1), off.sum(axis=1)
+        present = self.g_present[rounds.start : rounds.stop]
+        return coef[present], off[present]
+
+    def lift_argmin_1d(self, lo: float, hi: float, rounds: range) -> tuple[float, float]:
+        """(x, total): minimizer on [lo, hi] of the summed f-lift (dim 1)."""
+        s = float(np.sum(self.lift_slopes(rounds)[:, 0]))
+        x = lo if s > 0 else hi if s < 0 else 0.5 * (lo + hi)
+        return x, s * x
+
+    def lift_min_per_round(self, lo: np.ndarray, hi: np.ndarray, rounds: range) -> np.ndarray:
+        """Minimum of each round's f-lift on its own [lo_t, hi_t] (dim 1)."""
+        s = self.lift_slopes(rounds)[:, 0]
+        return np.where(s > 0, s * lo, s * hi)
 
     def constants(self) -> InstanceConstants:
         joint_f = np.sqrt(np.sum(self.f_coef**2, axis=(1, 2)))

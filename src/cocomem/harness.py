@@ -9,7 +9,6 @@ and results are byte-identical across reruns of the same config.
 from __future__ import annotations
 
 import json
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -188,36 +187,17 @@ def run_single(cfg: ExperimentConfig, seed: int) -> RunTrace:
 # CSV / summary emission
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def emit_csv(trace: RunTrace, series: MetricSeries, path: str | Path) -> None:
     """One row per round under the fixed header; floats in shortest
     round-trip decimal, coordinates semicolon-joined."""
-    v_replay = np.cumsum(trace.col("g_plus_recorded"))
-    lines = [CSV_HEADER]
-    for idx, rec in enumerate(trace.records):
-        x_txt = ";".join(_fmt(c) for c in rec.x)
-        lines.append(
-            ",".join(
-                [
-                    str(rec.t),
-                    x_txt,
-                    _fmt(rec.f_mem),
-                    _fmt(rec.g_mem),
-                    _fmt(rec.g_plus_recorded),
-                    _fmt(v_replay[idx]),
-                    _fmt(rec.eta_or_mu),
-                    _fmt(rec.eps_f),
-                    _fmt(rec.eps_g),
-                    _fmt(rec.eps_z),
-                    _fmt(series.regret_static_cum[idx]),
-                    _fmt(series.regret_perround_cum[idx]),
-                    _fmt(series.ccv_cum[idx]),
-                ]
-            )
-        )
+    floats = [trace.col(name) for name in ("f_mem", "g_mem", "g_plus_recorded")]
+    floats.append(np.cumsum(trace.col("g_plus_recorded")))
+    floats += [trace.col(name) for name in ("eta_or_mu", "eps_f", "eps_g", "eps_z")]
+    floats += [series.regret_static_cum, series.regret_perround_cum, series.ccv_cum]
+    columns = [[str(t) for t in trace.col("t").tolist()],
+               [";".join(map(repr, x)) for x in trace.col("x").tolist()]]
+    columns += [list(map(repr, col.tolist())) for col in floats]
+    lines = [CSV_HEADER, *map(",".join, zip(*columns))]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -249,8 +229,7 @@ def _run_one_seed(cfg_dict: dict, seed: int, out_dir: str) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     emit_csv(trace, series, out / f"{cfg.name}_seed{seed}.csv")
-    if hasattr(trace.instance, "to_json"):
-        (out / f"{cfg.name}_seed{seed}_instance.json").write_text(trace.instance.to_json())
+    (out / f"{cfg.name}_seed{seed}_instance.json").write_text(trace.instance.to_json())
     marks = checkpoints(trace.first_round, trace.horizon)
     return {
         "seed": seed,

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Ball, Box, RoundRecord, Variant
-from .environments import AppendixAInstance, SeparableLinearInstance
+from .core import Variant
 from .geometry import regret_coefficient
 from .penalty import Penalty, PenaltyKind
 
@@ -27,16 +26,16 @@ _FEAS_TOL = 1e-12
 
 @dataclass
 class RunTrace:
-    """Complete per-round trace of one run plus its instance."""
+    """One run: its per-round table (`core.round_table`, one row per
+    played round), its instance, and run-level extras."""
 
     algorithm: str
     variant: Variant
     penalty_kind: PenaltyKind
-    records: list[RoundRecord]
+    records: np.ndarray
     instance: object
     first_round: int
     extras: dict = field(default_factory=dict)
-    _cols: dict = field(default_factory=dict, repr=False)
 
     @property
     def m(self) -> int:
@@ -51,26 +50,21 @@ class RunTrace:
         return self.instance.fset
 
     def col(self, name: str) -> np.ndarray:
-        if name not in self._cols:
-            self._cols[name] = np.array([getattr(r, name) for r in self.records], dtype=float)
-        return self._cols[name]
-
-    def x_matrix(self) -> np.ndarray:
-        return np.stack([r.x for r in self.records])
+        return self.records[name]
 
     def x_at(self, r: int) -> np.ndarray:
         """Decision of round r; rounds before the first played one are the
         initial history, which is pinned to the set center."""
         if r < self.first_round:
             return self.fset.center
-        return self.records[r - self.first_round].x
+        return self.records["x"][r - self.first_round]
 
     def v_at(self, r: int) -> float:
         """Cumulative violation after round r (0 before the first round)."""
         if r < self.first_round:
             return 0.0
         r = min(r, self.first_round + len(self.records) - 1)
-        return self.records[r - self.first_round].ccv_cum
+        return float(self.records["ccv_cum"][r - self.first_round])
 
     def validate(self) -> None:
         """Recurrence and monotonicity of the violation bookkeeping."""
@@ -87,6 +81,11 @@ class RunTrace:
 
 # ---------------------------------------------------------------------------
 # Benchmark solvers
+#
+# Each instance family supplies its own lift math over a round range:
+# `lift_values` (f-lift on a block of points), `halfspaces` (the benchmark
+# set as {x : A x + b <= 0}, `lift` or `slicewise`), and the 1-D
+# minimizers `lift_argmin_1d` / `lift_min_per_round`.
 
 
 @dataclass
@@ -101,47 +100,51 @@ def _active_rounds(instance, upto: int | None) -> range:
     return range(instance.first_round, hi + 1)
 
 
-def _lift_slopes(instance: SeparableLinearInstance, rounds) -> np.ndarray:
-    return instance.f_coef[rounds.start : rounds.stop].sum(axis=1)
+def _halfspace_values(U: np.ndarray, A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_k . u + b_k for every row u of U and every half-space k."""
+    vals = U @ A.T
+    vals += b
+    return vals
+
+
+def _feasible(U: np.ndarray, A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.all(_halfspace_values(U, A, b) <= _FEAS_TOL, axis=1)
+
+
+def _half_space_intervals(instance, kind: str, rounds) -> tuple[np.ndarray, np.ndarray]:
+    """Per half-space 1-D intervals: the set's extent cut by a x + b <= 0."""
+    if instance.dim != 1:
+        raise ValueError("closed-form interval needs dim = 1")
+    set_lo, set_hi = instance.fset.extents()
+    A, b = instance.halfspaces(rounds, kind)
+    a = A[:, 0]
+    lo = np.full(len(a), float(set_lo[0]))
+    hi = np.full(len(a), float(set_hi[0]))
+    pos, neg = a > 0, a < 0
+    hi[pos] = np.minimum(hi[pos], -b[pos] / a[pos])
+    lo[neg] = np.maximum(lo[neg], -b[neg] / a[neg])
+    return lo, hi
 
 
 def feasible_interval(instance, kind: str, upto: int | None = None):
     """Exact 1-D feasible interval [lo, hi] for the requested benchmark set
     (`lift` for the memory-less feasibility, `slicewise` for per-slice
     feasibility); None when empty."""
-    if instance.dim != 1:
-        raise ValueError("closed-form interval needs dim = 1")
-    rounds = _active_rounds(instance, upto)
-    if isinstance(instance.fset, Box):
-        lo, hi = float(instance.fset.lo[0]), float(instance.fset.hi[0])
-    else:
-        c = float(instance.fset.center[0])
-        lo, hi = c - instance.fset.radius, c + instance.fset.radius
-    if isinstance(instance, AppendixAInstance):
-        if kind == "slicewise":
-            raise ValueError("slice-wise benchmark needs a separable instance")
-        d = instance.d_coef[rounds.start : rounds.stop, 0]
-        pos, neg = d[d > 0], d[d < 0]
-        if pos.size:
-            hi = min(hi, float(np.min(instance.delta / pos)))
-        if neg.size:
-            lo = max(lo, float(np.max(instance.delta / neg)))
-    elif isinstance(instance, SeparableLinearInstance):
-        if kind == "lift":
-            coef = instance.g_coef[rounds.start : rounds.stop].sum(axis=1)[:, 0]
-            off = instance.g_off[rounds.start : rounds.stop].sum(axis=1)
-        else:
-            present = instance.g_present[rounds.start : rounds.stop]
-            coef = instance.g_coef[rounds.start : rounds.stop, :, 0][present]
-            off = instance.g_off[rounds.start : rounds.stop][present]
-        pos, neg = coef > 0, coef < 0
-        if np.any(pos):
-            hi = min(hi, float(np.min(-off[pos] / coef[pos])))
-        if np.any(neg):
-            lo = max(lo, float(np.max(-off[neg] / coef[neg])))
-    else:
-        raise TypeError(f"unknown instance type {type(instance).__name__}")
+    lo, hi = _half_space_intervals(instance, kind, _active_rounds(instance, upto))
+    set_lo, set_hi = instance.fset.extents()
+    lo = float(np.max(lo, initial=set_lo[0]))
+    hi = float(np.min(hi, initial=set_hi[0]))
     return (lo, hi) if lo <= hi else None
+
+
+def _best(instance, kind: str, resolution: float, upto: int | None) -> Benchmark:
+    if instance.dim != 1:
+        return _grid_best(instance, kind, resolution, upto)
+    iv = feasible_interval(instance, kind, upto)
+    if iv is None:
+        return Benchmark(None, math.nan, False)
+    x, total = instance.lift_argmin_1d(*iv, _active_rounds(instance, upto))
+    return Benchmark(np.array([x]), total, True)
 
 
 def best_in_hindsight(instance, variant: Variant, resolution: float = 1e-3,
@@ -149,40 +152,14 @@ def best_in_hindsight(instance, variant: Variant, resolution: float = 1e-3,
     """Minimizer of the cumulative lifted loss over the variant's benchmark
     set (identical feasibility for both variants under these families,
     since the set is defined through the memory-less lift)."""
-    rounds = _active_rounds(instance, upto)
-    if instance.dim == 1:
-        iv = feasible_interval(instance, "lift", upto)
-        if iv is None:
-            return Benchmark(None, math.nan, False)
-        lo, hi = iv
-        if isinstance(instance, AppendixAInstance):
-            c = instance.c[rounds.start : rounds.stop, 0]
-            x = float(np.clip(np.mean(c), lo, hi))
-            total = 0.5 * float(np.sum((x - c) ** 2))
-            return Benchmark(np.array([x]), total, True)
-        slopes = _lift_slopes(instance, rounds)[:, 0]
-        s = float(np.sum(slopes))
-        x = lo if s > 0 else hi if s < 0 else 0.5 * (lo + hi)
-        return Benchmark(np.array([x]), s * x, True)
-    return _grid_best(instance, "lift", resolution, upto)
+    return _best(instance, "lift", resolution, upto)
 
 
-def best_in_hindsight_slicewise(instance: SeparableLinearInstance,
-                                resolution: float = 1e-3,
+def best_in_hindsight_slicewise(instance, resolution: float = 1e-3,
                                 upto: int | None = None) -> Benchmark:
     """Minimizer of the cumulative lifted loss over the slice-wise feasible
     set (the optimistic learner's benchmark)."""
-    rounds = _active_rounds(instance, upto)
-    if instance.dim == 1:
-        iv = feasible_interval(instance, "slicewise", upto)
-        if iv is None:
-            return Benchmark(None, math.nan, False)
-        lo, hi = iv
-        slopes = _lift_slopes(instance, rounds)[:, 0]
-        s = float(np.sum(slopes))
-        x = lo if s > 0 else hi if s < 0 else 0.5 * (lo + hi)
-        return Benchmark(np.array([x]), s * x, True)
-    return _grid_best(instance, "slicewise", resolution, upto)
+    return _best(instance, "slicewise", resolution, upto)
 
 
 _GRID_POINT_CAP = 4_000_000
@@ -191,21 +168,15 @@ _GRID_POINT_CAP = 4_000_000
 def grid_points(fset, resolution: float) -> np.ndarray:
     """Uniform grid over the feasible set, dimensions 1 and 2 only; the
     2-D grid must stay coarse (point count capped)."""
+    set_lo, set_hi = fset.extents()
     if fset.dim == 1:
-        if isinstance(fset, Box):
-            lo, hi = float(fset.lo[0]), float(fset.hi[0])
-        else:
-            lo = float(fset.center[0]) - fset.radius
-            hi = float(fset.center[0]) + fset.radius
+        lo, hi = float(set_lo[0]), float(set_hi[0])
         n = int(round((hi - lo) / resolution)) + 1
         if n > _GRID_POINT_CAP:
             raise ValueError("grid resolution too fine for this set")
         return np.linspace(lo, hi, n)[:, None]
     if fset.dim == 2:
-        if isinstance(fset, Box):
-            spans = [(float(lo), float(hi)) for lo, hi in zip(fset.lo, fset.hi)]
-        else:
-            spans = [(float(c) - fset.radius, float(c) + fset.radius) for c in fset.center]
+        spans = [(float(lo), float(hi)) for lo, hi in zip(set_lo, set_hi)]
         counts = [int((hi - lo) / resolution) + 1 for lo, hi in spans]
         if counts[0] * counts[1] > _GRID_POINT_CAP:
             raise ValueError(
@@ -215,41 +186,21 @@ def grid_points(fset, resolution: float) -> np.ndarray:
         ax = [np.arange(lo, hi + resolution / 2, resolution) for lo, hi in spans]
         xx, yy = np.meshgrid(ax[0], ax[1])
         pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
-        if isinstance(fset, Ball):
-            pts = pts[np.linalg.norm(pts - fset.center, axis=1) <= fset.radius]
-        return pts
+        return pts[fset.contains(pts, tol=0.0)]
     raise ValueError("grid benchmarks support dim <= 2 only")
-
-
-def _lift_value_block(instance, U: np.ndarray, rounds) -> tuple[np.ndarray, np.ndarray]:
-    """(f-lift, g-lift) values, shape (len(U), n_rounds)."""
-    if isinstance(instance, AppendixAInstance):
-        c = instance.c[rounds.start : rounds.stop]
-        d = instance.d_coef[rounds.start : rounds.stop]
-        sq = np.sum(U * U, axis=1)[:, None] - 2.0 * U @ c.T + np.sum(c * c, axis=1)[None, :]
-        return 0.5 * sq, U @ d.T - instance.delta
-    if isinstance(instance, SeparableLinearInstance):
-        s = _lift_slopes(instance, rounds)
-        gc = instance.g_coef[rounds.start : rounds.stop].sum(axis=1)
-        go = instance.g_off[rounds.start : rounds.stop].sum(axis=1)
-        return U @ s.T, U @ gc.T + go[None, :]
-    raise TypeError(f"unknown instance type {type(instance).__name__}")
 
 
 def _grid_best(instance, kind: str, resolution: float, upto: int | None) -> Benchmark:
     rounds = _active_rounds(instance, upto)
     grid = grid_points(instance.fset, resolution)
+    A, b = instance.halfspaces(rounds, kind)
     best_val, best_x = math.inf, None
     for sl in _chunks(len(grid)):
         U = grid[sl]
-        fv, gv = _lift_value_block(instance, U, rounds)
-        if kind == "slicewise":
-            mask = _slicewise_mask(instance, U, rounds)
-        else:
-            mask = np.all(gv <= _FEAS_TOL, axis=1)
+        mask = _feasible(U, A, b)
         if not np.any(mask):
             continue
-        totals = fv.sum(axis=1)
+        totals = instance.lift_values(U, rounds).sum(axis=1)
         totals[~mask] = math.inf
         k = int(np.argmin(totals))
         if totals[k] < best_val:
@@ -259,15 +210,6 @@ def _grid_best(instance, kind: str, resolution: float, upto: int | None) -> Benc
     return Benchmark(best_x, best_val, True)
 
 
-def _slicewise_mask(instance: SeparableLinearInstance, U: np.ndarray, rounds) -> np.ndarray:
-    present = instance.g_present[rounds.start : rounds.stop]
-    coef = instance.g_coef[rounds.start : rounds.stop][present]
-    off = instance.g_off[rounds.start : rounds.stop][present]
-    if coef.size == 0:
-        return np.ones(len(U), dtype=bool)
-    return np.all(U @ coef.T + off[None, :] <= _FEAS_TOL, axis=1)
-
-
 def _chunks(n: int, size: int = 1024):
     for lo in range(0, n, size):
         yield slice(lo, min(lo + size, n))
@@ -275,44 +217,15 @@ def _chunks(n: int, size: int = 1024):
 
 def per_round_min_series(instance, upto: int | None = None) -> np.ndarray:
     """Per-round constrained minimum  min {f-lift(x) : g-lift(x) <= 0, x in X}:
-    the per-round comparator used by the experiment's regret curves."""
-    if instance.dim != 1:
-        raise ValueError("per-round comparator implemented for dim = 1")
+    the per-round comparator used by the experiment's regret curves (dim 1)."""
     rounds = _active_rounds(instance, upto)
-    if isinstance(instance.fset, Box):
-        set_lo, set_hi = float(instance.fset.lo[0]), float(instance.fset.hi[0])
-    else:
-        c0 = float(instance.fset.center[0])
-        set_lo, set_hi = c0 - instance.fset.radius, c0 + instance.fset.radius
-    if isinstance(instance, AppendixAInstance):
-        c = instance.c[rounds.start : rounds.stop, 0]
-        d = instance.d_coef[rounds.start : rounds.stop, 0]
-        delta = instance.delta
-        lo = np.full_like(c, set_lo)
-        hi = np.full_like(c, set_hi)
-        pos, neg = d > 0, d < 0
-        hi[pos] = np.minimum(hi[pos], delta / d[pos])
-        lo[neg] = np.maximum(lo[neg], delta / d[neg])
-        x = np.clip(c, lo, hi)
-        return 0.5 * (x - c) ** 2
-    if isinstance(instance, SeparableLinearInstance):
-        s = _lift_slopes(instance, rounds)[:, 0]
-        gc = instance.g_coef[rounds.start : rounds.stop].sum(axis=1)[:, 0]
-        go = instance.g_off[rounds.start : rounds.stop].sum(axis=1)
-        lo = np.full_like(s, set_lo)
-        hi = np.full_like(s, set_hi)
-        pos, neg = gc > 0, gc < 0
-        hi[pos] = np.minimum(hi[pos], -go[pos] / gc[pos])
-        lo[neg] = np.maximum(lo[neg], -go[neg] / gc[neg])
-        return np.where(s > 0, s * lo, s * hi)
-    raise TypeError(f"unknown instance type {type(instance).__name__}")
+    lo, hi = _half_space_intervals(instance, "lift", rounds)
+    return instance.lift_min_per_round(lo, hi, rounds)
 
 
 def lift_loss_at(instance, x: np.ndarray, upto: int | None = None) -> np.ndarray:
     """f-lift values f_t(x,...,x) per round at a fixed point."""
-    rounds = _active_rounds(instance, upto)
-    fv, _ = _lift_value_block(instance, x[None, :], rounds)
-    return fv[0]
+    return instance.lift_values(x[None, :], _active_rounds(instance, upto))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +259,7 @@ def regret_and_ccv(trace: RunTrace, benchmark: Benchmark | None = None) -> Metri
     inst = trace.instance
     if benchmark is None:
         benchmark = best_in_hindsight(inst, trace.variant, default_resolution(inst.fset))
-    t = trace.col("t").astype(int)
+    t = trace.col("t")
     f_mem = np.cumsum(trace.col("f_mem"))
     f_spl = np.cumsum(trace.col("f_splat"))
     if benchmark.feasible:
@@ -519,12 +432,17 @@ def _ogd_grid_sums(trace: RunTrace, resolution: float):
     inst = trace.instance
     rounds = _active_rounds(inst, None)
     grid = grid_points(inst.fset, resolution)
+    A, b = inst.halfspaces(rounds, "lift")
     phi_w = trace.col("phi_prime")
     sum_f = np.empty(len(grid))
     sum_l = np.empty(len(grid))
     mask = np.empty(len(grid), dtype=bool)
     for sl in _chunks(len(grid)):
-        fv, gv = _lift_value_block(inst, grid[sl], rounds)
+        # fv and gv live until the next chunk replaces them; freeing the
+        # lift block early let the allocator hand its pages back and
+        # fault them in again on every chunk
+        fv = inst.lift_values(grid[sl], rounds)
+        gv = _halfspace_values(grid[sl], A, b)
         sum_f[sl] = fv.sum(axis=1)
         sum_l[sl] = sum_f[sl] + np.maximum(gv, 0.0) @ phi_w
         mask[sl] = np.all(gv <= _FEAS_TOL, axis=1)
@@ -562,24 +480,31 @@ def check_decomposition_ogd(trace: RunTrace, resolution: float = 1e-3) -> CheckR
 
 
 def check_memory_identity(trace: RunTrace) -> CheckResult:
-    """Exact identity: memory regret - memory-less regret equals the
-    accumulated deviation between window and lifted losses."""
-    lhs = float(np.sum(trace.col("f_mem")) - np.sum(trace.col("f_splat")))
-    rhs = float(np.sum(trace.col("f_mem") - trace.col("f_splat")))
-    scale = max(1.0, abs(lhs), abs(rhs))
-    # the two regrets share one benchmark total, so it cancels exactly;
-    # assert the bookkeeping agrees at high precision
-    return CheckResult("memory_deviation_identity", abs(lhs - rhs) <= 1e-9 * scale, lhs, rhs)
+    """Memory-deviation bound (Anava, Hazan & Mannor 2015): each window
+    loss is within L_f * ||(x_{t-m},..,x_t) - (x_t,..,x_t)||_F of its
+    lift, so  sum_t |f_mem - f_splat|  is at most L_f times the summed
+    window-to-splat distances (history before the first round pinned to
+    the set center)."""
+    X = _decisions_by_round(trace)
+    t = trace.col("t")
+    dev_sq = np.zeros(len(t))
+    for i in range(1, trace.m + 1):
+        diff = X[t - i] - X[t]
+        dev_sq += np.sum(diff * diff, axis=1)
+    lhs = float(np.sum(np.abs(trace.col("f_mem") - trace.col("f_splat"))))
+    rhs = trace.instance.constants().l_f * float(np.sum(np.sqrt(dev_sq)))
+    return CheckResult("memory_deviation_bound", lhs <= rhs + 1e-9 * max(1.0, rhs), lhs, rhs)
 
 
 def check_gradient_bound(trace: RunTrace) -> CheckResult:
-    """Every recorded surrogate gradient norm obeys
-    L_f + Phi'(V_final) * L_g."""
+    """Every round's surrogate gradient norm obeys L_f + Phi'_t * L_g with
+    the multiplier Phi'_t that round used; reports the tightest round."""
     k = trace.instance.constants()
-    pen = Penalty(trace.penalty_kind, float(trace.col("lam")[-1]))
-    rhs = k.l_f + pen.prime(float(trace.col("v_dual")[-1])) * k.l_g
-    lhs = float(np.max(trace.col("grad_norm")))
-    return CheckResult("surrogate_gradient_bound", lhs <= rhs + 1e-9, lhs, rhs)
+    grad = trace.col("grad_norm")
+    rhs = k.l_f + trace.col("phi_prime") * k.l_g
+    w = int(np.argmax(grad - rhs))
+    return CheckResult("surrogate_gradient_bound", bool(np.all(grad <= rhs + 1e-9)),
+                       float(grad[w]), float(rhs[w]), f"(round {int(trace.col('t')[w])})")
 
 
 def check_step_monotone(trace: RunTrace) -> CheckResult:
@@ -648,13 +573,8 @@ def forward_sum_at_point(trace: RunTrace, u: np.ndarray) -> float:
 
 def _decisions_by_round(trace: RunTrace) -> np.ndarray:
     """(horizon+1, d) array of decisions, initial history rows included."""
-    inst = trace.instance
-    X = np.tile(inst.fset.center, (inst.horizon + 1, 1))
-    first = trace.first_round
-    for rec in trace.records:
-        X[rec.t] = rec.x
-    if first > 0:
-        X[:first] = inst.fset.center
+    X = np.tile(trace.fset.center, (trace.horizon + 1, 1))
+    X[trace.col("t")] = trace.col("x")
     return X
 
 
@@ -694,9 +614,8 @@ def check_forward_consistency(trace: RunTrace, n_points: int = 5) -> CheckResult
     inst = trace.instance
     pen = Penalty(trace.penalty_kind, trace.extras["lambda_value"])
     rounds = _active_rounds(inst, None)
-    slopes = _lift_slopes(inst, rounds)
-    g_lift_coef = inst.g_coef[rounds.start : rounds.stop].sum(axis=1)
-    g_lift_off = inst.g_off[rounds.start : rounds.stop].sum(axis=1)
+    slopes = inst.lift_slopes(rounds)
+    g_lift_coef, g_lift_off = inst.halfspaces(rounds, "lift")
     mults = _multiplier_series(trace, pen, np.arange(rounds.start, rounds.stop))
     rng = np.random.Generator(np.random.PCG64(12345))
     worst = 0.0
@@ -718,12 +637,13 @@ def check_lemma_forward_chain(trace: RunTrace, resolution: float = 1e-3) -> Chec
     most the forward-function regret plus G(m+1) Phi'(V_T)."""
     inst = trace.instance
     pen = Penalty(trace.penalty_kind, trace.extras["lambda_value"])
+    rounds = _active_rounds(inst, None)
     grid = grid_points(inst.fset, resolution)
-    mask = _slicewise_mask(inst, grid, _active_rounds(inst, None))
+    mask = _feasible(grid, *inst.halfspaces(rounds, "slicewise"))
     if not np.any(mask):
         return CheckResult("forward_chain", True, math.nan, math.nan, "empty grid benchmark")
     feas = grid[mask]
-    slopes = _lift_slopes(inst, _active_rounds(inst, None))
+    slopes = inst.lift_slopes(rounds)
     best_f = float(np.min(feas @ slopes.sum(axis=0)))
     best_z = float(np.min(forward_sums_on_grid(trace, feas)))
     v_t = trace.v_at(inst.horizon)
@@ -752,7 +672,7 @@ def reconstruct_hint_errors(trace: RunTrace) -> np.ndarray:
     the played decisions."""
     inst = trace.instance
     pen = Penalty(trace.penalty_kind, trace.extras["lambda_value"])
-    hints: dict[int, np.ndarray] = trace.extras["hints"]
+    hints = trace.extras["hints"]
     m = inst.m
     delay = m + 1 if trace.variant is Variant.COCO_M2 else 1
 
@@ -769,7 +689,7 @@ def reconstruct_hint_errors(trace: RunTrace) -> np.ndarray:
 
     cache: dict[int, np.ndarray] = {}
     errs = []
-    for tau in sorted(hints):
+    for tau, hint in enumerate(hints, start=trace.first_round):
         win = np.zeros(inst.dim)
         for j in range(tau - m, tau + 1):
             if j < 1:
@@ -777,7 +697,7 @@ def reconstruct_hint_errors(trace: RunTrace) -> np.ndarray:
             if j not in cache:
                 cache[j] = forward_grad(j)
             win += cache[j]
-        errs.append(float(np.sum((hints[tau] - win) ** 2)))
+        errs.append(float(np.sum((hint - win) ** 2)))
     return np.array(errs)
 
 
@@ -786,7 +706,7 @@ def check_odaftrl_regret(trace: RunTrace, resolution: float = 1e-3) -> CheckResu
     with the accumulated hint errors."""
     inst = trace.instance
     grid = grid_points(inst.fset, resolution)
-    mask = _slicewise_mask(inst, grid, _active_rounds(inst, None))
+    mask = _feasible(grid, *inst.halfspaces(_active_rounds(inst, None), "slicewise"))
     if not np.any(mask):
         return CheckResult("odaftrl_regret_bound", True, math.nan, math.nan, "empty benchmark")
     feas = grid[mask]

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .core import RoundRecord, Variant
+from .core import Variant, round_table
 from .geometry import Regularizer, ftrl_argmin, regret_coefficient
 from .metrics import RunTrace
 from .penalty import Penalty, PenaltyKind, lambda_optimistic
@@ -45,7 +45,8 @@ class OdafLearner:
     `visibility_floor` zero-pads all slices of rounds before it, so a
     fresh epoch treats earlier rounds exactly like the pre-history of a
     cold start while the decision and violation paths carry over through
-    the shared `x_hist` / `v_hist` maps.
+    the shared `x_hist` / `v_hist` maps and the shared `records` table
+    (row t - instance.first_round holds round t).
     """
 
     def __init__(
@@ -59,6 +60,7 @@ class OdafLearner:
         visibility_floor: int | None = None,
         x_hist: dict | None = None,
         v_hist: dict | None = None,
+        records: np.ndarray | None = None,
     ):
         if penalty.kind is not PenaltyKind.EXPONENTIAL:
             raise ValueError("the optimistic learner uses the exponential penalty")
@@ -82,6 +84,9 @@ class OdafLearner:
 
         self.x_hist = x_hist if x_hist is not None else {}
         self.v_hist = v_hist if v_hist is not None else {}
+        if records is None:
+            records = round_table(instance.horizon - instance.first_round + 1, self.dim)
+        self.records = records
         for r in range(self.first - self.m - 1, self.first):
             self.x_hist.setdefault(r, self.fset.center)
 
@@ -96,7 +101,6 @@ class OdafLearner:
         self._cum_sq = 0.0
         self._max_awin = 0.0
         self.mu_now = 0.0
-        self.err_f = self.err_g = self.err_z = 0.0
         self.fixed_point_fallbacks = 0
         self.ccv = 0.0 if not self.v_hist else self.v_hist[max(self.v_hist)]
 
@@ -271,7 +275,6 @@ class OdafLearner:
         self.hints[nxt] = base + ztilde
         self._hint_preds[nxt] = preds
         self.x_hist[nxt] = x_next
-        self._committed_mu = mu
         # fold the newest window sum into the lagged max AFTER mu used it
         s = t - self.m
         if s in self._a:
@@ -308,7 +311,7 @@ class OdafLearner:
 
     # -- one full round -------------------------------------------------------
 
-    def play_round(self, t: int) -> RoundRecord:
+    def play_round(self, t: int) -> np.record:
         """Observe round t, settle the newly revealed forward gradient and
         hint error, and commit the next decision."""
         m = self.m
@@ -341,9 +344,6 @@ class OdafLearner:
             self._complete_round(s)
             if s in self.hints:
                 eps_z, eps_f, eps_g = self.prediction_errors(s)
-                self.err_z += eps_z
-                self.err_f += eps_f
-                self.err_g += eps_g
 
         self._decide_next(t)
 
@@ -352,26 +352,14 @@ class OdafLearner:
         g_spl = float(sum(gs.value(x_t) for i in range(m + 1)
                           if (gs := self._g_slice(t, i)) is not None))
         mult_t = self._mult(t)
-        return RoundRecord(
-            t=t,
-            x=np.asarray(x_t, dtype=float).copy(),
-            f_mem=f_mem,
-            f_splat=f_spl,
-            g_mem=g_val,
-            g_splat=g_spl,
-            g_plus_recorded=inc,
-            v_dual=self.ccv,
-            ccv_cum=self.ccv,
-            phi_prime=mult_t,
-            lam=self.penalty.lam,
-            surrogate=f_mem + mult_t * inc,
-            grad_norm=float(np.linalg.norm(self._forward.get(s, np.zeros(self.dim)))),
-            eta_or_mu=self._committed_mu,
-            eps_f=eps_f,
-            eps_g=eps_g,
-            eps_z=eps_z,
-            saturated=self.penalty.saturates(self.ccv),
+        row = t - self.inst.first_round
+        self.records[row] = (
+            t, x_t, f_mem, f_spl, g_val, g_spl, inc, self.ccv, self.ccv, mult_t,
+            self.penalty.lam, f_mem + mult_t * inc,
+            float(np.linalg.norm(self._forward.get(s, np.zeros(self.dim)))), self.mu_now,
+            eps_f, eps_g, eps_z, self.penalty.saturates(self.ccv),
         )
+        return self.records[row]
 
 
 def run_optimistic(
@@ -392,23 +380,31 @@ def run_optimistic(
         lam = lambda_optimistic(error_estimate, k.g_bound, eff_m, coeff)
     learner = OdafLearner(instance, variant, predictor, Penalty(PenaltyKind.EXPONENTIAL, lam),
                           alpha=alpha_val)
-    records = [learner.play_round(t) for t in range(instance.first_round, instance.horizon + 1)]
+    for t in range(instance.first_round, instance.horizon + 1):
+        learner.play_round(t)
     return RunTrace(
         algorithm="odaf",
         variant=variant,
         penalty_kind=PenaltyKind.EXPONENTIAL,
-        records=records,
+        records=learner.records,
         instance=instance,
         first_round=instance.first_round,
         extras={
             "lambda_value": lam,
             "alpha": alpha_val,
-            "hints": dict(learner.hints),
-            "error_sums": {"z": learner.err_z, "f": learner.err_f, "g": learner.err_g},
+            # row k is the hint h_{first_round + k}; the last one, for
+            # round horizon + 1, is committed but never played
+            "hints": np.array(list(learner.hints.values())),
+            "error_sums": _error_sums(learner.records),
             "fixed_point_fallbacks": learner.fixed_point_fallbacks,
             "predictor": predictor.kind,
         },
     )
+
+
+def _error_sums(records: np.ndarray) -> dict:
+    """Cumulative hint errors, summed round by round in play order."""
+    return {k: float(sum(records[f"eps_{k}"].tolist())) for k in ("z", "f", "g")}
 
 
 # ---------------------------------------------------------------------------
@@ -431,11 +427,10 @@ class DoublingSchedule:
         self.mu1 = mu1
         self.epoch = 1
         self.budget = mu1
-        self.rounds_in_epoch = 0
         self.error_in_epoch = 0.0
         self.epoch_starts: list[int] = []
 
-    def psi(self, rounds: int, error: float) -> float:
+    def psi(self, error: float) -> float:
         return self.coeff * math.sqrt(max(error, 0.0))
 
     @property
@@ -444,7 +439,7 @@ class DoublingSchedule:
 
     @property
     def empirical(self) -> float:
-        return self.psi(self.rounds_in_epoch, self.error_in_epoch)
+        return self.psi(self.error_in_epoch)
 
     def should_restart(self) -> bool:
         return self.empirical > self.budget
@@ -452,15 +447,13 @@ class DoublingSchedule:
     def restart(self) -> None:
         self.epoch += 1
         self.budget = 2.0 ** (self.epoch - 1) * self.mu1
-        self.rounds_in_epoch = 0
         self.error_in_epoch = 0.0
 
     def observe(self, eps_g: float) -> None:
-        self.rounds_in_epoch += 1
         self.error_in_epoch += eps_g
 
 
-def doubling_mu1(regret_coeff: float, initial_rounds: int, initial_error: float) -> float:
+def doubling_mu1(regret_coeff: float, initial_error: float) -> float:
     """Initial complexity budget; floored at a machine-epsilon scale so a
     zero estimate cannot trigger an unbounded restart cascade."""
     floor = 64.0 * np.finfo(float).eps * max(1.0, regret_coeff)
@@ -473,8 +466,7 @@ class DoublingLearner:
     gradient memory and hint-error statistics start fresh)."""
 
     def __init__(self, instance, variant: Variant, predictor,
-                 alpha: float | None = None,
-                 initial_rounds: int | None = None, initial_error: float = 0.0):
+                 alpha: float | None = None, initial_error: float = 0.0):
         self.inst = instance
         self.variant = variant
         self.predictor = predictor
@@ -482,10 +474,10 @@ class DoublingLearner:
         k = instance.constants()
         coeff = regret_coefficient(instance.fset, instance.m, self.alpha)
         offset = k.g_bound * ((instance.m + 1) if variant is Variant.COCO_M2 else 1)
-        t1 = (instance.m + 1) if initial_rounds is None else initial_rounds
-        self.schedule = DoublingSchedule(coeff, offset, doubling_mu1(coeff, t1, initial_error))
+        self.schedule = DoublingSchedule(coeff, offset, doubling_mu1(coeff, initial_error))
         self.x_hist: dict = {}
         self.v_hist: dict = {}
+        self.records = round_table(instance.horizon - instance.first_round + 1, instance.dim)
         self._spawn(instance.first_round)
 
     def _spawn(self, start_round: int) -> None:
@@ -500,9 +492,10 @@ class DoublingLearner:
             visibility_floor=start_round,
             x_hist=self.x_hist,
             v_hist=self.v_hist,
+            records=self.records,
         )
 
-    def play_round(self, t: int) -> RoundRecord:
+    def play_round(self, t: int) -> np.record:
         if self.schedule.should_restart():
             self.schedule.restart()
             self._spawn(t)
@@ -516,18 +509,18 @@ def run_doubling(
     variant: Variant,
     predictor,
     alpha: float | None = None,
-    initial_rounds: int | None = None,
     initial_error: float = 0.0,
 ) -> RunTrace:
     learner = DoublingLearner(instance, variant, predictor, alpha=alpha,
-                              initial_rounds=initial_rounds, initial_error=initial_error)
-    records = [learner.play_round(t) for t in range(instance.first_round, instance.horizon + 1)]
+                              initial_error=initial_error)
+    for t in range(instance.first_round, instance.horizon + 1):
+        learner.play_round(t)
     sched = learner.schedule
     return RunTrace(
         algorithm="odaf_doubling",
         variant=variant,
         penalty_kind=PenaltyKind.EXPONENTIAL,
-        records=records,
+        records=learner.records,
         instance=instance,
         first_round=instance.first_round,
         extras={
@@ -537,11 +530,7 @@ def run_doubling(
             "epoch_starts": list(sched.epoch_starts),
             "mu1": sched.mu1,
             "mu_final": sched.budget,
-            "error_sums": {
-                "z": float(sum(r.eps_z for r in records)),
-                "f": float(sum(r.eps_f for r in records)),
-                "g": float(sum(r.eps_g for r in records)),
-            },
+            "error_sums": _error_sums(learner.records),
             "predictor": predictor.kind,
         },
     )

@@ -1,5 +1,5 @@
-"""Penalty functions applied to cumulative violation, and the running
-violation state.
+"""Penalty functions applied to cumulative violation, and the
+theorem-prescribed penalty parameters.
 
 Two shapes are supported: quadratic  lam * V^2  and exponential
 exp(lam * V) - 1.  Both are nonnegative, convex, increasing, and vanish
@@ -48,37 +48,6 @@ class Penalty:
 
     def saturates(self, v: float) -> bool:
         return self.kind is PenaltyKind.EXPONENTIAL and self.lam * v > EXP_CAP
-
-
-class PenaltyState:
-    """Cumulative positive violation with delayed reads.
-
-    `past(k)` returns the value V had k rounds ago; reads reaching before
-    the first update return 0, matching the zero dual seed.  The full
-    per-round history is kept (the optimistic learner reads up to 2m+1
-    rounds back when assembling hints).
-    """
-
-    def __init__(self):
-        self._values = [0.0]
-
-    @property
-    def v_now(self) -> float:
-        return self._values[-1]
-
-    def add(self, violation: float) -> float:
-        """Accumulate one round's positive violation; returns the new V."""
-        if violation < 0:
-            raise ValueError("violation increment must be >= 0")
-        self._values.append(self._values[-1] + violation)
-        return self._values[-1]
-
-    def past(self, k: int) -> float:
-        """V as of k rounds ago (k = 0 is the current value)."""
-        if k < 0:
-            raise ValueError("lookback must be >= 0")
-        idx = len(self._values) - 1 - k
-        return self._values[idx] if idx >= 0 else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,10 @@ import math
 
 import numpy as np
 
-from .core import MemoryFunctionOracle, MemoryWindow, RoundRecord, Variant, splat
+from .core import MemoryFunctionOracle, Variant, round_table, splat
 from .geometry import project
 from .metrics import RunTrace
-from .penalty import LambdaSchedule, Penalty, PenaltyKind, PenaltyState, lambda_quadratic
+from .penalty import LambdaSchedule, Penalty, PenaltyKind, lambda_quadratic
 
 
 def surrogate_gradient(
@@ -46,10 +46,11 @@ def adaptive_step(diameter: float, grad_sq_sum: float) -> float:
 
 
 class PenaltyOgdLearner:
-    """Single-run learner state; one instance per (config, seed)."""
+    """Single-run learner state; one instance per (config, seed).  It
+    plays `n_rounds` rounds and writes the k-th into row k of `records`."""
 
     def __init__(self, fset, memory: int, variant: Variant, kind: PenaltyKind,
-                 schedule: LambdaSchedule):
+                 schedule: LambdaSchedule, n_rounds: int):
         self.fset = fset
         self.m = memory
         self.variant = variant
@@ -58,11 +59,13 @@ class PenaltyOgdLearner:
         self.x = fset.center
         self.window = splat(self.x, memory)
         self.grad_sq_sum = 0.0
-        self.dual = PenaltyState()
+        self.v_dual = 0.0
         self.ccv = 0.0
+        self.records = round_table(n_rounds, fset.dim)
+        self.played = 0
 
     def play_round(self, t: int, loss: MemoryFunctionOracle,
-                   constraint: MemoryFunctionOracle) -> RoundRecord:
+                   constraint: MemoryFunctionOracle) -> np.record:
         if loss.dim != self.fset.dim or constraint.dim != self.fset.dim:
             raise ValueError("oracle dimension does not match the feasible set")
         if loss.memory != self.m or constraint.memory != self.m:
@@ -78,7 +81,8 @@ class PenaltyOgdLearner:
         g_plus = max(g_mem, 0.0)
 
         # dual update first: the multiplier sees this round's violation
-        v = self.dual.add(max(g_spl, 0.0))
+        self.v_dual += max(g_spl, 0.0)
+        v = self.v_dual
         self.ccv += g_plus
 
         lam = self.schedule.at(t)
@@ -89,26 +93,16 @@ class PenaltyOgdLearner:
         eta = adaptive_step(self.fset.diameter, self.grad_sq_sum)
         x_next = project(self.fset, x - eta * grad)
 
-        rec = RoundRecord(
-            t=t,
-            x=x.copy(),
-            f_mem=f_mem,
-            f_splat=f_spl,
-            g_mem=g_mem,
-            g_splat=g_spl,
-            g_plus_recorded=g_plus,
-            v_dual=v,
-            ccv_cum=self.ccv,
-            phi_prime=phi_prime,
-            lam=lam,
-            surrogate=f_spl + phi_prime * max(g_spl, 0.0),
-            grad_norm=float(np.linalg.norm(grad)),
-            eta_or_mu=eta,
-            saturated=pen.saturates(v),
+        row = self.played
+        self.records[row] = (
+            t, x, f_mem, f_spl, g_mem, g_spl, g_plus, v, self.ccv, phi_prime, lam,
+            f_spl + phi_prime * max(g_spl, 0.0), float(np.linalg.norm(grad)), eta,
+            0.0, 0.0, 0.0, pen.saturates(v),
         )
+        self.played += 1
         self.x = x_next
         self.window.push(x_next)
-        return rec
+        return self.records[row]
 
 
 def run_penalty_ogd(
@@ -121,16 +115,15 @@ def run_penalty_ogd(
     if schedule is None:
         schedule = LambdaSchedule("fixed", lambda_quadratic(instance.horizon))
     first = instance.first_round
-    learner = PenaltyOgdLearner(instance.fset, instance.m, variant, kind, schedule)
-    records = [
+    learner = PenaltyOgdLearner(instance.fset, instance.m, variant, kind, schedule,
+                                instance.horizon - first + 1)
+    for t in range(first, instance.horizon + 1):
         learner.play_round(t, instance.loss(t), instance.constraint(t))
-        for t in range(first, instance.horizon + 1)
-    ]
     return RunTrace(
         algorithm="penalty_ogd",
         variant=variant,
         penalty_kind=kind,
-        records=records,
+        records=learner.records,
         instance=instance,
         first_round=first,
         extras={"lambda_mode": schedule.mode, "lambda_value": schedule.value},

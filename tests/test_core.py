@@ -23,9 +23,6 @@ class AffineLift(MemoryFunctionOracle):
     def value(self, window):
         return self.a * float(window.newest[0]) + self.b
 
-    def grad_wrt_last(self, window):
-        return np.array([self.a])
-
     def grad_splat(self, x):
         return np.array([self.a])
 
@@ -115,7 +112,7 @@ def test_instance_oracles_respect_declared_bounds():
                 w2 = MemoryWindow(rng.uniform(-15, 15, size=(4, 1)))
                 v1, v2 = oracle.value(w1), oracle.value(w2)
                 assert abs(v1) <= oracle.bound + 1e-9
-                gap = np.linalg.norm(w1.flat() - w2.flat())
+                gap = np.linalg.norm(w1.entries - w2.entries)
                 assert abs(v1 - v2) <= oracle.lipschitz * gap + 1e-9
 
 

@@ -74,17 +74,16 @@ def test_max_reduce_drives_a_learner():
     inst_b = AppendixAInstance(m=1, horizon=50, seed=3)
     fset = inst_a.fset
     learner = PenaltyOgdLearner(fset, 1, Variant.COCO_M, PenaltyKind.QUADRATIC,
-                                LambdaSchedule("sqrt_t"))
-    records = []
+                                LambdaSchedule("sqrt_t"), len(inst_a.rounds))
     for t in inst_a.rounds:
         combined = max_reduce([inst_a.constraint(t), inst_b.constraint(t)])
-        records.append(learner.play_round(t, inst_a.loss(t), combined))
-    for rec in records:
+        learner.play_round(t, inst_a.loss(t), combined)
+    for rec in learner.records:
         t = rec.t
         want = max(inst_a.constraint(t).value_splat(rec.x),
                    inst_b.constraint(t).value_splat(rec.x))
         assert rec.g_splat == pytest.approx(want, rel=1e-12, abs=1e-12)
         assert rec.g_plus_recorded == pytest.approx(max(want, 0.0), rel=1e-12, abs=1e-12)
-    tr = RunTrace("penalty_ogd", Variant.COCO_M, PenaltyKind.QUADRATIC, records,
+    tr = RunTrace("penalty_ogd", Variant.COCO_M, PenaltyKind.QUADRATIC, learner.records,
                   inst_a, inst_a.first_round, {})
     tr.validate()

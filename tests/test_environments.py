@@ -71,7 +71,7 @@ def test_declared_constants_dominate_empirical_probes():
             w1, w2 = splat(w[i, 0], 2), splat(w[i + 1, 0], 2)
             assert abs(f.value(w1)) <= k.f_bound + 1e-9
             assert abs(g.value(w1)) <= k.g_bound + 1e-9
-            gap = np.linalg.norm(w1.flat() - w2.flat())
+            gap = np.linalg.norm(w1.entries - w2.entries)
             assert abs(f.value(w1) - f.value(w2)) <= k.l_f * gap + 1e-9
             assert abs(g.value(w1) - g.value(w2)) <= k.l_g * gap + 1e-9
 

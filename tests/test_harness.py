@@ -1,5 +1,5 @@
 import json
-import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from cocomem.harness import (
     ExperimentConfig,
     checkpoints,
     emit_csv,
+    load_config,
     run_experiment,
     run_single,
     verify_experiment,
@@ -176,6 +177,34 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     assert cli_main(["run", "--config", str(tmp_path / "missing.json")]) == 1
     # bounds subcommand
     assert cli_main(["bounds", "--config", str(cfg_path)]) == 0
+
+
+def test_verify_passes_on_reference_stochastic_seed0():
+    # the 1/sqrt(t) schedule makes Phi' peak early in the run, so the
+    # gradient bound must use each round's own multiplier
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "reference_stochastic.json")
+    cfg.seeds = [0]
+    ok, lines = verify_experiment(cfg)
+    assert ok, "\n".join(line for line in lines if "FAIL" in line)
+    assert any("surrogate_gradient_bound" in line for line in lines)
+
+
+def test_cli_rejects_seed_count_below_one(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**BASE, "seeds": [0]}))
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(out), "--seeds", "0"]) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not (out / "t_summary.json").exists()
+
+
+def test_cli_rejects_parallel_below_one(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**BASE, "seeds": [0]}))
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(out), "--parallel", "0"]) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not (out / "t_summary.json").exists()
 
 
 def test_cli_verify_exit_code(tmp_path):

@@ -6,7 +6,6 @@ import pytest
 from cocomem import (
     AppendixAInstance,
     PenaltyKind,
-    RoundRecord,
     RunTrace,
     SeparableLinearInstance,
     Variant,
@@ -16,8 +15,10 @@ from cocomem import (
     run_penalty_ogd,
     theorem_bound_report,
 )
+from cocomem.core import round_table
 from cocomem.metrics import (
     ccv_rhs_quadratic,
+    check_memory_identity,
     feasible_interval,
     grid_points,
     lift_loss_at,
@@ -77,23 +78,17 @@ def test_per_round_comparator_series():
 def _toy_trace(inst, xs):
     """Build a trace by hand (spreadsheet-style replay of the learner's
     bookkeeping) for metric unit checks."""
-    records = []
-    ccv = 0.0
-    for t, x in zip(inst.rounds, xs):
-        f, g = inst.loss(t), inst.constraint(t)
-        from cocomem import splat
+    from cocomem import splat
 
+    records = round_table(len(xs), 1)
+    ccv = 0.0
+    for row, (t, x) in enumerate(zip(inst.rounds, xs)):
+        f, g = inst.loss(t), inst.constraint(t)
         w = splat([x], inst.m)
         g_mem = g.value(w)
         ccv += max(g_mem, 0.0)
-        records.append(
-            RoundRecord(
-                t=t, x=np.array([x]), f_mem=f.value(w), f_splat=f.value_splat([x]),
-                g_mem=g_mem, g_splat=g.value_splat([x]), g_plus_recorded=max(g_mem, 0.0),
-                v_dual=ccv, ccv_cum=ccv, phi_prime=0.0, lam=1.0, surrogate=0.0,
-                grad_norm=0.0, eta_or_mu=0.0,
-            )
-        )
+        records[row] = (t, [x], f.value(w), f.value_splat([x]), g_mem, g.value_splat([x]),
+                        max(g_mem, 0.0), ccv, ccv, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, False)
     return RunTrace("penalty_ogd", Variant.COCO_M2, PenaltyKind.QUADRATIC, records,
                     inst, inst.first_round, {})
 
@@ -131,6 +126,17 @@ def test_memory_identity_on_real_run():
     deviation = float(np.sum(tr.col("f_mem") - tr.col("f_splat")))
     lhs = s.regret_static_cum[-1] - s.regret_memoryless_cum[-1]
     assert lhs == pytest.approx(deviation, rel=1e-9, abs=1e-9)
+
+
+def test_memory_deviation_bound_catches_inflated_window_loss():
+    """A window loss that drifts further from its lift than L_f times the
+    window's distance to the splat allows must fail the check."""
+    inst = AppendixAInstance(m=3, horizon=120, seed=6)
+    tr = run_penalty_ogd(inst, Variant.COCO_M2)
+    res = check_memory_identity(tr)
+    assert res.passed and 0.0 < res.lhs < res.rhs
+    tr.col("f_mem")[:] += 2.0 * res.rhs / len(tr.records)
+    assert not check_memory_identity(tr).passed
 
 
 def test_quadratic_rhs_m0_drops_memory_term():

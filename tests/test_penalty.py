@@ -7,7 +7,6 @@ from cocomem import (
     LambdaSchedule,
     Penalty,
     PenaltyKind,
-    PenaltyState,
     lambda_exponential_short_memory,
     lambda_optimistic,
     lambda_quadratic,
@@ -81,23 +80,6 @@ def test_theorem_lambdas():
 def test_short_memory_condition():
     # T = 4000: T^(1/6)/(log T)^(1/3) is about 1.97, so m <= 1 qualifies
     assert [short_memory_condition(4000, m) for m in range(4)] == [True, True, False, False]
-
-
-def test_penalty_state_recurrence():
-    st = PenaltyState()
-    assert st.v_now == 0.0
-    st.add(1.5)
-    st.add(0.0)
-    st.add(2.0)
-    assert st.v_now == pytest.approx(3.5)
-    assert st.past(0) == pytest.approx(3.5)
-    assert st.past(1) == pytest.approx(1.5)
-    assert st.past(2) == pytest.approx(1.5)
-    assert st.past(3) == 0.0
-    # reads reaching before the first update are the zero dual seed
-    assert st.past(50) == 0.0
-    with pytest.raises(ValueError):
-        st.add(-1.0)
 
 
 def test_lambda_schedule_modes():

@@ -28,9 +28,6 @@ class Quadratic1D(MemoryFunctionOracle):
     def value(self, window):
         return 0.5 * (float(window.newest[0]) - self.c) ** 2
 
-    def grad_wrt_last(self, window):
-        return np.array([float(window.newest[0]) - self.c])
-
     def grad_splat(self, x):
         return np.array([float(np.asarray(x)[0]) - self.c])
 
@@ -45,9 +42,6 @@ class Affine1D(MemoryFunctionOracle):
 
     def value(self, window):
         return self.a * float(window.newest[0]) + self.b
-
-    def grad_wrt_last(self, window):
-        return np.array([self.a])
 
     def grad_splat(self, x):
         return np.array([self.a])
@@ -100,7 +94,7 @@ def test_single_round_hand_trace():
     # eta = 30/(sqrt(2)*2) = 10.6066..., x1 = clamp(0 + 21.2132..) = 15
     fset = Box([-15.0], [15.0])
     learner = PenaltyOgdLearner(fset, 0, Variant.COCO_M, PenaltyKind.QUADRATIC,
-                                LambdaSchedule("fixed", 0.5))
+                                LambdaSchedule("fixed", 0.5), 1)
     rec = learner.play_round(1, Quadratic1D(2.0), Affine1D(1.0, -1.0))
     assert rec.v_dual == 0.0
     assert rec.phi_prime == 0.0
@@ -113,7 +107,7 @@ def test_fixed_point_when_nothing_moves():
     # constant loss and satisfied constraint: zero gradients, x never moves
     fset = Box([-15.0], [15.0])
     learner = PenaltyOgdLearner(fset, 0, Variant.COCO_M, PenaltyKind.QUADRATIC,
-                                LambdaSchedule("fixed", 0.5))
+                                LambdaSchedule("fixed", 0.5), 9)
     for t in range(1, 10):
         rec = learner.play_round(t, Quadratic1D(0.0), Affine1D(1.0, -1.0))
         assert rec.eta_or_mu == 0.0
@@ -126,7 +120,7 @@ def test_dual_update_precedes_gradient():
     # violation must already scale the constraint gradient
     fset = Box([-15.0], [15.0])
     learner = PenaltyOgdLearner(fset, 0, Variant.COCO_M, PenaltyKind.QUADRATIC,
-                                LambdaSchedule("fixed", 0.5))
+                                LambdaSchedule("fixed", 0.5), 1)
     rec = learner.play_round(1, Quadratic1D(0.0), Affine1D(1.0, 1.0))
     assert rec.v_dual == pytest.approx(1.0)
     # grad = f' + 2*lam*V * g' = 0 + 2*0.5*1*1 = 1
@@ -138,7 +132,7 @@ def test_variants_differ_only_in_recorded_violation():
     tr2 = run_penalty_ogd(inst, Variant.COCO_M2)
     tr1 = run_penalty_ogd(inst, Variant.COCO_M)
     # identical play: the dual update uses the lift in both variants
-    assert np.array_equal(tr1.x_matrix(), tr2.x_matrix())
+    assert np.array_equal(tr1.col("x"), tr2.col("x"))
     # the recorded CCV increment differs: window value vs lift value
     g2 = tr2.col("g_plus_recorded")
     g1 = tr1.col("g_plus_recorded")
@@ -159,6 +153,6 @@ def test_every_decision_feasible_and_steps_shrink():
 def test_oracle_shape_mismatch_rejected():
     fset = Box([-1.0], [1.0])
     learner = PenaltyOgdLearner(fset, 1, Variant.COCO_M, PenaltyKind.QUADRATIC,
-                                LambdaSchedule("fixed", 0.5))
+                                LambdaSchedule("fixed", 0.5), 1)
     with pytest.raises(ValueError):
         learner.play_round(1, Quadratic1D(0.0, m=0), Affine1D(1.0, -1.0, m=1))
