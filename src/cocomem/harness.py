@@ -9,6 +9,7 @@ and results are byte-identical across reruns of the same config.
 from __future__ import annotations
 
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -300,8 +301,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     return summary
 
 
-def verify_experiment(cfg: ExperimentConfig, resolution: float = 1e-3) -> tuple[bool, list[str]]:
-    """Run the invariant suite on every seed; returns (all passed, lines)."""
+def verify_experiment(cfg: ExperimentConfig,
+                      resolution: float | None = None) -> tuple[bool, list[str]]:
+    """Run the invariant suite on every seed; returns (all passed, lines).
+    `resolution` is the grid step of the 2-D comparators (None: the
+    suite's per-set default)."""
+    if resolution is not None and not (math.isfinite(resolution) and resolution > 0):
+        raise ConfigError(f"resolution must be finite and positive, got {resolution}")
     lines, ok = [], True
     for seed in cfg.seeds:
         trace = run_single(cfg, seed)

@@ -100,15 +100,11 @@ def _active_rounds(instance, upto: int | None) -> range:
     return range(instance.first_round, hi + 1)
 
 
-def _halfspace_values(U: np.ndarray, A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a_k . u + b_k for every row u of U and every half-space k."""
+def _feasible(U: np.ndarray, A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rows u of U with a_k . u + b_k <= 0 (to _FEAS_TOL) for every k."""
     vals = U @ A.T
     vals += b
-    return vals
-
-
-def _feasible(U: np.ndarray, A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.all(_halfspace_values(U, A, b) <= _FEAS_TOL, axis=1)
+    return np.all(vals <= _FEAS_TOL, axis=1)
 
 
 def _half_space_intervals(instance, kind: str, rounds) -> tuple[np.ndarray, np.ndarray]:
@@ -426,56 +422,43 @@ class CheckResult:
         return f"[{tag}] {self.name}: lhs={self.lhs:.6g} rhs={self.rhs:.6g} {self.detail}"
 
 
-def _ogd_grid_sums(trace: RunTrace, resolution: float):
-    """Grid of the memory-less feasible set with the cumulative lifted loss
-    and cumulative surrogate at every feasible point."""
-    inst = trace.instance
-    rounds = _active_rounds(inst, None)
-    grid = grid_points(inst.fset, resolution)
-    A, b = inst.halfspaces(rounds, "lift")
-    phi_w = trace.col("phi_prime")
-    sum_f = np.empty(len(grid))
-    sum_l = np.empty(len(grid))
-    mask = np.empty(len(grid), dtype=bool)
-    for sl in _chunks(len(grid)):
-        # fv and gv live until the next chunk replaces them; freeing the
-        # lift block early let the allocator hand its pages back and
-        # fault them in again on every chunk
-        fv = inst.lift_values(grid[sl], rounds)
-        gv = _halfspace_values(grid[sl], A, b)
-        sum_f[sl] = fv.sum(axis=1)
-        sum_l[sl] = sum_f[sl] + np.maximum(gv, 0.0) @ phi_w
-        mask[sl] = np.all(gv <= _FEAS_TOL, axis=1)
-    return grid, mask, sum_f, sum_l
+def _check_benchmark(trace: RunTrace, kind: str, resolution: float | None) -> Benchmark:
+    """Comparator of the regret checks: the exact benchmark solver in 1-D
+    (`resolution` unused), the feasible-grid minimum in 2-D."""
+    if resolution is None:
+        resolution = default_resolution(trace.fset)
+    return _best(trace.instance, kind, resolution, None)
 
 
-def check_lemma_ogd_regret(trace: RunTrace, resolution: float = 1e-3) -> CheckResult:
+def check_lemma_ogd_regret(trace: RunTrace, resolution: float | None = None) -> CheckResult:
     """Surrogate regret against the adaptive-step OGD bound
-    sqrt(2) |X| sqrt(sum ||grad||^2), benchmark via the feasible grid."""
-    _, mask, _, sum_l = _ogd_grid_sums(trace, resolution)
-    played = float(np.sum(trace.col("surrogate")))
-    if not np.any(mask):
+    sqrt(2) |X| sqrt(sum ||grad||^2).  On the benchmark set every lifted
+    constraint is <= 0, so the hinge term of the surrogate vanishes and
+    the comparator is the best-in-hindsight total."""
+    bench = _check_benchmark(trace, "lift", resolution)
+    if not bench.feasible:
         return CheckResult("ogd_surrogate_regret", True, math.nan, math.nan, "empty benchmark")
-    lhs = played - float(np.min(sum_l[mask]))
+    lhs = float(np.sum(trace.col("surrogate"))) - bench.total
     rhs = math.sqrt(2.0) * trace.fset.diameter * math.sqrt(
         float(np.sum(trace.col("grad_norm") ** 2))
     )
     return CheckResult("ogd_surrogate_regret", lhs <= rhs + 1e-9 * max(1.0, abs(rhs)), lhs, rhs)
 
 
-def check_decomposition_ogd(trace: RunTrace, resolution: float = 1e-3) -> CheckResult:
+def check_decomposition_ogd(trace: RunTrace, resolution: float | None = None) -> CheckResult:
     """Penalty decomposition: memory-less regret + Phi(V_T) - Phi(V_m)
-    is at most the surrogate regret (same feasible grid on both sides)."""
-    _, mask, sum_f, sum_l = _ogd_grid_sums(trace, resolution)
-    if not np.any(mask):
+    is at most the surrogate regret (the same best-in-hindsight
+    comparator on both sides, where the surrogate's hinge term is 0)."""
+    bench = _check_benchmark(trace, "lift", resolution)
+    if not bench.feasible:
         return CheckResult("penalty_decomposition", True, math.nan, math.nan, "empty benchmark")
     lam = trace.col("lam")
     v = trace.col("v_dual")
     pen_last = Penalty(trace.penalty_kind, float(lam[-1]))
     pen_first = Penalty(trace.penalty_kind, float(lam[0]))
-    r_hat = float(np.sum(trace.col("f_splat"))) - float(np.min(sum_f[mask]))
+    r_hat = float(np.sum(trace.col("f_splat"))) - bench.total
     lhs = r_hat + pen_last.value(float(v[-1])) - pen_first.value(float(v[0]))
-    rhs = float(np.sum(trace.col("surrogate"))) - float(np.min(sum_l[mask]))
+    rhs = float(np.sum(trace.col("surrogate"))) - bench.total
     return CheckResult("penalty_decomposition", lhs <= rhs + 1e-9 * max(1.0, abs(rhs)), lhs, rhs)
 
 
@@ -557,18 +540,15 @@ def _forward_parts(trace: RunTrace):
     return lin_total, rr, ii, g_coefs, g_offs, g_mults
 
 
-def forward_sums_on_grid(trace: RunTrace, U: np.ndarray) -> np.ndarray:
-    """sum_t Z_t(u) for each grid point u under the realized violation
-    path (convex piecewise-linear in u)."""
+def forward_sum_at_point(trace: RunTrace, u: np.ndarray) -> float:
+    """sum_t Z_t(u) under the realized violation path (convex
+    piecewise-linear in u)."""
     lin_total, _, _, g_coefs, g_offs, g_mults = _forward_parts(trace)
+    U = np.asarray(u, dtype=float)[None, :]
     vals = U @ lin_total
     if len(g_coefs):
         vals = vals + np.maximum(U @ g_coefs.T + g_offs[None, :], 0.0) @ g_mults
-    return vals
-
-
-def forward_sum_at_point(trace: RunTrace, u: np.ndarray) -> float:
-    return float(forward_sums_on_grid(trace, np.asarray(u, dtype=float)[None, :])[0])
+    return float(vals[0])
 
 
 def _decisions_by_round(trace: RunTrace) -> np.ndarray:
@@ -632,25 +612,22 @@ def check_forward_consistency(trace: RunTrace, n_points: int = 5) -> CheckResult
     )
 
 
-def check_lemma_forward_chain(trace: RunTrace, resolution: float = 1e-3) -> CheckResult:
+def check_lemma_forward_chain(trace: RunTrace, resolution: float | None = None) -> CheckResult:
     """Phi(V_T) - Phi(V_{m-1}) + memory regret (slice-wise benchmark) is at
-    most the forward-function regret plus G(m+1) Phi'(V_T)."""
+    most the forward-function regret plus G(m+1) Phi'(V_T).  On the
+    slice-wise benchmark set every constraint slice is <= 0, so the
+    forward sum equals the summed lift there and both regrets share the
+    slice-wise best-in-hindsight total as comparator."""
     inst = trace.instance
     pen = Penalty(trace.penalty_kind, trace.extras["lambda_value"])
-    rounds = _active_rounds(inst, None)
-    grid = grid_points(inst.fset, resolution)
-    mask = _feasible(grid, *inst.halfspaces(rounds, "slicewise"))
-    if not np.any(mask):
-        return CheckResult("forward_chain", True, math.nan, math.nan, "empty grid benchmark")
-    feas = grid[mask]
-    slopes = inst.lift_slopes(rounds)
-    best_f = float(np.min(feas @ slopes.sum(axis=0)))
-    best_z = float(np.min(forward_sums_on_grid(trace, feas)))
+    bench = _check_benchmark(trace, "slicewise", resolution)
+    if not bench.feasible:
+        return CheckResult("forward_chain", True, math.nan, math.nan, "empty benchmark")
     v_t = trace.v_at(inst.horizon)
     k = inst.constants()
     mult = inst.m + 1 if trace.variant is Variant.COCO_M2 else 1
-    lhs = pen.value(v_t) + float(np.sum(trace.col("f_mem"))) - best_f
-    rhs = (forward_sum_at_decisions(trace) - best_z) + k.g_bound * mult * pen.prime(v_t)
+    lhs = pen.value(v_t) + float(np.sum(trace.col("f_mem"))) - bench.total
+    rhs = (forward_sum_at_decisions(trace) - bench.total) + k.g_bound * mult * pen.prime(v_t)
     return CheckResult("forward_chain", lhs <= rhs + 1e-8 * max(1.0, abs(rhs)), lhs, rhs)
 
 
@@ -701,25 +678,23 @@ def reconstruct_hint_errors(trace: RunTrace) -> np.ndarray:
     return np.array(errs)
 
 
-def check_odaftrl_regret(trace: RunTrace, resolution: float = 1e-3) -> CheckResult:
+def check_odaftrl_regret(trace: RunTrace, resolution: float | None = None) -> CheckResult:
     """Measured forward-function regret against the delayed-FTRL bound
-    with the accumulated hint errors."""
+    with the accumulated hint errors (comparator as in the forward chain)."""
     inst = trace.instance
-    grid = grid_points(inst.fset, resolution)
-    mask = _feasible(grid, *inst.halfspaces(_active_rounds(inst, None), "slicewise"))
-    if not np.any(mask):
+    bench = _check_benchmark(trace, "slicewise", resolution)
+    if not bench.feasible:
         return CheckResult("odaftrl_regret_bound", True, math.nan, math.nan, "empty benchmark")
-    feas = grid[mask]
-    lhs = forward_sum_at_decisions(trace) - float(np.min(forward_sums_on_grid(trace, feas)))
+    lhs = forward_sum_at_decisions(trace) - bench.total
     err_sum = float(np.sum(reconstruct_hint_errors(trace)))
     rhs = odaftrl_regret_rhs(inst.fset, inst.m, trace.extras["alpha"], err_sum)
     return CheckResult("odaftrl_regret_bound", lhs <= rhs + 1e-8 * max(1.0, abs(rhs)), lhs, rhs)
 
 
 def invariant_suite(trace: RunTrace, resolution: float | None = None) -> list[CheckResult]:
-    """Every runtime inequality that applies to this trace's algorithm."""
-    if resolution is None:
-        resolution = default_resolution(trace.fset)
+    """Every runtime inequality that applies to this trace's algorithm;
+    `resolution` is the grid step of the 2-D comparators (default
+    `default_resolution`) and is unused in 1-D."""
     checks = [check_ccv_replay(trace), check_memory_identity(trace)]
     if trace.algorithm == "penalty_ogd":
         checks += [

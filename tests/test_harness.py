@@ -179,14 +179,18 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     assert cli_main(["bounds", "--config", str(cfg_path)]) == 0
 
 
-def test_verify_passes_on_reference_stochastic_seed0():
-    # the 1/sqrt(t) schedule makes Phi' peak early in the run, so the
-    # gradient bound must use each round's own multiplier
-    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "reference_stochastic.json")
-    cfg.seeds = [0]
+@pytest.mark.parametrize("name", ["reference_stochastic", "reference_adversarial",
+                                  "optimistic_perfect", "doubling_noisy"])
+def test_verify_passes_on_every_shipped_config(name):
+    # every seed of the config's own list; the 1/sqrt(t) schedule makes
+    # Phi' peak early in the reference runs, so the gradient bound must
+    # use each round's own multiplier
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.json")
     ok, lines = verify_experiment(cfg)
     assert ok, "\n".join(line for line in lines if "FAIL" in line)
-    assert any("surrogate_gradient_bound" in line for line in lines)
+    assert {line.split(":")[0] for line in lines} == {f"seed {s}" for s in cfg.seeds}
+    if cfg.algorithm == "penalty_ogd":
+        assert any("surrogate_gradient_bound" in line for line in lines)
 
 
 def test_cli_rejects_seed_count_below_one(tmp_path, capsys):
@@ -213,6 +217,28 @@ def test_cli_verify_exit_code(tmp_path):
                                     "environment": {"kind": "appendix_a", "m": 1,
                                                     "horizon": 60}}))
     assert cli_main(["verify", "--config", str(cfg_path), "--resolution", "0.005"]) == 0
+
+
+@pytest.mark.parametrize("environment, algorithm", [
+    ({"kind": "appendix_a", "m": 1, "horizon": 60, "dim": 2, "radius": 5.0, "sigma": 2.0},
+     {"algorithm": "penalty_ogd"}),
+    ({"kind": "separable_linear", "m": 1, "horizon": 60, "dim": 2},
+     {"algorithm": "odaf", "penalty": "exponential", "lambda_mode": "fixed_theorem"}),
+], ids=["appendix_a", "separable_linear"])
+def test_cli_verify_2d_at_default_resolution(tmp_path, environment, algorithm):
+    # the 2-D grid step defaults to the set's own (diameter / 500), not 1e-3
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**BASE, "seeds": [0], "environment": environment,
+                                    **algorithm}))
+    assert cli_main(["verify", "--config", str(cfg_path)]) == 0
+
+
+@pytest.mark.parametrize("resolution", ["0", "-1", "nan", "inf"])
+def test_cli_rejects_bad_resolution(tmp_path, capsys, resolution):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**BASE, "seeds": [0]}))
+    assert cli_main(["verify", "--config", str(cfg_path), "--resolution", resolution]) == 1
+    assert "config error:" in capsys.readouterr().err
 
 
 def test_checkpoint_marks():

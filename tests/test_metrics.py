@@ -5,27 +5,36 @@ import pytest
 
 from cocomem import (
     AppendixAInstance,
+    LambdaSchedule,
     PenaltyKind,
+    PerfectPredictor,
     RunTrace,
     SeparableLinearInstance,
     Variant,
     best_in_hindsight,
     best_in_hindsight_slicewise,
+    invariant_suite,
     regret_and_ccv,
+    run_optimistic,
     run_penalty_ogd,
     theorem_bound_report,
 )
 from cocomem.core import round_table
 from cocomem.metrics import (
     ccv_rhs_quadratic,
+    check_lemma_ogd_regret,
     check_memory_identity,
+    check_odaftrl_regret,
+    default_resolution,
     feasible_interval,
+    forward_sum_at_decisions,
     grid_points,
     lift_loss_at,
     per_round_min_series,
     prefix_static_regret,
     regret_rhs_exponential,
     regret_rhs_quadratic,
+    _forward_parts,
     _grid_best,
 )
 
@@ -219,3 +228,104 @@ def test_grid_points_dimensions():
     assert np.all(np.linalg.norm(g2, axis=1) <= 1.0 + 1e-12)
     with pytest.raises(ValueError):
         grid_points(Ball([0.0] * 3, 1.0), 0.5)
+
+
+# -- the checks' comparators ---------------------------------------------------
+#
+# The regret checks take their comparator from the benchmark solvers: on the
+# benchmark set every lifted (or slice-wise) constraint is <= 0, so the
+# hinge term of the surrogate, and of the forward functions, vanishes there.
+
+
+def _ogd_run(family, dim):
+    cls = AppendixAInstance if family == "appendix_a" else SeparableLinearInstance
+    inst = cls(m=2, horizon=150, seed=0, dim=dim)
+    return run_penalty_ogd(inst, Variant.COCO_M2, schedule=LambdaSchedule("sqrt_t"))
+
+
+def _odaf_run(dim):
+    inst = SeparableLinearInstance(m=2, horizon=100 if dim == 1 else 60, seed=0, dim=dim)
+    return run_optimistic(inst, Variant.COCO_M2, PerfectPredictor())
+
+
+COMPARATOR_RUNS = {
+    "ogd_appendix_1d": lambda: _ogd_run("appendix_a", 1),
+    "ogd_appendix_2d": lambda: _ogd_run("appendix_a", 2),
+    "ogd_separable_1d": lambda: _ogd_run("separable_linear", 1),
+    "ogd_separable_2d": lambda: _ogd_run("separable_linear", 2),
+    "odaf_1d": lambda: _odaf_run(1),
+    "odaf_2d": lambda: _odaf_run(2),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(COMPARATOR_RUNS))
+def comparator_run(request):
+    return COMPARATOR_RUNS[request.param]()
+
+
+def _independent_sums(trace, U):
+    """(sum_t L_t(u) for penalty OGD or sum_t Z_t(u) for ODAF, benchmark-set
+    membership) at every row u of U, hinge terms included."""
+    inst = trace.instance
+    if trace.algorithm == "penalty_ogd":
+        A, b = inst.halfspaces(inst.rounds, "lift")
+        g = U @ A.T + b
+        sums = inst.lift_values(U, inst.rounds).sum(axis=1)
+        sums += np.maximum(g, 0.0) @ trace.col("phi_prime")
+    else:
+        A, b = inst.halfspaces(inst.rounds, "slicewise")
+        g = U @ A.T + b
+        lin_total, _, _, g_coefs, g_offs, g_mults = _forward_parts(trace)
+        sums = U @ lin_total + np.maximum(U @ g_coefs.T + g_offs, 0.0) @ g_mults
+    return sums, np.all(g <= 1e-12, axis=1)
+
+
+def _comparator(trace):
+    """The total the regret check subtracts, read back from its lhs."""
+    if trace.algorithm == "penalty_ogd":
+        return float(np.sum(trace.col("surrogate"))) - check_lemma_ogd_regret(trace).lhs
+    return forward_sum_at_decisions(trace) - check_odaftrl_regret(trace).lhs
+
+
+def test_hinge_vanishes_at_the_benchmark_point(comparator_run):
+    tr = comparator_run
+    inst = tr.instance
+    res = default_resolution(inst.fset)
+    if tr.algorithm == "penalty_ogd":
+        kind, bench = "lift", best_in_hindsight(inst, tr.variant, res)
+    else:
+        kind, bench = "slicewise", best_in_hindsight_slicewise(inst, res)
+    assert bench.feasible
+    A, b = inst.halfspaces(inst.rounds, kind)
+    assert np.max(A @ bench.x_star + b) <= 1e-12
+    assert _comparator(tr) == pytest.approx(bench.total, rel=1e-12, abs=1e-12)
+
+
+def test_comparator_is_the_minimum_over_the_benchmark_set(comparator_run):
+    """In 1-D no point of a fine independent grid beats the exact
+    comparator.  In 2-D the comparator is itself a grid minimum, so the
+    independent sums (hinge included) on the same grid must match it."""
+    tr = comparator_run
+    fset = tr.fset
+    if fset.dim == 1:
+        grid = np.linspace(fset.extents()[0][0], fset.extents()[1][0], 20001)[:, None]
+    else:
+        grid = grid_points(fset, default_resolution(fset))
+    best = math.inf
+    for lo in range(0, len(grid), 2000):
+        sums, feasible = _independent_sums(tr, grid[lo : lo + 2000])
+        best = min(best, float(np.min(sums[feasible], initial=math.inf)))
+    comp = _comparator(tr)
+    assert math.isfinite(best)
+    assert best >= comp - 1e-9 * max(1.0, abs(comp))
+    if fset.dim == 2:
+        assert best == pytest.approx(comp, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("make", [COMPARATOR_RUNS["ogd_appendix_1d"], COMPARATOR_RUNS["odaf_1d"]],
+                         ids=["ogd", "odaf"])
+def test_1d_checks_ignore_resolution(make):
+    tr = make()
+    fine = [(r.name, r.passed, r.lhs, r.rhs) for r in invariant_suite(tr, 1e-3)]
+    coarse = [(r.name, r.passed, r.lhs, r.rhs) for r in invariant_suite(tr, 5e-3)]
+    assert fine == coarse
