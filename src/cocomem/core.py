@@ -29,7 +29,7 @@ def as_decision(x, dim: int | None = None) -> np.ndarray:
     v = np.atleast_1d(np.asarray(x, dtype=float))
     if v.ndim != 1 or v.size < 1:
         raise ValueError(f"decision must be a 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("decision has non-finite entries")
     if dim is not None and v.size != dim:
         raise ValueError(f"decision has dimension {v.size}, expected {dim}")

@@ -10,8 +10,8 @@ Two instance families:
 
 Instances draw every coefficient from a seeded PCG64 stream before round
 one, so the sequence never depends on the learner's play and replays are
-bit-identical.  Predictors supply coefficient and activity forecasts for
-not-yet-revealed slices.
+bit-identical.  Predictors forecast not-yet-revealed slices as affine
+data (coefficient, plus offset for constraint slices).
 """
 
 from __future__ import annotations
@@ -535,13 +535,15 @@ class SeparableLinearInstance:
 
 
 class Predictor:
-    """Forecast source for not-yet-revealed slice gradients.
+    """Forecast source for not-yet-revealed slices.
 
-    `predict_g` returns the coefficient vector and an activity flag for
-    the hinge; the slice's predicted gradient is the coefficient when the
-    flag is set and zero otherwise.  `x_ref` is the decision the activity
-    is judged at: the committed decision for already-played rounds, or
-    the candidate decision while the hint's self-consistency loop runs.
+    `predict_f(r, i)` forecasts the loss coefficient of slice (r, i) and
+    `predict_g(r, i)` the constraint slice as affine data `(coeff,
+    offset)`.  The learner judges a constraint forecast active at a
+    decision x when `coeff @ x + offset > 0`, and the slice's predicted
+    gradient is `coeff` when active and zero otherwise.  An absent slice
+    forecasts `(zeros, 0.0)`, which is never active.  Forecasts may change
+    from one query round (`begin_round`) to the next but not within one.
     """
 
     kind = "base"
@@ -556,13 +558,12 @@ class Predictor:
     def predict_f(self, r: int, i: int) -> np.ndarray:
         raise NotImplementedError
 
-    def predict_g(self, r: int, i: int, x_ref: np.ndarray):
+    def predict_g(self, r: int, i: int) -> tuple[np.ndarray, float]:
         raise NotImplementedError
 
 
 class PerfectPredictor(Predictor):
-    """Returns true coefficients and the true activity at the reference
-    decision."""
+    """Returns the true slices."""
 
     kind = "perfect"
 
@@ -570,11 +571,11 @@ class PerfectPredictor(Predictor):
         s = self._instance.f_slice(r, i)
         return np.zeros(self._dim) if s is None else s.coeff.copy()
 
-    def predict_g(self, r, i, x_ref):
+    def predict_g(self, r, i):
         s = self._instance.g_slice(r, i)
         if s is None:
-            return np.zeros(self._dim), False
-        return s.coeff.copy(), s.value(x_ref) > 0.0
+            return np.zeros(self._dim), 0.0
+        return s.coeff.copy(), s.offset
 
 
 class ZeroPredictor(Predictor):
@@ -585,17 +586,23 @@ class ZeroPredictor(Predictor):
     def predict_f(self, r, i):
         return np.zeros(self._dim)
 
-    def predict_g(self, r, i, x_ref):
-        return np.zeros(self._dim), False
+    def predict_g(self, r, i):
+        return np.zeros(self._dim), 0.0
 
 
 class NoisyPredictor(Predictor):
     """True slices plus Gaussian perturbations of a given scale.
 
-    Activity comes from the perturbed affine value at the reference
-    decision, so flags flip more often the closer the slice sits to its
-    activation boundary.  Noise draws are fresh per query round but frozen
-    within one round, keeping the hint's self-consistency loop and reruns
+    Slice pair (r, i) queried in round t gets one standard normal draw
+    `z` of length d + 1 from the generator seeded by
+    `SeedSequence([seed, 7, t, r, i])`: the loss forecast is
+    `f_coef + scale * z[:d]` and the constraint forecast is
+    `(g_coef + scale * z[:d], g_off + scale * z[d])`.  The loss and
+    constraint perturbations of one pair therefore share their first d
+    components (they are correlated); this is kept so that recorded runs
+    replay.  Draws are fresh per query round and frozen within one, so
+    activity flags flip more often the closer a slice sits to its
+    activation boundary while the hint's self-consistency search stays
     deterministic.  scale = 0 coincides with the perfect predictor.
     """
 
@@ -613,33 +620,31 @@ class NoisyPredictor(Predictor):
         self._round = t
         self._cache = {}
 
-    def _noise(self, tag: str, r: int, i: int, size: int) -> np.ndarray:
-        key = (tag, r, i)
-        if key not in self._cache:
+    def _noise(self, r: int, i: int) -> np.ndarray:
+        draw = self._cache.get((r, i))
+        if draw is None:
             rng = np.random.Generator(
                 np.random.PCG64(np.random.SeedSequence([self.seed, 7, self._round or 0, r, i]))
             )
-            self._cache[key] = rng.normal(size=size + 1)
-        return self._cache[key]
+            draw = self._cache[(r, i)] = rng.normal(size=self._dim + 1)
+        return draw
 
     def predict_f(self, r, i):
         s = self._instance.f_slice(r, i)
         coeff = np.zeros(self._dim) if s is None else s.coeff.copy()
         if self.scale > 0:
-            coeff = coeff + self.scale * self._noise("f", r, i, self._dim)[: self._dim]
+            coeff = coeff + self.scale * self._noise(r, i)[: self._dim]
         return coeff
 
-    def predict_g(self, r, i, x_ref):
+    def predict_g(self, r, i):
         s = self._instance.g_slice(r, i)
         coeff = np.zeros(self._dim) if s is None else s.coeff.copy()
         offset = 0.0 if s is None else s.offset
         if self.scale > 0:
-            draw = self._noise("g", r, i, self._dim)
+            draw = self._noise(r, i)
             coeff = coeff + self.scale * draw[: self._dim]
-            offset = offset + self.scale * draw[self._dim]
-        if s is None and self.scale == 0.0:
-            return coeff, False
-        return coeff, float(coeff @ x_ref) + offset > 0.0
+            offset = float(offset + self.scale * draw[self._dim])
+        return coeff, offset
 
 
 def make_predictor(kind: str, scale: float = 0.0, seed: int = 0) -> Predictor:

@@ -79,7 +79,7 @@ def ftrl_argmin(fset: FeasibleSet, g, mu: float, reg: Regularizer) -> np.ndarray
     g = np.asarray(g, dtype=float)
     if g.shape != (fset.dim,):
         raise ValueError(f"linear term has shape {g.shape}, expected ({fset.dim},)")
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise ValueError("linear term has non-finite entries")
     if mu < 0:
         raise ValueError("mu must be >= 0")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -48,6 +49,7 @@ CSV_HEADER = (
 ALGORITHMS = ("penalty_ogd", "odaf", "odaf_doubling")
 ENV_KINDS = ("appendix_a", "separable_linear")
 LAMBDA_MODES = ("fixed_theorem", "sqrt_t_schedule", "explicit")
+TRACEBACK_LINES = 10  # traceback tail kept per failed seed in the summary
 
 
 class ConfigError(ValueError):
@@ -256,6 +258,14 @@ def _config_as_dict(cfg: ExperimentConfig) -> dict:
     }
 
 
+def _seed_failure(seed: int, exc: BaseException, origin: BaseException | None = None) -> dict:
+    """Summary record of a failed seed: the message, the exception type and
+    the last lines of the traceback of `origin` (default `exc`)."""
+    lines = "".join(traceback.format_exception(origin or exc)).splitlines()
+    return {"seed": seed, "error": str(exc), "type": type(exc).__name__,
+            "traceback": lines[-TRACEBACK_LINES:]}
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
                    parallel: int = 1) -> dict:
     """Run every seed, write one CSV (plus instance JSON) per seed, and an
@@ -273,13 +283,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
                 try:
                     results.append(fut.result())
                 except Exception as exc:  # noqa: BLE001 - seed isolation
-                    failed.append({"seed": seed, "error": str(exc)})
+                    # the worker's own traceback arrives as the cause; the
+                    # local frames only show the future being read
+                    failed.append(_seed_failure(seed, exc, exc.__cause__))
     else:
         for seed in cfg.seeds:
             try:
                 results.append(_run_one_seed(cfg_dict, seed, str(out)))
             except Exception as exc:  # noqa: BLE001 - seed isolation
-                failed.append({"seed": seed, "error": str(exc)})
+                failed.append(_seed_failure(seed, exc))
 
     summary: dict = {
         "config": cfg_dict,

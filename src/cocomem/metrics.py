@@ -540,10 +540,11 @@ def _forward_parts(trace: RunTrace):
     return lin_total, rr, ii, g_coefs, g_offs, g_mults
 
 
-def forward_sum_at_point(trace: RunTrace, u: np.ndarray) -> float:
+def forward_sum_at_point(trace: RunTrace, u: np.ndarray, parts: tuple | None = None) -> float:
     """sum_t Z_t(u) under the realized violation path (convex
-    piecewise-linear in u)."""
-    lin_total, _, _, g_coefs, g_offs, g_mults = _forward_parts(trace)
+    piecewise-linear in u); `parts` is `_forward_parts(trace)` if the
+    caller already holds it."""
+    lin_total, _, _, g_coefs, g_offs, g_mults = parts or _forward_parts(trace)
     U = np.asarray(u, dtype=float)[None, :]
     vals = U @ lin_total
     if len(g_coefs):
@@ -558,9 +559,10 @@ def _decisions_by_round(trace: RunTrace) -> np.ndarray:
     return X
 
 
-def forward_sum_at_decisions(trace: RunTrace) -> float:
+def forward_sum_at_decisions(trace: RunTrace, parts: tuple | None = None) -> float:
     """sum_t Z_t(x_t), reconstructed from the instance and the played
-    decisions (diagonal regroup: slice (r, i) contributes at x_{r-i})."""
+    decisions (diagonal regroup: slice (r, i) contributes at x_{r-i});
+    `parts` as in `forward_sum_at_point`."""
     inst = trace.instance
     X = _decisions_by_round(trace)
     total = 0.0
@@ -569,7 +571,7 @@ def forward_sum_at_decisions(trace: RunTrace) -> float:
         rounds = np.arange(inst.horizon + 1)
         dec = X[np.maximum(rounds - i, 0)]
         total += float(np.sum(coefs * dec))
-    _, rr, ii, g_coefs, g_offs, g_mults = _forward_parts(trace)
+    _, rr, ii, g_coefs, g_offs, g_mults = parts or _forward_parts(trace)
     if len(g_coefs):
         dec = X[rr - ii]
         vals = np.sum(g_coefs * dec, axis=1) + g_offs
@@ -597,15 +599,16 @@ def check_forward_consistency(trace: RunTrace, n_points: int = 5) -> CheckResult
     slopes = inst.lift_slopes(rounds)
     g_lift_coef, g_lift_off = inst.halfspaces(rounds, "lift")
     mults = _multiplier_series(trace, pen, np.arange(rounds.start, rounds.stop))
+    parts = _forward_parts(trace)
     rng = np.random.Generator(np.random.PCG64(12345))
     worst = 0.0
     for _ in range(n_points):
         u = inst.fset.center + rng.uniform(-1, 1, size=inst.dim) * inst.fset.diameter / 2
         u = project(inst.fset, u)
-        z_sum = forward_sum_at_point(trace, u)
+        z_sum = forward_sum_at_point(trace, u, parts)
         l_sum = float(np.sum(slopes @ u) + mults @ np.maximum(g_lift_coef @ u + g_lift_off, 0.0))
         worst = max(worst, abs(z_sum - l_sum) / max(1.0, abs(z_sum)))
-    played_ok = surrogate_sum_memory(trace) <= forward_sum_at_decisions(trace) + 1e-8
+    played_ok = surrogate_sum_memory(trace) <= forward_sum_at_decisions(trace, parts) + 1e-8
     return CheckResult(
         "forward_vertical_consistency", worst <= 1e-9 and played_ok, worst, 1e-9,
         "" if played_ok else "played surrogate exceeds forward sum",
@@ -645,37 +648,37 @@ def check_error_split(trace: RunTrace) -> CheckResult:
 
 def reconstruct_hint_errors(trace: RunTrace) -> np.ndarray:
     """||h_tau - sum_{j=tau-m}^{tau} grad Z_j||^2 for every stored hint,
-    with the forward gradients rebuilt independently from the instance and
-    the played decisions."""
+    with the forward gradients rebuilt independently from the instance
+    arrays and the played decisions.  Each grad Z_s adds its slices in
+    delay order (loss slice, then the constraint slice when active at
+    x_s), and each window adds j in increasing order."""
     inst = trace.instance
     pen = Penalty(trace.penalty_kind, trace.extras["lambda_value"])
     hints = trace.extras["hints"]
-    m = inst.m
-    delay = m + 1 if trace.variant is Variant.COCO_M2 else 1
-
-    def forward_grad(s: int) -> np.ndarray:
-        z = np.zeros(inst.dim)
-        for i in range(m + 1):
-            fs = inst.f_slice(s + i, i)
-            if fs is not None:
-                z += fs.coeff
-            gs = inst.g_slice(s + i, i)
-            if gs is not None and gs.value(trace.x_at(s)) > 0.0:
-                z += pen.prime(trace.v_at(s + i - delay)) * gs.coeff
-        return z
-
-    cache: dict[int, np.ndarray] = {}
-    errs = []
-    for tau, hint in enumerate(hints, start=trace.first_round):
-        win = np.zeros(inst.dim)
-        for j in range(tau - m, tau + 1):
-            if j < 1:
-                continue
-            if j not in cache:
-                cache[j] = forward_grad(j)
-            win += cache[j]
-        errs.append(float(np.sum((hint - win) ** 2)))
-    return np.array(errs)
+    m, horizon = inst.m, inst.horizon
+    taus = np.arange(trace.first_round, trace.first_round + len(hints))
+    # weighted gradient of every constraint slice active at the decision
+    # it touches (zero when inactive or absent)
+    rr, ii = np.nonzero(inst.g_present)
+    mults = _multiplier_series(trace, pen, rr)
+    g_grad = np.zeros_like(inst.g_coef)
+    for r, i, mult in zip(rr.tolist(), ii.tolist(), mults):
+        coef = inst.g_coef[r, i]
+        if float(coef @ trace.x_at(r - i)) + float(inst.g_off[r, i]) > 0.0:
+            g_grad[r, i] = mult * coef
+    # grad Z_s for s = 0 .. newest hint round
+    s = np.arange(taus[-1] + 1)
+    Z = np.zeros((len(s), inst.dim))
+    for i in range(m + 1):
+        has = (s + i > m) & (s + i <= horizon)  # rounds with slices
+        Z[has] += inst.f_coef[s[has] + i, i]
+        Z[has] += g_grad[s[has] + i, i]
+    win = np.zeros_like(hints)
+    for lag in range(m, -1, -1):
+        j = taus - lag
+        seen = j >= 1
+        win[seen] += Z[j[seen]]
+    return np.sum((hints - win) ** 2, axis=1)
 
 
 def check_odaftrl_regret(trace: RunTrace, resolution: float | None = None) -> CheckResult:

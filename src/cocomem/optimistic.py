@@ -64,7 +64,7 @@ class OdafLearner:
     ):
         if penalty.kind is not PenaltyKind.EXPONENTIAL:
             raise ValueError("the optimistic learner uses the exponential penalty")
-        if not hasattr(instance, "f_slice"):
+        if not hasattr(instance, "f_coef"):
             raise TypeError("optimistic learner needs a separable-slice instance")
         if variant is Variant.COCO_M and instance.constraint_memory:
             raise ValueError("memory-less-constraint variant needs constraint slices at delay 0")
@@ -90,12 +90,22 @@ class OdafLearner:
         for r in range(self.first - self.m - 1, self.first):
             self.x_hist.setdefault(r, self.fset.center)
 
+        # slice rows this learner sees: rounds below the visibility floor
+        # (or without slices in the instance) read as absent
+        self._lo = max(self.floor, self.m + 1)
+        self._hi = instance.horizon
+        self._zero = np.zeros(self.dim)
+        self._zero.flags.writeable = False
+
+        # activity of every revealed constraint slice this learner sees,
+        # judged at the decision the slice touches
         self._g_active: dict[tuple[int, int], bool] = {}
         self._forward: dict[int, np.ndarray] = {}
         self._rev_sum = np.zeros(self.dim)
         self._last_complete = self.first - self.m - 1  # newest assembled forward round
         self.hints: dict[int, np.ndarray] = {}
         self._hint_preds: dict[int, dict] = {}
+        self._forecasts: dict[tuple[int, int], tuple] = {}
         self._a: dict[int, float] = {}
         self._b: dict[int, float] = {}
         self._cum_sq = 0.0
@@ -107,13 +117,17 @@ class OdafLearner:
         # pre-step: commit the first decision from an all-predicted hint
         self._decide_next(self.first - 1)
 
-    # -- slice access (epoch floor applied) --------------------------------
+    # -- slice rows (epoch floor applied) ------------------------------------
 
-    def _f_slice(self, r: int, i: int):
-        return None if r < self.floor else self.inst.f_slice(r, i)
+    def _f_row(self, r: int, i: int) -> np.ndarray | None:
+        """Loss coefficient of slice (r, i), or None when absent."""
+        return self.inst.f_coef[r, i] if self._lo <= r <= self._hi else None
 
-    def _g_slice(self, r: int, i: int):
-        return None if r < self.floor else self.inst.g_slice(r, i)
+    def _g_row(self, r: int, i: int) -> tuple[np.ndarray, float] | None:
+        """(coeff, offset) of constraint slice (r, i), or None when absent."""
+        if self._lo <= r <= self._hi and self.inst.g_present[r, i]:
+            return self.inst.g_coef[r, i], float(self.inst.g_off[r, i])
+        return None
 
     # -- violation path -----------------------------------------------------
 
@@ -133,30 +147,33 @@ class OdafLearner:
             raise ValueError(f"forward gradient of round {s} is not revealed yet")
         return self._forward.get(s, np.zeros(self.dim))
 
-    def _assemble_forward(self, s: int) -> np.ndarray:
+    def _add_revealed(self, z: np.ndarray, r: int, i: int) -> None:
+        """z += gradient of the revealed slice pair (r, i)."""
+        f = self._f_row(r, i)
+        if f is not None:
+            z += f
+        if self._g_active.get((r, i)):
+            z += self._mult(r) * self.inst.g_coef[r, i]
+
+    def _complete_round(self, s: int) -> tuple[float, float, float]:
+        """Settle grad Z_s and the weights of hint h_s; returns the hint's
+        errors (eps_Z, eps_f, eps_g), zero when no hint h_s exists."""
         z = np.zeros(self.dim)
         for i in range(self.m + 1):
-            fs = self._f_slice(s + i, i)
-            if fs is not None:
-                z += fs.coeff
-            gs = self._g_slice(s + i, i)
-            if gs is not None and self._g_active[(s + i, i)]:
-                z += self._mult(s + i) * gs.coeff
-        return z
-
-    def _complete_round(self, s: int) -> None:
-        z = self._assemble_forward(s)
+            self._add_revealed(z, s + i, i)
         self._forward[s] = z
         self._rev_sum = self._rev_sum + z
         self._last_complete = s
-        if s in self.hints:
-            win = self._window_sum(s)
-            err = float(np.linalg.norm(self.hints[s] - win))
-            zn = float(np.linalg.norm(z))
-            a = self.fset.diameter * min(err, zn)
-            self._a[s] = a
-            self._b[s] = huber(err, zn)
-            self._cum_sq += a * a + 2.0 * self.alpha * self._b[s]
+        if s not in self.hints:
+            return 0.0, 0.0, 0.0
+        diff = self.hints[s] - self._window_sum(s)
+        err = float(np.linalg.norm(diff))
+        zn = float(np.linalg.norm(z))
+        a = self.fset.diameter * min(err, zn)
+        self._a[s] = a
+        self._b[s] = huber(err, zn)
+        self._cum_sq += a * a + 2.0 * self.alpha * self._b[s]
+        return self._prediction_errors(s, diff)
 
     def _window_sum(self, tau: int) -> np.ndarray:
         """sum_{j=tau-m}^{tau} grad Z_j over revealed rounds."""
@@ -178,61 +195,54 @@ class OdafLearner:
 
     # -- prediction errors ----------------------------------------------------
 
-    def prediction_errors(self, tau: int) -> tuple[float, float, float]:
-        """(eps_Z, eps_f, eps_g) of hint h_tau, measurable once grad Z_tau
-        is revealed (end of round tau+m)."""
-        if tau not in self.hints:
-            return 0.0, 0.0, 0.0
-        if tau > self._last_complete:
-            raise ValueError(f"hint {tau} error not measurable yet")
-        win = self._window_sum(tau)
-        eps_z = float(np.sum((self.hints[tau] - win) ** 2))
+    def _prediction_errors(self, tau: int, diff: np.ndarray) -> tuple[float, float, float]:
+        """(eps_Z, eps_f, eps_g) of hint h_tau once grad Z_tau is revealed;
+        `diff` is h_tau minus the revealed window sum."""
+        eps_z = float(np.sum(diff ** 2))
         df = np.zeros(self.dim)
         dg = np.zeros(self.dim)
         for (r, i), (f_pred, g_pred) in self._hint_preds[tau].items():
-            fs = self._f_slice(r, i)
-            df += f_pred - (fs.coeff if fs is not None else 0.0)
-            gs = self._g_slice(r, i)
-            g_true = gs.coeff if (gs is not None and self._g_active[(r, i)]) else 0.0
-            dg += g_pred - g_true
+            f = self._f_row(r, i)
+            df += f_pred - (f if f is not None else 0.0)
+            dg += g_pred - (self.inst.g_coef[r, i] if self._g_active.get((r, i)) else 0.0)
         return eps_z, float(df @ df), float(dg @ dg)
 
     # -- hint assembly and the FTRL step ------------------------------------
 
-    def _predict_pair(self, r: int, i: int, x_ref: np.ndarray):
-        """Predictor output with the non-finite fallback applied."""
-        f_pred = np.asarray(self.predictor.predict_f(r, i), dtype=float)
-        if not np.all(np.isfinite(f_pred)):
-            f_pred = np.zeros(self.dim)
-        g_coef, active = self.predictor.predict_g(r, i, x_ref)
-        g_coef = np.asarray(g_coef, dtype=float)
-        if not np.all(np.isfinite(g_coef)):
-            g_coef, active = np.zeros(self.dim), False
-        return f_pred, g_coef, bool(active)
+    def _forecast(self, r: int, i: int) -> tuple[np.ndarray, tuple[np.ndarray, float]]:
+        """This round's forecast of slice pair (r, i): the loss coefficient
+        and the constraint's (coeff, offset).  The predictor is queried once
+        per pair per round; a non-finite forecast falls back to zero."""
+        fc = self._forecasts.get((r, i))
+        if fc is None:
+            f = np.asarray(self.predictor.predict_f(r, i), dtype=float)
+            if not np.isfinite(f).all():
+                f = np.zeros(self.dim)
+            g_coef, g_off = self.predictor.predict_g(r, i)
+            g = (np.asarray(g_coef, dtype=float), float(g_off))
+            if not (np.isfinite(g[0]).all() and math.isfinite(g[1])):
+                g = (np.zeros(self.dim), 0.0)
+            fc = self._forecasts[(r, i)] = (f, g)
+        return fc
 
     def _pending_subtotal(self, s: int, t: int, preds: dict) -> np.ndarray:
         """Known-plus-predicted stand-in for grad Z_s, accumulated in the
-        same slice order as `_assemble_forward` so perfect predictions
+        same slice order as `_complete_round` so perfect predictions
         reproduce the revealed gradient bitwise."""
         z = np.zeros(self.dim)
         x_s = self.x_hist[s]
         for i in range(self.m + 1):
             r = s + i
             if r <= t:
-                fs = self._f_slice(r, i)
-                if fs is not None:
-                    z += fs.coeff
-                gs = self._g_slice(r, i)
-                if gs is not None and self._g_active[(r, i)]:
-                    z += self._mult(r) * gs.coeff
+                self._add_revealed(z, r, i)
+                continue
+            f_pred, g = self._forecast(r, i)
+            z += f_pred
+            if _active(g, x_s):
+                z += self._mult(r) * g[0]
+                preds[(r, i)] = (f_pred, g[0])
             else:
-                f_pred, g_coef, active = self._predict_pair(r, i, x_s)
-                z += f_pred
-                if active:
-                    z += self._mult(r) * g_coef
-                    preds[(r, i)] = (f_pred, g_coef)
-                else:
-                    preds[(r, i)] = (f_pred, np.zeros(self.dim))
+                preds[(r, i)] = (f_pred, self._zero)
         return z
 
     def _decide_next(self, t: int) -> None:
@@ -240,20 +250,18 @@ class OdafLearner:
         commit x_{t+1} (self-consistent activity for the pending round)."""
         m, nxt = self.m, t + 1
         self.predictor.begin_round(nxt)
+        self._forecasts = {}
         preds: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         # pending decisions s = t+1-m .. t: known slices plus predictions
         base = np.zeros(self.dim)
         for s in range(nxt - m, nxt):
             base = base + self._pending_subtotal(s, t, preds)
-        # predicted forward gradient of the decision being committed
-        block: list[tuple[np.ndarray, np.ndarray]] = []
-        toggles = []
-        for i in range(m + 1):
-            r = nxt + i
-            f_pred, g_coef, _ = self._predict_pair(r, i, self.x_hist[t])
-            block.append((f_pred, g_coef))
-            if float(np.linalg.norm(g_coef)) > 0.0:
-                toggles.append((r, i, g_coef))
+        # predicted forward gradient of the decision being committed; each
+        # constraint forecast with a nonzero coefficient may toggle, and
+        # carries its weighted gradient
+        block = [self._forecast(nxt + i, i) for i in range(m + 1)]
+        toggles = [(i, g, self._mult(nxt + i) * g[0])
+                   for i, (_, g) in enumerate(block) if g[0] @ g[0] > 0.0]
 
         _, _, mu = self.odaf_weights(t)
         self.mu_now = mu
@@ -262,16 +270,15 @@ class OdafLearner:
             f_block += f_pred
         lin0 = self._rev_sum + base + f_block
         x_next, flags = self._resolve_pending_activity(lin0, mu, toggles, self.x_hist[t])
-        on = {(r, i) for (r, i, _), flag in zip(toggles, flags) if flag}
+        on = {i: term for (i, _, term), flag in zip(toggles, flags) if flag}
         ztilde = np.zeros(self.dim)
-        for i, (f_pred, g_coef) in enumerate(block):
-            r = nxt + i
+        for i, (f_pred, g) in enumerate(block):
             ztilde += f_pred
-            if (r, i) in on:
-                ztilde += self._mult(r) * g_coef
-                preds[(r, i)] = (f_pred, g_coef)
+            if i in on:
+                ztilde += on[i]
+                preds[(nxt + i, i)] = (f_pred, g[0])
             else:
-                preds[(r, i)] = (f_pred, np.zeros(self.dim))
+                preds[(nxt + i, i)] = (f_pred, self._zero)
         self.hints[nxt] = base + ztilde
         self._hint_preds[nxt] = preds
         self.x_hist[nxt] = x_next
@@ -283,31 +290,19 @@ class OdafLearner:
     def _resolve_pending_activity(self, lin0: np.ndarray, mu: float, toggles,
                                   x_last: np.ndarray):
         """Search for an activity pattern of the pending round's constraint
-        slices that reproduces itself at the decision it induces; falls
+        forecasts that reproduces itself at the decision it induces; falls
         back to judging activity at the last committed decision when no
         pattern is self-consistent."""
         if not toggles:
             return ftrl_argmin(self.fset, lin0, mu, self.reg), ()
-        k = len(toggles)
-        if k <= MAX_PATTERN_SLICES:
-            for pattern in itertools.product((False, True), repeat=k):
-                lin = lin0.copy()
-                for (r, i, coef), on in zip(toggles, pattern):
-                    if on:
-                        lin += self._mult(r) * coef
-                x = ftrl_argmin(self.fset, lin, mu, self.reg)
-                realized = tuple(
-                    self.predictor.predict_g(r, i, x)[1] for (r, i, _) in toggles
-                )
-                if realized == pattern:
+        if len(toggles) <= MAX_PATTERN_SLICES:
+            for pattern in itertools.product((False, True), repeat=len(toggles)):
+                x = ftrl_argmin(self.fset, _with_terms(lin0, toggles, pattern), mu, self.reg)
+                if tuple(_active(g, x) for _, g, _ in toggles) == pattern:
                     return x, pattern
         self.fixed_point_fallbacks += 1
-        flags = tuple(self.predictor.predict_g(r, i, x_last)[1] for (r, i, _) in toggles)
-        lin = lin0.copy()
-        for (r, i, coef), on in zip(toggles, flags):
-            if on:
-                lin += self._mult(r) * coef
-        return ftrl_argmin(self.fset, lin, mu, self.reg), flags
+        flags = tuple(_active(g, x_last) for _, g, _ in toggles)
+        return ftrl_argmin(self.fset, _with_terms(lin0, toggles, flags), mu, self.reg), flags
 
     # -- one full round -------------------------------------------------------
 
@@ -316,24 +311,22 @@ class OdafLearner:
         hint error, and commit the next decision."""
         m = self.m
         x_t = self.x_hist[t]
+        f_rows = [(i, f) for i in range(m + 1) if (f := self._f_row(t, i)) is not None]
+        g_rows = [(i, g) for i in range(m + 1) if (g := self._g_row(t, i)) is not None]
         # register true slices and their activity at the decisions they touch
         f_mem = 0.0
-        for i in range(m + 1):
-            fs = self._f_slice(t, i)
-            if fs is not None:
-                f_mem += fs.value(self.x_hist[t - i])
-            gs = self._g_slice(t, i)
-            if gs is not None:
-                self._g_active[(t, i)] = gs.value(self.x_hist[t - i]) > 0.0
+        for i, f in f_rows:
+            f_mem += float(f @ self.x_hist[t - i])
+        g_vals = {}
+        for i, g in g_rows:
+            g_vals[i] = _value(g, self.x_hist[t - i])
+            self._g_active[(t, i)] = g_vals[i] > 0.0
         if self.variant is Variant.COCO_M2:
             g_val = 0.0
-            for i in range(m + 1):
-                gs = self._g_slice(t, i)
-                if gs is not None:
-                    g_val += gs.value(self.x_hist[t - i])
+            for v in g_vals.values():
+                g_val += v
         else:
-            gs = self._g_slice(t, 0)
-            g_val = gs.value(x_t) if gs is not None else 0.0
+            g_val = g_vals.get(0, 0.0)
         inc = max(g_val, 0.0)
         self.ccv += inc
         self.v_hist[t] = self.ccv
@@ -341,16 +334,12 @@ class OdafLearner:
         eps_z = eps_f = eps_g = 0.0
         s = t - m
         if s >= 1:
-            self._complete_round(s)
-            if s in self.hints:
-                eps_z, eps_f, eps_g = self.prediction_errors(s)
+            eps_z, eps_f, eps_g = self._complete_round(s)
 
         self._decide_next(t)
 
-        f_spl = float(sum(fs.value(x_t) for i in range(m + 1)
-                          if (fs := self._f_slice(t, i)) is not None))
-        g_spl = float(sum(gs.value(x_t) for i in range(m + 1)
-                          if (gs := self._g_slice(t, i)) is not None))
+        f_spl = float(sum(float(f @ x_t) for _, f in f_rows))
+        g_spl = float(sum(_value(g, x_t) for _, g in g_rows))
         mult_t = self._mult(t)
         row = t - self.inst.first_round
         self.records[row] = (
@@ -360,6 +349,25 @@ class OdafLearner:
             eps_f, eps_g, eps_z, self.penalty.saturates(self.ccv),
         )
         return self.records[row]
+
+
+def _value(g: tuple[np.ndarray, float], x: np.ndarray) -> float:
+    """Value at x of an affine constraint slice or forecast (coeff, offset)."""
+    return float(g[0] @ x) + g[1]
+
+
+def _active(g: tuple[np.ndarray, float], x: np.ndarray) -> bool:
+    """Whether the hinge of constraint slice or forecast g is active at x."""
+    return _value(g, x) > 0.0
+
+
+def _with_terms(lin0: np.ndarray, toggles, flags) -> np.ndarray:
+    """lin0 plus the weighted gradients of the toggles switched on."""
+    lin = lin0.copy()
+    for (_, _, term), on in zip(toggles, flags):
+        if on:
+            lin += term
+    return lin
 
 
 def run_optimistic(

@@ -153,14 +153,19 @@ def test_predictors_basic_contracts():
             assert np.array_equal(perfect.predict_f(r, i), want)
             assert np.array_equal(noiseless.predict_f(r, i), want)
             assert np.array_equal(zero.predict_f(r, i), np.zeros(1))
-            pc, pa = perfect.predict_g(r, i, x)
-            nc, na = noiseless.predict_g(r, i, x)
-            assert np.array_equal(pc, nc) and pa == na
-            zc, za = zero.predict_g(r, i, x)
-            assert not za and np.array_equal(zc, np.zeros(1))
+            pc, po = perfect.predict_g(r, i)
+            nc, no = noiseless.predict_g(r, i)
+            assert np.array_equal(pc, nc) and po == no
+            zc, zo = zero.predict_g(r, i)
+            assert np.array_equal(zc, np.zeros(1)) and zo == 0.0
             gs = inst.g_slice(r, i)
-            if gs is not None:
-                assert pa == (gs.value(x) > 0.0)
+            if gs is None:
+                # an absent slice forecasts (zeros, 0.0): never active
+                assert np.array_equal(pc, np.zeros(1)) and po == 0.0
+            else:
+                assert np.array_equal(pc, gs.coeff) and po == gs.offset
+            # activity is judged from the affine forecast
+            assert (float(pc @ x) + po > 0.0) == (gs is not None and gs.value(x) > 0.0)
 
 
 def test_noisy_predictor_is_deterministic_per_round():
@@ -178,6 +183,32 @@ def test_noisy_predictor_is_deterministic_per_round():
     q.bind(inst)
     q.begin_round(7)
     assert np.array_equal(q.predict_f(9, 1), a)  # reproducible
+
+
+def test_noisy_predictor_stream_contract():
+    """Pair (r, i) queried in round t draws z ~ N(0, I_{d+1}) once from the
+    generator seeded by [seed, 7, t, r, i]; the loss forecast perturbs the
+    coefficient by scale * z[:d], the constraint forecast its coefficient
+    by the same scale * z[:d] and its offset by scale * z[d]."""
+    inst = SeparableLinearInstance(m=2, horizon=40, dim=2, seed=4,
+                                   g_round_density=0.6, g_mag=(0.05, 0.2))
+    scale, seed, d = 0.3, 11, inst.dim
+    p = NoisyPredictor(scale, seed=seed)
+    p.bind(inst)
+    for t in (5, 6):
+        p.begin_round(t)
+        for r in range(t, t + 3):
+            for i in range(3):
+                ss = np.random.SeedSequence([seed, 7, t, r, i])
+                z = np.random.Generator(np.random.PCG64(ss)).normal(size=d + 1)
+                fs, gs = inst.f_slice(r, i), inst.g_slice(r, i)
+                f_true = fs.coeff if fs is not None else np.zeros(d)
+                g_true = gs.coeff if gs is not None else np.zeros(d)
+                g_off = gs.offset if gs is not None else 0.0
+                assert np.array_equal(p.predict_f(r, i), f_true + scale * z[:d])
+                coeff, offset = p.predict_g(r, i)
+                assert np.array_equal(coeff, g_true + scale * z[:d])
+                assert offset == g_off + scale * z[d]
 
 
 def test_make_predictor_dispatch():

@@ -115,6 +115,28 @@ def test_failed_seed_does_not_poison_aggregate(tmp_path, monkeypatch):
     assert summary["seeds_failed"][0]["seed"] == 1
 
 
+def test_failed_seed_records_type_and_traceback(tmp_path, monkeypatch):
+    """A seed that fails with an empty message still says what failed and
+    where, in the returned summary and in the summary file."""
+    import cocomem.harness as hz
+
+    def run_single_without_key(cfg, seed):
+        raise KeyError
+
+    monkeypatch.setattr(hz, "run_single", run_single_without_key)
+    summary = run_experiment(_cfg(), tmp_path)
+    assert summary["seeds_completed"] == []
+    assert [rec["seed"] for rec in summary["seeds_failed"]] == [0, 1, 2]
+    rec = summary["seeds_failed"][0]
+    assert set(rec) == {"seed", "error", "type", "traceback"}
+    assert rec["error"] == "" and rec["type"] == "KeyError"
+    assert 0 < len(rec["traceback"]) <= hz.TRACEBACK_LINES
+    assert rec["traceback"][-1] == "KeyError"
+    assert any("run_single_without_key" in line for line in rec["traceback"])
+    on_disk = json.loads((tmp_path / "t_summary.json").read_text())
+    assert on_disk["seeds_failed"] == summary["seeds_failed"]
+
+
 def test_invalid_combinations_rejected():
     with pytest.raises(ConfigError):
         _cfg(algorithm="odaf")  # optimistic needs separable slices

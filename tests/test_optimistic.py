@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -286,14 +287,26 @@ def test_non_finite_predictions_fall_back_to_zero():
         def predict_f(self, r, i):
             return np.array([np.nan])
 
-        def predict_g(self, r, i, x_ref):
-            return np.array([np.inf]), True
+        def predict_g(self, r, i):
+            # a non-finite coefficient with an offset that alone would
+            # make the hinge active
+            return np.array([np.inf]), 1.0
 
     inst = SeparableLinearInstance(m=1, horizon=30, seed=10)
     tr = run_optimistic(inst, Variant.COCO_M2, BrokenPredictor())
     assert np.all(np.isfinite(tr.extras["hints"]))
     for rec in tr.records:
         assert np.isfinite(rec.eps_z) and abs(rec.x[0]) <= 2.0 + 1e-12
+
+    class BrokenOffsetPredictor(ZeroPredictor):
+        kind = "broken"
+
+        def predict_g(self, r, i):
+            return np.array([1.0]), np.nan
+
+    tr = run_optimistic(inst, Variant.COCO_M2, BrokenOffsetPredictor())
+    assert np.all(np.isfinite(tr.extras["hints"]))
+    assert np.all(np.isfinite(tr.col("x"))) and np.all(np.isfinite(tr.col("eps_g")))
 
 
 def test_doubling_schedule_scripted_epochs():
@@ -332,3 +345,74 @@ def test_doubling_epoch_count_obeys_budget_arithmetic():
         if n > 1:
             assert n <= math.ceil(math.log2(muf / mu1)) + 1
         tr.validate()
+
+
+# sha256 prefixes of records.tobytes(), hints.tobytes() (odaf only) and the
+# error sums, recorded from the learner before its forecasts were memoized
+# per round; any flipped activity flag or reordered sum changes them
+PINNED_TRACES = {
+    ("odaf", "perfect", 0, 1): "6b5fdbc64019f20a",
+    ("odaf", "perfect", 0, 2): "747cae2ee49b15bf",
+    ("odaf", "perfect", 2, 1): "318773802fc9fd78",
+    ("odaf", "perfect", 2, 2): "1109d342918cc36b",
+    ("odaf", "zero", 0, 1): "3ee9c0747c63a173",
+    ("odaf", "zero", 0, 2): "c553cfbb68c99bb2",
+    ("odaf", "zero", 2, 1): "711415ea35fb4f94",
+    ("odaf", "zero", 2, 2): "914641f09062e97b",
+    ("odaf", "noisy", 0, 1): "7f28a0a97faaeaa6",
+    ("odaf", "noisy", 0, 2): "8fcf6687ad7925c3",
+    ("odaf", "noisy", 2, 1): "921b1982f43e30a4",
+    ("odaf", "noisy", 2, 2): "f8bc0509df6adc37",
+    ("doubling", "perfect", 0, 1): "bfa707642007e1a1",
+    ("doubling", "perfect", 0, 2): "8f548e4d28bf2a1c",
+    ("doubling", "perfect", 2, 1): "a0f7f63072a66ac2",
+    ("doubling", "perfect", 2, 2): "4527718465d15034",
+    ("doubling", "zero", 0, 1): "84cb416377eb6f4c",
+    ("doubling", "zero", 0, 2): "78d855aed91ef8d4",
+    ("doubling", "zero", 2, 1): "17ef0db03d73cda9",
+    ("doubling", "zero", 2, 2): "6801c6280e3c393f",
+    ("doubling", "noisy", 0, 1): "707b15d7ed5074d7",
+    ("doubling", "noisy", 0, 2): "000a5e4bcc9af44f",
+    ("doubling", "noisy", 2, 1): "fa5e66b21c31c4a5",
+    ("doubling", "noisy", 2, 2): "0ea3e2cfab0a629c",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_TRACES), ids=lambda c: "-".join(map(str, c)))
+def test_trace_bytes_are_pinned(case):
+    runner, kind, m, d = case
+    inst = SeparableLinearInstance(m=m, horizon=150, dim=d, seed=10 * m + d,
+                                   g_round_density=0.4, g_mag=(0.05, 0.2))
+    predictor = {"perfect": PerfectPredictor(), "zero": ZeroPredictor(),
+                 "noisy": NoisyPredictor(0.3, seed=m + d)}[kind]
+    run = run_optimistic if runner == "odaf" else run_doubling
+    tr = run(inst, Variant.COCO_M2, predictor)
+    h = hashlib.sha256(tr.records.tobytes())
+    if "hints" in tr.extras:
+        h.update(tr.extras["hints"].tobytes())
+    h.update(repr(sorted(tr.extras["error_sums"].items())).encode())
+    assert h.hexdigest()[:16] == PINNED_TRACES[case]
+
+
+def test_one_noise_generator_per_slice_pair_per_round(monkeypatch):
+    """A learner round queries each forecast slice pair once, and the loss
+    and constraint forecasts of a pair share one generator."""
+    inst = SeparableLinearInstance(m=2, horizon=60, seed=3,
+                                   g_round_density=0.6, g_mag=(0.05, 0.2))
+    learner = OdafLearner(inst, Variant.COCO_M2, NoisyPredictor(0.3, seed=1),
+                          Penalty(PenaltyKind.EXPONENTIAL, 0.1))
+    for t in range(inst.first_round, 30):
+        learner.play_round(t)
+    real = np.random.SeedSequence
+    built = []
+
+    def counting(entropy):
+        built.append(tuple(entropy))
+        return real(entropy)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    learner.play_round(30)
+    # pending decisions 29, 30 hold 1 + 2 unrevealed pairs, the decision
+    # being committed (31) holds m + 1 = 3
+    assert sorted(built) == [(1, 7, 31, r, i) for r, i in
+                             sorted([(31, 2), (31, 1), (32, 2), (31, 0), (32, 1), (33, 2)])]
