@@ -36,6 +36,16 @@ def as_decision(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
+def fdot(a, b) -> float:
+    """sum_j a_j * b_j over two sequences of Python floats, added one by
+    one in index order from 0.0 (a BLAS dot product of two or more terms
+    may group them differently)."""
+    s = 0.0
+    for aj, bj in zip(a, b):
+        s += aj * bj
+    return s
+
+
 class MemoryWindow:
     """Ring of the last m+1 decisions, oldest -> newest.
 

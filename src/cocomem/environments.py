@@ -12,6 +12,20 @@ Instances draw every coefficient from a seeded PCG64 stream before round
 one, so the sequence never depends on the learner's play and replays are
 bit-identical.  Predictors forecast not-yet-revealed slices as affine
 data (coefficient, plus offset for constraint slices).
+
+Besides the per-round oracles `loss(t)` / `constraint(t)`, each family
+reads its rows for loops that play in Python floats:
+`round_evaluator(rounds, g_window)` returns `evaluate(k, window, x)` for
+round rounds[k].  `window` is the flat tuple of the last m+1 decisions'
+coordinates, oldest decision first, and `x` the current decision (the
+last d of them).  It returns (f_mem, f_splat, f_grad, g_mem, g_splat,
+g_grad): the window values, the lifted values at x and the lift
+gradients at x (lists of floats); g_mem is g_splat when `g_window` is
+false.  Each sum adds its terms one by one in the oracles' order, which
+is numpy's order for fewer than 8 terms: in 1-D with m <= 6 the values
+match the oracles bit for bit.  numpy adds 8 or more terms pairwise, and
+BLAS may group the terms of a dot product in d > 1 dimensions, so there
+the last bits can differ.
 """
 
 from __future__ import annotations
@@ -22,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Ball, Box, FeasibleSet, MemoryFunctionOracle, MemoryWindow
+from .core import Ball, Box, FeasibleSet, MemoryFunctionOracle, MemoryWindow, fdot
 
 RNG_NAME = "pcg64"
 
@@ -187,6 +201,34 @@ class AppendixAInstance:
 
     def constraint(self, t: int) -> MemoryFunctionOracle:
         return _AffineBudgetConstraint(self.d_coef[t], self.delta, self.m, self.radius)
+
+    def round_evaluator(self, rounds: range, g_window: bool):
+        """`evaluate(k, window, x)` for round rounds[k] in Python floats; see
+        the module docstring for the contract.  Each value repeats the
+        expression of `loss(t)` / `constraint(t)` term by term."""
+        span = slice(rounds.start, rounds.stop)
+        c_rows, d_rows = self.c[span].tolist(), self.d_coef[span].tolist()
+        delta, slots = self.delta, self.m + 1
+
+        def evaluate(k, window, x):
+            c, d = c_rows[k], d_rows[k]
+            sq = s = 0.0
+            # the rows repeated once per window slot pair with the flat window
+            for wj, cj, dj in zip(window, c * slots, d * slots):
+                diff = wj - cj
+                sq += diff * diff
+                s += wj * dj
+            grad, lift_sq, dx = [], 0.0, 0.0
+            for xj, cj, dj in zip(x, c, d):
+                diff = xj - cj
+                grad.append(diff)
+                lift_sq += diff * diff
+                dx += dj * xj
+            g_splat = dx - delta
+            g_mem = s / slots - delta if g_window else g_splat
+            return 0.5 * sq / slots, 0.5 * lift_sq, grad, g_mem, g_splat, d
+
+        return evaluate
 
     # -- lift math over a round range, for the benchmark solvers ------------
 
@@ -424,6 +466,36 @@ class SeparableLinearInstance:
 
     def _radius_sup(self) -> float:
         return self.fset.diameter / 2.0
+
+    def round_evaluator(self, rounds: range, g_window: bool):
+        """`evaluate(k, window, x)` for round rounds[k] in Python floats; see
+        the module docstring for the contract.  Each value repeats the
+        expression of `loss(t)` / `constraint(t)` term by term, with the
+        per-round slice sums (lift slopes, summed offsets) taken up front."""
+        span = slice(rounds.start, rounds.stop)
+        shape = (len(rounds), (self.m + 1) * self.dim)
+        # slice coefficients in flat-window order: delay m (oldest) first
+        f_win = self.f_coef[span, ::-1].reshape(shape).tolist()
+        g_win = self.g_coef[span, ::-1].reshape(shape).tolist()
+        f_slope = self.lift_slopes(rounds).tolist()
+        g_slope = self.g_coef[span].sum(axis=1).tolist()
+        g_off = self.g_off[span].sum(axis=1).tolist()
+
+        def window_value(coeffs, window):
+            s = 0.0
+            for cj, wj in zip(reversed(coeffs), reversed(window)):  # newest first
+                s += wj * cj
+            return s
+
+        def evaluate(k, window, x):
+            # the loss has no offsets: its summed offset is 0.0
+            f_mem = window_value(f_win[k], window) + 0.0
+            f_splat = fdot(f_slope[k], x) + 0.0
+            g_splat = fdot(g_slope[k], x) + g_off[k]
+            g_mem = window_value(g_win[k], window) + g_off[k] if g_window else g_splat
+            return f_mem, f_splat, f_slope[k], g_mem, g_splat, g_slope[k]
+
+        return evaluate
 
     # -- lift math over a round range, for the benchmark solvers ------------
 

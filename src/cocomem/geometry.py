@@ -8,9 +8,11 @@ projected affine map of g.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .core import Ball, Box, FeasibleSet, as_decision
+from .core import Ball, Box, FeasibleSet, as_decision, fdot
 
 
 def project(fset: FeasibleSet, p) -> np.ndarray:
@@ -24,6 +26,44 @@ def project(fset: FeasibleSet, p) -> np.ndarray:
         if n <= fset.radius:
             return p.copy()
         return fset.center + diff * (fset.radius / n)
+    raise TypeError(f"unsupported feasible set {type(fset).__name__}")
+
+
+def point_step(fset: FeasibleSet):
+    """`step(x, eta, grad)`: the projected gradient step
+    project(fset, x - eta * grad) for a point and gradient held as Python
+    floats, returned as a tuple.  It uses the expressions of `project`: a
+    per-coordinate clamp (box) or radial scaling (ball); a non-finite
+    point raises ValueError, as there."""
+    if isinstance(fset, Box):
+        bounds = list(zip(fset.lo.tolist(), fset.hi.tolist()))
+
+        def clamp(x, eta, grad):
+            out = []
+            for xj, gj, (lo, hi) in zip(x, grad, bounds):
+                v = xj - eta * gj
+                if not math.isfinite(v):
+                    raise ValueError("decision has non-finite entries")
+                v = v if v > lo else lo  # np.clip: lower bound first
+                out.append(v if v < hi else hi)
+            return tuple(out)
+
+        return clamp
+    if isinstance(fset, Ball):
+        center, radius = fset.center.tolist(), fset.radius
+
+        def scale(x, eta, grad):
+            p = [xj - eta * gj for xj, gj in zip(x, grad)]
+            if not all(map(math.isfinite, p)):
+                raise ValueError("decision has non-finite entries")
+            diff = [v - c for v, c in zip(p, center)]
+            n = math.sqrt(fdot(diff, diff))
+            if n <= radius:
+                return tuple(p)
+            s = radius / n
+            return tuple([c + dv * s for c, dv in zip(center, diff)])
+
+        return scale
     raise TypeError(f"unsupported feasible set {type(fset).__name__}")
 
 

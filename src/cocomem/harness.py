@@ -74,13 +74,14 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
         try:
+            lam = obj.get("lambda_value")
             cfg = cls(
                 algorithm=obj["algorithm"],
                 variant=Variant(obj["variant"]),
                 environment=dict(obj["environment"]),
                 penalty=PenaltyKind(obj.get("penalty", "quadratic")),
                 lambda_mode=obj.get("lambda_mode", "fixed_theorem"),
-                lambda_value=obj.get("lambda_value"),
+                lambda_value=None if lam is None else float(lam),
                 predictor=dict(obj.get("predictor", {"kind": "perfect"})),
                 error_estimate=float(obj.get("error_estimate", 0.0)),
                 alpha=obj.get("alpha"),
@@ -101,12 +102,16 @@ class ExperimentConfig:
             raise ConfigError(f"unknown environment kind {kind!r}")
         if self.lambda_mode not in LAMBDA_MODES:
             raise ConfigError(f"unknown lambda mode {self.lambda_mode!r}")
-        if self.lambda_mode == "explicit" and not (
-            self.lambda_value is not None and self.lambda_value > 0
+        if self.lambda_value is not None and not (
+            self.lambda_value > 0 and math.isfinite(self.lambda_value)
         ):
-            raise ConfigError("explicit lambda mode needs a positive lambda_value")
+            raise ConfigError(f"lambda_value must be finite and positive, got {self.lambda_value}")
+        if self.lambda_mode == "explicit" and self.lambda_value is None:
+            raise ConfigError("explicit lambda mode needs a lambda_value")
         if not self.seeds:
             raise ConfigError("need at least one seed")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds must be distinct, got {self.seeds}")
         if self.algorithm == "penalty_ogd":
             if self.lambda_mode == "sqrt_t_schedule" and self.penalty is not PenaltyKind.QUADRATIC:
                 raise ConfigError("the 1/sqrt(t) schedule is tied to the quadratic penalty")
@@ -271,15 +276,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     """Run every seed, write one CSV (plus instance JSON) per seed, and an
     aggregate summary with per-checkpoint means and standard deviations.
     Failed seeds are recorded and excluded from aggregates."""
+    cfg.validate()
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg_dict = _config_as_dict(cfg)
     results, failed = [], []
     if parallel > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
-            futs = {seed: pool.submit(_run_one_seed, cfg_dict, seed, str(out))
-                    for seed in cfg.seeds}
-            for seed, fut in futs.items():
+            futs = [(seed, pool.submit(_run_one_seed, cfg_dict, seed, str(out)))
+                    for seed in cfg.seeds]
+            for seed, fut in futs:
                 try:
                     results.append(fut.result())
                 except Exception as exc:  # noqa: BLE001 - seed isolation

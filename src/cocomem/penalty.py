@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 # exp argument cap; a binding cap signals misconfiguration (the theorem
 # tunings keep lam*V at O(log T)) and is surfaced via `saturates`.
 EXP_CAP = 700.0
@@ -23,14 +25,34 @@ class PenaltyKind(Enum):
     EXPONENTIAL = "exponential"
 
 
+def check_lambda(lam) -> None:
+    """Raise unless the penalty parameter is positive and finite; an array
+    of per-round parameters is checked element by element."""
+    if not np.all((np.asarray(lam) > 0) & np.isfinite(lam)):
+        raise ValueError("penalty parameter must be positive and finite")
+
+
+def phi_prime(kind: PenaltyKind, lam: float, v: float) -> float:
+    """Phi'(v) for a checked parameter and v >= 0: the formula behind
+    `Penalty.prime`, callable without building a `Penalty` per round."""
+    if kind is PenaltyKind.QUADRATIC:
+        return 2.0 * lam * v
+    return lam * math.exp(min(lam * v, EXP_CAP))
+
+
+def saturated(kind: PenaltyKind, lam, v):
+    """Whether Phi'(v) hit the exponent cap (`Penalty.saturates`); with
+    arrays of per-round lam and v it flags each round."""
+    return kind is PenaltyKind.EXPONENTIAL and lam * v > EXP_CAP
+
+
 @dataclass(frozen=True)
 class Penalty:
     kind: PenaltyKind
     lam: float
 
     def __post_init__(self):
-        if not (self.lam > 0 and math.isfinite(self.lam)):
-            raise ValueError("penalty parameter must be positive and finite")
+        check_lambda(self.lam)
 
     def value(self, v: float) -> float:
         if v < 0:
@@ -42,12 +64,10 @@ class Penalty:
     def prime(self, v: float) -> float:
         if v < 0:
             raise ValueError("cumulative violation must be >= 0")
-        if self.kind is PenaltyKind.QUADRATIC:
-            return 2.0 * self.lam * v
-        return self.lam * math.exp(min(self.lam * v, EXP_CAP))
+        return phi_prime(self.kind, self.lam, v)
 
     def saturates(self, v: float) -> bool:
-        return self.kind is PenaltyKind.EXPONENTIAL and self.lam * v > EXP_CAP
+        return saturated(self.kind, self.lam, v)
 
 
 # ---------------------------------------------------------------------------

@@ -9,18 +9,42 @@ memory-less surrogate
 with the adaptive step  |X| / (sqrt(2) * sqrt(sum of squared surrogate
 gradient norms)).  The dual update precedes the gradient so the
 multiplier Phi'(V_t) reflects the current round's violation.
+
+`run_penalty_ogd` plays every round in Python floats: it reads each
+round's coefficient rows through the instance family's
+`round_evaluator`, computes Phi' with `penalty.phi_prime`, steps with
+`geometry.point_step` and fills the trace table once at the end.
+`PenaltyOgdLearner` is the reference implementation on the oracle
+protocol (`loss(t)` / `constraint(t)` objects, `Penalty`, `project`); the
+tests hold the float loop to it, bit for bit in 1-D with m <= 6.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
 
-from .core import MemoryFunctionOracle, Variant, round_table, splat
-from .geometry import project
+from .core import MemoryFunctionOracle, Variant, fdot, round_table, splat
+from .geometry import point_step, project
 from .metrics import RunTrace
-from .penalty import LambdaSchedule, Penalty, PenaltyKind, lambda_quadratic
+from .penalty import (
+    LambdaSchedule,
+    Penalty,
+    PenaltyKind,
+    check_lambda,
+    lambda_quadratic,
+    phi_prime,
+    saturated,
+)
+
+# round_table fields the float loop fills from its per-round rows, in row
+# order after the decision x
+_ROW_FIELDS = (
+    "f_mem", "f_splat", "g_mem", "g_splat", "g_plus_recorded", "v_dual",
+    "ccv_cum", "phi_prime", "surrogate", "grad_norm", "eta_or_mu",
+)
 
 
 def surrogate_gradient(
@@ -111,20 +135,60 @@ def run_penalty_ogd(
     kind: PenaltyKind = PenaltyKind.QUADRATIC,
     schedule: LambdaSchedule | None = None,
 ) -> RunTrace:
-    """Drive the learner over the instance's rounds and collect the trace."""
+    """Play the instance's rounds in Python floats and collect the trace.
+
+    Round for round this repeats `PenaltyOgdLearner.play_round` fed by
+    `instance.loss(t)` / `instance.constraint(t)` with the same
+    expressions (in 1-D with m <= 6 also the same summation order, so the
+    trace is byte-identical; see `environments` on longer sums).  The lambda of every round is checked before the
+    first; each round appends one row of floats and the trace table is
+    filled once after the last round."""
     if schedule is None:
         schedule = LambdaSchedule("fixed", lambda_quadratic(instance.horizon))
-    first = instance.first_round
-    learner = PenaltyOgdLearner(instance.fset, instance.m, variant, kind, schedule,
-                                instance.horizon - first + 1)
-    for t in range(first, instance.horizon + 1):
-        learner.play_round(t, instance.loss(t), instance.constraint(t))
+    rounds = range(instance.first_round, instance.horizon + 1)
+    lams = [schedule.at(t) for t in rounds]
+    check_lambda(np.array(lams))
+    evaluate = instance.round_evaluator(rounds, variant is Variant.COCO_M2)
+    step = point_step(instance.fset)
+    diameter, dim = instance.fset.diameter, instance.dim
+    x = tuple(instance.fset.center.tolist())
+    window = x * (instance.m + 1)
+    v = ccv = grad_sq_sum = 0.0
+    rows = []
+    for k, lam in enumerate(lams):
+        f_mem, f_spl, f_grad, g_mem, g_spl, g_grad = evaluate(k, window, x)
+        g_plus, g_pos = max(g_mem, 0.0), max(g_spl, 0.0)
+        # dual update first: the multiplier sees this round's violation
+        v += g_pos
+        ccv += g_plus
+        pp = phi_prime(kind, lam, v)
+        grad = f_grad
+        if pp != 0.0 and g_spl > 0.0:
+            grad = [fj + pp * gj for fj, gj in zip(f_grad, g_grad)]
+        gg = fdot(grad, grad)
+        grad_sq_sum += gg
+        eta = adaptive_step(diameter, grad_sq_sum)
+        rows.append((x, f_mem, f_spl, g_mem, g_spl, g_plus, v, ccv, pp,
+                     f_spl + pp * g_pos, math.sqrt(gg), eta))
+        x = step(x, eta, grad)
+        window = window[dim:] + x
+
+    n = len(rounds)
+    records = round_table(n, dim)
+    records["t"] = np.arange(rounds.start, rounds.stop)
+    records["lam"] = lams
+    if rows:
+        xs, *cols = zip(*rows)
+        records["x"] = np.fromiter(chain.from_iterable(xs), float, n * dim).reshape(n, dim)
+        for name, col in zip(_ROW_FIELDS, cols):
+            records[name] = col
+    records["saturated"] = saturated(kind, records["lam"], records["v_dual"])
     return RunTrace(
         algorithm="penalty_ogd",
         variant=variant,
         penalty_kind=kind,
-        records=learner.records,
+        records=records,
         instance=instance,
-        first_round=first,
+        first_round=rounds.start,
         extras={"lambda_mode": schedule.mode, "lambda_value": schedule.value},
     )

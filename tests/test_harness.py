@@ -266,3 +266,44 @@ def test_cli_rejects_bad_resolution(tmp_path, capsys, resolution):
 def test_checkpoint_marks():
     assert checkpoints(3, 4000) == [400, 1000, 2000, 3000, 4000]
     assert checkpoints(3, 20) == [3, 5, 10, 15, 20]
+
+
+@pytest.mark.parametrize("parallel", ["1", "2"])
+def test_cli_rejects_duplicate_seeds(tmp_path, capsys, parallel):
+    # run serially the seed would be played twice; under --parallel two
+    # workers would write the same files at once
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**BASE, "seeds": [3, 3]}))
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(out),
+                     "--parallel", parallel]) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("parallel", [1, 2])
+def test_run_experiment_rejects_duplicate_seeds(tmp_path, parallel):
+    cfg = _cfg(seeds=[0])
+    cfg.seeds = [0, 0]
+    with pytest.raises(ConfigError, match="distinct"):
+        run_experiment(cfg, tmp_path / "out", parallel=parallel)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("raw", ["1e400", "0", "-1", '"abc"'])
+def test_cli_rejects_bad_lambda_value(tmp_path, capsys, raw):
+    # 1e400 parses as infinity; "abc" is not a number
+    text = json.dumps({**BASE, "seeds": [0], "lambda_mode": "explicit",
+                       "lambda_value": "LAM"})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text.replace('"LAM"', raw))
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_lambda_value_is_parsed_as_a_float():
+    cfg = _cfg(lambda_mode="explicit", lambda_value="0.25")
+    assert cfg.lambda_value == 0.25
+    assert _cfg().lambda_value is None

@@ -1,4 +1,6 @@
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,11 +12,16 @@ from cocomem import (
     MemoryFunctionOracle,
     PenaltyKind,
     PenaltyOgdLearner,
+    SeparableLinearInstance,
     Variant,
     adaptive_step,
+    lambda_quadratic,
     run_penalty_ogd,
     surrogate_gradient,
 )
+from cocomem.harness import load_config, run_single
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 class Quadratic1D(MemoryFunctionOracle):
@@ -156,3 +163,102 @@ def test_oracle_shape_mismatch_rejected():
                                 LambdaSchedule("fixed", 0.5), 1)
     with pytest.raises(ValueError):
         learner.play_round(1, Quadratic1D(0.0, m=0), Affine1D(1.0, -1.0, m=1))
+
+
+# ---------------------------------------------------------------------------
+# The float loop of run_penalty_ogd against the oracle-protocol reference
+
+
+def _reference_records(instance, variant, kind, schedule):
+    """PenaltyOgdLearner fed by instance.loss(t) / instance.constraint(t)."""
+    first = instance.first_round
+    learner = PenaltyOgdLearner(instance.fset, instance.m, variant, kind, schedule,
+                                instance.horizon - first + 1)
+    for t in range(first, instance.horizon + 1):
+        learner.play_round(t, instance.loss(t), instance.constraint(t))
+    return learner.records
+
+
+def _instance(family, m, dim, seed):
+    if family == "appendix_a":
+        mode = "adversarial" if seed % 2 else "stochastic"
+        return AppendixAInstance(m=m, horizon=160, dim=dim, mode=mode, seed=seed)
+    return SeparableLinearInstance(m=m, horizon=160, dim=dim, seed=seed,
+                                   g_round_density=0.6, g_mag=(0.05, 0.3))
+
+
+def _schedule(kind, mode, instance):
+    if mode == "sqrt_t":
+        return LambdaSchedule("sqrt_t")
+    if kind is PenaltyKind.QUADRATIC:
+        return LambdaSchedule("fixed", lambda_quadratic(instance.horizon))
+    return LambdaSchedule("fixed", 0.05)
+
+
+# every (variant, penalty, schedule) combination ExperimentConfig.validate
+# accepts for penalty_ogd: the 1/sqrt(t) schedule goes with the quadratic
+# penalty, the exponential penalty with memory-less constraints
+_RUNS = [
+    (Variant.COCO_M, PenaltyKind.QUADRATIC, "fixed"),
+    (Variant.COCO_M, PenaltyKind.QUADRATIC, "sqrt_t"),
+    (Variant.COCO_M2, PenaltyKind.QUADRATIC, "fixed"),
+    (Variant.COCO_M2, PenaltyKind.QUADRATIC, "sqrt_t"),
+    (Variant.COCO_M, PenaltyKind.EXPONENTIAL, "fixed"),
+]
+
+
+@pytest.mark.parametrize("family", ["appendix_a", "separable_linear"])
+@pytest.mark.parametrize("m", [0, 1, 3, 7])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("variant,kind,mode", _RUNS)
+def test_float_loop_matches_oracle_reference(family, m, dim, variant, kind, mode):
+    inst = _instance(family, m, dim, seed=10 * m + dim)
+    schedule = _schedule(kind, mode, inst)
+    got = run_penalty_ogd(inst, variant, kind, schedule).records
+    want = _reference_records(inst, variant, kind, schedule)
+    assert got.dtype == want.dtype and len(got) == len(want)
+    if dim == 1 and m <= 6:
+        # every sum has fewer than 8 terms, which numpy adds one by one
+        assert got.tobytes() == want.tobytes()
+        return
+    # rounding differs by a few ulps of the terms summed, so a value that
+    # cancels to near zero gets an absolute allowance at its column's scale
+    for name in want.dtype.names:
+        scale = float(np.max(np.abs(want[name]), initial=0.0))
+        np.testing.assert_allclose(got[name], want[name], rtol=1e-12, atol=1e-12 * scale,
+                                   err_msg=name)
+
+
+def test_float_loop_matches_reference_when_the_exponent_cap_binds():
+    # a large exponential lambda drives lam * V past the cap within a few rounds
+    inst = AppendixAInstance(m=1, horizon=120, seed=5, mode="adversarial")
+    schedule = LambdaSchedule("fixed", 25.0)
+    got = run_penalty_ogd(inst, Variant.COCO_M, PenaltyKind.EXPONENTIAL, schedule).records
+    with np.errstate(over="ignore"):  # |grad|^2 overflows to inf in both loops
+        want = _reference_records(inst, Variant.COCO_M, PenaltyKind.EXPONENTIAL, schedule)
+    assert want["saturated"].any()
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("kind", list(PenaltyKind))
+def test_float_loop_rejects_bad_lambda(value, kind):
+    inst = AppendixAInstance(m=1, horizon=20, seed=0)
+    with pytest.raises(ValueError, match="penalty parameter"):
+        run_penalty_ogd(inst, Variant.COCO_M, kind, LambdaSchedule("fixed", value))
+
+
+# sha256 of records.tobytes() for seed 0 of the two shipped reference
+# configs, recorded with the oracle-driven loop
+PINNED_REFERENCE_TRACES = {
+    "reference_stochastic": "7f930d1763d1bfe6",
+    "reference_adversarial": "b242f96ebbaf8db4",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REFERENCE_TRACES))
+def test_reference_trace_bytes_are_pinned(name):
+    cfg = load_config(CONFIG_DIR / f"{name}.json")
+    tr = run_single(cfg, 0)
+    digest = hashlib.sha256(tr.records.tobytes()).hexdigest()
+    assert digest[:16] == PINNED_REFERENCE_TRACES[name]
