@@ -74,7 +74,7 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
         try:
-            lam = obj.get("lambda_value")
+            lam, alpha = obj.get("lambda_value"), obj.get("alpha")
             cfg = cls(
                 algorithm=obj["algorithm"],
                 variant=Variant(obj["variant"]),
@@ -84,7 +84,7 @@ class ExperimentConfig:
                 lambda_value=None if lam is None else float(lam),
                 predictor=dict(obj.get("predictor", {"kind": "perfect"})),
                 error_estimate=float(obj.get("error_estimate", 0.0)),
-                alpha=obj.get("alpha"),
+                alpha=None if alpha is None else float(alpha),
                 seeds=[int(s) for s in obj.get("seeds", [0])],
                 out_dir=obj.get("out_dir", "runs"),
                 name=obj.get("name", "experiment"),
@@ -106,6 +106,10 @@ class ExperimentConfig:
             self.lambda_value > 0 and math.isfinite(self.lambda_value)
         ):
             raise ConfigError(f"lambda_value must be finite and positive, got {self.lambda_value}")
+        if self.alpha is not None and not (self.alpha > 0 and math.isfinite(self.alpha)):
+            raise ConfigError(f"alpha must be finite and positive, got {self.alpha}")
+        if not (self.error_estimate >= 0 and math.isfinite(self.error_estimate)):
+            raise ConfigError(f"error_estimate must be finite and >= 0, got {self.error_estimate}")
         if self.lambda_mode == "explicit" and self.lambda_value is None:
             raise ConfigError("explicit lambda mode needs a lambda_value")
         if not self.seeds:
@@ -133,6 +137,12 @@ class ExperimentConfig:
                 )
         if self.predictor.get("kind", "perfect") not in ("perfect", "zero", "noisy"):
             raise ConfigError(f"unknown predictor {self.predictor!r}")
+        try:
+            scale = float(self.predictor.get("scale", 0.0))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad predictor scale: {exc}") from exc
+        if not 0 <= scale < math.inf:
+            raise ConfigError(f"predictor scale must be finite and >= 0, got {scale}")
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

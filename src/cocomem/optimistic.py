@@ -15,6 +15,15 @@ regularization weight driven by past hint errors (the delayed
 upper-bound sequence).  With memory-less constraints the constraint
 slice sits at delay 0 and its multiplier uses the fresh violation
 Phi'(V_{t-1}) instead of the delayed one.
+
+`OdafLearner` plays in Python floats (a vector is a list of d floats):
+it reads each round's slice rows from the instance arrays as the round
+is played and takes Phi' from `penalty.phi_prime`.  A forward gradient
+settles m rounds after its decision, so it keeps only the last O(m)
+rounds of history.  Dot products, norms and sums of squares are one
+float product at d = 1 and go through numpy at d >= 2, so every value
+keeps the bits of the numpy learner in `tests/reference_odaf.py`, the
+reference the tests hold it to.
 """
 
 from __future__ import annotations
@@ -27,9 +36,10 @@ import numpy as np
 from .core import Variant, round_table
 from .geometry import Regularizer, ftrl_argmin, regret_coefficient
 from .metrics import RunTrace
-from .penalty import Penalty, PenaltyKind, lambda_optimistic
+from .penalty import Penalty, PenaltyKind, lambda_optimistic, phi_prime, saturated
 
 MAX_PATTERN_SLICES = 12
+_EXP = PenaltyKind.EXPONENTIAL
 
 
 def huber(x: float, y: float) -> float:
@@ -39,14 +49,29 @@ def huber(x: float, y: float) -> float:
     return 0.5 * x * x - 0.5 * hinge * hinge
 
 
+def _add(a: list, b: list) -> list:
+    return [p + q for p, q in zip(a, b)]
+
+
+def _reductions(dim: int):
+    """(dot, sum of squares) of list vectors with the bits of numpy's
+    `a @ b` and `np.sum(a ** 2)`; numpy itself at d >= 2, where a BLAS
+    dot may round as fma(a1, b1, a0 * b0)."""
+    if dim == 1:
+        return (lambda a, b: a[0] * b[0]), (lambda a: a[0] * a[0])
+    return (lambda a, b: float(np.dot(a, b))), (lambda a: float(np.sum(np.array(a) ** 2)))
+
+
 class OdafLearner:
     """One optimistic run (or one epoch of the doubling wrapper).
 
     `visibility_floor` zero-pads all slices of rounds before it, so a
     fresh epoch treats earlier rounds exactly like the pre-history of a
     cold start while the decision and violation paths carry over through
-    the shared `x_hist` / `v_hist` maps and the shared `records` table
-    (row t - instance.first_round holds round t).
+    the shared `x_hist` / `v_hist` maps (round -> decision as a tuple /
+    cumulative violation, holding only the rounds a later round reads)
+    and the shared `records` table (row t - instance.first_round holds
+    round t).  Row k of `hints` is the hint h_{first + k}.
     """
 
     def __init__(
@@ -73,7 +98,7 @@ class OdafLearner:
         self.m = instance.m
         self.dim = instance.dim
         self.fset = instance.fset
-        self.penalty = penalty
+        self.lam = penalty.lam
         self.predictor = predictor
         predictor.bind(instance)
         self.reg = Regularizer(self.fset)
@@ -81,33 +106,36 @@ class OdafLearner:
         self.first = instance.first_round if first_round is None else first_round
         self.floor = self.first if visibility_floor is None else visibility_floor
         self.dual_delay = self.m + 1 if variant is Variant.COCO_M2 else 1
+        self._dot, self._sumsq = _reductions(self.dim)
 
         self.x_hist = x_hist if x_hist is not None else {}
         self.v_hist = v_hist if v_hist is not None else {}
         if records is None:
             records = round_table(instance.horizon - instance.first_round + 1, self.dim)
         self.records = records
+        self.hints = np.zeros((instance.horizon - self.first + 2, self.dim))
+        center = tuple(self.fset.center.tolist())
         for r in range(self.first - self.m - 1, self.first):
-            self.x_hist.setdefault(r, self.fset.center)
+            self.x_hist.setdefault(r, center)
 
         # slice rows this learner sees: rounds below the visibility floor
         # (or without slices in the instance) read as absent
         self._lo = max(self.floor, self.m + 1)
         self._hi = instance.horizon
-        self._zero = np.zeros(self.dim)
-        self._zero.flags.writeable = False
+        self._zero = [0.0] * self.dim
 
-        # activity of every revealed constraint slice this learner sees,
-        # judged at the decision the slice touches
-        self._g_active: dict[tuple[int, int], bool] = {}
-        self._forward: dict[int, np.ndarray] = {}
-        self._rev_sum = np.zeros(self.dim)
+        # round r -> (loss rows, constraint rows active at the decision
+        # they touch, else None) of the slices revealed in round r
+        self._seen: dict[int, tuple] = {}
+        # decision s -> revealed part of grad Z_s, summed in delay order
+        self._open: dict[int, list] = {}
+        self._forward: dict[int, list] = {}
+        self._rev_sum = self._zero
         self._last_complete = self.first - self.m - 1  # newest assembled forward round
-        self.hints: dict[int, np.ndarray] = {}
-        self._hint_preds: dict[int, dict] = {}
-        self._forecasts: dict[tuple[int, int], tuple] = {}
+        self._last_played = self.first - 1
+        # hint round -> (hint, its forecasts) until the round's gradient settles
+        self._pending: dict[int, tuple] = {}
         self._a: dict[int, float] = {}
-        self._b: dict[int, float] = {}
         self._cum_sq = 0.0
         self._max_awin = 0.0
         self.mu_now = 0.0
@@ -117,219 +145,236 @@ class OdafLearner:
         # pre-step: commit the first decision from an all-predicted hint
         self._decide_next(self.first - 1)
 
-    # -- slice rows (epoch floor applied) ------------------------------------
+    # -- held history: reads of dropped rounds raise -------------------------
 
-    def _f_row(self, r: int, i: int) -> np.ndarray | None:
-        """Loss coefficient of slice (r, i), or None when absent."""
-        return self.inst.f_coef[r, i] if self._lo <= r <= self._hi else None
-
-    def _g_row(self, r: int, i: int) -> tuple[np.ndarray, float] | None:
-        """(coeff, offset) of constraint slice (r, i), or None when absent."""
-        if self._lo <= r <= self._hi and self.inst.g_present[r, i]:
-            return self.inst.g_coef[r, i], float(self.inst.g_off[r, i])
-        return None
-
-    # -- violation path -----------------------------------------------------
+    def x_at(self, r: int) -> np.ndarray:
+        """Decision of round r, while the learner still holds it."""
+        if r not in self.x_hist:
+            raise ValueError(f"decision of round {r} is not held")
+        return np.array(self.x_hist[r])
 
     def v_at(self, r: int) -> float:
-        return self.v_hist.get(r, 0.0)
+        """Cumulative violation after round r; rounds before the run and
+        rounds not yet played read 0."""
+        v = self.v_hist.get(r)
+        if v is not None:
+            return v
+        if self.inst.first_round <= r <= self._last_played:
+            raise ValueError(f"violation of round {r} is no longer held")
+        return 0.0
+
+    def forward_gradient(self, s: int) -> np.ndarray:
+        """grad Z_s, available once every slice (s+i, i) is revealed and
+        until m more rounds have settled."""
+        if s > self._last_complete:
+            raise ValueError(f"forward gradient of round {s} is not revealed yet")
+        z = self._forward.get(s)
+        if z is not None:
+            return np.array(z)
+        if s >= max(1, self.first - self.m):
+            raise ValueError(f"forward gradient of round {s} is no longer held")
+        return np.zeros(self.dim)
 
     def _mult(self, r: int) -> float:
         """Penalty weight of round r's constraint slice inside the forward
         function; prehistory reads V = 0."""
-        return self.penalty.prime(self.v_at(r - self.dual_delay))
+        return phi_prime(_EXP, self.lam, self.v_at(r - self.dual_delay))
 
     # -- forward gradients ----------------------------------------------------
 
-    def forward_gradient(self, s: int) -> np.ndarray:
-        """grad Z_s, available once every slice (s+i, i) is revealed."""
-        if s > self._last_complete:
-            raise ValueError(f"forward gradient of round {s} is not revealed yet")
-        return self._forward.get(s, np.zeros(self.dim))
-
-    def _add_revealed(self, z: np.ndarray, r: int, i: int) -> None:
-        """z += gradient of the revealed slice pair (r, i)."""
-        f = self._f_row(r, i)
-        if f is not None:
-            z += f
-        if self._g_active.get((r, i)):
-            z += self._mult(r) * self.inst.g_coef[r, i]
+    def _reveal(self, t: int) -> tuple:
+        """Read round t's slice rows, judge each constraint slice at the
+        decision it touches, and add the revealed slices to the open
+        forward gradients.  Returns (loss rows or None, [(i, coeff, offset,
+        value)] of the present constraint slices)."""
+        m, dot, xs = self.m, self._dot, self.x_hist
+        f, g_rows, active = None, [], [None] * (m + 1)
+        if self._lo <= t <= self._hi:
+            inst = self.inst
+            f = inst.f_coef[t].tolist()
+            coef, off = inst.g_coef[t].tolist(), inst.g_off[t].tolist()
+            for i, present in enumerate(inst.g_present[t].tolist()):
+                if present:
+                    val = dot(coef[i], xs[t - i]) + off[i]
+                    g_rows.append((i, coef[i], off[i], val))
+                    if val > 0.0:
+                        active[i] = coef[i]
+        self._seen[t] = (f, active)
+        self._seen.pop(t - m - 1, None)
+        mult = self._mult(t) if any(active) else 0.0
+        for i in range(m + 1):
+            z = self._open.get(t - i, self._zero)
+            if f is not None:
+                z = _add(z, f[i])
+            if active[i] is not None:
+                z = [p + mult * q for p, q in zip(z, active[i])]
+            self._open[t - i] = z
+        return f, g_rows
 
     def _complete_round(self, s: int) -> tuple[float, float, float]:
         """Settle grad Z_s and the weights of hint h_s; returns the hint's
         errors (eps_Z, eps_f, eps_g), zero when no hint h_s exists."""
-        z = np.zeros(self.dim)
-        for i in range(self.m + 1):
-            self._add_revealed(z, s + i, i)
+        m = self.m
+        z = self._open.pop(s)
         self._forward[s] = z
-        self._rev_sum = self._rev_sum + z
+        self._forward.pop(s - m - 1, None)
+        self._rev_sum = _add(self._rev_sum, z)
         self._last_complete = s
-        if s not in self.hints:
+        pending = self._pending.pop(s, None)
+        if pending is None:
             return 0.0, 0.0, 0.0
-        diff = self.hints[s] - self._window_sum(s)
-        err = float(np.linalg.norm(diff))
-        zn = float(np.linalg.norm(z))
+        hint, preds = pending
+        win = self._zero
+        for j in range(s - m, s + 1):
+            if j in self._forward:
+                win = _add(win, self._forward[j])
+        diff = [h - w for h, w in zip(hint, win)]
+        err = math.sqrt(self._dot(diff, diff))
+        zn = math.sqrt(self._dot(z, z))
         a = self.fset.diameter * min(err, zn)
         self._a[s] = a
-        self._b[s] = huber(err, zn)
-        self._cum_sq += a * a + 2.0 * self.alpha * self._b[s]
-        return self._prediction_errors(s, diff)
+        self._a.pop(s - m - 1, None)
+        self._cum_sq += a * a + 2.0 * self.alpha * huber(err, zn)
+        return self._prediction_errors(diff, preds)
 
-    def _window_sum(self, tau: int) -> np.ndarray:
-        """sum_{j=tau-m}^{tau} grad Z_j over revealed rounds."""
-        win = np.zeros(self.dim)
-        for j in range(tau - self.m, tau + 1):
-            if j in self._forward:
-                win += self._forward[j]
-        return win
-
-    def _awin(self, j: int) -> float:
-        return sum(self._a.get(i, 0.0) for i in range(j - self.m + 1, j + 1))
-
-    def odaf_weights(self, t: int) -> tuple[float, float, float]:
-        """(a_t-m, b_t-m, mu_{t+1}) per the delayed-upper-bound sequence;
-        call after the round's forward gradient completed."""
-        s = t - self.m
-        mu = (2.0 / self.alpha) * self._max_awin + math.sqrt(self._cum_sq) / self.alpha
-        return self._a.get(s, 0.0), self._b.get(s, 0.0), mu
-
-    # -- prediction errors ----------------------------------------------------
-
-    def _prediction_errors(self, tau: int, diff: np.ndarray) -> tuple[float, float, float]:
-        """(eps_Z, eps_f, eps_g) of hint h_tau once grad Z_tau is revealed;
-        `diff` is h_tau minus the revealed window sum."""
-        eps_z = float(np.sum(diff ** 2))
-        df = np.zeros(self.dim)
-        dg = np.zeros(self.dim)
-        for (r, i), (f_pred, g_pred) in self._hint_preds[tau].items():
-            f = self._f_row(r, i)
-            df += f_pred - (f if f is not None else 0.0)
-            dg += g_pred - (self.inst.g_coef[r, i] if self._g_active.get((r, i)) else 0.0)
-        return eps_z, float(df @ df), float(dg @ dg)
+    def _prediction_errors(self, diff: list, preds: list) -> tuple[float, float, float]:
+        """(eps_Z, eps_f, eps_g) of a hint once its forward gradient is
+        revealed; `diff` is the hint minus the revealed window sum."""
+        zero = self._zero
+        df = dg = zero
+        for r, i, f_pred, g_pred in preds:
+            f, active = self._seen[r]
+            df = [p + (q - w) for p, q, w in zip(df, f_pred, zero if f is None else f[i])]
+            dg = [p + (q - w) for p, q, w in zip(dg, g_pred, active[i] or zero)]
+        return self._sumsq(diff), self._dot(df, df), self._dot(dg, dg)
 
     # -- hint assembly and the FTRL step ------------------------------------
 
-    def _forecast(self, r: int, i: int) -> tuple[np.ndarray, tuple[np.ndarray, float]]:
+    def _forecast(self, r: int, i: int) -> tuple[list, list, float]:
         """This round's forecast of slice pair (r, i): the loss coefficient
-        and the constraint's (coeff, offset).  The predictor is queried once
-        per pair per round; a non-finite forecast falls back to zero."""
+        and the constraint's coefficient and offset.  The predictor is
+        queried once per pair per round; a non-finite forecast falls back
+        to zero."""
         fc = self._forecasts.get((r, i))
         if fc is None:
-            f = np.asarray(self.predictor.predict_f(r, i), dtype=float)
-            if not np.isfinite(f).all():
-                f = np.zeros(self.dim)
+            f = np.asarray(self.predictor.predict_f(r, i), dtype=float).tolist()
+            if not all(map(math.isfinite, f)):
+                f = self._zero
             g_coef, g_off = self.predictor.predict_g(r, i)
-            g = (np.asarray(g_coef, dtype=float), float(g_off))
-            if not (np.isfinite(g[0]).all() and math.isfinite(g[1])):
-                g = (np.zeros(self.dim), 0.0)
-            fc = self._forecasts[(r, i)] = (f, g)
+            g, g_off = np.asarray(g_coef, dtype=float).tolist(), float(g_off)
+            if not (all(map(math.isfinite, g)) and math.isfinite(g_off)):
+                g, g_off = self._zero, 0.0
+            fc = self._forecasts[(r, i)] = (f, g, g_off)
         return fc
 
-    def _pending_subtotal(self, s: int, t: int, preds: dict) -> np.ndarray:
+    def _pending_subtotal(self, s: int, t: int, preds: list) -> list:
         """Known-plus-predicted stand-in for grad Z_s, accumulated in the
-        same slice order as `_complete_round` so perfect predictions
-        reproduce the revealed gradient bitwise."""
-        z = np.zeros(self.dim)
+        same slice order as the settled gradient so perfect predictions
+        reproduce it bitwise."""
+        z = self._open.get(s, self._zero)
         x_s = self.x_hist[s]
-        for i in range(self.m + 1):
+        for i in range(t - s + 1, self.m + 1):
             r = s + i
-            if r <= t:
-                self._add_revealed(z, r, i)
-                continue
-            f_pred, g = self._forecast(r, i)
-            z += f_pred
-            if _active(g, x_s):
-                z += self._mult(r) * g[0]
-                preds[(r, i)] = (f_pred, g[0])
+            f_pred, g, g_off = self._forecast(r, i)
+            z = _add(z, f_pred)
+            if self._dot(g, x_s) + g_off > 0.0:
+                mult = self._mult(r)
+                z = [p + mult * q for p, q in zip(z, g)]
+                preds.append((r, i, f_pred, g))
             else:
-                preds[(r, i)] = (f_pred, self._zero)
+                preds.append((r, i, f_pred, self._zero))
         return z
 
     def _decide_next(self, t: int) -> None:
         """End-of-round-t work: assemble h_{t+1}, compute mu_{t+1}, and
         commit x_{t+1} (self-consistent activity for the pending round)."""
-        m, nxt = self.m, t + 1
+        m, nxt, dot = self.m, t + 1, self._dot
         self.predictor.begin_round(nxt)
         self._forecasts = {}
-        preds: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        preds: list[tuple] = []
         # pending decisions s = t+1-m .. t: known slices plus predictions
-        base = np.zeros(self.dim)
+        base = self._zero
         for s in range(nxt - m, nxt):
-            base = base + self._pending_subtotal(s, t, preds)
+            base = _add(base, self._pending_subtotal(s, t, preds))
         # predicted forward gradient of the decision being committed; each
         # constraint forecast with a nonzero coefficient may toggle, and
         # carries its weighted gradient
         block = [self._forecast(nxt + i, i) for i in range(m + 1)]
-        toggles = [(i, g, self._mult(nxt + i) * g[0])
-                   for i, (_, g) in enumerate(block) if g[0] @ g[0] > 0.0]
+        toggles = []
+        for i, (_, g, g_off) in enumerate(block):
+            if dot(g, g) > 0.0:
+                mult = self._mult(nxt + i)
+                toggles.append((i, g, g_off, [mult * q for q in g]))
 
-        _, _, mu = self.odaf_weights(t)
+        mu = (2.0 / self.alpha) * self._max_awin + math.sqrt(self._cum_sq) / self.alpha
         self.mu_now = mu
-        f_block = np.zeros(self.dim)
-        for f_pred, _ in block:
-            f_block += f_pred
-        lin0 = self._rev_sum + base + f_block
+        f_block = self._zero
+        for f_pred, _, _ in block:
+            f_block = _add(f_block, f_pred)
+        lin0 = _add(_add(self._rev_sum, base), f_block)
         x_next, flags = self._resolve_pending_activity(lin0, mu, toggles, self.x_hist[t])
-        on = {i: term for (i, _, term), flag in zip(toggles, flags) if flag}
-        ztilde = np.zeros(self.dim)
-        for i, (f_pred, g) in enumerate(block):
-            ztilde += f_pred
+        on = {i: term for (i, _, _, term), flag in zip(toggles, flags) if flag}
+        ztilde = self._zero
+        for i, (f_pred, g, _) in enumerate(block):
+            ztilde = _add(ztilde, f_pred)
             if i in on:
-                ztilde += on[i]
-                preds[(nxt + i, i)] = (f_pred, g[0])
+                ztilde = _add(ztilde, on[i])
+                preds.append((nxt + i, i, f_pred, g))
             else:
-                preds[(nxt + i, i)] = (f_pred, self._zero)
-        self.hints[nxt] = base + ztilde
-        self._hint_preds[nxt] = preds
+                preds.append((nxt + i, i, f_pred, self._zero))
+        hint = _add(base, ztilde)
+        self.hints[nxt - self.first] = hint
+        self._pending[nxt] = (hint, preds)
         self.x_hist[nxt] = x_next
+        self.x_hist.pop(nxt - m - 2, None)
         # fold the newest window sum into the lagged max AFTER mu used it
-        s = t - self.m
+        s = t - m
         if s in self._a:
-            self._max_awin = max(self._max_awin, self._awin(s))
+            awin = sum(self._a.get(j, 0.0) for j in range(s - m + 1, s + 1))
+            self._max_awin = max(self._max_awin, awin)
 
-    def _resolve_pending_activity(self, lin0: np.ndarray, mu: float, toggles,
-                                  x_last: np.ndarray):
+    def _resolve_pending_activity(self, lin0: list, mu: float, toggles, x_last: tuple):
         """Search for an activity pattern of the pending round's constraint
         forecasts that reproduces itself at the decision it induces; falls
         back to judging activity at the last committed decision when no
         pattern is self-consistent."""
+        fset, reg, dot = self.fset, self.reg, self._dot
         if not toggles:
-            return ftrl_argmin(self.fset, lin0, mu, self.reg), ()
+            return tuple(ftrl_argmin(fset, lin0, mu, reg).tolist()), ()
         if len(toggles) <= MAX_PATTERN_SLICES:
             for pattern in itertools.product((False, True), repeat=len(toggles)):
-                x = ftrl_argmin(self.fset, _with_terms(lin0, toggles, pattern), mu, self.reg)
-                if tuple(_active(g, x) for _, g, _ in toggles) == pattern:
+                x = tuple(ftrl_argmin(fset, _with_terms(lin0, toggles, pattern), mu, reg).tolist())
+                if tuple(dot(g, x) + g_off > 0.0 for _, g, g_off, _ in toggles) == pattern:
                     return x, pattern
         self.fixed_point_fallbacks += 1
-        flags = tuple(_active(g, x_last) for _, g, _ in toggles)
-        return ftrl_argmin(self.fset, _with_terms(lin0, toggles, flags), mu, self.reg), flags
+        flags = tuple(dot(g, x_last) + g_off > 0.0 for _, g, g_off, _ in toggles)
+        x = ftrl_argmin(fset, _with_terms(lin0, toggles, flags), mu, reg)
+        return tuple(x.tolist()), flags
 
     # -- one full round -------------------------------------------------------
 
     def play_round(self, t: int) -> np.record:
         """Observe round t, settle the newly revealed forward gradient and
         hint error, and commit the next decision."""
-        m = self.m
-        x_t = self.x_hist[t]
-        f_rows = [(i, f) for i in range(m + 1) if (f := self._f_row(t, i)) is not None]
-        g_rows = [(i, g) for i in range(m + 1) if (g := self._g_row(t, i)) is not None]
-        # register true slices and their activity at the decisions they touch
+        m, dot = self.m, self._dot
+        xs = self.x_hist
+        x_t = xs[t]
+        f, g_rows = self._reveal(t)
         f_mem = 0.0
-        for i, f in f_rows:
-            f_mem += float(f @ self.x_hist[t - i])
-        g_vals = {}
-        for i, g in g_rows:
-            g_vals[i] = _value(g, self.x_hist[t - i])
-            self._g_active[(t, i)] = g_vals[i] > 0.0
+        if f is not None:
+            for i in range(m + 1):
+                f_mem += dot(f[i], xs[t - i])
         if self.variant is Variant.COCO_M2:
             g_val = 0.0
-            for v in g_vals.values():
+            for _, _, _, v in g_rows:
                 g_val += v
         else:
-            g_val = g_vals.get(0, 0.0)
+            g_val = next((v for i, _, _, v in g_rows if i == 0), 0.0)
         inc = max(g_val, 0.0)
         self.ccv += inc
         self.v_hist[t] = self.ccv
+        self.v_hist.pop(t - 2 * m - 2, None)
+        self._last_played = t
 
         eps_z = eps_f = eps_g = 0.0
         s = t - m
@@ -338,35 +383,25 @@ class OdafLearner:
 
         self._decide_next(t)
 
-        f_spl = float(sum(float(f @ x_t) for _, f in f_rows))
-        g_spl = float(sum(_value(g, x_t) for _, g in g_rows))
+        f_spl = float(sum(dot(fi, x_t) for fi in f)) if f is not None else 0.0
+        g_spl = float(sum(dot(c, x_t) + off for _, c, off, _ in g_rows))
         mult_t = self._mult(t)
+        z = self._forward.get(s, self._zero)
         row = t - self.inst.first_round
         self.records[row] = (
             t, x_t, f_mem, f_spl, g_val, g_spl, inc, self.ccv, self.ccv, mult_t,
-            self.penalty.lam, f_mem + mult_t * inc,
-            float(np.linalg.norm(self._forward.get(s, np.zeros(self.dim)))), self.mu_now,
-            eps_f, eps_g, eps_z, self.penalty.saturates(self.ccv),
+            self.lam, f_mem + mult_t * inc, math.sqrt(dot(z, z)), self.mu_now,
+            eps_f, eps_g, eps_z, saturated(_EXP, self.lam, self.ccv),
         )
         return self.records[row]
 
 
-def _value(g: tuple[np.ndarray, float], x: np.ndarray) -> float:
-    """Value at x of an affine constraint slice or forecast (coeff, offset)."""
-    return float(g[0] @ x) + g[1]
-
-
-def _active(g: tuple[np.ndarray, float], x: np.ndarray) -> bool:
-    """Whether the hinge of constraint slice or forecast g is active at x."""
-    return _value(g, x) > 0.0
-
-
-def _with_terms(lin0: np.ndarray, toggles, flags) -> np.ndarray:
+def _with_terms(lin0: list, toggles, flags) -> list:
     """lin0 plus the weighted gradients of the toggles switched on."""
-    lin = lin0.copy()
-    for (_, _, term), on in zip(toggles, flags):
+    lin = lin0
+    for (_, _, _, term), on in zip(toggles, flags):
         if on:
-            lin += term
+            lin = _add(lin, term)
     return lin
 
 
@@ -402,7 +437,7 @@ def run_optimistic(
             "alpha": alpha_val,
             # row k is the hint h_{first_round + k}; the last one, for
             # round horizon + 1, is committed but never played
-            "hints": np.array(list(learner.hints.values())),
+            "hints": learner.hints,
             "error_sums": _error_sums(learner.records),
             "fixed_point_fallbacks": learner.fixed_point_fallbacks,
             "predictor": predictor.kind,
@@ -486,7 +521,13 @@ class DoublingLearner:
         self.x_hist: dict = {}
         self.v_hist: dict = {}
         self.records = round_table(instance.horizon - instance.first_round + 1, instance.dim)
+        self._closed_fallbacks = 0
         self._spawn(instance.first_round)
+
+    @property
+    def fixed_point_fallbacks(self) -> int:
+        """Hint fixed-point fallbacks summed over every epoch so far."""
+        return self._closed_fallbacks + self.inner.fixed_point_fallbacks
 
     def _spawn(self, start_round: int) -> None:
         self.schedule.epoch_starts.append(start_round)
@@ -506,6 +547,7 @@ class DoublingLearner:
     def play_round(self, t: int) -> np.record:
         if self.schedule.should_restart():
             self.schedule.restart()
+            self._closed_fallbacks += self.inner.fixed_point_fallbacks
             self._spawn(t)
         rec = self.inner.play_round(t)
         self.schedule.observe(rec.eps_g)
@@ -539,6 +581,7 @@ def run_doubling(
             "mu1": sched.mu1,
             "mu_final": sched.budget,
             "error_sums": _error_sums(learner.records),
+            "fixed_point_fallbacks": learner.fixed_point_fallbacks,
             "predictor": predictor.kind,
         },
     )

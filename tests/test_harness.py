@@ -307,3 +307,29 @@ def test_lambda_value_is_parsed_as_a_float():
     cfg = _cfg(lambda_mode="explicit", lambda_value="0.25")
     assert cfg.lambda_value == 0.25
     assert _cfg().lambda_value is None
+
+
+ODAF_BASE = {
+    "algorithm": "odaf",
+    "variant": "coco_m2",
+    "environment": {"kind": "separable_linear", "m": 1, "horizon": 40},
+    "penalty": "exponential",
+    "seeds": [0],
+    "name": "t",
+}
+
+
+@pytest.mark.parametrize("over", [
+    {"alpha": -1.0},
+    {"alpha": "abc"},
+    {"error_estimate": -1.0},
+    {"predictor": {"kind": "noisy", "scale": -0.5}},
+])
+def test_cli_rejects_bad_learner_parameters(tmp_path, capsys, over):
+    # each of these used to pass validation and then fail every seed
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**ODAF_BASE, **over}))
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()

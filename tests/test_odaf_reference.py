@@ -1,0 +1,96 @@
+"""The float ODAF learner against the numpy learner it replaced
+(`reference_odaf`), and its memory bound."""
+
+import tracemalloc
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_odaf as ref
+from cocomem import (
+    NoisyPredictor,
+    PerfectPredictor,
+    SeparableLinearInstance,
+    Variant,
+    ZeroPredictor,
+    optimistic,
+)
+
+PREDICTORS = {"perfect": PerfectPredictor, "zero": ZeroPredictor,
+              "noisy": lambda: NoisyPredictor(0.4, seed=3)}
+
+
+def _outcome(module, runner, make_instance, variant, kind, lam):
+    """(trace facts, None) of one run, or (None, exception type) if it raised."""
+    inst, predictor = make_instance(), PREDICTORS[kind]()
+    try:
+        if runner == "odaf":
+            tr = module.run_optimistic(inst, variant, predictor, lam=lam)
+        else:
+            tr = module.run_doubling(inst, variant, predictor)
+    except Exception as exc:  # noqa: BLE001 - the type is compared
+        return None, type(exc)
+    hints = tr.extras.get("hints")
+    return (tr.records.tobytes(), None if hints is None else (hints.shape, hints.tobytes()),
+            tr.extras["error_sums"], tr.extras["fixed_point_fallbacks"]), None
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    runner=st.sampled_from(["odaf", "doubling"]),
+    kind=st.sampled_from(sorted(PREDICTORS)),
+    m=st.integers(0, 4),
+    d=st.integers(1, 3),
+    memoryless=st.booleans(),
+    # theorem tuning, or an explicit lambda from 1e-6 up to values whose
+    # exponent hits EXP_CAP (and overflows the multiplier) within the run
+    lam=st.sampled_from([None, 1e-6, 1e-3, 0.1, 1.0, 10.0, 1e2, 1e3, 5e3, 1.2e4, 1e5]),
+    rounds=st.integers(1, 116),
+    density=st.sampled_from([0.15, 0.6]),
+    seed=st.integers(0, 2**16),
+)
+def test_float_learner_matches_numpy_reference(runner, kind, m, d, memoryless, lam,
+                                               rounds, density, seed):
+    # a Box at d = 1, a Ball at d >= 2; COCO_M needs constraints at delay 0
+    variant = Variant.COCO_M if memoryless else Variant.COCO_M2
+
+    def make_instance():
+        return SeparableLinearInstance(m=m, horizon=m + rounds, dim=d, seed=seed,
+                                       constraint_memory=not memoryless,
+                                       g_round_density=density, g_mag=(0.05, 0.2))
+
+    want, want_exc = _outcome(ref, runner, make_instance, variant, kind, lam)
+    got, got_exc = _outcome(optimistic, runner, make_instance, variant, kind, lam)
+    assert got_exc is want_exc
+    assert got == want
+
+
+def _heap_above_tables(horizon: int) -> int:
+    """tracemalloc peak of one run, less its trace table and hints."""
+    inst = SeparableLinearInstance(m=2, horizon=horizon, seed=0)
+    tracemalloc.start()
+    try:
+        tr = optimistic.run_optimistic(inst, Variant.COCO_M2, PerfectPredictor())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - tr.records.nbytes - tr.extras["hints"].nbytes
+
+
+def test_learner_state_does_not_grow_with_the_horizon():
+    """Besides the trace table and the hints the learner writes, its heap
+    is O(m): at most 256 B more per round from T = 300 to T = 2400 (the
+    numpy learner's dicts grew about 2.8 KB per round)."""
+    small, large = _heap_above_tables(300), _heap_above_tables(2400)
+    assert (large - small) / (2400 - 300) <= 256
+
+
+@pytest.mark.parametrize("kind", sorted(PREDICTORS))
+def test_doubling_shares_bounded_history_across_epochs(kind):
+    inst = SeparableLinearInstance(m=3, horizon=200, seed=1,
+                                   g_round_density=0.6, g_mag=(0.05, 0.2))
+    learner = optimistic.DoublingLearner(inst, Variant.COCO_M2, PREDICTORS[kind]())
+    for t in inst.rounds:
+        learner.play_round(t)
+        assert len(learner.x_hist) <= inst.m + 2 and len(learner.v_hist) <= 2 * inst.m + 2

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +17,12 @@ from cocomem import (
     Variant,
     ZeroPredictor,
     huber,
+    optimistic,
     run_doubling,
     run_optimistic,
 )
 from cocomem.geometry import ftrl_argmin, minimize_linear
+from cocomem.harness import load_config, run_single
 from cocomem.metrics import reconstruct_hint_errors
 
 
@@ -60,27 +63,33 @@ def _hand_instance():
 
 
 def test_forward_gradient_hand_sum():
+    # each forward gradient is checked right after round s + m settles
+    # it, while the learner still holds it and the decision it touches
     inst = _hand_instance()
     lam = 0.125
     learner = OdafLearner(inst, Variant.COCO_M2, PerfectPredictor(),
                           Penalty(PenaltyKind.EXPONENTIAL, lam))
-    for t in range(2, 7):
-        learner.play_round(t)
     pen = Penalty(PenaltyKind.EXPONENTIAL, lam)
+    learner.play_round(2)
+    learner.play_round(3)
     # grad Z_2 = f(2,0) + f(3,1) + Phi'(V_0) * g(3,1)-part (absent)
     want = inst.f_coef[2, 0] + inst.f_coef[3, 1]
     assert np.allclose(learner.forward_gradient(2), want)
+    learner.play_round(4)
     # grad Z_3 = f(3,0) + f(4,1) + Phi'(V_1) * g(3,0) * [active at x_3]
-    x3 = learner.x_hist[3]
+    x3 = learner.x_at(3)
     want = inst.f_coef[3, 0] + inst.f_coef[4, 1]
     if 0.5 * x3[0] - 0.5 > 0:
         want = want + pen.prime(learner.v_at(1)) * inst.g_coef[3, 0]
     assert np.allclose(learner.forward_gradient(3), want)
+    for t in range(5, 7):
+        learner.play_round(t)
     with pytest.raises(ValueError):
         learner.forward_gradient(6)  # needs round 7 to reveal slice (7, 1)
 
 
 def test_forward_gradient_m0_collapse():
+    # with m = 0 round t settles grad Z_t; check it before the next round
     inst = SeparableLinearInstance(m=0, horizon=30, seed=5)
     lam = 0.25
     learner = OdafLearner(inst, Variant.COCO_M2, PerfectPredictor(),
@@ -88,12 +97,37 @@ def test_forward_gradient_m0_collapse():
     pen = Penalty(PenaltyKind.EXPONENTIAL, lam)
     for t in range(1, 31):
         learner.play_round(t)
-    for t in range(1, 31):
         fs, gs = inst.f_slice(t, 0), inst.g_slice(t, 0)
         want = fs.coeff.copy() if fs is not None else np.zeros(1)
-        if gs is not None and gs.value(learner.x_hist[t]) > 0:
+        if gs is not None and gs.value(learner.x_at(t)) > 0:
             want = want + pen.prime(learner.v_at(t - 1)) * gs.coeff
         assert np.allclose(learner.forward_gradient(t), want)
+
+
+@pytest.mark.parametrize("m", [0, 1, 3])
+def test_reads_of_dropped_rounds_raise(m):
+    """The learner keeps O(m) rounds of history; a read of a round it has
+    dropped raises instead of reading as a prehistory zero."""
+    inst = SeparableLinearInstance(m=m, horizon=40, seed=4,
+                                   g_round_density=0.6, g_mag=(0.05, 0.2))
+    learner = OdafLearner(inst, Variant.COCO_M2, NoisyPredictor(0.3, seed=1),
+                          Penalty(PenaltyKind.EXPONENTIAL, 0.5))
+    first = inst.first_round
+    for t in range(first, 31):
+        learner.play_round(t)
+    assert len(learner.x_hist) <= m + 2 and len(learner.v_hist) <= 2 * m + 2
+    for read, r in ((learner.forward_gradient, first), (learner.v_at, first),
+                    (learner.x_at, first)):
+        with pytest.raises(ValueError, match="no longer held|not held"):
+            read(r)
+    # still held: the newest rounds, and what the next round reads
+    assert learner.v_at(30) == learner.ccv
+    assert learner.x_at(31).shape == (1,)
+    assert learner.forward_gradient(30 - m).shape == (1,)
+    # before the run and not yet played: V = 0, as in the penalty weight
+    assert learner.v_at(first - 1) == 0.0 and learner.v_at(35) == 0.0
+    with pytest.raises(ValueError, match="not revealed"):
+        learner.forward_gradient(31 - m)
 
 
 def test_perfect_hint_matches_window_exactly():
@@ -416,3 +450,21 @@ def test_one_noise_generator_per_slice_pair_per_round(monkeypatch):
     # being committed (31) holds m + 1 = 3
     assert sorted(built) == [(1, 7, 31, r, i) for r, i in
                              sorted([(31, 2), (31, 1), (32, 2), (31, 0), (32, 1), (33, 2)])]
+
+
+def test_doubling_sums_fallbacks_over_epochs(monkeypatch):
+    """run_doubling reports the hint fixed-point fallbacks of every epoch's
+    learner, not only of the last one."""
+    learners = []
+    init = optimistic.OdafLearner.__init__
+
+    def registering_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        learners.append(self)
+
+    monkeypatch.setattr(optimistic.OdafLearner, "__init__", registering_init)
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "doubling_noisy.json")
+    tr = run_single(cfg, 0)
+    assert len(learners) == tr.extras["epochs"] > 1
+    assert tr.extras["fixed_point_fallbacks"] == sum(x.fixed_point_fallbacks for x in learners)
+    assert learners[-1].fixed_point_fallbacks < tr.extras["fixed_point_fallbacks"]
