@@ -210,54 +210,6 @@ class MemoryFunctionOracle:
         raise NotImplementedError
 
 
-class _MaxOracle(MemoryFunctionOracle):
-    """Pointwise max of several oracles; gradients follow the argmax
-    (ties broken by lowest index), a valid subgradient choice."""
-
-    def __init__(self, oracles):
-        self.oracles = list(oracles)
-        self.dim = self.oracles[0].dim
-        self.memory = self.oracles[0].memory
-        self.lipschitz = max(o.lipschitz for o in self.oracles)
-        self.bound = max(o.bound for o in self.oracles)
-
-    def _argmax_window(self, window):
-        vals = [o.value(window) for o in self.oracles]
-        return int(np.argmax(vals)), max(vals)
-
-    def _argmax_splat(self, x):
-        vals = [o.value_splat(x) for o in self.oracles]
-        return int(np.argmax(vals)), max(vals)
-
-    def value(self, window):
-        return self._argmax_window(window)[1]
-
-    def value_splat(self, x):
-        return self._argmax_splat(x)[1]
-
-    def grad_splat(self, x):
-        k, _ = self._argmax_splat(x)
-        return self.oracles[k].grad_splat(x)
-
-
-def max_reduce(oracles) -> MemoryFunctionOracle:
-    """Fold k constraints into one via the pointwise max.
-
-    With a single oracle the input is returned unchanged.  All oracles
-    must share dimension and memory length.
-    """
-    oracles = list(oracles)
-    if not oracles:
-        raise ValueError("max_reduce needs at least one oracle")
-    if len(oracles) == 1:
-        return oracles[0]
-    d, m = oracles[0].dim, oracles[0].memory
-    for o in oracles[1:]:
-        if o.dim != d or o.memory != m:
-            raise ValueError("oracles disagree on dimension or memory length")
-    return _MaxOracle(oracles)
-
-
 # ---------------------------------------------------------------------------
 # Per-round trace table
 

@@ -144,12 +144,8 @@ class AppendixAInstance:
         dim: int = 1,
         _coeffs: tuple[np.ndarray, np.ndarray] | None = None,
     ):
-        if not (horizon >= m >= 0):
-            raise ValueError("need horizon >= memory >= 0")
-        if min(radius, sigma, delta) <= 0 or gamma <= 0:
-            raise ValueError("radius, sigma, delta, gamma must be positive")
-        if mode not in ("stochastic", "adversarial"):
-            raise ValueError(f"unknown mode {mode!r}")
+        self.check_params(m=m, horizon=horizon, radius=radius, sigma=sigma, delta=delta,
+                          gamma=gamma, mode=mode)
         self.m = m
         self.horizon = horizon
         self.radius = float(radius)
@@ -167,6 +163,17 @@ class AppendixAInstance:
             self.c, self.d_coef = self._generate()
         else:
             self.c, self.d_coef = _coeffs
+
+    @staticmethod
+    def check_params(m, horizon, radius, sigma, delta, gamma, mode, **_) -> None:
+        """Range checks of the constructor's parameters; no instance is
+        generated."""
+        if not (horizon >= m >= 0):
+            raise ValueError("need horizon >= memory >= 0")
+        if min(radius, sigma, delta) <= 0 or gamma <= 0:
+            raise ValueError("radius, sigma, delta, gamma must be positive")
+        if mode not in ("stochastic", "adversarial"):
+            raise ValueError(f"unknown mode {mode!r}")
 
     def _generate(self):
         rng = _instance_rng(self.seed)
@@ -374,10 +381,7 @@ class SeparableLinearInstance:
         g_root: tuple[float, float] = (0.4, 0.9),
         g_active_fraction: float = 1.0,
     ):
-        if not (horizon >= m >= 0):
-            raise ValueError("need horizon >= memory >= 0")
-        if radius <= 0:
-            raise ValueError("radius must be positive")
+        self.check_params(m=m, horizon=horizon, radius=radius)
         self.m = m
         self.horizon = horizon
         self.radius = float(radius)
@@ -395,6 +399,15 @@ class SeparableLinearInstance:
             Box([-radius] * dim, [radius] * dim) if dim == 1 else Ball([0.0] * dim, radius)
         )
         self._generate()
+
+    @staticmethod
+    def check_params(m, horizon, radius, **_) -> None:
+        """Range checks of the constructor's parameters; no instance is
+        generated."""
+        if not (horizon >= m >= 0):
+            raise ValueError("need horizon >= memory >= 0")
+        if radius <= 0:
+            raise ValueError("radius must be positive")
 
     def _generate(self):
         rng = _instance_rng(self.seed)

@@ -8,6 +8,7 @@ and results are byte-identical across reruns of the same config.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import os
@@ -29,6 +30,7 @@ from .metrics import (
     BoundReport,
     MetricSeries,
     RunTrace,
+    check_benchmark_dim,
     invariant_suite,
     regret_and_ccv,
     theorem_bound_report,
@@ -47,7 +49,7 @@ CSV_HEADER = (
 )
 
 ALGORITHMS = ("penalty_ogd", "odaf", "odaf_doubling")
-ENV_KINDS = ("appendix_a", "separable_linear")
+ENV_FAMILIES = {cls.kind: cls for cls in (AppendixAInstance, SeparableLinearInstance)}
 LAMBDA_MODES = ("fixed_theorem", "sqrt_t_schedule", "explicit")
 TRACEBACK_LINES = 10  # traceback tail kept per failed seed in the summary
 
@@ -98,8 +100,9 @@ class ExperimentConfig:
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         kind = self.environment.get("kind")
-        if kind not in ENV_KINDS:
+        if not isinstance(kind, str) or kind not in ENV_FAMILIES:
             raise ConfigError(f"unknown environment kind {kind!r}")
+        self._check_environment(ENV_FAMILIES[kind])
         if self.lambda_mode not in LAMBDA_MODES:
             raise ConfigError(f"unknown lambda mode {self.lambda_mode!r}")
         if self.lambda_value is not None and not (
@@ -144,6 +147,18 @@ class ExperimentConfig:
         if not 0 <= scale < math.inf:
             raise ConfigError(f"predictor scale must be finite and >= 0, got {scale}")
 
+    def _check_environment(self, family) -> None:
+        """The checks the family's constructor makes, without generating an
+        instance, plus the dimensions the benchmark solvers cover."""
+        env = {k: v for k, v in self.environment.items() if k != "kind"}
+        try:
+            args = inspect.signature(family).bind(**env)
+            args.apply_defaults()
+            family.check_params(**args.arguments)
+            check_benchmark_dim(args.arguments["dim"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad environment parameters: {exc}") from exc
+
 
 def load_config(path: str | Path) -> ExperimentConfig:
     with open(path) as fh:
@@ -152,12 +167,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 def build_instance(cfg: ExperimentConfig, seed: int):
     env = dict(cfg.environment)
-    kind = env.pop("kind")
+    family = ENV_FAMILIES[env.pop("kind")]
     env["seed"] = seed
     try:
-        if kind == "appendix_a":
-            return AppendixAInstance(**env)
-        return SeparableLinearInstance(**env)
+        return family(**env)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad environment parameters: {exc}") from exc
 
@@ -220,9 +233,10 @@ def emit_csv(trace: RunTrace, series: MetricSeries, path: str | Path) -> None:
 
 
 def checkpoints(first_round: int, horizon: int) -> list[int]:
-    marks = {max(first_round, horizon // 10), horizon // 4, horizon // 2,
-             (3 * horizon) // 4, horizon}
-    return sorted(t for t in marks if first_round <= t <= horizon)
+    """Summary rounds; round 0 is never one, since metrics are divided by t."""
+    lo = max(first_round, 1)
+    marks = {max(lo, horizon // 10), horizon // 4, horizon // 2, (3 * horizon) // 4, horizon}
+    return sorted(t for t in marks if lo <= t <= horizon)
 
 
 def _seed_metrics(trace: RunTrace, series: MetricSeries, marks: list[int]) -> dict:

@@ -161,9 +161,17 @@ def best_in_hindsight_slicewise(instance, resolution: float = 1e-3,
 _GRID_POINT_CAP = 4_000_000
 
 
+def check_benchmark_dim(dim: int) -> None:
+    """Raise unless the benchmark solvers cover decisions of this
+    dimension: closed form in 1-D, a grid in 2-D."""
+    if not 1 <= dim <= 2:
+        raise ValueError(f"grid benchmarks support dim 1 or 2 only, got {dim}")
+
+
 def grid_points(fset, resolution: float) -> np.ndarray:
     """Uniform grid over the feasible set, dimensions 1 and 2 only; the
     2-D grid must stay coarse (point count capped)."""
+    check_benchmark_dim(fset.dim)
     set_lo, set_hi = fset.extents()
     if fset.dim == 1:
         lo, hi = float(set_lo[0]), float(set_hi[0])
@@ -171,19 +179,17 @@ def grid_points(fset, resolution: float) -> np.ndarray:
         if n > _GRID_POINT_CAP:
             raise ValueError("grid resolution too fine for this set")
         return np.linspace(lo, hi, n)[:, None]
-    if fset.dim == 2:
-        spans = [(float(lo), float(hi)) for lo, hi in zip(set_lo, set_hi)]
-        counts = [int((hi - lo) / resolution) + 1 for lo, hi in spans]
-        if counts[0] * counts[1] > _GRID_POINT_CAP:
-            raise ValueError(
-                "2-D grid needs a coarser resolution "
-                f"({counts[0]} x {counts[1]} points exceeds the cap)"
-            )
-        ax = [np.arange(lo, hi + resolution / 2, resolution) for lo, hi in spans]
-        xx, yy = np.meshgrid(ax[0], ax[1])
-        pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
-        return pts[fset.contains(pts, tol=0.0)]
-    raise ValueError("grid benchmarks support dim <= 2 only")
+    spans = [(float(lo), float(hi)) for lo, hi in zip(set_lo, set_hi)]
+    counts = [int((hi - lo) / resolution) + 1 for lo, hi in spans]
+    if counts[0] * counts[1] > _GRID_POINT_CAP:
+        raise ValueError(
+            "2-D grid needs a coarser resolution "
+            f"({counts[0]} x {counts[1]} points exceeds the cap)"
+        )
+    ax = [np.arange(lo, hi + resolution / 2, resolution) for lo, hi in spans]
+    xx, yy = np.meshgrid(ax[0], ax[1])
+    pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
+    return pts[fset.contains(pts, tol=0.0)]
 
 
 def _grid_best(instance, kind: str, resolution: float, upto: int | None) -> Benchmark:

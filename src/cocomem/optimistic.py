@@ -1,6 +1,6 @@
 """Optimistic delayed-FTRL learner for memory problems with untrusted
-predictions, plus the epoch-doubling wrapper that tunes the penalty
-parameter online.
+predictions, and the doubling trick that tunes its penalty parameter
+online by restarting the one learner of a run in place (`restart`).
 
 The memory effect is recast as gradient delay through the forward
 function
@@ -36,7 +36,7 @@ import numpy as np
 from .core import Variant, round_table
 from .geometry import Regularizer, ftrl_argmin, regret_coefficient
 from .metrics import RunTrace
-from .penalty import Penalty, PenaltyKind, lambda_optimistic, phi_prime, saturated
+from .penalty import PenaltyKind, check_lambda, lambda_optimistic, phi_prime, saturated
 
 MAX_PATTERN_SLICES = 12
 _EXP = PenaltyKind.EXPONENTIAL
@@ -63,32 +63,20 @@ def _reductions(dim: int):
 
 
 class OdafLearner:
-    """One optimistic run (or one epoch of the doubling wrapper).
+    """One optimistic run, restarted in place at each doubling epoch.
 
-    `visibility_floor` zero-pads all slices of rounds before it, so a
-    fresh epoch treats earlier rounds exactly like the pre-history of a
-    cold start while the decision and violation paths carry over through
-    the shared `x_hist` / `v_hist` maps (round -> decision as a tuple /
-    cumulative violation, holding only the rounds a later round reads)
-    and the shared `records` table (row t - instance.first_round holds
-    round t).  Row k of `hints` is the hint h_{first + k}.
+    The decision and violation windows (`x_hist` / `v_hist`: round ->
+    decision as a tuple / cumulative violation, holding only the rounds a
+    later round reads), the trace table (row t - instance.first_round
+    holds round t), the hints (row k is h_{instance.first_round + k}),
+    `fixed_point_fallbacks` and `ccv` last the whole run.  `restart(t,
+    lam)` starts an epoch at round t: slices of rounds before t read as
+    absent, as in the pre-history of a cold start, and the gradient
+    memory and hint-error statistics start fresh.
     """
 
-    def __init__(
-        self,
-        instance,
-        variant: Variant,
-        predictor,
-        penalty: Penalty,
-        alpha: float | None = None,
-        first_round: int | None = None,
-        visibility_floor: int | None = None,
-        x_hist: dict | None = None,
-        v_hist: dict | None = None,
-        records: np.ndarray | None = None,
-    ):
-        if penalty.kind is not PenaltyKind.EXPONENTIAL:
-            raise ValueError("the optimistic learner uses the exponential penalty")
+    def __init__(self, instance, variant: Variant, predictor, lam: float,
+                 alpha: float | None = None):
         if not hasattr(instance, "f_coef"):
             raise TypeError("optimistic learner needs a separable-slice instance")
         if variant is Variant.COCO_M and instance.constraint_memory:
@@ -98,32 +86,35 @@ class OdafLearner:
         self.m = instance.m
         self.dim = instance.dim
         self.fset = instance.fset
-        self.lam = penalty.lam
         self.predictor = predictor
         predictor.bind(instance)
         self.reg = Regularizer(self.fset)
-        self.alpha = float(alpha) if alpha is not None else self.fset.diameter**2
-        self.first = instance.first_round if first_round is None else first_round
-        self.floor = self.first if visibility_floor is None else visibility_floor
+        self.alpha = _alpha(instance, alpha)
         self.dual_delay = self.m + 1 if variant is Variant.COCO_M2 else 1
         self._dot, self._sumsq = _reductions(self.dim)
-
-        self.x_hist = x_hist if x_hist is not None else {}
-        self.v_hist = v_hist if v_hist is not None else {}
-        if records is None:
-            records = round_table(instance.horizon - instance.first_round + 1, self.dim)
-        self.records = records
-        self.hints = np.zeros((instance.horizon - self.first + 2, self.dim))
-        center = tuple(self.fset.center.tolist())
-        for r in range(self.first - self.m - 1, self.first):
-            self.x_hist.setdefault(r, center)
-
-        # slice rows this learner sees: rounds below the visibility floor
-        # (or without slices in the instance) read as absent
-        self._lo = max(self.floor, self.m + 1)
-        self._hi = instance.horizon
         self._zero = [0.0] * self.dim
 
+        first = instance.first_round
+        center = tuple(self.fset.center.tolist())
+        self.x_hist = {r: center for r in range(first - self.m - 1, first)}
+        self.v_hist: dict[int, float] = {}
+        self.records = round_table(instance.horizon - first + 1, self.dim)
+        self.hints = np.zeros((instance.horizon - first + 2, self.dim))
+        self._last_played = first - 1
+        self.fixed_point_fallbacks = 0
+        self.ccv = 0.0
+        self.restart(first, lam)
+
+    def restart(self, t: int, lam: float) -> None:
+        """Start an epoch at round t with penalty parameter lam: slices of
+        rounds before t read as absent, the gradient memory and hint-error
+        statistics start fresh, and x_t is committed again."""
+        check_lambda(lam)
+        self.lam = lam
+        self._start = t
+        # slice rows this epoch sees: rounds before it (or without slices
+        # in the instance) read as absent
+        self._lo = max(t, self.m + 1)
         # round r -> (loss rows, constraint rows active at the decision
         # they touch, else None) of the slices revealed in round r
         self._seen: dict[int, tuple] = {}
@@ -131,19 +122,15 @@ class OdafLearner:
         self._open: dict[int, list] = {}
         self._forward: dict[int, list] = {}
         self._rev_sum = self._zero
-        self._last_complete = self.first - self.m - 1  # newest assembled forward round
-        self._last_played = self.first - 1
+        self._last_complete = t - self.m - 1  # newest assembled forward round
         # hint round -> (hint, its forecasts) until the round's gradient settles
         self._pending: dict[int, tuple] = {}
         self._a: dict[int, float] = {}
         self._cum_sq = 0.0
         self._max_awin = 0.0
         self.mu_now = 0.0
-        self.fixed_point_fallbacks = 0
-        self.ccv = 0.0 if not self.v_hist else self.v_hist[max(self.v_hist)]
-
-        # pre-step: commit the first decision from an all-predicted hint
-        self._decide_next(self.first - 1)
+        # pre-step: commit x_t from an all-predicted hint
+        self._decide_next(t - 1)
 
     # -- held history: reads of dropped rounds raise -------------------------
 
@@ -171,7 +158,7 @@ class OdafLearner:
         z = self._forward.get(s)
         if z is not None:
             return np.array(z)
-        if s >= max(1, self.first - self.m):
+        if s >= max(1, self._start - self.m):
             raise ValueError(f"forward gradient of round {s} is no longer held")
         return np.zeros(self.dim)
 
@@ -189,7 +176,7 @@ class OdafLearner:
         value)] of the present constraint slices)."""
         m, dot, xs = self.m, self._dot, self.x_hist
         f, g_rows, active = None, [], [None] * (m + 1)
-        if self._lo <= t <= self._hi:
+        if self._lo <= t <= self.inst.horizon:
             inst = self.inst
             f = inst.f_coef[t].tolist()
             coef, off = inst.g_coef[t].tolist(), inst.g_off[t].tolist()
@@ -323,7 +310,7 @@ class OdafLearner:
             else:
                 preds.append((nxt + i, i, f_pred, self._zero))
         hint = _add(base, ztilde)
-        self.hints[nxt - self.first] = hint
+        self.hints[nxt - self.inst.first_round] = hint
         self._pending[nxt] = (hint, preds)
         self.x_hist[nxt] = x_next
         self.x_hist.pop(nxt - m - 2, None)
@@ -405,6 +392,11 @@ def _with_terms(lin0: list, toggles, flags) -> list:
     return lin
 
 
+def _alpha(instance, alpha: float | None) -> float:
+    """The DUB weight scale; defaults to the squared diameter of the set."""
+    return float(alpha) if alpha is not None else instance.fset.diameter**2
+
+
 def run_optimistic(
     instance,
     variant: Variant,
@@ -415,39 +407,40 @@ def run_optimistic(
 ) -> RunTrace:
     """Drive one optimistic run; lam defaults to the theorem tuning with
     the supplied estimate of the cumulative constraint prediction error."""
-    alpha_val = float(alpha) if alpha is not None else instance.fset.diameter**2
+    alpha_val = _alpha(instance, alpha)
     if lam is None:
         k = instance.constants()
         coeff = regret_coefficient(instance.fset, instance.m, alpha_val)
         eff_m = instance.m if variant is Variant.COCO_M2 else 0
         lam = lambda_optimistic(error_estimate, k.g_bound, eff_m, coeff)
-    learner = OdafLearner(instance, variant, predictor, Penalty(PenaltyKind.EXPONENTIAL, lam),
-                          alpha=alpha_val)
+    learner = OdafLearner(instance, variant, predictor, lam, alpha=alpha_val)
     for t in range(instance.first_round, instance.horizon + 1):
         learner.play_round(t)
+    # row k of the hints is h_{first_round + k}; the last one, for round
+    # horizon + 1, is committed but never played
+    return _trace("odaf", learner, lam, hints=learner.hints)
+
+
+def _trace(algorithm: str, learner: OdafLearner, lam: float, **extras) -> RunTrace:
+    """The trace of a finished run; `extras` follow lambda and alpha, and
+    the hint-error sums are summed round by round in play order."""
+    inst, records = learner.inst, learner.records
     return RunTrace(
-        algorithm="odaf",
-        variant=variant,
+        algorithm=algorithm,
+        variant=learner.variant,
         penalty_kind=PenaltyKind.EXPONENTIAL,
-        records=learner.records,
-        instance=instance,
-        first_round=instance.first_round,
+        records=records,
+        instance=inst,
+        first_round=inst.first_round,
         extras={
             "lambda_value": lam,
-            "alpha": alpha_val,
-            # row k is the hint h_{first_round + k}; the last one, for
-            # round horizon + 1, is committed but never played
-            "hints": learner.hints,
-            "error_sums": _error_sums(learner.records),
+            "alpha": learner.alpha,
+            **extras,
+            "error_sums": {k: float(sum(records[f"eps_{k}"].tolist())) for k in ("z", "f", "g")},
             "fixed_point_fallbacks": learner.fixed_point_fallbacks,
-            "predictor": predictor.kind,
+            "predictor": learner.predictor.kind,
         },
     )
-
-
-def _error_sums(records: np.ndarray) -> dict:
-    """Cumulative hint errors, summed round by round in play order."""
-    return {k: float(sum(records[f"eps_{k}"].tolist())) for k in ("z", "f", "g")}
 
 
 # ---------------------------------------------------------------------------
@@ -480,12 +473,8 @@ class DoublingSchedule:
     def lam(self) -> float:
         return 1.0 / (2.0 * (self.budget + self.offset))
 
-    @property
-    def empirical(self) -> float:
-        return self.psi(self.error_in_epoch)
-
     def should_restart(self) -> bool:
-        return self.empirical > self.budget
+        return self.psi(self.error_in_epoch) > self.budget
 
     def restart(self) -> None:
         self.epoch += 1
@@ -503,57 +492,6 @@ def doubling_mu1(regret_coeff: float, initial_error: float) -> float:
     return max(regret_coeff * math.sqrt(max(initial_error, 0.0)), floor)
 
 
-class DoublingLearner:
-    """Optimistic learner with online penalty tuning (one inner learner per
-    epoch; decisions and the violation path persist across restarts, the
-    gradient memory and hint-error statistics start fresh)."""
-
-    def __init__(self, instance, variant: Variant, predictor,
-                 alpha: float | None = None, initial_error: float = 0.0):
-        self.inst = instance
-        self.variant = variant
-        self.predictor = predictor
-        self.alpha = float(alpha) if alpha is not None else instance.fset.diameter**2
-        k = instance.constants()
-        coeff = regret_coefficient(instance.fset, instance.m, self.alpha)
-        offset = k.g_bound * ((instance.m + 1) if variant is Variant.COCO_M2 else 1)
-        self.schedule = DoublingSchedule(coeff, offset, doubling_mu1(coeff, initial_error))
-        self.x_hist: dict = {}
-        self.v_hist: dict = {}
-        self.records = round_table(instance.horizon - instance.first_round + 1, instance.dim)
-        self._closed_fallbacks = 0
-        self._spawn(instance.first_round)
-
-    @property
-    def fixed_point_fallbacks(self) -> int:
-        """Hint fixed-point fallbacks summed over every epoch so far."""
-        return self._closed_fallbacks + self.inner.fixed_point_fallbacks
-
-    def _spawn(self, start_round: int) -> None:
-        self.schedule.epoch_starts.append(start_round)
-        self.inner = OdafLearner(
-            self.inst,
-            self.variant,
-            self.predictor,
-            Penalty(PenaltyKind.EXPONENTIAL, self.schedule.lam),
-            alpha=self.alpha,
-            first_round=start_round,
-            visibility_floor=start_round,
-            x_hist=self.x_hist,
-            v_hist=self.v_hist,
-            records=self.records,
-        )
-
-    def play_round(self, t: int) -> np.record:
-        if self.schedule.should_restart():
-            self.schedule.restart()
-            self._closed_fallbacks += self.inner.fixed_point_fallbacks
-            self._spawn(t)
-        rec = self.inner.play_round(t)
-        self.schedule.observe(rec.eps_g)
-        return rec
-
-
 def run_doubling(
     instance,
     variant: Variant,
@@ -561,27 +499,21 @@ def run_doubling(
     alpha: float | None = None,
     initial_error: float = 0.0,
 ) -> RunTrace:
-    learner = DoublingLearner(instance, variant, predictor, alpha=alpha,
-                              initial_error=initial_error)
+    """Drive one optimistic run with online penalty tuning: whenever the
+    schedule's budget is exceeded the learner restarts at the current
+    round with the doubled budget's lam."""
+    alpha_val = _alpha(instance, alpha)
+    k = instance.constants()
+    coeff = regret_coefficient(instance.fset, instance.m, alpha_val)
+    offset = k.g_bound * ((instance.m + 1) if variant is Variant.COCO_M2 else 1)
+    sched = DoublingSchedule(coeff, offset, doubling_mu1(coeff, initial_error))
+    sched.epoch_starts.append(instance.first_round)
+    learner = OdafLearner(instance, variant, predictor, sched.lam, alpha=alpha_val)
     for t in range(instance.first_round, instance.horizon + 1):
-        learner.play_round(t)
-    sched = learner.schedule
-    return RunTrace(
-        algorithm="odaf_doubling",
-        variant=variant,
-        penalty_kind=PenaltyKind.EXPONENTIAL,
-        records=learner.records,
-        instance=instance,
-        first_round=instance.first_round,
-        extras={
-            "lambda_value": sched.lam,
-            "alpha": learner.alpha,
-            "epochs": sched.epoch,
-            "epoch_starts": list(sched.epoch_starts),
-            "mu1": sched.mu1,
-            "mu_final": sched.budget,
-            "error_sums": _error_sums(learner.records),
-            "fixed_point_fallbacks": learner.fixed_point_fallbacks,
-            "predictor": predictor.kind,
-        },
-    )
+        if sched.should_restart():
+            sched.restart()
+            sched.epoch_starts.append(t)
+            learner.restart(t, sched.lam)
+        sched.observe(learner.play_round(t).eps_g)
+    return _trace("odaf_doubling", learner, sched.lam, epochs=sched.epoch,
+                  epoch_starts=list(sched.epoch_starts), mu1=sched.mu1, mu_final=sched.budget)

@@ -5,26 +5,9 @@ from cocomem import (
     AppendixAInstance,
     Ball,
     Box,
-    MemoryFunctionOracle,
     MemoryWindow,
-    max_reduce,
     splat,
 )
-
-
-class AffineLift(MemoryFunctionOracle):
-    """Memory-less affine test oracle a*x + b (dim 1, m = 0)."""
-
-    def __init__(self, a, b):
-        self.a, self.b = float(a), float(b)
-        self.dim, self.memory = 1, 0
-        self.lipschitz, self.bound = abs(self.a), abs(self.a) + abs(self.b)
-
-    def value(self, window):
-        return self.a * float(window.newest[0]) + self.b
-
-    def grad_splat(self, x):
-        return np.array([self.a])
 
 
 def test_splat_repeats_point():
@@ -68,38 +51,6 @@ def test_window_rejects_non_finite():
         w.push([np.nan])
     with pytest.raises(ValueError):
         MemoryWindow([[np.inf]])
-
-
-def test_max_reduce_picks_pointwise_max():
-    # max(x - 1, -x - 1) at x = 2: values (1, -3), so oracle 0 wins
-    m = max_reduce([AffineLift(1, -1), AffineLift(-1, -1)])
-    assert m.value_splat([2.0]) == pytest.approx(1.0)
-    assert m.grad_splat([2.0])[0] == pytest.approx(1.0)
-    assert m.lipschitz == 1.0 and m.bound == 2.0
-
-
-def test_max_reduce_single_oracle_is_identity():
-    o = AffineLift(2, 0)
-    assert max_reduce([o]) is o
-
-
-def test_max_reduce_tie_uses_lowest_index_and_stays_a_subgradient():
-    # at x = 0 both x and -x evaluate to 0; index 0 wins, gradient +1
-    m = max_reduce([AffineLift(1, 0), AffineLift(-1, 0)])
-    g = m.grad_splat([0.0])[0]
-    assert g == pytest.approx(1.0)
-    # the max is |x|; +1 is a valid subgradient at 0: |y| >= 0 + 1*y
-    for y in np.linspace(-3, 3, 61):
-        assert m.value_splat([y]) >= m.value_splat([0.0]) + g * y - 1e-12
-
-
-def test_max_reduce_rejects_empty_and_mismatched():
-    with pytest.raises(ValueError):
-        max_reduce([])
-    bad = AffineLift(1, 0)
-    bad.memory = 1
-    with pytest.raises(ValueError):
-        max_reduce([AffineLift(1, 0), bad])
 
 
 def test_instance_oracles_respect_declared_bounds():

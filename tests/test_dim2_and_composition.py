@@ -1,6 +1,5 @@
-"""Higher-dimensional runs (ball geometry, coarse grid benchmarks),
-vector CSV emission, and the multi-constraint max composition driving a
-live learner."""
+"""Higher-dimensional runs (ball geometry, coarse grid benchmarks) and
+vector CSV emission."""
 
 import numpy as np
 import pytest
@@ -9,17 +8,14 @@ from cocomem import (
     AppendixAInstance,
     Ball,
     LambdaSchedule,
-    PenaltyKind,
-    PenaltyOgdLearner,
     Variant,
     invariant_suite,
-    max_reduce,
     regret_and_ccv,
     run_penalty_ogd,
     theorem_bound_report,
 )
 from cocomem.harness import CSV_HEADER, emit_csv
-from cocomem.metrics import RunTrace, grid_points
+from cocomem.metrics import grid_points
 
 
 @pytest.fixture(scope="module")
@@ -65,25 +61,3 @@ def test_vector_decisions_in_csv(ball_trace, tmp_path):
 def test_grid_cap_rejects_absurd_resolution():
     with pytest.raises(ValueError):
         grid_points(Ball([0.0, 0.0], 5.0), 1e-4)
-
-
-def test_max_reduce_drives_a_learner():
-    """Fold two per-round constraints into one oracle and run on it; the
-    violation accounting must follow the pointwise max."""
-    inst_a = AppendixAInstance(m=1, horizon=50, seed=2)
-    inst_b = AppendixAInstance(m=1, horizon=50, seed=3)
-    fset = inst_a.fset
-    learner = PenaltyOgdLearner(fset, 1, Variant.COCO_M, PenaltyKind.QUADRATIC,
-                                LambdaSchedule("sqrt_t"), len(inst_a.rounds))
-    for t in inst_a.rounds:
-        combined = max_reduce([inst_a.constraint(t), inst_b.constraint(t)])
-        learner.play_round(t, inst_a.loss(t), combined)
-    for rec in learner.records:
-        t = rec.t
-        want = max(inst_a.constraint(t).value_splat(rec.x),
-                   inst_b.constraint(t).value_splat(rec.x))
-        assert rec.g_splat == pytest.approx(want, rel=1e-12, abs=1e-12)
-        assert rec.g_plus_recorded == pytest.approx(max(want, 0.0), rel=1e-12, abs=1e-12)
-    tr = RunTrace("penalty_ogd", Variant.COCO_M, PenaltyKind.QUADRATIC, learner.records,
-                  inst_a, inst_a.first_round, {})
-    tr.validate()

@@ -266,6 +266,25 @@ def test_cli_rejects_bad_resolution(tmp_path, capsys, resolution):
 def test_checkpoint_marks():
     assert checkpoints(3, 4000) == [400, 1000, 2000, 3000, 4000]
     assert checkpoints(3, 20) == [3, 5, 10, 15, 20]
+    # m = 0 plays from round 0, but per-round metrics divide by t
+    assert checkpoints(0, 8) == [1, 2, 4, 6, 8]
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("env", [
+    {"kind": "appendix_a", "m": 2, "horizon": 120, "sigmaa": 3},
+    {"kind": "appendix_a", "m": 5, "horizon": 3},
+    {"kind": "appendix_a", "m": 2, "horizon": 120, "dim": 3},
+], ids=["unknown_key", "horizon_below_m", "dim_3"])
+def test_cli_rejects_bad_environment_parameters(tmp_path, capsys, monkeypatch, command, env):
+    # checked when the config loads, before any instance is generated
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**BASE, "seeds": [0], "environment": env}))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("COCO_MEM_OUT", raising=False)
+    assert cli_main([command, "--config", str(cfg_path)]) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 @pytest.mark.parametrize("parallel", ["1", "2"])

@@ -88,9 +88,16 @@ def test_learner_state_does_not_grow_with_the_horizon():
 
 @pytest.mark.parametrize("kind", sorted(PREDICTORS))
 def test_doubling_shares_bounded_history_across_epochs(kind):
+    """Restarts at fixed rounds keep the decision and violation windows
+    bounded by m and carry the violation over."""
     inst = SeparableLinearInstance(m=3, horizon=200, seed=1,
                                    g_round_density=0.6, g_mag=(0.05, 0.2))
-    learner = optimistic.DoublingLearner(inst, Variant.COCO_M2, PREDICTORS[kind]())
+    learner = optimistic.OdafLearner(inst, Variant.COCO_M2, PREDICTORS[kind](), 0.5)
+    restarts = {20: 0.25, 21: 0.125, 90: 0.0625}
     for t in inst.rounds:
+        if t in restarts:
+            ccv = learner.ccv
+            learner.restart(t, restarts[t])
+            assert learner.ccv == ccv and learner.lam == restarts[t]
         learner.play_round(t)
         assert len(learner.x_hist) <= inst.m + 2 and len(learner.v_hist) <= 2 * inst.m + 2

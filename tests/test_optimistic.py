@@ -67,8 +67,7 @@ def test_forward_gradient_hand_sum():
     # it, while the learner still holds it and the decision it touches
     inst = _hand_instance()
     lam = 0.125
-    learner = OdafLearner(inst, Variant.COCO_M2, PerfectPredictor(),
-                          Penalty(PenaltyKind.EXPONENTIAL, lam))
+    learner = OdafLearner(inst, Variant.COCO_M2, PerfectPredictor(), lam)
     pen = Penalty(PenaltyKind.EXPONENTIAL, lam)
     learner.play_round(2)
     learner.play_round(3)
@@ -92,8 +91,7 @@ def test_forward_gradient_m0_collapse():
     # with m = 0 round t settles grad Z_t; check it before the next round
     inst = SeparableLinearInstance(m=0, horizon=30, seed=5)
     lam = 0.25
-    learner = OdafLearner(inst, Variant.COCO_M2, PerfectPredictor(),
-                          Penalty(PenaltyKind.EXPONENTIAL, lam))
+    learner = OdafLearner(inst, Variant.COCO_M2, PerfectPredictor(), lam)
     pen = Penalty(PenaltyKind.EXPONENTIAL, lam)
     for t in range(1, 31):
         learner.play_round(t)
@@ -110,8 +108,7 @@ def test_reads_of_dropped_rounds_raise(m):
     dropped raises instead of reading as a prehistory zero."""
     inst = SeparableLinearInstance(m=m, horizon=40, seed=4,
                                    g_round_density=0.6, g_mag=(0.05, 0.2))
-    learner = OdafLearner(inst, Variant.COCO_M2, NoisyPredictor(0.3, seed=1),
-                          Penalty(PenaltyKind.EXPONENTIAL, 0.5))
+    learner = OdafLearner(inst, Variant.COCO_M2, NoisyPredictor(0.3, seed=1), 0.5)
     first = inst.first_round
     for t in range(first, 31):
         learner.play_round(t)
@@ -433,8 +430,7 @@ def test_one_noise_generator_per_slice_pair_per_round(monkeypatch):
     and constraint forecasts of a pair share one generator."""
     inst = SeparableLinearInstance(m=2, horizon=60, seed=3,
                                    g_round_density=0.6, g_mag=(0.05, 0.2))
-    learner = OdafLearner(inst, Variant.COCO_M2, NoisyPredictor(0.3, seed=1),
-                          Penalty(PenaltyKind.EXPONENTIAL, 0.1))
+    learner = OdafLearner(inst, Variant.COCO_M2, NoisyPredictor(0.3, seed=1), 0.1)
     for t in range(inst.first_round, 30):
         learner.play_round(t)
     real = np.random.SeedSequence
@@ -452,9 +448,10 @@ def test_one_noise_generator_per_slice_pair_per_round(monkeypatch):
                              sorted([(31, 2), (31, 1), (32, 2), (31, 0), (32, 1), (33, 2)])]
 
 
-def test_doubling_sums_fallbacks_over_epochs(monkeypatch):
-    """run_doubling reports the hint fixed-point fallbacks of every epoch's
-    learner, not only of the last one."""
+def test_doubling_restarts_one_learner_and_counts_every_epochs_fallbacks(monkeypatch):
+    """run_doubling restarts one learner in place and reports the hint
+    fixed-point fallbacks of all its epochs; epochs and fallbacks of
+    seeds 0-4 of the shipped config are pinned."""
     learners = []
     init = optimistic.OdafLearner.__init__
 
@@ -464,7 +461,10 @@ def test_doubling_sums_fallbacks_over_epochs(monkeypatch):
 
     monkeypatch.setattr(optimistic.OdafLearner, "__init__", registering_init)
     cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "doubling_noisy.json")
-    tr = run_single(cfg, 0)
-    assert len(learners) == tr.extras["epochs"] > 1
-    assert tr.extras["fixed_point_fallbacks"] == sum(x.fixed_point_fallbacks for x in learners)
-    assert learners[-1].fixed_point_fallbacks < tr.extras["fixed_point_fallbacks"]
+    got = []
+    for seed in range(5):
+        tr = run_single(cfg, seed)
+        assert tr.extras["fixed_point_fallbacks"] == learners[-1].fixed_point_fallbacks
+        got.append((tr.extras["epochs"], tr.extras["fixed_point_fallbacks"]))
+    assert len(learners) == 5
+    assert got == [(52, 8), (52, 3), (52, 0), (52, 7), (52, 6)]
