@@ -1,95 +1,45 @@
 """Constrained online convex optimization with memory-dependent losses
 and constraints: penalty-OGD and optimistic delayed-FTRL learners,
-benchmark environments, and bound/metric calculators."""
+benchmark environments, and bound/metric calculators.
 
-from .core import (
-    Ball,
-    Box,
-    FeasibleSet,
-    MemoryFunctionOracle,
-    MemoryWindow,
-    Variant,
-    splat,
-)
+The package namespace holds the documented entry points; every other
+name is imported from its module (`cocomem.core`, `cocomem.metrics`, ...).
+"""
+
+from .core import Variant
 from .environments import (
     AppendixAInstance,
-    LinearSlice,
     NoisyPredictor,
     PerfectPredictor,
     SeparableLinearInstance,
     ZeroPredictor,
-    make_predictor,
 )
-from .geometry import Regularizer, ftrl_argmin, project, regret_coefficient
 from .metrics import (
-    Benchmark,
-    BoundReport,
     RunTrace,
     best_in_hindsight,
-    best_in_hindsight_slicewise,
     invariant_suite,
     regret_and_ccv,
     theorem_bound_report,
 )
-from .optimistic import (
-    DoublingSchedule,
-    OdafLearner,
-    huber,
-    run_doubling,
-    run_optimistic,
-)
-from .penalty import (
-    LambdaSchedule,
-    Penalty,
-    PenaltyKind,
-    lambda_exponential_short_memory,
-    lambda_optimistic,
-    lambda_quadratic,
-    short_memory_condition,
-)
-from .penalty_ogd import PenaltyOgdLearner, adaptive_step, run_penalty_ogd, surrogate_gradient
+from .optimistic import run_doubling, run_optimistic
+from .penalty import LambdaSchedule, PenaltyKind
+from .penalty_ogd import run_penalty_ogd
 
 __all__ = [
     "AppendixAInstance",
-    "Ball",
-    "Benchmark",
-    "BoundReport",
-    "Box",
-    "DoublingSchedule",
-    "FeasibleSet",
     "LambdaSchedule",
-    "LinearSlice",
-    "MemoryFunctionOracle",
-    "MemoryWindow",
     "NoisyPredictor",
-    "OdafLearner",
-    "Penalty",
     "PenaltyKind",
-    "PenaltyOgdLearner",
     "PerfectPredictor",
-    "Regularizer",
     "RunTrace",
     "SeparableLinearInstance",
     "Variant",
     "ZeroPredictor",
-    "adaptive_step",
     "best_in_hindsight",
-    "best_in_hindsight_slicewise",
-    "ftrl_argmin",
-    "huber",
     "invariant_suite",
-    "lambda_exponential_short_memory",
-    "lambda_optimistic",
-    "lambda_quadratic",
-    "make_predictor",
-    "project",
     "regret_and_ccv",
-    "regret_coefficient",
     "run_doubling",
     "run_optimistic",
     "run_penalty_ogd",
-    "short_memory_condition",
-    "splat",
-    "surrogate_gradient",
     "theorem_bound_report",
 ]

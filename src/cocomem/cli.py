@@ -1,7 +1,7 @@
 """Command-line entry points.
 
     cocomem run    --config cfg.json [--out DIR] [--seeds N] [--parallel K]
-    cocomem verify --config cfg.json [--resolution R]
+    cocomem verify --config cfg.json
     cocomem bounds --config cfg.json
 
 Exit codes: 0 success, 1 config error, 2 runtime failure, 3 verification
@@ -43,8 +43,6 @@ def _parser() -> argparse.ArgumentParser:
 
     ver_p = sub.add_parser("verify", help="run the invariant suite on a config")
     ver_p.add_argument("--config", required=True)
-    ver_p.add_argument("--resolution", type=float, default=None,
-                       help="grid step of the 2-D comparators (1-D checks are exact)")
 
     b_p = sub.add_parser("bounds", help="print measured-vs-theoretical bound reports")
     b_p.add_argument("--config", required=True)
@@ -72,7 +70,7 @@ def main(argv: list[str] | None = None) -> int:
             print(json.dumps(summary, indent=2, sort_keys=True))
             return EXIT_RUNTIME if summary["seeds_failed"] else EXIT_OK
         if args.command == "verify":
-            ok, lines = verify_experiment(cfg, args.resolution)
+            ok, lines = verify_experiment(cfg)
             print("\n".join(lines))
             return EXIT_OK if ok else EXIT_VERIFY
         reports = bounds_reports(cfg)

@@ -56,20 +56,6 @@ class InstanceConstants:
     g_bound: float
 
 
-@dataclass(frozen=True)
-class LinearSlice:
-    """One affine component <coeff, x_{t-i}> + offset of a separable
-    memory function; `delay` marks which past decision it touches."""
-
-    coeff: np.ndarray
-    offset: float
-    round: int
-    delay: int
-
-    def value(self, x: np.ndarray) -> float:
-        return float(self.coeff @ x) + self.offset
-
-
 # ---------------------------------------------------------------------------
 # Appendix-style quadratic/affine environment
 
@@ -381,7 +367,9 @@ class SeparableLinearInstance:
         g_root: tuple[float, float] = (0.4, 0.9),
         g_active_fraction: float = 1.0,
     ):
-        self.check_params(m=m, horizon=horizon, radius=radius)
+        self.check_params(m=m, horizon=horizon, radius=radius, drift=drift, noise=noise,
+                          blocks=blocks, g_round_density=g_round_density, g_mag=g_mag,
+                          g_root=g_root, g_active_fraction=g_active_fraction)
         self.m = m
         self.horizon = horizon
         self.radius = float(radius)
@@ -401,13 +389,28 @@ class SeparableLinearInstance:
         self._generate()
 
     @staticmethod
-    def check_params(m, horizon, radius, **_) -> None:
+    def check_params(m, horizon, radius, drift, noise, blocks, g_round_density, g_mag,
+                     g_root, g_active_fraction, **_) -> None:
         """Range checks of the constructor's parameters; no instance is
         generated."""
         if not (horizon >= m >= 0):
             raise ValueError("need horizon >= memory >= 0")
         if radius <= 0:
             raise ValueError("radius must be positive")
+        if not all(math.isfinite(v) and v >= 0 for v in (drift, noise)):
+            raise ValueError(f"drift and noise must be finite and >= 0, got {drift}, {noise}")
+        if not (isinstance(blocks, int) and blocks >= 1):
+            raise ValueError(f"blocks must be an integer >= 1, got {blocks!r}")
+        for name, v in (("g_round_density", g_round_density),
+                        ("g_active_fraction", g_active_fraction)):
+            if not 0 <= v <= 1:
+                raise ValueError(f"{name} must lie in [0, 1], got {v}")
+        low, high = g_mag
+        if not 0 < low <= high:
+            raise ValueError(f"g_mag needs 0 < low <= high, got {list(g_mag)}")
+        low, high = g_root
+        if not 0 < low <= high < 1:
+            raise ValueError(f"g_root needs 0 < low <= high < 1, got {list(g_root)}")
 
     def _generate(self):
         rng = _instance_rng(self.seed)
@@ -452,20 +455,6 @@ class SeparableLinearInstance:
     @property
     def first_round(self) -> int:
         return self.m + 1
-
-    def f_slice(self, r: int, i: int) -> LinearSlice | None:
-        if not (0 < r <= self.horizon) or not (0 <= i <= self.m):
-            return None
-        if r <= self.m:
-            return None
-        return LinearSlice(self.f_coef[r, i], 0.0, r, i)
-
-    def g_slice(self, r: int, i: int) -> LinearSlice | None:
-        if not (0 < r <= self.horizon) or not (0 <= i <= self.m):
-            return None
-        if r <= self.m or not self.g_present[r, i]:
-            return None
-        return LinearSlice(self.g_coef[r, i], float(self.g_off[r, i]), r, i)
 
     def loss(self, t: int) -> MemoryFunctionOracle:
         coeffs = self.f_coef[t] if 0 < t <= self.horizon else np.zeros_like(self.f_coef[0])
@@ -637,6 +626,19 @@ class Predictor:
         self._instance = instance
         self._dim = instance.dim
 
+    def _true_pair(self, r: int, i: int) -> tuple[np.ndarray, np.ndarray, float]:
+        """The instance's rows of slice pair (r, i): (loss coefficient,
+        constraint coefficient, constraint offset), the arrays as views.
+        Slices exist only in rounds m < r <= horizon; an absent slice reads
+        as zeros (and 0.0)."""
+        inst = self._instance
+        if not (inst.m < r <= inst.horizon and 0 <= i <= inst.m):
+            zeros = np.zeros(self._dim)
+            return zeros, zeros, 0.0
+        if not inst.g_present[r, i]:
+            return inst.f_coef[r, i], np.zeros(self._dim), 0.0
+        return inst.f_coef[r, i], inst.g_coef[r, i], float(inst.g_off[r, i])
+
     def begin_round(self, t: int) -> None:
         pass
 
@@ -653,14 +655,11 @@ class PerfectPredictor(Predictor):
     kind = "perfect"
 
     def predict_f(self, r, i):
-        s = self._instance.f_slice(r, i)
-        return np.zeros(self._dim) if s is None else s.coeff.copy()
+        return self._true_pair(r, i)[0].copy()
 
     def predict_g(self, r, i):
-        s = self._instance.g_slice(r, i)
-        if s is None:
-            return np.zeros(self._dim), 0.0
-        return s.coeff.copy(), s.offset
+        _, coeff, offset = self._true_pair(r, i)
+        return coeff.copy(), offset
 
 
 class ZeroPredictor(Predictor):
@@ -715,16 +714,14 @@ class NoisyPredictor(Predictor):
         return draw
 
     def predict_f(self, r, i):
-        s = self._instance.f_slice(r, i)
-        coeff = np.zeros(self._dim) if s is None else s.coeff.copy()
+        coeff = self._true_pair(r, i)[0].copy()
         if self.scale > 0:
             coeff = coeff + self.scale * self._noise(r, i)[: self._dim]
         return coeff
 
     def predict_g(self, r, i):
-        s = self._instance.g_slice(r, i)
-        coeff = np.zeros(self._dim) if s is None else s.coeff.copy()
-        offset = 0.0 if s is None else s.offset
+        _, coeff, offset = self._true_pair(r, i)
+        coeff = coeff.copy()
         if self.scale > 0:
             draw = self._noise(r, i)
             coeff = coeff + self.scale * draw[: self._dim]

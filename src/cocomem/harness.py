@@ -14,7 +14,7 @@ import math
 import os
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -251,10 +251,9 @@ def _seed_metrics(trace: RunTrace, series: MetricSeries, marks: list[int]) -> di
     return out
 
 
-def _run_one_seed(cfg_dict: dict, seed: int, out_dir: str) -> dict:
+def _run_one_seed(cfg: ExperimentConfig, seed: int, out_dir: str) -> dict:
     """Worker for one seed; returns checkpoint metrics (runs in a separate
     process under --parallel)."""
-    cfg = ExperimentConfig.from_dict(cfg_dict)
     trace = run_single(cfg, seed)
     trace.validate()
     series = regret_and_ccv(trace)
@@ -267,23 +266,6 @@ def _run_one_seed(cfg_dict: dict, seed: int, out_dir: str) -> dict:
         "seed": seed,
         "checkpoints": _seed_metrics(trace, series, marks),
         "benchmark_feasible": series.benchmark.feasible,
-    }
-
-
-def _config_as_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "algorithm": cfg.algorithm,
-        "variant": cfg.variant.value,
-        "environment": cfg.environment,
-        "penalty": cfg.penalty.value,
-        "lambda_mode": cfg.lambda_mode,
-        "lambda_value": cfg.lambda_value,
-        "predictor": cfg.predictor,
-        "error_estimate": cfg.error_estimate,
-        "alpha": cfg.alpha,
-        "seeds": cfg.seeds,
-        "out_dir": cfg.out_dir,
-        "name": cfg.name,
     }
 
 
@@ -303,11 +285,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     cfg.validate()
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cfg_dict = _config_as_dict(cfg)
     results, failed = [], []
     if parallel > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
-            futs = [(seed, pool.submit(_run_one_seed, cfg_dict, seed, str(out)))
+            futs = [(seed, pool.submit(_run_one_seed, cfg, seed, str(out)))
                     for seed in cfg.seeds]
             for seed, fut in futs:
                 try:
@@ -319,12 +300,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     else:
         for seed in cfg.seeds:
             try:
-                results.append(_run_one_seed(cfg_dict, seed, str(out)))
+                results.append(_run_one_seed(cfg, seed, str(out)))
             except Exception as exc:  # noqa: BLE001 - seed isolation
                 failed.append(_seed_failure(seed, exc))
 
     summary: dict = {
-        "config": cfg_dict,
+        "config": {**asdict(cfg), "variant": cfg.variant.value, "penalty": cfg.penalty.value},
         "rng": RNG_NAME,
         "seeds_completed": [r["seed"] for r in results],
         "seeds_failed": failed,
@@ -343,17 +324,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     return summary
 
 
-def verify_experiment(cfg: ExperimentConfig,
-                      resolution: float | None = None) -> tuple[bool, list[str]]:
-    """Run the invariant suite on every seed; returns (all passed, lines).
-    `resolution` is the grid step of the 2-D comparators (None: the
-    suite's per-set default)."""
-    if resolution is not None and not (math.isfinite(resolution) and resolution > 0):
-        raise ConfigError(f"resolution must be finite and positive, got {resolution}")
+def verify_experiment(cfg: ExperimentConfig) -> tuple[bool, list[str]]:
+    """Run the invariant suite on every seed; returns (all passed, lines)."""
     lines, ok = [], True
     for seed in cfg.seeds:
         trace = run_single(cfg, seed)
-        for res in invariant_suite(trace, resolution):
+        for res in invariant_suite(trace):
             lines.append(f"seed {seed}: {res}")
             ok = ok and res.passed
     return ok, lines

@@ -133,29 +133,25 @@ def feasible_interval(instance, kind: str, upto: int | None = None):
     return (lo, hi) if lo <= hi else None
 
 
-def _best(instance, kind: str, resolution: float, upto: int | None) -> Benchmark:
+GRID_STEPS_PER_DIAMETER = 500  # 2-D comparator grid step: the set's diameter / 500
+
+
+def best_in_hindsight(instance, kind: str = "lift", upto: int | None = None) -> Benchmark:
+    """Minimizer of the cumulative lifted loss over a benchmark set:
+    `lift` (every lifted constraint <= 0; penalty OGD's) or `slicewise`
+    (every constraint slice <= 0; ODAF's).  Exact in 1-D; in 2-D the
+    minimum over the feasible points of a grid whose step is the set's
+    diameter / GRID_STEPS_PER_DIAMETER."""
+    if kind not in ("lift", "slicewise"):
+        raise ValueError(f"unknown benchmark set {kind!r}")
     if instance.dim != 1:
-        return _grid_best(instance, kind, resolution, upto)
+        step = instance.fset.diameter / GRID_STEPS_PER_DIAMETER
+        return _grid_best(instance, kind, step, upto)
     iv = feasible_interval(instance, kind, upto)
     if iv is None:
         return Benchmark(None, math.nan, False)
     x, total = instance.lift_argmin_1d(*iv, _active_rounds(instance, upto))
     return Benchmark(np.array([x]), total, True)
-
-
-def best_in_hindsight(instance, variant: Variant, resolution: float = 1e-3,
-                      upto: int | None = None) -> Benchmark:
-    """Minimizer of the cumulative lifted loss over the variant's benchmark
-    set (identical feasibility for both variants under these families,
-    since the set is defined through the memory-less lift)."""
-    return _best(instance, "lift", resolution, upto)
-
-
-def best_in_hindsight_slicewise(instance, resolution: float = 1e-3,
-                                upto: int | None = None) -> Benchmark:
-    """Minimizer of the cumulative lifted loss over the slice-wise feasible
-    set (the optimistic learner's benchmark)."""
-    return _best(instance, "slicewise", resolution, upto)
 
 
 _GRID_POINT_CAP = 4_000_000
@@ -244,12 +240,6 @@ class MetricSeries:
     benchmark: Benchmark
 
 
-def default_resolution(fset) -> float:
-    """1e-3 for 1-D sets; a coarse diameter fraction in 2-D (benchmark
-    grids are test oracles, not a production path)."""
-    return 1e-3 if fset.dim == 1 else fset.diameter / 500.0
-
-
 def regret_and_ccv(trace: RunTrace, benchmark: Benchmark | None = None) -> MetricSeries:
     """All cumulative series against a fixed best-in-hindsight point.
 
@@ -260,7 +250,7 @@ def regret_and_ccv(trace: RunTrace, benchmark: Benchmark | None = None) -> Metri
     """
     inst = trace.instance
     if benchmark is None:
-        benchmark = best_in_hindsight(inst, trace.variant, default_resolution(inst.fset))
+        benchmark = best_in_hindsight(inst)
     t = trace.col("t")
     f_mem = np.cumsum(trace.col("f_mem"))
     f_spl = np.cumsum(trace.col("f_splat"))
@@ -290,8 +280,7 @@ def regret_and_ccv(trace: RunTrace, benchmark: Benchmark | None = None) -> Metri
 def prefix_static_regret(trace: RunTrace, upto: int) -> float:
     """Static regret of the first rounds up to `upto`, against the
     best-in-hindsight point of that prefix."""
-    bench = best_in_hindsight(trace.instance, trace.variant,
-                              default_resolution(trace.instance.fset), upto=upto)
+    bench = best_in_hindsight(trace.instance, upto=upto)
     if not bench.feasible:
         return math.nan
     n = upto - trace.first_round + 1
@@ -428,20 +417,12 @@ class CheckResult:
         return f"[{tag}] {self.name}: lhs={self.lhs:.6g} rhs={self.rhs:.6g} {self.detail}"
 
 
-def _check_benchmark(trace: RunTrace, kind: str, resolution: float | None) -> Benchmark:
-    """Comparator of the regret checks: the exact benchmark solver in 1-D
-    (`resolution` unused), the feasible-grid minimum in 2-D."""
-    if resolution is None:
-        resolution = default_resolution(trace.fset)
-    return _best(trace.instance, kind, resolution, None)
-
-
-def check_lemma_ogd_regret(trace: RunTrace, resolution: float | None = None) -> CheckResult:
+def check_lemma_ogd_regret(trace: RunTrace) -> CheckResult:
     """Surrogate regret against the adaptive-step OGD bound
     sqrt(2) |X| sqrt(sum ||grad||^2).  On the benchmark set every lifted
     constraint is <= 0, so the hinge term of the surrogate vanishes and
     the comparator is the best-in-hindsight total."""
-    bench = _check_benchmark(trace, "lift", resolution)
+    bench = best_in_hindsight(trace.instance)
     if not bench.feasible:
         return CheckResult("ogd_surrogate_regret", True, math.nan, math.nan, "empty benchmark")
     lhs = float(np.sum(trace.col("surrogate"))) - bench.total
@@ -451,11 +432,11 @@ def check_lemma_ogd_regret(trace: RunTrace, resolution: float | None = None) -> 
     return CheckResult("ogd_surrogate_regret", lhs <= rhs + 1e-9 * max(1.0, abs(rhs)), lhs, rhs)
 
 
-def check_decomposition_ogd(trace: RunTrace, resolution: float | None = None) -> CheckResult:
+def check_decomposition_ogd(trace: RunTrace) -> CheckResult:
     """Penalty decomposition: memory-less regret + Phi(V_T) - Phi(V_m)
     is at most the surrogate regret (the same best-in-hindsight
     comparator on both sides, where the surrogate's hinge term is 0)."""
-    bench = _check_benchmark(trace, "lift", resolution)
+    bench = best_in_hindsight(trace.instance)
     if not bench.feasible:
         return CheckResult("penalty_decomposition", True, math.nan, math.nan, "empty benchmark")
     lam = trace.col("lam")
@@ -621,7 +602,7 @@ def check_forward_consistency(trace: RunTrace, n_points: int = 5) -> CheckResult
     )
 
 
-def check_lemma_forward_chain(trace: RunTrace, resolution: float | None = None) -> CheckResult:
+def check_lemma_forward_chain(trace: RunTrace) -> CheckResult:
     """Phi(V_T) - Phi(V_{m-1}) + memory regret (slice-wise benchmark) is at
     most the forward-function regret plus G(m+1) Phi'(V_T).  On the
     slice-wise benchmark set every constraint slice is <= 0, so the
@@ -629,7 +610,7 @@ def check_lemma_forward_chain(trace: RunTrace, resolution: float | None = None) 
     slice-wise best-in-hindsight total as comparator."""
     inst = trace.instance
     pen = Penalty(trace.penalty_kind, trace.extras["lambda_value"])
-    bench = _check_benchmark(trace, "slicewise", resolution)
+    bench = best_in_hindsight(inst, "slicewise")
     if not bench.feasible:
         return CheckResult("forward_chain", True, math.nan, math.nan, "empty benchmark")
     v_t = trace.v_at(inst.horizon)
@@ -687,11 +668,11 @@ def reconstruct_hint_errors(trace: RunTrace) -> np.ndarray:
     return np.sum((hints - win) ** 2, axis=1)
 
 
-def check_odaftrl_regret(trace: RunTrace, resolution: float | None = None) -> CheckResult:
+def check_odaftrl_regret(trace: RunTrace) -> CheckResult:
     """Measured forward-function regret against the delayed-FTRL bound
     with the accumulated hint errors (comparator as in the forward chain)."""
     inst = trace.instance
-    bench = _check_benchmark(trace, "slicewise", resolution)
+    bench = best_in_hindsight(inst, "slicewise")
     if not bench.feasible:
         return CheckResult("odaftrl_regret_bound", True, math.nan, math.nan, "empty benchmark")
     lhs = forward_sum_at_decisions(trace) - bench.total
@@ -700,24 +681,22 @@ def check_odaftrl_regret(trace: RunTrace, resolution: float | None = None) -> Ch
     return CheckResult("odaftrl_regret_bound", lhs <= rhs + 1e-8 * max(1.0, abs(rhs)), lhs, rhs)
 
 
-def invariant_suite(trace: RunTrace, resolution: float | None = None) -> list[CheckResult]:
-    """Every runtime inequality that applies to this trace's algorithm;
-    `resolution` is the grid step of the 2-D comparators (default
-    `default_resolution`) and is unused in 1-D."""
+def invariant_suite(trace: RunTrace) -> list[CheckResult]:
+    """Every runtime inequality that applies to this trace's algorithm."""
     checks = [check_ccv_replay(trace), check_memory_identity(trace)]
     if trace.algorithm == "penalty_ogd":
         checks += [
-            check_lemma_ogd_regret(trace, resolution),
-            check_decomposition_ogd(trace, resolution),
+            check_lemma_ogd_regret(trace),
+            check_decomposition_ogd(trace),
             check_gradient_bound(trace),
             check_step_monotone(trace),
         ]
     elif trace.algorithm == "odaf":
         checks += [
             check_forward_consistency(trace),
-            check_lemma_forward_chain(trace, resolution),
+            check_lemma_forward_chain(trace),
             check_error_split(trace),
-            check_odaftrl_regret(trace, resolution),
+            check_odaftrl_regret(trace),
             check_mu_monotone(trace),
         ]
     # doubling runs change lambda across epochs; the fixed-lambda forward

@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from cocomem import (
-    AppendixAInstance,
-    Ball,
-    Box,
-    MemoryWindow,
-    splat,
-)
+from cocomem import AppendixAInstance
+from cocomem.core import Ball, Box, MemoryWindow, splat
 
 
 def test_splat_repeats_point():

@@ -6,7 +6,6 @@ import pytest
 
 from cocomem import (
     AppendixAInstance,
-    Ball,
     LambdaSchedule,
     Variant,
     invariant_suite,
@@ -14,6 +13,7 @@ from cocomem import (
     run_penalty_ogd,
     theorem_bound_report,
 )
+from cocomem.core import Ball
 from cocomem.harness import CSV_HEADER, emit_csv
 from cocomem.metrics import grid_points
 

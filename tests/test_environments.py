@@ -10,10 +10,10 @@ from cocomem import (
     SeparableLinearInstance,
     Variant,
     ZeroPredictor,
-    make_predictor,
     run_penalty_ogd,
-    splat,
 )
+from cocomem.core import splat
+from cocomem.environments import make_predictor
 
 
 def test_default_parameters_match_reference_experiment():
@@ -96,11 +96,16 @@ def test_separable_json_round_trip():
 
 def test_separable_zero_outside_active_rounds():
     inst = SeparableLinearInstance(m=2, horizon=30, seed=0)
-    for i in range(3):
-        assert inst.f_slice(2, i) is None  # rounds <= m carry no slices
-        assert inst.f_slice(31, i) is None
-        assert inst.g_slice(0, i) is None
-    assert inst.f_slice(3, 0) is not None
+    # rounds <= m carry no slices
+    assert not np.any(inst.f_coef[:3]) and not np.any(inst.g_present[:3])
+    assert np.any(inst.f_coef[3, 0])
+    p = PerfectPredictor()
+    p.bind(inst)
+    for r in (0, 2, 31):  # outside (m, horizon]: absent slices forecast zeros
+        for i in range(3):
+            assert np.array_equal(p.predict_f(r, i), np.zeros(1))
+            coeff, offset = p.predict_g(r, i)
+            assert np.array_equal(coeff, np.zeros(1)) and offset == 0.0
 
 
 def test_separable_m0_collapses_to_single_slice():
@@ -108,32 +113,22 @@ def test_separable_m0_collapses_to_single_slice():
     t = 5
     f = inst.loss(t)
     assert f.memory == 0
-    sl = inst.f_slice(t, 0)
-    assert np.allclose(f.grad_splat([0.3]), sl.coeff)
+    assert np.allclose(f.grad_splat([0.3]), inst.f_coef[t, 0])
 
 
 def test_separable_center_feasible_for_every_slice():
     inst = SeparableLinearInstance(m=2, horizon=300, seed=4)
-    center = inst.fset.center
-    for r in range(3, 301):
-        for i in range(3):
-            sl = inst.g_slice(r, i)
-            if sl is not None:
-                assert sl.value(center) <= 0.0
+    present = inst.g_present
+    assert np.any(present)
+    assert np.all(inst.g_coef[present] @ inst.fset.center + inst.g_off[present] <= 0.0)
 
 
 def test_separable_constraint_bound_matches_sampling():
     inst = SeparableLinearInstance(m=2, horizon=200, seed=7)
     k = inst.constants()
     pts = np.linspace(-inst.radius, inst.radius, 10001)[:, None]
-    worst = 0.0
-    for r in range(3, 201):
-        for i in range(3):
-            sl = inst.g_slice(r, i)
-            if sl is None:
-                continue
-            vals = np.abs(pts @ sl.coeff + sl.offset)
-            worst = max(worst, float(np.max(vals)))
+    present = inst.g_present
+    worst = float(np.max(np.abs(pts @ inst.g_coef[present].T + inst.g_off[present])))
     assert worst <= k.g_bound + 1e-9
     assert worst >= 0.95 * k.g_bound  # the declared bound is near-tight
 
@@ -148,8 +143,7 @@ def test_predictors_basic_contracts():
         p.begin_round(10)
     for r in range(4, 20):
         for i in (0, 1):
-            true_f = inst.f_slice(r, i)
-            want = true_f.coeff if true_f is not None else np.zeros(1)
+            want = inst.f_coef[r, i]  # every pair here lies in rounds (m, horizon]
             assert np.array_equal(perfect.predict_f(r, i), want)
             assert np.array_equal(noiseless.predict_f(r, i), want)
             assert np.array_equal(zero.predict_f(r, i), np.zeros(1))
@@ -158,14 +152,14 @@ def test_predictors_basic_contracts():
             assert np.array_equal(pc, nc) and po == no
             zc, zo = zero.predict_g(r, i)
             assert np.array_equal(zc, np.zeros(1)) and zo == 0.0
-            gs = inst.g_slice(r, i)
-            if gs is None:
+            present, g_coef, g_off = inst.g_present[r, i], inst.g_coef[r, i], inst.g_off[r, i]
+            if not present:
                 # an absent slice forecasts (zeros, 0.0): never active
                 assert np.array_equal(pc, np.zeros(1)) and po == 0.0
             else:
-                assert np.array_equal(pc, gs.coeff) and po == gs.offset
+                assert np.array_equal(pc, g_coef) and po == g_off
             # activity is judged from the affine forecast
-            assert (float(pc @ x) + po > 0.0) == (gs is not None and gs.value(x) > 0.0)
+            assert (float(pc @ x) + po > 0.0) == (present and float(g_coef @ x) + g_off > 0.0)
 
 
 def test_noisy_predictor_is_deterministic_per_round():
@@ -201,10 +195,8 @@ def test_noisy_predictor_stream_contract():
             for i in range(3):
                 ss = np.random.SeedSequence([seed, 7, t, r, i])
                 z = np.random.Generator(np.random.PCG64(ss)).normal(size=d + 1)
-                fs, gs = inst.f_slice(r, i), inst.g_slice(r, i)
-                f_true = fs.coeff if fs is not None else np.zeros(d)
-                g_true = gs.coeff if gs is not None else np.zeros(d)
-                g_off = gs.offset if gs is not None else 0.0
+                # rounds t..t+2 lie in (m, horizon]; absent constraint rows are 0
+                f_true, g_true, g_off = inst.f_coef[r, i], inst.g_coef[r, i], inst.g_off[r, i]
                 assert np.array_equal(p.predict_f(r, i), f_true + scale * z[:d])
                 coeff, offset = p.predict_g(r, i)
                 assert np.array_equal(coeff, g_true + scale * z[:d])

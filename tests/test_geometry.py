@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cocomem import Ball, Box, Regularizer, ftrl_argmin, project, regret_coefficient
+from cocomem.core import Ball, Box
+from cocomem.geometry import Regularizer, ftrl_argmin, project, regret_coefficient
 
 
 def test_box_projection_clamps():

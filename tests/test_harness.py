@@ -175,7 +175,7 @@ def test_invalid_combinations_rejected():
 
 
 def test_verify_experiment_passes(tmp_path):
-    ok, lines = verify_experiment(_cfg(seeds=[0]), resolution=5e-3)
+    ok, lines = verify_experiment(_cfg(seeds=[0]))
     assert ok
     assert any("ogd_surrogate_regret" in line for line in lines)
 
@@ -238,7 +238,7 @@ def test_cli_verify_exit_code(tmp_path):
     cfg_path.write_text(json.dumps({**BASE, "seeds": [0],
                                     "environment": {"kind": "appendix_a", "m": 1,
                                                     "horizon": 60}}))
-    assert cli_main(["verify", "--config", str(cfg_path), "--resolution", "0.005"]) == 0
+    assert cli_main(["verify", "--config", str(cfg_path)]) == 0
 
 
 @pytest.mark.parametrize("environment, algorithm", [
@@ -248,19 +248,11 @@ def test_cli_verify_exit_code(tmp_path):
      {"algorithm": "odaf", "penalty": "exponential", "lambda_mode": "fixed_theorem"}),
 ], ids=["appendix_a", "separable_linear"])
 def test_cli_verify_2d_at_default_resolution(tmp_path, environment, algorithm):
-    # the 2-D grid step defaults to the set's own (diameter / 500), not 1e-3
+    # the 2-D grid step is fixed by the set: its diameter / 500
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({**BASE, "seeds": [0], "environment": environment,
                                     **algorithm}))
     assert cli_main(["verify", "--config", str(cfg_path)]) == 0
-
-
-@pytest.mark.parametrize("resolution", ["0", "-1", "nan", "inf"])
-def test_cli_rejects_bad_resolution(tmp_path, capsys, resolution):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({**BASE, "seeds": [0]}))
-    assert cli_main(["verify", "--config", str(cfg_path), "--resolution", resolution]) == 1
-    assert "config error:" in capsys.readouterr().err
 
 
 def test_checkpoint_marks():
@@ -275,7 +267,18 @@ def test_checkpoint_marks():
     {"kind": "appendix_a", "m": 2, "horizon": 120, "sigmaa": 3},
     {"kind": "appendix_a", "m": 5, "horizon": 3},
     {"kind": "appendix_a", "m": 2, "horizon": 120, "dim": 3},
-], ids=["unknown_key", "horizon_below_m", "dim_3"])
+    {"kind": "separable_linear", "m": 2, "horizon": 120, "g_mag": [0.2, 0.05]},
+    {"kind": "separable_linear", "m": 2, "horizon": 120, "g_root": [0.9, 0.4]},
+    {"kind": "separable_linear", "m": 2, "horizon": 120, "g_root": [0.4, 1.0]},
+    {"kind": "separable_linear", "m": 2, "horizon": 120, "g_round_density": 1.5},
+    {"kind": "separable_linear", "m": 2, "horizon": 120, "g_active_fraction": -1},
+    {"kind": "separable_linear", "m": 2, "horizon": 120, "blocks": 0},
+    {"kind": "separable_linear", "m": 2, "horizon": 120, "blocks": 2.5},
+    {"kind": "separable_linear", "m": 2, "horizon": 120, "noise": -0.5},
+    {"kind": "separable_linear", "m": 2, "horizon": 120, "drift": float("inf")},
+], ids=["unknown_key", "horizon_below_m", "dim_3", "g_mag_reversed", "g_root_reversed",
+        "g_root_reaches_1", "g_round_density_above_1", "g_active_fraction_negative",
+        "blocks_0", "blocks_fractional", "noise_negative", "drift_infinite"])
 def test_cli_rejects_bad_environment_parameters(tmp_path, capsys, monkeypatch, command, env):
     # checked when the config loads, before any instance is generated
     cfg_path = tmp_path / "cfg.json"

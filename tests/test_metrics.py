@@ -12,20 +12,18 @@ from cocomem import (
     SeparableLinearInstance,
     Variant,
     best_in_hindsight,
-    best_in_hindsight_slicewise,
-    invariant_suite,
     regret_and_ccv,
     run_optimistic,
     run_penalty_ogd,
     theorem_bound_report,
 )
-from cocomem.core import round_table
+from cocomem.core import Ball, Box, round_table, splat
 from cocomem.metrics import (
+    GRID_STEPS_PER_DIAMETER,
     ccv_rhs_quadratic,
     check_lemma_ogd_regret,
     check_memory_identity,
     check_odaftrl_regret,
-    default_resolution,
     feasible_interval,
     forward_sum_at_decisions,
     grid_points,
@@ -50,7 +48,7 @@ def test_best_in_hindsight_interval_example():
     # c = [1, 3], d = [1, 1], delta = 1, R = 15: feasible x <= 1,
     # unconstrained argmin mean(c) = 2, so x* = 1
     inst = _two_round_instance([1.0, 3.0], [1.0, 1.0])
-    b = best_in_hindsight(inst, Variant.COCO_M2)
+    b = best_in_hindsight(inst)
     assert b.feasible and b.x_star[0] == pytest.approx(1.0)
     # 0.5*(1-1)^2 + 0.5*(1-3)^2 = 2
     assert b.total == pytest.approx(2.0)
@@ -61,17 +59,17 @@ def test_best_in_hindsight_interval_example():
 
 def test_best_in_hindsight_unconstrained_clamps_mean():
     inst = _two_round_instance([9.0, 5.0], [0.0, 0.0])
-    b = best_in_hindsight(inst, Variant.COCO_M)
+    b = best_in_hindsight(inst)
     assert b.x_star[0] == pytest.approx(7.0)
     inst2 = _two_round_instance([20.0, 40.0], [0.0, 0.0])
-    assert best_in_hindsight(inst2, Variant.COCO_M).x_star[0] == pytest.approx(15.0)
+    assert best_in_hindsight(inst2).x_star[0] == pytest.approx(15.0)
 
 
 def test_best_in_hindsight_single_round():
     inst = AppendixAInstance(m=0, horizon=0, radius=15.0, seed=0)
     inst.c[:, 0] = 4.0
     inst.d_coef[:, 0] = 0.1  # feasible up to 10, so x* = c
-    b = best_in_hindsight(inst, Variant.COCO_M2)
+    b = best_in_hindsight(inst)
     assert b.x_star[0] == pytest.approx(4.0)
     assert b.total == pytest.approx(0.0)
 
@@ -87,8 +85,6 @@ def test_per_round_comparator_series():
 def _toy_trace(inst, xs):
     """Build a trace by hand (spreadsheet-style replay of the learner's
     bookkeeping) for metric unit checks."""
-    from cocomem import splat
-
     records = round_table(len(xs), 1)
     ccv = 0.0
     for row, (t, x) in enumerate(zip(inst.rounds, xs)):
@@ -104,7 +100,7 @@ def _toy_trace(inst, xs):
 
 def test_benchmark_replay_has_zero_memoryless_regret():
     inst = _two_round_instance([1.0, 3.0], [1.0, 1.0])
-    b = best_in_hindsight(inst, Variant.COCO_M2)
+    b = best_in_hindsight(inst)
     tr = _toy_trace(inst, [b.x_star[0]] * 2)
     s = regret_and_ccv(tr, b)
     assert s.regret_memoryless_cum[-1] == pytest.approx(0.0, abs=1e-12)
@@ -116,7 +112,7 @@ def test_three_round_hand_tally():
     inst.c[:, 0] = [1.0, 3.0, -2.0]
     inst.d_coef[:, 0] = [1.0, 1.0, 0.0]
     tr = _toy_trace(inst, [0.0, 2.0, -1.0])
-    b = best_in_hindsight(inst, Variant.COCO_M2)
+    b = best_in_hindsight(inst)
     # interval x <= 1; mean(c) = 2/3; x* = 2/3
     assert b.x_star[0] == pytest.approx(2.0 / 3.0)
     s = regret_and_ccv(tr, b)
@@ -201,10 +197,12 @@ def test_slicewise_benchmark_tighter_than_lift():
     lo_mp, hi_mp = feasible_interval(inst, "slicewise")
     lo_l, hi_l = feasible_interval(inst, "lift")
     assert lo_l <= lo_mp <= hi_mp <= hi_l
-    b = best_in_hindsight_slicewise(inst)
+    b = best_in_hindsight(inst, "slicewise")
     assert lo_mp - 1e-12 <= b.x_star[0] <= hi_mp + 1e-12
     g = _grid_best(inst, "slicewise", 1e-4, None)
     assert b.total <= g.total + 1e-9
+    with pytest.raises(ValueError, match="unknown benchmark set"):
+        best_in_hindsight(inst, "slice")
 
 
 def test_prefix_static_regret_uses_prefix_benchmark():
@@ -212,15 +210,13 @@ def test_prefix_static_regret_uses_prefix_benchmark():
     tr = run_penalty_ogd(inst, Variant.COCO_M2)
     r_half = prefix_static_regret(tr, 50)
     n = 50 - tr.first_round + 1
-    bench = best_in_hindsight(inst, Variant.COCO_M2, upto=50)
+    bench = best_in_hindsight(inst, upto=50)
     direct = float(np.sum(tr.col("f_mem")[:n])
                    - np.sum(lift_loss_at(inst, bench.x_star, upto=50)))
     assert r_half == pytest.approx(direct)
 
 
 def test_grid_points_dimensions():
-    from cocomem import Ball, Box
-
     g1 = grid_points(Box([-1.0], [1.0]), 0.5)
     assert np.allclose(g1.ravel(), [-1, -0.5, 0, 0.5, 1])
     g2 = grid_points(Ball([0.0, 0.0], 1.0), 0.5)
@@ -290,11 +286,8 @@ def _comparator(trace):
 def test_hinge_vanishes_at_the_benchmark_point(comparator_run):
     tr = comparator_run
     inst = tr.instance
-    res = default_resolution(inst.fset)
-    if tr.algorithm == "penalty_ogd":
-        kind, bench = "lift", best_in_hindsight(inst, tr.variant, res)
-    else:
-        kind, bench = "slicewise", best_in_hindsight_slicewise(inst, res)
+    kind = "lift" if tr.algorithm == "penalty_ogd" else "slicewise"
+    bench = best_in_hindsight(inst, kind)
     assert bench.feasible
     A, b = inst.halfspaces(inst.rounds, kind)
     assert np.max(A @ bench.x_star + b) <= 1e-12
@@ -310,7 +303,7 @@ def test_comparator_is_the_minimum_over_the_benchmark_set(comparator_run):
     if fset.dim == 1:
         grid = np.linspace(fset.extents()[0][0], fset.extents()[1][0], 20001)[:, None]
     else:
-        grid = grid_points(fset, default_resolution(fset))
+        grid = grid_points(fset, fset.diameter / GRID_STEPS_PER_DIAMETER)
     best = math.inf
     for lo in range(0, len(grid), 2000):
         sums, feasible = _independent_sums(tr, grid[lo : lo + 2000])
@@ -320,12 +313,3 @@ def test_comparator_is_the_minimum_over_the_benchmark_set(comparator_run):
     assert best >= comp - 1e-9 * max(1.0, abs(comp))
     if fset.dim == 2:
         assert best == pytest.approx(comp, rel=1e-9, abs=1e-9)
-
-
-@pytest.mark.parametrize("make", [COMPARATOR_RUNS["ogd_appendix_1d"], COMPARATOR_RUNS["odaf_1d"]],
-                         ids=["ogd", "odaf"])
-def test_1d_checks_ignore_resolution(make):
-    tr = make()
-    fine = [(r.name, r.passed, r.lhs, r.rhs) for r in invariant_suite(tr, 1e-3)]
-    coarse = [(r.name, r.passed, r.lhs, r.rhs) for r in invariant_suite(tr, 5e-3)]
-    assert fine == coarse

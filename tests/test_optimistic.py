@@ -6,24 +6,42 @@ import numpy as np
 import pytest
 
 from cocomem import (
-    DoublingSchedule,
     NoisyPredictor,
-    OdafLearner,
-    Penalty,
     PenaltyKind,
     PerfectPredictor,
-    Regularizer,
     SeparableLinearInstance,
     Variant,
     ZeroPredictor,
-    huber,
     optimistic,
     run_doubling,
     run_optimistic,
 )
-from cocomem.geometry import ftrl_argmin, minimize_linear
+from cocomem.geometry import Regularizer, ftrl_argmin, minimize_linear
 from cocomem.harness import load_config, run_single
 from cocomem.metrics import reconstruct_hint_errors
+from cocomem.optimistic import DoublingSchedule, OdafLearner, huber
+from cocomem.penalty import Penalty
+
+
+def _rows(inst, r, i):
+    """(loss coeff, constraint coeff, constraint offset) of slice pair
+    (r, i), read from the instance arrays; zeros outside rounds (m,
+    horizon], where no slice exists.  An absent constraint slice's rows
+    are zero, so it is never active."""
+    if not inst.m < r <= inst.horizon:
+        return np.zeros(inst.dim), np.zeros(inst.dim), 0.0
+    return inst.f_coef[r, i], inst.g_coef[r, i], float(inst.g_off[r, i])
+
+
+def _forward_gradient(inst, tr, pen, s):
+    """grad Z_s rebuilt from the slice rows and the played decisions."""
+    z = np.zeros(inst.dim)
+    for i in range(inst.m + 1):
+        f, g, off = _rows(inst, s + i, i)
+        z += f
+        if float(g @ tr.x_at(s)) + off > 0:
+            z += pen.prime(tr.v_at(s + i - inst.m - 1)) * g
+    return z
 
 
 def test_huber_examples():
@@ -95,10 +113,10 @@ def test_forward_gradient_m0_collapse():
     pen = Penalty(PenaltyKind.EXPONENTIAL, lam)
     for t in range(1, 31):
         learner.play_round(t)
-        fs, gs = inst.f_slice(t, 0), inst.g_slice(t, 0)
-        want = fs.coeff.copy() if fs is not None else np.zeros(1)
-        if gs is not None and gs.value(learner.x_at(t)) > 0:
-            want = want + pen.prime(learner.v_at(t - 1)) * gs.coeff
+        f, g, off = _rows(inst, t, 0)
+        want = f.copy()
+        if float(g @ learner.x_at(t)) + off > 0:
+            want = want + pen.prime(learner.v_at(t - 1)) * g
         assert np.allclose(learner.forward_gradient(t), want)
 
 
@@ -151,11 +169,10 @@ def test_zero_predictor_hint_enumeration_oracle():
                 r = s + j
                 if r > tau - 1:
                     continue  # unrevealed when h_tau was formed: predicted as zero
-                fs, gs = inst.f_slice(r, j), inst.g_slice(r, j)
-                if fs is not None:
-                    want += fs.coeff
-                if gs is not None and gs.value(tr.x_at(s)) > 0:
-                    want += pen.prime(tr.v_at(r - m - 1)) * gs.coeff
+                f, g, off = _rows(inst, r, j)
+                want += f
+                if float(g @ tr.x_at(s)) + off > 0:
+                    want += pen.prime(tr.v_at(r - m - 1)) * g
         assert np.allclose(h, want, atol=1e-12)
 
 
@@ -167,8 +184,8 @@ def test_prediction_error_m0_collapse():
     tr = run_optimistic(inst, Variant.COCO_M2, ZeroPredictor())
     assert np.all(tr.extras["hints"] == 0.0)
     for rec in tr.records:
-        fs = inst.f_slice(rec.t, 0)
-        want = float(fs.coeff @ fs.coeff) if fs is not None else 0.0
+        f = _rows(inst, rec.t, 0)[0]
+        want = float(f @ f)
         assert rec.eps_f == pytest.approx(want, abs=1e-12)
 
 
@@ -180,9 +197,8 @@ def test_violation_recurrence_replay():
     for rec in tr.records:
         val = 0.0
         for i in range(3):
-            gs = inst.g_slice(rec.t, i)
-            if gs is not None:
-                val += gs.value(tr.x_at(rec.t - i))
+            _, g, off = _rows(inst, rec.t, i)
+            val += float(g @ tr.x_at(rec.t - i)) + off
         v += max(val, 0.0)
         assert rec.ccv_cum == pytest.approx(v, rel=1e-12, abs=1e-12)
 
@@ -193,8 +209,8 @@ def test_memoryless_constraint_variant_uses_fresh_violation():
     tr = run_optimistic(inst, Variant.COCO_M, PerfectPredictor())
     v = 0.0
     for rec in tr.records:
-        gs = inst.g_slice(rec.t, 0)
-        v += max(gs.value(tr.x_at(rec.t)), 0.0) if gs is not None else 0.0
+        _, g, off = _rows(inst, rec.t, 0)
+        v += max(float(g @ tr.x_at(rec.t)) + off, 0.0)
         assert rec.ccv_cum == pytest.approx(v, rel=1e-12, abs=1e-12)
     with pytest.raises(ValueError):
         run_optimistic(SeparableLinearInstance(m=1, horizon=20, seed=0),
@@ -209,23 +225,13 @@ def test_ftrl_step_matches_grid_argmin():
     pen = Penalty(PenaltyKind.EXPONENTIAL, tr.extras["lambda_value"])
     m, first = inst.m, tr.first_round
 
-    def forward(s):
-        z = np.zeros(1)
-        for i in range(m + 1):
-            fs, gs = inst.f_slice(s + i, i), inst.g_slice(s + i, i)
-            if fs is not None:
-                z += fs.coeff
-            if gs is not None and gs.value(tr.x_at(s)) > 0:
-                z += pen.prime(tr.v_at(s + i - m - 1)) * gs.coeff
-        return z
-
     grid = np.linspace(-2.0, 2.0, 400001)
     reg = Regularizer(inst.fset)
     for t in (20, 30, 39):
         rec = tr.records[t - first]
         rev = np.zeros(1)
         for s in range(1, t - m + 1):
-            rev += forward(s)
+            rev += _forward_gradient(inst, tr, pen, s)
         lin = rev + tr.extras["hints"][t + 1 - first]
         mu = rec.eta_or_mu
         x_next = tr.x_at(t + 1)
@@ -256,12 +262,12 @@ def test_m0_run_matches_reference_memory_free_learner():
     cum_sq = 0.0
     for idx, t in enumerate(range(1, 81)):
         assert np.allclose(tr.records[idx].x, x)
-        fs, gs = inst.f_slice(t, 0), inst.g_slice(t, 0)
-        g_val = gs.value(x) if gs is not None else 0.0
+        f, g, off = _rows(inst, t, 0)
+        g_val = float(g @ x) + off
         v_prev, v = v, v + max(g_val, 0.0)
-        z = (fs.coeff.copy() if fs is not None else np.zeros(1))
-        if gs is not None and g_val > 0:
-            z += pen.prime(v_prev) * gs.coeff
+        z = f.copy()
+        if g_val > 0:
+            z += pen.prime(v_prev) * g
         rev += z
         zn = float(np.linalg.norm(z))
         a_t = d * zn              # hint is zero: err = ||z||
@@ -280,22 +286,10 @@ def test_perfect_hints_reduce_to_follow_the_leader():
     inst = SeparableLinearInstance(m=1, horizon=50, seed=11, g_active_fraction=0.0)
     tr = run_optimistic(inst, Variant.COCO_M2, PerfectPredictor())
     pen = Penalty(PenaltyKind.EXPONENTIAL, tr.extras["lambda_value"])
-    m = inst.m
-
-    def forward(s):
-        z = np.zeros(1)
-        for i in range(m + 1):
-            fs, gs = inst.f_slice(s + i, i), inst.g_slice(s + i, i)
-            if fs is not None:
-                z += fs.coeff
-            if gs is not None and gs.value(tr.x_at(s)) > 0:
-                z += pen.prime(tr.v_at(s + i - m - 1)) * gs.coeff
-        return z
-
     for t in range(tr.first_round, 50):
         lead = np.zeros(1)
         for s in range(1, t + 2):
-            lead += forward(s)
+            lead += _forward_gradient(inst, tr, pen, s)
         ftl = minimize_linear(inst.fset, lead)
         assert np.allclose(tr.x_at(t + 1), ftl)
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cocomem import (
+from cocomem.penalty import (
     LambdaSchedule,
     Penalty,
     PenaltyKind,

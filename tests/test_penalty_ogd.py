@@ -7,19 +7,16 @@ import pytest
 
 from cocomem import (
     AppendixAInstance,
-    Box,
     LambdaSchedule,
-    MemoryFunctionOracle,
     PenaltyKind,
-    PenaltyOgdLearner,
     SeparableLinearInstance,
     Variant,
-    adaptive_step,
-    lambda_quadratic,
     run_penalty_ogd,
-    surrogate_gradient,
 )
+from cocomem.core import Box, MemoryFunctionOracle
 from cocomem.harness import load_config, run_single
+from cocomem.penalty import lambda_quadratic
+from cocomem.penalty_ogd import PenaltyOgdLearner, adaptive_step, surrogate_gradient
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
