@@ -366,6 +366,7 @@ class SeparableLinearInstance:
         g_mag: tuple[float, float] = (0.01, 0.03),
         g_root: tuple[float, float] = (0.4, 0.9),
         g_active_fraction: float = 1.0,
+        _arrays: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
     ):
         self.check_params(m=m, horizon=horizon, radius=radius, drift=drift, noise=noise,
                           blocks=blocks, g_round_density=g_round_density, g_mag=g_mag,
@@ -386,7 +387,10 @@ class SeparableLinearInstance:
         self.fset: FeasibleSet = (
             Box([-radius] * dim, [radius] * dim) if dim == 1 else Ball([0.0] * dim, radius)
         )
-        self._generate()
+        if _arrays is None:
+            self._generate()
+        else:
+            self.f_coef, self.g_coef, self.g_off, self.g_present = _arrays
 
     @staticmethod
     def check_params(m, horizon, radius, drift, noise, blocks, g_round_density, g_mag,
@@ -429,10 +433,11 @@ class SeparableLinearInstance:
         for t in range(m + 1, T + 1):
             block = (t - m - 1) // block_len
             sign = base_sign * (1.0 if block % 2 == 0 else -1.0)
-            for i in range(m + 1):
-                self.f_coef[t, i] = (
-                    self.drift * sign * w + self.noise * rng.uniform(-1.0, 1.0, size=d)
-                ) / (m + 1)
+            # one draw per round: the same doubles, in the same order, as
+            # one size-d draw per delay
+            self.f_coef[t] = (
+                self.drift * sign * w + self.noise * rng.uniform(-1.0, 1.0, size=(m + 1, d))
+            ) / (m + 1)
             if rng.uniform() < self.g_round_density:
                 i = int(rng.integers(0, m + 1)) if self.constraint_memory else 0
                 direction = rng.normal(size=d)
@@ -582,7 +587,7 @@ class SeparableLinearInstance:
         if obj["kind"] != cls.kind:
             raise ValueError(f"not a {cls.kind} document")
         p = obj["params"]
-        inst = cls(
+        return cls(
             m=obj["m"],
             horizon=obj["horizon"],
             radius=obj["radius"],
@@ -596,12 +601,9 @@ class SeparableLinearInstance:
             g_mag=tuple(p["g_mag"]),
             g_root=tuple(p["g_root"]),
             g_active_fraction=p["g_active_fraction"],
+            _arrays=(np.asarray(obj["f_coef"], dtype=float), np.asarray(obj["g_coef"], dtype=float),
+                     np.asarray(obj["g_off"], dtype=float), np.asarray(obj["g_present"], dtype=bool)),
         )
-        inst.f_coef = np.asarray(obj["f_coef"], dtype=float)
-        inst.g_coef = np.asarray(obj["g_coef"], dtype=float)
-        inst.g_off = np.asarray(obj["g_off"], dtype=float)
-        inst.g_present = np.asarray(obj["g_present"], dtype=bool)
-        return inst
 
 
 # ---------------------------------------------------------------------------
@@ -626,26 +628,25 @@ class Predictor:
         self._instance = instance
         self._dim = instance.dim
 
-    def _true_pair(self, r: int, i: int) -> tuple[np.ndarray, np.ndarray, float]:
-        """The instance's rows of slice pair (r, i): (loss coefficient,
-        constraint coefficient, constraint offset), the arrays as views.
+    def _true_pair(self, r: int, i: int) -> tuple[list, list, float]:
+        """The instance's rows of slice pair (r, i) as fresh float lists:
+        (loss coefficient, constraint coefficient, constraint offset).
         Slices exist only in rounds m < r <= horizon; an absent slice reads
         as zeros (and 0.0)."""
-        inst = self._instance
+        inst, d = self._instance, self._dim
         if not (inst.m < r <= inst.horizon and 0 <= i <= inst.m):
-            zeros = np.zeros(self._dim)
-            return zeros, zeros, 0.0
+            return [0.0] * d, [0.0] * d, 0.0
         if not inst.g_present[r, i]:
-            return inst.f_coef[r, i], np.zeros(self._dim), 0.0
-        return inst.f_coef[r, i], inst.g_coef[r, i], float(inst.g_off[r, i])
+            return inst.f_coef[r, i].tolist(), [0.0] * d, 0.0
+        return inst.f_coef[r, i].tolist(), inst.g_coef[r, i].tolist(), float(inst.g_off[r, i])
 
     def begin_round(self, t: int) -> None:
         pass
 
-    def predict_f(self, r: int, i: int) -> np.ndarray:
+    def predict_f(self, r: int, i: int) -> list:
         raise NotImplementedError
 
-    def predict_g(self, r: int, i: int) -> tuple[np.ndarray, float]:
+    def predict_g(self, r: int, i: int) -> tuple[list, float]:
         raise NotImplementedError
 
 
@@ -655,11 +656,11 @@ class PerfectPredictor(Predictor):
     kind = "perfect"
 
     def predict_f(self, r, i):
-        return self._true_pair(r, i)[0].copy()
+        return self._true_pair(r, i)[0]
 
     def predict_g(self, r, i):
         _, coeff, offset = self._true_pair(r, i)
-        return coeff.copy(), offset
+        return coeff, offset
 
 
 class ZeroPredictor(Predictor):
@@ -668,10 +669,10 @@ class ZeroPredictor(Predictor):
     kind = "zero"
 
     def predict_f(self, r, i):
-        return np.zeros(self._dim)
+        return [0.0] * self._dim
 
     def predict_g(self, r, i):
-        return np.zeros(self._dim), 0.0
+        return [0.0] * self._dim, 0.0
 
 
 class NoisyPredictor(Predictor):
@@ -697,6 +698,11 @@ class NoisyPredictor(Predictor):
             raise ValueError("noise scale must be >= 0")
         self.scale = float(scale)
         self.seed = int(seed)
+        if self.seed < 0:
+            raise ValueError(f"noise seed must be a non-negative integer, got {self.seed}")
+        # the seed as SeedSequence splits an integer: 32-bit words, low first
+        self._seed_words = [(self.seed >> k) & 0xFFFFFFFF
+                            for k in range(0, max(self.seed.bit_length(), 1), 32)]
         self._round = None
         self._cache: dict = {}
 
@@ -704,28 +710,28 @@ class NoisyPredictor(Predictor):
         self._round = t
         self._cache = {}
 
-    def _noise(self, r: int, i: int) -> np.ndarray:
+    def _noise(self, r: int, i: int) -> list:
         draw = self._cache.get((r, i))
         if draw is None:
-            rng = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence([self.seed, 7, self._round or 0, r, i]))
-            )
-            draw = self._cache[(r, i)] = rng.normal(size=self._dim + 1)
+            # the uint32 words numpy makes of [seed, 7, round, r, i]; fresh
+            # per draw, as the SeedSequence keeps a reference to it
+            entropy = np.array([*self._seed_words, 7, self._round or 0, r, i], dtype=np.uint32)
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+            draw = self._cache[(r, i)] = rng.normal(size=self._dim + 1).tolist()
         return draw
 
     def predict_f(self, r, i):
-        coeff = self._true_pair(r, i)[0].copy()
+        coeff = self._true_pair(r, i)[0]
         if self.scale > 0:
-            coeff = coeff + self.scale * self._noise(r, i)[: self._dim]
+            coeff = [c + self.scale * z for c, z in zip(coeff, self._noise(r, i))]
         return coeff
 
     def predict_g(self, r, i):
         _, coeff, offset = self._true_pair(r, i)
-        coeff = coeff.copy()
         if self.scale > 0:
             draw = self._noise(r, i)
-            coeff = coeff + self.scale * draw[: self._dim]
-            offset = float(offset + self.scale * draw[self._dim])
+            coeff = [c + self.scale * z for c, z in zip(coeff, draw)]
+            offset = offset + self.scale * draw[self._dim]
         return coeff, offset
 
 

@@ -114,8 +114,13 @@ def ftrl_argmin(fset: FeasibleSet, g, mu: float, reg: Regularizer) -> np.ndarray
 
     For mu > 0 the unconstrained optimum center - g/mu is projected onto
     the set (valid because r is centered at the set's center).  mu = 0
-    degenerates to pure linear minimization.
+    degenerates to pure linear minimization.  On a 1-D box, g given as a
+    list or tuple of one real number takes the same steps in Python
+    floats, with numpy's bits and errors.
     """
+    if (isinstance(fset, Box) and fset.dim == 1 and isinstance(g, (list, tuple))
+            and len(g) == 1 and isinstance(g[0], (float, int))):
+        return np.array([_ftrl_argmin_1d(fset, float(g[0]), mu, reg)])
     g = np.asarray(g, dtype=float)
     if g.shape != (fset.dim,):
         raise ValueError(f"linear term has shape {g.shape}, expected ({fset.dim},)")
@@ -126,3 +131,21 @@ def ftrl_argmin(fset: FeasibleSet, g, mu: float, reg: Regularizer) -> np.ndarray
     if mu == 0.0:
         return minimize_linear(fset, g)
     return project(fset, reg.center - g / mu)
+
+
+def _ftrl_argmin_1d(fset: Box, g: float, mu: float, reg: Regularizer) -> float:
+    """`ftrl_argmin` on a 1-D box in floats: the sign rule of
+    `minimize_linear` at mu = 0, else the clamp of `project` (np.clip:
+    lower bound first) applied to center - g/mu."""
+    if not math.isfinite(g):
+        raise ValueError("linear term has non-finite entries")
+    if mu < 0:
+        raise ValueError("mu must be >= 0")
+    lo, hi = fset.lo.item(), fset.hi.item()
+    if mu == 0.0:
+        return lo if g > 0 else hi if g < 0 else 0.5 * (lo + hi)
+    x = reg.center.item() - g / mu
+    if not math.isfinite(x):
+        raise ValueError("decision has non-finite entries")
+    x = x if x > lo else lo
+    return x if x < hi else hi

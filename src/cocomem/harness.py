@@ -119,6 +119,8 @@ class ExperimentConfig:
             raise ConfigError("need at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds must be distinct, got {self.seeds}")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be non-negative, got {self.seeds}")
         if self.algorithm == "penalty_ogd":
             if self.lambda_mode == "sqrt_t_schedule" and self.penalty is not PenaltyKind.QUADRATIC:
                 raise ConfigError("the 1/sqrt(t) schedule is tied to the quadratic penalty")

@@ -244,11 +244,11 @@ class OdafLearner:
         to zero."""
         fc = self._forecasts.get((r, i))
         if fc is None:
-            f = np.asarray(self.predictor.predict_f(r, i), dtype=float).tolist()
+            f = list(map(float, self.predictor.predict_f(r, i)))
             if not all(map(math.isfinite, f)):
                 f = self._zero
             g_coef, g_off = self.predictor.predict_g(r, i)
-            g, g_off = np.asarray(g_coef, dtype=float).tolist(), float(g_off)
+            g, g_off = list(map(float, g_coef)), float(g_off)
             if not (all(map(math.isfinite, g)) and math.isfinite(g_off)):
                 g, g_off = self._zero, 0.0
             fc = self._forecasts[(r, i)] = (f, g, g_off)
@@ -324,19 +324,40 @@ class OdafLearner:
         """Search for an activity pattern of the pending round's constraint
         forecasts that reproduces itself at the decision it induces; falls
         back to judging activity at the last committed decision when no
-        pattern is self-consistent."""
+        pattern is self-consistent.
+
+        In 1-D at most one pattern holds (each flag is monotone in x, and
+        switching a toggle on moves the decision against its flag), so the
+        fallback pattern and the k + 1 patterns between the sorted
+        thresholds go before the 2^k enumeration, unless some pattern's
+        decision could overflow: then the enumeration meets the error."""
         fset, reg, dot = self.fset, self.reg, self._dot
         if not toggles:
             return tuple(ftrl_argmin(fset, lin0, mu, reg).tolist()), ()
+
+        def flags_at(x):
+            return tuple(dot(g, x) + g_off > 0.0 for _, g, g_off, _ in toggles)
+
+        tried: dict[tuple, tuple] = {}
+
+        def decide(pattern) -> tuple:
+            if pattern not in tried:
+                lin = _with_terms(lin0, toggles, pattern)
+                tried[pattern] = tuple(ftrl_argmin(fset, lin, mu, reg).tolist())
+            return tried[pattern]
+
+        last = flags_at(x_last)
+        candidates = ()
+        if self.dim == 1 and _decisions_finite(lin0, mu, toggles, reg.center.item()):
+            candidates = itertools.chain((last,), _interval_patterns(toggles))
         if len(toggles) <= MAX_PATTERN_SLICES:
-            for pattern in itertools.product((False, True), repeat=len(toggles)):
-                x = tuple(ftrl_argmin(fset, _with_terms(lin0, toggles, pattern), mu, reg).tolist())
-                if tuple(dot(g, x) + g_off > 0.0 for _, g, g_off, _ in toggles) == pattern:
-                    return x, pattern
+            candidates = itertools.chain(
+                candidates, itertools.product((False, True), repeat=len(toggles)))
+        for pattern in candidates:
+            if pattern not in tried and flags_at(decide(pattern)) == pattern:
+                return tried[pattern], pattern
         self.fixed_point_fallbacks += 1
-        flags = tuple(dot(g, x_last) + g_off > 0.0 for _, g, g_off, _ in toggles)
-        x = ftrl_argmin(fset, _with_terms(lin0, toggles, flags), mu, reg)
-        return tuple(x.tolist()), flags
+        return decide(last), last
 
     # -- one full round -------------------------------------------------------
 
@@ -390,6 +411,28 @@ def _with_terms(lin0: list, toggles, flags) -> list:
         if on:
             lin = _add(lin, term)
     return lin
+
+
+def _decisions_finite(lin0: list, mu: float, toggles, center: float) -> bool:
+    """Whether every pattern's linear term and decision is finite: bounded
+    by |lin0| + sum |term| and |center| + that / mu (rounding is monotone)."""
+    bound = abs(lin0[0])
+    for _, _, _, term in toggles:
+        bound += abs(term[0])
+    if mu != 0.0:
+        bound = abs(center) + bound / mu
+    return math.isfinite(bound)
+
+
+def _interval_patterns(toggles):
+    """The k + 1 activity patterns of 1-D toggles on the intervals between
+    their thresholds -off/g, from x = -inf upwards: a toggle with g < 0
+    starts on, and each threshold passed flips its toggle."""
+    flags = [g[0] < 0.0 for _, g, _, _ in toggles]
+    yield tuple(flags)
+    for j in sorted(range(len(toggles)), key=lambda j: -toggles[j][2] / toggles[j][1][0]):
+        flags[j] = not flags[j]
+        yield tuple(flags)
 
 
 def _alpha(instance, alpha: float | None) -> float:

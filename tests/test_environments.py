@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -92,6 +93,42 @@ def test_separable_json_round_trip():
     assert np.array_equal(back.g_coef, inst.g_coef)
     assert np.array_equal(back.g_off, inst.g_off)
     assert np.array_equal(back.g_present, inst.g_present)
+
+
+def test_separable_json_round_trip_is_bit_exact_without_generating(monkeypatch):
+    inst = SeparableLinearInstance(m=2, horizon=40, dim=2, seed=3, constraint_memory=False,
+                                   g_round_density=0.6, g_mag=(0.05, 0.2))
+
+    def no_generation(self):
+        raise AssertionError("from_json generated the instance")
+
+    monkeypatch.setattr(SeparableLinearInstance, "_generate", no_generation)
+    back = SeparableLinearInstance.from_json(inst.to_json())
+    for name in ("f_coef", "g_coef", "g_off", "g_present"):
+        a, b = getattr(inst, name), getattr(back, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert back.to_json() == inst.to_json()
+
+
+# sha256 prefixes of f_coef, g_coef, g_off and g_present, recorded with one
+# uniform draw per (round, delay) loss slice; one draw per round must give
+# the same doubles
+PINNED_INSTANCES = [
+    ({"m": 2, "horizon": 2000, "seed": 0}, "af262d0b4f36f15f"),
+    ({"m": 3, "horizon": 300, "dim": 2, "seed": 5, "g_round_density": 0.4,
+      "g_mag": (0.05, 0.2)}, "84c9015d5e8dda8f"),
+    ({"m": 1, "horizon": 500, "seed": 7, "constraint_memory": False,
+      "g_active_fraction": 0.5}, "7d87f21a336aaed7"),
+]
+
+
+@pytest.mark.parametrize("params, digest", PINNED_INSTANCES)
+def test_separable_instance_bytes_are_pinned(params, digest):
+    inst = SeparableLinearInstance(**params)
+    h = hashlib.sha256()
+    for a in (inst.f_coef, inst.g_coef, inst.g_off, inst.g_present):
+        h.update(a.tobytes())
+    assert h.hexdigest()[:16] == digest
 
 
 def test_separable_zero_outside_active_rounds():
@@ -201,6 +238,40 @@ def test_noisy_predictor_stream_contract():
                 coeff, offset = p.predict_g(r, i)
                 assert np.array_equal(coeff, g_true + scale * z[:d])
                 assert offset == g_off + scale * z[d]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 2**32, 2**40 + 5, 2**64 - 1])
+def test_noisy_stream_is_the_list_seeded_stream(seed, d):
+    """The predictor seeds from a uint32 array; the draws are those of the
+    list form SeedSequence([seed, 7, t, r, i]), multi-word seeds included,
+    and the forecasts are float lists."""
+    inst = SeparableLinearInstance(m=2, horizon=30, dim=d, seed=1,
+                                   g_round_density=0.6, g_mag=(0.05, 0.2))
+    scale = 0.3
+    p = NoisyPredictor(scale, seed=seed)
+    p.bind(inst)
+    for t in (4, 29):
+        p.begin_round(t)
+        for r in range(t, t + 3):
+            for i in range(3):
+                ss = np.random.SeedSequence([seed, 7, t, r, i])
+                z = np.random.Generator(np.random.PCG64(ss)).normal(size=d + 1)
+                live = r <= inst.horizon
+                f_true = inst.f_coef[r, i] if live else np.zeros(d)
+                g_true = inst.g_coef[r, i] if live else np.zeros(d)
+                g_off = float(inst.g_off[r, i]) if live else 0.0
+                f = p.predict_f(r, i)
+                coeff, offset = p.predict_g(r, i)
+                assert type(f) is list and type(coeff) is list and type(offset) is float
+                assert np.array(f).tobytes() == (f_true + scale * z[:d]).tobytes()
+                assert np.array(coeff).tobytes() == (g_true + scale * z[:d]).tobytes()
+                assert offset == g_off + scale * z[d]
+
+
+def test_noisy_predictor_rejects_negative_seed():
+    with pytest.raises(ValueError, match="non-negative"):
+        NoisyPredictor(0.3, -1)
 
 
 def test_make_predictor_dispatch():

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cocomem.core import Ball, Box
-from cocomem.geometry import Regularizer, ftrl_argmin, project, regret_coefficient
+from cocomem.geometry import (
+    Regularizer,
+    ftrl_argmin,
+    minimize_linear,
+    project,
+    regret_coefficient,
+)
 
 
 def test_box_projection_clamps():
@@ -83,6 +91,58 @@ def test_ftrl_argmin_validates_input():
         ftrl_argmin(b, [np.nan], 1.0, r)
     with pytest.raises(ValueError):
         ftrl_argmin(b, [1.0], -0.5, r)
+
+
+def _numpy_argmin(fset, g, mu, reg):
+    """The numpy steps of ftrl_argmin: outcome bytes, or the error message."""
+    try:
+        g = np.array([g])
+        if not np.isfinite(g).all():
+            raise ValueError("linear term has non-finite entries")
+        if mu < 0:
+            raise ValueError("mu must be >= 0")
+        with np.errstate(all="ignore"):
+            x = minimize_linear(fset, g) if mu == 0.0 else project(fset, reg.center - g / mu)
+        return x.tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    lo=st.sampled_from([-2.0, -0.0, 0.0, -1e-300]) | st.floats(-5.0, 5.0),
+    width=st.sampled_from([0.0, 4.0]) | st.floats(0.0, 5.0),
+    g=st.sampled_from([0.0, -0.0, 5e-324, 1e308, -1e308, float("inf"), float("nan")])
+    | st.floats(-50.0, 50.0),
+    mu=st.sampled_from([0.0, 5e-324, 1e-300, -0.5, float("inf")]) | st.floats(1e-6, 20.0),
+)
+def test_1d_box_argmin_has_the_numpy_bits_and_errors(lo, width, g, mu):
+    """On a 1-D box the float argmin equals project(center - g/mu) and
+    minimize_linear bit for bit (signed zeros included), and raises the
+    same errors, for a list or tuple linear term (an array takes the numpy
+    path)."""
+    fset = Box([lo], [lo + width])
+    reg = Regularizer(fset)
+    want = _numpy_argmin(fset, g, mu, reg)
+    for arg in ([g], (g,), np.array([g])):
+        try:
+            with np.errstate(over="ignore"):
+                x = ftrl_argmin(fset, arg, mu, reg)
+        except ValueError as exc:
+            got = str(exc)
+        else:
+            assert isinstance(x, np.ndarray) and x.shape == (1,) and x.dtype == float
+            got = x.tobytes()
+        assert got == want
+
+
+def test_1d_box_argmin_rejects_other_shapes():
+    b = Box([-1.0], [1.0])
+    r = Regularizer(b)
+    for g, shape in (([1.0, 2.0], r"\(2,\)"), ([[1.0]], r"\(1, 1\)"), (2.0, r"\(\)"),
+                     (np.array([[1.0]]), r"\(1, 1\)")):
+        with pytest.raises(ValueError, match=f"linear term has shape {shape}"):
+            ftrl_argmin(b, g, 1.0, r)
 
 
 def test_regularizer_max_value():

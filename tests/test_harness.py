@@ -303,6 +303,20 @@ def test_cli_rejects_duplicate_seeds(tmp_path, capsys, parallel):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_cli_rejects_negative_seeds(tmp_path, capsys, monkeypatch, command):
+    # a negative seed cannot seed an instance; it is a config error before
+    # anything is written
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**BASE, "seeds": [0, -1]}))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg_path)] + (["--out", str(out)] if command == "run" else [])
+    assert cli_main(argv) == 1
+    assert "config error: seeds must be non-negative" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 @pytest.mark.parametrize("parallel", [1, 2])
 def test_run_experiment_rejects_duplicate_seeds(tmp_path, parallel):
     cfg = _cfg(seeds=[0])

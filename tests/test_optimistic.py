@@ -1,9 +1,12 @@
 import hashlib
+import itertools
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cocomem import (
     NoisyPredictor,
@@ -16,7 +19,8 @@ from cocomem import (
     run_doubling,
     run_optimistic,
 )
-from cocomem.geometry import Regularizer, ftrl_argmin, minimize_linear
+from cocomem.core import Box
+from cocomem.geometry import Regularizer, ftrl_argmin, minimize_linear, project
 from cocomem.harness import load_config, run_single
 from cocomem.metrics import reconstruct_hint_errors
 from cocomem.optimistic import DoublingSchedule, OdafLearner, huber
@@ -462,3 +466,100 @@ def test_doubling_restarts_one_learner_and_counts_every_epochs_fallbacks(monkeyp
         got.append((tr.extras["epochs"], tr.extras["fixed_point_fallbacks"]))
     assert len(learners) == 5
     assert got == [(52, 8), (52, 3), (52, 0), (52, 7), (52, 6)]
+
+
+def _enumerated_activity(fset, reg, lin0, mu, toggles, x_last):
+    """The 2^k pattern enumeration on a 1-D set, in numpy: (x, pattern,
+    fell back), or the error it meets first."""
+    def decide(pattern):
+        lin = lin0
+        for (_, _, _, term), on in zip(toggles, pattern):
+            if on:
+                lin = lin + term[0]
+        g = np.array([lin])
+        if not np.isfinite(g).all():
+            raise ValueError("linear term has non-finite entries")
+        with np.errstate(all="ignore"):
+            x = minimize_linear(fset, g) if mu == 0.0 else project(fset, reg.center - g / mu)
+        return float(x[0])
+
+    def flags_at(x):
+        return tuple(g[0] * x + off > 0.0 for _, g, off, _ in toggles)
+
+    try:
+        for pattern in itertools.product((False, True), repeat=len(toggles)):
+            x = decide(pattern)
+            if flags_at(x) == pattern:
+                return x.hex(), pattern, 0
+        flags = flags_at(x_last)
+        return decide(flags).hex(), flags, 1
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def _toggles(draw):
+    """Up to 8 1-D constraint forecasts (i, g, offset, weighted gradient)
+    whose thresholds -offset/g often tie exactly (a shared base pair scaled
+    by a power of two, either sign) or within one ulp."""
+    bases = draw(st.lists(st.tuples(st.floats(0.01, 2.0), st.floats(-3.0, 3.0)),
+                          min_size=1, max_size=3))
+    toggles = []
+    for i in range(draw(st.integers(1, 8))):
+        g, tau = draw(st.sampled_from(bases))
+        scale = draw(st.sampled_from([0.25, 1.0, 4.0, -0.5, -1.0, -2.0]))
+        g, off = g * scale, -tau * g * scale
+        nudge = draw(st.sampled_from([0, 0, -1, 1]))
+        if nudge:
+            off = math.nextafter(off, nudge * math.inf)
+        # now and then a weight that overflows some pattern's linear term
+        mult = draw(st.sampled_from([0.0, 1e300, math.inf] + [None] * 27))
+        if mult is None:
+            mult = draw(st.floats(0.0, 40.0))
+        toggles.append((i, [g], off, [mult * g]))
+    return toggles
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    toggles=_toggles(),
+    lin0=st.floats(-30.0, 30.0),
+    mu=st.sampled_from([0.0, 5e-324, 1e-300, 1e-12]) | st.floats(1e-3, 20.0),
+    box=st.sampled_from([(-2.0, 2.0), (-1.0, 3.0), (0.0, 1.5)]),
+    where=st.floats(0.0, 1.0),
+)
+def test_1d_activity_search_matches_the_enumeration(toggles, lin0, mu, box, where):
+    """The 1-D search (fallback pattern, then the interval patterns of the
+    sorted thresholds) returns the decision and pattern of the 2^k
+    enumeration and falls back in the same cases, or meets the same error."""
+    inst = SeparableLinearInstance(m=0, horizon=4, seed=0)
+    learner = OdafLearner(inst, Variant.COCO_M2, ZeroPredictor(), 0.5)
+    learner.fset = fset = Box([box[0]], [box[1]])
+    learner.reg = reg = Regularizer(fset)
+    x_last = box[0] + where * (box[1] - box[0])
+    want = _enumerated_activity(fset, reg, lin0, mu, toggles, x_last)
+    before = learner.fixed_point_fallbacks
+    try:
+        x, pattern = learner._resolve_pending_activity([lin0], mu, toggles, (x_last,))
+    except ValueError as exc:
+        got = str(exc)
+    else:
+        got = x[0].hex(), pattern, learner.fixed_point_fallbacks - before
+    assert got == want
+
+
+def test_noisy_doubling_at_m10_makes_few_argmin_calls(monkeypatch):
+    """At m = 10 (up to 11 toggles a round) the 1-D search makes at most 5
+    FTRL argmin calls per round; the 2^k enumeration made 1054."""
+    calls = []
+    real = optimistic.ftrl_argmin
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(optimistic, "ftrl_argmin", counting)
+    inst = SeparableLinearInstance(m=10, horizon=1000, seed=0,
+                                   g_round_density=0.4, g_mag=(0.05, 0.2))
+    run_doubling(inst, Variant.COCO_M2, NoisyPredictor(0.3, seed=0))
+    assert len(calls) <= 5 * len(inst.rounds)
