@@ -30,6 +30,7 @@ the last bits can differ.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -675,6 +676,85 @@ class ZeroPredictor(Predictor):
         return [0.0] * self._dim, 0.0
 
 
+# SeedSequence's pool hash (numpy.random.bit_generator): a pool of four
+# uint32 words, hashed and mixed with these multipliers and a 16-bit shift
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_POOL_SIZE = 4
+
+# rows of seed words a NoisyPredictor computes at a time (at least one round's)
+NOISE_BLOCK_ROWS = 2048
+
+
+def _hash_steps(init: int, mult: int):
+    """The (xor, multiplier) uint32 scalars of successive hash steps: the
+    hash constant before and after each multiply, which do not depend on
+    the data."""
+    const = init
+    while True:
+        nxt = const * mult & 0xFFFFFFFF
+        yield np.uint32(const), np.uint32(nxt)
+        const = nxt
+
+
+def seed_sequence_words(entropy: np.ndarray) -> np.ndarray:
+    """The (N, 4) uint64 words `SeedSequence(row).generate_state(4,
+    np.uint64)` gives for each row of an (N, L) uint32 entropy array,
+    L >= 5, hashed for all rows at once.  Every operand is a uint32 array
+    or an `np.uint32` scalar, so each product wraps modulo 2^32 under any
+    numpy promotion rule."""
+    if entropy.dtype != np.uint32 or entropy.ndim != 2 or entropy.shape[1] <= _POOL_SIZE:
+        raise ValueError(f"need an (N, L >= 5) uint32 entropy array, got {entropy.dtype} {entropy.shape}")
+
+    def hashmix(value, steps):
+        xor, mult = next(steps)
+        value = (value ^ xor) * mult
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        out = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return out ^ (out >> _XSHIFT)
+
+    # the pool: the first four words hashed, mixed into each other, then
+    # every later word mixed into each pool word
+    steps = _hash_steps(_HASH_INIT_A, _HASH_MULT_A)
+    pool = [hashmix(entropy[:, k], steps) for k in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src], steps))
+    for src in range(_POOL_SIZE, entropy.shape[1]):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src], steps))
+    # eight output words cycling over the pool, paired low word first
+    steps = _hash_steps(_HASH_INIT_B, _HASH_MULT_B)
+    words = np.empty((len(entropy), 4), dtype=np.uint64)
+    for k in range(4):
+        low = hashmix(pool[2 * k % _POOL_SIZE], steps)
+        high = hashmix(pool[(2 * k + 1) % _POOL_SIZE], steps)
+        words[:, k] = high.astype(np.uint64) << np.uint64(32) | low
+    return words
+
+
+@functools.cache
+def _words_seed_sequence() -> type:
+    """A seed sequence class with precomputed state: PCG64 seeds itself from
+    `generate_state(4, np.uint64)`, which returns the stored row.  Made on
+    first use, so that importing cocomem does not import numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Words(ISeedSequence):
+        def __init__(self, row: np.ndarray):
+            self._row = row
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self._row
+
+    return Words
+
+
 class NoisyPredictor(Predictor):
     """True slices plus Gaussian perturbations of a given scale.
 
@@ -689,6 +769,11 @@ class NoisyPredictor(Predictor):
     activity flags flip more often the closer a slice sits to its
     activation boundary while the hint's self-consistency search stays
     deterministic.  scale = 0 coincides with the perfect predictor.
+
+    The learner's round t draws the pairs (t + j, i), 0 <= j <= i <= m.
+    Their SeedSequence words are hashed in numpy for a block of about
+    `NOISE_BLOCK_ROWS` pairs of consecutive rounds at a time, and each
+    draw seeds a PCG64 from its row; any other pair is hashed alone.
     """
 
     kind = "noisy"
@@ -706,17 +791,52 @@ class NoisyPredictor(Predictor):
         self._round = None
         self._cache: dict = {}
 
+    def bind(self, instance) -> None:
+        super().bind(instance)
+        m = instance.m
+        # round t's pair (t + j, i) is row i (i + 1) / 2 + j of its rows
+        self._pairs = (m + 1) * (m + 2) // 2
+        self._block_rounds = max(1, NOISE_BLOCK_ROWS // self._pairs)
+        self._block_start = self._block_end = 0  # rounds whose words are held
+        self._words = None
+        self._seed_sequence = _words_seed_sequence()
+
     def begin_round(self, t: int) -> None:
         self._round = t
         self._cache = {}
 
+    def _fill_block(self, t: int) -> None:
+        """Hold the seed words of the pairs of the block of rounds from t,
+        round t + k in rows k * pairs onwards."""
+        m, pairs, n = self._instance.m, self._pairs, self._block_rounds
+        self._words = None  # dropped before the next block is built
+        rounds = np.arange(t, t + n)
+        i = np.repeat(np.arange(m + 1), np.arange(1, m + 2))
+        j = np.arange(pairs) - i * (i + 1) // 2
+        entropy = np.empty((n * pairs, len(self._seed_words) + 4), dtype=np.uint32)
+        entropy[:, :-4] = self._seed_words
+        entropy[:, -4] = 7
+        entropy[:, -3] = np.repeat(rounds, pairs)
+        entropy[:, -2] = (rounds[:, None] + j).ravel()
+        entropy[:, -1] = np.tile(i, n)
+        self._words = seed_sequence_words(entropy)
+        self._block_start, self._block_end = t, t + n
+
     def _noise(self, r: int, i: int) -> list:
         draw = self._cache.get((r, i))
         if draw is None:
-            # the uint32 words numpy makes of [seed, 7, round, r, i]; fresh
-            # per draw, as the SeedSequence keeps a reference to it
-            entropy = np.array([*self._seed_words, 7, self._round or 0, r, i], dtype=np.uint32)
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+            t, m = self._round or 0, self._instance.m
+            # the block casts rounds to uint32 unchecked, so a pair whose
+            # round does not fit takes the other path, which raises
+            if 0 <= r - t <= i <= m and 0 <= t < 2**32 - m:
+                if not self._block_start <= t < self._block_end:
+                    self._fill_block(t)
+                row = self._words[(t - self._block_start) * self._pairs + i * (i + 1) // 2 + r - t]
+            else:
+                # the uint32 words numpy makes of [seed, 7, round, r, i]
+                entropy = np.array([[*self._seed_words, 7, t, r, i]], dtype=np.uint32)
+                row = seed_sequence_words(entropy)[0]
+            rng = np.random.Generator(np.random.PCG64(self._seed_sequence(row)))
             draw = self._cache[(r, i)] = rng.normal(size=self._dim + 1).tolist()
         return draw
 

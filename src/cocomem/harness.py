@@ -75,6 +75,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
+        seeds = obj.get("seeds", [0])
+        # int(0.9) or int(True) would run a seed the config does not name
+        if not (isinstance(seeds, list)
+                and all(isinstance(s, int) and not isinstance(s, bool) for s in seeds)):
+            raise ConfigError(f"seeds must be a list of integers, got {seeds!r}")
         try:
             lam, alpha = obj.get("lambda_value"), obj.get("alpha")
             cfg = cls(
@@ -87,7 +92,7 @@ class ExperimentConfig:
                 predictor=dict(obj.get("predictor", {"kind": "perfect"})),
                 error_estimate=float(obj.get("error_estimate", 0.0)),
                 alpha=None if alpha is None else float(alpha),
-                seeds=[int(s) for s in obj.get("seeds", [0])],
+                seeds=list(seeds),
                 out_dir=obj.get("out_dir", "runs"),
                 name=obj.get("name", "experiment"),
             )

@@ -1,8 +1,11 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cocomem import (
     AppendixAInstance,
@@ -14,7 +17,7 @@ from cocomem import (
     run_penalty_ogd,
 )
 from cocomem.core import splat
-from cocomem.environments import make_predictor
+from cocomem.environments import NOISE_BLOCK_ROWS, make_predictor, seed_sequence_words
 
 
 def test_default_parameters_match_reference_experiment():
@@ -272,6 +275,113 @@ def test_noisy_stream_is_the_list_seeded_stream(seed, d):
 def test_noisy_predictor_rejects_negative_seed():
     with pytest.raises(ValueError, match="non-negative"):
         NoisyPredictor(0.3, -1)
+
+
+_WORD = st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(5, 7).flatmap(
+    lambda n: st.lists(st.lists(_WORD, min_size=n, max_size=n), min_size=1, max_size=6)))
+@example([[0] * 5])
+@example([[2**32 - 1] * 7, [0] * 7])
+def test_seed_words_are_the_seed_sequence_words(rows):
+    """The batched hash gives, row by row, the uint64 state words of
+    SeedSequence(row) that PCG64 seeds from."""
+    got = seed_sequence_words(np.array(rows, dtype=np.uint32))
+    want = [np.random.SeedSequence(row).generate_state(4, np.uint64) for row in rows]
+    assert got.dtype == np.uint64 and got.shape == (len(rows), 4)
+    assert np.array_equal(got, np.array(want))
+
+
+@pytest.mark.parametrize("entropy", [np.zeros((3, 4), np.uint32), np.zeros((3, 5), np.int64),
+                                     np.zeros(5, np.uint32)], ids=["short_rows", "int64", "1d"])
+def test_seed_words_reject_other_entropy(entropy):
+    with pytest.raises(ValueError, match="uint32 entropy"):
+        seed_sequence_words(entropy)
+
+
+@pytest.mark.parametrize("m", [0, 2, 10])
+def test_noisy_draws_are_the_contract_draws_across_blocks(m, monkeypatch):
+    """Each forecast is the true row plus the SeedSequence([seed, 7, t, r, i])
+    draw, with no SeedSequence built: for the learner's pairs (t + j, i),
+    0 <= j <= i <= m, on both sides of a block boundary, for a round begun
+    twice (as a restart does) and a round before the current block, and for
+    off-pattern pairs (r < t, r > t + m, r - t > i, i > m)."""
+    inst = SeparableLinearInstance(m=m, horizon=120, dim=2, seed=2,
+                                   g_round_density=0.6, g_mag=(0.05, 0.2))
+    seed, scale, d = 2**33 + 9, 0.25, inst.dim
+    per_block = NOISE_BLOCK_ROWS // ((m + 1) * (m + 2) // 2)
+    first = inst.first_round
+    rounds = [first, first + 1, first + per_block - 1, first + per_block, first + per_block,
+              first + 2]
+    want = {}
+    for t in rounds:
+        for r in range(max(t - 2, 0), t + m + 3):
+            for i in range(m + 2):
+                ss = np.random.SeedSequence([seed, 7, t, r, i])
+                z = np.random.Generator(np.random.PCG64(ss)).normal(size=d + 1)
+                live = inst.m < r <= inst.horizon and i <= inst.m
+                present = live and inst.g_present[r, i]
+                f = (inst.f_coef[r, i] if live else np.zeros(d)) + scale * z[:d]
+                g = (inst.g_coef[r, i] if present else np.zeros(d)) + scale * z[:d]
+                off = (float(inst.g_off[r, i]) if present else 0.0) + scale * z[d]
+                want[t, r, i] = (f.tolist(), (g.tolist(), off))
+
+    def no_seed_sequence(*args, **kwargs):
+        raise AssertionError("a SeedSequence was built")
+
+    monkeypatch.setattr(np.random, "SeedSequence", no_seed_sequence)
+    p = NoisyPredictor(scale, seed=seed)
+    p.bind(inst)
+    for t in rounds:
+        p.begin_round(t)
+        for (u, r, i), (f, g) in want.items():
+            if u == t:
+                assert p.predict_f(r, i) == f and p.predict_g(r, i) == g, (t, r, i)
+
+
+def test_noisy_draws_up_to_the_last_uint32_round():
+    """Blocks stop where a pair's round would pass 2^32 - 1; the rounds
+    next to that limit still draw the SeedSequence([seed, 7, t, r, i])
+    draws."""
+    inst = SeparableLinearInstance(m=2, horizon=40, seed=1)
+    p = NoisyPredictor(0.5, seed=3)
+    p.bind(inst)
+    for t in (2**32 - 4, 2**32 - 3, 2**32 - 1):
+        p.begin_round(t)
+        for r in range(t, min(t + 3, 2**32)):
+            for i in range(3):
+                ss = np.random.SeedSequence([3, 7, t, r, i])
+                z = np.random.Generator(np.random.PCG64(ss)).normal(size=2)
+                assert p.predict_f(r, i) == [0.5 * z[0]], (t, r, i)
+
+
+def _noisy_predictor_heap(horizon: int) -> int:
+    """tracemalloc peak of a noisy predictor answering the learner's
+    queries of every round up to the horizon, at m = 2."""
+    inst = SeparableLinearInstance(m=2, horizon=horizon, seed=0)
+    p = NoisyPredictor(0.3, seed=4)
+    p.bind(inst)
+    tracemalloc.start()
+    try:
+        for t in range(inst.first_round, horizon + 2):
+            p.begin_round(t)
+            for i in range(inst.m + 1):
+                for j in range(i + 1):
+                    p.predict_f(t + j, i)
+                    p.predict_g(t + j, i)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_noisy_predictor_state_does_not_grow_with_the_horizon():
+    """The predictor holds the seed words of one block of rounds and one
+    round's draws: its heap peak at T = 4000 (twelve blocks of 341 rounds
+    at m = 2) is that of T = 500 (two blocks), within 4 KB."""
+    assert _noisy_predictor_heap(4000) <= _noisy_predictor_heap(500) + 4096
 
 
 def test_make_predictor_dispatch():

@@ -317,6 +317,19 @@ def test_cli_rejects_negative_seeds(tmp_path, capsys, monkeypatch, command):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("seeds", [[0.9, 1.5], [True], ["3"]], ids=["floats", "bool", "string"])
+def test_cli_rejects_non_integer_seeds(tmp_path, capsys, monkeypatch, command, seeds):
+    # int() would truncate 0.9 and 1.5 to seeds 0 and 1, and True to 1
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("COCO_MEM_OUT", raising=False)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**BASE, "seeds": seeds}))
+    assert cli_main([command, "--config", str(cfg_path)]) == 1
+    assert "config error: seeds must be a list of integers" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 @pytest.mark.parametrize("parallel", [1, 2])
 def test_run_experiment_rejects_duplicate_seeds(tmp_path, parallel):
     cfg = _cfg(seeds=[0])

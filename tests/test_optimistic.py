@@ -428,22 +428,33 @@ def test_one_noise_generator_per_slice_pair_per_round(monkeypatch):
     and constraint forecasts of a pair share one generator."""
     inst = SeparableLinearInstance(m=2, horizon=60, seed=3,
                                    g_round_density=0.6, g_mag=(0.05, 0.2))
-    learner = OdafLearner(inst, Variant.COCO_M2, NoisyPredictor(0.3, seed=1), 0.1)
+    predictor = NoisyPredictor(0.3, seed=1)
+    learner = OdafLearner(inst, Variant.COCO_M2, predictor, 0.1)
     for t in range(inst.first_round, 30):
         learner.play_round(t)
-    real = np.random.SeedSequence
+    real = np.random.PCG64
     built = []
 
-    def counting(entropy):
-        built.append(tuple(entropy))
-        return real(entropy)
+    def counting(seed_seq):
+        built.append(tuple(seed_seq.generate_state(4, np.uint64).tolist()))
+        return real(seed_seq)
 
-    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    monkeypatch.setattr(np.random, "PCG64", counting)
     learner.play_round(30)
     # pending decisions 29, 30 hold 1 + 2 unrevealed pairs, the decision
     # being committed (31) holds m + 1 = 3
-    assert sorted(built) == [(1, 7, 31, r, i) for r, i in
-                             sorted([(31, 2), (31, 1), (32, 2), (31, 0), (32, 1), (33, 2)])]
+    keys = [(31, 2), (31, 1), (32, 2), (31, 0), (32, 1), (33, 2)]
+    assert sorted(built) == sorted(
+        tuple(np.random.SeedSequence([1, 7, 31, r, i]).generate_state(4, np.uint64).tolist())
+        for r, i in keys)
+    # both forecasts of a pair perturb by that one draw, and reuse it
+    for r, i in keys:
+        ss = np.random.SeedSequence([1, 7, 31, r, i])
+        z = np.random.Generator(real(ss)).normal(size=2)
+        assert predictor.predict_f(r, i) == [inst.f_coef[r, i, 0] + 0.3 * z[0]]
+        assert predictor.predict_g(r, i) == ([inst.g_coef[r, i, 0] + 0.3 * z[0]],
+                                             inst.g_off[r, i] + 0.3 * z[1])
+    assert len(built) == len(keys)
 
 
 def test_doubling_restarts_one_learner_and_counts_every_epochs_fallbacks(monkeypatch):
