@@ -629,17 +629,22 @@ class Predictor:
         self._instance = instance
         self._dim = instance.dim
 
-    def _true_pair(self, r: int, i: int) -> tuple[list, list, float]:
-        """The instance's rows of slice pair (r, i) as fresh float lists:
-        (loss coefficient, constraint coefficient, constraint offset).
-        Slices exist only in rounds m < r <= horizon; an absent slice reads
-        as zeros (and 0.0)."""
-        inst, d = self._instance, self._dim
+    def _true_f(self, r: int, i: int) -> list:
+        """The instance's loss coefficient of slice (r, i) as a fresh float
+        list.  Slices exist only in rounds m < r <= horizon; an absent
+        slice reads as zeros."""
+        inst = self._instance
         if not (inst.m < r <= inst.horizon and 0 <= i <= inst.m):
-            return [0.0] * d, [0.0] * d, 0.0
-        if not inst.g_present[r, i]:
-            return inst.f_coef[r, i].tolist(), [0.0] * d, 0.0
-        return inst.f_coef[r, i].tolist(), inst.g_coef[r, i].tolist(), float(inst.g_off[r, i])
+            return [0.0] * self._dim
+        return inst.f_coef[r, i].tolist()
+
+    def _true_g(self, r: int, i: int) -> tuple[list, float]:
+        """The instance's constraint slice (r, i) as (coefficient as a fresh
+        float list, offset); an absent slice reads as (zeros, 0.0)."""
+        inst = self._instance
+        if not (inst.m < r <= inst.horizon and 0 <= i <= inst.m and inst.g_present[r, i]):
+            return [0.0] * self._dim, 0.0
+        return inst.g_coef[r, i].tolist(), float(inst.g_off[r, i])
 
     def begin_round(self, t: int) -> None:
         pass
@@ -657,11 +662,10 @@ class PerfectPredictor(Predictor):
     kind = "perfect"
 
     def predict_f(self, r, i):
-        return self._true_pair(r, i)[0]
+        return self._true_f(r, i)
 
     def predict_g(self, r, i):
-        _, coeff, offset = self._true_pair(r, i)
-        return coeff, offset
+        return self._true_g(r, i)
 
 
 class ZeroPredictor(Predictor):
@@ -841,13 +845,13 @@ class NoisyPredictor(Predictor):
         return draw
 
     def predict_f(self, r, i):
-        coeff = self._true_pair(r, i)[0]
+        coeff = self._true_f(r, i)
         if self.scale > 0:
             coeff = [c + self.scale * z for c, z in zip(coeff, self._noise(r, i))]
         return coeff
 
     def predict_g(self, r, i):
-        _, coeff, offset = self._true_pair(r, i)
+        coeff, offset = self._true_g(r, i)
         if self.scale > 0:
             draw = self._noise(r, i)
             coeff = [c + self.scale * z for c, z in zip(coeff, draw)]

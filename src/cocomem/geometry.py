@@ -67,23 +67,6 @@ def point_step(fset: FeasibleSet):
     raise TypeError(f"unsupported feasible set {type(fset).__name__}")
 
 
-class Regularizer:
-    """r(x) = 0.5 ||x - center||^2, nonnegative and 1-strongly convex.
-
-    `r_max` is the maximum of r over the feasible set it was built for;
-    with the center at the set's natural center this is (diameter/2)^2/2
-    for both boxes and balls.
-    """
-
-    def __init__(self, fset: FeasibleSet):
-        self.center = fset.center
-        self.r_max = 0.5 * (fset.diameter / 2.0) ** 2
-
-    def value(self, x) -> float:
-        x = as_decision(x, self.center.size)
-        return 0.5 * float(np.sum((x - self.center) ** 2))
-
-
 def minimize_linear(fset: FeasibleSet, g: np.ndarray) -> np.ndarray:
     """argmin_{x in set} <g, x>; coordinates with g_i = 0 resolve to the
     center (box) and g = 0 resolves to the center (ball), for determinism."""
@@ -101,26 +84,29 @@ def minimize_linear(fset: FeasibleSet, g: np.ndarray) -> np.ndarray:
 
 def regret_coefficient(fset: FeasibleSet, memory: int, alpha: float) -> float:
     """(r_max/alpha + 1) * (m*|X| + sqrt(|X|^2 + alpha)): the constant in
-    front of the accumulated hint error in the delayed-FTRL regret bound."""
+    front of the accumulated hint error in the delayed-FTRL regret bound.
+    r_max = (|X|/2)^2 / 2 is the maximum of the FTRL regularizer
+    0.5 ||x - center||^2 over a box or ball."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     d = fset.diameter
-    r_max = Regularizer(fset).r_max
+    r_max = 0.5 * (d / 2.0) ** 2
     return (r_max / alpha + 1.0) * (memory * d + np.sqrt(d * d + alpha))
 
 
-def ftrl_argmin(fset: FeasibleSet, g, mu: float, reg: Regularizer) -> np.ndarray:
-    """Exact minimizer of <g, x> + mu * r(x) over the feasible set.
+def ftrl_argmin(fset: FeasibleSet, g, mu: float) -> np.ndarray:
+    """Exact minimizer of <g, x> + mu * r(x) over the feasible set, with
+    the regularizer r(x) = 0.5 ||x - center||^2 at the set's center.
 
     For mu > 0 the unconstrained optimum center - g/mu is projected onto
     the set (valid because r is centered at the set's center).  mu = 0
-    degenerates to pure linear minimization.  On a 1-D box, g given as a
-    list or tuple of one real number takes the same steps in Python
-    floats, with numpy's bits and errors.
+    degenerates to pure linear minimization.  On a 1-D box a float g
+    takes the same steps in Python floats, with numpy's bits and errors;
+    a list, tuple or array g takes the numpy path.  Either way the result
+    is a (d,) array.
     """
-    if (isinstance(fset, Box) and fset.dim == 1 and isinstance(g, (list, tuple))
-            and len(g) == 1 and isinstance(g[0], (float, int))):
-        return np.array([_ftrl_argmin_1d(fset, float(g[0]), mu, reg)])
+    if isinstance(g, float) and isinstance(fset, Box) and fset.dim == 1:
+        return np.array([_ftrl_argmin_1d(fset, g, mu)])
     g = np.asarray(g, dtype=float)
     if g.shape != (fset.dim,):
         raise ValueError(f"linear term has shape {g.shape}, expected ({fset.dim},)")
@@ -130,10 +116,10 @@ def ftrl_argmin(fset: FeasibleSet, g, mu: float, reg: Regularizer) -> np.ndarray
         raise ValueError("mu must be >= 0")
     if mu == 0.0:
         return minimize_linear(fset, g)
-    return project(fset, reg.center - g / mu)
+    return project(fset, fset.center - g / mu)
 
 
-def _ftrl_argmin_1d(fset: Box, g: float, mu: float, reg: Regularizer) -> float:
+def _ftrl_argmin_1d(fset: Box, g: float, mu: float) -> float:
     """`ftrl_argmin` on a 1-D box in floats: the sign rule of
     `minimize_linear` at mu = 0, else the clamp of `project` (np.clip:
     lower bound first) applied to center - g/mu."""
@@ -142,9 +128,10 @@ def _ftrl_argmin_1d(fset: Box, g: float, mu: float, reg: Regularizer) -> float:
     if mu < 0:
         raise ValueError("mu must be >= 0")
     lo, hi = fset.lo.item(), fset.hi.item()
+    center = 0.5 * (lo + hi)  # the bits of Box.center
     if mu == 0.0:
-        return lo if g > 0 else hi if g < 0 else 0.5 * (lo + hi)
-    x = reg.center.item() - g / mu
+        return lo if g > 0 else hi if g < 0 else center
+    x = center - g / mu
     if not math.isfinite(x):
         raise ValueError("decision has non-finite entries")
     x = x if x > lo else lo

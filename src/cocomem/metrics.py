@@ -277,17 +277,6 @@ def regret_and_ccv(trace: RunTrace, benchmark: Benchmark | None = None) -> Metri
     )
 
 
-def prefix_static_regret(trace: RunTrace, upto: int) -> float:
-    """Static regret of the first rounds up to `upto`, against the
-    best-in-hindsight point of that prefix."""
-    bench = best_in_hindsight(trace.instance, upto=upto)
-    if not bench.feasible:
-        return math.nan
-    n = upto - trace.first_round + 1
-    f_mem = float(np.sum(trace.col("f_mem")[:n]))
-    return f_mem - float(np.sum(lift_loss_at(trace.instance, bench.x_star, upto=upto)))
-
-
 # ---------------------------------------------------------------------------
 # Theoretical bound calculators (explicit proof constants)
 

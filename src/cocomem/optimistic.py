@@ -16,25 +16,27 @@ upper-bound sequence).  With memory-less constraints the constraint
 slice sits at delay 0 and its multiplier uses the fresh violation
 Phi'(V_{t-1}) instead of the delayed one.
 
-`OdafLearner` plays in Python floats (a vector is a list of d floats):
-it reads each round's slice rows from the instance arrays as the round
-is played and takes Phi' from `penalty.phi_prime`.  A forward gradient
-settles m rounds after its decision, so it keeps only the last O(m)
-rounds of history.  Dot products, norms and sums of squares are one
-float product at d = 1 and go through numpy at d >= 2, so every value
-keeps the bits of the numpy learner in `tests/reference_odaf.py`, the
-reference the tests hold it to.
+`OdafLearner` holds a vector as a Python float at d = 1 and as a (d,)
+float array at d >= 2, so `+`, `-` and scalar `*` serve both.  It reads
+each round's slice rows from the instance arrays as the round is played
+and takes Phi' from `penalty.phi_prime`.  A forward gradient settles m
+rounds after its decision, so it keeps only the last O(m) rounds of
+history.  Dot products, norms and sums of squares are one float product
+at d = 1 and numpy's own at d >= 2, so every value keeps the bits of the
+numpy learner in `tests/reference_odaf.py`, the reference the tests
+hold it to.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 import numpy as np
 
 from .core import Variant, round_table
-from .geometry import Regularizer, ftrl_argmin, regret_coefficient
+from .geometry import ftrl_argmin, regret_coefficient
 from .metrics import RunTrace
 from .penalty import PenaltyKind, check_lambda, lambda_optimistic, phi_prime, saturated
 
@@ -49,17 +51,16 @@ def huber(x: float, y: float) -> float:
     return 0.5 * x * x - 0.5 * hinge * hinge
 
 
-def _add(a: list, b: list) -> list:
-    return [p + q for p, q in zip(a, b)]
-
-
-def _reductions(dim: int):
-    """(dot, sum of squares) of list vectors with the bits of numpy's
+def _vectors(dim: int):
+    """(vec, dot, sumsq, finite) of the learner's vector type, a float at
+    d = 1 and a (d,) float array at d >= 2: `vec` makes a vector of a
+    length-d sequence, and the reductions have the bits of numpy's
     `a @ b` and `np.sum(a ** 2)`; numpy itself at d >= 2, where a BLAS
     dot may round as fma(a1, b1, a0 * b0)."""
     if dim == 1:
-        return (lambda a, b: a[0] * b[0]), (lambda a: a[0] * a[0])
-    return (lambda a, b: float(np.dot(a, b))), (lambda a: float(np.sum(np.array(a) ** 2)))
+        return (lambda p: float(p[0])), operator.mul, (lambda a: a * a), math.isfinite
+    return ((lambda p: np.asarray(p, dtype=float)), (lambda a, b: float(np.dot(a, b))),
+            (lambda a: float(np.sum(a ** 2))), (lambda a: bool(np.isfinite(a).all())))
 
 
 class OdafLearner:
@@ -88,14 +89,14 @@ class OdafLearner:
         self.fset = instance.fset
         self.predictor = predictor
         predictor.bind(instance)
-        self.reg = Regularizer(self.fset)
         self.alpha = _alpha(instance, alpha)
         self.dual_delay = self.m + 1 if variant is Variant.COCO_M2 else 1
-        self._dot, self._sumsq = _reductions(self.dim)
-        self._zero = [0.0] * self.dim
+        self._vec, self._dot, self._sumsq, self._finite = _vectors(self.dim)
+        # shared by every sum that starts from zero: never updated in place
+        self._zero = self._vec(np.zeros(self.dim))
 
         first = instance.first_round
-        center = tuple(self.fset.center.tolist())
+        center = self._vec(self.fset.center)
         self.x_hist = {r: center for r in range(first - self.m - 1, first)}
         self.v_hist: dict[int, float] = {}
         self.records = round_table(instance.horizon - first + 1, self.dim)
@@ -110,8 +111,7 @@ class OdafLearner:
         rounds before t read as absent, the gradient memory and hint-error
         statistics start fresh, and x_t is committed again."""
         check_lambda(lam)
-        self.lam = lam
-        self._start = t
+        self.lam = float(lam)  # keeps numpy scalars out of the float arithmetic
         # slice rows this epoch sees: rounds before it (or without slices
         # in the instance) read as absent
         self._lo = max(t, self.m + 1)
@@ -119,8 +119,8 @@ class OdafLearner:
         # they touch, else None) of the slices revealed in round r
         self._seen: dict[int, tuple] = {}
         # decision s -> revealed part of grad Z_s, summed in delay order
-        self._open: dict[int, list] = {}
-        self._forward: dict[int, list] = {}
+        self._open: dict[int, float | np.ndarray] = {}
+        self._forward: dict[int, float | np.ndarray] = {}
         self._rev_sum = self._zero
         self._last_complete = t - self.m - 1  # newest assembled forward round
         # hint round -> (hint, its forecasts) until the round's gradient settles
@@ -138,7 +138,7 @@ class OdafLearner:
         """Decision of round r, while the learner still holds it."""
         if r not in self.x_hist:
             raise ValueError(f"decision of round {r} is not held")
-        return np.array(self.x_hist[r])
+        return np.array(self.x_hist[r], dtype=float, ndmin=1)
 
     def v_at(self, r: int) -> float:
         """Cumulative violation after round r; rounds before the run and
@@ -149,18 +149,6 @@ class OdafLearner:
         if self.inst.first_round <= r <= self._last_played:
             raise ValueError(f"violation of round {r} is no longer held")
         return 0.0
-
-    def forward_gradient(self, s: int) -> np.ndarray:
-        """grad Z_s, available once every slice (s+i, i) is revealed and
-        until m more rounds have settled."""
-        if s > self._last_complete:
-            raise ValueError(f"forward gradient of round {s} is not revealed yet")
-        z = self._forward.get(s)
-        if z is not None:
-            return np.array(z)
-        if s >= max(1, self._start - self.m):
-            raise ValueError(f"forward gradient of round {s} is no longer held")
-        return np.zeros(self.dim)
 
     def _mult(self, r: int) -> float:
         """Penalty weight of round r's constraint slice inside the forward
@@ -178,8 +166,11 @@ class OdafLearner:
         f, g_rows, active = None, [], [None] * (m + 1)
         if self._lo <= t <= self.inst.horizon:
             inst = self.inst
-            f = inst.f_coef[t].tolist()
-            coef, off = inst.g_coef[t].tolist(), inst.g_off[t].tolist()
+            # floats at d = 1, row views at d >= 2
+            f, coef = inst.f_coef[t], inst.g_coef[t]
+            if self.dim == 1:
+                f, coef = f[:, 0].tolist(), coef[:, 0].tolist()
+            off = inst.g_off[t].tolist()
             for i, present in enumerate(inst.g_present[t].tolist()):
                 if present:
                     val = dot(coef[i], xs[t - i]) + off[i]
@@ -188,13 +179,13 @@ class OdafLearner:
                         active[i] = coef[i]
         self._seen[t] = (f, active)
         self._seen.pop(t - m - 1, None)
-        mult = self._mult(t) if any(active) else 0.0
+        mult = self._mult(t) if any(a is not None for a in active) else 0.0
         for i in range(m + 1):
             z = self._open.get(t - i, self._zero)
             if f is not None:
-                z = _add(z, f[i])
+                z = z + f[i]
             if active[i] is not None:
-                z = [p + mult * q for p, q in zip(z, active[i])]
+                z = z + mult * active[i]
             self._open[t - i] = z
         return f, g_rows
 
@@ -205,7 +196,7 @@ class OdafLearner:
         z = self._open.pop(s)
         self._forward[s] = z
         self._forward.pop(s - m - 1, None)
-        self._rev_sum = _add(self._rev_sum, z)
+        self._rev_sum = self._rev_sum + z
         self._last_complete = s
         pending = self._pending.pop(s, None)
         if pending is None:
@@ -214,8 +205,8 @@ class OdafLearner:
         win = self._zero
         for j in range(s - m, s + 1):
             if j in self._forward:
-                win = _add(win, self._forward[j])
-        diff = [h - w for h, w in zip(hint, win)]
+                win = win + self._forward[j]
+        diff = hint - win
         err = math.sqrt(self._dot(diff, diff))
         zn = math.sqrt(self._dot(z, z))
         a = self.fset.diameter * min(err, zn)
@@ -224,37 +215,38 @@ class OdafLearner:
         self._cum_sq += a * a + 2.0 * self.alpha * huber(err, zn)
         return self._prediction_errors(diff, preds)
 
-    def _prediction_errors(self, diff: list, preds: list) -> tuple[float, float, float]:
+    def _prediction_errors(self, diff, preds: list) -> tuple[float, float, float]:
         """(eps_Z, eps_f, eps_g) of a hint once its forward gradient is
         revealed; `diff` is the hint minus the revealed window sum."""
         zero = self._zero
         df = dg = zero
         for r, i, f_pred, g_pred in preds:
             f, active = self._seen[r]
-            df = [p + (q - w) for p, q, w in zip(df, f_pred, zero if f is None else f[i])]
-            dg = [p + (q - w) for p, q, w in zip(dg, g_pred, active[i] or zero)]
+            df = df + (f_pred - (zero if f is None else f[i]))
+            dg = dg + (g_pred - (zero if active[i] is None else active[i]))
         return self._sumsq(diff), self._dot(df, df), self._dot(dg, dg)
 
     # -- hint assembly and the FTRL step ------------------------------------
 
-    def _forecast(self, r: int, i: int) -> tuple[list, list, float]:
-        """This round's forecast of slice pair (r, i): the loss coefficient
-        and the constraint's coefficient and offset.  The predictor is
-        queried once per pair per round; a non-finite forecast falls back
-        to zero."""
+    def _forecast(self, r: int, i: int) -> tuple:
+        """This round's forecast of slice pair (r, i) as vectors: the loss
+        coefficient and the constraint's coefficient and offset.  The
+        predictor is queried once per pair per round; a non-finite
+        forecast falls back to zero."""
         fc = self._forecasts.get((r, i))
         if fc is None:
-            f = list(map(float, self.predictor.predict_f(r, i)))
-            if not all(map(math.isfinite, f)):
+            vec, finite = self._vec, self._finite
+            f = vec(self.predictor.predict_f(r, i))
+            if not finite(f):
                 f = self._zero
             g_coef, g_off = self.predictor.predict_g(r, i)
-            g, g_off = list(map(float, g_coef)), float(g_off)
-            if not (all(map(math.isfinite, g)) and math.isfinite(g_off)):
+            g, g_off = vec(g_coef), float(g_off)
+            if not (finite(g) and math.isfinite(g_off)):
                 g, g_off = self._zero, 0.0
             fc = self._forecasts[(r, i)] = (f, g, g_off)
         return fc
 
-    def _pending_subtotal(self, s: int, t: int, preds: list) -> list:
+    def _pending_subtotal(self, s: int, t: int, preds: list):
         """Known-plus-predicted stand-in for grad Z_s, accumulated in the
         same slice order as the settled gradient so perfect predictions
         reproduce it bitwise."""
@@ -263,10 +255,9 @@ class OdafLearner:
         for i in range(t - s + 1, self.m + 1):
             r = s + i
             f_pred, g, g_off = self._forecast(r, i)
-            z = _add(z, f_pred)
+            z = z + f_pred
             if self._dot(g, x_s) + g_off > 0.0:
-                mult = self._mult(r)
-                z = [p + mult * q for p, q in zip(z, g)]
+                z = z + self._mult(r) * g
                 preds.append((r, i, f_pred, g))
             else:
                 preds.append((r, i, f_pred, self._zero))
@@ -282,7 +273,7 @@ class OdafLearner:
         # pending decisions s = t+1-m .. t: known slices plus predictions
         base = self._zero
         for s in range(nxt - m, nxt):
-            base = _add(base, self._pending_subtotal(s, t, preds))
+            base = base + self._pending_subtotal(s, t, preds)
         # predicted forward gradient of the decision being committed; each
         # constraint forecast with a nonzero coefficient may toggle, and
         # carries its weighted gradient
@@ -290,26 +281,25 @@ class OdafLearner:
         toggles = []
         for i, (_, g, g_off) in enumerate(block):
             if dot(g, g) > 0.0:
-                mult = self._mult(nxt + i)
-                toggles.append((i, g, g_off, [mult * q for q in g]))
+                toggles.append((i, g, g_off, self._mult(nxt + i) * g))
 
         mu = (2.0 / self.alpha) * self._max_awin + math.sqrt(self._cum_sq) / self.alpha
         self.mu_now = mu
         f_block = self._zero
         for f_pred, _, _ in block:
-            f_block = _add(f_block, f_pred)
-        lin0 = _add(_add(self._rev_sum, base), f_block)
+            f_block = f_block + f_pred
+        lin0 = self._rev_sum + base + f_block
         x_next, flags = self._resolve_pending_activity(lin0, mu, toggles, self.x_hist[t])
         on = {i: term for (i, _, _, term), flag in zip(toggles, flags) if flag}
         ztilde = self._zero
         for i, (f_pred, g, _) in enumerate(block):
-            ztilde = _add(ztilde, f_pred)
+            ztilde = ztilde + f_pred
             if i in on:
-                ztilde = _add(ztilde, on[i])
+                ztilde = ztilde + on[i]
                 preds.append((nxt + i, i, f_pred, g))
             else:
                 preds.append((nxt + i, i, f_pred, self._zero))
-        hint = _add(base, ztilde)
+        hint = base + ztilde
         self.hints[nxt - self.inst.first_round] = hint
         self._pending[nxt] = (hint, preds)
         self.x_hist[nxt] = x_next
@@ -320,7 +310,7 @@ class OdafLearner:
             awin = sum(self._a.get(j, 0.0) for j in range(s - m + 1, s + 1))
             self._max_awin = max(self._max_awin, awin)
 
-    def _resolve_pending_activity(self, lin0: list, mu: float, toggles, x_last: tuple):
+    def _resolve_pending_activity(self, lin0, mu: float, toggles, x_last):
         """Search for an activity pattern of the pending round's constraint
         forecasts that reproduces itself at the decision it induces; falls
         back to judging activity at the last committed decision when no
@@ -331,24 +321,23 @@ class OdafLearner:
         fallback pattern and the k + 1 patterns between the sorted
         thresholds go before the 2^k enumeration, unless some pattern's
         decision could overflow: then the enumeration meets the error."""
-        fset, reg, dot = self.fset, self.reg, self._dot
+        fset, vec, dot = self.fset, self._vec, self._dot
         if not toggles:
-            return tuple(ftrl_argmin(fset, lin0, mu, reg).tolist()), ()
+            return vec(ftrl_argmin(fset, lin0, mu)), ()
 
         def flags_at(x):
             return tuple(dot(g, x) + g_off > 0.0 for _, g, g_off, _ in toggles)
 
-        tried: dict[tuple, tuple] = {}
+        tried: dict[tuple, float | np.ndarray] = {}
 
-        def decide(pattern) -> tuple:
+        def decide(pattern):
             if pattern not in tried:
-                lin = _with_terms(lin0, toggles, pattern)
-                tried[pattern] = tuple(ftrl_argmin(fset, lin, mu, reg).tolist())
+                tried[pattern] = vec(ftrl_argmin(fset, _with_terms(lin0, toggles, pattern), mu))
             return tried[pattern]
 
         last = flags_at(x_last)
         candidates = ()
-        if self.dim == 1 and _decisions_finite(lin0, mu, toggles, reg.center.item()):
+        if self.dim == 1 and _decisions_finite(lin0, mu, toggles, fset.center.item()):
             candidates = itertools.chain((last,), _interval_patterns(toggles))
         if len(toggles) <= MAX_PATTERN_SLICES:
             candidates = itertools.chain(
@@ -404,21 +393,21 @@ class OdafLearner:
         return self.records[row]
 
 
-def _with_terms(lin0: list, toggles, flags) -> list:
+def _with_terms(lin0, toggles, flags):
     """lin0 plus the weighted gradients of the toggles switched on."""
     lin = lin0
     for (_, _, _, term), on in zip(toggles, flags):
         if on:
-            lin = _add(lin, term)
+            lin = lin + term
     return lin
 
 
-def _decisions_finite(lin0: list, mu: float, toggles, center: float) -> bool:
+def _decisions_finite(lin0: float, mu: float, toggles, center: float) -> bool:
     """Whether every pattern's linear term and decision is finite: bounded
     by |lin0| + sum |term| and |center| + that / mu (rounding is monotone)."""
-    bound = abs(lin0[0])
+    bound = abs(lin0)
     for _, _, _, term in toggles:
-        bound += abs(term[0])
+        bound += abs(term)
     if mu != 0.0:
         bound = abs(center) + bound / mu
     return math.isfinite(bound)
@@ -428,9 +417,9 @@ def _interval_patterns(toggles):
     """The k + 1 activity patterns of 1-D toggles on the intervals between
     their thresholds -off/g, from x = -inf upwards: a toggle with g < 0
     starts on, and each threshold passed flips its toggle."""
-    flags = [g[0] < 0.0 for _, g, _, _ in toggles]
+    flags = [g < 0.0 for _, g, _, _ in toggles]
     yield tuple(flags)
-    for j in sorted(range(len(toggles)), key=lambda j: -toggles[j][2] / toggles[j][1][0]):
+    for j in sorted(range(len(toggles)), key=lambda j: -toggles[j][2] / toggles[j][1]):
         flags[j] = not flags[j]
         yield tuple(flags)
 

@@ -1,0 +1,18 @@
+"""Helpers that several test modules share."""
+
+import math
+
+import numpy as np
+
+from cocomem.metrics import RunTrace, best_in_hindsight, lift_loss_at
+
+
+def prefix_static_regret(trace: RunTrace, upto: int) -> float:
+    """Static regret of the first rounds up to `upto`, against the
+    best-in-hindsight point of that prefix."""
+    bench = best_in_hindsight(trace.instance, upto=upto)
+    if not bench.feasible:
+        return math.nan
+    n = upto - trace.first_round + 1
+    f_mem = float(np.sum(trace.col("f_mem")[:n]))
+    return f_mem - float(np.sum(lift_loss_at(trace.instance, bench.x_star, upto=upto)))

@@ -4,7 +4,8 @@ reference the float learner is held to, bit for bit.
 `OdafLearner` plays every round on numpy arrays of shape (d,) and keeps
 its history in dicts that grow with the horizon; it is the learner the
 package shipped before `optimistic.OdafLearner` moved to Python floats
-with O(m) state, kept here unchanged.  `run_optimistic`,
+with O(m) state, kept here unchanged but for the regularizer, which
+`ftrl_argmin` now takes from the feasible set.  `run_optimistic`,
 `DoublingLearner` and `run_doubling` drive it exactly as the package's
 runners drive theirs, and report the same extras.
 """
@@ -17,7 +18,7 @@ import math
 import numpy as np
 
 from cocomem.core import Variant, round_table
-from cocomem.geometry import Regularizer, ftrl_argmin, regret_coefficient
+from cocomem.geometry import ftrl_argmin, regret_coefficient
 from cocomem.metrics import RunTrace
 from cocomem.optimistic import MAX_PATTERN_SLICES, DoublingSchedule, doubling_mu1, huber
 from cocomem.penalty import Penalty, PenaltyKind, lambda_optimistic
@@ -59,7 +60,6 @@ class OdafLearner:
         self.penalty = penalty
         self.predictor = predictor
         predictor.bind(instance)
-        self.reg = Regularizer(self.fset)
         self.alpha = float(alpha) if alpha is not None else self.fset.diameter**2
         self.first = instance.first_round if first_round is None else first_round
         self.floor = self.first if visibility_floor is None else visibility_floor
@@ -277,15 +277,15 @@ class OdafLearner:
         back to judging activity at the last committed decision when no
         pattern is self-consistent."""
         if not toggles:
-            return ftrl_argmin(self.fset, lin0, mu, self.reg), ()
+            return ftrl_argmin(self.fset, lin0, mu), ()
         if len(toggles) <= MAX_PATTERN_SLICES:
             for pattern in itertools.product((False, True), repeat=len(toggles)):
-                x = ftrl_argmin(self.fset, _with_terms(lin0, toggles, pattern), mu, self.reg)
+                x = ftrl_argmin(self.fset, _with_terms(lin0, toggles, pattern), mu)
                 if tuple(_active(g, x) for _, g, _ in toggles) == pattern:
                     return x, pattern
         self.fixed_point_fallbacks += 1
         flags = tuple(_active(g, x_last) for _, g, _ in toggles)
-        return ftrl_argmin(self.fset, _with_terms(lin0, toggles, flags), mu, self.reg), flags
+        return ftrl_argmin(self.fset, _with_terms(lin0, toggles, flags), mu), flags
 
     # -- one full round -------------------------------------------------------
 

@@ -29,13 +29,14 @@ from cocomem import (
     theorem_bound_report,
 )
 from cocomem.core import Ball, Box
-from cocomem.geometry import Regularizer, ftrl_argmin, project
+from cocomem.geometry import ftrl_argmin, project
 from cocomem.harness import ExperimentConfig, run_experiment
-from cocomem.metrics import lift_loss_at, prefix_static_regret
+from cocomem.metrics import lift_loss_at
 from cocomem.optimistic import DoublingSchedule, huber
 from cocomem.penalty import lambda_exponential_short_memory, short_memory_condition
 from cocomem.penalty_ogd import adaptive_step  # noqa: F401  (surface exercised below)
 from cocomem.penalty_ogd import surrogate_gradient
+from helpers import prefix_static_regret
 
 SEEDS = list(range(10))
 
@@ -296,15 +297,14 @@ def test_c7_ftrl_argmin_vs_grid():
         half = float(rng.uniform(0.5, 20.0))
         center = float(rng.normal(scale=3.0))
         fset = Box([center - half], [center + half])
-        reg = Regularizer(fset)
         g = np.array([float(rng.normal(scale=5.0))])
         mu = float(rng.uniform(0.0, 4.0)) if rng.uniform() > 0.2 else 0.0
-        x = ftrl_argmin(fset, g, mu, reg)
+        x = ftrl_argmin(fset, g, mu)
         grid = np.linspace(center - half, center + half, 200001)
         obj = g[0] * grid + mu * 0.5 * (grid - center) ** 2
         best = grid[np.argmin(obj)]
         tol = 1e-5 * fset.diameter
-        got = g[0] * x[0] + mu * reg.value(x)
+        got = g[0] * x[0] + mu * 0.5 * (x[0] - fset.center[0]) ** 2
         assert got <= float(np.min(obj)) + 1e-12 + 1e-12 * abs(got)
         if mu > 0 or abs(g[0]) > 1e-12:
             assert abs(x[0] - best) <= tol + (grid[1] - grid[0])

@@ -4,13 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cocomem.core import Ball, Box
-from cocomem.geometry import (
-    Regularizer,
-    ftrl_argmin,
-    minimize_linear,
-    project,
-    regret_coefficient,
-)
+from cocomem.geometry import ftrl_argmin, minimize_linear, project, regret_coefficient
 
 
 def test_box_projection_clamps():
@@ -42,18 +36,17 @@ def test_projection_idempotent_and_nonexpansive():
 
 def test_ftrl_argmin_examples():
     s = Ball([0.0, 0.0], 15.0)
-    r = Regularizer(s)
     # unconstrained optimum -g/mu interior
-    assert np.allclose(ftrl_argmin(s, [2.0, 0.0], 1.0, r), [-2.0, 0.0])
+    assert np.allclose(ftrl_argmin(s, [2.0, 0.0], 1.0), [-2.0, 0.0])
     # optimum clipped to the boundary
-    assert np.allclose(ftrl_argmin(s, [2.0, 0.0], 0.1, r), [-15.0, 0.0])
+    assert np.allclose(ftrl_argmin(s, [2.0, 0.0], 0.1), [-15.0, 0.0])
     # zero linear term
-    assert np.allclose(ftrl_argmin(s, [0.0, 0.0], 2.0, r), [0.0, 0.0])
+    assert np.allclose(ftrl_argmin(s, [0.0, 0.0], 2.0), [0.0, 0.0])
     # mu = 0 on a box: vertex of the linear program
     b = Box([-1.0, -1.0], [1.0, 1.0])
-    assert np.allclose(ftrl_argmin(b, [3.0, -3.0], 0.0, Regularizer(b)), [-1.0, 1.0])
+    assert np.allclose(ftrl_argmin(b, [3.0, -3.0], 0.0), [-1.0, 1.0])
     # mu = 0 ties resolve to the center coordinate
-    assert np.allclose(ftrl_argmin(b, [0.0, 2.0], 0.0, Regularizer(b)), [0.0, -1.0])
+    assert np.allclose(ftrl_argmin(b, [0.0, 2.0], 0.0), [0.0, -1.0])
 
 
 def test_ftrl_argmin_beats_random_feasible_points():
@@ -64,12 +57,11 @@ def test_ftrl_argmin_beats_random_feasible_points():
         else:
             lo = rng.normal(size=2)
             fset = Box(lo, lo + rng.uniform(0.5, 4.0, size=2))
-        reg = Regularizer(fset)
         g = rng.normal(scale=3.0, size=2)
         mu = float(rng.uniform(0.01, 5.0))
-        x = ftrl_argmin(fset, g, mu, reg)
+        x = ftrl_argmin(fset, g, mu)
         assert fset.contains(x, tol=1e-9)
-        obj = g @ x + mu * reg.value(x)
+        obj = g @ x + mu * 0.5 * float(np.sum((x - fset.center) ** 2))
         pts = rng.uniform(-1.0, 1.0, size=(1000, 2))
         if isinstance(fset, Ball):
             cand = fset.center + pts * fset.radius
@@ -78,22 +70,21 @@ def test_ftrl_argmin_beats_random_feasible_points():
             cand = fset.center + (cand - fset.center) * scale[:, None]
         else:
             cand = fset.lo + (pts + 1.0) / 2.0 * (fset.hi - fset.lo)
-        vals = cand @ g + mu * 0.5 * np.sum((cand - reg.center) ** 2, axis=1)
+        vals = cand @ g + mu * 0.5 * np.sum((cand - fset.center) ** 2, axis=1)
         assert np.all(obj <= vals + 1e-10)
 
 
 def test_ftrl_argmin_validates_input():
     b = Box([-1.0], [1.0])
-    r = Regularizer(b)
     with pytest.raises(ValueError):
-        ftrl_argmin(b, [1.0, 2.0], 1.0, r)
+        ftrl_argmin(b, [1.0, 2.0], 1.0)
     with pytest.raises(ValueError):
-        ftrl_argmin(b, [np.nan], 1.0, r)
+        ftrl_argmin(b, [np.nan], 1.0)
     with pytest.raises(ValueError):
-        ftrl_argmin(b, [1.0], -0.5, r)
+        ftrl_argmin(b, [1.0], -0.5)
 
 
-def _numpy_argmin(fset, g, mu, reg):
+def _numpy_argmin(fset, g, mu):
     """The numpy steps of ftrl_argmin: outcome bytes, or the error message."""
     try:
         g = np.array([g])
@@ -102,7 +93,7 @@ def _numpy_argmin(fset, g, mu, reg):
         if mu < 0:
             raise ValueError("mu must be >= 0")
         with np.errstate(all="ignore"):
-            x = minimize_linear(fset, g) if mu == 0.0 else project(fset, reg.center - g / mu)
+            x = minimize_linear(fset, g) if mu == 0.0 else project(fset, fset.center - g / mu)
         return x.tobytes()
     except ValueError as exc:
         return str(exc)
@@ -117,17 +108,16 @@ def _numpy_argmin(fset, g, mu, reg):
     mu=st.sampled_from([0.0, 5e-324, 1e-300, -0.5, float("inf")]) | st.floats(1e-6, 20.0),
 )
 def test_1d_box_argmin_has_the_numpy_bits_and_errors(lo, width, g, mu):
-    """On a 1-D box the float argmin equals project(center - g/mu) and
-    minimize_linear bit for bit (signed zeros included), and raises the
-    same errors, for a list or tuple linear term (an array takes the numpy
-    path)."""
+    """On a 1-D box the argmin of a float linear term (the float path)
+    equals project(center - g/mu) and minimize_linear bit for bit (signed
+    zeros included), and raises the same errors; so does a one-element
+    list, tuple or array, which takes the numpy path."""
     fset = Box([lo], [lo + width])
-    reg = Regularizer(fset)
-    want = _numpy_argmin(fset, g, mu, reg)
-    for arg in ([g], (g,), np.array([g])):
+    want = _numpy_argmin(fset, g, mu)
+    for arg in (g, [g], (g,), np.array([g])):
         try:
             with np.errstate(over="ignore"):
-                x = ftrl_argmin(fset, arg, mu, reg)
+                x = ftrl_argmin(fset, arg, mu)
         except ValueError as exc:
             got = str(exc)
         else:
@@ -136,22 +126,16 @@ def test_1d_box_argmin_has_the_numpy_bits_and_errors(lo, width, g, mu):
         assert got == want
 
 
-def test_1d_box_argmin_rejects_other_shapes():
+def test_argmin_rejects_other_shapes():
+    """A float is a 1-D box's own input; other shapes, and a float on a
+    2-D set, raise."""
     b = Box([-1.0], [1.0])
-    r = Regularizer(b)
-    for g, shape in (([1.0, 2.0], r"\(2,\)"), ([[1.0]], r"\(1, 1\)"), (2.0, r"\(\)"),
+    for g, shape in (([1.0, 2.0], r"\(2,\)"), ([[1.0]], r"\(1, 1\)"),
                      (np.array([[1.0]]), r"\(1, 1\)")):
         with pytest.raises(ValueError, match=f"linear term has shape {shape}"):
-            ftrl_argmin(b, g, 1.0, r)
-
-
-def test_regularizer_max_value():
-    b = Box([-15.0], [15.0])
-    r = Regularizer(b)
-    assert r.value(b.center) == 0.0
-    # max over the set: half of (diameter/2)^2, attained at the endpoints
-    assert r.r_max == pytest.approx(0.5 * 15.0**2)
-    assert r.value([15.0]) == pytest.approx(r.r_max)
+            ftrl_argmin(b, g, 1.0)
+    with pytest.raises(ValueError, match=r"linear term has shape \(\)"):
+        ftrl_argmin(Ball([0.0, 0.0], 1.0), 2.0, 1.0)
 
 
 def test_regret_coefficient_formula():
@@ -160,3 +144,9 @@ def test_regret_coefficient_formula():
     # (r_max/alpha + 1)(m*D + sqrt(D^2 + alpha)) with r_max = 2, D = 4
     want = (2.0 / 16.0 + 1.0) * (3 * 4.0 + np.sqrt(16.0 + 16.0))
     assert regret_coefficient(b, 3, alpha) == pytest.approx(want)
+    # r_max = 0.5 (D/2)^2 is the regularizer 0.5 ||x - center||^2 at the
+    # farthest points of the set: a box's endpoints, a ball's boundary
+    for fset, far in ((Box([-15.0], [15.0]), [15.0]), (Ball([1.0, -1.0], 15.0), [1.0, 14.0])):
+        r_max = 0.5 * float(np.sum((np.array(far) - fset.center) ** 2))
+        assert r_max == 0.5 * 15.0**2
+        assert regret_coefficient(fset, 0, 1.0) == pytest.approx((r_max + 1.0) * np.sqrt(900.0 + 1.0))

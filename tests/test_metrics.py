@@ -29,12 +29,12 @@ from cocomem.metrics import (
     grid_points,
     lift_loss_at,
     per_round_min_series,
-    prefix_static_regret,
     regret_rhs_exponential,
     regret_rhs_quadratic,
     _forward_parts,
     _grid_best,
 )
+from helpers import prefix_static_regret
 
 
 def _two_round_instance(c, d):

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import math
@@ -20,7 +21,7 @@ from cocomem import (
     run_optimistic,
 )
 from cocomem.core import Box
-from cocomem.geometry import Regularizer, ftrl_argmin, minimize_linear, project
+from cocomem.geometry import ftrl_argmin, minimize_linear, project
 from cocomem.harness import load_config, run_single
 from cocomem.metrics import reconstruct_hint_errors
 from cocomem.optimistic import DoublingSchedule, OdafLearner, huber
@@ -35,6 +36,20 @@ def _rows(inst, r, i):
     if not inst.m < r <= inst.horizon:
         return np.zeros(inst.dim), np.zeros(inst.dim), 0.0
     return inst.f_coef[r, i], inst.g_coef[r, i], float(inst.g_off[r, i])
+
+
+def forward_gradient(learner, s):
+    """grad Z_s as the learner holds it: available once every slice
+    (s+i, i) is revealed and until m more rounds have settled; rounds
+    before the epoch's first settled forward round read as zero."""
+    if s > learner._last_complete:
+        raise ValueError(f"forward gradient of round {s} is not revealed yet")
+    z = learner._forward.get(s)
+    if z is not None:
+        return np.array(z, dtype=float, ndmin=1)
+    if s >= max(1, learner._lo - learner.m):
+        raise ValueError(f"forward gradient of round {s} is no longer held")
+    return np.zeros(learner.dim)
 
 
 def _forward_gradient(inst, tr, pen, s):
@@ -95,18 +110,18 @@ def test_forward_gradient_hand_sum():
     learner.play_round(3)
     # grad Z_2 = f(2,0) + f(3,1) + Phi'(V_0) * g(3,1)-part (absent)
     want = inst.f_coef[2, 0] + inst.f_coef[3, 1]
-    assert np.allclose(learner.forward_gradient(2), want)
+    assert np.allclose(forward_gradient(learner, 2), want)
     learner.play_round(4)
     # grad Z_3 = f(3,0) + f(4,1) + Phi'(V_1) * g(3,0) * [active at x_3]
     x3 = learner.x_at(3)
     want = inst.f_coef[3, 0] + inst.f_coef[4, 1]
     if 0.5 * x3[0] - 0.5 > 0:
         want = want + pen.prime(learner.v_at(1)) * inst.g_coef[3, 0]
-    assert np.allclose(learner.forward_gradient(3), want)
+    assert np.allclose(forward_gradient(learner, 3), want)
     for t in range(5, 7):
         learner.play_round(t)
     with pytest.raises(ValueError):
-        learner.forward_gradient(6)  # needs round 7 to reveal slice (7, 1)
+        forward_gradient(learner, 6)  # needs round 7 to reveal slice (7, 1)
 
 
 def test_forward_gradient_m0_collapse():
@@ -121,7 +136,7 @@ def test_forward_gradient_m0_collapse():
         want = f.copy()
         if float(g @ learner.x_at(t)) + off > 0:
             want = want + pen.prime(learner.v_at(t - 1)) * g
-        assert np.allclose(learner.forward_gradient(t), want)
+        assert np.allclose(forward_gradient(learner, t), want)
 
 
 @pytest.mark.parametrize("m", [0, 1, 3])
@@ -135,18 +150,18 @@ def test_reads_of_dropped_rounds_raise(m):
     for t in range(first, 31):
         learner.play_round(t)
     assert len(learner.x_hist) <= m + 2 and len(learner.v_hist) <= 2 * m + 2
-    for read, r in ((learner.forward_gradient, first), (learner.v_at, first),
-                    (learner.x_at, first)):
+    for read, r in ((functools.partial(forward_gradient, learner), first),
+                    (learner.v_at, first), (learner.x_at, first)):
         with pytest.raises(ValueError, match="no longer held|not held"):
             read(r)
     # still held: the newest rounds, and what the next round reads
     assert learner.v_at(30) == learner.ccv
     assert learner.x_at(31).shape == (1,)
-    assert learner.forward_gradient(30 - m).shape == (1,)
+    assert forward_gradient(learner, 30 - m).shape == (1,)
     # before the run and not yet played: V = 0, as in the penalty weight
     assert learner.v_at(first - 1) == 0.0 and learner.v_at(35) == 0.0
     with pytest.raises(ValueError, match="not revealed"):
-        learner.forward_gradient(31 - m)
+        forward_gradient(learner, 31 - m)
 
 
 def test_perfect_hint_matches_window_exactly():
@@ -230,7 +245,7 @@ def test_ftrl_step_matches_grid_argmin():
     m, first = inst.m, tr.first_round
 
     grid = np.linspace(-2.0, 2.0, 400001)
-    reg = Regularizer(inst.fset)
+    center = inst.fset.center[0]
     for t in (20, 30, 39):
         rec = tr.records[t - first]
         rev = np.zeros(1)
@@ -239,9 +254,9 @@ def test_ftrl_step_matches_grid_argmin():
         lin = rev + tr.extras["hints"][t + 1 - first]
         mu = rec.eta_or_mu
         x_next = tr.x_at(t + 1)
-        obj = lin[0] * grid + mu * 0.5 * (grid - reg.center[0]) ** 2
+        obj = lin[0] * grid + mu * 0.5 * (grid - center) ** 2
         best = grid[np.argmin(obj)]
-        got = lin[0] * x_next[0] + mu * reg.value(x_next)
+        got = lin[0] * x_next[0] + mu * 0.5 * (x_next[0] - center) ** 2
         assert got <= float(np.min(obj)) + 1e-9
         if mu > 0:
             assert abs(x_next[0] - best) <= 1e-5 * inst.fset.diameter
@@ -257,7 +272,6 @@ def test_m0_run_matches_reference_memory_free_learner():
     alpha = tr.extras["alpha"]
     pen = Penalty(PenaltyKind.EXPONENTIAL, lam)
     fset = inst.fset
-    reg = Regularizer(fset)
     d = fset.diameter
 
     x = fset.center.copy()
@@ -280,7 +294,7 @@ def test_m0_run_matches_reference_memory_free_learner():
         # the lagged window-max term spans m past errors: empty at m = 0
         mu = math.sqrt(cum_sq) / alpha
         assert tr.records[idx].eta_or_mu == pytest.approx(mu, rel=1e-12, abs=1e-15)
-        x = ftrl_argmin(fset, rev, mu, reg) if mu > 0 else minimize_linear(fset, rev)
+        x = ftrl_argmin(fset, rev, mu) if mu > 0 else minimize_linear(fset, rev)
 
 
 def test_perfect_hints_reduce_to_follow_the_leader():
@@ -479,23 +493,23 @@ def test_doubling_restarts_one_learner_and_counts_every_epochs_fallbacks(monkeyp
     assert got == [(52, 8), (52, 3), (52, 0), (52, 7), (52, 6)]
 
 
-def _enumerated_activity(fset, reg, lin0, mu, toggles, x_last):
+def _enumerated_activity(fset, lin0, mu, toggles, x_last):
     """The 2^k pattern enumeration on a 1-D set, in numpy: (x, pattern,
     fell back), or the error it meets first."""
     def decide(pattern):
         lin = lin0
         for (_, _, _, term), on in zip(toggles, pattern):
             if on:
-                lin = lin + term[0]
+                lin = lin + term
         g = np.array([lin])
         if not np.isfinite(g).all():
             raise ValueError("linear term has non-finite entries")
         with np.errstate(all="ignore"):
-            x = minimize_linear(fset, g) if mu == 0.0 else project(fset, reg.center - g / mu)
+            x = minimize_linear(fset, g) if mu == 0.0 else project(fset, fset.center - g / mu)
         return float(x[0])
 
     def flags_at(x):
-        return tuple(g[0] * x + off > 0.0 for _, g, off, _ in toggles)
+        return tuple(g * x + off > 0.0 for _, g, off, _ in toggles)
 
     try:
         for pattern in itertools.product((False, True), repeat=len(toggles)):
@@ -510,7 +524,7 @@ def _enumerated_activity(fset, reg, lin0, mu, toggles, x_last):
 
 @st.composite
 def _toggles(draw):
-    """Up to 8 1-D constraint forecasts (i, g, offset, weighted gradient)
+    """Up to 8 1-D constraint forecasts (i, g, offset, weighted gradient), floats,
     whose thresholds -offset/g often tie exactly (a shared base pair scaled
     by a power of two, either sign) or within one ulp."""
     bases = draw(st.lists(st.tuples(st.floats(0.01, 2.0), st.floats(-3.0, 3.0)),
@@ -527,7 +541,7 @@ def _toggles(draw):
         mult = draw(st.sampled_from([0.0, 1e300, math.inf] + [None] * 27))
         if mult is None:
             mult = draw(st.floats(0.0, 40.0))
-        toggles.append((i, [g], off, [mult * g]))
+        toggles.append((i, g, off, mult * g))
     return toggles
 
 
@@ -546,16 +560,16 @@ def test_1d_activity_search_matches_the_enumeration(toggles, lin0, mu, box, wher
     inst = SeparableLinearInstance(m=0, horizon=4, seed=0)
     learner = OdafLearner(inst, Variant.COCO_M2, ZeroPredictor(), 0.5)
     learner.fset = fset = Box([box[0]], [box[1]])
-    learner.reg = reg = Regularizer(fset)
     x_last = box[0] + where * (box[1] - box[0])
-    want = _enumerated_activity(fset, reg, lin0, mu, toggles, x_last)
+    want = _enumerated_activity(fset, lin0, mu, toggles, x_last)
     before = learner.fixed_point_fallbacks
     try:
-        x, pattern = learner._resolve_pending_activity([lin0], mu, toggles, (x_last,))
+        x, pattern = learner._resolve_pending_activity(lin0, mu, toggles, x_last)
     except ValueError as exc:
         got = str(exc)
     else:
-        got = x[0].hex(), pattern, learner.fixed_point_fallbacks - before
+        assert isinstance(x, float)
+        got = x.hex(), pattern, learner.fixed_point_fallbacks - before
     assert got == want
 
 
