@@ -126,14 +126,16 @@ def test_1d_box_argmin_has_the_numpy_bits_and_errors(lo, width, g, mu):
         assert got == want
 
 
-def test_argmin_rejects_other_shapes():
-    """A float is a 1-D box's own input; other shapes, and a float on a
-    2-D set, raise."""
+def test_1d_box_argmin_rejects_other_shapes():
+    """A float is a 1-D box's own input; other shapes raise."""
     b = Box([-1.0], [1.0])
     for g, shape in (([1.0, 2.0], r"\(2,\)"), ([[1.0]], r"\(1, 1\)"),
                      (np.array([[1.0]]), r"\(1, 1\)")):
         with pytest.raises(ValueError, match=f"linear term has shape {shape}"):
             ftrl_argmin(b, g, 1.0)
+
+
+def test_float_argmin_on_a_2d_set_raises():
     with pytest.raises(ValueError, match=r"linear term has shape \(\)"):
         ftrl_argmin(Ball([0.0, 0.0], 1.0), 2.0, 1.0)
 
@@ -144,6 +146,9 @@ def test_regret_coefficient_formula():
     # (r_max/alpha + 1)(m*D + sqrt(D^2 + alpha)) with r_max = 2, D = 4
     want = (2.0 / 16.0 + 1.0) * (3 * 4.0 + np.sqrt(16.0 + 16.0))
     assert regret_coefficient(b, 3, alpha) == pytest.approx(want)
+
+
+def test_regularizer_max_value():
     # r_max = 0.5 (D/2)^2 is the regularizer 0.5 ||x - center||^2 at the
     # farthest points of the set: a box's endpoints, a ball's boundary
     for fset, far in ((Box([-15.0], [15.0]), [15.0]), (Ball([1.0, -1.0], 15.0), [1.0, 14.0])):
