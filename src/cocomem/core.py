@@ -133,10 +133,12 @@ class Box(FeasibleSet):
             raise ValueError("empty box: lo > hi componentwise")
         self.dim = self.lo.size
         self.diameter = float(np.linalg.norm(self.hi - self.lo))
+        self._center = 0.5 * (self.lo + self.hi)
+        self._center.flags.writeable = False  # every reader shares this array
 
     @property
     def center(self) -> np.ndarray:
-        return 0.5 * (self.lo + self.hi)
+        return self._center
 
     def extents(self) -> tuple[np.ndarray, np.ndarray]:
         return self.lo, self.hi

@@ -431,28 +431,65 @@ class SeparableLinearInstance:
         n_active = T - m
         block_len = max(1, math.ceil(n_active / max(1, self.blocks)))
 
-        for t in range(m + 1, T + 1):
-            block = (t - m - 1) // block_len
-            sign = base_sign * (1.0 if block % 2 == 0 else -1.0)
-            # one draw per round: the same doubles, in the same order, as
-            # one size-d draw per delay
-            self.f_coef[t] = (
-                self.drift * sign * w + self.noise * rng.uniform(-1.0, 1.0, size=(m + 1, d))
-            ) / (m + 1)
-            if rng.uniform() < self.g_round_density:
+        # Round t draws, in stream order, its (m+1)*d loss uniforms, its
+        # density draw and, in a hit round, the constraint draws.  PCG64
+        # hands out doubles as one flat sequence, so the first two are one
+        # random() row.  uniform(-1, 1) is -1 + 2u of the same double u (2u
+        # is exact, so FMA contraction cannot change it) and uniform() is u.
+        # The hit draws stay generator calls: integers() reads PCG64's
+        # buffered upper 32 bits, which carry from hit to hit, and
+        # uniform(a, b) over a non-dyadic range rounds as numpy's C does.
+        k = (m + 1) * d
+        draws = np.empty((n_active, k + 1))
+        hits = []
+        for t, row in enumerate(draws, start=m + 1):
+            rng.random(out=row)
+            if row[k] < self.g_round_density:
                 i = int(rng.integers(0, m + 1)) if self.constraint_memory else 0
                 direction = rng.normal(size=d)
-                direction /= np.linalg.norm(direction)
                 mag = rng.uniform(*self.g_mag)
-                coeff = mag * direction
-                sup = self.fset.support(coeff) - float(coeff @ self.fset.center)
-                if rng.uniform() < self.g_active_fraction:
+                if rng.random() < self.g_active_fraction:
                     root = rng.uniform(*self.g_root)
                 else:
                     root = rng.uniform(1.05, 1.5)
-                self.g_coef[t, i] = coeff
-                self.g_off[t, i] = -root * sup
-                self.g_present[t, i] = True
+                hits.append((t, i, direction, mag, root))
+
+        # f_coef[t] = (drift * sign * w + noise * u') / (m + 1): one round's
+        # elementwise operations, in place for all rounds (IEEE addition
+        # commutes, so adding the drift term second changes no bit)
+        f = self.f_coef[m + 1:]
+        f[...] = draws[:, :k].reshape(n_active, m + 1, d)
+        f *= 2.0
+        f -= 1.0
+        f *= self.noise
+        for start in range(0, n_active, block_len):
+            sign = base_sign * (1.0 if start // block_len % 2 == 0 else -1.0)
+            f[start:start + block_len] += self.drift * sign * w
+        f /= m + 1
+
+        # each hit: coeff = mag * direction / |direction|, offset
+        # -root * (support(coeff) - coeff . center)
+        if not hits:
+            return
+        t_hit, i_hit, coeff, mag, root = (np.array(col) for col in zip(*hits))
+        if d == 1:
+            # the set is a Box and every per-hit norm, dot and support sum
+            # has one term (the norm of [z] is sqrt(z * z)), so the per-hit
+            # expressions hold elementwise
+            coeff /= np.sqrt(coeff * coeff)
+            coeff *= mag[:, None]
+            lo, hi = self.fset.extents()
+            sup = (np.where(coeff >= 0, coeff * hi, coeff * lo) - coeff * self.fset.center)[:, 0]
+        else:
+            center = self.fset.center
+            sup = np.empty(len(hits))
+            for h, row in enumerate(coeff):
+                row /= np.linalg.norm(row)
+                row *= mag[h]
+                sup[h] = self.fset.support(row) - float(row @ center)
+        self.g_coef[t_hit, i_hit] = coeff
+        self.g_off[t_hit, i_hit] = -root * sup
+        self.g_present[t_hit, i_hit] = True
 
     @property
     def rounds(self) -> range:

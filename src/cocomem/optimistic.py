@@ -230,21 +230,19 @@ class OdafLearner:
 
     def _forecast(self, r: int, i: int) -> tuple:
         """This round's forecast of slice pair (r, i) as vectors: the loss
-        coefficient and the constraint's coefficient and offset.  The
-        predictor is queried once per pair per round; a non-finite
-        forecast falls back to zero."""
-        fc = self._forecasts.get((r, i))
-        if fc is None:
-            vec, finite = self._vec, self._finite
-            f = vec(self.predictor.predict_f(r, i))
-            if not finite(f):
-                f = self._zero
-            g_coef, g_off = self.predictor.predict_g(r, i)
-            g, g_off = vec(g_coef), float(g_off)
-            if not (finite(g) and math.isfinite(g_off)):
-                g, g_off = self._zero, 0.0
-            fc = self._forecasts[(r, i)] = (f, g, g_off)
-        return fc
+        coefficient and the constraint's coefficient and offset; a
+        non-finite forecast falls back to zero.  `_decide_next(t)` asks
+        for each pair once: its pending pairs have r - i <= t and the
+        committed block r - i = t + 1, so nothing is cached."""
+        vec, finite = self._vec, self._finite
+        f = vec(self.predictor.predict_f(r, i))
+        if not finite(f):
+            f = self._zero
+        g_coef, g_off = self.predictor.predict_g(r, i)
+        g, g_off = vec(g_coef), float(g_off)
+        if not (finite(g) and math.isfinite(g_off)):
+            g, g_off = self._zero, 0.0
+        return f, g, g_off
 
     def _pending_subtotal(self, s: int, t: int, preds: list):
         """Known-plus-predicted stand-in for grad Z_s, accumulated in the
@@ -268,7 +266,6 @@ class OdafLearner:
         commit x_{t+1} (self-consistent activity for the pending round)."""
         m, nxt, dot = self.m, t + 1, self._dot
         self.predictor.begin_round(nxt)
-        self._forecasts = {}
         preds: list[tuple] = []
         # pending decisions s = t+1-m .. t: known slices plus predictions
         base = self._zero
@@ -546,6 +543,6 @@ def run_doubling(
             sched.restart()
             sched.epoch_starts.append(t)
             learner.restart(t, sched.lam)
-        sched.observe(learner.play_round(t).eps_g)
+        sched.observe(learner.play_round(t)["eps_g"])
     return _trace("odaf_doubling", learner, sched.lam, epochs=sched.epoch,
                   epoch_starts=list(sched.epoch_starts), mu1=sched.mu1, mu_final=sched.budget)

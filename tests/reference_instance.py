@@ -1,0 +1,56 @@
+"""The per-round slice generator that `SeparableLinearInstance._generate`
+replaced: the reference the generator is held to, byte for byte.
+
+`ReferenceSeparableInstance._generate` is the loop the package shipped
+before the generator took each round's loss uniforms and density draw in
+one `random()` call and moved the slice arithmetic after the loop, kept
+here unchanged.  Every other method is the package's.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from cocomem import SeparableLinearInstance
+from cocomem.environments import _instance_rng
+
+
+class ReferenceSeparableInstance(SeparableLinearInstance):
+    def _generate(self):
+        rng = _instance_rng(self.seed)
+        T, m, d = self.horizon, self.m, self.dim
+        self.f_coef = np.zeros((T + 1, m + 1, d))
+        self.g_coef = np.zeros((T + 1, m + 1, d))
+        self.g_off = np.zeros((T + 1, m + 1))
+        self.g_present = np.zeros((T + 1, m + 1), dtype=bool)
+
+        w = rng.normal(size=d)
+        w /= np.linalg.norm(w)
+        base_sign = 1.0 if rng.uniform() < 0.5 else -1.0
+        n_active = T - m
+        block_len = max(1, math.ceil(n_active / max(1, self.blocks)))
+
+        for t in range(m + 1, T + 1):
+            block = (t - m - 1) // block_len
+            sign = base_sign * (1.0 if block % 2 == 0 else -1.0)
+            # one draw per round: the same doubles, in the same order, as
+            # one size-d draw per delay
+            self.f_coef[t] = (
+                self.drift * sign * w + self.noise * rng.uniform(-1.0, 1.0, size=(m + 1, d))
+            ) / (m + 1)
+            if rng.uniform() < self.g_round_density:
+                i = int(rng.integers(0, m + 1)) if self.constraint_memory else 0
+                direction = rng.normal(size=d)
+                direction /= np.linalg.norm(direction)
+                mag = rng.uniform(*self.g_mag)
+                coeff = mag * direction
+                sup = self.fset.support(coeff) - float(coeff @ self.fset.center)
+                if rng.uniform() < self.g_active_fraction:
+                    root = rng.uniform(*self.g_root)
+                else:
+                    root = rng.uniform(1.05, 1.5)
+                self.g_coef[t, i] = coeff
+                self.g_off[t, i] = -root * sup
+                self.g_present[t, i] = True
