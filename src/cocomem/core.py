@@ -81,9 +81,6 @@ class MemoryWindow:
     def newest(self) -> np.ndarray:
         return self._buf[-1]
 
-    def __len__(self) -> int:
-        return self._buf.shape[0]
-
 
 def splat(x, m: int) -> MemoryWindow:
     """Constant window (x, ..., x) with m+1 slots: the memory-less lift's

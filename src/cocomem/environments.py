@@ -10,8 +10,12 @@ Two instance families:
 
 Instances draw every coefficient from a seeded PCG64 stream before round
 one, so the sequence never depends on the learner's play and replays are
-bit-identical.  Predictors forecast not-yet-revealed slices as affine
-data (coefficient, plus offset for constraint slices).
+bit-identical.  Each family is a dataclass whose fields are its
+parameters, declared once; the shared base `_Instance` checks them,
+builds the feasible set, generates or adopts the arrays, and holds the
+one replay-JSON writer (`to_json`) and reader (`from_json`) of both
+families.  Predictors forecast not-yet-revealed slices as affine data
+(coefficient, plus offset for constraint slices).
 
 Besides the per-round oracles `loss(t)` / `constraint(t)`, each family
 reads its rows for loops that play in Python floats:
@@ -33,7 +37,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field, fields
 
 import numpy as np
 
@@ -55,6 +59,66 @@ class InstanceConstants:
     l_g: float
     f_bound: float
     g_bound: float
+
+
+class _Instance:
+    """What both instance families share.
+
+    A family is a dataclass whose fields are its parameters in constructor
+    order; `_ARRAYS` maps the names of its generated arrays to their
+    dtypes.  Construction range-checks the fields (`check_params`, a static
+    method so a config can be checked without generating), makes every
+    `float` field (`radius` among them) a float and `seed` an int, builds the
+    feasible set, and then either generates the arrays (`_generate` sets
+    them as attributes) or adopts the `_arrays` passed in, in `_ARRAYS`
+    order.  `to_json` and `from_json` are the replay document's one writer
+    and reader: `kind`, `rng` and `seed`, then the other fields in
+    declaration order (those whose metadata sets `params` nested under
+    "params"), then the arrays as nested lists.
+    """
+
+    def __post_init__(self, _arrays) -> None:
+        self.check_params(**{f.name: getattr(self, f.name) for f in fields(self)})
+        for f in fields(self):
+            if f.type == "float":  # annotations are strings (postponed evaluation)
+                setattr(self, f.name, float(getattr(self, f.name)))
+        self.seed = int(self.seed)
+        r, dim = self.radius, self.dim
+        self.fset: FeasibleSet = Box([-r] * dim, [r] * dim) if dim == 1 else Ball([0.0] * dim, r)
+        if _arrays is None:
+            self._generate()
+        else:
+            for name, array in zip(self._ARRAYS, _arrays, strict=True):
+                setattr(self, name, array)
+
+    @property
+    def rounds(self) -> range:
+        return range(self.first_round, self.horizon + 1)
+
+    def to_json(self) -> str:
+        doc = {"kind": self.kind, "rng": RNG_NAME, "seed": self.seed}
+        params = {}
+        for f in fields(self):
+            if f.name != "seed":
+                (params if f.metadata.get("params") else doc)[f.name] = getattr(self, f.name)
+        if params:
+            doc["params"] = params
+        doc.update((name, getattr(self, name).tolist()) for name in self._ARRAYS)
+        return json.dumps(doc)
+
+    @classmethod
+    def from_json(cls, text: str):
+        obj = json.loads(text)
+        if obj.get("kind") != cls.kind:
+            raise ValueError(f"not a {cls.kind} document")
+        values = {**obj, **obj.get("params", {})}
+        args = {f.name: values[f.name] for f in fields(cls)}
+        arrays = [np.asarray(obj[name], dtype=dtype) for name, dtype in cls._ARRAYS.items()]
+        return cls(**args, _arrays=arrays)
+
+
+# fields nested under "params" in the replay document
+_KNOB = {"params": True}
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +169,8 @@ class _AffineBudgetConstraint(MemoryFunctionOracle):
         return self.d_coef.copy()
 
 
-class AppendixAInstance:
+@dataclass(eq=False)
+class AppendixAInstance(_Instance):
     """Quadratic tracking losses with an affine budget constraint.
 
     Coefficients c_t, d_t live in [-B, B]^d with B = gamma * sigma.  The
@@ -117,39 +182,18 @@ class AppendixAInstance:
     """
 
     kind = "appendix_a"
+    _ARRAYS = {"c": float, "d_coef": float}
 
-    def __init__(
-        self,
-        m: int = 3,
-        horizon: int = 4000,
-        radius: float = 15.0,
-        sigma: float = 10.0,
-        delta: float = 1.0,
-        gamma: float = 3.0,
-        mode: str = "stochastic",
-        seed: int = 0,
-        dim: int = 1,
-        _coeffs: tuple[np.ndarray, np.ndarray] | None = None,
-    ):
-        self.check_params(m=m, horizon=horizon, radius=radius, sigma=sigma, delta=delta,
-                          gamma=gamma, mode=mode)
-        self.m = m
-        self.horizon = horizon
-        self.radius = float(radius)
-        self.sigma = float(sigma)
-        self.delta = float(delta)
-        self.gamma = float(gamma)
-        self.coef_bound = gamma * sigma
-        self.mode = mode
-        self.seed = int(seed)
-        self.dim = dim
-        self.fset: FeasibleSet = (
-            Box([-radius] * dim, [radius] * dim) if dim == 1 else Ball([0.0] * dim, radius)
-        )
-        if _coeffs is None:
-            self.c, self.d_coef = self._generate()
-        else:
-            self.c, self.d_coef = _coeffs
+    m: int = 3
+    horizon: int = 4000
+    radius: float = 15.0
+    sigma: float = 10.0
+    delta: float = 1.0
+    gamma: float = 3.0
+    mode: str = "stochastic"
+    seed: int = 0
+    dim: int = 1
+    _arrays: InitVar[tuple | None] = None
 
     @staticmethod
     def check_params(m, horizon, radius, sigma, delta, gamma, mode, **_) -> None:
@@ -162,13 +206,17 @@ class AppendixAInstance:
         if mode not in ("stochastic", "adversarial"):
             raise ValueError(f"unknown mode {mode!r}")
 
-    def _generate(self):
+    @property
+    def coef_bound(self) -> float:
+        return self.gamma * self.sigma
+
+    def _generate(self) -> None:
         rng = _instance_rng(self.seed)
         shape = (self.horizon + 1, self.dim)
         if self.mode == "stochastic":
-            c = rng.uniform(-self.sigma, self.sigma, size=shape)
-            d = rng.uniform(-self.sigma, self.sigma, size=shape)
-            return c, d
+            self.c = rng.uniform(-self.sigma, self.sigma, size=shape)
+            self.d_coef = rng.uniform(-self.sigma, self.sigma, size=shape)
+            return
 
         def mixture():
             pick_unif = rng.uniform(size=shape) < 0.4
@@ -180,11 +228,8 @@ class AppendixAInstance:
                 bad = ~pick_unif & (np.abs(gaus) > self.coef_bound)
             return np.where(pick_unif, unif, gaus)
 
-        return mixture(), mixture()
-
-    @property
-    def rounds(self) -> range:
-        return range(self.m, self.horizon + 1)
+        self.c = mixture()
+        self.d_coef = mixture()
 
     @property
     def first_round(self) -> int:
@@ -265,44 +310,6 @@ class AppendixAInstance:
             g_bound=l_g * self.radius + self.delta,
         )
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "rng": RNG_NAME,
-                "seed": self.seed,
-                "m": self.m,
-                "horizon": self.horizon,
-                "radius": self.radius,
-                "sigma": self.sigma,
-                "delta": self.delta,
-                "gamma": self.gamma,
-                "mode": self.mode,
-                "dim": self.dim,
-                "c": self.c.tolist(),
-                "d_coef": self.d_coef.tolist(),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "AppendixAInstance":
-        obj = json.loads(text)
-        if obj["kind"] != cls.kind:
-            raise ValueError(f"not an {cls.kind} document")
-        coeffs = (np.asarray(obj["c"], dtype=float), np.asarray(obj["d_coef"], dtype=float))
-        return cls(
-            m=obj["m"],
-            horizon=obj["horizon"],
-            radius=obj["radius"],
-            sigma=obj["sigma"],
-            delta=obj["delta"],
-            gamma=obj["gamma"],
-            mode=obj["mode"],
-            seed=obj["seed"],
-            dim=obj["dim"],
-            _coeffs=coeffs,
-        )
-
 
 # ---------------------------------------------------------------------------
 # Separable linear environment
@@ -337,7 +344,8 @@ class _SeparableMemoryFunction(MemoryFunctionOracle):
         return self.coeffs.sum(axis=0)
 
 
-class SeparableLinearInstance:
+@dataclass(eq=False)
+class SeparableLinearInstance(_Instance):
     """Per-(round, delay) linear loss and constraint slices.
 
     Loss slices follow a sign-alternating drift (fixed-length blocks) plus
@@ -351,47 +359,22 @@ class SeparableLinearInstance:
     """
 
     kind = "separable_linear"
+    _ARRAYS = {"f_coef": float, "g_coef": float, "g_off": float, "g_present": bool}
 
-    def __init__(
-        self,
-        m: int = 2,
-        horizon: int = 2000,
-        radius: float = 2.0,
-        dim: int = 1,
-        seed: int = 0,
-        constraint_memory: bool = True,
-        drift: float = 0.5,
-        noise: float = 0.5,
-        blocks: int = 8,
-        g_round_density: float = 0.15,
-        g_mag: tuple[float, float] = (0.01, 0.03),
-        g_root: tuple[float, float] = (0.4, 0.9),
-        g_active_fraction: float = 1.0,
-        _arrays: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
-    ):
-        self.check_params(m=m, horizon=horizon, radius=radius, drift=drift, noise=noise,
-                          blocks=blocks, g_round_density=g_round_density, g_mag=g_mag,
-                          g_root=g_root, g_active_fraction=g_active_fraction)
-        self.m = m
-        self.horizon = horizon
-        self.radius = float(radius)
-        self.dim = dim
-        self.seed = int(seed)
-        self.constraint_memory = constraint_memory
-        self.drift = drift
-        self.noise = noise
-        self.blocks = blocks
-        self.g_round_density = g_round_density
-        self.g_mag = g_mag
-        self.g_root = g_root
-        self.g_active_fraction = g_active_fraction
-        self.fset: FeasibleSet = (
-            Box([-radius] * dim, [radius] * dim) if dim == 1 else Ball([0.0] * dim, radius)
-        )
-        if _arrays is None:
-            self._generate()
-        else:
-            self.f_coef, self.g_coef, self.g_off, self.g_present = _arrays
+    m: int = 2
+    horizon: int = 2000
+    radius: float = 2.0
+    dim: int = 1
+    seed: int = 0
+    constraint_memory: bool = True
+    drift: float = field(default=0.5, metadata=_KNOB)
+    noise: float = field(default=0.5, metadata=_KNOB)
+    blocks: int = field(default=8, metadata=_KNOB)
+    g_round_density: float = field(default=0.15, metadata=_KNOB)
+    g_mag: tuple[float, float] = field(default=(0.01, 0.03), metadata=_KNOB)
+    g_root: tuple[float, float] = field(default=(0.4, 0.9), metadata=_KNOB)
+    g_active_fraction: float = field(default=1.0, metadata=_KNOB)
+    _arrays: InitVar[tuple | None] = None
 
     @staticmethod
     def check_params(m, horizon, radius, drift, noise, blocks, g_round_density, g_mag,
@@ -492,10 +475,6 @@ class SeparableLinearInstance:
         self.g_present[t_hit, i_hit] = True
 
     @property
-    def rounds(self) -> range:
-        return range(self.m + 1, self.horizon + 1)
-
-    @property
     def first_round(self) -> int:
         return self.m + 1
 
@@ -590,57 +569,6 @@ class SeparableLinearInstance:
             l_g=float(max(joint_g.max(), lift_g.max(), 1e-12)),
             f_bound=f_bound,
             g_bound=max(g_bound, 1e-12),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "rng": RNG_NAME,
-                "seed": self.seed,
-                "m": self.m,
-                "horizon": self.horizon,
-                "radius": self.radius,
-                "dim": self.dim,
-                "constraint_memory": self.constraint_memory,
-                "params": {
-                    "drift": self.drift,
-                    "noise": self.noise,
-                    "blocks": self.blocks,
-                    "g_round_density": self.g_round_density,
-                    "g_mag": list(self.g_mag),
-                    "g_root": list(self.g_root),
-                    "g_active_fraction": self.g_active_fraction,
-                },
-                "f_coef": self.f_coef.tolist(),
-                "g_coef": self.g_coef.tolist(),
-                "g_off": self.g_off.tolist(),
-                "g_present": self.g_present.tolist(),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SeparableLinearInstance":
-        obj = json.loads(text)
-        if obj["kind"] != cls.kind:
-            raise ValueError(f"not a {cls.kind} document")
-        p = obj["params"]
-        return cls(
-            m=obj["m"],
-            horizon=obj["horizon"],
-            radius=obj["radius"],
-            dim=obj["dim"],
-            seed=obj["seed"],
-            constraint_memory=obj["constraint_memory"],
-            drift=p["drift"],
-            noise=p["noise"],
-            blocks=p["blocks"],
-            g_round_density=p["g_round_density"],
-            g_mag=tuple(p["g_mag"]),
-            g_root=tuple(p["g_root"]),
-            g_active_fraction=p["g_active_fraction"],
-            _arrays=(np.asarray(obj["f_coef"], dtype=float), np.asarray(obj["g_coef"], dtype=float),
-                     np.asarray(obj["g_off"], dtype=float), np.asarray(obj["g_present"], dtype=bool)),
         )
 
 

@@ -120,6 +120,9 @@ class ExperimentConfig:
             raise ConfigError(f"error_estimate must be finite and >= 0, got {self.error_estimate}")
         if self.lambda_mode == "explicit" and self.lambda_value is None:
             raise ConfigError("explicit lambda mode needs a lambda_value")
+        if self.lambda_mode != "explicit" and self.lambda_value is not None:
+            raise ConfigError(f"lambda_value is read only in explicit lambda mode, "
+                              f"not in {self.lambda_mode!r}")
         if not self.seeds:
             raise ConfigError("need at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
@@ -140,6 +143,8 @@ class ExperimentConfig:
                 raise ConfigError("the optimistic learners use the exponential penalty")
             if self.lambda_mode == "sqrt_t_schedule":
                 raise ConfigError("the optimistic learners use a fixed lambda per epoch")
+            if self.algorithm == "odaf_doubling" and self.lambda_mode == "explicit":
+                raise ConfigError("odaf_doubling tunes lambda per epoch; it takes no lambda_value")
             cmem = self.environment.get("constraint_memory", True)
             if self.variant is Variant.COCO_M and cmem:
                 raise ConfigError(
@@ -156,8 +161,13 @@ class ExperimentConfig:
 
     def _check_environment(self, family) -> None:
         """The checks the family's constructor makes, without generating an
-        instance, plus the dimensions the benchmark solvers cover."""
+        instance, plus the dimensions the benchmark solvers cover.  Private
+        constructor arguments (a leading `_`, such as `_arrays`) are for
+        the replay reader, not for configs."""
         env = {k: v for k, v in self.environment.items() if k != "kind"}
+        private = sorted(k for k in env if k.startswith("_"))
+        if private:
+            raise ConfigError(f"bad environment parameters: private keys {private}")
         try:
             args = inspect.signature(family).bind(**env)
             args.apply_defaults()
@@ -269,11 +279,7 @@ def _run_one_seed(cfg: ExperimentConfig, seed: int, out_dir: str) -> dict:
     emit_csv(trace, series, out / f"{cfg.name}_seed{seed}.csv")
     (out / f"{cfg.name}_seed{seed}_instance.json").write_text(trace.instance.to_json())
     marks = checkpoints(trace.first_round, trace.horizon)
-    return {
-        "seed": seed,
-        "checkpoints": _seed_metrics(trace, series, marks),
-        "benchmark_feasible": series.benchmark.feasible,
-    }
+    return {"seed": seed, "checkpoints": _seed_metrics(trace, series, marks)}
 
 
 def _seed_failure(seed: int, exc: BaseException, origin: BaseException | None = None) -> dict:

@@ -232,7 +232,6 @@ def lift_loss_at(instance, x: np.ndarray, upto: int | None = None) -> np.ndarray
 
 @dataclass
 class MetricSeries:
-    rounds: np.ndarray
     regret_static_cum: np.ndarray
     regret_memoryless_cum: np.ndarray
     regret_perround_cum: np.ndarray
@@ -251,7 +250,6 @@ def regret_and_ccv(trace: RunTrace, benchmark: Benchmark | None = None) -> Metri
     inst = trace.instance
     if benchmark is None:
         benchmark = best_in_hindsight(inst)
-    t = trace.col("t")
     f_mem = np.cumsum(trace.col("f_mem"))
     f_spl = np.cumsum(trace.col("f_splat"))
     if benchmark.feasible:
@@ -268,7 +266,6 @@ def regret_and_ccv(trace: RunTrace, benchmark: Benchmark | None = None) -> Metri
     else:
         per_round = np.full_like(f_mem, math.nan)
     return MetricSeries(
-        rounds=t,
         regret_static_cum=static,
         regret_memoryless_cum=memless,
         regret_perround_cum=per_round,

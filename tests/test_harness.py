@@ -382,3 +382,38 @@ def test_cli_rejects_bad_learner_parameters(tmp_path, capsys, over):
     assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
     assert "config error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("key", ["_coeffs", "_arrays"])
+def test_cli_rejects_private_environment_keys(tmp_path, capsys, monkeypatch, command, key):
+    # private constructor arguments belong to the replay reader; from a
+    # config they would reach the constructor as raw lists and fail every
+    # seed at run time
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("COCO_MEM_OUT", raising=False)
+    env = {**BASE["environment"], key: [[[0.0]], [[0.0]]]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**BASE, "environment": env}))
+    assert cli_main([command, "--config", str(cfg_path)]) == 1
+    assert f"config error: bad environment parameters: private keys ['{key}']" in \
+        capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("base, over", [
+    # read only in explicit mode: the 1/sqrt(t) schedule would run instead
+    (BASE, {"lambda_value": 0.5}),
+    (BASE, {"lambda_mode": "fixed_theorem", "lambda_value": 0.5}),
+    (ODAF_BASE, {"lambda_value": 0.5}),
+    # the doubling learner tunes lambda per epoch and reads no lambda_value
+    ({**ODAF_BASE, "algorithm": "odaf_doubling"},
+     {"lambda_mode": "explicit", "lambda_value": 0.5}),
+], ids=["ogd_schedule", "ogd_theorem", "odaf_theorem", "doubling_explicit"])
+def test_cli_rejects_an_ignored_lambda_value(tmp_path, capsys, base, over):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**base, **over}))
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
