@@ -748,9 +748,9 @@ class NoisyPredictor(Predictor):
     kind = "noisy"
 
     def __init__(self, scale: float, seed: int = 0):
-        if scale < 0:
-            raise ValueError("noise scale must be >= 0")
         self.scale = float(scale)
+        if not 0 <= self.scale < math.inf:
+            raise ValueError(f"noise scale must be finite and >= 0, got {self.scale}")
         self.seed = int(seed)
         if self.seed < 0:
             raise ValueError(f"noise seed must be a non-negative integer, got {self.seed}")
@@ -823,12 +823,3 @@ class NoisyPredictor(Predictor):
             offset = offset + self.scale * draw[self._dim]
         return coeff, offset
 
-
-def make_predictor(kind: str, scale: float = 0.0, seed: int = 0) -> Predictor:
-    if kind == "perfect":
-        return PerfectPredictor()
-    if kind == "zero":
-        return ZeroPredictor()
-    if kind == "noisy":
-        return NoisyPredictor(scale, seed)
-    raise ValueError(f"unknown predictor kind {kind!r}")

@@ -14,7 +14,7 @@ import math
 import os
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +23,10 @@ from .core import Variant
 from .environments import (
     RNG_NAME,
     AppendixAInstance,
+    NoisyPredictor,
+    PerfectPredictor,
     SeparableLinearInstance,
-    make_predictor,
+    ZeroPredictor,
 )
 from .metrics import (
     BoundReport,
@@ -50,6 +52,7 @@ CSV_HEADER = (
 
 ALGORITHMS = ("penalty_ogd", "odaf", "odaf_doubling")
 ENV_FAMILIES = {cls.kind: cls for cls in (AppendixAInstance, SeparableLinearInstance)}
+PREDICTORS = {cls.kind: cls for cls in (PerfectPredictor, ZeroPredictor, NoisyPredictor)}
 LAMBDA_MODES = ("fixed_theorem", "sqrt_t_schedule", "explicit")
 TRACEBACK_LINES = 10  # traceback tail kept per failed seed in the summary
 
@@ -60,6 +63,9 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
+    """One experiment; its fields are the config file's top-level keys and
+    their defaults, declared nowhere else."""
+
     algorithm: str
     variant: Variant
     environment: dict
@@ -73,41 +79,50 @@ class ExperimentConfig:
     out_dir: str = "runs"
     name: str = "experiment"
 
+    def __post_init__(self) -> None:
+        self.variant = Variant(self.variant)
+        self.penalty = PenaltyKind(self.penalty)
+        for f in fields(self):  # annotations are strings (postponed evaluation)
+            if f.type in ("float", "float | None") and getattr(self, f.name) is not None:
+                setattr(self, f.name, float(getattr(self, f.name)))
+        self.environment, self.predictor = dict(self.environment), dict(self.predictor)
+
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
-        seeds = obj.get("seeds", [0])
-        # int(0.9) or int(True) would run a seed the config does not name
-        if not (isinstance(seeds, list)
-                and all(isinstance(s, int) and not isinstance(s, bool) for s in seeds)):
-            raise ConfigError(f"seeds must be a list of integers, got {seeds!r}")
-        try:
-            lam, alpha = obj.get("lambda_value"), obj.get("alpha")
-            cfg = cls(
-                algorithm=obj["algorithm"],
-                variant=Variant(obj["variant"]),
-                environment=dict(obj["environment"]),
-                penalty=PenaltyKind(obj.get("penalty", "quadratic")),
-                lambda_mode=obj.get("lambda_mode", "fixed_theorem"),
-                lambda_value=None if lam is None else float(lam),
-                predictor=dict(obj.get("predictor", {"kind": "perfect"})),
-                error_estimate=float(obj.get("error_estimate", 0.0)),
-                alpha=None if alpha is None else float(alpha),
-                seeds=list(seeds),
-                out_dir=obj.get("out_dir", "runs"),
-                name=obj.get("name", "experiment"),
-            )
-        except (KeyError, ValueError, TypeError) as exc:
+        try:  # the constructor rejects a key that is not a field
+            cfg = cls(**obj)
+        except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad config: {exc}") from exc
         cfg.validate()
+        unread = sorted(cfg._unread_keys() & obj.keys())
+        if unread:
+            raise ConfigError(f"{cfg.algorithm} in {cfg.lambda_mode} lambda mode reads no {unread}")
         return cfg
 
+    def _unread_keys(self) -> set[str]:
+        """Keys the chosen learner never reads: a config that sets one is
+        rejected rather than run as if it had not."""
+        if self.algorithm == "penalty_ogd":
+            return {"predictor", "alpha", "error_estimate"}
+        if self.algorithm == "odaf" and self.lambda_mode == "explicit":
+            return {"error_estimate"}  # it only tunes lambda
+        return set()
+
     def validate(self) -> None:
+        # int(0.9) or int(True) would run a seed the config does not name
+        if not (isinstance(self.seeds, list) and all(
+                isinstance(s, int) and not isinstance(s, bool) for s in self.seeds)):
+            raise ConfigError(f"seeds must be a list of integers, got {self.seeds!r}")
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
+        for key in ("environment", "predictor"):
+            if "seed" in getattr(self, key):
+                raise ConfigError(f"the {key} takes no seed: the harness sets it per run")
         kind = self.environment.get("kind")
         if not isinstance(kind, str) or kind not in ENV_FAMILIES:
             raise ConfigError(f"unknown environment kind {kind!r}")
         self._check_environment(ENV_FAMILIES[kind])
+        self._check_predictor()
         if self.lambda_mode not in LAMBDA_MODES:
             raise ConfigError(f"unknown lambda mode {self.lambda_mode!r}")
         if self.lambda_value is not None and not (
@@ -150,14 +165,6 @@ class ExperimentConfig:
                 raise ConfigError(
                     "memory-less-constraint runs need constraint_memory=false slices"
                 )
-        if self.predictor.get("kind", "perfect") not in ("perfect", "zero", "noisy"):
-            raise ConfigError(f"unknown predictor {self.predictor!r}")
-        try:
-            scale = float(self.predictor.get("scale", 0.0))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad predictor scale: {exc}") from exc
-        if not 0 <= scale < math.inf:
-            raise ConfigError(f"predictor scale must be finite and >= 0, got {scale}")
 
     def _check_environment(self, family) -> None:
         """The checks the family's constructor makes, without generating an
@@ -176,6 +183,17 @@ class ExperimentConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad environment parameters: {exc}") from exc
 
+    def _check_predictor(self) -> None:
+        """A predictor names its `kind`; its other keys are that class's
+        constructor arguments, which the constructor checks."""
+        kind = self.predictor.get("kind")
+        if not isinstance(kind, str) or kind not in PREDICTORS:
+            raise ConfigError(f"unknown predictor kind {kind!r}")
+        try:
+            build_predictor(self, 0)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad predictor parameters: {exc}") from exc
+
 
 def load_config(path: str | Path) -> ExperimentConfig:
     with open(path) as fh:
@@ -185,18 +203,23 @@ def load_config(path: str | Path) -> ExperimentConfig:
 def build_instance(cfg: ExperimentConfig, seed: int):
     env = dict(cfg.environment)
     family = ENV_FAMILIES[env.pop("kind")]
-    env["seed"] = seed
     try:
-        return family(**env)
+        return family(**env, seed=seed)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad environment parameters: {exc}") from exc
+
+
+def build_predictor(cfg: ExperimentConfig, seed: int):
+    params = dict(cfg.predictor)
+    kind = PREDICTORS[params.pop("kind")]
+    return kind(**params, seed=seed) if kind is NoisyPredictor else kind(**params)
 
 
 def _ogd_schedule(cfg: ExperimentConfig, instance) -> LambdaSchedule:
     if cfg.lambda_mode == "sqrt_t_schedule":
         return LambdaSchedule("sqrt_t")
     if cfg.lambda_mode == "explicit":
-        return LambdaSchedule("fixed", float(cfg.lambda_value))
+        return LambdaSchedule("fixed", cfg.lambda_value)
     if cfg.penalty is PenaltyKind.QUADRATIC:
         return LambdaSchedule("fixed", lambda_quadratic(instance.horizon))
     k = instance.constants()
@@ -216,13 +239,9 @@ def run_single(cfg: ExperimentConfig, seed: int) -> RunTrace:
 
     from .optimistic import run_doubling, run_optimistic
 
-    predictor = make_predictor(
-        cfg.predictor.get("kind", "perfect"),
-        scale=float(cfg.predictor.get("scale", 0.0)),
-        seed=seed,
-    )
+    predictor = build_predictor(cfg, seed)
     if cfg.algorithm == "odaf":
-        lam = float(cfg.lambda_value) if cfg.lambda_mode == "explicit" else None
+        lam = cfg.lambda_value if cfg.lambda_mode == "explicit" else None
         return run_optimistic(
             instance, cfg.variant, predictor,
             lam=lam, error_estimate=cfg.error_estimate, alpha=cfg.alpha,

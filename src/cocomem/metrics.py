@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -233,7 +233,6 @@ def lift_loss_at(instance, x: np.ndarray, upto: int | None = None) -> np.ndarray
 @dataclass
 class MetricSeries:
     regret_static_cum: np.ndarray
-    regret_memoryless_cum: np.ndarray
     regret_perround_cum: np.ndarray
     ccv_cum: np.ndarray
     benchmark: Benchmark
@@ -242,32 +241,27 @@ class MetricSeries:
 def regret_and_ccv(trace: RunTrace, benchmark: Benchmark | None = None) -> MetricSeries:
     """All cumulative series against a fixed best-in-hindsight point.
 
-    When the benchmark set is empty the static/memory-less regrets are
-    NaN; the run stays valid for violation accounting.  The per-round
-    comparator is a 1-D experiment metric and reads NaN in higher
-    dimension.
+    When the benchmark set is empty the static regret is NaN; the run
+    stays valid for violation accounting.  The per-round comparator is a
+    1-D experiment metric and reads NaN in higher dimension.
     """
     inst = trace.instance
     if benchmark is None:
         benchmark = best_in_hindsight(inst)
     f_mem = np.cumsum(trace.col("f_mem"))
-    f_spl = np.cumsum(trace.col("f_splat"))
     if benchmark.feasible:
         bench = np.cumsum(lift_loss_at(inst, benchmark.x_star))
         if len(bench) != len(f_mem):
             raise ValueError("trace and instance round counts disagree")
         static = f_mem - bench
-        memless = f_spl - bench
     else:
         static = np.full_like(f_mem, math.nan)
-        memless = np.full_like(f_mem, math.nan)
     if inst.dim == 1:
         per_round = f_mem - np.cumsum(per_round_min_series(inst))
     else:
         per_round = np.full_like(f_mem, math.nan)
     return MetricSeries(
         regret_static_cum=static,
-        regret_memoryless_cum=memless,
         regret_perround_cum=per_round,
         ccv_cum=trace.col("ccv_cum"),
         benchmark=benchmark,
@@ -338,15 +332,7 @@ class BoundReport:
     preconditions: dict
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "measured": self.measured,
-                "theoretical": self.theoretical,
-                "slack": self.slack,
-                "preconditions": self.preconditions,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def theorem_bound_report(trace: RunTrace, series: MetricSeries | None = None) -> BoundReport:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,7 @@ from cocomem import (
     run_penalty_ogd,
 )
 from cocomem.core import splat
-from cocomem.environments import NOISE_BLOCK_ROWS, make_predictor, seed_sequence_words
+from cocomem.environments import NOISE_BLOCK_ROWS, seed_sequence_words
 
 
 def test_default_parameters_match_reference_experiment():
@@ -277,6 +278,13 @@ def test_noisy_predictor_rejects_negative_seed():
         NoisyPredictor(0.3, -1)
 
 
+@pytest.mark.parametrize("scale", [-1.0, math.nan, math.inf, "abc"])
+def test_noisy_predictor_rejects_a_bad_scale(scale):
+    # the constructor is the only range check of a configured scale
+    with pytest.raises(ValueError):
+        NoisyPredictor(scale)
+
+
 _WORD = st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1))
 
 
@@ -382,14 +390,6 @@ def test_noisy_predictor_state_does_not_grow_with_the_horizon():
     round's draws: its heap peak at T = 4000 (twelve blocks of 341 rounds
     at m = 2) is that of T = 500 (two blocks), within 4 KB."""
     assert _noisy_predictor_heap(4000) <= _noisy_predictor_heap(500) + 4096
-
-
-def test_make_predictor_dispatch():
-    assert make_predictor("perfect").kind == "perfect"
-    assert make_predictor("zero").kind == "zero"
-    assert make_predictor("noisy", scale=0.1).kind == "noisy"
-    with pytest.raises(ValueError):
-        make_predictor("psychic")
 
 
 def test_invalid_parameters_rejected():

@@ -1,14 +1,18 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cocomem.cli import main as cli_main
+from cocomem.core import Variant
 from cocomem.harness import (
     CSV_HEADER,
+    PREDICTORS,
     ConfigError,
     ExperimentConfig,
+    build_predictor,
     checkpoints,
     emit_csv,
     load_config,
@@ -17,6 +21,7 @@ from cocomem.harness import (
     verify_experiment,
 )
 from cocomem.metrics import regret_and_ccv
+from cocomem.penalty import PenaltyKind
 
 
 BASE = {
@@ -417,3 +422,86 @@ def test_cli_rejects_an_ignored_lambda_value(tmp_path, capsys, base, over):
     assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
     assert "config error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _rejected_by_both_commands(tmp_path, capsys, monkeypatch, obj):
+    """`run` and `verify` each exit 1 with a config error and write nothing."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("COCO_MEM_OUT", raising=False)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(obj))
+    for command in ("run", "verify"):
+        assert cli_main([command, "--config", str(cfg_path)]) == 1
+        assert "config error:" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+NOISY_BASE = {**ODAF_BASE, "predictor": {"kind": "noisy", "scale": 0.3}}
+
+
+@pytest.mark.parametrize("obj", [
+    {**BASE, "lamda_value": 0.5},
+    {**ODAF_BASE, "predictor": {"kind": "noisy", "scal": 0.3}},
+    {**ODAF_BASE, "predictor": {"kind": "perfect", "scale": 0.3}},
+    {**ODAF_BASE, "predictor": {"scale": 0.3}},
+    {**ODAF_BASE, "predictor": {"kind": "noisy", "scale": float("nan")}},
+    {**ODAF_BASE, "predictor": {"kind": "noisy", "scale": float("inf")}},
+    {**ODAF_BASE, "predictor": {"kind": "noisy", "scale": -1}},
+    {**ODAF_BASE, "predictor": {"kind": "noisy"}},
+    # the harness seeds every instance and predictor from the run seed
+    {**BASE, "environment": {**BASE["environment"], "seed": 5}},
+    {**NOISY_BASE, "predictor": {**NOISY_BASE["predictor"], "seed": 5}},
+    {**ODAF_BASE, "predictor": {"kind": "perfect", "seed": 5}},
+], ids=["top_level_typo", "scale_typo", "perfect_with_scale", "no_kind", "scale_nan",
+        "scale_infinite", "scale_negative", "noisy_without_scale", "environment_seed",
+        "noisy_seed", "perfect_seed"])
+def test_cli_rejects_keys_outside_the_schema(tmp_path, capsys, monkeypatch, obj):
+    _rejected_by_both_commands(tmp_path, capsys, monkeypatch, obj)
+
+
+@pytest.mark.parametrize("obj", [
+    # penalty OGD plays without forecasts and tunes no optimistic lambda;
+    # a key is rejected even when it holds its default
+    {**BASE, "predictor": {"kind": "perfect"}},
+    {**BASE, "alpha": 0.5},
+    {**BASE, "error_estimate": 0.0},
+    # in explicit mode the error estimate would only have tuned lambda
+    {**ODAF_BASE, "lambda_mode": "explicit", "lambda_value": 0.5, "error_estimate": 0.0},
+], ids=["ogd_predictor", "ogd_alpha", "ogd_error_estimate", "odaf_explicit_error_estimate"])
+def test_cli_rejects_a_key_the_learner_does_not_read(tmp_path, capsys, monkeypatch, obj):
+    _rejected_by_both_commands(tmp_path, capsys, monkeypatch, obj)
+
+
+def test_keys_are_accepted_where_the_learner_reads_them():
+    ExperimentConfig.from_dict({**NOISY_BASE, "alpha": 0.5, "error_estimate": 0.1})
+    ExperimentConfig.from_dict({**NOISY_BASE, "algorithm": "odaf_doubling", "alpha": 0.5,
+                                "error_estimate": 0.1})
+    ExperimentConfig.from_dict({**NOISY_BASE, "lambda_mode": "explicit", "lambda_value": 0.5,
+                                "alpha": 0.5})
+
+
+def test_config_fields_are_typed_once():
+    cfg = ExperimentConfig.from_dict({**ODAF_BASE, "error_estimate": 1, "alpha": "2"})
+    assert (cfg.variant, cfg.penalty) == (Variant.COCO_M2, PenaltyKind.EXPONENTIAL)
+    assert type(cfg.error_estimate) is float and cfg.alpha == 2.0
+    assert cfg.lambda_value is None and cfg.predictor == {"kind": "perfect"}
+    obj = {**ODAF_BASE}
+    cfg = ExperimentConfig.from_dict(obj)
+    cfg.environment["m"] = 3
+    assert obj["environment"]["m"] == 1
+
+
+def test_build_predictor_dispatch():
+    assert sorted(PREDICTORS) == ["noisy", "perfect", "zero"]
+    for kind, params in (("perfect", {}), ("zero", {}), ("noisy", {"scale": 0.3})):
+        cfg = ExperimentConfig.from_dict({**ODAF_BASE, "predictor": {"kind": kind, **params}})
+        assert type(build_predictor(cfg, 7)) is PREDICTORS[kind]
+    # the noisy predictor draws from the run seed
+    assert build_predictor(ExperimentConfig.from_dict(NOISY_BASE), 7).seed == 7
+
+
+def test_readme_schema_names_every_config_field():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Config schema", 1)[1]
+    block = section.split("```json", 1)[1].split("```", 1)[0]
+    assert set(json.loads(block)) == {f.name for f in fields(ExperimentConfig)}
