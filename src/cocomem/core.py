@@ -1,5 +1,5 @@
-"""Shared domain types: decision vectors, memory windows, feasible sets,
-function oracles with memory, and the per-round trace table.
+"""Shared domain types: decision vectors, memory windows, the decision
+set, function oracles with memory, and the per-round trace table.
 
 A decision is a plain 1-D numpy array of finite floats.  A memory window
 holds the last m+1 decisions in round order (oldest first), so the loss
@@ -92,90 +92,43 @@ def splat(x, m: int) -> MemoryWindow:
 
 
 # ---------------------------------------------------------------------------
-# Feasible sets
+# The decision set
 
 
-class FeasibleSet:
-    """Closed convex decision set with a cached diameter.
+class Ball:
+    """The closed Euclidean ball {x : ||x - center|| <= radius}, the one
+    decision set: it admits an exact projection and a closed-form linear
+    minimization.  At d = 1 it is the interval [lo, hi] = [center - radius,
+    center + radius].  `center`, `lo` and `hi` are computed once and
+    read-only, since every reader shares them."""
 
-    Only axis-aligned boxes and Euclidean balls are supported; both admit
-    exact projections and closed-form linear minimization.
-    """
-
-    dim: int
-    diameter: float
-
-    @property
-    def center(self) -> np.ndarray:
-        raise NotImplementedError
-
-    def extents(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-axis (lo, hi) of the set's bounding box."""
-        raise NotImplementedError
-
-    def contains(self, x, tol: float = 1e-9):
-        """Membership of one point, or of every row of an (n, d) array."""
-        raise NotImplementedError
-
-    def support(self, g: np.ndarray) -> float:
-        """sup_{x in set} <g, x> (support function)."""
-        raise NotImplementedError
-
-
-class Box(FeasibleSet):
-    def __init__(self, lo, hi):
-        self.lo = as_decision(lo)
-        self.hi = as_decision(hi, self.lo.size)
-        if np.any(self.lo > self.hi):
-            raise ValueError("empty box: lo > hi componentwise")
-        self.dim = self.lo.size
-        self.diameter = float(np.linalg.norm(self.hi - self.lo))
-        self._center = 0.5 * (self.lo + self.hi)
-        self._center.flags.writeable = False  # every reader shares this array
-
-    @property
-    def center(self) -> np.ndarray:
-        return self._center
-
-    def extents(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.lo, self.hi
-
-    def contains(self, x, tol: float = 1e-9):
-        x = np.asarray(x, dtype=float)
-        return np.all((x >= self.lo - tol) & (x <= self.hi + tol), axis=-1)
-
-    def support(self, g: np.ndarray) -> float:
-        return float(np.sum(np.where(g >= 0, g * self.hi, g * self.lo)))
-
-    def __repr__(self):
-        return f"Box(lo={self.lo}, hi={self.hi})"
-
-
-class Ball(FeasibleSet):
     def __init__(self, center, radius: float):
-        self._center = as_decision(center)
+        self.center = as_decision(center).copy()
         if not (radius > 0 and np.isfinite(radius)):
             raise ValueError("ball radius must be positive and finite")
         self.radius = float(radius)
-        self.dim = self._center.size
+        self.dim = self.center.size
         self.diameter = 2.0 * self.radius
-
-    @property
-    def center(self) -> np.ndarray:
-        return self._center
+        self.lo = self.center - self.radius
+        self.hi = self.center + self.radius
+        for arr in (self.center, self.lo, self.hi):
+            arr.flags.writeable = False
 
     def extents(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._center - self.radius, self._center + self.radius
+        """Per-axis (lo, hi) of the set's bounding box."""
+        return self.lo, self.hi
 
     def contains(self, x, tol: float = 1e-9):
+        """Membership of one point, or of every row of an (n, d) array."""
         x = np.asarray(x, dtype=float)
-        return np.linalg.norm(x - self._center, axis=-1) <= self.radius + tol
+        return np.linalg.norm(x - self.center, axis=-1) <= self.radius + tol
 
     def support(self, g: np.ndarray) -> float:
-        return float(g @ self._center) + self.radius * float(np.linalg.norm(g))
+        """sup_{x in set} <g, x> (support function)."""
+        return float(g @ self.center) + self.radius * float(np.linalg.norm(g))
 
     def __repr__(self):
-        return f"Ball(center={self._center}, radius={self.radius})"
+        return f"Ball(center={self.center}, radius={self.radius})"
 
 
 # ---------------------------------------------------------------------------

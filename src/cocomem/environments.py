@@ -12,7 +12,7 @@ Instances draw every coefficient from a seeded PCG64 stream before round
 one, so the sequence never depends on the learner's play and replays are
 bit-identical.  Each family is a dataclass whose fields are its
 parameters, declared once; the shared base `_Instance` checks them,
-builds the feasible set, generates or adopts the arrays, and holds the
+builds the decision set, generates or adopts the arrays, and holds the
 one replay-JSON writer (`to_json`) and reader (`from_json`) of both
 families.  Predictors forecast not-yet-revealed slices as affine data
 (coefficient, plus offset for constraint slices).
@@ -37,11 +37,12 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import InitVar, dataclass, field, fields
 
 import numpy as np
 
-from .core import Ball, Box, FeasibleSet, MemoryFunctionOracle, MemoryWindow, fdot
+from .core import Ball, MemoryFunctionOracle, MemoryWindow, fdot
 
 RNG_NAME = "pcg64"
 
@@ -61,30 +62,56 @@ class InstanceConstants:
     g_bound: float
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+# what a field of each annotation takes (annotations are strings, by
+# postponed evaluation): a bool is no number, and only a bool is a bool
+_FIELD_TYPES = {
+    "int": ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
+    "float": ("a number", _is_number),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "tuple[float, float]": ("a pair of numbers", lambda v: isinstance(v, (list, tuple))
+                            and len(v) == 2 and all(map(_is_number, v))),
+}
+
+
 class _Instance:
     """What both instance families share.
 
     A family is a dataclass whose fields are its parameters in constructor
     order; `_ARRAYS` maps the names of its generated arrays to their
-    dtypes.  Construction range-checks the fields (`check_params`, a static
-    method so a config can be checked without generating), makes every
-    `float` field (`radius` among them) a float and `seed` an int, builds the
-    feasible set, and then either generates the arrays (`_generate` sets
-    them as attributes) or adopts the `_arrays` passed in, in `_ARRAYS`
-    order.  `to_json` and `from_json` are the replay document's one writer
+    dtypes.  Construction checks the fields (`check_fields`: each against
+    its annotation, then the family's range checks `check_params`; neither
+    needs an instance, so a config can be checked without generating),
+    makes every `float` field (`radius` among them) a float and `seed` an
+    int, builds the decision set (the ball of `radius` at the origin), and
+    then either generates the arrays (`_generate` sets them as attributes)
+    or adopts the `_arrays` passed in, in `_ARRAYS` order.  `to_json` and `from_json` are the replay document's one writer
     and reader: `kind`, `rng` and `seed`, then the other fields in
     declaration order (those whose metadata sets `params` nested under
     "params"), then the arrays as nested lists.
     """
 
+    @classmethod
+    def check_fields(cls, **values) -> None:
+        """Type checks of the fields against their annotations, then the
+        family's range checks; no instance is generated."""
+        for f in fields(cls):
+            what, takes = _FIELD_TYPES[f.type]
+            if not takes(values[f.name]):
+                raise TypeError(f"{f.name} must be {what}, got {values[f.name]!r}")
+        cls.check_params(**values)
+
     def __post_init__(self, _arrays) -> None:
-        self.check_params(**{f.name: getattr(self, f.name) for f in fields(self)})
+        self.check_fields(**{f.name: getattr(self, f.name) for f in fields(self)})
         for f in fields(self):
-            if f.type == "float":  # annotations are strings (postponed evaluation)
+            if f.type == "float":
                 setattr(self, f.name, float(getattr(self, f.name)))
         self.seed = int(self.seed)
-        r, dim = self.radius, self.dim
-        self.fset: FeasibleSet = Box([-r] * dim, [r] * dim) if dim == 1 else Ball([0.0] * dim, r)
+        self.fset = Ball([0.0] * self.dim, self.radius)
         if _arrays is None:
             self._generate()
         else:
@@ -387,8 +414,8 @@ class SeparableLinearInstance(_Instance):
             raise ValueError("radius must be positive")
         if not all(math.isfinite(v) and v >= 0 for v in (drift, noise)):
             raise ValueError(f"drift and noise must be finite and >= 0, got {drift}, {noise}")
-        if not (isinstance(blocks, int) and blocks >= 1):
-            raise ValueError(f"blocks must be an integer >= 1, got {blocks!r}")
+        if blocks < 1:
+            raise ValueError(f"blocks must be >= 1, got {blocks!r}")
         for name, v in (("g_round_density", g_round_density),
                         ("g_active_fraction", g_active_fraction)):
             if not 0 <= v <= 1:
@@ -456,8 +483,8 @@ class SeparableLinearInstance(_Instance):
             return
         t_hit, i_hit, coeff, mag, root = (np.array(col) for col in zip(*hits))
         if d == 1:
-            # the set is a Box and every per-hit norm, dot and support sum
-            # has one term (the norm of [z] is sqrt(z * z)), so the per-hit
+            # the set is an interval and every per-hit norm, dot and support
+            # sum has one term (the norm of [z] is sqrt(z * z)), so the per-hit
             # expressions hold elementwise
             coeff /= np.sqrt(coeff * coeff)
             coeff *= mag[:, None]

@@ -83,8 +83,11 @@ class ExperimentConfig:
         self.variant = Variant(self.variant)
         self.penalty = PenaltyKind(self.penalty)
         for f in fields(self):  # annotations are strings (postponed evaluation)
-            if f.type in ("float", "float | None") and getattr(self, f.name) is not None:
-                setattr(self, f.name, float(getattr(self, f.name)))
+            value = getattr(self, f.name)
+            if f.type in ("float", "float | None") and value is not None:
+                if isinstance(value, bool):  # float(True) would run as 1.0
+                    raise TypeError(f"{f.name} must be a number, got {value!r}")
+                setattr(self, f.name, float(value))
         self.environment, self.predictor = dict(self.environment), dict(self.predictor)
 
     @classmethod
@@ -113,6 +116,13 @@ class ExperimentConfig:
         if not (isinstance(self.seeds, list) and all(
                 isinstance(s, int) and not isinstance(s, bool) for s in self.seeds)):
             raise ConfigError(f"seeds must be a list of integers, got {self.seeds!r}")
+        if not isinstance(self.out_dir, str):
+            raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
+        # the name prefixes the files written into the output directory
+        if not (isinstance(self.name, str) and self.name
+                and os.path.basename(self.name) == self.name):
+            raise ConfigError(f"name must be a file name with no directory part, "
+                              f"got {self.name!r}")
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         for key in ("environment", "predictor"):
@@ -178,7 +188,7 @@ class ExperimentConfig:
         try:
             args = inspect.signature(family).bind(**env)
             args.apply_defaults()
-            family.check_params(**args.arguments)
+            family.check_fields(**args.arguments)
             check_benchmark_dim(args.arguments["dim"])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad environment parameters: {exc}") from exc

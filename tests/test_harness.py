@@ -1,3 +1,4 @@
+import argparse
 import json
 from dataclasses import fields
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cocomem.cli import _parser
 from cocomem.cli import main as cli_main
 from cocomem.core import Variant
 from cocomem.harness import (
@@ -12,6 +14,7 @@ from cocomem.harness import (
     PREDICTORS,
     ConfigError,
     ExperimentConfig,
+    build_instance,
     build_predictor,
     checkpoints,
     emit_csv,
@@ -218,6 +221,23 @@ def test_verify_passes_on_every_shipped_config(name):
     assert {line.split(":")[0] for line in lines} == {f"seed {s}" for s in cfg.seeds}
     if cfg.algorithm == "penalty_ogd":
         assert any("surrogate_gradient_bound" in line for line in lines)
+
+
+@pytest.mark.parametrize("name, lo, hi, diameter", [
+    ("reference_stochastic", "0000000000002ec0", "0000000000002e40", 30.0),
+    ("reference_adversarial", "0000000000002ec0", "0000000000002e40", 30.0),
+    ("optimistic_perfect", "00000000000000c0", "0000000000000040", 4.0),
+    ("doubling_noisy", "00000000000000c0", "0000000000000040", 4.0),
+])
+def test_shipped_decision_sets_keep_their_bytes(name, lo, hi, diameter):
+    # seed 0 plays on the interval [-r, r]: the ball of radius r at +0.0,
+    # with the bytes of the lo, hi, center and diameter of the axis-aligned
+    # box that represented it before
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.json")
+    fset = build_instance(cfg, 0).fset
+    assert (fset.lo.tobytes().hex(), fset.hi.tobytes().hex()) == (lo, hi)
+    assert fset.center.tobytes().hex() == "0000000000000000"
+    assert fset.diameter.hex() == diameter.hex()
 
 
 def test_cli_rejects_seed_count_below_one(tmp_path, capsys):
@@ -505,3 +525,62 @@ def test_readme_schema_names_every_config_field():
     section = readme.split("### Config schema", 1)[1]
     block = section.split("```json", 1)[1].split("```", 1)[0]
     assert set(json.loads(block)) == {f.name for f in fields(ExperimentConfig)}
+
+
+@pytest.mark.parametrize("obj", [
+    {**BASE, "name": None},
+    {**BASE, "name": "a/b"},
+    {**BASE, "name": ""},
+    {**BASE, "out_dir": 5},
+    {**BASE, "lambda_mode": "explicit", "lambda_value": True},
+    {**ODAF_BASE, "alpha": True},
+    {**ODAF_BASE, "error_estimate": False},
+], ids=["name_null", "name_with_directory", "name_empty", "out_dir_int", "lambda_value_true",
+        "alpha_true", "error_estimate_false"])
+def test_cli_rejects_mistyped_top_level_fields(tmp_path, capsys, monkeypatch, obj):
+    # a null name wrote None_seed0.csv, a bool ran as 1.0 or 0.0, and a
+    # name with a directory part or an integer out_dir failed every seed
+    _rejected_by_both_commands(tmp_path, capsys, monkeypatch, obj)
+
+
+@pytest.mark.parametrize("env", [
+    {**BASE["environment"], "horizon": 50.5},
+    {**BASE["environment"], "dim": True},
+    {**BASE["environment"], "m": True},
+    {**BASE["environment"], "radius": True},
+    {**BASE["environment"], "mode": 1},
+    {**ODAF_BASE["environment"], "constraint_memory": 0},
+    {**ODAF_BASE["environment"], "noise": "0.5"},
+    {**ODAF_BASE["environment"], "g_mag": [0.01, True]},
+    {**ODAF_BASE["environment"], "g_root": [0.4, 0.5, 0.9]},
+], ids=["horizon_float", "dim_true", "m_true", "radius_true", "mode_int",
+        "constraint_memory_0", "noise_string", "g_mag_bool", "g_root_triple"])
+def test_cli_rejects_mistyped_environment_fields(tmp_path, capsys, monkeypatch, env):
+    # each field is checked against its dataclass annotation when the
+    # config loads: True ran as 1, and 0 was written into the replay JSON
+    base = ODAF_BASE if env["kind"] == "separable_linear" else BASE
+    _rejected_by_both_commands(tmp_path, capsys, monkeypatch, {**base, "environment": env})
+
+
+def test_environment_fields_take_their_annotated_types():
+    cfg = ExperimentConfig.from_dict({**ODAF_BASE, "environment": {
+        **ODAF_BASE["environment"], "radius": 2, "g_mag": [0.01, 1], "constraint_memory": False}})
+    inst = build_instance(cfg, 0)
+    assert type(inst.radius) is float and inst.constraint_memory is False
+
+
+def test_readme_cli_block_names_the_parser_flags():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    documented = {}
+    for line in block.strip().splitlines():
+        words = line.split("#", 1)[0].split()
+        assert words[0] == "cocomem"
+        documented[words[1]] = {w.strip("[]") for w in words[2:] if w.strip("[]").startswith("--")}
+    subparsers = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parsed = {name: {flag for action in sub._actions for flag in action.option_strings
+                     if flag not in ("-h", "--help")}
+              for name, sub in subparsers.choices.items()}
+    assert documented == parsed
+    assert parsed["run"] == {"--config", "--out", "--seeds", "--parallel"}
+    assert parsed["verify"] == parsed["bounds"] == {"--config"}

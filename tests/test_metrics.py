@@ -17,7 +17,7 @@ from cocomem import (
     run_penalty_ogd,
     theorem_bound_report,
 )
-from cocomem.core import Ball, Box, round_table, splat
+from cocomem.core import Ball, round_table, splat
 from cocomem.metrics import (
     GRID_STEPS_PER_DIAMETER,
     ccv_rhs_quadratic,
@@ -219,7 +219,7 @@ def test_prefix_static_regret_uses_prefix_benchmark():
 
 
 def test_grid_points_dimensions():
-    g1 = grid_points(Box([-1.0], [1.0]), 0.5)
+    g1 = grid_points(Ball([0.0], 1.0), 0.5)
     assert np.allclose(g1.ravel(), [-1, -0.5, 0, 0.5, 1])
     g2 = grid_points(Ball([0.0, 0.0], 1.0), 0.5)
     assert g2.shape[1] == 2

@@ -52,7 +52,7 @@ def _outcome(module, runner, make_instance, variant, kind, lam):
 )
 def test_float_learner_matches_numpy_reference(runner, kind, m, d, memoryless, lam,
                                                rounds, density, seed):
-    # a Box at d = 1, a Ball at d >= 2; COCO_M needs constraints at delay 0
+    # a ball, which at d = 1 is an interval; COCO_M needs constraints at delay 0
     variant = Variant.COCO_M if memoryless else Variant.COCO_M2
 
     def make_instance():

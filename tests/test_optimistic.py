@@ -20,7 +20,7 @@ from cocomem import (
     run_doubling,
     run_optimistic,
 )
-from cocomem.core import Box
+from cocomem.core import Ball
 from cocomem.geometry import ftrl_argmin, minimize_linear, project
 from cocomem.harness import load_config, run_single
 from cocomem.metrics import reconstruct_hint_errors
@@ -550,17 +550,18 @@ def _toggles(draw):
     toggles=_toggles(),
     lin0=st.floats(-30.0, 30.0),
     mu=st.sampled_from([0.0, 5e-324, 1e-300, 1e-12]) | st.floats(1e-3, 20.0),
-    box=st.sampled_from([(-2.0, 2.0), (-1.0, 3.0), (0.0, 1.5)]),
+    interval=st.sampled_from([(-2.0, 2.0), (-1.0, 3.0), (0.0, 1.5)]),
     where=st.floats(0.0, 1.0),
 )
-def test_1d_activity_search_matches_the_enumeration(toggles, lin0, mu, box, where):
+def test_1d_activity_search_matches_the_enumeration(toggles, lin0, mu, interval, where):
     """The 1-D search (fallback pattern, then the interval patterns of the
     sorted thresholds) returns the decision and pattern of the 2^k
     enumeration and falls back in the same cases, or meets the same error."""
     inst = SeparableLinearInstance(m=0, horizon=4, seed=0)
     learner = OdafLearner(inst, Variant.COCO_M2, ZeroPredictor(), 0.5)
-    learner.fset = fset = Box([box[0]], [box[1]])
-    x_last = box[0] + where * (box[1] - box[0])
+    lo, hi = interval
+    learner.fset = fset = Ball([(lo + hi) / 2], (hi - lo) / 2)  # exact for these literals
+    x_last = lo + where * (hi - lo)
     want = _enumerated_activity(fset, lin0, mu, toggles, x_last)
     before = learner.fixed_point_fallbacks
     try:

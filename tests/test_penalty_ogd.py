@@ -13,7 +13,7 @@ from cocomem import (
     Variant,
     run_penalty_ogd,
 )
-from cocomem.core import Box, MemoryFunctionOracle
+from cocomem.core import Ball, MemoryFunctionOracle
 from cocomem.harness import load_config, run_single
 from cocomem.penalty import lambda_quadratic
 from cocomem.penalty_ogd import PenaltyOgdLearner, adaptive_step, surrogate_gradient
@@ -96,7 +96,7 @@ def test_single_round_hand_trace():
     # d=1, X=[-15,15], x0=0, f-lift 0.5(x-2)^2, constraint x-1 (inactive
     # at 0), quadratic lam=0.5: V=0, Phi'=0, grad = -2, sum = 4,
     # eta = 30/(sqrt(2)*2) = 10.6066..., x1 = clamp(0 + 21.2132..) = 15
-    fset = Box([-15.0], [15.0])
+    fset = Ball([0.0], 15.0)
     learner = PenaltyOgdLearner(fset, 0, Variant.COCO_M, PenaltyKind.QUADRATIC,
                                 LambdaSchedule("fixed", 0.5), 1)
     rec = learner.play_round(1, Quadratic1D(2.0), Affine1D(1.0, -1.0))
@@ -109,7 +109,7 @@ def test_single_round_hand_trace():
 
 def test_fixed_point_when_nothing_moves():
     # constant loss and satisfied constraint: zero gradients, x never moves
-    fset = Box([-15.0], [15.0])
+    fset = Ball([0.0], 15.0)
     learner = PenaltyOgdLearner(fset, 0, Variant.COCO_M, PenaltyKind.QUADRATIC,
                                 LambdaSchedule("fixed", 0.5), 9)
     for t in range(1, 10):
@@ -122,7 +122,7 @@ def test_fixed_point_when_nothing_moves():
 def test_dual_update_precedes_gradient():
     # start at x=0 with constraint x + 1 > 0 active: the same round's
     # violation must already scale the constraint gradient
-    fset = Box([-15.0], [15.0])
+    fset = Ball([0.0], 15.0)
     learner = PenaltyOgdLearner(fset, 0, Variant.COCO_M, PenaltyKind.QUADRATIC,
                                 LambdaSchedule("fixed", 0.5), 1)
     rec = learner.play_round(1, Quadratic1D(0.0), Affine1D(1.0, 1.0))
@@ -155,7 +155,7 @@ def test_every_decision_feasible_and_steps_shrink():
 
 
 def test_oracle_shape_mismatch_rejected():
-    fset = Box([-1.0], [1.0])
+    fset = Ball([0.0], 1.0)
     learner = PenaltyOgdLearner(fset, 1, Variant.COCO_M, PenaltyKind.QUADRATIC,
                                 LambdaSchedule("fixed", 0.5), 1)
     with pytest.raises(ValueError):
