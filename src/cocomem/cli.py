@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .harness import (
     ConfigError,
     bounds_reports,
     load_config,
-    resolve_out_dir,
     run_experiment,
     verify_experiment,
 )
@@ -65,7 +65,7 @@ def main(argv: list[str] | None = None) -> int:
                 cfg.seeds = list(range(args.seeds))
             if args.parallel < 1:
                 raise ConfigError(f"--parallel must be at least 1, got {args.parallel}")
-            out_dir = resolve_out_dir(args.out, cfg)
+            out_dir = args.out or os.environ.get("COCO_MEM_OUT") or cfg.out_dir
             summary = run_experiment(cfg, out_dir, parallel=args.parallel)
             print(json.dumps(summary, indent=2, sort_keys=True))
             return EXIT_RUNTIME if summary["seeds_failed"] else EXIT_OK

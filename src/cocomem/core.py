@@ -1,9 +1,10 @@
-"""Shared domain types: decision vectors, memory windows, the decision
-set, function oracles with memory, and the per-round trace table.
+"""Shared domain types: decision vectors, the decision set, function
+oracles with memory, and the per-round trace table.
 
 A decision is a plain 1-D numpy array of finite floats.  A memory window
-holds the last m+1 decisions in round order (oldest first), so the loss
-f_t(x_{t-m}, ..., x_t) is always evaluated on a full window.
+is an (m+1, d) array of the last m+1 decisions in round order (row 0 the
+oldest), so the loss f_t(x_{t-m}, ..., x_t) is always evaluated on a full
+window.
 """
 
 from __future__ import annotations
@@ -46,51 +47,6 @@ def fdot(a, b) -> float:
     return s
 
 
-class MemoryWindow:
-    """Ring of the last m+1 decisions, oldest -> newest.
-
-    After construction the window always holds exactly m+1 entries;
-    pushing a new decision evicts the oldest one.
-    """
-
-    __slots__ = ("_buf", "memory", "dim")
-
-    def __init__(self, entries):
-        arr = np.asarray(entries, dtype=float)
-        if arr.ndim == 1:
-            arr = arr[:, None]
-        if arr.ndim != 2 or arr.shape[0] < 1:
-            raise ValueError("window needs at least one entry")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("window has non-finite entries")
-        self._buf = arr.copy()
-        self.memory = arr.shape[0] - 1
-        self.dim = arr.shape[1]
-
-    def push(self, x) -> None:
-        x = as_decision(x, self.dim)
-        self._buf[:-1] = self._buf[1:]
-        self._buf[-1] = x
-
-    @property
-    def entries(self) -> np.ndarray:
-        """(m+1, d) array, row 0 is the oldest decision."""
-        return self._buf
-
-    @property
-    def newest(self) -> np.ndarray:
-        return self._buf[-1]
-
-
-def splat(x, m: int) -> MemoryWindow:
-    """Constant window (x, ..., x) with m+1 slots: the memory-less lift's
-    evaluation point."""
-    if m < 0:
-        raise ValueError("memory length must be >= 0")
-    x = as_decision(x)
-    return MemoryWindow(np.tile(x, (m + 1, 1)))
-
-
 # ---------------------------------------------------------------------------
 # The decision set
 
@@ -113,10 +69,6 @@ class Ball:
         self.hi = self.center + self.radius
         for arr in (self.center, self.lo, self.hi):
             arr.flags.writeable = False
-
-    def extents(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-axis (lo, hi) of the set's bounding box."""
-        return self.lo, self.hi
 
     def contains(self, x, tol: float = 1e-9):
         """Membership of one point, or of every row of an (n, d) array."""
@@ -152,11 +104,12 @@ class MemoryFunctionOracle:
     lipschitz: float
     bound: float
 
-    def value(self, window: MemoryWindow) -> float:
+    def value(self, window: np.ndarray) -> float:
+        """The value at an (m+1, d) window, row 0 the oldest decision."""
         raise NotImplementedError
 
     def value_splat(self, x) -> float:
-        return self.value(splat(x, self.memory))
+        return self.value(np.tile(as_decision(x), (self.memory + 1, 1)))
 
     def grad_splat(self, x) -> np.ndarray:
         raise NotImplementedError

@@ -42,7 +42,7 @@ from dataclasses import InitVar, dataclass, field, fields
 
 import numpy as np
 
-from .core import Ball, MemoryFunctionOracle, MemoryWindow, fdot
+from .core import Ball, MemoryFunctionOracle, fdot
 
 RNG_NAME = "pcg64"
 
@@ -62,19 +62,26 @@ class InstanceConstants:
     g_bound: float
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+def is_number(v) -> bool:
+    """The rule every float-typed config value follows: a finite real that
+    is not a bool (so neither a string nor an int past the doubles)."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 # what a field of each annotation takes (annotations are strings, by
 # postponed evaluation): a bool is no number, and only a bool is a bool
 _FIELD_TYPES = {
     "int": ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
-    "float": ("a number", _is_number),
+    "float": ("a finite number", is_number),
     "bool": ("true or false", lambda v: isinstance(v, bool)),
     "str": ("a string", lambda v: isinstance(v, str)),
-    "tuple[float, float]": ("a pair of numbers", lambda v: isinstance(v, (list, tuple))
-                            and len(v) == 2 and all(map(_is_number, v))),
+    "tuple[float, float]": ("a pair of finite numbers", lambda v: isinstance(v, (list, tuple))
+                            and len(v) == 2 and all(map(is_number, v))),
 }
 
 
@@ -163,8 +170,8 @@ class _QuadraticTrackingLoss(MemoryFunctionOracle):
         self.lipschitz = reach
         self.bound = 0.5 * reach * reach
 
-    def value(self, window: MemoryWindow) -> float:
-        diff = window.entries - self.c
+    def value(self, window: np.ndarray) -> float:
+        diff = window - self.c
         return 0.5 * float(np.sum(diff * diff)) / (self.memory + 1)
 
     def value_splat(self, x) -> float:
@@ -186,8 +193,8 @@ class _AffineBudgetConstraint(MemoryFunctionOracle):
         self.lipschitz = float(np.linalg.norm(d_coef))
         self.bound = self.lipschitz * radius + delta
 
-    def value(self, window: MemoryWindow) -> float:
-        return float(np.mean(window.entries @ self.d_coef)) - self.delta
+    def value(self, window: np.ndarray) -> float:
+        return float(np.mean(window @ self.d_coef)) - self.delta
 
     def value_splat(self, x) -> float:
         return float(self.d_coef @ np.asarray(x, dtype=float)) - self.delta
@@ -345,7 +352,7 @@ class AppendixAInstance(_Instance):
 class _SeparableMemoryFunction(MemoryFunctionOracle):
     """sum_i <coeff_i, x_{t-i}> + offset_i over the window slots."""
 
-    def __init__(self, coeffs: np.ndarray, offsets: np.ndarray, radius_sup: float):
+    def __init__(self, coeffs: np.ndarray, offsets: np.ndarray, radius: float):
         # coeffs[i] multiplies x_{t-i} (delay order), shape (m+1, d)
         self.coeffs = coeffs
         self.offsets = offsets
@@ -355,12 +362,12 @@ class _SeparableMemoryFunction(MemoryFunctionOracle):
         lift = float(np.linalg.norm(coeffs.sum(axis=0)))
         self.lipschitz = max(joint, lift)
         self.bound = float(
-            np.sum(np.linalg.norm(coeffs, axis=1)) * radius_sup + np.sum(np.abs(offsets))
+            np.sum(np.linalg.norm(coeffs, axis=1)) * radius + np.sum(np.abs(offsets))
         )
 
-    def value(self, window: MemoryWindow) -> float:
+    def value(self, window: np.ndarray) -> float:
         # window rows are oldest->newest; delay i touches row m-i
-        rows = window.entries[::-1]
+        rows = window[::-1]
         return float(np.sum(rows * self.coeffs)) + float(np.sum(self.offsets))
 
     def value_splat(self, x) -> float:
@@ -412,8 +419,8 @@ class SeparableLinearInstance(_Instance):
             raise ValueError("need horizon >= memory >= 0")
         if radius <= 0:
             raise ValueError("radius must be positive")
-        if not all(math.isfinite(v) and v >= 0 for v in (drift, noise)):
-            raise ValueError(f"drift and noise must be finite and >= 0, got {drift}, {noise}")
+        if min(drift, noise) < 0:
+            raise ValueError(f"drift and noise must be >= 0, got {drift}, {noise}")
         if blocks < 1:
             raise ValueError(f"blocks must be >= 1, got {blocks!r}")
         for name, v in (("g_round_density", g_round_density),
@@ -488,7 +495,7 @@ class SeparableLinearInstance(_Instance):
             # expressions hold elementwise
             coeff /= np.sqrt(coeff * coeff)
             coeff *= mag[:, None]
-            lo, hi = self.fset.extents()
+            lo, hi = self.fset.lo, self.fset.hi
             sup = (np.where(coeff >= 0, coeff * hi, coeff * lo) - coeff * self.fset.center)[:, 0]
         else:
             center = self.fset.center
@@ -507,16 +514,13 @@ class SeparableLinearInstance(_Instance):
 
     def loss(self, t: int) -> MemoryFunctionOracle:
         coeffs = self.f_coef[t] if 0 < t <= self.horizon else np.zeros_like(self.f_coef[0])
-        return _SeparableMemoryFunction(coeffs, np.zeros(self.m + 1), self._radius_sup())
+        return _SeparableMemoryFunction(coeffs, np.zeros(self.m + 1), self.radius)
 
     def constraint(self, t: int) -> MemoryFunctionOracle:
         in_range = 0 < t <= self.horizon
         coeffs = self.g_coef[t] if in_range else np.zeros_like(self.g_coef[0])
         offs = self.g_off[t] if in_range else np.zeros(self.m + 1)
-        return _SeparableMemoryFunction(coeffs, offs, self._radius_sup())
-
-    def _radius_sup(self) -> float:
-        return self.fset.diameter / 2.0
+        return _SeparableMemoryFunction(coeffs, offs, self.radius)
 
     def round_evaluator(self, rounds: range, g_window: bool):
         """`evaluate(k, window, x)` for round rounds[k] in Python floats; see
@@ -585,11 +589,10 @@ class SeparableLinearInstance(_Instance):
         lift_f = np.linalg.norm(self.f_coef.sum(axis=1), axis=-1)
         joint_g = np.sqrt(np.sum(self.g_coef**2, axis=(1, 2)))
         lift_g = np.linalg.norm(self.g_coef.sum(axis=1), axis=-1)
-        sup = self._radius_sup()
         f_norms = np.linalg.norm(self.f_coef, axis=2)
         g_norms = np.linalg.norm(self.g_coef, axis=2)
-        f_bound = float(np.max(np.sum(f_norms * sup, axis=1)))
-        g_bound = float(np.max(np.sum(g_norms * sup + np.abs(self.g_off), axis=1)))
+        f_bound = float(np.max(np.sum(f_norms * self.radius, axis=1)))
+        g_bound = float(np.max(np.sum(g_norms * self.radius + np.abs(self.g_off), axis=1)))
         return InstanceConstants(
             diameter=self.fset.diameter,
             l_f=float(max(joint_f.max(), lift_f.max())),
@@ -775,9 +778,9 @@ class NoisyPredictor(Predictor):
     kind = "noisy"
 
     def __init__(self, scale: float, seed: int = 0):
+        if not (is_number(scale) and scale >= 0):
+            raise ValueError(f"noise scale must be a finite number >= 0, got {scale!r}")
         self.scale = float(scale)
-        if not 0 <= self.scale < math.inf:
-            raise ValueError(f"noise scale must be finite and >= 0, got {self.scale}")
         self.seed = int(seed)
         if self.seed < 0:
             raise ValueError(f"noise seed must be a non-negative integer, got {self.seed}")

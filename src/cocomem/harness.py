@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import inspect
 import json
-import math
 import os
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -27,6 +26,7 @@ from .environments import (
     PerfectPredictor,
     SeparableLinearInstance,
     ZeroPredictor,
+    is_number,
 )
 from .metrics import (
     BoundReport,
@@ -84,11 +84,14 @@ class ExperimentConfig:
         self.penalty = PenaltyKind(self.penalty)
         for f in fields(self):  # annotations are strings (postponed evaluation)
             value = getattr(self, f.name)
-            if f.type in ("float", "float | None") and value is not None:
-                if isinstance(value, bool):  # float(True) would run as 1.0
-                    raise TypeError(f"{f.name} must be a number, got {value!r}")
+            if f.type == "float" or (f.type == "float | None" and value is not None):
+                if not is_number(value):  # float() would read "2" or true
+                    raise TypeError(f"{f.name} must be a finite number, got {value!r}")
                 setattr(self, f.name, float(value))
-        self.environment, self.predictor = dict(self.environment), dict(self.predictor)
+            if f.type == "dict":
+                if not isinstance(value, dict):  # dict() would read [key, value] pairs
+                    raise TypeError(f"{f.name} must be a JSON object, got {value!r}")
+                setattr(self, f.name, dict(value))
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
@@ -135,14 +138,13 @@ class ExperimentConfig:
         self._check_predictor()
         if self.lambda_mode not in LAMBDA_MODES:
             raise ConfigError(f"unknown lambda mode {self.lambda_mode!r}")
-        if self.lambda_value is not None and not (
-            self.lambda_value > 0 and math.isfinite(self.lambda_value)
-        ):
-            raise ConfigError(f"lambda_value must be finite and positive, got {self.lambda_value}")
-        if self.alpha is not None and not (self.alpha > 0 and math.isfinite(self.alpha)):
-            raise ConfigError(f"alpha must be finite and positive, got {self.alpha}")
-        if not (self.error_estimate >= 0 and math.isfinite(self.error_estimate)):
-            raise ConfigError(f"error_estimate must be finite and >= 0, got {self.error_estimate}")
+        # __post_init__ made every float field a finite float
+        if self.lambda_value is not None and self.lambda_value <= 0:
+            raise ConfigError(f"lambda_value must be positive, got {self.lambda_value}")
+        if self.alpha is not None and self.alpha <= 0:
+            raise ConfigError(f"alpha must be positive, got {self.alpha}")
+        if self.error_estimate < 0:
+            raise ConfigError(f"error_estimate must be >= 0, got {self.error_estimate}")
         if self.lambda_mode == "explicit" and self.lambda_value is None:
             raise ConfigError("explicit lambda mode needs a lambda_value")
         if self.lambda_mode != "explicit" and self.lambda_value is not None:
@@ -323,13 +325,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
                    parallel: int = 1) -> dict:
     """Run every seed, write one CSV (plus instance JSON) per seed, and an
     aggregate summary with per-checkpoint means and standard deviations.
-    Failed seeds are recorded and excluded from aggregates."""
+    Failed seeds are recorded and excluded from aggregates.  Seeds run in
+    at most `parallel` worker processes, never more than there are seeds
+    (a forked pool starts all its workers at the first task)."""
     cfg.validate()
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     results, failed = [], []
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+    workers = min(parallel, len(cfg.seeds))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futs = [(seed, pool.submit(_run_one_seed, cfg, seed, str(out)))
                     for seed in cfg.seeds]
             for seed, fut in futs:
@@ -384,7 +389,3 @@ def bounds_reports(cfg: ExperimentConfig) -> list[tuple[int, BoundReport]]:
         out.append((seed, theorem_bound_report(trace)))
     return out
 
-
-def resolve_out_dir(cli_value: str | None, cfg: ExperimentConfig) -> str:
-    env = os.environ.get("COCO_MEM_OUT")
-    return cli_value or env or cfg.out_dir

@@ -111,11 +111,10 @@ def _half_space_intervals(instance, kind: str, rounds) -> tuple[np.ndarray, np.n
     """Per half-space 1-D intervals: the set's extent cut by a x + b <= 0."""
     if instance.dim != 1:
         raise ValueError("closed-form interval needs dim = 1")
-    set_lo, set_hi = instance.fset.extents()
     A, b = instance.halfspaces(rounds, kind)
     a = A[:, 0]
-    lo = np.full(len(a), float(set_lo[0]))
-    hi = np.full(len(a), float(set_hi[0]))
+    lo = np.full(len(a), float(instance.fset.lo[0]))
+    hi = np.full(len(a), float(instance.fset.hi[0]))
     pos, neg = a > 0, a < 0
     hi[pos] = np.minimum(hi[pos], -b[pos] / a[pos])
     lo[neg] = np.maximum(lo[neg], -b[neg] / a[neg])
@@ -127,9 +126,8 @@ def feasible_interval(instance, kind: str, upto: int | None = None):
     (`lift` for the memory-less feasibility, `slicewise` for per-slice
     feasibility); None when empty."""
     lo, hi = _half_space_intervals(instance, kind, _active_rounds(instance, upto))
-    set_lo, set_hi = instance.fset.extents()
-    lo = float(np.max(lo, initial=set_lo[0]))
-    hi = float(np.min(hi, initial=set_hi[0]))
+    lo = float(np.max(lo, initial=instance.fset.lo[0]))
+    hi = float(np.min(hi, initial=instance.fset.hi[0]))
     return (lo, hi) if lo <= hi else None
 
 
@@ -168,14 +166,13 @@ def grid_points(fset, resolution: float) -> np.ndarray:
     """Uniform grid over the feasible set, dimensions 1 and 2 only; the
     2-D grid must stay coarse (point count capped)."""
     check_benchmark_dim(fset.dim)
-    set_lo, set_hi = fset.extents()
     if fset.dim == 1:
-        lo, hi = float(set_lo[0]), float(set_hi[0])
+        lo, hi = float(fset.lo[0]), float(fset.hi[0])
         n = int(round((hi - lo) / resolution)) + 1
         if n > _GRID_POINT_CAP:
             raise ValueError("grid resolution too fine for this set")
         return np.linspace(lo, hi, n)[:, None]
-    spans = [(float(lo), float(hi)) for lo, hi in zip(set_lo, set_hi)]
+    spans = [(float(lo), float(hi)) for lo, hi in zip(fset.lo, fset.hi)]
     counts = [int((hi - lo) / resolution) + 1 for lo, hi in spans]
     if counts[0] * counts[1] > _GRID_POINT_CAP:
         raise ValueError(
@@ -335,10 +332,9 @@ class BoundReport:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def theorem_bound_report(trace: RunTrace, series: MetricSeries | None = None) -> BoundReport:
+def theorem_bound_report(trace: RunTrace) -> BoundReport:
     """Measured regret/CCV against the matching explicit bounds."""
-    if series is None:
-        series = regret_and_ccv(trace)
+    series = regret_and_ccv(trace)
     inst = trace.instance
     k = inst.constants()
     T, m = inst.horizon, inst.m
@@ -546,10 +542,10 @@ def surrogate_sum_memory(trace: RunTrace) -> float:
     )
 
 
-def check_forward_consistency(trace: RunTrace, n_points: int = 5) -> CheckResult:
-    """For constant points u: sum_t Z_t(u) equals sum_t L_t(u,...,u) exactly
-    under zero padding; and the played surrogate never exceeds the played
-    forward sum."""
+def check_forward_consistency(trace: RunTrace) -> CheckResult:
+    """For five random constant points u: sum_t Z_t(u) equals
+    sum_t L_t(u,...,u) exactly under zero padding; and the played surrogate
+    never exceeds the played forward sum."""
     from .geometry import project
 
     inst = trace.instance
@@ -561,7 +557,7 @@ def check_forward_consistency(trace: RunTrace, n_points: int = 5) -> CheckResult
     parts = _forward_parts(trace)
     rng = np.random.Generator(np.random.PCG64(12345))
     worst = 0.0
-    for _ in range(n_points):
+    for _ in range(5):
         u = inst.fset.center + rng.uniform(-1, 1, size=inst.dim) * inst.fset.diameter / 2
         u = project(inst.fset, u)
         z_sum = forward_sum_at_point(trace, u, parts)

@@ -26,7 +26,7 @@ from itertools import chain
 
 import numpy as np
 
-from .core import MemoryFunctionOracle, Variant, fdot, round_table, splat
+from .core import MemoryFunctionOracle, Variant, fdot, round_table
 from .geometry import point_step, project
 from .metrics import RunTrace
 from .penalty import (
@@ -71,7 +71,9 @@ def adaptive_step(diameter: float, grad_sq_sum: float) -> float:
 
 class PenaltyOgdLearner:
     """Single-run learner state; one instance per (config, seed).  It
-    plays `n_rounds` rounds and writes the k-th into row k of `records`."""
+    plays `n_rounds` rounds and writes the k-th into row k of `records`.
+    `window` is the (m+1, d) array of the last m+1 decisions, oldest
+    first, with the set center standing in before the first round."""
 
     def __init__(self, fset, memory: int, variant: Variant, kind: PenaltyKind,
                  schedule: LambdaSchedule, n_rounds: int):
@@ -81,7 +83,7 @@ class PenaltyOgdLearner:
         self.kind = kind
         self.schedule = schedule
         self.x = fset.center
-        self.window = splat(self.x, memory)
+        self.window = np.tile(self.x, (memory + 1, 1))
         self.grad_sq_sum = 0.0
         self.v_dual = 0.0
         self.ccv = 0.0
@@ -125,7 +127,8 @@ class PenaltyOgdLearner:
         )
         self.played += 1
         self.x = x_next
-        self.window.push(x_next)
+        self.window[:-1] = self.window[1:]
+        self.window[-1] = x_next
         return self.records[row]
 
 

@@ -7,6 +7,11 @@ import numpy as np
 from cocomem.metrics import RunTrace, best_in_hindsight, lift_loss_at
 
 
+def constant_window(x, m: int) -> np.ndarray:
+    """The (m+1, d) memory window (x, ..., x) of an oracle's `value`."""
+    return np.tile(np.atleast_1d(np.asarray(x, dtype=float)), (m + 1, 1))
+
+
 def prefix_static_regret(trace: RunTrace, upto: int) -> float:
     """Static regret of the first rounds up to `upto`, against the
     best-in-hindsight point of that prefix."""

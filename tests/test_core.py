@@ -2,19 +2,9 @@ import numpy as np
 import pytest
 
 from cocomem import AppendixAInstance
-from cocomem.core import Ball, MemoryWindow, splat
+from cocomem.core import Ball
 
-
-def test_splat_repeats_point():
-    w = splat([1.0, 2.0], 2)
-    assert w.entries.shape == (3, 2)
-    assert np.array_equal(w.entries, [[1, 2], [1, 2], [1, 2]])
-
-
-def test_splat_zero_memory():
-    w = splat([0.0], 0)
-    assert w.entries.shape == (1, 1)
-    assert w.newest[0] == 0.0
+from helpers import constant_window
 
 
 def test_splat_matches_lift_on_instance_oracles():
@@ -24,28 +14,8 @@ def test_splat_matches_lift_on_instance_oracles():
         f, g = inst.loss(t), inst.constraint(t)
         for _ in range(5):
             x = rng.uniform(-15, 15, size=1)
-            assert f.value(splat(x, 2)) == pytest.approx(f.value_splat(x), rel=1e-12)
-            assert g.value(splat(x, 2)) == pytest.approx(g.value_splat(x), rel=1e-12)
-
-
-def test_window_push_evicts_oldest():
-    rng = np.random.default_rng(1)
-    for m in (0, 1, 3):
-        w = splat([0.0], m)
-        pushed = [np.zeros(1)] * (m + 1)
-        for _ in range(4 * (m + 1)):
-            x = rng.normal(size=1)
-            w.push(x)
-            pushed.append(x)
-            assert np.array_equal(w.entries, np.stack(pushed[-(m + 1):]))
-
-
-def test_window_rejects_non_finite():
-    w = splat([0.0], 1)
-    with pytest.raises(ValueError):
-        w.push([np.nan])
-    with pytest.raises(ValueError):
-        MemoryWindow([[np.inf]])
+            assert f.value(constant_window(x, 2)) == pytest.approx(f.value_splat(x), rel=1e-12)
+            assert g.value(constant_window(x, 2)) == pytest.approx(g.value_splat(x), rel=1e-12)
 
 
 def test_instance_oracles_respect_declared_bounds():
@@ -54,11 +24,11 @@ def test_instance_oracles_respect_declared_bounds():
     for t in range(3, 61, 7):
         for oracle in (inst.loss(t), inst.constraint(t)):
             for _ in range(50):
-                w1 = MemoryWindow(rng.uniform(-15, 15, size=(4, 1)))
-                w2 = MemoryWindow(rng.uniform(-15, 15, size=(4, 1)))
+                w1 = rng.uniform(-15, 15, size=(4, 1))
+                w2 = rng.uniform(-15, 15, size=(4, 1))
                 v1, v2 = oracle.value(w1), oracle.value(w2)
                 assert abs(v1) <= oracle.bound + 1e-9
-                gap = np.linalg.norm(w1.entries - w2.entries)
+                gap = np.linalg.norm(w1 - w2)
                 assert abs(v1 - v2) <= oracle.lipschitz * gap + 1e-9
 
 

@@ -17,8 +17,8 @@ from cocomem import (
     ZeroPredictor,
     run_penalty_ogd,
 )
-from cocomem.core import splat
 from cocomem.environments import NOISE_BLOCK_ROWS, seed_sequence_words
+from helpers import constant_window
 
 
 def test_default_parameters_match_reference_experiment():
@@ -36,7 +36,7 @@ def test_constraint_lift_example():
     # lift at x = 1: 2*1 - 1 = 1, positive part 1
     assert g.value_splat([1.0]) == pytest.approx(1.0)
     assert max(g.value_splat([1.0]), 0.0) == pytest.approx(1.0)
-    assert g.value(splat([1.0], 1)) == pytest.approx(1.0)
+    assert g.value(constant_window(1.0, 1)) == pytest.approx(1.0)
 
 
 def test_same_seed_is_bitwise_identical():
@@ -73,10 +73,10 @@ def test_declared_constants_dominate_empirical_probes():
         f, g = inst.loss(t), inst.constraint(t)
         w = rng.uniform(-15, 15, size=(100, 3, 1))
         for i in range(0, 100, 2):
-            w1, w2 = splat(w[i, 0], 2), splat(w[i + 1, 0], 2)
+            w1, w2 = constant_window(w[i, 0], 2), constant_window(w[i + 1, 0], 2)
             assert abs(f.value(w1)) <= k.f_bound + 1e-9
             assert abs(g.value(w1)) <= k.g_bound + 1e-9
-            gap = np.linalg.norm(w1.entries - w2.entries)
+            gap = np.linalg.norm(w1 - w2)
             assert abs(f.value(w1) - f.value(w2)) <= k.l_f * gap + 1e-9
             assert abs(g.value(w1) - g.value(w2)) <= k.l_g * gap + 1e-9
 

@@ -40,6 +40,19 @@ def test_projection_idempotent_and_nonexpansive():
             assert np.linalg.norm(pp - qq) <= np.linalg.norm(p - q) + 1e-12
 
 
+@pytest.mark.parametrize("fset", [Ball([0.0], 15.0), Ball([0.0, 0.0], 15.0)], ids=["1d", "2d"])
+def test_projection_rejects_non_finite_points(fset):
+    # the penalty-OGD learner's window holds what project returns, so a
+    # non-finite step must stop here
+    for bad in (np.nan, np.inf, -np.inf):
+        p = np.zeros(fset.dim)
+        p[-1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            project(fset, p)
+    with pytest.raises(ValueError, match="dimension"):
+        project(fset, np.zeros(fset.dim + 1))
+
+
 def test_ftrl_argmin_examples():
     s = Ball([0.0, 0.0], 15.0)
     # unconstrained optimum -g/mu interior

@@ -1,16 +1,21 @@
 import argparse
 import json
+import math
+from concurrent.futures import Future
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cocomem import harness
 from cocomem.cli import _parser
 from cocomem.cli import main as cli_main
 from cocomem.core import Variant
+from cocomem.environments import _FIELD_TYPES, NoisyPredictor, is_number
 from cocomem.harness import (
     CSV_HEADER,
+    ENV_FAMILIES,
     PREDICTORS,
     ConfigError,
     ExperimentConfig,
@@ -88,6 +93,44 @@ def test_parallel_matches_serial(tmp_path):
     run_experiment(cfg, tmp_path / "par", parallel=2)
     for name in ("t_seed0.csv", "t_seed1.csv", "t_summary.json"):
         assert (tmp_path / "ser" / name).read_bytes() == (tmp_path / "par" / name).read_bytes()
+
+
+def test_parallel_pool_never_exceeds_the_seed_count(tmp_path, monkeypatch):
+    # a forked pool starts all its workers at the first task, so the pool
+    # is sized to the seeds, and one seed takes the serial path
+    sizes = []
+
+    class InlinePool:
+        """Runs each task at submit in this process; records the size."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    two, one = _cfg(seeds=[0, 1]), _cfg(seeds=[0])
+    run_experiment(two, tmp_path / "two_ser")
+    run_experiment(one, tmp_path / "one_ser")
+    assert sizes == []
+    run_experiment(two, tmp_path / "two_par", parallel=8)
+    assert sizes == [2]
+    run_experiment(one, tmp_path / "one_par", parallel=4)
+    assert sizes == [2]
+    for runs, names in (("two", ("t_seed0.csv", "t_seed1.csv", "t_summary.json")),
+                        ("one", ("t_seed0.csv", "t_summary.json"))):
+        for name in names:
+            assert (tmp_path / f"{runs}_ser" / name).read_bytes() == \
+                (tmp_path / f"{runs}_par" / name).read_bytes()
 
 
 def test_summary_matches_external_average(tmp_path):
@@ -301,9 +344,19 @@ def test_checkpoint_marks():
     {"kind": "separable_linear", "m": 2, "horizon": 120, "blocks": 2.5},
     {"kind": "separable_linear", "m": 2, "horizon": 120, "noise": -0.5},
     {"kind": "separable_linear", "m": 2, "horizon": 120, "drift": float("inf")},
+    # a float field takes a finite number: each of these failed or ran at
+    # run time (an infinite delta made every constraint value -inf)
+    {"kind": "appendix_a", "m": 2, "horizon": 120, "radius": float("inf")},
+    {"kind": "appendix_a", "m": 2, "horizon": 120, "radius": float("nan")},
+    {"kind": "appendix_a", "m": 2, "horizon": 120, "sigma": float("nan")},
+    {"kind": "appendix_a", "m": 2, "horizon": 120, "delta": float("inf")},
+    {"kind": "appendix_a", "m": 2, "horizon": 120, "gamma": float("nan")},
+    {"kind": "separable_linear", "m": 2, "horizon": 120, "g_mag": [0.01, float("inf")]},
 ], ids=["unknown_key", "horizon_below_m", "dim_3", "g_mag_reversed", "g_root_reversed",
         "g_root_reaches_1", "g_round_density_above_1", "g_active_fraction_negative",
-        "blocks_0", "blocks_fractional", "noise_negative", "drift_infinite"])
+        "blocks_0", "blocks_fractional", "noise_negative", "drift_infinite",
+        "radius_infinite", "radius_nan", "sigma_nan", "delta_infinite", "gamma_nan",
+        "g_mag_infinite"])
 def test_cli_rejects_bad_environment_parameters(tmp_path, capsys, monkeypatch, command, env):
     # checked when the config loads, before any instance is generated
     cfg_path = tmp_path / "cfg.json"
@@ -378,8 +431,8 @@ def test_cli_rejects_bad_lambda_value(tmp_path, capsys, raw):
 
 
 def test_lambda_value_is_parsed_as_a_float():
-    cfg = _cfg(lambda_mode="explicit", lambda_value="0.25")
-    assert cfg.lambda_value == 0.25
+    cfg = _cfg(lambda_mode="explicit", lambda_value=1)
+    assert type(cfg.lambda_value) is float and cfg.lambda_value == 1.0
     assert _cfg().lambda_value is None
 
 
@@ -472,9 +525,19 @@ NOISY_BASE = {**ODAF_BASE, "predictor": {"kind": "noisy", "scale": 0.3}}
     {**BASE, "environment": {**BASE["environment"], "seed": 5}},
     {**NOISY_BASE, "predictor": {**NOISY_BASE["predictor"], "seed": 5}},
     {**ODAF_BASE, "predictor": {"kind": "perfect", "seed": 5}},
+    # a number is a finite real that is not a bool: float() read these
+    {**ODAF_BASE, "predictor": {"kind": "noisy", "scale": "0.3"}},
+    {**ODAF_BASE, "predictor": {"kind": "noisy", "scale": True}},
+    {**BASE, "lambda_mode": "explicit", "lambda_value": "0.5"},
+    {**ODAF_BASE, "alpha": "2"},
+    {**ODAF_BASE, "error_estimate": None},
+    # dict() read a list of [key, value] pairs
+    {**BASE, "environment": [["kind", "appendix_a"], ["m", 2], ["horizon", 120]]},
+    {**ODAF_BASE, "predictor": [["kind", "perfect"]]},
 ], ids=["top_level_typo", "scale_typo", "perfect_with_scale", "no_kind", "scale_nan",
         "scale_infinite", "scale_negative", "noisy_without_scale", "environment_seed",
-        "noisy_seed", "perfect_seed"])
+        "noisy_seed", "perfect_seed", "scale_string", "scale_true", "lambda_value_string",
+        "alpha_string", "error_estimate_null", "environment_pairs", "predictor_pairs"])
 def test_cli_rejects_keys_outside_the_schema(tmp_path, capsys, monkeypatch, obj):
     _rejected_by_both_commands(tmp_path, capsys, monkeypatch, obj)
 
@@ -501,7 +564,7 @@ def test_keys_are_accepted_where_the_learner_reads_them():
 
 
 def test_config_fields_are_typed_once():
-    cfg = ExperimentConfig.from_dict({**ODAF_BASE, "error_estimate": 1, "alpha": "2"})
+    cfg = ExperimentConfig.from_dict({**ODAF_BASE, "error_estimate": 1, "alpha": 2})
     assert (cfg.variant, cfg.penalty) == (Variant.COCO_M2, PenaltyKind.EXPONENTIAL)
     assert type(cfg.error_estimate) is float and cfg.alpha == 2.0
     assert cfg.lambda_value is None and cfg.predictor == {"kind": "perfect"}
@@ -567,6 +630,38 @@ def test_environment_fields_take_their_annotated_types():
         **ODAF_BASE["environment"], "radius": 2, "g_mag": [0.01, 1], "constraint_memory": False}})
     inst = build_instance(cfg, 0)
     assert type(inst.radius) is float and inst.constraint_memory is False
+
+
+NOT_NUMBERS = [math.inf, -math.inf, math.nan, True, False, "0.5", None, 10**400]
+
+
+def test_every_float_value_follows_the_number_rule():
+    # check_fields indexes the type table by annotation: a field type the
+    # table lacks would make every config load raise KeyError
+    for family in ENV_FAMILIES.values():
+        for f in fields(family):
+            assert f.type in _FIELD_TYPES, (family.kind, f.name, f.type)
+    assert all(map(is_number, (0, -2, 0.5, 1e308, np.float64(0.3), np.int64(3))))
+    assert not any(map(is_number, NOT_NUMBERS))
+    # every float-typed value goes through it: the instance fields (both
+    # halves of a pair), the top-level float fields and the noise scale
+    for family in ENV_FAMILIES.values():
+        defaults = {f.name: f.default for f in fields(family)}
+        for f in fields(family):
+            if f.type not in ("float", "tuple[float, float]"):
+                continue
+            for bad in NOT_NUMBERS:
+                for value in ([bad] if f.type == "float" else [(bad, 0.5), (0.5, bad)]):
+                    with pytest.raises(TypeError, match=f"{f.name} must be a"):
+                        family.check_fields(**{**defaults, f.name: value})
+    for name in ("lambda_value", "error_estimate", "alpha"):
+        for bad in NOT_NUMBERS:
+            if bad is not None or name == "error_estimate":  # None: no lambda_value or alpha
+                with pytest.raises(ConfigError, match=f"{name} must be a finite number"):
+                    ExperimentConfig.from_dict({**ODAF_BASE, name: bad})
+    for bad in NOT_NUMBERS:
+        with pytest.raises(ValueError, match="noise scale must be a finite number"):
+            NoisyPredictor(bad)
 
 
 def test_readme_cli_block_names_the_parser_flags():

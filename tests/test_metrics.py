@@ -17,7 +17,7 @@ from cocomem import (
     run_penalty_ogd,
     theorem_bound_report,
 )
-from cocomem.core import Ball, round_table, splat
+from cocomem.core import Ball, round_table
 from cocomem.metrics import (
     GRID_STEPS_PER_DIAMETER,
     ccv_rhs_quadratic,
@@ -34,7 +34,7 @@ from cocomem.metrics import (
     _forward_parts,
     _grid_best,
 )
-from helpers import prefix_static_regret
+from helpers import constant_window, prefix_static_regret
 
 
 def _two_round_instance(c, d):
@@ -89,7 +89,7 @@ def _toy_trace(inst, xs):
     ccv = 0.0
     for row, (t, x) in enumerate(zip(inst.rounds, xs)):
         f, g = inst.loss(t), inst.constraint(t)
-        w = splat([x], inst.m)
+        w = constant_window(x, inst.m)
         g_mem = g.value(w)
         ccv += max(g_mem, 0.0)
         records[row] = (t, [x], f.value(w), f.value_splat([x]), g_mem, g.value_splat([x]),
@@ -303,7 +303,7 @@ def test_comparator_is_the_minimum_over_the_benchmark_set(comparator_run):
     tr = comparator_run
     fset = tr.fset
     if fset.dim == 1:
-        grid = np.linspace(fset.extents()[0][0], fset.extents()[1][0], 20001)[:, None]
+        grid = np.linspace(fset.lo[0], fset.hi[0], 20001)[:, None]
     else:
         grid = grid_points(fset, fset.diameter / GRID_STEPS_PER_DIAMETER)
     best = math.inf

@@ -30,7 +30,7 @@ class Quadratic1D(MemoryFunctionOracle):
         self.lipschitz, self.bound = 100.0, 1e4
 
     def value(self, window):
-        return 0.5 * (float(window.newest[0]) - self.c) ** 2
+        return 0.5 * (float(window[-1, 0]) - self.c) ** 2
 
     def grad_splat(self, x):
         return np.array([float(np.asarray(x)[0]) - self.c])
@@ -45,7 +45,7 @@ class Affine1D(MemoryFunctionOracle):
         self.lipschitz, self.bound = abs(self.a), 100.0
 
     def value(self, window):
-        return self.a * float(window.newest[0]) + self.b
+        return self.a * float(window[-1, 0]) + self.b
 
     def grad_splat(self, x):
         return np.array([self.a])
@@ -160,6 +160,29 @@ def test_oracle_shape_mismatch_rejected():
                                 LambdaSchedule("fixed", 0.5), 1)
     with pytest.raises(ValueError):
         learner.play_round(1, Quadratic1D(0.0, m=0), Affine1D(1.0, -1.0, m=1))
+
+
+def test_learner_window_holds_the_last_decisions():
+    # the (m+1, d) array the oracles read: after each round the last m+1
+    # decisions, oldest first, with the set center standing in before the
+    # first round; a round's f_mem is the loss at the window it starts with
+    rng = np.random.default_rng(1)
+    fset = Ball([0.5], 15.0)
+    for m in (0, 1, 3):
+        n = 4 * (m + 1)
+        learner = PenaltyOgdLearner(fset, m, Variant.COCO_M2, PenaltyKind.QUADRATIC,
+                                    LambdaSchedule("fixed", 0.5), n)
+        played = [fset.center] * (m + 1)
+        for t in range(1, n + 1):
+            loss = Quadratic1D(rng.uniform(-10, 10), m)
+            before = learner.window.copy()
+            rec = learner.play_round(t, loss, Affine1D(1.0, -20.0, m))
+            assert rec.f_mem == loss.value(before)
+            assert rec.x[0] == before[-1, 0]
+            played.append(learner.x)
+            assert learner.window.shape == (m + 1, 1)
+            assert np.array_equal(learner.window, np.stack(played[-(m + 1):]))
+        assert len({float(x[0]) for x in played}) > m + 1  # the decisions moved
 
 
 # ---------------------------------------------------------------------------
