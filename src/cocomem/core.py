@@ -24,6 +24,11 @@ class Variant(Enum):
     COCO_M = "coco_m"
     COCO_M2 = "coco_m2"
 
+    def dual_delay(self, m: int) -> int:
+        """d such that round r's constraint slices weigh Phi'(V_{r-d}): m + 1
+        when constraints carry memory, 1 when they see only x_t."""
+        return m + 1 if self is Variant.COCO_M2 else 1
+
 
 def as_decision(x, dim: int | None = None) -> np.ndarray:
     """Validate and normalize a decision vector (1-D, finite, d >= 1)."""

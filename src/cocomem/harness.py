@@ -268,10 +268,10 @@ def run_single(cfg: ExperimentConfig, seed: int) -> RunTrace:
 
 def emit_csv(trace: RunTrace, series: MetricSeries, path: str | Path) -> None:
     """One row per round under the fixed header; floats in shortest
-    round-trip decimal, coordinates semicolon-joined."""
-    floats = [trace.col(name) for name in ("f_mem", "g_mem", "g_plus_recorded")]
-    floats.append(np.cumsum(trace.col("g_plus_recorded")))
-    floats += [trace.col(name) for name in ("eta_or_mu", "eps_f", "eps_g", "eps_z")]
+    round-trip decimal, coordinates semicolon-joined.  `V_t` is the
+    trace's cumulative violation `ccv_cum`."""
+    floats = [trace.col(name) for name in ("f_mem", "g_mem", "g_plus_recorded", "ccv_cum",
+                                           "eta_or_mu", "eps_f", "eps_g", "eps_z")]
     floats += [series.regret_static_cum, series.regret_perround_cum, series.ccv_cum]
     columns = [[str(t) for t in trace.col("t").tolist()],
                [";".join(map(repr, x)) for x in trace.col("x").tolist()]]

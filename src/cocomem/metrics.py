@@ -18,8 +18,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .core import Variant
-from .geometry import regret_coefficient
-from .penalty import Penalty, PenaltyKind
+from .geometry import project, regret_coefficient
+from .penalty import Penalty, PenaltyKind, lambda_exponential_short_memory, short_memory_condition
 
 _FEAS_TOL = 1e-12
 
@@ -333,7 +333,9 @@ class BoundReport:
 
 
 def theorem_bound_report(trace: RunTrace) -> BoundReport:
-    """Measured regret/CCV against the matching explicit bounds."""
+    """Measured regret/CCV against the explicit bounds of the trace's
+    algorithm: penalty OGD's theorem, `check_odaftrl_regret`'s forward-regret
+    bound for `odaf`, none for `odaf_doubling` (lambda changes per epoch)."""
     series = regret_and_ccv(trace)
     inst = trace.instance
     k = inst.constants()
@@ -344,15 +346,18 @@ def theorem_bound_report(trace: RunTrace) -> BoundReport:
     }
     theoretical: dict = {}
     preconditions: dict = {}
-    if trace.penalty_kind is PenaltyKind.QUADRATIC:
+    if trace.algorithm == "odaf":
+        check = check_odaftrl_regret(trace)
+        measured["forward_regret"], theoretical["forward_regret"] = check.lhs, check.rhs
+    elif trace.algorithm == "odaf_doubling":
+        preconditions["lambda_fixed_across_epochs"] = False
+    elif trace.penalty_kind is PenaltyKind.QUADRATIC:
         theoretical["regret"] = regret_rhs_quadratic(T, m, k.diameter, k.l_f, k.l_g)
         theoretical["ccv"] = ccv_rhs_quadratic(
             T, m, k.diameter, k.l_f, k.l_g, k.f_bound,
             constraint_memory=trace.variant is Variant.COCO_M2,
         )
     else:
-        from .penalty import lambda_exponential_short_memory, short_memory_condition
-
         preconditions["short_memory"] = short_memory_condition(T, m)
         preconditions["l_f_at_least_one"] = k.l_f >= 1.0
         if all(preconditions.values()):
@@ -473,40 +478,6 @@ def check_ccv_replay(trace: RunTrace) -> CheckResult:
 # -- optimistic-run checks --------------------------------------------------
 
 
-def _multiplier_series(trace: RunTrace, pen: Penalty, rounds: np.ndarray) -> np.ndarray:
-    """Phi' of the delayed violation, per slice round (the weight each
-    round's constraint slice carries inside the forward function)."""
-    delay = trace.m + 1 if trace.variant is Variant.COCO_M2 else 1
-    return np.array([pen.prime(trace.v_at(int(r) - delay)) for r in rounds])
-
-
-def _forward_parts(trace: RunTrace):
-    """Flattened slice arrays of the run's forward functions:
-    total linear loss coefficient, plus (coeff, offset, multiplier) per
-    constraint slice under the realized violation path."""
-    inst = trace.instance
-    pen = Penalty(trace.penalty_kind, trace.extras["lambda_value"])
-    lin_total = inst.f_coef.sum(axis=(0, 1))
-    present = inst.g_present
-    rr, ii = np.nonzero(present)
-    g_coefs = inst.g_coef[rr, ii]
-    g_offs = inst.g_off[rr, ii]
-    g_mults = _multiplier_series(trace, pen, rr)
-    return lin_total, rr, ii, g_coefs, g_offs, g_mults
-
-
-def forward_sum_at_point(trace: RunTrace, u: np.ndarray, parts: tuple | None = None) -> float:
-    """sum_t Z_t(u) under the realized violation path (convex
-    piecewise-linear in u); `parts` is `_forward_parts(trace)` if the
-    caller already holds it."""
-    lin_total, _, _, g_coefs, g_offs, g_mults = parts or _forward_parts(trace)
-    U = np.asarray(u, dtype=float)[None, :]
-    vals = U @ lin_total
-    if len(g_coefs):
-        vals = vals + np.maximum(U @ g_coefs.T + g_offs[None, :], 0.0) @ g_mults
-    return float(vals[0])
-
-
 def _decisions_by_round(trace: RunTrace) -> np.ndarray:
     """(horizon+1, d) array of decisions, initial history rows included."""
     X = np.tile(trace.fset.center, (trace.horizon + 1, 1))
@@ -514,24 +485,74 @@ def _decisions_by_round(trace: RunTrace) -> np.ndarray:
     return X
 
 
-def forward_sum_at_decisions(trace: RunTrace, parts: tuple | None = None) -> float:
-    """sum_t Z_t(x_t), reconstructed from the instance and the played
-    decisions (diagonal regroup: slice (r, i) contributes at x_{r-i});
-    `parts` as in `forward_sum_at_point`."""
-    inst = trace.instance
-    X = _decisions_by_round(trace)
-    total = 0.0
-    for i in range(inst.m + 1):
-        coefs = inst.f_coef[:, i]
+class ForwardFunctions:
+    """The realized forward functions Z_t of an optimistic run, rebuilt
+    once per check from the instance arrays and the played decisions:
+    `decisions` by round 0..horizon (initial history included), the summed
+    loss coefficient `loss_coef`, and `round_mult[r]`, the weight
+    Phi'(V_{r-d}) of round r's constraint slices (0 without any), d the
+    dual delay.  Per present constraint slice (r, i), in `np.nonzero`
+    order: `rounds`, `delays`, `coef`, `off`, `mult` and `value` at x_{r-i}."""
+
+    def __init__(self, trace: RunTrace):
+        inst = trace.instance
+        self.trace = trace
+        self.penalty = Penalty(trace.penalty_kind, trace.extras["lambda_value"])
+        delay = trace.variant.dual_delay(inst.m)
+        self.decisions = _decisions_by_round(trace)
+        self.loss_coef = inst.f_coef.sum(axis=(0, 1))
+        self.rounds, self.delays = np.nonzero(inst.g_present)
+        self.round_mult = np.zeros(inst.horizon + 1)
+        for r in np.flatnonzero(inst.g_present.any(axis=1)).tolist():
+            self.round_mult[r] = self.penalty.prime(trace.v_at(r - delay))
+        self.coef = inst.g_coef[self.rounds, self.delays]
+        self.off = inst.g_off[self.rounds, self.delays]
+        self.mult = self.round_mult[self.rounds]
+        touched = self.decisions[self.rounds - self.delays]
+        self.value = np.sum(self.coef * touched, axis=1) + self.off
+
+    def sum_at(self, u: np.ndarray) -> float:
+        """sum_t Z_t(u) at a constant point u (convex piecewise-linear)."""
+        U = np.asarray(u, dtype=float)[None, :]
+        vals = U @ self.loss_coef + np.maximum(U @ self.coef.T + self.off, 0.0) @ self.mult
+        return float(vals[0])
+
+    def played_sum(self) -> float:
+        """sum_t Z_t(x_t), regrouped by diagonal: slice (r, i) contributes
+        at x_{r-i}."""
+        inst = self.trace.instance
         rounds = np.arange(inst.horizon + 1)
-        dec = X[np.maximum(rounds - i, 0)]
-        total += float(np.sum(coefs * dec))
-    _, rr, ii, g_coefs, g_offs, g_mults = parts or _forward_parts(trace)
-    if len(g_coefs):
-        dec = X[rr - ii]
-        vals = np.sum(g_coefs * dec, axis=1) + g_offs
-        total += float(np.maximum(vals, 0.0) @ g_mults)
-    return total
+        total = 0.0
+        for i in range(inst.m + 1):
+            total += float(np.sum(inst.f_coef[:, i] * self.decisions[np.maximum(rounds - i, 0)]))
+        return total + float(np.maximum(self.value, 0.0) @ self.mult)
+
+    def hint_errors(self) -> np.ndarray:
+        """||h_tau - sum_{j=tau-m}^{tau} grad Z_j||^2 for every stored hint.
+        Each grad Z_s adds its slices in delay order (loss slice, then the
+        constraint slice when active at x_s), and each window adds j in
+        increasing order."""
+        inst, hints, first = self.trace.instance, self.trace.extras["hints"], self.trace.first_round
+        m, horizon = inst.m, inst.horizon
+        taus = np.arange(first, first + len(hints))
+        # weighted gradient of every constraint slice active at the decision
+        # it touches (zero when inactive or absent)
+        on = self.value > 0.0
+        g_grad = np.zeros_like(inst.g_coef)
+        g_grad[self.rounds[on], self.delays[on]] = self.mult[on, None] * self.coef[on]
+        # grad Z_s for s = 0 .. newest hint round
+        s = np.arange(taus[-1] + 1)
+        Z = np.zeros((len(s), inst.dim))
+        for i in range(m + 1):
+            has = (s + i > m) & (s + i <= horizon)  # rounds with slices
+            Z[has] += inst.f_coef[s[has] + i, i]
+            Z[has] += g_grad[s[has] + i, i]
+        win = np.zeros_like(hints)
+        for lag in range(m, -1, -1):
+            j = taus - lag
+            seen = j >= 1
+            win[seen] += Z[j[seen]]
+        return np.sum((hints - win) ** 2, axis=1)
 
 
 def surrogate_sum_memory(trace: RunTrace) -> float:
@@ -546,24 +567,21 @@ def check_forward_consistency(trace: RunTrace) -> CheckResult:
     """For five random constant points u: sum_t Z_t(u) equals
     sum_t L_t(u,...,u) exactly under zero padding; and the played surrogate
     never exceeds the played forward sum."""
-    from .geometry import project
-
     inst = trace.instance
-    pen = Penalty(trace.penalty_kind, trace.extras["lambda_value"])
+    fwd = ForwardFunctions(trace)
     rounds = _active_rounds(inst, None)
     slopes = inst.lift_slopes(rounds)
     g_lift_coef, g_lift_off = inst.halfspaces(rounds, "lift")
-    mults = _multiplier_series(trace, pen, np.arange(rounds.start, rounds.stop))
-    parts = _forward_parts(trace)
+    mults = fwd.round_mult[rounds.start:]
     rng = np.random.Generator(np.random.PCG64(12345))
     worst = 0.0
     for _ in range(5):
         u = inst.fset.center + rng.uniform(-1, 1, size=inst.dim) * inst.fset.diameter / 2
         u = project(inst.fset, u)
-        z_sum = forward_sum_at_point(trace, u, parts)
+        z_sum = fwd.sum_at(u)
         l_sum = float(np.sum(slopes @ u) + mults @ np.maximum(g_lift_coef @ u + g_lift_off, 0.0))
         worst = max(worst, abs(z_sum - l_sum) / max(1.0, abs(z_sum)))
-    played_ok = surrogate_sum_memory(trace) <= forward_sum_at_decisions(trace, parts) + 1e-8
+    played_ok = surrogate_sum_memory(trace) <= fwd.played_sum() + 1e-8
     return CheckResult(
         "forward_vertical_consistency", worst <= 1e-9 and played_ok, worst, 1e-9,
         "" if played_ok else "played surrogate exceeds forward sum",
@@ -572,20 +590,19 @@ def check_forward_consistency(trace: RunTrace) -> CheckResult:
 
 def check_lemma_forward_chain(trace: RunTrace) -> CheckResult:
     """Phi(V_T) - Phi(V_{m-1}) + memory regret (slice-wise benchmark) is at
-    most the forward-function regret plus G(m+1) Phi'(V_T).  On the
-    slice-wise benchmark set every constraint slice is <= 0, so the
-    forward sum equals the summed lift there and both regrets share the
-    slice-wise best-in-hindsight total as comparator."""
+    most the forward-function regret plus G d Phi'(V_T), d the variant's
+    dual delay.  On the slice-wise benchmark set every constraint slice is
+    <= 0, so the forward sum equals the summed lift there and both regrets
+    share the slice-wise best-in-hindsight total as comparator."""
     inst = trace.instance
-    pen = Penalty(trace.penalty_kind, trace.extras["lambda_value"])
     bench = best_in_hindsight(inst, "slicewise")
     if not bench.feasible:
         return CheckResult("forward_chain", True, math.nan, math.nan, "empty benchmark")
+    fwd = ForwardFunctions(trace)
     v_t = trace.v_at(inst.horizon)
-    k = inst.constants()
-    mult = inst.m + 1 if trace.variant is Variant.COCO_M2 else 1
-    lhs = pen.value(v_t) + float(np.sum(trace.col("f_mem"))) - bench.total
-    rhs = (forward_sum_at_decisions(trace) - bench.total) + k.g_bound * mult * pen.prime(v_t)
+    lhs = fwd.penalty.value(v_t) + float(np.sum(trace.col("f_mem"))) - bench.total
+    g_d = inst.constants().g_bound * trace.variant.dual_delay(inst.m)
+    rhs = fwd.played_sum() - bench.total + g_d * fwd.penalty.prime(v_t)
     return CheckResult("forward_chain", lhs <= rhs + 1e-8 * max(1.0, abs(rhs)), lhs, rhs)
 
 
@@ -601,50 +618,16 @@ def check_error_split(trace: RunTrace) -> CheckResult:
     return CheckResult("hint_error_split", e_z <= rhs + 1e-9 * max(1.0, rhs), e_z, rhs)
 
 
-def reconstruct_hint_errors(trace: RunTrace) -> np.ndarray:
-    """||h_tau - sum_{j=tau-m}^{tau} grad Z_j||^2 for every stored hint,
-    with the forward gradients rebuilt independently from the instance
-    arrays and the played decisions.  Each grad Z_s adds its slices in
-    delay order (loss slice, then the constraint slice when active at
-    x_s), and each window adds j in increasing order."""
-    inst = trace.instance
-    pen = Penalty(trace.penalty_kind, trace.extras["lambda_value"])
-    hints = trace.extras["hints"]
-    m, horizon = inst.m, inst.horizon
-    taus = np.arange(trace.first_round, trace.first_round + len(hints))
-    # weighted gradient of every constraint slice active at the decision
-    # it touches (zero when inactive or absent)
-    rr, ii = np.nonzero(inst.g_present)
-    mults = _multiplier_series(trace, pen, rr)
-    g_grad = np.zeros_like(inst.g_coef)
-    for r, i, mult in zip(rr.tolist(), ii.tolist(), mults):
-        coef = inst.g_coef[r, i]
-        if float(coef @ trace.x_at(r - i)) + float(inst.g_off[r, i]) > 0.0:
-            g_grad[r, i] = mult * coef
-    # grad Z_s for s = 0 .. newest hint round
-    s = np.arange(taus[-1] + 1)
-    Z = np.zeros((len(s), inst.dim))
-    for i in range(m + 1):
-        has = (s + i > m) & (s + i <= horizon)  # rounds with slices
-        Z[has] += inst.f_coef[s[has] + i, i]
-        Z[has] += g_grad[s[has] + i, i]
-    win = np.zeros_like(hints)
-    for lag in range(m, -1, -1):
-        j = taus - lag
-        seen = j >= 1
-        win[seen] += Z[j[seen]]
-    return np.sum((hints - win) ** 2, axis=1)
-
-
 def check_odaftrl_regret(trace: RunTrace) -> CheckResult:
     """Measured forward-function regret against the delayed-FTRL bound
-    with the accumulated hint errors (comparator as in the forward chain)."""
+    with the reconstructed hint errors (comparator as in the forward chain)."""
     inst = trace.instance
     bench = best_in_hindsight(inst, "slicewise")
     if not bench.feasible:
         return CheckResult("odaftrl_regret_bound", True, math.nan, math.nan, "empty benchmark")
-    lhs = forward_sum_at_decisions(trace) - bench.total
-    err_sum = float(np.sum(reconstruct_hint_errors(trace)))
+    fwd = ForwardFunctions(trace)
+    lhs = fwd.played_sum() - bench.total
+    err_sum = float(np.sum(fwd.hint_errors()))
     rhs = odaftrl_regret_rhs(inst.fset, inst.m, trace.extras["alpha"], err_sum)
     return CheckResult("odaftrl_regret_bound", lhs <= rhs + 1e-8 * max(1.0, abs(rhs)), lhs, rhs)
 

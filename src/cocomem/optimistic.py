@@ -90,7 +90,7 @@ class OdafLearner:
         self.predictor = predictor
         predictor.bind(instance)
         self.alpha = _alpha(instance, alpha)
-        self.dual_delay = self.m + 1 if variant is Variant.COCO_M2 else 1
+        self.dual_delay = variant.dual_delay(self.m)
         self._vec, self._dot, self._sumsq, self._finite = _vectors(self.dim)
         # shared by every sum that starts from zero: never updated in place
         self._zero = self._vec(np.zeros(self.dim))
@@ -426,6 +426,14 @@ def _alpha(instance, alpha: float | None) -> float:
     return float(alpha) if alpha is not None else instance.fset.diameter**2
 
 
+def _tuning(instance, variant: Variant, alpha: float | None) -> tuple[float, float, float]:
+    """(alpha, C, G d) of a run: the DUB weight scale, the delayed-FTRL
+    regret coefficient and lambda's offset, G times the dual delay d."""
+    alpha = _alpha(instance, alpha)
+    coeff = regret_coefficient(instance.fset, instance.m, alpha)
+    return alpha, coeff, instance.constants().g_bound * variant.dual_delay(instance.m)
+
+
 def run_optimistic(
     instance,
     variant: Variant,
@@ -436,14 +444,11 @@ def run_optimistic(
 ) -> RunTrace:
     """Drive one optimistic run; lam defaults to the theorem tuning with
     the supplied estimate of the cumulative constraint prediction error."""
-    alpha_val = _alpha(instance, alpha)
+    alpha, coeff, offset = _tuning(instance, variant, alpha)
     if lam is None:
-        k = instance.constants()
-        coeff = regret_coefficient(instance.fset, instance.m, alpha_val)
-        eff_m = instance.m if variant is Variant.COCO_M2 else 0
-        lam = lambda_optimistic(error_estimate, k.g_bound, eff_m, coeff)
-    learner = OdafLearner(instance, variant, predictor, lam, alpha=alpha_val)
-    for t in range(instance.first_round, instance.horizon + 1):
+        lam = lambda_optimistic(coeff * math.sqrt(error_estimate), offset)
+    learner = OdafLearner(instance, variant, predictor, lam, alpha=alpha)
+    for t in instance.rounds:
         learner.play_round(t)
     # row k of the hints is h_{first_round + k}; the last one, for round
     # horizon + 1, is committed but never played
@@ -481,7 +486,8 @@ class DoublingSchedule:
 
     The complexity estimate is psi(Delta, E) = C sqrt(E); whenever the
     per-epoch estimate exceeds the current budget the budget doubles and
-    the epoch restarts with lam = 1 / (2 (budget + c)).
+    the epoch restarts with `lambda_optimistic(budget, offset)`.  The
+    caller records the first of `epoch_starts`, `restart(t)` the others.
     """
 
     def __init__(self, regret_coeff: float, offset: float, mu1: float):
@@ -500,15 +506,17 @@ class DoublingSchedule:
 
     @property
     def lam(self) -> float:
-        return 1.0 / (2.0 * (self.budget + self.offset))
+        return lambda_optimistic(self.budget, self.offset)
 
     def should_restart(self) -> bool:
         return self.psi(self.error_in_epoch) > self.budget
 
-    def restart(self) -> None:
+    def restart(self, t: int) -> None:
+        """Start the next epoch, with the doubled budget, at round t."""
         self.epoch += 1
         self.budget = 2.0 ** (self.epoch - 1) * self.mu1
         self.error_in_epoch = 0.0
+        self.epoch_starts.append(t)
 
     def observe(self, eps_g: float) -> None:
         self.error_in_epoch += eps_g
@@ -531,17 +539,13 @@ def run_doubling(
     """Drive one optimistic run with online penalty tuning: whenever the
     schedule's budget is exceeded the learner restarts at the current
     round with the doubled budget's lam."""
-    alpha_val = _alpha(instance, alpha)
-    k = instance.constants()
-    coeff = regret_coefficient(instance.fset, instance.m, alpha_val)
-    offset = k.g_bound * ((instance.m + 1) if variant is Variant.COCO_M2 else 1)
+    alpha, coeff, offset = _tuning(instance, variant, alpha)
     sched = DoublingSchedule(coeff, offset, doubling_mu1(coeff, initial_error))
     sched.epoch_starts.append(instance.first_round)
-    learner = OdafLearner(instance, variant, predictor, sched.lam, alpha=alpha_val)
-    for t in range(instance.first_round, instance.horizon + 1):
+    learner = OdafLearner(instance, variant, predictor, sched.lam, alpha=alpha)
+    for t in instance.rounds:
         if sched.should_restart():
-            sched.restart()
-            sched.epoch_starts.append(t)
+            sched.restart(t)
             learner.restart(t, sched.lam)
         sched.observe(learner.play_round(t)["eps_g"])
     return _trace("odaf_doubling", learner, sched.lam, epochs=sched.epoch,

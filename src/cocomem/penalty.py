@@ -26,9 +26,10 @@ class PenaltyKind(Enum):
 
 
 def check_lambda(lam) -> None:
-    """Raise unless the penalty parameter is positive and finite; an array
-    of per-round parameters is checked element by element."""
-    if not np.all((np.asarray(lam) > 0) & np.isfinite(lam)):
+    """Raise unless the penalty parameter is positive and finite (None is
+    not); an array of per-round parameters is checked element by element."""
+    lam = np.asarray(lam, dtype=float)
+    if not np.all((lam > 0) & np.isfinite(lam)):
         raise ValueError("penalty parameter must be positive and finite")
 
 
@@ -95,15 +96,11 @@ def lambda_exponential_short_memory(
     return 0.5 / denom
 
 
-def lambda_optimistic(
-    error_g: float, g_bound: float, memory: int, regret_coeff: float
-) -> float:
-    """lam = 1 / (2 (C sqrt(E_T(g+)) + G (m+1))): the exponential-penalty
-    tuning of the optimistic learner, given an estimate of the cumulative
-    constraint prediction error."""
-    if error_g < 0:
-        raise ValueError("error estimate must be >= 0")
-    denom = 2.0 * (regret_coeff * math.sqrt(error_g) + g_bound * (memory + 1))
+def lambda_optimistic(budget: float, offset: float) -> float:
+    """lam = 1 / (2 (budget + offset)), the optimistic learner's tuning:
+    budget C sqrt(E) for an estimate E of the cumulative constraint
+    prediction error, or the doubling trick's; offset G d, d the dual delay."""
+    denom = 2.0 * (budget + offset)
     if not (denom > 0 and math.isfinite(denom)):
         raise ValueError("nonpositive or non-finite tuning denominator")
     return 1.0 / denom
@@ -123,13 +120,13 @@ class LambdaSchedule:
 
     `fixed` uses one theorem-prescribed value for the whole run;
     `sqrt_t` uses lam_t = 1/sqrt(t), the time-varying variant used by the
-    reference experiment.  Both are supported because the two appear in
-    different places and are not reconciled; the fixed value is the
-    default.
+    reference experiment, and has no single value (None).  Both are
+    supported because the two appear in different places and are not
+    reconciled; the fixed value is the default.
     """
 
     mode: str  # "fixed" | "sqrt_t"
-    value: float = 0.0
+    value: float | None = None
 
     def at(self, t: int) -> float:
         if self.mode == "fixed":

@@ -148,7 +148,7 @@ def run_penalty_ogd(
     filled once after the last round."""
     if schedule is None:
         schedule = LambdaSchedule("fixed", lambda_quadratic(instance.horizon))
-    rounds = range(instance.first_round, instance.horizon + 1)
+    rounds = instance.rounds
     lams = [schedule.at(t) for t in rounds]
     check_lambda(np.array(lams))
     evaluate = instance.round_evaluator(rounds, variant is Variant.COCO_M2)

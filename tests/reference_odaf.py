@@ -368,7 +368,7 @@ def run_optimistic(
         k = instance.constants()
         coeff = regret_coefficient(instance.fset, instance.m, alpha_val)
         eff_m = instance.m if variant is Variant.COCO_M2 else 0
-        lam = lambda_optimistic(error_estimate, k.g_bound, eff_m, coeff)
+        lam = lambda_optimistic(coeff * math.sqrt(error_estimate), k.g_bound * (eff_m + 1))
     learner = OdafLearner(instance, variant, predictor, Penalty(PenaltyKind.EXPONENTIAL, lam),
                           alpha=alpha_val)
     for t in range(instance.first_round, instance.horizon + 1):
@@ -414,6 +414,7 @@ class DoublingLearner:
         coeff = regret_coefficient(instance.fset, instance.m, self.alpha)
         offset = k.g_bound * ((instance.m + 1) if variant is Variant.COCO_M2 else 1)
         self.schedule = DoublingSchedule(coeff, offset, doubling_mu1(coeff, initial_error))
+        self.schedule.epoch_starts.append(instance.first_round)
         self.x_hist: dict = {}
         self.v_hist: dict = {}
         self.records = round_table(instance.horizon - instance.first_round + 1, instance.dim)
@@ -426,7 +427,6 @@ class DoublingLearner:
         return self._closed_fallbacks + self.inner.fixed_point_fallbacks
 
     def _spawn(self, start_round: int) -> None:
-        self.schedule.epoch_starts.append(start_round)
         self.inner = OdafLearner(
             self.inst,
             self.variant,
@@ -442,7 +442,7 @@ class DoublingLearner:
 
     def play_round(self, t: int) -> np.record:
         if self.schedule.should_restart():
-            self.schedule.restart()
+            self.schedule.restart(t)
             self._closed_fallbacks += self.inner.fixed_point_fallbacks
             self._spawn(t)
         rec = self.inner.play_round(t)

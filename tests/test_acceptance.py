@@ -255,7 +255,7 @@ def test_c6_doubling_epochs():
     restarts = []
     for idx, eps in enumerate([0.0, 0.5, 0.7, 0.0, 1.2, 2.5, 0.0, 9.0, 0.0], start=1):
         if sched.should_restart():
-            sched.restart()
+            sched.restart(idx)
             restarts.append(idx)
         sched.observe(eps)
     assert restarts == [4, 9] and sched.epoch == 3 and sched.budget == 4.0

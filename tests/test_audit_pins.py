@@ -1,0 +1,40 @@
+"""The audit output of the shipped configs, pinned byte for byte: the
+sha256 of `cocomem verify` stdout on seed 0 of each config, and of
+`cocomem bounds` stdout on seed 0 of the two penalty-OGD configs.  A
+change that moves any of these digests changes a printed check value or
+bound and must say why."""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from cocomem.cli import main as cli_main
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+PINNED_STDOUT = {
+    ("verify", "optimistic_perfect"):
+        "0a5640ad6d8d1714a0b5951ab47d1c61ce6b07cdbb13880d5389f40a6540549d",
+    ("verify", "doubling_noisy"):
+        "c3a7a765c2611d86b1d3044dff09b202805abdb8b3d0db4ad4d243c6810a4d2e",
+    ("verify", "reference_stochastic"):
+        "1e3202dcacd9594a436972f585eb48100fc1db45367dd1c3f0f7660558e571bb",
+    ("verify", "reference_adversarial"):
+        "39466220bdde691ba82950e5fa6c7ee2fbdce2936b3e0bd0b49982008f5b057f",
+    ("bounds", "reference_stochastic"):
+        "d02f78ca1f488ae9e9d2669a44cbcda494949822f17a3a7b07b3cc7ed4bb5b08",
+    ("bounds", "reference_adversarial"):
+        "80cd8259ebc6b6a99f8d3bf309d39e4f6c96807bafc16b84b59ee0e2ab0301d1",
+}
+
+
+@pytest.mark.parametrize("command, name", sorted(PINNED_STDOUT))
+def test_audit_stdout_is_pinned(command, name, tmp_path, capsys):
+    cfg = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({**cfg, "seeds": [0]}))
+    assert cli_main([command, "--config", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[(command, name)]

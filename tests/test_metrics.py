@@ -6,6 +6,7 @@ import pytest
 from cocomem import (
     AppendixAInstance,
     LambdaSchedule,
+    NoisyPredictor,
     PenaltyKind,
     PerfectPredictor,
     RunTrace,
@@ -13,6 +14,7 @@ from cocomem import (
     Variant,
     best_in_hindsight,
     regret_and_ccv,
+    run_doubling,
     run_optimistic,
     run_penalty_ogd,
     theorem_bound_report,
@@ -20,18 +22,17 @@ from cocomem import (
 from cocomem.core import Ball, round_table
 from cocomem.metrics import (
     GRID_STEPS_PER_DIAMETER,
+    ForwardFunctions,
     ccv_rhs_quadratic,
     check_lemma_ogd_regret,
     check_memory_identity,
     check_odaftrl_regret,
     feasible_interval,
-    forward_sum_at_decisions,
     grid_points,
     lift_loss_at,
     per_round_min_series,
     regret_rhs_exponential,
     regret_rhs_quadratic,
-    _forward_parts,
     _grid_best,
 )
 from helpers import constant_window, prefix_static_regret
@@ -186,6 +187,26 @@ def test_bound_report_on_short_run():
     assert "regret" in rep.to_json()
 
 
+def test_bound_report_picks_the_theorem_of_the_algorithm():
+    """Penalty OGD reports its own theorem; ODAF the delayed-FTRL bound on
+    forward regret exactly as the invariant check computes it; the
+    doubling run no bound, since its lambda changes per epoch."""
+    ogd = theorem_bound_report(run_penalty_ogd(AppendixAInstance(m=1, horizon=200, seed=0),
+                                               Variant.COCO_M2))
+    assert set(ogd.theoretical) == {"regret", "ccv"} and ogd.preconditions == {}
+    inst = SeparableLinearInstance(m=2, horizon=200, seed=0)
+    tr = run_optimistic(inst, Variant.COCO_M2, PerfectPredictor())
+    rep, check = theorem_bound_report(tr), check_odaftrl_regret(tr)
+    assert check.passed
+    assert rep.measured["forward_regret"] == check.lhs
+    assert rep.theoretical == {"forward_regret": check.rhs} and rep.preconditions == {}
+    inst = SeparableLinearInstance(m=2, horizon=200, seed=0, g_round_density=0.4,
+                                   g_mag=(0.05, 0.2))
+    rep = theorem_bound_report(run_doubling(inst, Variant.COCO_M2, NoisyPredictor(0.3, seed=0)))
+    assert rep.theoretical == {} and rep.slack == {}
+    assert rep.preconditions == {"lambda_fixed_across_epochs": False}
+
+
 def test_grid_resolution_consistency():
     inst = AppendixAInstance(m=2, horizon=150, seed=3)
     k = inst.constants()
@@ -273,8 +294,8 @@ def _independent_sums(trace, U):
     else:
         A, b = inst.halfspaces(inst.rounds, "slicewise")
         g = U @ A.T + b
-        lin_total, _, _, g_coefs, g_offs, g_mults = _forward_parts(trace)
-        sums = U @ lin_total + np.maximum(U @ g_coefs.T + g_offs, 0.0) @ g_mults
+        fwd = ForwardFunctions(trace)
+        sums = U @ fwd.loss_coef + np.maximum(U @ fwd.coef.T + fwd.off, 0.0) @ fwd.mult
     return sums, np.all(g <= 1e-12, axis=1)
 
 
@@ -282,7 +303,7 @@ def _comparator(trace):
     """The total the regret check subtracts, read back from its lhs."""
     if trace.algorithm == "penalty_ogd":
         return float(np.sum(trace.col("surrogate"))) - check_lemma_ogd_regret(trace).lhs
-    return forward_sum_at_decisions(trace) - check_odaftrl_regret(trace).lhs
+    return ForwardFunctions(trace).played_sum() - check_odaftrl_regret(trace).lhs
 
 
 def test_hinge_vanishes_at_the_benchmark_point(comparator_run):

@@ -21,9 +21,9 @@ from cocomem import (
     run_optimistic,
 )
 from cocomem.core import Ball
-from cocomem.geometry import ftrl_argmin, minimize_linear, project
+from cocomem.geometry import ftrl_argmin, minimize_linear, project, regret_coefficient
 from cocomem.harness import load_config, run_single
-from cocomem.metrics import reconstruct_hint_errors
+from cocomem.metrics import ForwardFunctions
 from cocomem.optimistic import DoublingSchedule, OdafLearner, huber
 from cocomem.penalty import Penalty
 
@@ -315,7 +315,7 @@ def test_perfect_hints_reduce_to_follow_the_leader():
 def test_hint_error_reconstruction_matches_recorded():
     inst = SeparableLinearInstance(m=2, horizon=60, seed=9)
     tr = run_optimistic(inst, Variant.COCO_M2, NoisyPredictor(0.3, seed=2))
-    errs = reconstruct_hint_errors(tr)
+    errs = ForwardFunctions(tr).hint_errors()
     recorded = tr.col("eps_z")
     # recorded errors cover hints up to horizon - m; reconstruction covers all
     n_eval = inst.horizon - inst.m - tr.first_round + 1
@@ -363,13 +363,27 @@ def test_doubling_schedule_scripted_epochs():
     restarts = []
     for idx, eps in enumerate([0.0, 0.5, 0.7, 0.0, 1.2, 2.5, 0.0, 9.0, 0.0], start=1):
         if sched.should_restart():
-            sched.restart()
+            sched.restart(idx)
             restarts.append(idx)
         sched.observe(eps)
-    assert restarts == [4, 9]
+    assert restarts == [4, 9] and sched.epoch_starts == [4, 9]
     assert sched.epoch == 3
     assert sched.budget == pytest.approx(4.0)
     assert sched.lam == pytest.approx(1.0 / (2.0 * (4.0 + 1.0)))
+
+
+@pytest.mark.parametrize("variant, constraint_memory, delay", [
+    (Variant.COCO_M2, True, 3), (Variant.COCO_M, False, 1)])
+def test_theorem_lambda_is_the_doubling_formula(variant, constraint_memory, delay):
+    """The theorem tuning with error estimate E is the doubling schedule's
+    lambda at budget C sqrt(E) and offset G d, bit for bit (m = 2, so the
+    dual delay d is m + 1 = 3 with constraint memory and 1 without)."""
+    inst = SeparableLinearInstance(m=2, horizon=40, seed=3, constraint_memory=constraint_memory)
+    error = 0.7
+    tr = run_optimistic(inst, variant, PerfectPredictor(), error_estimate=error)
+    coeff = regret_coefficient(inst.fset, inst.m, inst.fset.diameter**2)
+    sched = DoublingSchedule(coeff, inst.constants().g_bound * delay, coeff * math.sqrt(error))
+    assert tr.extras["lambda_value"] == sched.lam
 
 
 def test_doubling_zero_errors_never_restart():

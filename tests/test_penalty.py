@@ -67,8 +67,8 @@ def test_convexity_and_monotone_prime():
 
 def test_theorem_lambdas():
     assert lambda_quadratic(4) == pytest.approx(0.5)
-    # perfect predictions: 1 / (2 * (0 + G(m+1))) with G = 1, m = 1
-    assert lambda_optimistic(0.0, 1.0, 1, 123.0) == pytest.approx(0.25)
+    # perfect predictions: 1 / (2 * (C sqrt(0) + G(m+1))) with G = 1, m = 1
+    assert lambda_optimistic(123.0 * math.sqrt(0.0), 1.0 * 2) == pytest.approx(0.25)
     # 0.5 / (sqrt(2T)|X|Lg + m^1.5 |X| sqrt(T Lf Lg)) at T=2, m=1, |X|=Lf=Lg=1
     assert lambda_exponential_short_memory(2, 1, 1.0, 1.0, 1.0) == pytest.approx(
         0.5 / (2.0 + math.sqrt(2.0))

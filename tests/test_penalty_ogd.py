@@ -15,7 +15,7 @@ from cocomem import (
 )
 from cocomem.core import Ball, MemoryFunctionOracle
 from cocomem.harness import load_config, run_single
-from cocomem.penalty import lambda_quadratic
+from cocomem.penalty import check_lambda, lambda_quadratic
 from cocomem.penalty_ogd import PenaltyOgdLearner, adaptive_step, surrogate_gradient
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -282,3 +282,18 @@ def test_reference_trace_bytes_are_pinned(name):
     tr = run_single(cfg, 0)
     digest = hashlib.sha256(tr.records.tobytes()).hexdigest()
     assert digest[:16] == PINNED_REFERENCE_TRACES[name]
+
+
+def test_lambda_value_is_none_under_a_per_round_schedule():
+    """The 1/sqrt(t) schedule has no single lambda: the trace records None
+    and the `lam` column holds each round's value; a fixed schedule
+    records its valid lambda."""
+    inst = AppendixAInstance(m=1, horizon=30, seed=0)
+    tr = run_penalty_ogd(inst, Variant.COCO_M2, schedule=LambdaSchedule("sqrt_t"))
+    assert tr.extras == {"lambda_mode": "sqrt_t", "lambda_value": None}
+    with pytest.raises(ValueError):
+        check_lambda(tr.extras["lambda_value"])
+    assert tr.col("lam").tolist() == [1.0 / math.sqrt(max(t, 1)) for t in inst.rounds]
+    fixed = run_penalty_ogd(inst, Variant.COCO_M2)
+    check_lambda(fixed.extras["lambda_value"])
+    assert fixed.extras["lambda_value"] == lambda_quadratic(inst.horizon)
