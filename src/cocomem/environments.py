@@ -605,50 +605,85 @@ class SeparableLinearInstance(_Instance):
 # ---------------------------------------------------------------------------
 # Predictors
 
+# forecast rows a predictor makes at a time (at least one round's)
+NOISE_BLOCK_ROWS = 2048
+
 
 class Predictor:
     """Forecast source for not-yet-revealed slices.
 
-    `predict_f(r, i)` forecasts the loss coefficient of slice (r, i) and
-    `predict_g(r, i)` the constraint slice as affine data `(coeff,
-    offset)`.  The learner judges a constraint forecast active at a
-    decision x when `coeff @ x + offset > 0`, and the slice's predicted
-    gradient is `coeff` when active and zero otherwise.  An absent slice
-    forecasts `(zeros, 0.0)`, which is never active.  Forecasts may change
-    from one query round (`begin_round`) to the next but not within one.
+    Round t forecasts the P = (m + 1)(m + 2) / 2 slice pairs (t + j, i),
+    0 <= j <= i <= m: the loss coefficient f and the constraint slice as
+    affine data (g, g_off), active at x when `g @ x + g_off > 0`.  An
+    absent slice forecasts (zeros, 0.0), never active; a non-finite loss
+    (constraint) forecast of a pair reads zero.
+
+    A subclass defines two hooks over a range of n query rounds t_k, row
+    k P + i (i + 1) / 2 + j holding pair (t_k + j, i): `predict_f(rounds)`
+    returns the loss rows (n P, d), `predict_g(rounds)` the constraint rows
+    (n P, d) and offsets (n P,).  `forecasts` calls each once per block of
+    up to `NOISE_BLOCK_ROWS` // P rounds, ending at the last query round,
+    horizon + 1, and holds the block, so a round asked twice (as a restart
+    does) gets the same forecasts.
     """
 
     kind = "base"
 
     def bind(self, instance) -> None:
         self._instance = instance
-        self._dim = instance.dim
+        # pair (t + j, i) of a round is row i (i + 1) / 2 + j of its rows
+        self._pair_i = np.repeat(np.arange(instance.m + 1), np.arange(1, instance.m + 2))
+        self._pair_j = np.arange(len(self._pair_i)) - self._pair_i * (self._pair_i + 1) // 2
+        self._block_rounds = max(1, NOISE_BLOCK_ROWS // len(self._pair_i))
+        self._held, self._block = range(0), ()
 
-    def _true_f(self, r: int, i: int) -> list:
-        """The instance's loss coefficient of slice (r, i) as a fresh float
-        list.  Slices exist only in rounds m < r <= horizon; an absent
-        slice reads as zeros."""
+    def forecasts(self, t: int) -> list:
+        """Round t's P forecasts (f, g, g_off), pair (t + j, i) at index
+        i (i + 1) / 2 + j, in the learner's vector type: floats at d = 1,
+        (d,) row views at d >= 2.  A round outside the held block starts
+        the next block, its non-finite forecasts set to zero pair by pair."""
+        if t not in self._held:
+            self._block = ()  # dropped before the next block is built
+            self._block, self._held = self._fill(t)
+        f, g, off = (rows[t - self._held.start] for rows in self._block)
+        if f.ndim == 1:
+            f, g = f.tolist(), g.tolist()
+        return list(zip(f, g, off.tolist()))
+
+    def _fill(self, t: int) -> tuple:
+        """((f, g, off), rounds) of the block of rounds from t, each array
+        with one row per round."""
+        rounds = range(t, max(t + 1, min(t + self._block_rounds, self._instance.horizon + 2)))
+        f = np.asarray(self.predict_f(rounds), dtype=float)
+        g, off = (np.asarray(rows, dtype=float) for rows in self.predict_g(rounds))
+        bad = ~np.isfinite(f).all(axis=1)
+        if bad.any():
+            f = np.where(bad[:, None], 0.0, f)
+        bad = ~(np.isfinite(g).all(axis=1) & np.isfinite(off))
+        if bad.any():
+            g, off = np.where(bad[:, None], 0.0, g), np.where(bad, 0.0, off)
+        if self._instance.dim == 1:
+            f, g = f[:, 0], g[:, 0]
+        return tuple(a.reshape(len(rounds), -1, *a.shape[1:]) for a in (f, g, off)), rounds
+
+    def _pairs(self, rounds: range) -> np.ndarray:
+        """(query round, slice round, delay) of each row of a block, as
+        the columns of an (n P, 3) array."""
+        t = np.arange(rounds.start, rounds.stop)[:, None] + 0 * self._pair_i
+        return np.stack((t, t + self._pair_j, 0 * t + self._pair_i), -1).reshape(-1, 3)
+
+    def _true_rows(self, rounds: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The instance's (loss rows, constraint rows, offsets) of a block;
+        absent slices read +0.0."""
         inst = self._instance
-        if not (inst.m < r <= inst.horizon and 0 <= i <= inst.m):
-            return [0.0] * self._dim
-        return inst.f_coef[r, i].tolist()
-
-    def _true_g(self, r: int, i: int) -> tuple[list, float]:
-        """The instance's constraint slice (r, i) as (coefficient as a fresh
-        float list, offset); an absent slice reads as (zeros, 0.0)."""
-        inst = self._instance
-        if not (inst.m < r <= inst.horizon and 0 <= i <= inst.m and inst.g_present[r, i]):
-            return [0.0] * self._dim, 0.0
-        return inst.g_coef[r, i].tolist(), float(inst.g_off[r, i])
-
-    def begin_round(self, t: int) -> None:
-        pass
-
-    def predict_f(self, r: int, i: int) -> list:
-        raise NotImplementedError
-
-    def predict_g(self, r: int, i: int) -> tuple[list, float]:
-        raise NotImplementedError
+        _, r, i = self._pairs(rounds).T
+        live = (inst.m < r) & (r <= inst.horizon)
+        idx = np.where(live, r, 0), i
+        f, g, off = inst.f_coef[idx], inst.g_coef[idx], inst.g_off[idx]
+        f[~live] = 0.0
+        live &= inst.g_present[idx]
+        g[~live], off[~live] = 0.0, 0.0
+        return f, g, off
 
 
 class PerfectPredictor(Predictor):
@@ -656,11 +691,11 @@ class PerfectPredictor(Predictor):
 
     kind = "perfect"
 
-    def predict_f(self, r, i):
-        return self._true_f(r, i)
+    def predict_f(self, rounds):
+        return self._true_rows(rounds)[0]
 
-    def predict_g(self, r, i):
-        return self._true_g(r, i)
+    def predict_g(self, rounds):
+        return self._true_rows(rounds)[1:]
 
 
 class ZeroPredictor(Predictor):
@@ -668,11 +703,12 @@ class ZeroPredictor(Predictor):
 
     kind = "zero"
 
-    def predict_f(self, r, i):
-        return [0.0] * self._dim
+    def predict_f(self, rounds):
+        return np.zeros((len(rounds) * len(self._pair_i), self._instance.dim))
 
-    def predict_g(self, r, i):
-        return [0.0] * self._dim, 0.0
+    def predict_g(self, rounds):
+        rows = len(rounds) * len(self._pair_i)
+        return np.zeros((rows, self._instance.dim)), np.zeros(rows)
 
 
 # SeedSequence's pool hash (numpy.random.bit_generator): a pool of four
@@ -682,10 +718,6 @@ _HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
 _POOL_SIZE = 4
-
-# rows of seed words a NoisyPredictor computes at a time (at least one round's)
-NOISE_BLOCK_ROWS = 2048
-
 
 def _hash_steps(init: int, mult: int):
     """The (xor, multiplier) uint32 scalars of successive hash steps: the
@@ -764,15 +796,13 @@ class NoisyPredictor(Predictor):
     `(g_coef + scale * z[:d], g_off + scale * z[d])`.  The loss and
     constraint perturbations of one pair therefore share their first d
     components (they are correlated); this is kept so that recorded runs
-    replay.  Draws are fresh per query round and frozen within one, so
-    activity flags flip more often the closer a slice sits to its
-    activation boundary while the hint's self-consistency search stays
-    deterministic.  scale = 0 coincides with the perfect predictor.
+    replay.  Draws are fresh per query round and frozen within one, which
+    keeps the hint's self-consistency search deterministic.  scale = 0
+    coincides with the perfect predictor.
 
-    The learner's round t draws the pairs (t + j, i), 0 <= j <= i <= m.
-    Their SeedSequence words are hashed in numpy for a block of about
-    `NOISE_BLOCK_ROWS` pairs of consecutive rounds at a time, and each
-    draw seeds a PCG64 from its row; any other pair is hashed alone.
+    A block's SeedSequence words are hashed in numpy at once, and each
+    draw seeds a PCG64 from its row; no SeedSequence is built.  Query
+    rounds whose pairs pass 2^32 - 1 raise `OverflowError`.
     """
 
     kind = "noisy"
@@ -787,69 +817,44 @@ class NoisyPredictor(Predictor):
         # the seed as SeedSequence splits an integer: 32-bit words, low first
         self._seed_words = [(self.seed >> k) & 0xFFFFFFFF
                             for k in range(0, max(self.seed.bit_length(), 1), 32)]
-        self._round = None
-        self._cache: dict = {}
 
     def bind(self, instance) -> None:
         super().bind(instance)
-        m = instance.m
-        # round t's pair (t + j, i) is row i (i + 1) / 2 + j of its rows
-        self._pairs = (m + 1) * (m + 2) // 2
-        self._block_rounds = max(1, NOISE_BLOCK_ROWS // self._pairs)
-        self._block_start = self._block_end = 0  # rounds whose words are held
-        self._words = None
-        self._seed_sequence = _words_seed_sequence()
+        self._rows_held = (range(0), None)
 
-    def begin_round(self, t: int) -> None:
-        self._round = t
-        self._cache = {}
+    def _rows(self, rounds: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A block's forecast rows (f, g, off), made once for both hooks."""
+        if self._rows_held[0] == rounds:
+            return self._rows_held[1]
+        self._rows_held = (range(0), None)  # dropped before the next block is made
+        z = self._draws(rounds) if self.scale > 0 else None
+        f, g, off = self._true_rows(rounds)
+        if z is not None:
+            f += z[:, :-1]
+            g += z[:, :-1]
+            off += z[:, -1]
+        self._rows_held = (rounds, (f, g, off))
+        return f, g, off
 
-    def _fill_block(self, t: int) -> None:
-        """Hold the seed words of the pairs of the block of rounds from t,
-        round t + k in rows k * pairs onwards."""
-        m, pairs, n = self._instance.m, self._pairs, self._block_rounds
-        self._words = None  # dropped before the next block is built
-        rounds = np.arange(t, t + n)
-        i = np.repeat(np.arange(m + 1), np.arange(1, m + 2))
-        j = np.arange(pairs) - i * (i + 1) // 2
-        entropy = np.empty((n * pairs, len(self._seed_words) + 4), dtype=np.uint32)
+    def _draws(self, rounds: range) -> np.ndarray:
+        """scale times the (n P, d + 1) draws of a block, row k P + i (i + 1)
+        / 2 + j drawn from [seed, 7, t_k, t_k + j, i]."""
+        keys = self._pairs(rounds)
+        if rounds.start < 0 or keys[-1, 1] > 0xFFFFFFFF:
+            raise OverflowError(f"noise rounds {rounds.start}..{keys[-1, 1]} do not fit in 32 bits")
+        entropy = np.empty((len(keys), len(self._seed_words) + 4), dtype=np.uint32)
         entropy[:, :-4] = self._seed_words
         entropy[:, -4] = 7
-        entropy[:, -3] = np.repeat(rounds, pairs)
-        entropy[:, -2] = (rounds[:, None] + j).ravel()
-        entropy[:, -1] = np.tile(i, n)
-        self._words = seed_sequence_words(entropy)
-        self._block_start, self._block_end = t, t + n
+        entropy[:, -3:] = keys
+        z, seed_seq = np.empty((len(keys), self._instance.dim + 1)), _words_seed_sequence()
+        for row, out in zip(seed_sequence_words(entropy), z):
+            rng = np.random.Generator(np.random.PCG64(seed_seq(row)))
+            out[:] = rng.normal(size=len(out))
+        z *= self.scale
+        return z
 
-    def _noise(self, r: int, i: int) -> list:
-        draw = self._cache.get((r, i))
-        if draw is None:
-            t, m = self._round or 0, self._instance.m
-            # the block casts rounds to uint32 unchecked, so a pair whose
-            # round does not fit takes the other path, which raises
-            if 0 <= r - t <= i <= m and 0 <= t < 2**32 - m:
-                if not self._block_start <= t < self._block_end:
-                    self._fill_block(t)
-                row = self._words[(t - self._block_start) * self._pairs + i * (i + 1) // 2 + r - t]
-            else:
-                # the uint32 words numpy makes of [seed, 7, round, r, i]
-                entropy = np.array([[*self._seed_words, 7, t, r, i]], dtype=np.uint32)
-                row = seed_sequence_words(entropy)[0]
-            rng = np.random.Generator(np.random.PCG64(self._seed_sequence(row)))
-            draw = self._cache[(r, i)] = rng.normal(size=self._dim + 1).tolist()
-        return draw
+    def predict_f(self, rounds):
+        return self._rows(rounds)[0]
 
-    def predict_f(self, r, i):
-        coeff = self._true_f(r, i)
-        if self.scale > 0:
-            coeff = [c + self.scale * z for c, z in zip(coeff, self._noise(r, i))]
-        return coeff
-
-    def predict_g(self, r, i):
-        coeff, offset = self._true_g(r, i)
-        if self.scale > 0:
-            draw = self._noise(r, i)
-            coeff = [c + self.scale * z for c, z in zip(coeff, draw)]
-            offset = offset + self.scale * draw[self._dim]
-        return coeff, offset
-
+    def predict_g(self, rounds):
+        return self._rows(rounds)[1:]

@@ -329,7 +329,11 @@ class BoundReport:
     preconditions: dict
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        """Strict JSON: a non-finite number, such as the infinite slack of
+        a measured side <= 0, reads null."""
+        doc = {part: {k: v if not isinstance(v, float) or math.isfinite(v) else None
+                      for k, v in d.items()} for part, d in asdict(self).items()}
+        return json.dumps(doc, sort_keys=True, allow_nan=False)
 
 
 def theorem_bound_report(trace: RunTrace) -> BoundReport:

@@ -52,15 +52,15 @@ def huber(x: float, y: float) -> float:
 
 
 def _vectors(dim: int):
-    """(vec, dot, sumsq, finite) of the learner's vector type, a float at
-    d = 1 and a (d,) float array at d >= 2: `vec` makes a vector of a
-    length-d sequence, and the reductions have the bits of numpy's
-    `a @ b` and `np.sum(a ** 2)`; numpy itself at d >= 2, where a BLAS
-    dot may round as fma(a1, b1, a0 * b0)."""
+    """(vec, dot, sumsq) of the learner's vector type, a float at d = 1
+    and a (d,) float array at d >= 2: `vec` makes a vector of a length-d
+    sequence, and the reductions have the bits of numpy's `a @ b` and
+    `np.sum(a ** 2)`; numpy itself at d >= 2, where a BLAS dot may round
+    as fma(a1, b1, a0 * b0)."""
     if dim == 1:
-        return (lambda p: float(p[0])), operator.mul, (lambda a: a * a), math.isfinite
+        return (lambda p: float(p[0])), operator.mul, (lambda a: a * a)
     return ((lambda p: np.asarray(p, dtype=float)), (lambda a, b: float(np.dot(a, b))),
-            (lambda a: float(np.sum(a ** 2))), (lambda a: bool(np.isfinite(a).all())))
+            (lambda a: float(np.sum(a ** 2))))
 
 
 class OdafLearner:
@@ -91,7 +91,7 @@ class OdafLearner:
         predictor.bind(instance)
         self.alpha = _alpha(instance, alpha)
         self.dual_delay = variant.dual_delay(self.m)
-        self._vec, self._dot, self._sumsq, self._finite = _vectors(self.dim)
+        self._vec, self._dot, self._sumsq = _vectors(self.dim)
         # shared by every sum that starts from zero: never updated in place
         self._zero = self._vec(np.zeros(self.dim))
 
@@ -126,6 +126,8 @@ class OdafLearner:
         # hint round -> (hint, its forecasts) until the round's gradient settles
         self._pending: dict[int, tuple] = {}
         self._a: dict[int, float] = {}
+        # round r -> Phi'(V_{r-d}), kept once round r - d is played
+        self._mults: dict[int, float] = {}
         self._cum_sq = 0.0
         self._max_awin = 0.0
         self.mu_now = 0.0
@@ -152,8 +154,13 @@ class OdafLearner:
 
     def _mult(self, r: int) -> float:
         """Penalty weight of round r's constraint slice inside the forward
-        function; prehistory reads V = 0."""
-        return phi_prime(_EXP, self.lam, self.v_at(r - self.dual_delay))
+        function; prehistory and rounds not yet played read V = 0."""
+        w = self._mults.get(r)
+        if w is None:
+            w = phi_prime(_EXP, self.lam, self.v_at(r - self.dual_delay))
+            if r - self.dual_delay <= self._last_played:
+                self._mults[r] = w
+        return w
 
     # -- forward gradients ----------------------------------------------------
 
@@ -228,53 +235,36 @@ class OdafLearner:
 
     # -- hint assembly and the FTRL step ------------------------------------
 
-    def _forecast(self, r: int, i: int) -> tuple:
-        """This round's forecast of slice pair (r, i) as vectors: the loss
-        coefficient and the constraint's coefficient and offset; a
-        non-finite forecast falls back to zero.  `_decide_next(t)` asks
-        for each pair once: its pending pairs have r - i <= t and the
-        committed block r - i = t + 1, so nothing is cached."""
-        vec, finite = self._vec, self._finite
-        f = vec(self.predictor.predict_f(r, i))
-        if not finite(f):
-            f = self._zero
-        g_coef, g_off = self.predictor.predict_g(r, i)
-        g, g_off = vec(g_coef), float(g_off)
-        if not (finite(g) and math.isfinite(g_off)):
-            g, g_off = self._zero, 0.0
-        return f, g, g_off
-
-    def _pending_subtotal(self, s: int, t: int, preds: list):
+    def _pending_subtotal(self, s: int, t: int, preds: list, forecasts: list):
         """Known-plus-predicted stand-in for grad Z_s, accumulated in the
         same slice order as the settled gradient so perfect predictions
-        reproduce it bitwise."""
+        reproduce it bitwise; `forecasts` are those of round t + 1."""
         z = self._open.get(s, self._zero)
         x_s = self.x_hist[s]
         for i in range(t - s + 1, self.m + 1):
             r = s + i
-            f_pred, g, g_off = self._forecast(r, i)
+            f_pred, g, g_off = forecasts[i * (i + 1) // 2 + r - t - 1]
             z = z + f_pred
-            if self._dot(g, x_s) + g_off > 0.0:
+            active = self._dot(g, x_s) + g_off > 0.0
+            if active:
                 z = z + self._mult(r) * g
-                preds.append((r, i, f_pred, g))
-            else:
-                preds.append((r, i, f_pred, self._zero))
+            preds.append((r, i, f_pred, g if active else self._zero))
         return z
 
     def _decide_next(self, t: int) -> None:
         """End-of-round-t work: assemble h_{t+1}, compute mu_{t+1}, and
         commit x_{t+1} (self-consistent activity for the pending round)."""
         m, nxt, dot = self.m, t + 1, self._dot
-        self.predictor.begin_round(nxt)
+        forecasts = self.predictor.forecasts(nxt)
         preds: list[tuple] = []
         # pending decisions s = t+1-m .. t: known slices plus predictions
         base = self._zero
         for s in range(nxt - m, nxt):
-            base = base + self._pending_subtotal(s, t, preds)
+            base = base + self._pending_subtotal(s, t, preds, forecasts)
         # predicted forward gradient of the decision being committed; each
         # constraint forecast with a nonzero coefficient may toggle, and
         # carries its weighted gradient
-        block = [self._forecast(nxt + i, i) for i in range(m + 1)]
+        block = [forecasts[i * (i + 1) // 2 + i] for i in range(m + 1)]
         toggles = []
         for i, (_, g, g_off) in enumerate(block):
             if dot(g, g) > 0.0:
@@ -380,6 +370,7 @@ class OdafLearner:
         f_spl = float(sum(dot(fi, x_t) for fi in f)) if f is not None else 0.0
         g_spl = float(sum(dot(c, x_t) + off for _, c, off, _ in g_rows))
         mult_t = self._mult(t)
+        self._mults.pop(t, None)  # no later call asks round t
         z = self._forward.get(s, self._zero)
         row = t - self.inst.first_round
         self.records[row] = (

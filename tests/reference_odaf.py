@@ -88,7 +88,7 @@ class OdafLearner:
         self._last_complete = self.first - self.m - 1  # newest assembled forward round
         self.hints: dict[int, np.ndarray] = {}
         self._hint_preds: dict[int, dict] = {}
-        self._forecasts: dict[tuple[int, int], tuple] = {}
+        self._forecasts: list[tuple] = []
         self._a: dict[int, float] = {}
         self._b: dict[int, float] = {}
         self._cum_sq = 0.0
@@ -194,19 +194,13 @@ class OdafLearner:
 
     def _forecast(self, r: int, i: int) -> tuple[np.ndarray, tuple[np.ndarray, float]]:
         """This round's forecast of slice pair (r, i): the loss coefficient
-        and the constraint's (coeff, offset).  The predictor is queried once
-        per pair per round; a non-finite forecast falls back to zero."""
-        fc = self._forecasts.get((r, i))
-        if fc is None:
-            f = np.asarray(self.predictor.predict_f(r, i), dtype=float)
-            if not np.isfinite(f).all():
-                f = np.zeros(self.dim)
-            g_coef, g_off = self.predictor.predict_g(r, i)
-            g = (np.asarray(g_coef, dtype=float), float(g_off))
-            if not (np.isfinite(g[0]).all() and math.isfinite(g[1])):
-                g = (np.zeros(self.dim), 0.0)
-            fc = self._forecasts[(r, i)] = (f, g)
-        return fc
+        and the constraint's (coeff, offset), from the predictor's
+        forecasts of the round, pair (t + j, i) at index i (i + 1) / 2 + j;
+        the predictor sets a non-finite forecast to zero."""
+        t = self._forecast_round
+        f, g_coef, g_off = self._forecasts[i * (i + 1) // 2 + r - t]
+        return (np.array(f, dtype=float, ndmin=1),
+                (np.array(g_coef, dtype=float, ndmin=1), float(g_off)))
 
     def _pending_subtotal(self, s: int, t: int, preds: dict) -> np.ndarray:
         """Known-plus-predicted stand-in for grad Z_s, accumulated in the
@@ -232,8 +226,8 @@ class OdafLearner:
         """End-of-round-t work: assemble h_{t+1}, compute mu_{t+1}, and
         commit x_{t+1} (self-consistent activity for the pending round)."""
         m, nxt = self.m, t + 1
-        self.predictor.begin_round(nxt)
-        self._forecasts = {}
+        self._forecast_round = nxt
+        self._forecasts = self.predictor.forecasts(nxt)
         preds: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         # pending decisions s = t+1-m .. t: known slices plus predictions
         base = np.zeros(self.dim)

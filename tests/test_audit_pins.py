@@ -38,3 +38,21 @@ def test_audit_stdout_is_pinned(command, name, tmp_path, capsys):
     assert cli_main([command, "--config", str(path)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[(command, name)]
+
+
+def test_bounds_stdout_is_strict_json(tmp_path, capsys):
+    """`cocomem bounds` prints strict JSON: on seed 0 of optimistic_perfect
+    the measured forward regret is <= 0, and its infinite slack reads null."""
+    cfg = json.loads((CONFIG_DIR / "optimistic_perfect.json").read_text())
+    path = tmp_path / "optimistic_perfect.json"
+    path.write_text(json.dumps({**cfg, "seeds": [0]}))
+    assert cli_main(["bounds", "--config", str(path)]) == 0
+    prefix, _, doc = capsys.readouterr().out.strip().partition(": ")
+    assert prefix == "seed 0"
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    report = json.loads(doc, parse_constant=reject)
+    assert report["measured"]["forward_regret"] <= 0.0
+    assert report["slack"]["forward_regret"] is None

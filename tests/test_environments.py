@@ -142,11 +142,11 @@ def test_separable_zero_outside_active_rounds():
     assert np.any(inst.f_coef[3, 0])
     p = PerfectPredictor()
     p.bind(inst)
-    for r in (0, 2, 31):  # outside (m, horizon]: absent slices forecast zeros
-        for i in range(3):
-            assert np.array_equal(p.predict_f(r, i), np.zeros(1))
-            coeff, offset = p.predict_g(r, i)
-            assert np.array_equal(coeff, np.zeros(1)) and offset == 0.0
+    for t in (0, 29, 31):
+        for (r, i), (f, g, g_off) in zip(_triangle(t, inst.m), p.forecasts(t)):
+            if not inst.m < r <= inst.horizon:  # absent slices forecast +0.0
+                assert [f, g, g_off] == [0.0] * 3
+                assert math.copysign(1.0, f) == math.copysign(1.0, g) == 1.0
 
 
 def test_separable_m0_collapses_to_single_slice():
@@ -174,50 +174,56 @@ def test_separable_constraint_bound_matches_sampling():
     assert worst >= 0.95 * k.g_bound  # the declared bound is near-tight
 
 
-def test_predictors_basic_contracts():
-    inst = SeparableLinearInstance(m=1, horizon=40, seed=2)
-    x = np.array([0.5])
+def _triangle(t: int, m: int) -> list[tuple[int, int]]:
+    """The slice pairs (r, i) of query round t in `forecasts(t)` order:
+    (t + j, i) at index i (i + 1) / 2 + j."""
+    return [(t + j, i) for i in range(m + 1) for j in range(i + 1)]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_predictors_basic_contracts(d):
+    inst = SeparableLinearInstance(m=1, horizon=40, dim=d, seed=2, g_round_density=0.6)
+    x = np.full(d, 0.5)
     perfect, zero = PerfectPredictor(), ZeroPredictor()
     noiseless = NoisyPredictor(0.0, seed=3)
     for p in (perfect, zero, noiseless):
         p.bind(inst)
-        p.begin_round(10)
-    for r in range(4, 20):
-        for i in (0, 1):
-            want = inst.f_coef[r, i]  # every pair here lies in rounds (m, horizon]
-            assert np.array_equal(perfect.predict_f(r, i), want)
-            assert np.array_equal(noiseless.predict_f(r, i), want)
-            assert np.array_equal(zero.predict_f(r, i), np.zeros(1))
-            pc, po = perfect.predict_g(r, i)
-            nc, no = noiseless.predict_g(r, i)
-            assert np.array_equal(pc, nc) and po == no
-            zc, zo = zero.predict_g(r, i)
-            assert np.array_equal(zc, np.zeros(1)) and zo == 0.0
+    n_present = 0
+    for t in range(4, 19):  # every pair here lies in rounds (m, horizon]
+        got = [p.forecasts(t) for p in (perfect, zero, noiseless)]
+        assert all(len(fc) == 3 for fc in got)
+        for (r, i), pf, zf, nf in zip(_triangle(t, inst.m), *got):
+            # floats at d = 1, (d,) rows at d >= 2
+            assert all(type(v) is (float if d == 1 else np.ndarray) for v in pf[:2] + zf[:2])
+            assert type(pf[2]) is type(zf[2]) is float
+            f, pc, po = (np.array(v, ndmin=1) for v in pf)
+            assert np.array_equal(f, inst.f_coef[r, i])
+            assert all(np.array_equal(a, b) for a, b in zip(pf, nf))  # scale 0 is perfect
+            assert all(np.array_equal(np.array(v, ndmin=1), np.zeros(d)) for v in zf[:2])
+            assert zf[2] == 0.0
             present, g_coef, g_off = inst.g_present[r, i], inst.g_coef[r, i], inst.g_off[r, i]
+            n_present += present
             if not present:
                 # an absent slice forecasts (zeros, 0.0): never active
-                assert np.array_equal(pc, np.zeros(1)) and po == 0.0
+                assert np.array_equal(pc, np.zeros(d)) and po == 0.0
             else:
                 assert np.array_equal(pc, g_coef) and po == g_off
             # activity is judged from the affine forecast
             assert (float(pc @ x) + po > 0.0) == (present and float(g_coef @ x) + g_off > 0.0)
+    assert n_present > 0
 
 
 def test_noisy_predictor_is_deterministic_per_round():
-    inst = SeparableLinearInstance(m=1, horizon=40, seed=2)
+    inst = SeparableLinearInstance(m=2, horizon=40, seed=2)
     p = NoisyPredictor(0.4, seed=5)
     p.bind(inst)
-    p.begin_round(7)
-    a = p.predict_f(9, 1).copy()
-    b = p.predict_f(9, 1).copy()
-    assert np.array_equal(a, b)  # frozen within the round
-    p.begin_round(8)
-    c = p.predict_f(9, 1).copy()
-    assert not np.array_equal(a, c)  # fresh across rounds
+    # pair (9, 2) is (7 + 2, 2) of round 7, index 5, and (8 + 1, 2) of round 8, index 4
+    a = p.forecasts(7)
+    assert p.forecasts(7) == a  # frozen within the round
+    assert p.forecasts(8)[4] != a[5]  # fresh across rounds
     q = NoisyPredictor(0.4, seed=5)
     q.bind(inst)
-    q.begin_round(7)
-    assert np.array_equal(q.predict_f(9, 1), a)  # reproducible
+    assert q.forecasts(7) == a  # reproducible
 
 
 def test_noisy_predictor_stream_contract():
@@ -231,17 +237,14 @@ def test_noisy_predictor_stream_contract():
     p = NoisyPredictor(scale, seed=seed)
     p.bind(inst)
     for t in (5, 6):
-        p.begin_round(t)
-        for r in range(t, t + 3):
-            for i in range(3):
-                ss = np.random.SeedSequence([seed, 7, t, r, i])
-                z = np.random.Generator(np.random.PCG64(ss)).normal(size=d + 1)
-                # rounds t..t+2 lie in (m, horizon]; absent constraint rows are 0
-                f_true, g_true, g_off = inst.f_coef[r, i], inst.g_coef[r, i], inst.g_off[r, i]
-                assert np.array_equal(p.predict_f(r, i), f_true + scale * z[:d])
-                coeff, offset = p.predict_g(r, i)
-                assert np.array_equal(coeff, g_true + scale * z[:d])
-                assert offset == g_off + scale * z[d]
+        for (r, i), (f, coeff, offset) in zip(_triangle(t, inst.m), p.forecasts(t)):
+            ss = np.random.SeedSequence([seed, 7, t, r, i])
+            z = np.random.Generator(np.random.PCG64(ss)).normal(size=d + 1)
+            # rounds t..t+2 lie in (m, horizon]; absent constraint rows are 0
+            f_true, g_true, g_off = inst.f_coef[r, i], inst.g_coef[r, i], inst.g_off[r, i]
+            assert np.array_equal(f, f_true + scale * z[:d])
+            assert np.array_equal(coeff, g_true + scale * z[:d])
+            assert offset == g_off + scale * z[d]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -249,28 +252,26 @@ def test_noisy_predictor_stream_contract():
 def test_noisy_stream_is_the_list_seeded_stream(seed, d):
     """The predictor seeds from a uint32 array; the draws are those of the
     list form SeedSequence([seed, 7, t, r, i]), multi-word seeds included,
-    and the forecasts are float lists."""
+    and the forecasts are floats at d = 1 and (d,) float rows at d >= 2."""
     inst = SeparableLinearInstance(m=2, horizon=30, dim=d, seed=1,
                                    g_round_density=0.6, g_mag=(0.05, 0.2))
     scale = 0.3
     p = NoisyPredictor(scale, seed=seed)
     p.bind(inst)
-    for t in (4, 29):
-        p.begin_round(t)
-        for r in range(t, t + 3):
-            for i in range(3):
-                ss = np.random.SeedSequence([seed, 7, t, r, i])
-                z = np.random.Generator(np.random.PCG64(ss)).normal(size=d + 1)
-                live = r <= inst.horizon
-                f_true = inst.f_coef[r, i] if live else np.zeros(d)
-                g_true = inst.g_coef[r, i] if live else np.zeros(d)
-                g_off = float(inst.g_off[r, i]) if live else 0.0
-                f = p.predict_f(r, i)
-                coeff, offset = p.predict_g(r, i)
-                assert type(f) is list and type(coeff) is list and type(offset) is float
-                assert np.array(f).tobytes() == (f_true + scale * z[:d]).tobytes()
-                assert np.array(coeff).tobytes() == (g_true + scale * z[:d]).tobytes()
-                assert offset == g_off + scale * z[d]
+    vector = float if d == 1 else np.ndarray
+    for t in (4, 29, 31):
+        for (r, i), (f, coeff, offset) in zip(_triangle(t, inst.m), p.forecasts(t)):
+            ss = np.random.SeedSequence([seed, 7, t, r, i])
+            z = np.random.Generator(np.random.PCG64(ss)).normal(size=d + 1)
+            live = r <= inst.horizon
+            f_true = inst.f_coef[r, i] if live else np.zeros(d)
+            present = live and inst.g_present[r, i]
+            g_true = inst.g_coef[r, i] if present else np.zeros(d)
+            g_off = float(inst.g_off[r, i]) if present else 0.0
+            assert type(f) is vector and type(coeff) is vector and type(offset) is float
+            assert np.array(f, ndmin=1).tobytes() == (f_true + scale * z[:d]).tobytes()
+            assert np.array(coeff, ndmin=1).tobytes() == (g_true + scale * z[:d]).tobytes()
+            assert offset == g_off + scale * z[d]
 
 
 def test_noisy_predictor_rejects_negative_seed():
@@ -312,29 +313,28 @@ def test_seed_words_reject_other_entropy(entropy):
 @pytest.mark.parametrize("m", [0, 2, 10])
 def test_noisy_draws_are_the_contract_draws_across_blocks(m, monkeypatch):
     """Each forecast is the true row plus the SeedSequence([seed, 7, t, r, i])
-    draw, with no SeedSequence built: for the learner's pairs (t + j, i),
-    0 <= j <= i <= m, on both sides of a block boundary, for a round begun
-    twice (as a restart does) and a round before the current block, and for
-    off-pattern pairs (r < t, r > t + m, r - t > i, i > m)."""
-    inst = SeparableLinearInstance(m=m, horizon=120, dim=2, seed=2,
+    draw, with no SeedSequence built, for the pairs (t + j, i), 0 <= j <= i
+    <= m: on both sides of a block boundary, for a round asked twice (as a
+    restart does), a round before the current block and the last query
+    round, horizon + 1."""
+    per_block = NOISE_BLOCK_ROWS // ((m + 1) * (m + 2) // 2)
+    inst = SeparableLinearInstance(m=m, horizon=m + per_block + 20, dim=2, seed=2,
                                    g_round_density=0.6, g_mag=(0.05, 0.2))
     seed, scale, d = 2**33 + 9, 0.25, inst.dim
-    per_block = NOISE_BLOCK_ROWS // ((m + 1) * (m + 2) // 2)
-    first = inst.first_round
+    first, last = inst.first_round, inst.horizon + 1
     rounds = [first, first + 1, first + per_block - 1, first + per_block, first + per_block,
-              first + 2]
+              first + 2, last]
     want = {}
     for t in rounds:
-        for r in range(max(t - 2, 0), t + m + 3):
-            for i in range(m + 2):
-                ss = np.random.SeedSequence([seed, 7, t, r, i])
-                z = np.random.Generator(np.random.PCG64(ss)).normal(size=d + 1)
-                live = inst.m < r <= inst.horizon and i <= inst.m
-                present = live and inst.g_present[r, i]
-                f = (inst.f_coef[r, i] if live else np.zeros(d)) + scale * z[:d]
-                g = (inst.g_coef[r, i] if present else np.zeros(d)) + scale * z[:d]
-                off = (float(inst.g_off[r, i]) if present else 0.0) + scale * z[d]
-                want[t, r, i] = (f.tolist(), (g.tolist(), off))
+        for r, i in _triangle(t, m):
+            ss = np.random.SeedSequence([seed, 7, t, r, i])
+            z = np.random.Generator(np.random.PCG64(ss)).normal(size=d + 1)
+            live = inst.m < r <= inst.horizon
+            present = live and inst.g_present[r, i]
+            f = (inst.f_coef[r, i] if live else np.zeros(d)) + scale * z[:d]
+            g = (inst.g_coef[r, i] if present else np.zeros(d)) + scale * z[:d]
+            off = (float(inst.g_off[r, i]) if present else 0.0) + scale * z[d]
+            want[t, r, i] = (f.tolist(), g.tolist(), off)
 
     def no_seed_sequence(*args, **kwargs):
         raise AssertionError("a SeedSequence was built")
@@ -343,42 +343,36 @@ def test_noisy_draws_are_the_contract_draws_across_blocks(m, monkeypatch):
     p = NoisyPredictor(scale, seed=seed)
     p.bind(inst)
     for t in rounds:
-        p.begin_round(t)
-        for (u, r, i), (f, g) in want.items():
-            if u == t:
-                assert p.predict_f(r, i) == f and p.predict_g(r, i) == g, (t, r, i)
+        for (r, i), (f, g, off) in zip(_triangle(t, m), p.forecasts(t)):
+            assert (f.tolist(), g.tolist(), off) == want[t, r, i], (t, r, i)
 
 
 def test_noisy_draws_up_to_the_last_uint32_round():
-    """Blocks stop where a pair's round would pass 2^32 - 1; the rounds
-    next to that limit still draw the SeedSequence([seed, 7, t, r, i])
-    draws."""
+    """The rounds next to the 2^32 - 1 limit still draw the
+    SeedSequence([seed, 7, t, r, i]) draws; a round whose pairs pass it
+    raises."""
     inst = SeparableLinearInstance(m=2, horizon=40, seed=1)
     p = NoisyPredictor(0.5, seed=3)
     p.bind(inst)
-    for t in (2**32 - 4, 2**32 - 3, 2**32 - 1):
-        p.begin_round(t)
-        for r in range(t, min(t + 3, 2**32)):
-            for i in range(3):
-                ss = np.random.SeedSequence([3, 7, t, r, i])
-                z = np.random.Generator(np.random.PCG64(ss)).normal(size=2)
-                assert p.predict_f(r, i) == [0.5 * z[0]], (t, r, i)
+    for t in (2**32 - 5, 2**32 - 3):
+        for (r, i), (f, _, _) in zip(_triangle(t, inst.m), p.forecasts(t)):
+            ss = np.random.SeedSequence([3, 7, t, r, i])
+            z = np.random.Generator(np.random.PCG64(ss)).normal(size=2)
+            assert f == 0.5 * z[0], (t, r, i)
+    with pytest.raises(OverflowError):
+        p.forecasts(2**32 - 2)
 
 
 def _noisy_predictor_heap(horizon: int) -> int:
     """tracemalloc peak of a noisy predictor answering the learner's
-    queries of every round up to the horizon, at m = 2."""
+    queries of every round up to the last, horizon + 1, at m = 2."""
     inst = SeparableLinearInstance(m=2, horizon=horizon, seed=0)
     p = NoisyPredictor(0.3, seed=4)
     p.bind(inst)
     tracemalloc.start()
     try:
         for t in range(inst.first_round, horizon + 2):
-            p.begin_round(t)
-            for i in range(inst.m + 1):
-                for j in range(i + 1):
-                    p.predict_f(t + j, i)
-                    p.predict_g(t + j, i)
+            p.forecasts(t)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -386,9 +380,9 @@ def _noisy_predictor_heap(horizon: int) -> int:
 
 
 def test_noisy_predictor_state_does_not_grow_with_the_horizon():
-    """The predictor holds the seed words of one block of rounds and one
-    round's draws: its heap peak at T = 4000 (twelve blocks of 341 rounds
-    at m = 2) is that of T = 500 (two blocks), within 4 KB."""
+    """The predictor holds one block of rounds' forecasts and draws: its
+    heap peak at T = 4000 (twelve blocks of 341 rounds at m = 2) is that
+    of T = 500 (two blocks), within 4 KB."""
     assert _noisy_predictor_heap(4000) <= _noisy_predictor_heap(500) + 4096
 
 

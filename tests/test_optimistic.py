@@ -1,3 +1,4 @@
+import collections
 import functools
 import hashlib
 import itertools
@@ -323,17 +324,74 @@ def test_hint_error_reconstruction_matches_recorded():
     assert float(np.sum(recorded)) == pytest.approx(float(np.sum(errs[:n_eval])), rel=1e-9)
 
 
+def _injected(value: float, field: str, t0: int, k0: int):
+    """A perfect predictor whose forecast at index k0 of query round t0 has
+    `value` in its loss row ("f"), constraint row ("g") or offset ("off")."""
+
+    class Injected(PerfectPredictor):
+        kind = "injected"
+
+        def _row(self, rounds):
+            m = self._instance.m
+            return (t0 - rounds.start) * (m + 1) * (m + 2) // 2 + k0 if t0 in rounds else None
+
+        def predict_f(self, rounds):
+            f = super().predict_f(rounds)
+            if field == "f" and (row := self._row(rounds)) is not None:
+                f[row, -1] = value
+            return f
+
+        def predict_g(self, rounds):
+            g, off = super().predict_g(rounds)
+            row = self._row(rounds)
+            if field == "g" and row is not None:
+                g[row, 0] = value
+            if field == "off" and row is not None:
+                off[row] = value
+            return g, off
+
+    return Injected()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("field", ["f", "g", "off"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_a_non_finite_forecast_falls_back_to_zero_alone(d, field, value):
+    """inf or NaN in one forecast of one round zeroes that pair's loss
+    forecast, or its constraint coefficient and offset; every other
+    forecast of every round is the perfect one."""
+    inst = SeparableLinearInstance(m=2, horizon=40, dim=d, seed=10,
+                                   g_round_density=0.6, g_mag=(0.05, 0.2))
+    t0 = 20
+    pairs = [(t0 + j, i) for i in range(3) for j in range(i + 1)]
+    k0 = next(k for k, (r, i) in enumerate(pairs) if inst.g_present[r, i])
+    perfect, broken = PerfectPredictor(), _injected(value, field, t0, k0)
+    perfect.bind(inst)
+    broken.bind(inst)
+
+    def rows(fc):
+        return [np.array(v, ndmin=1).tolist() for v in fc]
+
+    for t in range(inst.first_round, inst.horizon + 2):
+        for k, (want, got) in enumerate(zip(perfect.forecasts(t), broken.forecasts(t))):
+            if (t, k) == (t0, k0):
+                zero = np.zeros(d)
+                want = (zero, *want[1:]) if field == "f" else (want[0], zero, 0.0)
+            assert rows(got) == rows(want), (t, k)
+
+
 def test_non_finite_predictions_fall_back_to_zero():
     class BrokenPredictor(ZeroPredictor):
         kind = "broken"
 
-        def predict_f(self, r, i):
-            return np.array([np.nan])
+        def predict_f(self, rounds):
+            return np.full_like(super().predict_f(rounds), np.nan)
 
-        def predict_g(self, r, i):
+        def predict_g(self, rounds):
             # a non-finite coefficient with an offset that alone would
             # make the hinge active
-            return np.array([np.inf]), 1.0
+            g, off = super().predict_g(rounds)
+            return np.full_like(g, np.inf), off + 1.0
 
     inst = SeparableLinearInstance(m=1, horizon=30, seed=10)
     tr = run_optimistic(inst, Variant.COCO_M2, BrokenPredictor())
@@ -344,8 +402,9 @@ def test_non_finite_predictions_fall_back_to_zero():
     class BrokenOffsetPredictor(ZeroPredictor):
         kind = "broken"
 
-        def predict_g(self, r, i):
-            return np.array([1.0]), np.nan
+        def predict_g(self, rounds):
+            g, off = super().predict_g(rounds)
+            return g + 1.0, off + np.nan
 
     tr = run_optimistic(inst, Variant.COCO_M2, BrokenOffsetPredictor())
     assert np.all(np.isfinite(tr.extras["hints"]))
@@ -451,38 +510,29 @@ def test_trace_bytes_are_pinned(case):
     assert h.hexdigest()[:16] == PINNED_TRACES[case]
 
 
-def test_one_noise_generator_per_slice_pair_per_round(monkeypatch):
-    """A learner round queries each forecast slice pair once, and the loss
-    and constraint forecasts of a pair share one generator."""
-    inst = SeparableLinearInstance(m=2, horizon=60, seed=3,
+def test_a_doubling_run_draws_each_forecast_once(monkeypatch):
+    """A restarting noisy run_doubling builds one PCG64 per query round and
+    slice pair, seeded by [seed, 7, t, t + j, i] for first_round <= t <=
+    horizon + 1 and 0 <= j <= i <= m, each once: none past the last query
+    round, none again after a restart or across a block boundary (341
+    rounds at m = 2)."""
+    inst = SeparableLinearInstance(m=2, horizon=400, seed=3,
                                    g_round_density=0.6, g_mag=(0.05, 0.2))
-    predictor = NoisyPredictor(0.3, seed=1)
-    learner = OdafLearner(inst, Variant.COCO_M2, predictor, 0.1)
-    for t in range(inst.first_round, 30):
-        learner.play_round(t)
     real = np.random.PCG64
-    built = []
+    built = collections.Counter()
 
     def counting(seed_seq):
-        built.append(tuple(seed_seq.generate_state(4, np.uint64).tolist()))
+        built[tuple(seed_seq.generate_state(4, np.uint64).tolist())] += 1
         return real(seed_seq)
 
     monkeypatch.setattr(np.random, "PCG64", counting)
-    learner.play_round(30)
-    # pending decisions 29, 30 hold 1 + 2 unrevealed pairs, the decision
-    # being committed (31) holds m + 1 = 3
-    keys = [(31, 2), (31, 1), (32, 2), (31, 0), (32, 1), (33, 2)]
-    assert sorted(built) == sorted(
-        tuple(np.random.SeedSequence([1, 7, 31, r, i]).generate_state(4, np.uint64).tolist())
-        for r, i in keys)
-    # both forecasts of a pair perturb by that one draw, and reuse it
-    for r, i in keys:
-        ss = np.random.SeedSequence([1, 7, 31, r, i])
-        z = np.random.Generator(real(ss)).normal(size=2)
-        assert predictor.predict_f(r, i) == [inst.f_coef[r, i, 0] + 0.3 * z[0]]
-        assert predictor.predict_g(r, i) == ([inst.g_coef[r, i, 0] + 0.3 * z[0]],
-                                             inst.g_off[r, i] + 0.3 * z[1])
-    assert len(built) == len(keys)
+    tr = run_doubling(inst, Variant.COCO_M2, NoisyPredictor(0.3, seed=1))
+    assert tr.extras["epochs"] > 1
+    want = {tuple(np.random.SeedSequence([1, 7, t, t + j, i]).generate_state(4, np.uint64).tolist())
+            for t in range(inst.first_round, inst.horizon + 2)
+            for i in range(inst.m + 1) for j in range(i + 1)}
+    assert set(built) == want
+    assert set(built.values()) == {1}
 
 
 def test_doubling_restarts_one_learner_and_counts_every_epochs_fallbacks(monkeypatch):
