@@ -38,7 +38,7 @@ import functools
 import json
 import math
 import numbers
-from dataclasses import InitVar, dataclass, field, fields
+from dataclasses import MISSING, InitVar, dataclass, field, fields
 
 import numpy as np
 
@@ -73,16 +73,46 @@ def is_number(v) -> bool:
         return False
 
 
-# what a field of each annotation takes (annotations are strings, by
-# postponed evaluation): a bool is no number, and only a bool is a bool
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+# The type rule of every config value: field annotation (a string, by
+# postponed evaluation) -> (what its value must be, the test, the cast made
+# once the test passes; float() would read "2" or true, int() truncate 0.9
+# and dict() read [key, value] pairs).  Enum fields have no entry.
 _FIELD_TYPES = {
-    "int": ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
-    "float": ("a finite number", is_number),
-    "bool": ("true or false", lambda v: isinstance(v, bool)),
-    "str": ("a string", lambda v: isinstance(v, str)),
+    "int": ("an integer", _is_int, int),
+    "float": ("a finite number", is_number, float),
+    "float | None": ("a finite number or null", lambda v: v is None or is_number(v), float),
+    "bool": ("true or false", lambda v: isinstance(v, bool), bool),
+    "str": ("a string", lambda v: isinstance(v, str), str),
+    "dict": ("a JSON object", lambda v: isinstance(v, dict), dict),
+    "list[int]": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v)),
+                  list),
     "tuple[float, float]": ("a pair of finite numbers", lambda v: isinstance(v, (list, tuple))
-                            and len(v) == 2 and all(map(is_number, v))),
+                            and len(v) == 2 and all(map(is_number, v)), tuple),
 }
+
+
+def check_fields(cls, values: dict) -> dict:
+    """The fields of dataclass `cls` in `values`, defaults filling keys left
+    out, each checked against its annotation's entry in `_FIELD_TYPES` and
+    cast (None stays None); TypeError on a bad value or an unknown or
+    missing key.  Enum fields are left out: their constructors check them."""
+    if unknown := sorted(values.keys() - {f.name for f in fields(cls)}):
+        raise TypeError(f"unknown keys {unknown}")
+    typed = {}
+    for f in fields(cls):
+        value = values.get(f.name, f.default)
+        if value is MISSING:
+            raise TypeError(f"missing key {f.name!r}")
+        if f.type in _FIELD_TYPES:
+            what, takes, cast = _FIELD_TYPES[f.type]
+            if not takes(value):
+                raise TypeError(f"{f.name} must be {what}, got {value!r}")
+            typed[f.name] = None if value is None else cast(value)
+    return typed
 
 
 class _Instance:
@@ -90,34 +120,20 @@ class _Instance:
 
     A family is a dataclass whose fields are its parameters in constructor
     order; `_ARRAYS` maps the names of its generated arrays to their
-    dtypes.  Construction checks the fields (`check_fields`: each against
-    its annotation, then the family's range checks `check_params`; neither
-    needs an instance, so a config can be checked without generating),
-    makes every `float` field (`radius` among them) a float and `seed` an
-    int, builds the decision set (the ball of `radius` at the origin), and
-    then either generates the arrays (`_generate` sets them as attributes)
-    or adopts the `_arrays` passed in, in `_ARRAYS` order.  `to_json` and `from_json` are the replay document's one writer
-    and reader: `kind`, `rng` and `seed`, then the other fields in
-    declaration order (those whose metadata sets `params` nested under
-    "params"), then the arrays as nested lists.
+    dtypes.  Construction types the fields (`check_fields`), makes the
+    family's range checks (`check_params`; neither needs an instance, so a
+    config can be checked without generating), builds the decision set
+    (the ball of `radius` at the origin), and then either generates the
+    arrays (`_generate` sets them as attributes) or adopts the `_arrays`
+    passed in, in `_ARRAYS` order.  `to_json` and `from_json` are the
+    replay document's one writer and reader: `kind`, `rng` and `seed`,
+    then the other fields in declaration order (those whose metadata sets
+    `params` nested under "params"), then the arrays as nested lists.
     """
 
-    @classmethod
-    def check_fields(cls, **values) -> None:
-        """Type checks of the fields against their annotations, then the
-        family's range checks; no instance is generated."""
-        for f in fields(cls):
-            what, takes = _FIELD_TYPES[f.type]
-            if not takes(values[f.name]):
-                raise TypeError(f"{f.name} must be {what}, got {values[f.name]!r}")
-        cls.check_params(**values)
-
     def __post_init__(self, _arrays) -> None:
-        self.check_fields(**{f.name: getattr(self, f.name) for f in fields(self)})
-        for f in fields(self):
-            if f.type == "float":
-                setattr(self, f.name, float(getattr(self, f.name)))
-        self.seed = int(self.seed)
+        vars(self).update(check_fields(type(self), vars(self)))
+        self.check_params(**vars(self))
         self.fset = Ball([0.0] * self.dim, self.radius)
         if _arrays is None:
             self._generate()
@@ -609,6 +625,7 @@ class SeparableLinearInstance(_Instance):
 NOISE_BLOCK_ROWS = 2048
 
 
+@dataclass(eq=False)
 class Predictor:
     """Forecast source for not-yet-revealed slices.
 
@@ -618,7 +635,8 @@ class Predictor:
     absent slice forecasts (zeros, 0.0), never active; a non-finite loss
     (constraint) forecast of a pair reads zero.
 
-    A subclass defines two hooks over a range of n query rounds t_k, row
+    A subclass's fields are checked as an instance family's are.  It
+    defines two hooks over a range of n query rounds t_k, row
     k P + i (i + 1) / 2 + j holding pair (t_k + j, i): `predict_f(rounds)`
     returns the loss rows (n P, d), `predict_g(rounds)` the constraint rows
     (n P, d) and offsets (n P,).  `forecasts` calls each once per block of
@@ -628,6 +646,14 @@ class Predictor:
     """
 
     kind = "base"
+
+    def __post_init__(self) -> None:
+        vars(self).update(check_fields(type(self), vars(self)))
+        self.check_params(**vars(self))
+
+    @staticmethod
+    def check_params(**_) -> None:
+        """Range checks of the fields; a predictor without fields has none."""
 
     def bind(self, instance) -> None:
         self._instance = instance
@@ -786,6 +812,7 @@ def _words_seed_sequence() -> type:
     return Words
 
 
+@dataclass(eq=False)
 class NoisyPredictor(Predictor):
     """True slices plus Gaussian perturbations of a given scale.
 
@@ -807,19 +834,21 @@ class NoisyPredictor(Predictor):
 
     kind = "noisy"
 
-    def __init__(self, scale: float, seed: int = 0):
-        if not (is_number(scale) and scale >= 0):
-            raise ValueError(f"noise scale must be a finite number >= 0, got {scale!r}")
-        self.scale = float(scale)
-        self.seed = int(seed)
-        if self.seed < 0:
-            raise ValueError(f"noise seed must be a non-negative integer, got {self.seed}")
-        # the seed as SeedSequence splits an integer: 32-bit words, low first
-        self._seed_words = [(self.seed >> k) & 0xFFFFFFFF
-                            for k in range(0, max(self.seed.bit_length(), 1), 32)]
+    scale: float
+    seed: int = 0
+
+    @staticmethod
+    def check_params(scale, seed, **_) -> None:
+        if scale < 0:
+            raise ValueError(f"noise scale must be >= 0, got {scale}")
+        if seed < 0:
+            raise ValueError(f"noise seed must be a non-negative integer, got {seed}")
 
     def bind(self, instance) -> None:
         super().bind(instance)
+        # the seed as SeedSequence splits an integer: 32-bit words, low first
+        self._seed_words = [(self.seed >> k) & 0xFFFFFFFF
+                            for k in range(0, max(self.seed.bit_length(), 1), 32)]
         self._rows_held = (range(0), None)
 
     def _rows(self, rounds: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -8,12 +8,11 @@ and results are byte-identical across reruns of the same config.
 
 from __future__ import annotations
 
-import inspect
 import json
 import os
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +25,7 @@ from .environments import (
     PerfectPredictor,
     SeparableLinearInstance,
     ZeroPredictor,
-    is_number,
+    check_fields,
 )
 from .metrics import (
     BoundReport,
@@ -40,8 +39,7 @@ from .metrics import (
 from .penalty import (
     LambdaSchedule,
     PenaltyKind,
-    lambda_exponential_short_memory,
-    lambda_quadratic,
+    lambda_theorem,
 )
 from .penalty_ogd import run_penalty_ogd
 
@@ -79,25 +77,11 @@ class ExperimentConfig:
     out_dir: str = "runs"
     name: str = "experiment"
 
-    def __post_init__(self) -> None:
-        self.variant = Variant(self.variant)
-        self.penalty = PenaltyKind(self.penalty)
-        for f in fields(self):  # annotations are strings (postponed evaluation)
-            value = getattr(self, f.name)
-            if f.type == "float" or (f.type == "float | None" and value is not None):
-                if not is_number(value):  # float() would read "2" or true
-                    raise TypeError(f"{f.name} must be a finite number, got {value!r}")
-                setattr(self, f.name, float(value))
-            if f.type == "dict":
-                if not isinstance(value, dict):  # dict() would read [key, value] pairs
-                    raise TypeError(f"{f.name} must be a JSON object, got {value!r}")
-                setattr(self, f.name, dict(value))
-
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
         try:  # the constructor rejects a key that is not a field
             cfg = cls(**obj)
-        except (ValueError, TypeError) as exc:
+        except TypeError as exc:
             raise ConfigError(f"bad config: {exc}") from exc
         cfg.validate()
         unread = sorted(cfg._unread_keys() & obj.keys())
@@ -115,30 +99,25 @@ class ExperimentConfig:
         return set()
 
     def validate(self) -> None:
-        # int(0.9) or int(True) would run a seed the config does not name
-        if not (isinstance(self.seeds, list) and all(
-                isinstance(s, int) and not isinstance(s, bool) for s in self.seeds)):
-            raise ConfigError(f"seeds must be a list of integers, got {self.seeds!r}")
-        if not isinstance(self.out_dir, str):
-            raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
+        """Type every field (`check_fields`; the enums by their constructors)
+        and both nested parts, and check the values (ConfigError).  The CLI
+        and the benchmark set `seeds` after loading, so a run validates again."""
+        try:
+            self.variant, self.penalty = Variant(self.variant), PenaltyKind(self.penalty)
+            vars(self).update(check_fields(ExperimentConfig, vars(self)))
+            env = self._check_part("environment", ENV_FAMILIES)
+            self._check_part("predictor", PREDICTORS)
+            check_benchmark_dim(env["dim"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from exc
         # the name prefixes the files written into the output directory
-        if not (isinstance(self.name, str) and self.name
-                and os.path.basename(self.name) == self.name):
+        if not self.name or os.path.basename(self.name) != self.name:
             raise ConfigError(f"name must be a file name with no directory part, "
                               f"got {self.name!r}")
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
-        for key in ("environment", "predictor"):
-            if "seed" in getattr(self, key):
-                raise ConfigError(f"the {key} takes no seed: the harness sets it per run")
-        kind = self.environment.get("kind")
-        if not isinstance(kind, str) or kind not in ENV_FAMILIES:
-            raise ConfigError(f"unknown environment kind {kind!r}")
-        self._check_environment(ENV_FAMILIES[kind])
-        self._check_predictor()
         if self.lambda_mode not in LAMBDA_MODES:
             raise ConfigError(f"unknown lambda mode {self.lambda_mode!r}")
-        # __post_init__ made every float field a finite float
         if self.lambda_value is not None and self.lambda_value <= 0:
             raise ConfigError(f"lambda_value must be positive, got {self.lambda_value}")
         if self.alpha is not None and self.alpha <= 0:
@@ -164,7 +143,7 @@ class ExperimentConfig:
                     "the exponential-penalty descent covers memory-less constraints only"
                 )
         else:
-            if kind != "separable_linear":
+            if self.environment["kind"] != "separable_linear":
                 raise ConfigError("the optimistic learners need separable linear slices")
             if self.penalty is not PenaltyKind.EXPONENTIAL:
                 raise ConfigError("the optimistic learners use the exponential penalty")
@@ -172,39 +151,28 @@ class ExperimentConfig:
                 raise ConfigError("the optimistic learners use a fixed lambda per epoch")
             if self.algorithm == "odaf_doubling" and self.lambda_mode == "explicit":
                 raise ConfigError("odaf_doubling tunes lambda per epoch; it takes no lambda_value")
-            cmem = self.environment.get("constraint_memory", True)
-            if self.variant is Variant.COCO_M and cmem:
+            if self.variant is Variant.COCO_M and env["constraint_memory"]:
                 raise ConfigError(
                     "memory-less-constraint runs need constraint_memory=false slices"
                 )
 
-    def _check_environment(self, family) -> None:
-        """The checks the family's constructor makes, without generating an
-        instance, plus the dimensions the benchmark solvers cover.  Private
-        constructor arguments (a leading `_`, such as `_arrays`) are for
-        the replay reader, not for configs."""
-        env = {k: v for k, v in self.environment.items() if k != "kind"}
-        private = sorted(k for k in env if k.startswith("_"))
-        if private:
-            raise ConfigError(f"bad environment parameters: private keys {private}")
+    def _check_part(self, key: str, classes: dict) -> dict:
+        """The typed field values of the nested part `key`, checked as its
+        class's constructor checks them but without building it (ValueError).
+        The part names the `kind` of one of `classes`; its other keys are
+        fields of that class but `seed`, which the harness sets per run."""
+        params = dict(getattr(self, key))
+        kind = params.pop("kind", None)
+        if not isinstance(kind, str) or kind not in classes:
+            raise ValueError(f"unknown {key} kind {kind!r}")
+        if "seed" in params:
+            raise ValueError(f"the {key} takes no seed: the harness sets it per run")
         try:
-            args = inspect.signature(family).bind(**env)
-            args.apply_defaults()
-            family.check_fields(**args.arguments)
-            check_benchmark_dim(args.arguments["dim"])
+            values = check_fields(classes[kind], params)
+            classes[kind].check_params(**values)
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad environment parameters: {exc}") from exc
-
-    def _check_predictor(self) -> None:
-        """A predictor names its `kind`; its other keys are that class's
-        constructor arguments, which the constructor checks."""
-        kind = self.predictor.get("kind")
-        if not isinstance(kind, str) or kind not in PREDICTORS:
-            raise ConfigError(f"unknown predictor kind {kind!r}")
-        try:
-            build_predictor(self, 0)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad predictor parameters: {exc}") from exc
+            raise ValueError(f"bad {key} parameters: {exc}") from exc
+        return values
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -214,11 +182,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 def build_instance(cfg: ExperimentConfig, seed: int):
     env = dict(cfg.environment)
-    family = ENV_FAMILIES[env.pop("kind")]
-    try:
-        return family(**env, seed=seed)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad environment parameters: {exc}") from exc
+    return ENV_FAMILIES[env.pop("kind")](**env, seed=seed)
 
 
 def build_predictor(cfg: ExperimentConfig, seed: int):
@@ -232,15 +196,7 @@ def _ogd_schedule(cfg: ExperimentConfig, instance) -> LambdaSchedule:
         return LambdaSchedule("sqrt_t")
     if cfg.lambda_mode == "explicit":
         return LambdaSchedule("fixed", cfg.lambda_value)
-    if cfg.penalty is PenaltyKind.QUADRATIC:
-        return LambdaSchedule("fixed", lambda_quadratic(instance.horizon))
-    k = instance.constants()
-    return LambdaSchedule(
-        "fixed",
-        lambda_exponential_short_memory(
-            instance.horizon, instance.m, k.diameter, k.l_f, k.l_g
-        ),
-    )
+    return LambdaSchedule("fixed", lambda_theorem(cfg.penalty, instance))
 
 
 def run_single(cfg: ExperimentConfig, seed: int) -> RunTrace:

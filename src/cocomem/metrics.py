@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import Variant
 from .geometry import project, regret_coefficient
-from .penalty import Penalty, PenaltyKind, lambda_exponential_short_memory, short_memory_condition
+from .penalty import Penalty, PenaltyKind, lambda_theorem, short_memory_condition
 
 _FEAS_TOL = 1e-12
 
@@ -339,7 +339,8 @@ class BoundReport:
 def theorem_bound_report(trace: RunTrace) -> BoundReport:
     """Measured regret/CCV against the explicit bounds of the trace's
     algorithm: penalty OGD's theorem, `check_odaftrl_regret`'s forward-regret
-    bound for `odaf`, none for `odaf_doubling` (lambda changes per epoch)."""
+    bound for `odaf`, none for `odaf_doubling` (lambda changes per epoch).
+    Penalty OGD's holds only if every round played the theorem's lambda."""
     series = regret_and_ccv(trace)
     inst = trace.instance
     k = inst.constants()
@@ -355,17 +356,19 @@ def theorem_bound_report(trace: RunTrace) -> BoundReport:
         measured["forward_regret"], theoretical["forward_regret"] = check.lhs, check.rhs
     elif trace.algorithm == "odaf_doubling":
         preconditions["lambda_fixed_across_epochs"] = False
-    elif trace.penalty_kind is PenaltyKind.QUADRATIC:
-        theoretical["regret"] = regret_rhs_quadratic(T, m, k.diameter, k.l_f, k.l_g)
-        theoretical["ccv"] = ccv_rhs_quadratic(
-            T, m, k.diameter, k.l_f, k.l_g, k.f_bound,
-            constraint_memory=trace.variant is Variant.COCO_M2,
-        )
     else:
-        preconditions["short_memory"] = short_memory_condition(T, m)
-        preconditions["l_f_at_least_one"] = k.l_f >= 1.0
-        if all(preconditions.values()):
-            lam = lambda_exponential_short_memory(T, m, k.diameter, k.l_f, k.l_g)
+        lam = lambda_theorem(trace.penalty_kind, inst)
+        preconditions["lambda_theorem_tuned"] = bool(np.all(trace.col("lam") == lam))
+        if trace.penalty_kind is PenaltyKind.EXPONENTIAL:
+            preconditions["short_memory"] = short_memory_condition(T, m)
+            preconditions["l_f_at_least_one"] = k.l_f >= 1.0
+        if all(preconditions.values()) and trace.penalty_kind is PenaltyKind.QUADRATIC:
+            theoretical["regret"] = regret_rhs_quadratic(T, m, k.diameter, k.l_f, k.l_g)
+            theoretical["ccv"] = ccv_rhs_quadratic(
+                T, m, k.diameter, k.l_f, k.l_g, k.f_bound,
+                constraint_memory=trace.variant is Variant.COCO_M2,
+            )
+        elif all(preconditions.values()):
             theoretical["regret"] = regret_rhs_exponential(
                 T, m, k.diameter, k.l_f, k.l_g, k.g_bound, lam
             )

@@ -122,7 +122,6 @@ class OdafLearner:
         self._open: dict[int, float | np.ndarray] = {}
         self._forward: dict[int, float | np.ndarray] = {}
         self._rev_sum = self._zero
-        self._last_complete = t - self.m - 1  # newest assembled forward round
         # hint round -> (hint, its forecasts) until the round's gradient settles
         self._pending: dict[int, tuple] = {}
         self._a: dict[int, float] = {}
@@ -204,7 +203,6 @@ class OdafLearner:
         self._forward[s] = z
         self._forward.pop(s - m - 1, None)
         self._rev_sum = self._rev_sum + z
-        self._last_complete = s
         pending = self._pending.pop(s, None)
         if pending is None:
             return 0.0, 0.0, 0.0

@@ -96,6 +96,15 @@ def lambda_exponential_short_memory(
     return 0.5 / denom
 
 
+def lambda_theorem(kind: PenaltyKind, instance) -> float:
+    """Penalty OGD's theorem lam on the instance: `lambda_quadratic` under
+    the quadratic penalty, the short-memory tuning under the exponential."""
+    if kind is PenaltyKind.QUADRATIC:
+        return lambda_quadratic(instance.horizon)
+    k = instance.constants()
+    return lambda_exponential_short_memory(instance.horizon, instance.m, k.diameter, k.l_f, k.l_g)
+
+
 def lambda_optimistic(budget: float, offset: float) -> float:
     """lam = 1 / (2 (budget + offset)), the optimistic learner's tuning:
     budget C sqrt(E) for an estimate E of the cumulative constraint

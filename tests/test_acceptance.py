@@ -133,7 +133,8 @@ def test_c2_theorem_constant_inequalities():
             tr = run_penalty_ogd(inst, Variant.COCO_M, PenaltyKind.EXPONENTIAL,
                                  LambdaSchedule("fixed", lam))
             rep = theorem_bound_report(tr)
-            assert rep.preconditions == {"short_memory": True, "l_f_at_least_one": True}
+            assert rep.preconditions == {"short_memory": True, "l_f_at_least_one": True,
+                                         "lambda_theorem_tuned": True}
             assert rep.measured["regret"] <= rep.theoretical["regret"]
             assert rep.measured["ccv"] <= rep.theoretical["ccv"]
             checked += 1

@@ -36,7 +36,11 @@ def test_ball_run_metrics_and_bounds(ball_trace):
     s = regret_and_ccv(ball_trace)
     assert np.isfinite(s.regret_static_cum[-1])
     assert np.all(np.isnan(s.regret_perround_cum))  # 1-D experiment metric
+    # the 1/sqrt(t) schedule misses the theorem's lambda: no bound is reported
     rep = theorem_bound_report(ball_trace)
+    assert rep.preconditions == {"lambda_theorem_tuned": False} and rep.theoretical == {}
+    rep = theorem_bound_report(run_penalty_ogd(ball_trace.instance, Variant.COCO_M2))
+    assert rep.preconditions == {"lambda_theorem_tuned": True}
     assert rep.measured["regret"] <= rep.theoretical["regret"]
     assert rep.measured["ccv"] <= rep.theoretical["ccv"]
 

@@ -281,8 +281,9 @@ def test_noisy_predictor_rejects_negative_seed():
 
 @pytest.mark.parametrize("scale", [-1.0, math.nan, math.inf, "abc"])
 def test_noisy_predictor_rejects_a_bad_scale(scale):
-    # the constructor is the only range check of a configured scale
-    with pytest.raises(ValueError):
+    # a non-number fails the type table (TypeError), a negative number the
+    # range check (ValueError)
+    with pytest.raises((TypeError, ValueError)):
         NoisyPredictor(scale)
 
 

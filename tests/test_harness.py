@@ -1,6 +1,8 @@
 import argparse
+import enum
 import json
 import math
+import typing
 from concurrent.futures import Future
 from dataclasses import fields
 from pathlib import Path
@@ -12,7 +14,7 @@ from cocomem import harness
 from cocomem.cli import _parser
 from cocomem.cli import main as cli_main
 from cocomem.core import Variant
-from cocomem.environments import _FIELD_TYPES, NoisyPredictor, is_number
+from cocomem.environments import _FIELD_TYPES, NoisyPredictor, check_fields, is_number
 from cocomem.harness import (
     CSV_HEADER,
     ENV_FAMILIES,
@@ -467,14 +469,14 @@ def test_cli_rejects_bad_learner_parameters(tmp_path, capsys, over):
 def test_cli_rejects_private_environment_keys(tmp_path, capsys, monkeypatch, command, key):
     # private constructor arguments belong to the replay reader; from a
     # config they would reach the constructor as raw lists and fail every
-    # seed at run time
+    # seed at run time.  They are no fields, so they are unknown keys.
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("COCO_MEM_OUT", raising=False)
     env = {**BASE["environment"], key: [[[0.0]], [[0.0]]]}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({**BASE, "environment": env}))
     assert cli_main([command, "--config", str(cfg_path)]) == 1
-    assert f"config error: bad environment parameters: private keys ['{key}']" in \
+    assert f"config error: bad environment parameters: unknown keys ['{key}']" in \
         capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
@@ -635,32 +637,49 @@ def test_environment_fields_take_their_annotated_types():
 NOT_NUMBERS = [math.inf, -math.inf, math.nan, True, False, "0.5", None, 10**400]
 
 
+# every class whose fields a config sets: the top level and the classes
+# the environment and the predictor name
+SCHEMA_CLASSES = [ExperimentConfig, *ENV_FAMILIES.values(), *PREDICTORS.values()]
+
+
 def test_every_float_value_follows_the_number_rule():
-    # check_fields indexes the type table by annotation: a field type the
-    # table lacks would make every config load raise KeyError
-    for family in ENV_FAMILIES.values():
-        for f in fields(family):
-            assert f.type in _FIELD_TYPES, (family.kind, f.name, f.type)
+    # check_fields reads the type table by annotation and leaves only enum
+    # fields to their constructors: a field type the table lacks would go
+    # unchecked
+    for cls in SCHEMA_CLASSES:
+        hints = typing.get_type_hints(cls)
+        for f in fields(cls):
+            enum_field = isinstance(hints[f.name], type) and issubclass(hints[f.name], enum.Enum)
+            assert f.type in _FIELD_TYPES or enum_field, (cls.__name__, f.name, f.type)
     assert all(map(is_number, (0, -2, 0.5, 1e308, np.float64(0.3), np.int64(3))))
     assert not any(map(is_number, NOT_NUMBERS))
-    # every float-typed value goes through it: the instance fields (both
-    # halves of a pair), the top-level float fields and the noise scale
-    for family in ENV_FAMILIES.values():
-        defaults = {f.name: f.default for f in fields(family)}
-        for f in fields(family):
-            if f.type not in ("float", "tuple[float, float]"):
+    # every float-typed value goes through it: each float field of the six
+    # classes, both halves of a pair, and a null only where it is allowed
+    valid = {ExperimentConfig: vars(ExperimentConfig.from_dict(ODAF_BASE)),
+             NoisyPredictor: {"scale": 0.3, "seed": 0}}
+    checked = set()
+    for cls in SCHEMA_CLASSES:
+        base = valid.get(cls, {f.name: f.default for f in fields(cls)})
+        check_fields(cls, base)
+        for f in fields(cls):
+            if f.type not in ("float", "float | None", "tuple[float, float]"):
                 continue
             for bad in NOT_NUMBERS:
-                for value in ([bad] if f.type == "float" else [(bad, 0.5), (0.5, bad)]):
+                if bad is None and f.type == "float | None":
+                    continue
+                for value in ([(bad, 0.5), (0.5, bad)] if f.type.startswith("tuple") else [bad]):
                     with pytest.raises(TypeError, match=f"{f.name} must be a"):
-                        family.check_fields(**{**defaults, f.name: value})
+                        check_fields(cls, {**base, f.name: value})
+            checked.add(cls)
+    assert checked == {ExperimentConfig, *ENV_FAMILIES.values(), NoisyPredictor}
+    # and where the values arrive: the config load and the constructor
     for name in ("lambda_value", "error_estimate", "alpha"):
         for bad in NOT_NUMBERS:
             if bad is not None or name == "error_estimate":  # None: no lambda_value or alpha
                 with pytest.raises(ConfigError, match=f"{name} must be a finite number"):
                     ExperimentConfig.from_dict({**ODAF_BASE, name: bad})
     for bad in NOT_NUMBERS:
-        with pytest.raises(ValueError, match="noise scale must be a finite number"):
+        with pytest.raises(TypeError, match="scale must be a finite number"):
             NoisyPredictor(bad)
 
 

@@ -188,12 +188,20 @@ def test_bound_report_on_short_run():
 
 
 def test_bound_report_picks_the_theorem_of_the_algorithm():
-    """Penalty OGD reports its own theorem; ODAF the delayed-FTRL bound on
-    forward regret exactly as the invariant check computes it; the
-    doubling run no bound, since its lambda changes per epoch."""
-    ogd = theorem_bound_report(run_penalty_ogd(AppendixAInstance(m=1, horizon=200, seed=0),
-                                               Variant.COCO_M2))
-    assert set(ogd.theoretical) == {"regret", "ccv"} and ogd.preconditions == {}
+    """Penalty OGD reports its own theorem, when every round played the
+    theorem's lambda; ODAF the delayed-FTRL bound on forward regret exactly
+    as the invariant check computes it; the doubling run no bound, since
+    its lambda changes per epoch."""
+    inst = AppendixAInstance(m=1, horizon=200, seed=0)
+    ogd = theorem_bound_report(run_penalty_ogd(inst, Variant.COCO_M2))
+    assert set(ogd.theoretical) == {"regret", "ccv"}
+    assert ogd.preconditions == {"lambda_theorem_tuned": True}
+    for penalty, variant, schedule in (
+            (PenaltyKind.QUADRATIC, Variant.COCO_M2, LambdaSchedule("sqrt_t")),
+            (PenaltyKind.EXPONENTIAL, Variant.COCO_M, LambdaSchedule("fixed", 0.01))):
+        rep = theorem_bound_report(run_penalty_ogd(inst, variant, penalty, schedule))
+        assert rep.preconditions["lambda_theorem_tuned"] is False
+        assert rep.theoretical == {} and rep.slack == {}
     inst = SeparableLinearInstance(m=2, horizon=200, seed=0)
     tr = run_optimistic(inst, Variant.COCO_M2, PerfectPredictor())
     rep, check = theorem_bound_report(tr), check_odaftrl_regret(tr)

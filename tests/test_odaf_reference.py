@@ -4,7 +4,7 @@
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_odaf as ref
@@ -22,7 +22,8 @@ PREDICTORS = {"perfect": PerfectPredictor, "zero": ZeroPredictor,
 
 
 def _outcome(module, runner, make_instance, variant, kind, lam):
-    """(trace facts, None) of one run, or (None, exception type) if it raised."""
+    """(trace facts, None) of one run, or (None, exception type) if it
+    raised; then the predictor the run used."""
     inst, predictor = make_instance(), PREDICTORS[kind]()
     try:
         if runner == "odaf":
@@ -30,10 +31,13 @@ def _outcome(module, runner, make_instance, variant, kind, lam):
         else:
             tr = module.run_doubling(inst, variant, predictor)
     except Exception as exc:  # noqa: BLE001 - the type is compared
-        return None, type(exc)
+        return None, type(exc), predictor
     hints = tr.extras.get("hints")
     return (tr.records.tobytes(), None if hints is None else (hints.shape, hints.tobytes()),
-            tr.extras["error_sums"], tr.extras["fixed_point_fallbacks"]), None
+            tr.extras["error_sums"], tr.extras["fixed_point_fallbacks"]), None, predictor
+
+
+DRAWN_ROUNDS = 116  # the most rounds Hypothesis draws
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -46,10 +50,20 @@ def _outcome(module, runner, make_instance, variant, kind, lam):
     # theorem tuning, or an explicit lambda from 1e-6 up to values whose
     # exponent hits EXP_CAP (and overflows the multiplier) within the run
     lam=st.sampled_from([None, 1e-6, 1e-3, 0.1, 1.0, 10.0, 1e2, 1e3, 5e3, 1.2e4, 1e5]),
-    rounds=st.integers(1, 116),
+    rounds=st.integers(1, DRAWN_ROUNDS),
     density=st.sampled_from([0.15, 0.6]),
     seed=st.integers(0, 2**16),
 )
+# drawn runs stay inside the first forecast block at m <= 4 (a block is
+# 341 rounds at m = 2 and 136 at m = 4): these cross a block boundary
+@example(runner="odaf", kind="noisy", m=2, d=1, memoryless=False, lam=None, rounds=400,
+         density=0.15, seed=0)
+@example(runner="doubling", kind="noisy", m=2, d=1, memoryless=False, lam=None, rounds=400,
+         density=0.15, seed=0)
+@example(runner="odaf", kind="noisy", m=4, d=1, memoryless=False, lam=None, rounds=160,
+         density=0.6, seed=1)
+@example(runner="doubling", kind="noisy", m=4, d=1, memoryless=False, lam=None, rounds=160,
+         density=0.6, seed=1)
 def test_float_learner_matches_numpy_reference(runner, kind, m, d, memoryless, lam,
                                                rounds, density, seed):
     # a ball, which at d = 1 is an interval; COCO_M needs constraints at delay 0
@@ -60,10 +74,12 @@ def test_float_learner_matches_numpy_reference(runner, kind, m, d, memoryless, l
                                        constraint_memory=not memoryless,
                                        g_round_density=density, g_mag=(0.05, 0.2))
 
-    want, want_exc = _outcome(ref, runner, make_instance, variant, kind, lam)
-    got, got_exc = _outcome(optimistic, runner, make_instance, variant, kind, lam)
+    want, want_exc, _ = _outcome(ref, runner, make_instance, variant, kind, lam)
+    got, got_exc, predictor = _outcome(optimistic, runner, make_instance, variant, kind, lam)
     assert got_exc is want_exc
     assert got == want
+    if rounds > DRAWN_ROUNDS:  # the last block starts after the first query round, m
+        assert got_exc is None and predictor._held.start > m
 
 
 def _heap_above_tables(horizon: int) -> int:

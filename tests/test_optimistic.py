@@ -43,7 +43,7 @@ def forward_gradient(learner, s):
     """grad Z_s as the learner holds it: available once every slice
     (s+i, i) is revealed and until m more rounds have settled; rounds
     before the epoch's first settled forward round read as zero."""
-    if s > learner._last_complete:
+    if s > learner._last_played - learner.m:  # the newest assembled forward round
         raise ValueError(f"forward gradient of round {s} is not revealed yet")
     z = learner._forward.get(s)
     if z is not None:
