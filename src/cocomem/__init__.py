@@ -22,12 +22,11 @@ from .metrics import (
     theorem_bound_report,
 )
 from .optimistic import run_doubling, run_optimistic
-from .penalty import LambdaSchedule, PenaltyKind
+from .penalty import PenaltyKind
 from .penalty_ogd import run_penalty_ogd
 
 __all__ = [
     "AppendixAInstance",
-    "LambdaSchedule",
     "NoisyPredictor",
     "PenaltyKind",
     "PerfectPredictor",

@@ -36,11 +36,7 @@ from .metrics import (
     regret_and_ccv,
     theorem_bound_report,
 )
-from .penalty import (
-    LambdaSchedule,
-    PenaltyKind,
-    lambda_theorem,
-)
+from .penalty import PenaltyKind
 from .penalty_ogd import run_penalty_ogd
 
 CSV_HEADER = (
@@ -191,25 +187,27 @@ def build_predictor(cfg: ExperimentConfig, seed: int):
     return kind(**params, seed=seed) if kind is NoisyPredictor else kind(**params)
 
 
-def _ogd_schedule(cfg: ExperimentConfig, instance) -> LambdaSchedule:
+def _lam(cfg: ExperimentConfig, instance):
+    """The config's lambda as the runners take it: 1/sqrt(t) over the
+    instance's rounds, else `lambda_value` (None, the learner's theorem
+    lambda, outside explicit mode)."""
     if cfg.lambda_mode == "sqrt_t_schedule":
-        return LambdaSchedule("sqrt_t")
-    if cfg.lambda_mode == "explicit":
-        return LambdaSchedule("fixed", cfg.lambda_value)
-    return LambdaSchedule("fixed", lambda_theorem(cfg.penalty, instance))
+        t = np.arange(instance.rounds.start, instance.rounds.stop)
+        return 1.0 / np.sqrt(np.maximum(t, 1))
+    return cfg.lambda_value
 
 
 def run_single(cfg: ExperimentConfig, seed: int) -> RunTrace:
     """One (config, seed) pipeline: instance generation plus the full run."""
     instance = build_instance(cfg, seed)
+    lam = _lam(cfg, instance)
     if cfg.algorithm == "penalty_ogd":
-        return run_penalty_ogd(instance, cfg.variant, cfg.penalty, _ogd_schedule(cfg, instance))
+        return run_penalty_ogd(instance, cfg.variant, cfg.penalty, lam)
 
     from .optimistic import run_doubling, run_optimistic
 
     predictor = build_predictor(cfg, seed)
     if cfg.algorithm == "odaf":
-        lam = cfg.lambda_value if cfg.lambda_mode == "explicit" else None
         return run_optimistic(
             instance, cfg.variant, predictor,
             lam=lam, error_estimate=cfg.error_estimate, alpha=cfg.alpha,

@@ -467,8 +467,12 @@ def check_step_monotone(trace: RunTrace) -> CheckResult:
 
 
 def check_mu_monotone(trace: RunTrace) -> CheckResult:
-    mu = trace.col("eta_or_mu")
-    diffs = np.diff(mu)
+    """The FTRL weight never decreases within an epoch.  A doubling run
+    sets it back at each round of `extras["epoch_starts"]`, so the step
+    into such a round's row is skipped."""
+    diffs = np.diff(trace.col("eta_or_mu"))
+    restarts = np.array(trace.extras.get("epoch_starts", []), dtype=int) - trace.first_round
+    diffs = np.delete(diffs, restarts[restarts > 0] - 1)
     ok = bool(np.all(diffs >= -1e-12))
     worst = float(np.min(diffs)) if diffs.size else 0.0
     return CheckResult("ftrl_weight_monotone", ok, worst, 0.0)
@@ -483,6 +487,14 @@ def check_ccv_replay(trace: RunTrace) -> CheckResult:
 
 
 # -- optimistic-run checks --------------------------------------------------
+
+
+def _last_penalty(trace: RunTrace) -> Penalty:
+    """The penalty of the last round, the one lambda of an `odaf` run.  A
+    run that played no round has no lambda and weighs no violation, so
+    any lambda gives the checks the same verdict: 1 stands in."""
+    lam = trace.col("lam")
+    return Penalty(trace.penalty_kind, float(lam[-1]) if len(lam) else 1.0)
 
 
 def _decisions_by_round(trace: RunTrace) -> np.ndarray:
@@ -504,7 +516,7 @@ class ForwardFunctions:
     def __init__(self, trace: RunTrace):
         inst = trace.instance
         self.trace = trace
-        self.penalty = Penalty(trace.penalty_kind, trace.extras["lambda_value"])
+        self.penalty = _last_penalty(trace)
         delay = trace.variant.dual_delay(inst.m)
         self.decisions = _decisions_by_round(trace)
         self.loss_coef = inst.f_coef.sum(axis=(0, 1))
@@ -616,7 +628,7 @@ def check_lemma_forward_chain(trace: RunTrace) -> CheckResult:
 def check_error_split(trace: RunTrace) -> CheckResult:
     """Cumulative hint error bounded by the loss/constraint error split:
     E(Z) <= 2 E(f) + 2 Phi'(V_T)^2 E(g+)."""
-    pen = Penalty(trace.penalty_kind, trace.extras["lambda_value"])
+    pen = _last_penalty(trace)
     e_z = float(np.sum(trace.col("eps_z")))
     e_f = float(np.sum(trace.col("eps_f")))
     e_g = float(np.sum(trace.col("eps_g")))
@@ -643,20 +655,19 @@ def invariant_suite(trace: RunTrace) -> list[CheckResult]:
     """Every runtime inequality that applies to this trace's algorithm."""
     checks = [check_ccv_replay(trace), check_memory_identity(trace)]
     if trace.algorithm == "penalty_ogd":
-        checks += [
+        return checks + [
             check_lemma_ogd_regret(trace),
             check_decomposition_ogd(trace),
             check_gradient_bound(trace),
             check_step_monotone(trace),
         ]
-    elif trace.algorithm == "odaf":
+    if trace.algorithm == "odaf":
         checks += [
             check_forward_consistency(trace),
             check_lemma_forward_chain(trace),
             check_error_split(trace),
             check_odaftrl_regret(trace),
-            check_mu_monotone(trace),
         ]
-    # doubling runs change lambda across epochs; the fixed-lambda forward
-    # checks do not apply, the bookkeeping ones above still do
-    return checks
+    # doubling runs change lambda across epochs: the fixed-lambda forward
+    # checks do not apply, the bookkeeping ones and the per-epoch weight do
+    return checks + [check_mu_monotone(trace)]

@@ -67,7 +67,7 @@ class OdafLearner:
     """One optimistic run, restarted in place at each doubling epoch.
 
     The decision and violation windows (`x_hist` / `v_hist`: round ->
-    decision as a tuple / cumulative violation, holding only the rounds a
+    decision vector / cumulative violation, holding only the rounds a
     later round reads), the trace table (row t - instance.first_round
     holds round t), the hints (row k is h_{instance.first_round + k}),
     `fixed_point_fallbacks` and `ccv` last the whole run.  `restart(t,
@@ -134,12 +134,6 @@ class OdafLearner:
         self._decide_next(t - 1)
 
     # -- held history: reads of dropped rounds raise -------------------------
-
-    def x_at(self, r: int) -> np.ndarray:
-        """Decision of round r, while the learner still holds it."""
-        if r not in self.x_hist:
-            raise ValueError(f"decision of round {r} is not held")
-        return np.array(self.x_hist[r], dtype=float, ndmin=1)
 
     def v_at(self, r: int) -> float:
         """Cumulative violation after round r; rounds before the run and
@@ -441,12 +435,13 @@ def run_optimistic(
         learner.play_round(t)
     # row k of the hints is h_{first_round + k}; the last one, for round
     # horizon + 1, is committed but never played
-    return _trace("odaf", learner, lam, hints=learner.hints)
+    return _trace("odaf", learner, hints=learner.hints)
 
 
-def _trace(algorithm: str, learner: OdafLearner, lam: float, **extras) -> RunTrace:
-    """The trace of a finished run; `extras` follow lambda and alpha, and
-    the hint-error sums are summed round by round in play order."""
+def _trace(algorithm: str, learner: OdafLearner, **extras) -> RunTrace:
+    """The trace of a finished run; `extras` follow alpha, and the
+    hint-error sums are summed round by round in play order.  The `lam`
+    column is the run's only record of lambda."""
     inst, records = learner.inst, learner.records
     return RunTrace(
         algorithm=algorithm,
@@ -456,7 +451,6 @@ def _trace(algorithm: str, learner: OdafLearner, lam: float, **extras) -> RunTra
         instance=inst,
         first_round=inst.first_round,
         extras={
-            "lambda_value": lam,
             "alpha": learner.alpha,
             **extras,
             "error_sums": {k: float(sum(records[f"eps_{k}"].tolist())) for k in ("z", "f", "g")},
@@ -537,5 +531,5 @@ def run_doubling(
             sched.restart(t)
             learner.restart(t, sched.lam)
         sched.observe(learner.play_round(t)["eps_g"])
-    return _trace("odaf_doubling", learner, sched.lam, epochs=sched.epoch,
+    return _trace("odaf_doubling", learner, epochs=sched.epoch,
                   epoch_starts=list(sched.epoch_starts), mu1=sched.mu1, mu_final=sched.budget)

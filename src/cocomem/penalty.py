@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 # exp argument cap; a binding cap signals misconfiguration (the theorem
-# tunings keep lam*V at O(log T)) and is surfaced via `saturates`.
+# tunings keep lam*V at O(log T)) and is surfaced via `saturated`.
 EXP_CAP = 700.0
 
 
@@ -42,8 +42,8 @@ def phi_prime(kind: PenaltyKind, lam: float, v: float) -> float:
 
 
 def saturated(kind: PenaltyKind, lam, v):
-    """Whether Phi'(v) hit the exponent cap (`Penalty.saturates`); with
-    arrays of per-round lam and v it flags each round."""
+    """Whether Phi'(v) hit the exponent cap; with arrays of per-round lam
+    and v it flags each round."""
     return kind is PenaltyKind.EXPONENTIAL and lam * v > EXP_CAP
 
 
@@ -66,9 +66,6 @@ class Penalty:
         if v < 0:
             raise ValueError("cumulative violation must be >= 0")
         return phi_prime(self.kind, self.lam, v)
-
-    def saturates(self, v: float) -> bool:
-        return saturated(self.kind, self.lam, v)
 
 
 # ---------------------------------------------------------------------------
@@ -122,24 +119,3 @@ def short_memory_condition(horizon: int, memory: int) -> bool:
         return memory == 0
     return memory <= horizon ** (1.0 / 6.0) / math.log(horizon) ** (1.0 / 3.0)
 
-
-@dataclass(frozen=True)
-class LambdaSchedule:
-    """Per-round penalty parameter.
-
-    `fixed` uses one theorem-prescribed value for the whole run;
-    `sqrt_t` uses lam_t = 1/sqrt(t), the time-varying variant used by the
-    reference experiment, and has no single value (None).  Both are
-    supported because the two appear in different places and are not
-    reconciled; the fixed value is the default.
-    """
-
-    mode: str  # "fixed" | "sqrt_t"
-    value: float | None = None
-
-    def at(self, t: int) -> float:
-        if self.mode == "fixed":
-            return self.value
-        if self.mode == "sqrt_t":
-            return 1.0 / math.sqrt(max(t, 1))
-        raise ValueError(f"unknown lambda mode {self.mode!r}")

@@ -29,15 +29,7 @@ import numpy as np
 from .core import MemoryFunctionOracle, Variant, fdot, round_table
 from .geometry import point_step, project
 from .metrics import RunTrace
-from .penalty import (
-    LambdaSchedule,
-    Penalty,
-    PenaltyKind,
-    check_lambda,
-    lambda_quadratic,
-    phi_prime,
-    saturated,
-)
+from .penalty import Penalty, PenaltyKind, check_lambda, lambda_theorem, phi_prime, saturated
 
 # round_table fields the float loop fills from its per-round rows, in row
 # order after the decision x
@@ -71,23 +63,24 @@ def adaptive_step(diameter: float, grad_sq_sum: float) -> float:
 
 class PenaltyOgdLearner:
     """Single-run learner state; one instance per (config, seed).  It
-    plays `n_rounds` rounds and writes the k-th into row k of `records`.
-    `window` is the (m+1, d) array of the last m+1 decisions, oldest
-    first, with the set center standing in before the first round."""
+    plays one round per entry of `lams`, the k-th with lambda `lams[k]`,
+    and writes it into row k of `records`.  `window` is the (m+1, d) array
+    of the last m+1 decisions, oldest first, with the set center standing
+    in before the first round."""
 
     def __init__(self, fset, memory: int, variant: Variant, kind: PenaltyKind,
-                 schedule: LambdaSchedule, n_rounds: int):
+                 lams: list[float]):
         self.fset = fset
         self.m = memory
         self.variant = variant
         self.kind = kind
-        self.schedule = schedule
+        self.lams = lams
         self.x = fset.center
         self.window = np.tile(self.x, (memory + 1, 1))
         self.grad_sq_sum = 0.0
         self.v_dual = 0.0
         self.ccv = 0.0
-        self.records = round_table(n_rounds, fset.dim)
+        self.records = round_table(len(lams), fset.dim)
         self.played = 0
 
     def play_round(self, t: int, loss: MemoryFunctionOracle,
@@ -111,19 +104,18 @@ class PenaltyOgdLearner:
         v = self.v_dual
         self.ccv += g_plus
 
-        lam = self.schedule.at(t)
-        pen = Penalty(self.kind, lam)
-        phi_prime = pen.prime(v)
+        row = self.played
+        lam = self.lams[row]
+        phi_prime = Penalty(self.kind, lam).prime(v)
         grad = surrogate_gradient(loss, constraint, x, phi_prime)
         self.grad_sq_sum += float(grad @ grad)
         eta = adaptive_step(self.fset.diameter, self.grad_sq_sum)
         x_next = project(self.fset, x - eta * grad)
 
-        row = self.played
         self.records[row] = (
             t, x, f_mem, f_spl, g_mem, g_spl, g_plus, v, self.ccv, phi_prime, lam,
             f_spl + phi_prime * max(g_spl, 0.0), float(np.linalg.norm(grad)), eta,
-            0.0, 0.0, 0.0, pen.saturates(v),
+            0.0, 0.0, 0.0, saturated(self.kind, lam, v),
         )
         self.played += 1
         self.x = x_next
@@ -136,21 +128,25 @@ def run_penalty_ogd(
     instance,
     variant: Variant,
     kind: PenaltyKind = PenaltyKind.QUADRATIC,
-    schedule: LambdaSchedule | None = None,
+    lam: float | np.ndarray | None = None,
 ) -> RunTrace:
     """Play the instance's rounds in Python floats and collect the trace.
 
-    Round for round this repeats `PenaltyOgdLearner.play_round` fed by
-    `instance.loss(t)` / `instance.constraint(t)` with the same
-    expressions (in 1-D with m <= 6 also the same summation order, so the
-    trace is byte-identical; see `environments` on longer sums).  The lambda of every round is checked before the
-    first; each round appends one row of floats and the trace table is
-    filled once after the last round."""
-    if schedule is None:
-        schedule = LambdaSchedule("fixed", lambda_quadratic(instance.horizon))
+    `lam` is the penalty parameter: None for the theorem's
+    (`lambda_theorem`), a number for every round, or a 1-D array with one
+    value per played round; the `lam` column records it.  Round for round
+    this repeats `PenaltyOgdLearner.play_round` fed by `instance.loss(t)` /
+    `instance.constraint(t)` with the same expressions (in 1-D with m <= 6
+    also the same summation order, so the trace is byte-identical; see
+    `environments` on longer sums).  Every lambda is checked before the
+    first round; each round appends one row of floats and the trace table
+    is filled once after the last round."""
     rounds = instance.rounds
-    lams = [schedule.at(t) for t in rounds]
-    check_lambda(np.array(lams))
+    if lam is None:
+        lam = lambda_theorem(kind, instance)
+    # a length other than the round count fails to broadcast (ValueError)
+    lams = np.broadcast_to(lam, len(rounds)).tolist()
+    check_lambda(lams)
     evaluate = instance.round_evaluator(rounds, variant is Variant.COCO_M2)
     step = point_step(instance.fset)
     diameter, dim = instance.fset.diameter, instance.dim
@@ -193,5 +189,4 @@ def run_penalty_ogd(
         records=records,
         instance=instance,
         first_round=rounds.start,
-        extras={"lambda_mode": schedule.mode, "lambda_value": schedule.value},
     )

@@ -21,3 +21,10 @@ def prefix_static_regret(trace: RunTrace, upto: int) -> float:
     n = upto - trace.first_round + 1
     f_mem = float(np.sum(trace.col("f_mem")[:n]))
     return f_mem - float(np.sum(lift_loss_at(trace.instance, bench.x_star, upto=upto)))
+
+
+def sqrt_t(instance) -> np.ndarray:
+    """lambda_t = 1/sqrt(t) for each of the instance's rounds: the reference
+    configs' schedule, as `run_penalty_ogd` takes it."""
+    t = np.arange(instance.rounds.start, instance.rounds.stop)
+    return 1.0 / np.sqrt(np.maximum(t, 1))

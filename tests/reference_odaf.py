@@ -21,7 +21,7 @@ from cocomem.core import Variant, round_table
 from cocomem.geometry import ftrl_argmin, regret_coefficient
 from cocomem.metrics import RunTrace
 from cocomem.optimistic import MAX_PATTERN_SLICES, DoublingSchedule, doubling_mu1, huber
-from cocomem.penalty import Penalty, PenaltyKind, lambda_optimistic
+from cocomem.penalty import Penalty, PenaltyKind, lambda_optimistic, saturated
 
 class OdafLearner:
     """One optimistic run (or one epoch of the doubling wrapper).
@@ -323,7 +323,7 @@ class OdafLearner:
             t, x_t, f_mem, f_spl, g_val, g_spl, inc, self.ccv, self.ccv, mult_t,
             self.penalty.lam, f_mem + mult_t * inc,
             float(np.linalg.norm(self._forward.get(s, np.zeros(self.dim)))), self.mu_now,
-            eps_f, eps_g, eps_z, self.penalty.saturates(self.ccv),
+            eps_f, eps_g, eps_z, saturated(PenaltyKind.EXPONENTIAL, self.penalty.lam, self.ccv),
         )
         return self.records[row]
 
@@ -375,7 +375,6 @@ def run_optimistic(
         instance=instance,
         first_round=instance.first_round,
         extras={
-            "lambda_value": lam,
             "alpha": alpha_val,
             # row k is the hint h_{first_round + k}; the last one, for
             # round horizon + 1, is committed but never played
@@ -464,7 +463,6 @@ def run_doubling(
         instance=instance,
         first_round=instance.first_round,
         extras={
-            "lambda_value": sched.lam,
             "alpha": learner.alpha,
             "epochs": sched.epoch,
             "epoch_starts": list(sched.epoch_starts),

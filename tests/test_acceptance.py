@@ -13,7 +13,6 @@ import pytest
 
 from cocomem import (
     AppendixAInstance,
-    LambdaSchedule,
     NoisyPredictor,
     PenaltyKind,
     PerfectPredictor,
@@ -36,7 +35,7 @@ from cocomem.optimistic import DoublingSchedule, huber
 from cocomem.penalty import lambda_exponential_short_memory, short_memory_condition
 from cocomem.penalty_ogd import adaptive_step  # noqa: F401  (surface exercised below)
 from cocomem.penalty_ogd import surrogate_gradient
-from helpers import prefix_static_regret
+from helpers import prefix_static_regret, sqrt_t
 
 SEEDS = list(range(10))
 
@@ -57,8 +56,7 @@ def reference_runs():
         for seed in SEEDS:
             inst = AppendixAInstance(m=3, horizon=4000, radius=15.0, sigma=10.0,
                                      delta=1.0, gamma=3.0, mode=mode, seed=seed)
-            tr = run_penalty_ogd(inst, Variant.COCO_M2, PenaltyKind.QUADRATIC,
-                                 LambdaSchedule("sqrt_t"))
+            tr = run_penalty_ogd(inst, Variant.COCO_M2, PenaltyKind.QUADRATIC, sqrt_t(inst))
             traces.append((tr, regret_and_ccv(tr)))
         out[mode] = traces
     out["elapsed"] = time.perf_counter() - t0
@@ -130,8 +128,7 @@ def test_c2_theorem_constant_inequalities():
             inst = AppendixAInstance(m=m, horizon=horizon, seed=seed)
             k = inst.constants()
             lam = lambda_exponential_short_memory(horizon, m, k.diameter, k.l_f, k.l_g)
-            tr = run_penalty_ogd(inst, Variant.COCO_M, PenaltyKind.EXPONENTIAL,
-                                 LambdaSchedule("fixed", lam))
+            tr = run_penalty_ogd(inst, Variant.COCO_M, PenaltyKind.EXPONENTIAL, lam)
             rep = theorem_bound_report(tr)
             assert rep.preconditions == {"short_memory": True, "l_f_at_least_one": True,
                                          "lambda_theorem_tuned": True}
@@ -152,15 +149,13 @@ def _battery():
             for mode in ("fixed", "sqrt_t"):
                 for seed in (0, 1):
                     inst = AppendixAInstance(m=m, horizon=300, seed=seed)
-                    sched = (LambdaSchedule("sqrt_t") if mode == "sqrt_t"
-                             else LambdaSchedule("fixed", 1.0 / math.sqrt(300)))
-                    runs.append(run_penalty_ogd(inst, variant, PenaltyKind.QUADRATIC, sched))
+                    lam = sqrt_t(inst) if mode == "sqrt_t" else 1.0 / math.sqrt(300)
+                    runs.append(run_penalty_ogd(inst, variant, PenaltyKind.QUADRATIC, lam))
     for seed in (0, 1):
         inst = AppendixAInstance(m=1, horizon=300, seed=seed)
         k = inst.constants()
         lam = lambda_exponential_short_memory(300, 1, k.diameter, k.l_f, k.l_g)
-        runs.append(run_penalty_ogd(inst, Variant.COCO_M, PenaltyKind.EXPONENTIAL,
-                                    LambdaSchedule("fixed", lam)))
+        runs.append(run_penalty_ogd(inst, Variant.COCO_M, PenaltyKind.EXPONENTIAL, lam))
     preds = [("perfect", lambda s: PerfectPredictor()),
              ("zero", lambda s: ZeroPredictor()),
              ("noisy", lambda s: NoisyPredictor(0.3, seed=s))]

@@ -6,7 +6,6 @@ import pytest
 
 from cocomem import (
     AppendixAInstance,
-    LambdaSchedule,
     Variant,
     invariant_suite,
     regret_and_ccv,
@@ -17,12 +16,14 @@ from cocomem.core import Ball
 from cocomem.harness import CSV_HEADER, emit_csv
 from cocomem.metrics import grid_points
 
+from helpers import sqrt_t
+
 
 @pytest.fixture(scope="module")
 def ball_trace():
     inst = AppendixAInstance(m=2, horizon=80, seed=1, dim=2, radius=5.0,
                              sigma=2.0, gamma=3.0)
-    return run_penalty_ogd(inst, Variant.COCO_M2, schedule=LambdaSchedule("sqrt_t"))
+    return run_penalty_ogd(inst, Variant.COCO_M2, lam=sqrt_t(inst))
 
 
 def test_ball_run_stays_feasible_and_valid(ball_trace):

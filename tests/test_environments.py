@@ -383,8 +383,12 @@ def _noisy_predictor_heap(horizon: int) -> int:
 def test_noisy_predictor_state_does_not_grow_with_the_horizon():
     """The predictor holds one block of rounds' forecasts and draws: its
     heap peak at T = 4000 (twelve blocks of 341 rounds at m = 2) is that
-    of T = 500 (two blocks), within 4 KB."""
-    assert _noisy_predictor_heap(4000) <= _noisy_predictor_heap(500) + 4096
+    of T = 500 (two blocks), within 16 KB.  Interpreter and numpy
+    internals move the peak by a few KB (7 KB on a first run in a fresh
+    process, hence the warm-up run); one float kept per round would add
+    about 112 KB."""
+    _noisy_predictor_heap(500)
+    assert _noisy_predictor_heap(4000) <= _noisy_predictor_heap(500) + 16 * 1024
 
 
 def test_invalid_parameters_rejected():

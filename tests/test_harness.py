@@ -6,6 +6,7 @@ import typing
 from concurrent.futures import Future
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -430,6 +431,18 @@ def test_cli_rejects_bad_lambda_value(tmp_path, capsys, raw):
     assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
     assert "config error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_lambda_schedule_modes():
+    """The config's lambda as `run_single` hands it to the runner: the
+    explicit value, None for the learner's theorem lambda, or 1/sqrt(t)
+    per round, guarded at t = 0 and bit for bit 1.0 / math.sqrt(max(t, 1))
+    up to t = 2e6."""
+    inst = SimpleNamespace(rounds=range(0, 2 * 10**6 + 1))
+    assert harness._lam(_cfg(lambda_mode="explicit", lambda_value=0.25), inst) == 0.25
+    assert harness._lam(_cfg(lambda_mode="fixed_theorem"), inst) is None
+    got = harness._lam(_cfg(), inst)
+    assert got.tolist() == [1.0 / math.sqrt(max(t, 1)) for t in inst.rounds]
 
 
 def test_lambda_value_is_parsed_as_a_float():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 from cocomem import (
     AppendixAInstance,
-    LambdaSchedule,
     NoisyPredictor,
     PenaltyKind,
     PerfectPredictor,
@@ -13,6 +13,7 @@ from cocomem import (
     SeparableLinearInstance,
     Variant,
     best_in_hindsight,
+    invariant_suite,
     regret_and_ccv,
     run_doubling,
     run_optimistic,
@@ -26,6 +27,7 @@ from cocomem.metrics import (
     ccv_rhs_quadratic,
     check_lemma_ogd_regret,
     check_memory_identity,
+    check_mu_monotone,
     check_odaftrl_regret,
     feasible_interval,
     grid_points,
@@ -35,7 +37,7 @@ from cocomem.metrics import (
     regret_rhs_quadratic,
     _grid_best,
 )
-from helpers import constant_window, prefix_static_regret
+from helpers import constant_window, prefix_static_regret, sqrt_t
 
 
 def _two_round_instance(c, d):
@@ -196,10 +198,10 @@ def test_bound_report_picks_the_theorem_of_the_algorithm():
     ogd = theorem_bound_report(run_penalty_ogd(inst, Variant.COCO_M2))
     assert set(ogd.theoretical) == {"regret", "ccv"}
     assert ogd.preconditions == {"lambda_theorem_tuned": True}
-    for penalty, variant, schedule in (
-            (PenaltyKind.QUADRATIC, Variant.COCO_M2, LambdaSchedule("sqrt_t")),
-            (PenaltyKind.EXPONENTIAL, Variant.COCO_M, LambdaSchedule("fixed", 0.01))):
-        rep = theorem_bound_report(run_penalty_ogd(inst, variant, penalty, schedule))
+    for penalty, variant, lam in (
+            (PenaltyKind.QUADRATIC, Variant.COCO_M2, sqrt_t(inst)),
+            (PenaltyKind.EXPONENTIAL, Variant.COCO_M, 0.01)):
+        rep = theorem_bound_report(run_penalty_ogd(inst, variant, penalty, lam))
         assert rep.preconditions["lambda_theorem_tuned"] is False
         assert rep.theoretical == {} and rep.slack == {}
     inst = SeparableLinearInstance(m=2, horizon=200, seed=0)
@@ -213,6 +215,43 @@ def test_bound_report_picks_the_theorem_of_the_algorithm():
     rep = theorem_bound_report(run_doubling(inst, Variant.COCO_M2, NoisyPredictor(0.3, seed=0)))
     assert rep.theoretical == {} and rep.slack == {}
     assert rep.preconditions == {"lambda_fixed_across_epochs": False}
+
+
+def _mu_lowered(trace, row):
+    """A copy of the trace with the FTRL weight of `row` set 1 below both
+    of its neighbours'."""
+    records = trace.records.copy()
+    mu = records["eta_or_mu"]
+    mu[row] = min(mu[row - 1], mu[row + 1]) - 1.0
+    return dataclasses.replace(trace, records=records)
+
+
+def test_doubling_weight_check_is_per_epoch():
+    """The doubling learner's FTRL weight restarts at each epoch start,
+    where the check skips the step; a drop inside an epoch fails it, and
+    the same drop at an epoch start passes (and fails a fixed-lambda run,
+    which has no epochs)."""
+    inst = SeparableLinearInstance(m=2, horizon=300, seed=0)
+    tr = run_doubling(inst, Variant.COCO_M2, NoisyPredictor(0.3, seed=0))
+    assert invariant_suite(tr)[-1] == check_mu_monotone(tr)
+    assert check_mu_monotone(tr).passed
+    assert np.min(np.diff(tr.col("eta_or_mu"))) < -1.0  # the restarts
+    start = tr.extras["epoch_starts"][-1] - tr.first_round
+    assert start + 20 < len(tr.records)
+    assert not check_mu_monotone(_mu_lowered(tr, start + 10)).passed
+    assert check_mu_monotone(_mu_lowered(tr, start)).passed
+    fixed = dataclasses.replace(tr, algorithm="odaf", extras={})
+    assert not check_mu_monotone(_mu_lowered(fixed, start)).passed
+
+
+def test_checks_of_a_run_with_no_rounds_pass():
+    """horizon == m leaves an ODAF run no round to play, so its trace
+    records no lambda; the checks that read one still run and pass."""
+    inst = SeparableLinearInstance(m=2, horizon=2, seed=0)
+    tr = run_optimistic(inst, Variant.COCO_M2, PerfectPredictor())
+    assert len(tr.records) == 0
+    results = invariant_suite(tr)
+    assert len(results) == 7 and all(r.passed for r in results)
 
 
 def test_grid_resolution_consistency():
@@ -267,7 +306,7 @@ def test_grid_points_dimensions():
 def _ogd_run(family, dim):
     cls = AppendixAInstance if family == "appendix_a" else SeparableLinearInstance
     inst = cls(m=2, horizon=150, seed=0, dim=dim)
-    return run_penalty_ogd(inst, Variant.COCO_M2, schedule=LambdaSchedule("sqrt_t"))
+    return run_penalty_ogd(inst, Variant.COCO_M2, lam=sqrt_t(inst))
 
 
 def _odaf_run(dim):

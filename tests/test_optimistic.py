@@ -114,9 +114,9 @@ def test_forward_gradient_hand_sum():
     assert np.allclose(forward_gradient(learner, 2), want)
     learner.play_round(4)
     # grad Z_3 = f(3,0) + f(4,1) + Phi'(V_1) * g(3,0) * [active at x_3]
-    x3 = learner.x_at(3)
+    x3 = learner.x_hist[3]
     want = inst.f_coef[3, 0] + inst.f_coef[4, 1]
-    if 0.5 * x3[0] - 0.5 > 0:
+    if 0.5 * x3 - 0.5 > 0:
         want = want + pen.prime(learner.v_at(1)) * inst.g_coef[3, 0]
     assert np.allclose(forward_gradient(learner, 3), want)
     for t in range(5, 7):
@@ -135,7 +135,7 @@ def test_forward_gradient_m0_collapse():
         learner.play_round(t)
         f, g, off = _rows(inst, t, 0)
         want = f.copy()
-        if float(g @ learner.x_at(t)) + off > 0:
+        if float(g[0] * learner.x_hist[t]) + off > 0:
             want = want + pen.prime(learner.v_at(t - 1)) * g
         assert np.allclose(forward_gradient(learner, t), want)
 
@@ -152,12 +152,13 @@ def test_reads_of_dropped_rounds_raise(m):
         learner.play_round(t)
     assert len(learner.x_hist) <= m + 2 and len(learner.v_hist) <= 2 * m + 2
     for read, r in ((functools.partial(forward_gradient, learner), first),
-                    (learner.v_at, first), (learner.x_at, first)):
-        with pytest.raises(ValueError, match="no longer held|not held"):
+                    (learner.v_at, first)):
+        with pytest.raises(ValueError, match="no longer held"):
             read(r)
+    assert first not in learner.x_hist
     # still held: the newest rounds, and what the next round reads
     assert learner.v_at(30) == learner.ccv
-    assert learner.x_at(31).shape == (1,)
+    assert type(learner.x_hist[31]) is float
     assert forward_gradient(learner, 30 - m).shape == (1,)
     # before the run and not yet played: V = 0, as in the penalty weight
     assert learner.v_at(first - 1) == 0.0 and learner.v_at(35) == 0.0
@@ -179,7 +180,7 @@ def test_zero_predictor_hint_enumeration_oracle():
     of which only slices revealed before round tau contribute."""
     inst = SeparableLinearInstance(m=1, horizon=60, seed=2)
     tr = run_optimistic(inst, Variant.COCO_M2, ZeroPredictor())
-    pen = Penalty(PenaltyKind.EXPONENTIAL, tr.extras["lambda_value"])
+    pen = Penalty(PenaltyKind.EXPONENTIAL, float(tr.col("lam")[-1]))
     hints = tr.extras["hints"]
     m = inst.m
     for tau, h in enumerate(hints, start=tr.first_round):
@@ -242,7 +243,7 @@ def test_ftrl_step_matches_grid_argmin():
     checked against a fine grid from the trace alone."""
     inst = SeparableLinearInstance(m=2, horizon=40, seed=7)
     tr = run_optimistic(inst, Variant.COCO_M2, NoisyPredictor(0.5, seed=1))
-    pen = Penalty(PenaltyKind.EXPONENTIAL, tr.extras["lambda_value"])
+    pen = Penalty(PenaltyKind.EXPONENTIAL, float(tr.col("lam")[-1]))
     m, first = inst.m, tr.first_round
 
     grid = np.linspace(-2.0, 2.0, 400001)
@@ -269,7 +270,7 @@ def test_m0_run_matches_reference_memory_free_learner():
     inst = SeparableLinearInstance(m=0, horizon=80, seed=8,
                                    g_round_density=0.4, g_mag=(0.05, 0.2))
     tr = run_optimistic(inst, Variant.COCO_M2, ZeroPredictor())
-    lam = tr.extras["lambda_value"]
+    lam = float(tr.col("lam")[-1])
     alpha = tr.extras["alpha"]
     pen = Penalty(PenaltyKind.EXPONENTIAL, lam)
     fset = inst.fset
@@ -304,7 +305,7 @@ def test_perfect_hints_reduce_to_follow_the_leader():
     gradient."""
     inst = SeparableLinearInstance(m=1, horizon=50, seed=11, g_active_fraction=0.0)
     tr = run_optimistic(inst, Variant.COCO_M2, PerfectPredictor())
-    pen = Penalty(PenaltyKind.EXPONENTIAL, tr.extras["lambda_value"])
+    pen = Penalty(PenaltyKind.EXPONENTIAL, float(tr.col("lam")[-1]))
     for t in range(tr.first_round, 50):
         lead = np.zeros(1)
         for s in range(1, t + 2):
@@ -442,7 +443,7 @@ def test_theorem_lambda_is_the_doubling_formula(variant, constraint_memory, dela
     tr = run_optimistic(inst, variant, PerfectPredictor(), error_estimate=error)
     coeff = regret_coefficient(inst.fset, inst.m, inst.fset.diameter**2)
     sched = DoublingSchedule(coeff, inst.constants().g_bound * delay, coeff * math.sqrt(error))
-    assert tr.extras["lambda_value"] == sched.lam
+    assert np.all(tr.col("lam") == sched.lam)
 
 
 def test_doubling_zero_errors_never_restart():

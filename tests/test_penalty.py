@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from cocomem.penalty import (
-    LambdaSchedule,
     Penalty,
     PenaltyKind,
     lambda_exponential_short_memory,
     lambda_optimistic,
     lambda_quadratic,
+    saturated,
     short_memory_condition,
 )
 
@@ -47,8 +47,11 @@ def test_negative_violation_rejected():
 
 def test_exponential_cap_flags_saturation():
     p = Penalty(PenaltyKind.EXPONENTIAL, 1.0)
-    assert not p.saturates(10.0)
-    assert p.saturates(701.0)
+    assert not saturated(p.kind, p.lam, 10.0)
+    assert saturated(p.kind, p.lam, 701.0)
+    assert not saturated(PenaltyKind.QUADRATIC, 1.0, 701.0)
+    assert saturated(p.kind, np.array([1.0, 0.5]), np.array([701.0, 701.0])).tolist() == [
+        True, False]
     assert math.isfinite(p.value(1e6)) and math.isfinite(p.prime(1e6))
 
 
@@ -81,12 +84,3 @@ def test_short_memory_condition():
     # T = 4000: T^(1/6)/(log T)^(1/3) is about 1.97, so m <= 1 qualifies
     assert [short_memory_condition(4000, m) for m in range(4)] == [True, True, False, False]
 
-
-def test_lambda_schedule_modes():
-    fixed = LambdaSchedule("fixed", 0.25)
-    assert fixed.at(1) == fixed.at(100) == 0.25
-    sched = LambdaSchedule("sqrt_t")
-    assert sched.at(4) == pytest.approx(0.5)
-    assert sched.at(0) == 1.0  # guarded at t = 0
-    with pytest.raises(ValueError):
-        LambdaSchedule("nope").at(1)

@@ -7,7 +7,6 @@ import pytest
 
 from cocomem import (
     AppendixAInstance,
-    LambdaSchedule,
     PenaltyKind,
     SeparableLinearInstance,
     Variant,
@@ -15,8 +14,11 @@ from cocomem import (
 )
 from cocomem.core import Ball, MemoryFunctionOracle
 from cocomem.harness import load_config, run_single
-from cocomem.penalty import check_lambda, lambda_quadratic
+from cocomem.metrics import theorem_bound_report
+from cocomem.penalty import lambda_quadratic, lambda_theorem
 from cocomem.penalty_ogd import PenaltyOgdLearner, adaptive_step, surrogate_gradient
+
+from helpers import sqrt_t
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -97,8 +99,7 @@ def test_single_round_hand_trace():
     # at 0), quadratic lam=0.5: V=0, Phi'=0, grad = -2, sum = 4,
     # eta = 30/(sqrt(2)*2) = 10.6066..., x1 = clamp(0 + 21.2132..) = 15
     fset = Ball([0.0], 15.0)
-    learner = PenaltyOgdLearner(fset, 0, Variant.COCO_M, PenaltyKind.QUADRATIC,
-                                LambdaSchedule("fixed", 0.5), 1)
+    learner = PenaltyOgdLearner(fset, 0, Variant.COCO_M, PenaltyKind.QUADRATIC, [0.5])
     rec = learner.play_round(1, Quadratic1D(2.0), Affine1D(1.0, -1.0))
     assert rec.v_dual == 0.0
     assert rec.phi_prime == 0.0
@@ -110,8 +111,7 @@ def test_single_round_hand_trace():
 def test_fixed_point_when_nothing_moves():
     # constant loss and satisfied constraint: zero gradients, x never moves
     fset = Ball([0.0], 15.0)
-    learner = PenaltyOgdLearner(fset, 0, Variant.COCO_M, PenaltyKind.QUADRATIC,
-                                LambdaSchedule("fixed", 0.5), 9)
+    learner = PenaltyOgdLearner(fset, 0, Variant.COCO_M, PenaltyKind.QUADRATIC, [0.5] * 9)
     for t in range(1, 10):
         rec = learner.play_round(t, Quadratic1D(0.0), Affine1D(1.0, -1.0))
         assert rec.eta_or_mu == 0.0
@@ -123,8 +123,7 @@ def test_dual_update_precedes_gradient():
     # start at x=0 with constraint x + 1 > 0 active: the same round's
     # violation must already scale the constraint gradient
     fset = Ball([0.0], 15.0)
-    learner = PenaltyOgdLearner(fset, 0, Variant.COCO_M, PenaltyKind.QUADRATIC,
-                                LambdaSchedule("fixed", 0.5), 1)
+    learner = PenaltyOgdLearner(fset, 0, Variant.COCO_M, PenaltyKind.QUADRATIC, [0.5])
     rec = learner.play_round(1, Quadratic1D(0.0), Affine1D(1.0, 1.0))
     assert rec.v_dual == pytest.approx(1.0)
     # grad = f' + 2*lam*V * g' = 0 + 2*0.5*1*1 = 1
@@ -147,7 +146,7 @@ def test_variants_differ_only_in_recorded_violation():
 
 def test_every_decision_feasible_and_steps_shrink():
     inst = AppendixAInstance(m=3, horizon=120, seed=4)
-    tr = run_penalty_ogd(inst, Variant.COCO_M2, schedule=LambdaSchedule("sqrt_t"))
+    tr = run_penalty_ogd(inst, Variant.COCO_M2, lam=sqrt_t(inst))
     for rec in tr.records:
         assert abs(rec.x[0]) <= 15.0 + 1e-12
     eta = tr.col("eta_or_mu")
@@ -156,8 +155,7 @@ def test_every_decision_feasible_and_steps_shrink():
 
 def test_oracle_shape_mismatch_rejected():
     fset = Ball([0.0], 1.0)
-    learner = PenaltyOgdLearner(fset, 1, Variant.COCO_M, PenaltyKind.QUADRATIC,
-                                LambdaSchedule("fixed", 0.5), 1)
+    learner = PenaltyOgdLearner(fset, 1, Variant.COCO_M, PenaltyKind.QUADRATIC, [0.5])
     with pytest.raises(ValueError):
         learner.play_round(1, Quadratic1D(0.0, m=0), Affine1D(1.0, -1.0, m=1))
 
@@ -170,8 +168,7 @@ def test_learner_window_holds_the_last_decisions():
     fset = Ball([0.5], 15.0)
     for m in (0, 1, 3):
         n = 4 * (m + 1)
-        learner = PenaltyOgdLearner(fset, m, Variant.COCO_M2, PenaltyKind.QUADRATIC,
-                                    LambdaSchedule("fixed", 0.5), n)
+        learner = PenaltyOgdLearner(fset, m, Variant.COCO_M2, PenaltyKind.QUADRATIC, [0.5] * n)
         played = [fset.center] * (m + 1)
         for t in range(1, n + 1):
             loss = Quadratic1D(rng.uniform(-10, 10), m)
@@ -189,11 +186,11 @@ def test_learner_window_holds_the_last_decisions():
 # The float loop of run_penalty_ogd against the oracle-protocol reference
 
 
-def _reference_records(instance, variant, kind, schedule):
+def _reference_records(instance, variant, kind, lam):
     """PenaltyOgdLearner fed by instance.loss(t) / instance.constraint(t)."""
     first = instance.first_round
-    learner = PenaltyOgdLearner(instance.fset, instance.m, variant, kind, schedule,
-                                instance.horizon - first + 1)
+    lams = np.broadcast_to(lam, instance.horizon - first + 1).tolist()
+    learner = PenaltyOgdLearner(instance.fset, instance.m, variant, kind, lams)
     for t in range(first, instance.horizon + 1):
         learner.play_round(t, instance.loss(t), instance.constraint(t))
     return learner.records
@@ -207,12 +204,12 @@ def _instance(family, m, dim, seed):
                                    g_round_density=0.6, g_mag=(0.05, 0.3))
 
 
-def _schedule(kind, mode, instance):
+def _lam(kind, mode, instance):
     if mode == "sqrt_t":
-        return LambdaSchedule("sqrt_t")
+        return sqrt_t(instance)
     if kind is PenaltyKind.QUADRATIC:
-        return LambdaSchedule("fixed", lambda_quadratic(instance.horizon))
-    return LambdaSchedule("fixed", 0.05)
+        return lambda_quadratic(instance.horizon)
+    return 0.05
 
 
 # every (variant, penalty, schedule) combination ExperimentConfig.validate
@@ -233,9 +230,9 @@ _RUNS = [
 @pytest.mark.parametrize("variant,kind,mode", _RUNS)
 def test_float_loop_matches_oracle_reference(family, m, dim, variant, kind, mode):
     inst = _instance(family, m, dim, seed=10 * m + dim)
-    schedule = _schedule(kind, mode, inst)
-    got = run_penalty_ogd(inst, variant, kind, schedule).records
-    want = _reference_records(inst, variant, kind, schedule)
+    lam = _lam(kind, mode, inst)
+    got = run_penalty_ogd(inst, variant, kind, lam).records
+    want = _reference_records(inst, variant, kind, lam)
     assert got.dtype == want.dtype and len(got) == len(want)
     if dim == 1 and m <= 6:
         # every sum has fewer than 8 terms, which numpy adds one by one
@@ -252,10 +249,9 @@ def test_float_loop_matches_oracle_reference(family, m, dim, variant, kind, mode
 def test_float_loop_matches_reference_when_the_exponent_cap_binds():
     # a large exponential lambda drives lam * V past the cap within a few rounds
     inst = AppendixAInstance(m=1, horizon=120, seed=5, mode="adversarial")
-    schedule = LambdaSchedule("fixed", 25.0)
-    got = run_penalty_ogd(inst, Variant.COCO_M, PenaltyKind.EXPONENTIAL, schedule).records
+    got = run_penalty_ogd(inst, Variant.COCO_M, PenaltyKind.EXPONENTIAL, 25.0).records
     with np.errstate(over="ignore"):  # |grad|^2 overflows to inf in both loops
-        want = _reference_records(inst, Variant.COCO_M, PenaltyKind.EXPONENTIAL, schedule)
+        want = _reference_records(inst, Variant.COCO_M, PenaltyKind.EXPONENTIAL, 25.0)
     assert want["saturated"].any()
     assert got.tobytes() == want.tobytes()
 
@@ -265,7 +261,11 @@ def test_float_loop_matches_reference_when_the_exponent_cap_binds():
 def test_float_loop_rejects_bad_lambda(value, kind):
     inst = AppendixAInstance(m=1, horizon=20, seed=0)
     with pytest.raises(ValueError, match="penalty parameter"):
-        run_penalty_ogd(inst, Variant.COCO_M, kind, LambdaSchedule("fixed", value))
+        run_penalty_ogd(inst, Variant.COCO_M, kind, value)
+    lams = np.full(len(inst.rounds), 0.5)
+    lams[-1] = value  # one bad round of a per-round schedule
+    with pytest.raises(ValueError, match="penalty parameter"):
+        run_penalty_ogd(inst, Variant.COCO_M, kind, lams)
 
 
 # sha256 of records.tobytes() for seed 0 of the two shipped reference
@@ -284,16 +284,28 @@ def test_reference_trace_bytes_are_pinned(name):
     assert digest[:16] == PINNED_REFERENCE_TRACES[name]
 
 
-def test_lambda_value_is_none_under_a_per_round_schedule():
-    """The 1/sqrt(t) schedule has no single lambda: the trace records None
-    and the `lam` column holds each round's value; a fixed schedule
-    records its valid lambda."""
+def test_the_lam_column_is_the_only_record_of_lambda():
+    """A per-round schedule and a single lambda alike are recorded in the
+    `lam` column, one value per played round, and in no extra."""
     inst = AppendixAInstance(m=1, horizon=30, seed=0)
-    tr = run_penalty_ogd(inst, Variant.COCO_M2, schedule=LambdaSchedule("sqrt_t"))
-    assert tr.extras == {"lambda_mode": "sqrt_t", "lambda_value": None}
-    with pytest.raises(ValueError):
-        check_lambda(tr.extras["lambda_value"])
+    tr = run_penalty_ogd(inst, Variant.COCO_M2, lam=sqrt_t(inst))
+    assert tr.extras == {}
     assert tr.col("lam").tolist() == [1.0 / math.sqrt(max(t, 1)) for t in inst.rounds]
-    fixed = run_penalty_ogd(inst, Variant.COCO_M2)
-    check_lambda(fixed.extras["lambda_value"])
-    assert fixed.extras["lambda_value"] == lambda_quadratic(inst.horizon)
+    fixed = run_penalty_ogd(inst, Variant.COCO_M2, lam=0.3)
+    assert fixed.extras == {}
+    assert fixed.col("lam").tolist() == [0.3] * len(inst.rounds)
+
+
+@pytest.mark.parametrize("kind", list(PenaltyKind))
+def test_no_lambda_plays_the_theorem_lambda(kind):
+    """lam=None is the theorem's lambda in every round, under either
+    penalty, so the theorem's lambda precondition holds; a per-round
+    lambda array of another length than the round count is rejected."""
+    inst = AppendixAInstance(m=1, horizon=200, seed=3)
+    tr = run_penalty_ogd(inst, Variant.COCO_M, kind)
+    assert np.all(tr.col("lam") == lambda_theorem(kind, inst))
+    assert theorem_bound_report(tr).preconditions["lambda_theorem_tuned"] is True
+    n = len(inst.rounds)
+    for length in (n - 1, n + 1):
+        with pytest.raises(ValueError):
+            run_penalty_ogd(inst, Variant.COCO_M, kind, np.full(length, 0.1))
