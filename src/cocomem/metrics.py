@@ -34,8 +34,11 @@ class RunTrace:
     penalty_kind: PenaltyKind
     records: np.ndarray
     instance: object
-    first_round: int
     extras: dict = field(default_factory=dict)
+
+    @property
+    def first_round(self) -> int:
+        return self.instance.first_round
 
     @property
     def m(self) -> int:
@@ -51,13 +54,6 @@ class RunTrace:
 
     def col(self, name: str) -> np.ndarray:
         return self.records[name]
-
-    def x_at(self, r: int) -> np.ndarray:
-        """Decision of round r; rounds before the first played one are the
-        initial history, which is pinned to the set center."""
-        if r < self.first_round:
-            return self.fset.center
-        return self.records["x"][r - self.first_round]
 
     def v_at(self, r: int) -> float:
         """Cumulative violation after round r (0 before the first round)."""
@@ -269,9 +265,17 @@ def regret_and_ccv(trace: RunTrace, benchmark: Benchmark | None = None) -> Metri
 # Theoretical bound calculators (explicit proof constants)
 
 
+def _log_term(T: int, l_f: float, l_g: float) -> float:
+    """log T + 2 log(L_f + sqrt(T) L_g) of the quadratic-penalty bounds.
+    Below 0 (a short horizon with small constants) the bounds' form does
+    not apply and this reads NaN, so they do too (`bounds` prints null)."""
+    val = math.log(T) + 2.0 * math.log(l_f + math.sqrt(T) * l_g)
+    return val if val >= 0.0 else math.nan
+
+
 def regret_rhs_quadratic(T: int, m: int, diam: float, l_f: float, l_g: float) -> float:
     """Explicit regret bound under the quadratic penalty with lam = 1/sqrt(T)."""
-    log_term = math.log(T) + 2.0 * math.log(l_f + math.sqrt(T) * l_g)
+    log_term = _log_term(T, l_f, l_g)
     return (
         math.sqrt(2 * T) * diam * l_f
         + 2.0 * math.sqrt(T) * diam * diam * l_g * l_g
@@ -289,7 +293,7 @@ def ccv_rhs_quadratic(T: int, m: int, diam: float, l_f: float, l_g: float,
     ) + math.sqrt(2 * T) * diam * l_g
     if not constraint_memory:
         return core
-    log_term = math.log(T) + 2.0 * math.log(l_f + math.sqrt(T) * l_g)
+    log_term = _log_term(T, l_f, l_g)
     return core + m**1.5 * l_g * (diam / math.sqrt(2)) * math.sqrt(T) * math.sqrt(log_term)
 
 
@@ -345,10 +349,9 @@ def theorem_bound_report(trace: RunTrace) -> BoundReport:
     inst = trace.instance
     k = inst.constants()
     T, m = inst.horizon, inst.m
-    measured = {
-        "regret": float(series.regret_static_cum[-1]),
-        "ccv": float(series.ccv_cum[-1]),
-    }
+    # the cumulative series end at round T; a run with no rounds measures 0
+    measured = {key: float(col[-1]) if len(col) else 0.0
+                for key, col in (("regret", series.regret_static_cum), ("ccv", series.ccv_cum))}
     theoretical: dict = {}
     preconditions: dict = {}
     if trace.algorithm == "odaf":
@@ -419,12 +422,11 @@ def check_decomposition_ogd(trace: RunTrace) -> CheckResult:
     bench = best_in_hindsight(trace.instance)
     if not bench.feasible:
         return CheckResult("penalty_decomposition", True, math.nan, math.nan, "empty benchmark")
-    lam = trace.col("lam")
-    v = trace.col("v_dual")
-    pen_last = Penalty(trace.penalty_kind, float(lam[-1]))
-    pen_first = Penalty(trace.penalty_kind, float(lam[0]))
-    r_hat = float(np.sum(trace.col("f_splat"))) - bench.total
-    lhs = r_hat + pen_last.value(float(v[-1])) - pen_first.value(float(v[0]))
+    lam, v, kind = trace.col("lam"), trace.col("v_dual"), trace.penalty_kind
+    lhs = float(np.sum(trace.col("f_splat"))) - bench.total
+    if len(v):  # V stays 0 over no rounds, where both Phi read 0
+        lhs += Penalty(kind, float(lam[-1])).value(float(v[-1]))
+        lhs -= Penalty(kind, float(lam[0])).value(float(v[0]))
     rhs = float(np.sum(trace.col("surrogate"))) - bench.total
     return CheckResult("penalty_decomposition", lhs <= rhs + 1e-9 * max(1.0, abs(rhs)), lhs, rhs)
 
@@ -452,6 +454,8 @@ def check_gradient_bound(trace: RunTrace) -> CheckResult:
     k = trace.instance.constants()
     grad = trace.col("grad_norm")
     rhs = k.l_f + trace.col("phi_prime") * k.l_g
+    if not len(grad):
+        return CheckResult("surrogate_gradient_bound", True, 0.0, k.l_f, "(no rounds)")
     w = int(np.argmax(grad - rhs))
     return CheckResult("surrogate_gradient_bound", bool(np.all(grad <= rhs + 1e-9)),
                        float(grad[w]), float(rhs[w]), f"(round {int(trace.col('t')[w])})")
@@ -600,11 +604,11 @@ def check_forward_consistency(trace: RunTrace) -> CheckResult:
         z_sum = fwd.sum_at(u)
         l_sum = float(np.sum(slopes @ u) + mults @ np.maximum(g_lift_coef @ u + g_lift_off, 0.0))
         worst = max(worst, abs(z_sum - l_sum) / max(1.0, abs(z_sum)))
-    played_ok = surrogate_sum_memory(trace) <= fwd.played_sum() + 1e-8
-    return CheckResult(
-        "forward_vertical_consistency", worst <= 1e-9 and played_ok, worst, 1e-9,
-        "" if played_ok else "played surrogate exceeds forward sum",
-    )
+    played, forward = surrogate_sum_memory(trace), fwd.played_sum()
+    if played > forward + 1e-8 * max(1.0, abs(forward)):
+        return CheckResult("forward_vertical_consistency", False, played, forward,
+                           "played surrogate exceeds forward sum")
+    return CheckResult("forward_vertical_consistency", worst <= 1e-9, worst, 1e-9)
 
 
 def check_lemma_forward_chain(trace: RunTrace) -> CheckResult:

@@ -439,21 +439,18 @@ def run_optimistic(
 
 
 def _trace(algorithm: str, learner: OdafLearner, **extras) -> RunTrace:
-    """The trace of a finished run; `extras` follow alpha, and the
-    hint-error sums are summed round by round in play order.  The `lam`
-    column is the run's only record of lambda."""
-    inst, records = learner.inst, learner.records
+    """The trace of a finished run; `extras` follow alpha.  The `lam`
+    column is the run's only record of lambda, the `eps_*` columns of the
+    hint errors."""
     return RunTrace(
         algorithm=algorithm,
         variant=learner.variant,
         penalty_kind=PenaltyKind.EXPONENTIAL,
-        records=records,
-        instance=inst,
-        first_round=inst.first_round,
+        records=learner.records,
+        instance=learner.inst,
         extras={
             "alpha": learner.alpha,
             **extras,
-            "error_sums": {k: float(sum(records[f"eps_{k}"].tolist())) for k in ("z", "f", "g")},
             "fixed_point_fallbacks": learner.fixed_point_fallbacks,
             "predictor": learner.predictor.kind,
         },

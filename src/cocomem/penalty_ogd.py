@@ -13,7 +13,8 @@ multiplier Phi'(V_t) reflects the current round's violation.
 `run_penalty_ogd` plays every round in Python floats: it reads each
 round's coefficient rows through the instance family's
 `round_evaluator`, computes Phi' with `penalty.phi_prime`, steps with
-`geometry.point_step` and fills the trace table once at the end.
+`geometry.point_step` and writes each round's row of the trace table as
+it plays it, in the row order `PenaltyOgdLearner` uses.
 `PenaltyOgdLearner` is the reference implementation on the oracle
 protocol (`loss(t)` / `constraint(t)` objects, `Penalty`, `project`); the
 tests hold the float loop to it, bit for bit in 1-D with m <= 6.
@@ -22,7 +23,6 @@ tests hold the float loop to it, bit for bit in 1-D with m <= 6.
 from __future__ import annotations
 
 import math
-from itertools import chain
 
 import numpy as np
 
@@ -30,14 +30,6 @@ from .core import MemoryFunctionOracle, Variant, fdot, round_table
 from .geometry import point_step, project
 from .metrics import RunTrace
 from .penalty import Penalty, PenaltyKind, check_lambda, lambda_theorem, phi_prime, saturated
-
-# round_table fields the float loop fills from its per-round rows, in row
-# order after the decision x
-_ROW_FIELDS = (
-    "f_mem", "f_splat", "g_mem", "g_splat", "g_plus_recorded", "v_dual",
-    "ccv_cum", "phi_prime", "surrogate", "grad_norm", "eta_or_mu",
-)
-
 
 def surrogate_gradient(
     loss: MemoryFunctionOracle,
@@ -139,8 +131,7 @@ def run_penalty_ogd(
     `instance.constraint(t)` with the same expressions (in 1-D with m <= 6
     also the same summation order, so the trace is byte-identical; see
     `environments` on longer sums).  Every lambda is checked before the
-    first round; each round appends one row of floats and the trace table
-    is filled once after the last round."""
+    first round; each round writes its row of the trace table."""
     rounds = instance.rounds
     if lam is None:
         lam = lambda_theorem(kind, instance)
@@ -153,8 +144,8 @@ def run_penalty_ogd(
     x = tuple(instance.fset.center.tolist())
     window = x * (instance.m + 1)
     v = ccv = grad_sq_sum = 0.0
-    rows = []
-    for k, lam in enumerate(lams):
+    records = round_table(len(rounds), dim)
+    for k, (t, lam) in enumerate(zip(rounds, lams)):
         f_mem, f_spl, f_grad, g_mem, g_spl, g_grad = evaluate(k, window, x)
         g_plus, g_pos = max(g_mem, 0.0), max(g_spl, 0.0)
         # dual update first: the multiplier sees this round's violation
@@ -167,26 +158,16 @@ def run_penalty_ogd(
         gg = fdot(grad, grad)
         grad_sq_sum += gg
         eta = adaptive_step(diameter, grad_sq_sum)
-        rows.append((x, f_mem, f_spl, g_mem, g_spl, g_plus, v, ccv, pp,
-                     f_spl + pp * g_pos, math.sqrt(gg), eta))
+        records[k] = (
+            t, x, f_mem, f_spl, g_mem, g_spl, g_plus, v, ccv, pp, lam,
+            f_spl + pp * g_pos, math.sqrt(gg), eta, 0.0, 0.0, 0.0, saturated(kind, lam, v),
+        )
         x = step(x, eta, grad)
         window = window[dim:] + x
-
-    n = len(rounds)
-    records = round_table(n, dim)
-    records["t"] = np.arange(rounds.start, rounds.stop)
-    records["lam"] = lams
-    if rows:
-        xs, *cols = zip(*rows)
-        records["x"] = np.fromiter(chain.from_iterable(xs), float, n * dim).reshape(n, dim)
-        for name, col in zip(_ROW_FIELDS, cols):
-            records[name] = col
-    records["saturated"] = saturated(kind, records["lam"], records["v_dual"])
     return RunTrace(
         algorithm="penalty_ogd",
         variant=variant,
         penalty_kind=kind,
         records=records,
         instance=instance,
-        first_round=rounds.start,
     )

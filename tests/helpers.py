@@ -23,6 +23,12 @@ def prefix_static_regret(trace: RunTrace, upto: int) -> float:
     return f_mem - float(np.sum(lift_loss_at(trace.instance, bench.x_star, upto=upto)))
 
 
+def error_sums(trace: RunTrace) -> dict:
+    """Cumulative hint errors by kind, summed round by round in play order
+    from the trace's `eps_*` columns."""
+    return {k: float(sum(trace.col(f"eps_{k}").tolist())) for k in ("z", "f", "g")}
+
+
 def sqrt_t(instance) -> np.ndarray:
     """lambda_t = 1/sqrt(t) for each of the instance's rounds: the reference
     configs' schedule, as `run_penalty_ogd` takes it."""

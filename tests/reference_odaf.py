@@ -373,23 +373,15 @@ def run_optimistic(
         penalty_kind=PenaltyKind.EXPONENTIAL,
         records=learner.records,
         instance=instance,
-        first_round=instance.first_round,
         extras={
             "alpha": alpha_val,
             # row k is the hint h_{first_round + k}; the last one, for
             # round horizon + 1, is committed but never played
             "hints": np.array(list(learner.hints.values())),
-            "error_sums": _error_sums(learner.records),
             "fixed_point_fallbacks": learner.fixed_point_fallbacks,
             "predictor": predictor.kind,
         },
     )
-
-
-def _error_sums(records: np.ndarray) -> dict:
-    """Cumulative hint errors, summed round by round in play order."""
-    return {k: float(sum(records[f"eps_{k}"].tolist())) for k in ("z", "f", "g")}
-
 
 
 class DoublingLearner:
@@ -461,14 +453,12 @@ def run_doubling(
         penalty_kind=PenaltyKind.EXPONENTIAL,
         records=learner.records,
         instance=instance,
-        first_round=instance.first_round,
         extras={
             "alpha": learner.alpha,
             "epochs": sched.epoch,
             "epoch_starts": list(sched.epoch_starts),
             "mu1": sched.mu1,
             "mu_final": sched.budget,
-            "error_sums": _error_sums(learner.records),
             "fixed_point_fallbacks": learner.fixed_point_fallbacks,
             "predictor": predictor.kind,
         },

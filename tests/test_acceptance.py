@@ -35,7 +35,7 @@ from cocomem.optimistic import DoublingSchedule, huber
 from cocomem.penalty import lambda_exponential_short_memory, short_memory_condition
 from cocomem.penalty_ogd import adaptive_step  # noqa: F401  (surface exercised below)
 from cocomem.penalty_ogd import surrogate_gradient
-from helpers import prefix_static_regret, sqrt_t
+from helpers import error_sums, prefix_static_regret, sqrt_t
 
 SEEDS = list(range(10))
 
@@ -218,8 +218,7 @@ def _slicewise_regret(trace, upto):
 
 def test_c5_optimistic_behavior(optimistic_runs):
     for tr in optimistic_runs["perfect"]:
-        es = tr.extras["error_sums"]
-        assert es == {"z": 0.0, "f": 0.0, "g": 0.0}, "perfect predictions left errors"
+        assert error_sums(tr) == {"z": 0.0, "f": 0.0, "g": 0.0}, "perfect predictions left errors"
         assert np.all(tr.col("eps_z") == 0.0)
         assert np.all(tr.col("eta_or_mu") == 0.0), "regularization woke up"
         assert tr.extras["fixed_point_fallbacks"] == 0

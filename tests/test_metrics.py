@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,11 +22,14 @@ from cocomem import (
     run_penalty_ogd,
     theorem_bound_report,
 )
+from cocomem.cli import main as cli_main
 from cocomem.core import Ball, round_table
+from cocomem.harness import load_config, run_single
 from cocomem.metrics import (
     GRID_STEPS_PER_DIAMETER,
     ForwardFunctions,
     ccv_rhs_quadratic,
+    check_forward_consistency,
     check_lemma_ogd_regret,
     check_memory_identity,
     check_mu_monotone,
@@ -35,9 +40,12 @@ from cocomem.metrics import (
     per_round_min_series,
     regret_rhs_exponential,
     regret_rhs_quadratic,
+    surrogate_sum_memory,
     _grid_best,
 )
 from helpers import constant_window, prefix_static_regret, sqrt_t
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _two_round_instance(c, d):
@@ -97,8 +105,7 @@ def _toy_trace(inst, xs):
         ccv += max(g_mem, 0.0)
         records[row] = (t, [x], f.value(w), f.value_splat([x]), g_mem, g.value_splat([x]),
                         max(g_mem, 0.0), ccv, ccv, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, False)
-    return RunTrace("penalty_ogd", Variant.COCO_M2, PenaltyKind.QUADRATIC, records,
-                    inst, inst.first_round, {})
+    return RunTrace("penalty_ogd", Variant.COCO_M2, PenaltyKind.QUADRATIC, records, inst, {})
 
 
 def test_benchmark_replay_has_zero_memoryless_regret():
@@ -244,14 +251,55 @@ def test_doubling_weight_check_is_per_epoch():
     assert not check_mu_monotone(_mu_lowered(fixed, start)).passed
 
 
-def test_checks_of_a_run_with_no_rounds_pass():
-    """horizon == m leaves an ODAF run no round to play, so its trace
-    records no lambda; the checks that read one still run and pass."""
+def test_checks_of_a_run_with_no_rounds_pass(tmp_path, capsys):
+    """horizon == m leaves a run no round to play, so its trace records no
+    lambda; the checks that read one still run and pass.  `verify` and
+    `bounds` exit 0 with every learner, and `bounds` prints strict JSON
+    that measures regret and CCV 0 over the zero rounds."""
     inst = SeparableLinearInstance(m=2, horizon=2, seed=0)
     tr = run_optimistic(inst, Variant.COCO_M2, PerfectPredictor())
     assert len(tr.records) == 0
     results = invariant_suite(tr)
     assert len(results) == 7 and all(r.passed for r in results)
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    env = {"kind": "separable_linear", "m": 2, "horizon": 2, "radius": 2.0}
+    for algorithm in ("odaf", "odaf_doubling", "penalty_ogd"):
+        cfg = {"algorithm": algorithm, "variant": "coco_m2", "environment": env}
+        if algorithm != "penalty_ogd":
+            cfg["penalty"] = "exponential"
+        path = tmp_path / f"{algorithm}.json"
+        path.write_text(json.dumps(cfg))
+        assert cli_main(["verify", "--config", str(path)]) == 0, algorithm
+        assert cli_main(["bounds", "--config", str(path)]) == 0, algorithm
+        out = capsys.readouterr().out.strip().splitlines()
+        assert "FAIL" not in "\n".join(out[:-1])
+        prefix, _, doc = out[-1].partition(": ")
+        report = json.loads(doc, parse_constant=reject)
+        assert prefix == "seed 0"
+        assert report["measured"]["regret"] == report["measured"]["ccv"] == 0.0
+
+
+def test_played_surrogate_check_is_relative():
+    """The played-surrogate half of `forward_vertical_consistency` allows
+    1e-8 relative: seed 2 of an explicit lambda = 10 run on the
+    doubling_noisy environment sums both sides near 1.6e102, one ulp apart,
+    and passes; one f_mem raised by 1e-6 of the forward sum fails it, and
+    the verdict prints that half's sides."""
+    cfg = load_config(CONFIG_DIR / "doubling_noisy.json")
+    cfg = dataclasses.replace(cfg, algorithm="odaf", lambda_mode="explicit", lambda_value=10.0)
+    tr = run_single(cfg, 2)
+    check = check_forward_consistency(tr)
+    assert check.passed and check.rhs == 1e-9
+    played, forward = surrogate_sum_memory(tr), ForwardFunctions(tr).played_sum()
+    assert abs(forward) > 1e100 and played != forward
+    records = tr.records.copy()
+    records["f_mem"][7] += 1e-6 * max(1.0, abs(forward))
+    check = check_forward_consistency(dataclasses.replace(tr, records=records))
+    assert not check.passed and check.lhs > check.rhs == forward
+    assert "played surrogate exceeds forward sum" in str(check)
 
 
 def test_grid_resolution_consistency():

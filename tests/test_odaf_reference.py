@@ -16,6 +16,7 @@ from cocomem import (
     ZeroPredictor,
     optimistic,
 )
+from helpers import error_sums
 
 PREDICTORS = {"perfect": PerfectPredictor, "zero": ZeroPredictor,
               "noisy": lambda: NoisyPredictor(0.4, seed=3)}
@@ -34,7 +35,7 @@ def _outcome(module, runner, make_instance, variant, kind, lam):
         return None, type(exc), predictor
     hints = tr.extras.get("hints")
     return (tr.records.tobytes(), None if hints is None else (hints.shape, hints.tobytes()),
-            tr.extras["error_sums"], tr.extras["fixed_point_fallbacks"]), None, predictor
+            error_sums(tr), tr.extras["fixed_point_fallbacks"]), None, predictor
 
 
 DRAWN_ROUNDS = 116  # the most rounds Hypothesis draws

@@ -24,9 +24,10 @@ from cocomem import (
 from cocomem.core import Ball
 from cocomem.geometry import ftrl_argmin, minimize_linear, project, regret_coefficient
 from cocomem.harness import load_config, run_single
-from cocomem.metrics import ForwardFunctions
+from cocomem.metrics import ForwardFunctions, _decisions_by_round
 from cocomem.optimistic import DoublingSchedule, OdafLearner, huber
 from cocomem.penalty import Penalty
+from helpers import error_sums
 
 
 def _rows(inst, r, i):
@@ -53,13 +54,13 @@ def forward_gradient(learner, s):
     return np.zeros(learner.dim)
 
 
-def _forward_gradient(inst, tr, pen, s):
-    """grad Z_s rebuilt from the slice rows and the played decisions."""
+def _forward_gradient(inst, tr, X, pen, s):
+    """grad Z_s rebuilt from the slice rows and the decisions X by round."""
     z = np.zeros(inst.dim)
     for i in range(inst.m + 1):
         f, g, off = _rows(inst, s + i, i)
         z += f
-        if float(g @ tr.x_at(s)) + off > 0:
+        if float(g @ X[s]) + off > 0:
             z += pen.prime(tr.v_at(s + i - inst.m - 1)) * g
     return z
 
@@ -169,7 +170,7 @@ def test_reads_of_dropped_rounds_raise(m):
 def test_perfect_hint_matches_window_exactly():
     inst = SeparableLinearInstance(m=2, horizon=120, seed=1)
     tr = run_optimistic(inst, Variant.COCO_M2, PerfectPredictor())
-    assert tr.extras["error_sums"] == {"z": 0.0, "f": 0.0, "g": 0.0}
+    assert error_sums(tr) == {"z": 0.0, "f": 0.0, "g": 0.0}
     assert np.all(tr.col("eps_z") == 0.0)
     assert np.all(tr.col("eta_or_mu") == 0.0)
 
@@ -182,7 +183,7 @@ def test_zero_predictor_hint_enumeration_oracle():
     tr = run_optimistic(inst, Variant.COCO_M2, ZeroPredictor())
     pen = Penalty(PenaltyKind.EXPONENTIAL, float(tr.col("lam")[-1]))
     hints = tr.extras["hints"]
-    m = inst.m
+    m, X = inst.m, _decisions_by_round(tr)
     for tau, h in enumerate(hints, start=tr.first_round):
         want = np.zeros(inst.dim)
         for s in range(tau - m, tau + 1):
@@ -192,7 +193,7 @@ def test_zero_predictor_hint_enumeration_oracle():
                     continue  # unrevealed when h_tau was formed: predicted as zero
                 f, g, off = _rows(inst, r, j)
                 want += f
-                if float(g @ tr.x_at(s)) + off > 0:
+                if float(g @ X[s]) + off > 0:
                     want += pen.prime(tr.v_at(r - m - 1)) * g
         assert np.allclose(h, want, atol=1e-12)
 
@@ -214,12 +215,13 @@ def test_violation_recurrence_replay():
     inst = SeparableLinearInstance(m=2, horizon=50, seed=4,
                                    g_round_density=0.5, g_mag=(0.05, 0.2))
     tr = run_optimistic(inst, Variant.COCO_M2, PerfectPredictor())
+    X = _decisions_by_round(tr)
     v = 0.0
     for rec in tr.records:
         val = 0.0
         for i in range(3):
             _, g, off = _rows(inst, rec.t, i)
-            val += float(g @ tr.x_at(rec.t - i)) + off
+            val += float(g @ X[rec.t - i]) + off
         v += max(val, 0.0)
         assert rec.ccv_cum == pytest.approx(v, rel=1e-12, abs=1e-12)
 
@@ -231,7 +233,7 @@ def test_memoryless_constraint_variant_uses_fresh_violation():
     v = 0.0
     for rec in tr.records:
         _, g, off = _rows(inst, rec.t, 0)
-        v += max(float(g @ tr.x_at(rec.t)) + off, 0.0)
+        v += max(float(g @ rec.x) + off, 0.0)
         assert rec.ccv_cum == pytest.approx(v, rel=1e-12, abs=1e-12)
     with pytest.raises(ValueError):
         run_optimistic(SeparableLinearInstance(m=1, horizon=20, seed=0),
@@ -244,7 +246,7 @@ def test_ftrl_step_matches_grid_argmin():
     inst = SeparableLinearInstance(m=2, horizon=40, seed=7)
     tr = run_optimistic(inst, Variant.COCO_M2, NoisyPredictor(0.5, seed=1))
     pen = Penalty(PenaltyKind.EXPONENTIAL, float(tr.col("lam")[-1]))
-    m, first = inst.m, tr.first_round
+    m, first, X = inst.m, tr.first_round, _decisions_by_round(tr)
 
     grid = np.linspace(-2.0, 2.0, 400001)
     center = inst.fset.center[0]
@@ -252,10 +254,10 @@ def test_ftrl_step_matches_grid_argmin():
         rec = tr.records[t - first]
         rev = np.zeros(1)
         for s in range(1, t - m + 1):
-            rev += _forward_gradient(inst, tr, pen, s)
+            rev += _forward_gradient(inst, tr, X, pen, s)
         lin = rev + tr.extras["hints"][t + 1 - first]
         mu = rec.eta_or_mu
-        x_next = tr.x_at(t + 1)
+        x_next = X[t + 1]
         obj = lin[0] * grid + mu * 0.5 * (grid - center) ** 2
         best = grid[np.argmin(obj)]
         got = lin[0] * x_next[0] + mu * 0.5 * (x_next[0] - center) ** 2
@@ -306,12 +308,13 @@ def test_perfect_hints_reduce_to_follow_the_leader():
     inst = SeparableLinearInstance(m=1, horizon=50, seed=11, g_active_fraction=0.0)
     tr = run_optimistic(inst, Variant.COCO_M2, PerfectPredictor())
     pen = Penalty(PenaltyKind.EXPONENTIAL, float(tr.col("lam")[-1]))
+    X = _decisions_by_round(tr)
     for t in range(tr.first_round, 50):
         lead = np.zeros(1)
         for s in range(1, t + 2):
-            lead += _forward_gradient(inst, tr, pen, s)
+            lead += _forward_gradient(inst, tr, X, pen, s)
         ftl = minimize_linear(inst.fset, lead)
-        assert np.allclose(tr.x_at(t + 1), ftl)
+        assert np.allclose(X[t + 1], ftl)
 
 
 def test_hint_error_reconstruction_matches_recorded():
@@ -507,7 +510,7 @@ def test_trace_bytes_are_pinned(case):
     h = hashlib.sha256(tr.records.tobytes())
     if "hints" in tr.extras:
         h.update(tr.extras["hints"].tobytes())
-    h.update(repr(sorted(tr.extras["error_sums"].items())).encode())
+    h.update(repr(sorted(error_sums(tr).items())).encode())
     assert h.hexdigest()[:16] == PINNED_TRACES[case]
 
 
