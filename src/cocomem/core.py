@@ -84,9 +84,6 @@ class Ball:
         """sup_{x in set} <g, x> (support function)."""
         return float(g @ self.center) + self.radius * float(np.linalg.norm(g))
 
-    def __repr__(self):
-        return f"Ball(center={self.center}, radius={self.radius})"
-
 
 # ---------------------------------------------------------------------------
 # Function oracles

@@ -213,7 +213,7 @@ def run_single(cfg: ExperimentConfig, seed: int) -> RunTrace:
             lam=lam, error_estimate=cfg.error_estimate, alpha=cfg.alpha,
         )
     return run_doubling(instance, cfg.variant, predictor, alpha=cfg.alpha,
-                        initial_error=cfg.error_estimate)
+                        error_estimate=cfg.error_estimate)
 
 
 # ---------------------------------------------------------------------------
@@ -325,21 +325,30 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     return summary
 
 
+def _audit_seeds(cfg: ExperimentConfig, audit) -> list[tuple[int, object]]:
+    """(seed, audit(trace)) of every config seed, in order.  A seed that
+    fails stops the audit with a RuntimeError that names it; a
+    ConfigError passes through as it is."""
+    out = []
+    for seed in cfg.seeds:
+        try:
+            out.append((seed, audit(run_single(cfg, seed))))
+        except ConfigError:
+            raise
+        except Exception as exc:  # noqa: BLE001 - named and raised again
+            raise RuntimeError(f"seed {seed}: {exc}") from exc
+    return out
+
+
 def verify_experiment(cfg: ExperimentConfig) -> tuple[bool, list[str]]:
     """Run the invariant suite on every seed; returns (all passed, lines)."""
     lines, ok = [], True
-    for seed in cfg.seeds:
-        trace = run_single(cfg, seed)
-        for res in invariant_suite(trace):
+    for seed, results in _audit_seeds(cfg, invariant_suite):
+        for res in results:
             lines.append(f"seed {seed}: {res}")
             ok = ok and res.passed
     return ok, lines
 
 
 def bounds_reports(cfg: ExperimentConfig) -> list[tuple[int, BoundReport]]:
-    out = []
-    for seed in cfg.seeds:
-        trace = run_single(cfg, seed)
-        out.append((seed, theorem_bound_report(trace)))
-    return out
-
+    return _audit_seeds(cfg, theorem_bound_report)

@@ -343,8 +343,9 @@ class BoundReport:
 def theorem_bound_report(trace: RunTrace) -> BoundReport:
     """Measured regret/CCV against the explicit bounds of the trace's
     algorithm: penalty OGD's theorem, `check_odaftrl_regret`'s forward-regret
-    bound for `odaf`, none for `odaf_doubling` (lambda changes per epoch).
-    Penalty OGD's holds only if every round played the theorem's lambda."""
+    bound for an optimistic run at one lambda.  Penalty OGD's holds only if
+    every round played the theorem's lambda, a doubling run's only if it
+    made one epoch (lambda changes per epoch)."""
     series = regret_and_ccv(trace)
     inst = trace.instance
     k = inst.constants()
@@ -354,12 +355,12 @@ def theorem_bound_report(trace: RunTrace) -> BoundReport:
                 for key, col in (("regret", series.regret_static_cum), ("ccv", series.ccv_cum))}
     theoretical: dict = {}
     preconditions: dict = {}
-    if trace.algorithm == "odaf":
+    if trace.algorithm == "odaf_doubling":
+        preconditions["lambda_fixed_across_epochs"] = trace.extras["epochs"] == 1
+    if _one_lambda_odaf(trace):
         check = check_odaftrl_regret(trace)
         measured["forward_regret"], theoretical["forward_regret"] = check.lhs, check.rhs
-    elif trace.algorithm == "odaf_doubling":
-        preconditions["lambda_fixed_across_epochs"] = False
-    else:
+    elif trace.algorithm == "penalty_ogd":
         lam = lambda_theorem(trace.penalty_kind, inst)
         preconditions["lambda_theorem_tuned"] = bool(np.all(trace.col("lam") == lam))
         if trace.penalty_kind is PenaltyKind.EXPONENTIAL:
@@ -491,6 +492,13 @@ def check_ccv_replay(trace: RunTrace) -> CheckResult:
 
 
 # -- optimistic-run checks --------------------------------------------------
+
+
+def _one_lambda_odaf(trace: RunTrace) -> bool:
+    """Whether the trace is an optimistic run at one lambda: an `odaf` run,
+    or an `odaf_doubling` run of one epoch, which plays as `odaf` does."""
+    return trace.algorithm == "odaf" or (
+        trace.algorithm == "odaf_doubling" and trace.extras["epochs"] == 1)
 
 
 def _last_penalty(trace: RunTrace) -> Penalty:
@@ -665,13 +673,14 @@ def invariant_suite(trace: RunTrace) -> list[CheckResult]:
             check_gradient_bound(trace),
             check_step_monotone(trace),
         ]
-    if trace.algorithm == "odaf":
+    if _one_lambda_odaf(trace):
         checks += [
             check_forward_consistency(trace),
             check_lemma_forward_chain(trace),
             check_error_split(trace),
             check_odaftrl_regret(trace),
         ]
-    # doubling runs change lambda across epochs: the fixed-lambda forward
-    # checks do not apply, the bookkeeping ones and the per-epoch weight do
+    # a doubling run of several epochs changes lambda between them: the
+    # fixed-lambda forward checks do not apply, the bookkeeping ones and
+    # the per-epoch weight do
     return checks + [check_mu_monotone(trace)]

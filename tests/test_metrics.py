@@ -251,6 +251,40 @@ def test_doubling_weight_check_is_per_epoch():
     assert not check_mu_monotone(_mu_lowered(fixed, start)).passed
 
 
+def test_a_one_epoch_doubling_run_is_audited_as_odaf(tmp_path, capsys):
+    """On the optimistic_perfect environment under `odaf_doubling`, seed 0
+    makes one epoch, whose records and hints are those of `odaf` at its
+    lambda; `verify` runs the four `odaf` checks on it and `bounds` reports
+    their forward-regret bound.  Seed 1 makes two epochs and gets neither."""
+    cfg = load_config(CONFIG_DIR / "optimistic_perfect.json")
+    cfg = dataclasses.replace(cfg, algorithm="odaf_doubling", seeds=[0, 1])
+    tr = run_single(cfg, 0)
+    assert tr.extras["epochs"] == 1 and run_single(cfg, 1).extras["epochs"] == 2
+    fixed = run_optimistic(tr.instance, tr.variant, PerfectPredictor(), lam=tr.col("lam")[0])
+    assert tr.records.tobytes() == fixed.records.tobytes()
+    assert tr.extras["hints"].tobytes() == fixed.extras["hints"].tobytes()
+    check = check_odaftrl_regret(tr)
+
+    path = tmp_path / "doubling.json"
+    path.write_text(json.dumps({**dataclasses.asdict(cfg), "variant": cfg.variant.value,
+                                "penalty": cfg.penalty.value}))
+    assert cli_main(["verify", "--config", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    names = {seed: [line.split("]")[1].split(":")[0].strip() for line in lines
+                    if line.startswith(f"seed {seed}:")] for seed in (0, 1)}
+    assert names[0] == [r.name for r in invariant_suite(fixed)]
+    assert names[1] == ["ccv_recurrence_replay", "memory_deviation_bound",
+                        "ftrl_weight_monotone"]
+    assert cli_main(["bounds", "--config", str(path)]) == 0
+    reports = [json.loads(line.partition(": ")[2])
+               for line in capsys.readouterr().out.splitlines()]
+    assert reports[0]["preconditions"] == {"lambda_fixed_across_epochs": True}
+    assert reports[0]["measured"]["forward_regret"] == check.lhs
+    assert reports[0]["theoretical"] == {"forward_regret": check.rhs}
+    assert reports[1]["preconditions"] == {"lambda_fixed_across_epochs": False}
+    assert reports[1]["theoretical"] == {}
+
+
 def test_checks_of_a_run_with_no_rounds_pass(tmp_path, capsys):
     """horizon == m leaves a run no round to play, so its trace records no
     lambda; the checks that read one still run and pass.  `verify` and

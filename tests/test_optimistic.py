@@ -3,6 +3,7 @@ import functools
 import hashlib
 import itertools
 import math
+import types
 from pathlib import Path
 
 import numpy as np
@@ -25,9 +26,10 @@ from cocomem.core import Ball
 from cocomem.geometry import ftrl_argmin, minimize_linear, project, regret_coefficient
 from cocomem.harness import load_config, run_single
 from cocomem.metrics import ForwardFunctions, _decisions_by_round
-from cocomem.optimistic import DoublingSchedule, OdafLearner, huber
-from cocomem.penalty import Penalty
+from cocomem.optimistic import OdafLearner, doubling_mu1, huber
+from cocomem.penalty import Penalty, lambda_optimistic
 from helpers import error_sums
+from reference_odaf import DoublingSchedule
 
 
 def _rows(inst, r, i):
@@ -415,24 +417,74 @@ def test_non_finite_predictions_fall_back_to_zero():
     assert np.all(np.isfinite(tr.col("x"))) and np.all(np.isfinite(tr.col("eps_g")))
 
 
-def test_doubling_schedule_scripted_epochs():
-    """Hand-simulated bookkeeping: psi = sqrt(E) per epoch, budgets 1,2,4.
+def test_doubling_schedule_scripted_epochs(monkeypatch):
+    """Hand-simulated bookkeeping of the package's `run_doubling`, driven
+    through a stand-in learner that plays a scripted eps_g per round, with
+    C = G d = 1 and error estimate 1 (so mu1 = 1): psi = sqrt(E) per
+    epoch, budgets 1, 2, 4.
 
-    eps sequence [0, .5, .7, 0, 1.2, 2.5, 0, 9.0, 0]:
+    eps sequence [0, .5, .7, 0, 1.2, 2.5, 0, 9.0, 0] over rounds 1..9:
       round 4 check: sqrt(1.2) = 1.095 > 1  -> second epoch (budget 2)
       round 9 check: sqrt(12.7) = 3.564 > 2 -> third epoch (budget 4)
     """
-    sched = DoublingSchedule(regret_coeff=1.0, offset=1.0, mu1=1.0)
-    restarts = []
-    for idx, eps in enumerate([0.0, 0.5, 0.7, 0.0, 1.2, 2.5, 0.0, 9.0, 0.0], start=1):
-        if sched.should_restart():
-            sched.restart(idx)
-            restarts.append(idx)
-        sched.observe(eps)
-    assert restarts == [4, 9] and sched.epoch_starts == [4, 9]
-    assert sched.epoch == 3
-    assert sched.budget == pytest.approx(4.0)
-    assert sched.lam == pytest.approx(1.0 / (2.0 * (4.0 + 1.0)))
+    eps = [0.0, 0.5, 0.7, 0.0, 1.2, 2.5, 0.0, 9.0, 0.0]
+    learners = []
+
+    class ScriptedLearner:
+        def __init__(self, instance, variant, predictor, lam, alpha=None):
+            self.inst, self.variant, self.alpha = instance, variant, alpha
+            self.records, self.hints = None, None
+            self.fixed_point_fallbacks = 0
+            self.epochs = [(instance.first_round, lam)]
+            learners.append(self)
+
+        def restart(self, t, lam):
+            self.epochs.append((t, lam))
+
+        def play_round(self, t):
+            return {"eps_g": eps[t - 1]}
+
+    monkeypatch.setattr(optimistic, "OdafLearner", ScriptedLearner)
+    monkeypatch.setattr(optimistic, "_tuning", lambda instance, variant, alpha: (1.0, 1.0, 1.0))
+    inst = types.SimpleNamespace(first_round=1, rounds=range(1, 10))
+    tr = optimistic.run_doubling(inst, Variant.COCO_M2, None, error_estimate=1.0)
+    assert [t for t, _ in learners[0].epochs] == [1, 4, 9] == tr.extras["epoch_starts"]
+    assert [lam for _, lam in learners[0].epochs] == [
+        lambda_optimistic(budget, 1.0) for budget in (1.0, 2.0, 4.0)]
+    assert tr.extras["epochs"] == 3
+    assert tr.extras["mu1"] == 1.0 and tr.extras["mu_final"] == 4.0
+    assert len(learners) == 1
+
+
+def test_doubling_arithmetic_reads_back_from_the_trace():
+    """On the doubling_noisy environment (seeds 0-4, about 52 epochs each)
+    the trace shows the doubling trick's arithmetic, with C the delayed-FTRL
+    regret coefficient and E an epoch's running sum of eps_g: epoch k plays
+    lambda_optimistic(2^(k-1) mu1, G d) in every row, C sqrt(E) stays
+    within the budget before each round of an epoch and exceeds it at each
+    restart, and the epoch count K obeys K <= 2 + log2(C sqrt(E_total) / mu1),
+    since epoch K - 1 ended with 2^(K-2) mu1 < C sqrt(E) <= C sqrt(E_total)."""
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "doubling_noisy.json")
+    for seed in range(5):
+        tr = run_single(cfg, seed)
+        inst = tr.instance
+        coeff = regret_coefficient(inst.fset, inst.m, inst.fset.diameter**2)
+        offset = inst.constants().g_bound * (inst.m + 1)
+        mu1, starts = tr.extras["mu1"], tr.extras["epoch_starts"]
+        assert mu1 == doubling_mu1(coeff, cfg.error_estimate)
+        lam, eps = tr.col("lam"), tr.col("eps_g").tolist()
+        ends = starts[1:] + [tr.horizon + 1]
+        for k, (start, end) in enumerate(zip(starts, ends), start=1):
+            budget = 2.0 ** (k - 1) * mu1
+            rows = slice(start - tr.first_round, end - tr.first_round)
+            assert np.all(lam[rows] == lambda_optimistic(budget, offset)), (seed, k)
+            sums = list(itertools.accumulate(eps[rows], initial=0.0))
+            assert all(coeff * math.sqrt(e) <= budget for e in sums[:-1]), (seed, k)
+            if end <= tr.horizon:
+                assert coeff * math.sqrt(sums[-1]) > budget, (seed, k)
+        n = tr.extras["epochs"]
+        assert n == len(starts) > 1
+        assert n <= 2 + math.log2(coeff * math.sqrt(sum(eps)) / mu1), seed
 
 
 @pytest.mark.parametrize("variant, constraint_memory, delay", [
@@ -508,7 +560,7 @@ def test_trace_bytes_are_pinned(case):
     run = run_optimistic if runner == "odaf" else run_doubling
     tr = run(inst, Variant.COCO_M2, predictor)
     h = hashlib.sha256(tr.records.tobytes())
-    if "hints" in tr.extras:
+    if runner == "odaf":
         h.update(tr.extras["hints"].tobytes())
     h.update(repr(sorted(error_sums(tr).items())).encode())
     assert h.hexdigest()[:16] == PINNED_TRACES[case]
