@@ -5,7 +5,9 @@
     cocomem bounds --config cfg.json
 
 Exit codes: 0 success, 1 config error, 2 runtime failure, 3 verification
-failure.  COCO_MEM_OUT overrides the output directory.
+failure.  COCO_MEM_OUT overrides the output directory.  `verify` and
+`bounds` print each seed's lines as it finishes; a seed that fails stops
+them with exit 2.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .harness import (
     ConfigError,
@@ -69,14 +72,16 @@ def main(argv: list[str] | None = None) -> int:
             summary = run_experiment(cfg, out_dir, parallel=args.parallel)
             print(json.dumps(summary, indent=2, sort_keys=True))
             return EXIT_RUNTIME if summary["seeds_failed"] else EXIT_OK
-        if args.command == "verify":
-            ok, lines = verify_experiment(cfg)
+        ok = True
+        for seed in cfg.seeds:  # a seed's lines print before a later seed can fail
+            one = replace(cfg, seeds=[seed])
+            if args.command == "verify":
+                seed_ok, lines = verify_experiment(one)
+                ok = ok and seed_ok
+            else:
+                lines = [f"seed {seed}: {report.to_json()}" for _, report in bounds_reports(one)]
             print("\n".join(lines))
-            return EXIT_OK if ok else EXIT_VERIFY
-        reports = bounds_reports(cfg)
-        for seed, report in reports:
-            print(f"seed {seed}: {report.to_json()}")
-        return EXIT_OK
+        return EXIT_OK if ok else EXIT_VERIFY
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -85,6 +85,10 @@ _FIELD_TYPES = {
     "int": ("an integer", _is_int, int),
     "float": ("a finite number", is_number, float),
     "float | None": ("a finite number or null", lambda v: v is None or is_number(v), float),
+    "Literal['theorem', 'sqrt_t', 'doubling'] | float": (
+        "a finite number or one of 'theorem', 'sqrt_t', 'doubling'",
+        lambda v: v in ("theorem", "sqrt_t", "doubling") or is_number(v),
+        lambda v: v if isinstance(v, str) else float(v)),
     "bool": ("true or false", lambda v: isinstance(v, bool), bool),
     "str": ("a string", lambda v: isinstance(v, str), str),
     "dict": ("a JSON object", lambda v: isinstance(v, dict), dict),

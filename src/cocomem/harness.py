@@ -14,6 +14,7 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
 
@@ -44,10 +45,9 @@ CSV_HEADER = (
     "eps_f,eps_g,eps_Z,regret_static_cum,regret_perround_cum,ccv_cum"
 )
 
-ALGORITHMS = ("penalty_ogd", "odaf", "odaf_doubling")
+ALGORITHMS = ("penalty_ogd", "odaf")
 ENV_FAMILIES = {cls.kind: cls for cls in (AppendixAInstance, SeparableLinearInstance)}
 PREDICTORS = {cls.kind: cls for cls in (PerfectPredictor, ZeroPredictor, NoisyPredictor)}
-LAMBDA_MODES = ("fixed_theorem", "sqrt_t_schedule", "explicit")
 TRACEBACK_LINES = 10  # traceback tail kept per failed seed in the summary
 
 
@@ -64,8 +64,7 @@ class ExperimentConfig:
     variant: Variant
     environment: dict
     penalty: PenaltyKind = PenaltyKind.QUADRATIC
-    lambda_mode: str = "fixed_theorem"
-    lambda_value: float | None = None
+    lam: Literal["theorem", "sqrt_t", "doubling"] | float = "theorem"
     predictor: dict = field(default_factory=lambda: {"kind": "perfect"})
     error_estimate: float = 0.0
     alpha: float | None = None
@@ -82,7 +81,7 @@ class ExperimentConfig:
         cfg.validate()
         unread = sorted(cfg._unread_keys() & obj.keys())
         if unread:
-            raise ConfigError(f"{cfg.algorithm} in {cfg.lambda_mode} lambda mode reads no {unread}")
+            raise ConfigError(f"{cfg.algorithm} at lam={cfg.lam!r} reads no {unread}")
         return cfg
 
     def _unread_keys(self) -> set[str]:
@@ -90,7 +89,7 @@ class ExperimentConfig:
         rejected rather than run as if it had not."""
         if self.algorithm == "penalty_ogd":
             return {"predictor", "alpha", "error_estimate"}
-        if self.algorithm == "odaf" and self.lambda_mode == "explicit":
+        if not isinstance(self.lam, str):
             return {"error_estimate"}  # it only tunes lambda
         return set()
 
@@ -112,28 +111,25 @@ class ExperimentConfig:
                               f"got {self.name!r}")
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
-        if self.lambda_mode not in LAMBDA_MODES:
-            raise ConfigError(f"unknown lambda mode {self.lambda_mode!r}")
-        if self.lambda_value is not None and self.lambda_value <= 0:
-            raise ConfigError(f"lambda_value must be positive, got {self.lambda_value}")
+        if not isinstance(self.lam, str) and self.lam <= 0:
+            raise ConfigError(f"lam must be positive, got {self.lam}")
         if self.alpha is not None and self.alpha <= 0:
             raise ConfigError(f"alpha must be positive, got {self.alpha}")
         if self.error_estimate < 0:
             raise ConfigError(f"error_estimate must be >= 0, got {self.error_estimate}")
-        if self.lambda_mode == "explicit" and self.lambda_value is None:
-            raise ConfigError("explicit lambda mode needs a lambda_value")
-        if self.lambda_mode != "explicit" and self.lambda_value is not None:
-            raise ConfigError(f"lambda_value is read only in explicit lambda mode, "
-                              f"not in {self.lambda_mode!r}")
         if not self.seeds:
             raise ConfigError("need at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds must be distinct, got {self.seeds}")
         if min(self.seeds) < 0:
             raise ConfigError(f"seeds must be non-negative, got {self.seeds}")
+        if self.lam == "sqrt_t" and (self.algorithm != "penalty_ogd"
+                                     or self.penalty is not PenaltyKind.QUADRATIC):
+            raise ConfigError("the 1/sqrt(t) schedule is tied to penalty_ogd "
+                              "with the quadratic penalty")
+        if self.lam == "doubling" and self.algorithm != "odaf":
+            raise ConfigError("the doubling trick tunes lambda for odaf only")
         if self.algorithm == "penalty_ogd":
-            if self.lambda_mode == "sqrt_t_schedule" and self.penalty is not PenaltyKind.QUADRATIC:
-                raise ConfigError("the 1/sqrt(t) schedule is tied to the quadratic penalty")
             if self.penalty is PenaltyKind.EXPONENTIAL and self.variant is not Variant.COCO_M:
                 raise ConfigError(
                     "the exponential-penalty descent covers memory-less constraints only"
@@ -143,10 +139,6 @@ class ExperimentConfig:
                 raise ConfigError("the optimistic learners need separable linear slices")
             if self.penalty is not PenaltyKind.EXPONENTIAL:
                 raise ConfigError("the optimistic learners use the exponential penalty")
-            if self.lambda_mode == "sqrt_t_schedule":
-                raise ConfigError("the optimistic learners use a fixed lambda per epoch")
-            if self.algorithm == "odaf_doubling" and self.lambda_mode == "explicit":
-                raise ConfigError("odaf_doubling tunes lambda per epoch; it takes no lambda_value")
             if self.variant is Variant.COCO_M and env["constraint_memory"]:
                 raise ConfigError(
                     "memory-less-constraint runs need constraint_memory=false slices"
@@ -188,32 +180,33 @@ def build_predictor(cfg: ExperimentConfig, seed: int):
 
 
 def _lam(cfg: ExperimentConfig, instance):
-    """The config's lambda as the runners take it: 1/sqrt(t) over the
-    instance's rounds, else `lambda_value` (None, the learner's theorem
-    lambda, outside explicit mode)."""
-    if cfg.lambda_mode == "sqrt_t_schedule":
+    """The config's lambda as the runners take it: None (the learner's
+    theorem lambda) for "theorem", 1/sqrt(t) over the instance's rounds for
+    "sqrt_t", else the number."""
+    if cfg.lam == "theorem":
+        return None
+    if cfg.lam == "sqrt_t":
         t = np.arange(instance.rounds.start, instance.rounds.stop)
         return 1.0 / np.sqrt(np.maximum(t, 1))
-    return cfg.lambda_value
+    return cfg.lam
 
 
 def run_single(cfg: ExperimentConfig, seed: int) -> RunTrace:
     """One (config, seed) pipeline: instance generation plus the full run."""
     instance = build_instance(cfg, seed)
-    lam = _lam(cfg, instance)
     if cfg.algorithm == "penalty_ogd":
-        return run_penalty_ogd(instance, cfg.variant, cfg.penalty, lam)
+        return run_penalty_ogd(instance, cfg.variant, cfg.penalty, _lam(cfg, instance))
 
     from .optimistic import run_doubling, run_optimistic
 
     predictor = build_predictor(cfg, seed)
-    if cfg.algorithm == "odaf":
-        return run_optimistic(
-            instance, cfg.variant, predictor,
-            lam=lam, error_estimate=cfg.error_estimate, alpha=cfg.alpha,
-        )
-    return run_doubling(instance, cfg.variant, predictor, alpha=cfg.alpha,
-                        error_estimate=cfg.error_estimate)
+    if cfg.lam == "doubling":
+        return run_doubling(instance, cfg.variant, predictor, alpha=cfg.alpha,
+                            error_estimate=cfg.error_estimate)
+    return run_optimistic(
+        instance, cfg.variant, predictor,
+        lam=_lam(cfg, instance), error_estimate=cfg.error_estimate, alpha=cfg.alpha,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -228,10 +228,9 @@ class MetricSeries:
     regret_static_cum: np.ndarray
     regret_perround_cum: np.ndarray
     ccv_cum: np.ndarray
-    benchmark: Benchmark
 
 
-def regret_and_ccv(trace: RunTrace, benchmark: Benchmark | None = None) -> MetricSeries:
+def regret_and_ccv(trace: RunTrace) -> MetricSeries:
     """All cumulative series against a fixed best-in-hindsight point.
 
     When the benchmark set is empty the static regret is NaN; the run
@@ -239,8 +238,7 @@ def regret_and_ccv(trace: RunTrace, benchmark: Benchmark | None = None) -> Metri
     1-D experiment metric and reads NaN in higher dimension.
     """
     inst = trace.instance
-    if benchmark is None:
-        benchmark = best_in_hindsight(inst)
+    benchmark = best_in_hindsight(inst)
     f_mem = np.cumsum(trace.col("f_mem"))
     if benchmark.feasible:
         bench = np.cumsum(lift_loss_at(inst, benchmark.x_star))
@@ -257,7 +255,6 @@ def regret_and_ccv(trace: RunTrace, benchmark: Benchmark | None = None) -> Metri
         regret_static_cum=static,
         regret_perround_cum=per_round,
         ccv_cum=trace.col("ccv_cum"),
-        benchmark=benchmark,
     )
 
 

@@ -494,4 +494,4 @@ def run_doubling(
             learner.restart(t, lambda_optimistic(budget, offset))
         error += learner.play_round(t)["eps_g"]
     return _trace("odaf_doubling", learner, hints=learner.hints, epochs=len(starts),
-                  epoch_starts=starts, mu1=mu1, mu_final=budget)
+                  epoch_starts=starts, mu1=mu1)

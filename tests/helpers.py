@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+from cocomem.geometry import regret_coefficient
 from cocomem.metrics import RunTrace, best_in_hindsight, lift_loss_at
 
 
@@ -34,3 +35,14 @@ def sqrt_t(instance) -> np.ndarray:
     configs' schedule, as `run_penalty_ogd` takes it."""
     t = np.arange(instance.rounds.start, instance.rounds.stop)
     return 1.0 / np.sqrt(np.maximum(t, 1))
+
+
+def doubling_epoch_bound(trace: RunTrace) -> float:
+    """2 + log2(C sqrt(E_total) / mu1), the most epochs a doubling run of
+    more than one epoch can make, C the delayed-FTRL regret coefficient
+    and E_total the run's summed eps_g: epoch K - 1 ended when
+    C sqrt(E) > 2^(K-2) mu1, and E <= E_total."""
+    inst = trace.instance
+    coeff = regret_coefficient(inst.fset, inst.m, inst.fset.diameter**2)
+    error = sum(trace.col("eps_g").tolist())
+    return 2 + math.log2(coeff * math.sqrt(error) / trace.extras["mu1"])

@@ -1,5 +1,6 @@
 import argparse
 import enum
+import inspect
 import json
 import math
 import typing
@@ -11,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cocomem import harness
+from cocomem import harness, optimistic
 from cocomem.cli import _parser
 from cocomem.cli import main as cli_main
 from cocomem.core import Variant
@@ -40,7 +41,7 @@ BASE = {
     "variant": "coco_m2",
     "environment": {"kind": "appendix_a", "m": 2, "horizon": 120},
     "penalty": "quadratic",
-    "lambda_mode": "sqrt_t_schedule",
+    "lam": "sqrt_t",
     "seeds": [0, 1, 2],
     "name": "t",
 }
@@ -198,7 +199,7 @@ def test_invalid_combinations_rejected():
         _cfg(penalty="exponential")  # exponential descent needs coco_m
     with pytest.raises(ConfigError):
         _cfg(penalty="exponential", variant="coco_m",
-             lambda_mode="sqrt_t_schedule")  # schedule is quadratic-only
+             lam="sqrt_t")  # schedule is quadratic-only
     with pytest.raises(ConfigError):
         _cfg(algorithm="odaf",
              environment={"kind": "separable_linear", "m": 1, "horizon": 50},
@@ -208,7 +209,7 @@ def test_invalid_combinations_rejected():
              environment={"kind": "separable_linear", "m": 1, "horizon": 50},
              penalty="exponential")  # memory-less variant needs delay-0 slices
     with pytest.raises(ConfigError):
-        _cfg(lambda_mode="explicit")  # needs a positive value
+        _cfg(lam=0.0)  # a number must be positive
     with pytest.raises(ConfigError):
         _cfg(environment={"kind": "nowhere"})
     with pytest.raises(ConfigError):
@@ -217,14 +218,14 @@ def test_invalid_combinations_rejected():
     _cfg(variant="coco_m")
     _cfg()
     _cfg(algorithm="odaf", variant="coco_m2", penalty="exponential",
-         lambda_mode="fixed_theorem",
+         lam="theorem",
          environment={"kind": "separable_linear", "m": 1, "horizon": 50})
     _cfg(algorithm="odaf", variant="coco_m", penalty="exponential",
-         lambda_mode="fixed_theorem",
+         lam="theorem",
          environment={"kind": "separable_linear", "m": 1, "horizon": 50,
                       "constraint_memory": False})
-    _cfg(algorithm="odaf_doubling", variant="coco_m2", penalty="exponential",
-         lambda_mode="fixed_theorem",
+    _cfg(algorithm="odaf", variant="coco_m2", penalty="exponential",
+         lam="doubling",
          environment={"kind": "separable_linear", "m": 1, "horizon": 50})
 
 
@@ -305,19 +306,23 @@ def test_cli_rejects_parallel_below_one(tmp_path, capsys):
 
 
 def test_verify_and_bounds_name_the_seed_that_failed(tmp_path, capsys):
-    """At explicit lambda = 8e3 on the optimistic_perfect environment seed
-    3 completes and seed 4's decision overflows: `verify` and `bounds` exit
-    2 with that seed in the message."""
+    """At lambda = 8e3 on the optimistic_perfect environment seed 3
+    completes and seed 4's decision overflows: `verify` and `bounds` print
+    seed 3's lines, then exit 2 with seed 4 in the message."""
     config = Path(__file__).resolve().parents[1] / "configs" / "optimistic_perfect.json"
     cfg = json.loads(config.read_text())
-    del cfg["error_estimate"]  # explicit lambda reads no estimate
+    del cfg["error_estimate"]  # a given lambda reads no estimate
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({**cfg, "lambda_mode": "explicit", "lambda_value": 8e3,
-                                    "seeds": [3, 4]}))
-    for command in ("verify", "bounds"):
+    cfg_path.write_text(json.dumps({**cfg, "lam": 8e3, "seeds": [3, 4]}))
+    seed3 = ExperimentConfig.from_dict({**cfg, "lam": 8e3, "seeds": [3]})
+    _, verdicts = verify_experiment(seed3)
+    [(_, report)] = harness.bounds_reports(seed3)
+    assert len(verdicts) == 7
+    for command, lines in (("verify", verdicts), ("bounds", [f"seed 3: {report.to_json()}"])):
         assert cli_main([command, "--config", str(cfg_path)]) == 2
-        assert capsys.readouterr().err == (
-            "runtime failure: seed 4: decision has non-finite entries\n")
+        out, err = capsys.readouterr()
+        assert out.splitlines() == lines
+        assert err == "runtime failure: seed 4: decision has non-finite entries\n"
 
 
 def test_cli_verify_exit_code(tmp_path):
@@ -332,7 +337,7 @@ def test_cli_verify_exit_code(tmp_path):
     ({"kind": "appendix_a", "m": 1, "horizon": 60, "dim": 2, "radius": 5.0, "sigma": 2.0},
      {"algorithm": "penalty_ogd"}),
     ({"kind": "separable_linear", "m": 1, "horizon": 60, "dim": 2},
-     {"algorithm": "odaf", "penalty": "exponential", "lambda_mode": "fixed_theorem"}),
+     {"algorithm": "odaf", "penalty": "exponential", "lam": "theorem"}),
 ], ids=["appendix_a", "separable_linear"])
 def test_cli_verify_2d_at_default_resolution(tmp_path, environment, algorithm):
     # the 2-D grid step is fixed by the set: its diameter / 500
@@ -436,35 +441,22 @@ def test_run_experiment_rejects_duplicate_seeds(tmp_path, parallel):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("raw", ["1e400", "0", "-1", '"abc"'])
-def test_cli_rejects_bad_lambda_value(tmp_path, capsys, raw):
-    # 1e400 parses as infinity; "abc" is not a number
-    text = json.dumps({**BASE, "seeds": [0], "lambda_mode": "explicit",
-                       "lambda_value": "LAM"})
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(text.replace('"LAM"', raw))
-    out = tmp_path / "out"
-    assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
-    assert "config error:" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_lambda_schedule_modes():
     """The config's lambda as `run_single` hands it to the runner: the
-    explicit value, None for the learner's theorem lambda, or 1/sqrt(t)
-    per round, guarded at t = 0 and bit for bit 1.0 / math.sqrt(max(t, 1))
+    number, None for the learner's theorem lambda, or 1/sqrt(t) per
+    round, guarded at t = 0 and bit for bit 1.0 / math.sqrt(max(t, 1))
     up to t = 2e6."""
     inst = SimpleNamespace(rounds=range(0, 2 * 10**6 + 1))
-    assert harness._lam(_cfg(lambda_mode="explicit", lambda_value=0.25), inst) == 0.25
-    assert harness._lam(_cfg(lambda_mode="fixed_theorem"), inst) is None
+    assert harness._lam(_cfg(lam=0.25), inst) == 0.25
+    assert harness._lam(_cfg(lam="theorem"), inst) is None
     got = harness._lam(_cfg(), inst)
     assert got.tolist() == [1.0 / math.sqrt(max(t, 1)) for t in inst.rounds]
 
 
-def test_lambda_value_is_parsed_as_a_float():
-    cfg = _cfg(lambda_mode="explicit", lambda_value=1)
-    assert type(cfg.lambda_value) is float and cfg.lambda_value == 1.0
-    assert _cfg().lambda_value is None
+def test_lam_number_is_parsed_as_a_float():
+    cfg = _cfg(lam=1)
+    assert type(cfg.lam) is float and cfg.lam == 1.0
+    assert _cfg().lam == "sqrt_t"
 
 
 ODAF_BASE = {
@@ -510,24 +502,6 @@ def test_cli_rejects_private_environment_keys(tmp_path, capsys, monkeypatch, com
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
-@pytest.mark.parametrize("base, over", [
-    # read only in explicit mode: the 1/sqrt(t) schedule would run instead
-    (BASE, {"lambda_value": 0.5}),
-    (BASE, {"lambda_mode": "fixed_theorem", "lambda_value": 0.5}),
-    (ODAF_BASE, {"lambda_value": 0.5}),
-    # the doubling learner tunes lambda per epoch and reads no lambda_value
-    ({**ODAF_BASE, "algorithm": "odaf_doubling"},
-     {"lambda_mode": "explicit", "lambda_value": 0.5}),
-], ids=["ogd_schedule", "ogd_theorem", "odaf_theorem", "doubling_explicit"])
-def test_cli_rejects_an_ignored_lambda_value(tmp_path, capsys, base, over):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({**base, **over}))
-    out = tmp_path / "out"
-    assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
-    assert "config error:" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def _rejected_by_both_commands(tmp_path, capsys, monkeypatch, obj):
     """`run` and `verify` each exit 1 with a config error and write nothing."""
     monkeypatch.chdir(tmp_path)
@@ -559,7 +533,7 @@ NOISY_BASE = {**ODAF_BASE, "predictor": {"kind": "noisy", "scale": 0.3}}
     # a number is a finite real that is not a bool: float() read these
     {**ODAF_BASE, "predictor": {"kind": "noisy", "scale": "0.3"}},
     {**ODAF_BASE, "predictor": {"kind": "noisy", "scale": True}},
-    {**BASE, "lambda_mode": "explicit", "lambda_value": "0.5"},
+    {**BASE, "lam": "0.5"},
     {**ODAF_BASE, "alpha": "2"},
     {**ODAF_BASE, "error_estimate": None},
     # dict() read a list of [key, value] pairs
@@ -567,7 +541,7 @@ NOISY_BASE = {**ODAF_BASE, "predictor": {"kind": "noisy", "scale": 0.3}}
     {**ODAF_BASE, "predictor": [["kind", "perfect"]]},
 ], ids=["top_level_typo", "scale_typo", "perfect_with_scale", "no_kind", "scale_nan",
         "scale_infinite", "scale_negative", "noisy_without_scale", "environment_seed",
-        "noisy_seed", "perfect_seed", "scale_string", "scale_true", "lambda_value_string",
+        "noisy_seed", "perfect_seed", "scale_string", "scale_true", "lam_string",
         "alpha_string", "error_estimate_null", "environment_pairs", "predictor_pairs"])
 def test_cli_rejects_keys_outside_the_schema(tmp_path, capsys, monkeypatch, obj):
     _rejected_by_both_commands(tmp_path, capsys, monkeypatch, obj)
@@ -579,26 +553,84 @@ def test_cli_rejects_keys_outside_the_schema(tmp_path, capsys, monkeypatch, obj)
     {**BASE, "predictor": {"kind": "perfect"}},
     {**BASE, "alpha": 0.5},
     {**BASE, "error_estimate": 0.0},
-    # in explicit mode the error estimate would only have tuned lambda
-    {**ODAF_BASE, "lambda_mode": "explicit", "lambda_value": 0.5, "error_estimate": 0.0},
-], ids=["ogd_predictor", "ogd_alpha", "ogd_error_estimate", "odaf_explicit_error_estimate"])
+    # at a given lambda the error estimate would only have tuned lambda
+    {**ODAF_BASE, "lam": 0.5, "error_estimate": 0.0},
+], ids=["ogd_predictor", "ogd_alpha", "ogd_error_estimate", "odaf_number_error_estimate"])
 def test_cli_rejects_a_key_the_learner_does_not_read(tmp_path, capsys, monkeypatch, obj):
+    _rejected_by_both_commands(tmp_path, capsys, monkeypatch, obj)
+
+
+# The configs' lambda vocabulary before `lam`: an algorithm, a lambda mode
+# and a value.  Each accepted combination, its `lam` spelling, and the
+# runner call and lambda that both make.
+LAM_SPELLINGS = [
+    (("penalty_ogd", "fixed_theorem", None), {"lam": "theorem"}, "run_penalty_ogd", None),
+    (("penalty_ogd", "sqrt_t_schedule", None), {"lam": "sqrt_t"}, "run_penalty_ogd", "sqrt_t"),
+    (("penalty_ogd", "explicit", 0.25), {"lam": 0.25}, "run_penalty_ogd", 0.25),
+    (("odaf", "fixed_theorem", None), {"lam": "theorem"}, "run_optimistic", None),
+    (("odaf", "explicit", 0.25), {"lam": 0.25}, "run_optimistic", 0.25),
+    (("odaf_doubling", "fixed_theorem", None), {"lam": "doubling"}, "run_doubling", "no lambda"),
+]
+
+
+@pytest.mark.parametrize("before, new, runner, lam", LAM_SPELLINGS,
+                         ids=["-".join(map(str, before)) for before, *_ in LAM_SPELLINGS])
+def test_lam_makes_the_runner_call_of_the_lambda_it_replaces(monkeypatch, before, new,
+                                                             runner, lam):
+    base = BASE if before[0] == "penalty_ogd" else ODAF_BASE
+    cfg = ExperimentConfig.from_dict({**base, **new})
+    calls = []
+
+    def record(module, name):
+        sig = inspect.signature(getattr(module, name))
+        monkeypatch.setattr(module, name, lambda *args, **kwargs: calls.append(
+            (name, sig.bind(*args, **kwargs).arguments)))
+
+    record(harness, "run_penalty_ogd")
+    record(optimistic, "run_optimistic")
+    record(optimistic, "run_doubling")
+    run_single(cfg, 0)
+    [(name, arguments)] = calls
+    assert name == runner
+    if lam == "no lambda":
+        assert "lam" not in arguments
+    elif lam == "sqrt_t":
+        rounds = arguments["instance"].rounds
+        assert np.array_equal(arguments["lam"], [1.0 / math.sqrt(max(t, 1)) for t in rounds])
+    else:
+        assert arguments["lam"] == lam and type(arguments["lam"]) is type(lam)
+
+
+@pytest.mark.parametrize("obj", [
+    # a number is finite and positive (1e400 parses as infinity)
+    {**BASE, "lam": 0}, {**BASE, "lam": -1}, {**BASE, "lam": 1e400}, {**BASE, "lam": "abc"},
+    # the 1/sqrt(t) schedule is penalty OGD's, with the quadratic penalty
+    {**BASE, "penalty": "exponential", "variant": "coco_m"},
+    {**ODAF_BASE, "lam": "sqrt_t"},
+    # the doubling trick tunes odaf's lambda
+    {**BASE, "lam": "doubling"},
+    # the lambda modes of before are no rule names, and odaf_doubling no algorithm
+    {**BASE, "lam": "explicit"}, {**BASE, "lam": "fixed_theorem"},
+    {**BASE, "lam": "sqrt_t_schedule"},
+    {**ODAF_BASE, "algorithm": "odaf_doubling"},
+], ids=["zero", "negative", "infinite", "not_a_rule", "sqrt_t_exponential", "sqrt_t_odaf",
+        "doubling_ogd", "explicit", "fixed_theorem", "sqrt_t_schedule", "odaf_doubling"])
+def test_cli_rejects_a_lam_outside_the_rules(tmp_path, capsys, monkeypatch, obj):
     _rejected_by_both_commands(tmp_path, capsys, monkeypatch, obj)
 
 
 def test_keys_are_accepted_where_the_learner_reads_them():
     ExperimentConfig.from_dict({**NOISY_BASE, "alpha": 0.5, "error_estimate": 0.1})
-    ExperimentConfig.from_dict({**NOISY_BASE, "algorithm": "odaf_doubling", "alpha": 0.5,
+    ExperimentConfig.from_dict({**NOISY_BASE, "lam": "doubling", "alpha": 0.5,
                                 "error_estimate": 0.1})
-    ExperimentConfig.from_dict({**NOISY_BASE, "lambda_mode": "explicit", "lambda_value": 0.5,
-                                "alpha": 0.5})
+    ExperimentConfig.from_dict({**NOISY_BASE, "lam": 0.5, "alpha": 0.5})
 
 
 def test_config_fields_are_typed_once():
     cfg = ExperimentConfig.from_dict({**ODAF_BASE, "error_estimate": 1, "alpha": 2})
     assert (cfg.variant, cfg.penalty) == (Variant.COCO_M2, PenaltyKind.EXPONENTIAL)
     assert type(cfg.error_estimate) is float and cfg.alpha == 2.0
-    assert cfg.lambda_value is None and cfg.predictor == {"kind": "perfect"}
+    assert cfg.lam == "theorem" and cfg.predictor == {"kind": "perfect"}
     obj = {**ODAF_BASE}
     cfg = ExperimentConfig.from_dict(obj)
     cfg.environment["m"] = 3
@@ -614,22 +646,15 @@ def test_build_predictor_dispatch():
     assert build_predictor(ExperimentConfig.from_dict(NOISY_BASE), 7).seed == 7
 
 
-def test_readme_schema_names_every_config_field():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = readme.split("### Config schema", 1)[1]
-    block = section.split("```json", 1)[1].split("```", 1)[0]
-    assert set(json.loads(block)) == {f.name for f in fields(ExperimentConfig)}
-
-
 @pytest.mark.parametrize("obj", [
     {**BASE, "name": None},
     {**BASE, "name": "a/b"},
     {**BASE, "name": ""},
     {**BASE, "out_dir": 5},
-    {**BASE, "lambda_mode": "explicit", "lambda_value": True},
+    {**BASE, "lam": True},
     {**ODAF_BASE, "alpha": True},
     {**ODAF_BASE, "error_estimate": False},
-], ids=["name_null", "name_with_directory", "name_empty", "out_dir_int", "lambda_value_true",
+], ids=["name_null", "name_with_directory", "name_empty", "out_dir_int", "lam_true",
         "alpha_true", "error_estimate_false"])
 def test_cli_rejects_mistyped_top_level_fields(tmp_path, capsys, monkeypatch, obj):
     # a null name wrote None_seed0.csv, a bool ran as 1.0 or 0.0, and a
@@ -691,7 +716,7 @@ def test_every_float_value_follows_the_number_rule():
         base = valid.get(cls, {f.name: f.default for f in fields(cls)})
         check_fields(cls, base)
         for f in fields(cls):
-            if f.type not in ("float", "float | None", "tuple[float, float]"):
+            if "float" not in f.type:
                 continue
             for bad in NOT_NUMBERS:
                 if bad is None and f.type == "float | None":
@@ -702,9 +727,9 @@ def test_every_float_value_follows_the_number_rule():
             checked.add(cls)
     assert checked == {ExperimentConfig, *ENV_FAMILIES.values(), NoisyPredictor}
     # and where the values arrive: the config load and the constructor
-    for name in ("lambda_value", "error_estimate", "alpha"):
+    for name in ("lam", "error_estimate", "alpha"):
         for bad in NOT_NUMBERS:
-            if bad is not None or name == "error_estimate":  # None: no lambda_value or alpha
+            if bad is not None or name != "alpha":  # None: no alpha
                 with pytest.raises(ConfigError, match=f"{name} must be a finite number"):
                     ExperimentConfig.from_dict({**ODAF_BASE, name: bad})
     for bad in NOT_NUMBERS:

@@ -112,7 +112,7 @@ def test_benchmark_replay_has_zero_memoryless_regret():
     inst = _two_round_instance([1.0, 3.0], [1.0, 1.0])
     b = best_in_hindsight(inst)
     tr = _toy_trace(inst, [b.x_star[0]] * 2)
-    s = regret_and_ccv(tr, b)
+    s = regret_and_ccv(tr)
     memoryless = np.sum(tr.col("f_splat") - lift_loss_at(inst, b.x_star))
     assert memoryless == pytest.approx(0.0, abs=1e-12)
     assert s.regret_static_cum[-1] == pytest.approx(0.0, abs=1e-12)
@@ -126,7 +126,7 @@ def test_three_round_hand_tally():
     b = best_in_hindsight(inst)
     # interval x <= 1; mean(c) = 2/3; x* = 2/3
     assert b.x_star[0] == pytest.approx(2.0 / 3.0)
-    s = regret_and_ccv(tr, b)
+    s = regret_and_ccv(tr)
     # losses: .5(0-1)^2=.5, .5(2-3)^2=.5, .5(-1+2)^2=.5 -> cumulative 1.5
     # benchmark: .5(2/3-1)^2 + .5(2/3-3)^2 + .5(2/3+2)^2 = 6.3888...
     bench_total = 0.5 * ((2 / 3 - 1) ** 2 + (2 / 3 - 3) ** 2 + (2 / 3 + 2) ** 2)
@@ -140,7 +140,8 @@ def test_memory_identity_on_real_run():
     tr = run_penalty_ogd(inst, Variant.COCO_M2)
     s = regret_and_ccv(tr)
     deviation = float(np.sum(tr.col("f_mem") - tr.col("f_splat")))
-    memoryless = np.sum(tr.col("f_splat")) - np.sum(lift_loss_at(inst, s.benchmark.x_star))
+    x_star = best_in_hindsight(inst).x_star
+    memoryless = np.sum(tr.col("f_splat")) - np.sum(lift_loss_at(inst, x_star))
     lhs = s.regret_static_cum[-1] - memoryless
     assert lhs == pytest.approx(deviation, rel=1e-9, abs=1e-9)
 
@@ -252,12 +253,12 @@ def test_doubling_weight_check_is_per_epoch():
 
 
 def test_a_one_epoch_doubling_run_is_audited_as_odaf(tmp_path, capsys):
-    """On the optimistic_perfect environment under `odaf_doubling`, seed 0
+    """On the optimistic_perfect environment at lam "doubling", seed 0
     makes one epoch, whose records and hints are those of `odaf` at its
     lambda; `verify` runs the four `odaf` checks on it and `bounds` reports
     their forward-regret bound.  Seed 1 makes two epochs and gets neither."""
     cfg = load_config(CONFIG_DIR / "optimistic_perfect.json")
-    cfg = dataclasses.replace(cfg, algorithm="odaf_doubling", seeds=[0, 1])
+    cfg = dataclasses.replace(cfg, lam="doubling", seeds=[0, 1])
     tr = run_single(cfg, 0)
     assert tr.extras["epochs"] == 1 and run_single(cfg, 1).extras["epochs"] == 2
     fixed = run_optimistic(tr.instance, tr.variant, PerfectPredictor(), lam=tr.col("lam")[0])
@@ -300,14 +301,14 @@ def test_checks_of_a_run_with_no_rounds_pass(tmp_path, capsys):
         raise ValueError(f"{token} is not JSON")
 
     env = {"kind": "separable_linear", "m": 2, "horizon": 2, "radius": 2.0}
-    for algorithm in ("odaf", "odaf_doubling", "penalty_ogd"):
-        cfg = {"algorithm": algorithm, "variant": "coco_m2", "environment": env}
+    for algorithm, lam in (("odaf", "theorem"), ("odaf", "doubling"), ("penalty_ogd", "theorem")):
+        cfg = {"algorithm": algorithm, "variant": "coco_m2", "environment": env, "lam": lam}
         if algorithm != "penalty_ogd":
             cfg["penalty"] = "exponential"
-        path = tmp_path / f"{algorithm}.json"
+        path = tmp_path / f"{algorithm}_{lam}.json"
         path.write_text(json.dumps(cfg))
-        assert cli_main(["verify", "--config", str(path)]) == 0, algorithm
-        assert cli_main(["bounds", "--config", str(path)]) == 0, algorithm
+        assert cli_main(["verify", "--config", str(path)]) == 0, (algorithm, lam)
+        assert cli_main(["bounds", "--config", str(path)]) == 0, (algorithm, lam)
         out = capsys.readouterr().out.strip().splitlines()
         assert "FAIL" not in "\n".join(out[:-1])
         prefix, _, doc = out[-1].partition(": ")
@@ -318,12 +319,12 @@ def test_checks_of_a_run_with_no_rounds_pass(tmp_path, capsys):
 
 def test_played_surrogate_check_is_relative():
     """The played-surrogate half of `forward_vertical_consistency` allows
-    1e-8 relative: seed 2 of an explicit lambda = 10 run on the
+    1e-8 relative: seed 2 of a lambda = 10 run on the
     doubling_noisy environment sums both sides near 1.6e102, one ulp apart,
     and passes; one f_mem raised by 1e-6 of the forward sum fails it, and
     the verdict prints that half's sides."""
     cfg = load_config(CONFIG_DIR / "doubling_noisy.json")
-    cfg = dataclasses.replace(cfg, algorithm="odaf", lambda_mode="explicit", lambda_value=10.0)
+    cfg = dataclasses.replace(cfg, lam=10.0)
     tr = run_single(cfg, 2)
     check = check_forward_consistency(tr)
     assert check.passed and check.rhs == 1e-9

@@ -28,7 +28,7 @@ from cocomem.harness import load_config, run_single
 from cocomem.metrics import ForwardFunctions, _decisions_by_round
 from cocomem.optimistic import OdafLearner, doubling_mu1, huber
 from cocomem.penalty import Penalty, lambda_optimistic
-from helpers import error_sums
+from helpers import doubling_epoch_bound, error_sums
 from reference_odaf import DoublingSchedule
 
 
@@ -433,26 +433,28 @@ def test_doubling_schedule_scripted_epochs(monkeypatch):
     class ScriptedLearner:
         def __init__(self, instance, variant, predictor, lam, alpha=None):
             self.inst, self.variant, self.alpha = instance, variant, alpha
-            self.records, self.hints = None, None
+            self.records, self.hints = np.zeros(len(eps), dtype=[("lam", float)]), None
             self.fixed_point_fallbacks = 0
-            self.epochs = [(instance.first_round, lam)]
+            self.lam, self.starts = lam, [instance.first_round]
             learners.append(self)
 
         def restart(self, t, lam):
-            self.epochs.append((t, lam))
+            self.lam = lam
+            self.starts.append(t)
 
         def play_round(self, t):
+            self.records["lam"][t - 1] = self.lam
             return {"eps_g": eps[t - 1]}
 
     monkeypatch.setattr(optimistic, "OdafLearner", ScriptedLearner)
     monkeypatch.setattr(optimistic, "_tuning", lambda instance, variant, alpha: (1.0, 1.0, 1.0))
     inst = types.SimpleNamespace(first_round=1, rounds=range(1, 10))
     tr = optimistic.run_doubling(inst, Variant.COCO_M2, None, error_estimate=1.0)
-    assert [t for t, _ in learners[0].epochs] == [1, 4, 9] == tr.extras["epoch_starts"]
-    assert [lam for _, lam in learners[0].epochs] == [
-        lambda_optimistic(budget, 1.0) for budget in (1.0, 2.0, 4.0)]
-    assert tr.extras["epochs"] == 3
-    assert tr.extras["mu1"] == 1.0 and tr.extras["mu_final"] == 4.0
+    assert learners[0].starts == [1, 4, 9] == tr.extras["epoch_starts"]
+    assert tr.extras["epochs"] == 3 and tr.extras["mu1"] == 1.0
+    # each round's lam column reads back its epoch's budget
+    budgets = [1.0] * 3 + [2.0] * 5 + [4.0]
+    assert tr.col("lam").tolist() == [lambda_optimistic(b, 1.0) for b in budgets]
     assert len(learners) == 1
 
 
@@ -484,7 +486,7 @@ def test_doubling_arithmetic_reads_back_from_the_trace():
                 assert coeff * math.sqrt(sums[-1]) > budget, (seed, k)
         n = tr.extras["epochs"]
         assert n == len(starts) > 1
-        assert n <= 2 + math.log2(coeff * math.sqrt(sum(eps)) / mu1), seed
+        assert n <= doubling_epoch_bound(tr), seed
 
 
 @pytest.mark.parametrize("variant, constraint_memory, delay", [
@@ -513,9 +515,9 @@ def test_doubling_epoch_count_obeys_budget_arithmetic():
         inst = SeparableLinearInstance(m=2, horizon=150, seed=seed,
                                        g_round_density=0.4, g_mag=(0.05, 0.2))
         tr = run_doubling(inst, Variant.COCO_M2, NoisyPredictor(0.4, seed=seed))
-        n, mu1, muf = tr.extras["epochs"], tr.extras["mu1"], tr.extras["mu_final"]
+        n = tr.extras["epochs"]
         if n > 1:
-            assert n <= math.ceil(math.log2(muf / mu1)) + 1
+            assert n <= doubling_epoch_bound(tr), seed
         tr.validate()
 
 
