@@ -4,10 +4,10 @@
     cocomem verify --config cfg.json
     cocomem bounds --config cfg.json
 
-Exit codes: 0 success, 1 config error, 2 runtime failure, 3 verification
-failure.  COCO_MEM_OUT overrides the output directory.  `verify` and
-`bounds` print each seed's lines as it finishes; a seed that fails stops
-them with exit 2.
+Exit codes: 0 success, 1 config or usage error, 2 runtime failure, 3
+verification failure.  COCO_MEM_OUT overrides the output directory.
+`verify` and `bounds` print each seed's lines as it finishes; a seed
+that fails stops them with exit 2.
 """
 
 from __future__ import annotations
@@ -32,23 +32,25 @@ EXIT_RUNTIME = 2
 EXIT_VERIFY = 3
 
 
-def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="cocomem",
-                                description="constrained online learning with memory")
-    sub = p.add_subparsers(dest="command", required=True)
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """A usage error exits 1, as a config error does, not argparse's 2."""
+        self.exit(EXIT_CONFIG, f"{self.format_usage()}{self.prog}: error: {message}\n")
 
-    run_p = sub.add_parser("run", help="run an experiment config across seeds")
-    run_p.add_argument("--config", required=True)
+
+def _parser() -> argparse.ArgumentParser:
+    p = _Parser(prog="cocomem", description="constrained online learning with memory")
+    sub = p.add_subparsers(dest="command", required=True)
+    config = _Parser(add_help=False)  # the option every command takes
+    config.add_argument("--config", required=True)
+
+    run_p = sub.add_parser("run", parents=[config], help="run an experiment config across seeds")
     run_p.add_argument("--out", default=None, help="output directory")
     run_p.add_argument("--seeds", type=int, default=None,
                        help="use seeds 0..N-1 instead of the config's list")
     run_p.add_argument("--parallel", type=int, default=1)
-
-    ver_p = sub.add_parser("verify", help="run the invariant suite on a config")
-    ver_p.add_argument("--config", required=True)
-
-    b_p = sub.add_parser("bounds", help="print measured-vs-theoretical bound reports")
-    b_p.add_argument("--config", required=True)
+    sub.add_parser("verify", parents=[config], help="run the invariant suite on a config")
+    sub.add_parser("bounds", parents=[config], help="print measured-vs-theoretical bound reports")
     return p
 
 

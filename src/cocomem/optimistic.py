@@ -19,12 +19,13 @@ Phi'(V_{t-1}) instead of the delayed one.
 `OdafLearner` holds a vector as a Python float at d = 1 and as a (d,)
 float array at d >= 2, so `+`, `-` and scalar `*` serve both.  It reads
 each round's slice rows from the instance arrays as the round is played
-and takes Phi' from `penalty.phi_prime`.  A forward gradient settles m
-rounds after its decision, so it keeps only the last O(m) rounds of
-history.  Dot products, norms and sums of squares are one float product
-at d = 1 and numpy's own at d >= 2, so every value keeps the bits of the
-numpy learner in `tests/reference_odaf.py`, the reference the tests
-hold it to.
+and takes Phi' from `penalty.phi_prime` of V_r, which it reads where
+the audit does, in the `ccv_cum` column of its trace table.  A forward
+gradient settles m rounds after its decision, so it keeps only the last
+O(m) rounds of decisions and slices.  Dot products, norms and sums of
+squares are one float product at d = 1 and numpy's own at d >= 2, so
+every value keeps the bits of the numpy learner in
+`tests/reference_odaf.py`, the reference the tests hold it to.
 """
 
 from __future__ import annotations
@@ -66,14 +67,14 @@ def _vectors(dim: int):
 class OdafLearner:
     """One optimistic run, restarted in place at each doubling epoch.
 
-    The decision and violation windows (`x_hist` / `v_hist`: round ->
-    decision vector / cumulative violation, holding only the rounds a
-    later round reads), the trace table (row t - instance.first_round
-    holds round t), the hints (row k is h_{instance.first_round + k}),
-    `fixed_point_fallbacks` and `ccv` last the whole run.  `restart(t,
-    lam)` starts an epoch at round t: slices of rounds before t read as
-    absent, as in the pre-history of a cold start, and the gradient
-    memory and hint-error statistics start fresh.
+    The decision window (`x_hist`, round -> decision, holding the m + 2
+    rounds a later round reads), the trace table (row t - first_round
+    holds round t; V_t enters its `ccv_cum` before x_{t+1} is committed),
+    the hints (row k is h_{first_round + k}), `fixed_point_fallbacks` and
+    `ccv` last the whole run.  `restart(t, lam)` starts an epoch at round
+    t: slices of rounds before t read as absent, as in the pre-history of
+    a cold start, and the gradient memory and hint-error statistics start
+    fresh.
     """
 
     def __init__(self, instance, variant: Variant, predictor, lam: float,
@@ -98,10 +99,9 @@ class OdafLearner:
         first = instance.first_round
         center = self._vec(self.fset.center)
         self.x_hist = {r: center for r in range(first - self.m - 1, first)}
-        self.v_hist: dict[int, float] = {}
         self.records = round_table(instance.horizon - first + 1, self.dim)
+        self._ccv_col = self.records["ccv_cum"]
         self.hints = np.zeros((instance.horizon - first + 2, self.dim))
-        self._last_played = first - 1
         self.fixed_point_fallbacks = 0
         self.ccv = 0.0
         self.restart(first, lam)
@@ -125,42 +125,31 @@ class OdafLearner:
         # hint round -> (hint, its forecasts) until the round's gradient settles
         self._pending: dict[int, tuple] = {}
         self._a: dict[int, float] = {}
-        # round r -> Phi'(V_{r-d}), kept once round r - d is played
-        self._mults: dict[int, float] = {}
         self._cum_sq = 0.0
         self._max_awin = 0.0
-        self.mu_now = 0.0
         # pre-step: commit x_t from an all-predicted hint
         self._decide_next(t - 1)
 
-    # -- held history: reads of dropped rounds raise -------------------------
+    # -- cumulative violation, read from the trace table ---------------------
 
     def v_at(self, r: int) -> float:
-        """Cumulative violation after round r; rounds before the run and
-        rounds not yet played read 0."""
-        v = self.v_hist.get(r)
-        if v is not None:
-            return v
-        if self.inst.first_round <= r <= self._last_played:
-            raise ValueError(f"violation of round {r} is no longer held")
-        return 0.0
+        """Cumulative violation after round r, the table's `ccv_cum` row;
+        rounds before the run and rounds not yet played (zero rows) read 0."""
+        k = r - self.inst.first_round
+        return float(self._ccv_col[k]) if 0 <= k < len(self._ccv_col) else 0.0
 
     def _mult(self, r: int) -> float:
         """Penalty weight of round r's constraint slice inside the forward
         function; prehistory and rounds not yet played read V = 0."""
-        w = self._mults.get(r)
-        if w is None:
-            w = phi_prime(_EXP, self.lam, self.v_at(r - self.dual_delay))
-            if r - self.dual_delay <= self._last_played:
-                self._mults[r] = w
-        return w
+        return phi_prime(_EXP, self.lam, self.v_at(r - self.dual_delay))
 
     # -- forward gradients ----------------------------------------------------
 
-    def _reveal(self, t: int) -> tuple:
+    def _reveal(self, t: int, mult: float) -> tuple:
         """Read round t's slice rows, judge each constraint slice at the
-        decision it touches, and add the revealed slices to the open
-        forward gradients.  Returns (loss rows or None, [(i, coeff, offset,
+        decision it touches, and add the revealed slices, the active
+        constraint slices weighted by `mult`, to the open forward
+        gradients.  Returns (loss rows or None, [(i, coeff, offset,
         value)] of the present constraint slices)."""
         m, dot, xs = self.m, self._dot, self.x_hist
         f, g_rows, active = None, [], [None] * (m + 1)
@@ -179,7 +168,6 @@ class OdafLearner:
                         active[i] = coef[i]
         self._seen[t] = (f, active)
         self._seen.pop(t - m - 1, None)
-        mult = self._mult(t) if any(a is not None for a in active) else 0.0
         for i in range(m + 1):
             z = self._open.get(t - i, self._zero)
             if f is not None:
@@ -243,9 +231,10 @@ class OdafLearner:
             preds.append((r, i, f_pred, g if active else self._zero))
         return z
 
-    def _decide_next(self, t: int) -> None:
-        """End-of-round-t work: assemble h_{t+1}, compute mu_{t+1}, and
-        commit x_{t+1} (self-consistent activity for the pending round)."""
+    def _decide_next(self, t: int) -> float:
+        """End-of-round-t work: assemble h_{t+1}, and commit x_{t+1}
+        (self-consistent activity for the pending round); returns the
+        FTRL weight mu_{t+1} that chose it."""
         m, nxt, dot = self.m, t + 1, self._dot
         forecasts = self.predictor.forecasts(nxt)
         preds: list[tuple] = []
@@ -263,7 +252,6 @@ class OdafLearner:
                 toggles.append((i, g, g_off, self._mult(nxt + i) * g))
 
         mu = (2.0 / self.alpha) * self._max_awin + math.sqrt(self._cum_sq) / self.alpha
-        self.mu_now = mu
         f_block = self._zero
         for f_pred, _, _ in block:
             f_block = f_block + f_pred
@@ -275,9 +263,7 @@ class OdafLearner:
             ztilde = ztilde + f_pred
             if i in on:
                 ztilde = ztilde + on[i]
-                preds.append((nxt + i, i, f_pred, g))
-            else:
-                preds.append((nxt + i, i, f_pred, self._zero))
+            preds.append((nxt + i, i, f_pred, g if i in on else self._zero))
         hint = base + ztilde
         self.hints[nxt - self.inst.first_round] = hint
         self._pending[nxt] = (hint, preds)
@@ -288,6 +274,7 @@ class OdafLearner:
         if s in self._a:
             awin = sum(self._a.get(j, 0.0) for j in range(s - m + 1, s + 1))
             self._max_awin = max(self._max_awin, awin)
+        return mu
 
     def _resolve_pending_activity(self, lin0, mu: float, toggles, x_last):
         """Search for an activity pattern of the pending round's constraint
@@ -332,10 +319,10 @@ class OdafLearner:
     def play_round(self, t: int) -> np.record:
         """Observe round t, settle the newly revealed forward gradient and
         hint error, and commit the next decision."""
-        m, dot = self.m, self._dot
-        xs = self.x_hist
+        m, dot, xs = self.m, self._dot, self.x_hist
         x_t = xs[t]
-        f, g_rows = self._reveal(t)
+        mult_t = self._mult(t)
+        f, g_rows = self._reveal(t, mult_t)
         f_mem = 0.0
         if f is not None:
             for i in range(m + 1):
@@ -348,26 +335,22 @@ class OdafLearner:
             g_val = next((v for i, _, _, v in g_rows if i == 0), 0.0)
         inc = max(g_val, 0.0)
         self.ccv += inc
-        self.v_hist[t] = self.ccv
-        self.v_hist.pop(t - 2 * m - 2, None)
-        self._last_played = t
+        row = t - self.inst.first_round
+        self._ccv_col[row] = self.ccv  # the next decision's weights read V_t
 
         eps_z = eps_f = eps_g = 0.0
         s = t - m
         if s >= 1:
             eps_z, eps_f, eps_g = self._complete_round(s)
 
-        self._decide_next(t)
+        mu = self._decide_next(t)
 
         f_spl = float(sum(dot(fi, x_t) for fi in f)) if f is not None else 0.0
         g_spl = float(sum(dot(c, x_t) + off for _, c, off, _ in g_rows))
-        mult_t = self._mult(t)
-        self._mults.pop(t, None)  # no later call asks round t
         z = self._forward.get(s, self._zero)
-        row = t - self.inst.first_round
         self.records[row] = (
             t, x_t, f_mem, f_spl, g_val, g_spl, inc, self.ccv, self.ccv, mult_t,
-            self.lam, f_mem + mult_t * inc, math.sqrt(dot(z, z)), self.mu_now,
+            self.lam, f_mem + mult_t * inc, math.sqrt(dot(z, z)), mu,
             eps_f, eps_g, eps_z, saturated(_EXP, self.lam, self.ccv),
         )
         return self.records[row]
@@ -433,15 +416,14 @@ def run_optimistic(
     learner = OdafLearner(instance, variant, predictor, lam, alpha=alpha)
     for t in instance.rounds:
         learner.play_round(t)
-    # row k of the hints is h_{first_round + k}; the last one, for round
-    # horizon + 1, is committed but never played
-    return _trace("odaf", learner, hints=learner.hints)
+    return _trace("odaf", learner)
 
 
 def _trace(algorithm: str, learner: OdafLearner, **extras) -> RunTrace:
-    """The trace of a finished run; `extras` follow alpha.  The `lam`
-    column is the run's only record of lambda, the `eps_*` columns of the
-    hint errors."""
+    """The trace of a finished run; `extras` follow alpha and the hints,
+    whose last row, h_{horizon + 1}, is committed but never played.  The
+    `lam` column is the run's only record of lambda, the `eps_*` columns
+    of the hint errors."""
     return RunTrace(
         algorithm=algorithm,
         variant=learner.variant,
@@ -450,6 +432,7 @@ def _trace(algorithm: str, learner: OdafLearner, **extras) -> RunTrace:
         instance=learner.inst,
         extras={
             "alpha": learner.alpha,
+            "hints": learner.hints,
             **extras,
             "fixed_point_fallbacks": learner.fixed_point_fallbacks,
         },
@@ -493,5 +476,4 @@ def run_doubling(
             error = 0.0
             learner.restart(t, lambda_optimistic(budget, offset))
         error += learner.play_round(t)["eps_g"]
-    return _trace("odaf_doubling", learner, hints=learner.hints, epochs=len(starts),
-                  epoch_starts=starts, mu1=mu1)
+    return _trace("odaf_doubling", learner, epochs=len(starts), epoch_starts=starts, mu1=mu1)

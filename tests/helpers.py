@@ -24,6 +24,16 @@ def prefix_static_regret(trace: RunTrace, upto: int) -> float:
     return f_mem - float(np.sum(lift_loss_at(trace.instance, bench.x_star, upto=upto)))
 
 
+def assert_v_at_reads_the_table(learner, played):
+    """`v_at(r)` is the `ccv_cum` row of every played round, bit for bit,
+    and 0 before the run and for rounds not yet played."""
+    inst, first = learner.inst, learner.inst.first_round
+    ccv = learner.records["ccv_cum"]
+    for r in range(first - inst.m - 2, inst.horizon + inst.m + 3):
+        want = float(ccv[r - first]) if first <= r <= played else 0.0
+        assert learner.v_at(r) == want and type(learner.v_at(r)) is float
+
+
 def error_sums(trace: RunTrace) -> dict:
     """Cumulative hint errors by kind, summed round by round in play order
     from the trace's `eps_*` columns."""

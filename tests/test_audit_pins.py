@@ -1,8 +1,9 @@
-"""The audit output of the shipped configs, pinned byte for byte: the
-sha256 of `cocomem verify` stdout on seed 0 of each config, and of
-`cocomem bounds` stdout on seed 0 of the two penalty-OGD configs.  A
-change that moves any of these digests changes a printed check value or
-bound and must say why."""
+"""The audit and run output of the shipped configs, pinned byte for
+byte: the sha256 of `cocomem verify` stdout on seed 0 of each config, of
+`cocomem bounds` stdout on seed 0 of the two penalty-OGD configs, and of
+the three files `cocomem run` writes for seed 0 of each config.  A change
+that moves any of these digests changes a printed check value, bound or
+run output and must say why."""
 
 import hashlib
 import json
@@ -33,6 +34,35 @@ PINNED_STDOUT = {
 }
 
 
+# `cocomem run` on seed 0 of each config: (config, file name suffix) -> sha256
+PINNED_RUN_FILES = {
+    ("doubling_noisy", "_seed0.csv"):
+        "96f987f87bbdbcc87839f2f991ceda11f2140c7bde9297f4505f883382e3b401",
+    ("doubling_noisy", "_seed0_instance.json"):
+        "e10da15c5bfce05c7bff5b1d543d7403e6ec643446feb9ac713e141e303d17f8",
+    ("doubling_noisy", "_summary.json"):
+        "1e4db29cef3db3b1b42459806e34a55a3857f81c722a0045b3bc20ea2984f80c",
+    ("optimistic_perfect", "_seed0.csv"):
+        "613e63868e06951d18fa846f63b64d0f9aacb4f9650146b194ae9e131ba69986",
+    ("optimistic_perfect", "_seed0_instance.json"):
+        "ea99eea51ebb8250fa2b71ab4b736f5340b40d5e9dd37f952a5ffb98101dcb8f",
+    ("optimistic_perfect", "_summary.json"):
+        "d5e623c4ed1c958765db42aa84482e35cdf712163f188077829093de5ce4f6b2",
+    ("reference_adversarial", "_seed0.csv"):
+        "56abc57d844838166e0e091b42cef3ffad34bae56d3d557cfe57ed7ad6e79d33",
+    ("reference_adversarial", "_seed0_instance.json"):
+        "1ab09a709a86a38362d00c7e6846f0b3e7aa81c6956e657a99bbae429fc3f2a6",
+    ("reference_adversarial", "_summary.json"):
+        "339b907223524ce609633fc6dd00444a2fade966bd53e4dc39e53105b2d9f5e0",
+    ("reference_stochastic", "_seed0.csv"):
+        "ad469cf2193bb1b0efaa792a8ddb44f93685ba0ba70b4e50766649648d105fa6",
+    ("reference_stochastic", "_seed0_instance.json"):
+        "c189efe26644d3d1a533f50b3936189524d800260d8e2abf37d20aaffe5eb4b9",
+    ("reference_stochastic", "_summary.json"):
+        "e6dd28a9d235c5bc93ad93f80101e3d3c633a813a3bb528f717f24e1e423f5ed",
+}
+
+
 @pytest.mark.parametrize("command, name", sorted(PINNED_STDOUT))
 def test_audit_stdout_is_pinned(command, name, tmp_path, capsys):
     cfg = json.loads((CONFIG_DIR / f"{name}.json").read_text())
@@ -59,3 +89,19 @@ def test_bounds_stdout_is_strict_json(tmp_path, capsys):
     report = json.loads(doc, parse_constant=reject)
     assert report["measured"]["forward_regret"] <= 0.0
     assert report["slack"]["forward_regret"] is None
+
+
+@pytest.mark.parametrize("name", sorted({name for name, _ in PINNED_RUN_FILES}))
+def test_run_outputs_are_pinned(name, tmp_path, capsys):
+    """`run` writes exactly seed 0's CSV, instance JSON and summary JSON,
+    each byte-identical to its pinned digest."""
+    cfg = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({**cfg, "seeds": [0]}))
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    want = {f"{key}{suffix}": digest
+            for (key, suffix), digest in PINNED_RUN_FILES.items() if key == name}
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert written == want

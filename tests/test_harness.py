@@ -305,6 +305,34 @@ def test_cli_rejects_parallel_below_one(tmp_path, capsys):
     assert not (out / "t_summary.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["sorcery", "--config", "{cfg}"],
+    ["run", "--out", "{out}"],
+    ["verify", "--config", "{cfg}", "--seeds", "3"],
+    ["run", "--config", "{cfg}", "--out", "{out}", "--parallel", "abc"],
+], ids=["unknown-command", "missing-config", "verify-seeds", "parallel-not-int"])
+def test_cli_usage_errors_exit_1(tmp_path, capsys, monkeypatch, argv):
+    """A usage error is a config error: exit 1, a usage message on stderr,
+    and nothing written."""
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**BASE, "seeds": [0]}))
+    args = [a.format(cfg=cfg_path, out=tmp_path / "out") for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        cli_main(args)
+    assert exc.value.code == 1
+    assert "usage: cocomem" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+def test_cli_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 0
+    assert "usage: cocomem" in capsys.readouterr().out
+
+
 def test_verify_and_bounds_name_the_seed_that_failed(tmp_path, capsys):
     """At lambda = 8e3 on the optimistic_perfect environment seed 3
     completes and seed 4's decision overflows: `verify` and `bounds` print

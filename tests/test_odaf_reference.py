@@ -16,7 +16,7 @@ from cocomem import (
     ZeroPredictor,
     optimistic,
 )
-from helpers import error_sums
+from helpers import assert_v_at_reads_the_table, error_sums
 
 PREDICTORS = {"perfect": PerfectPredictor, "zero": ZeroPredictor,
               "noisy": lambda: NoisyPredictor(0.4, seed=3)}
@@ -105,8 +105,9 @@ def test_learner_state_does_not_grow_with_the_horizon():
 
 @pytest.mark.parametrize("kind", sorted(PREDICTORS))
 def test_doubling_shares_bounded_history_across_epochs(kind):
-    """Restarts at fixed rounds keep the decision and violation windows
-    bounded by m and carry the violation over."""
+    """Restarts at fixed rounds keep the decision window bounded by m,
+    carry the violation over, and leave every played round's violation
+    readable from the trace table."""
     inst = SeparableLinearInstance(m=3, horizon=200, seed=1,
                                    g_round_density=0.6, g_mag=(0.05, 0.2))
     learner = optimistic.OdafLearner(inst, Variant.COCO_M2, PREDICTORS[kind](), 0.5)
@@ -117,4 +118,6 @@ def test_doubling_shares_bounded_history_across_epochs(kind):
             learner.restart(t, restarts[t])
             assert learner.ccv == ccv and learner.lam == restarts[t]
         learner.play_round(t)
-        assert len(learner.x_hist) <= inst.m + 2 and len(learner.v_hist) <= 2 * inst.m + 2
+        assert len(learner.x_hist) <= inst.m + 2 and learner.v_at(t) == learner.ccv
+        if t in restarts or t == inst.horizon:
+            assert_v_at_reads_the_table(learner, t)

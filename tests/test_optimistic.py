@@ -1,7 +1,7 @@
 import collections
-import functools
 import hashlib
 import itertools
+import json
 import math
 import types
 from pathlib import Path
@@ -24,11 +24,11 @@ from cocomem import (
 )
 from cocomem.core import Ball
 from cocomem.geometry import ftrl_argmin, minimize_linear, project, regret_coefficient
-from cocomem.harness import load_config, run_single
+from cocomem.harness import ExperimentConfig, load_config, run_single
 from cocomem.metrics import ForwardFunctions, _decisions_by_round
 from cocomem.optimistic import OdafLearner, doubling_mu1, huber
-from cocomem.penalty import Penalty, lambda_optimistic
-from helpers import doubling_epoch_bound, error_sums
+from cocomem.penalty import Penalty, lambda_optimistic, phi_prime
+from helpers import assert_v_at_reads_the_table, doubling_epoch_bound, error_sums
 from reference_odaf import DoublingSchedule
 
 
@@ -42,11 +42,17 @@ def _rows(inst, r, i):
     return inst.f_coef[r, i], inst.g_coef[r, i], float(inst.g_off[r, i])
 
 
+def last_played(learner):
+    """The newest round the learner has played, read from its trace table:
+    a played row holds its round number, which is at least 1."""
+    return max(int(learner.records["t"].max()), learner.inst.first_round - 1)
+
+
 def forward_gradient(learner, s):
     """grad Z_s as the learner holds it: available once every slice
     (s+i, i) is revealed and until m more rounds have settled; rounds
     before the epoch's first settled forward round read as zero."""
-    if s > learner._last_played - learner.m:  # the newest assembled forward round
+    if s > last_played(learner) - learner.m:  # the newest assembled forward round
         raise ValueError(f"forward gradient of round {s} is not revealed yet")
     z = learner._forward.get(s)
     if z is not None:
@@ -144,29 +150,27 @@ def test_forward_gradient_m0_collapse():
 
 
 @pytest.mark.parametrize("m", [0, 1, 3])
-def test_reads_of_dropped_rounds_raise(m):
-    """The learner keeps O(m) rounds of history; a read of a round it has
-    dropped raises instead of reading as a prehistory zero."""
+def test_decisions_are_bounded_and_v_at_reads_the_table(m):
+    """The learner keeps O(m) decisions and forward gradients, and a read
+    of one it has dropped raises; the cumulative violation of every
+    played round stays readable from the trace table."""
     inst = SeparableLinearInstance(m=m, horizon=40, seed=4,
                                    g_round_density=0.6, g_mag=(0.05, 0.2))
     learner = OdafLearner(inst, Variant.COCO_M2, NoisyPredictor(0.3, seed=1), 0.5)
     first = inst.first_round
     for t in range(first, 31):
         learner.play_round(t)
-    assert len(learner.x_hist) <= m + 2 and len(learner.v_hist) <= 2 * m + 2
-    for read, r in ((functools.partial(forward_gradient, learner), first),
-                    (learner.v_at, first)):
-        with pytest.raises(ValueError, match="no longer held"):
-            read(r)
+        assert len(learner.x_hist) <= m + 2
+        assert learner.v_at(t) == learner.ccv
+    with pytest.raises(ValueError, match="no longer held"):
+        forward_gradient(learner, first)
     assert first not in learner.x_hist
     # still held: the newest rounds, and what the next round reads
-    assert learner.v_at(30) == learner.ccv
     assert type(learner.x_hist[31]) is float
     assert forward_gradient(learner, 30 - m).shape == (1,)
-    # before the run and not yet played: V = 0, as in the penalty weight
-    assert learner.v_at(first - 1) == 0.0 and learner.v_at(35) == 0.0
     with pytest.raises(ValueError, match="not revealed"):
         forward_gradient(learner, 31 - m)
+    assert_v_at_reads_the_table(learner, 30)
 
 
 def test_perfect_hint_matches_window_exactly():
@@ -613,6 +617,32 @@ def test_doubling_restarts_one_learner_and_counts_every_epochs_fallbacks(monkeyp
         got.append((tr.extras["epochs"], tr.extras["fixed_point_fallbacks"]))
     assert len(learners) == 5
     assert got == [(52, 8), (52, 3), (52, 0), (52, 7), (52, 6)]
+
+
+def _shipped(name: str) -> dict:
+    path = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+    return json.loads(path.read_text())
+
+
+# doubling_noisy with memory-less constraints, played by the COCO-M variant
+COCO_M_NOISY = {**_shipped("doubling_noisy"), "name": "coco_m_noisy", "variant": "coco_m"}
+COCO_M_NOISY["environment"] = {**COCO_M_NOISY["environment"], "constraint_memory": False}
+
+
+@pytest.mark.parametrize("obj", [_shipped("optimistic_perfect"), _shipped("doubling_noisy"),
+                                 COCO_M_NOISY], ids=lambda obj: obj["name"])
+def test_penalty_weights_read_the_audited_violation(obj):
+    """Every round's `phi_prime` is Phi'(V_{t-d}) at that round's lambda,
+    bit for bit, with V read by `RunTrace.v_at` as the audit reads it: the
+    learner's weights and the audit share one record of the violation."""
+    cfg = ExperimentConfig.from_dict(obj)
+    for seed in (0, 1):
+        tr = run_single(cfg, seed)
+        d = tr.variant.dual_delay(tr.instance.m)
+        assert tr.v_at(tr.horizon - d) > 0.0  # the weights move off lambda
+        for t, lam, w in zip(tr.col("t").tolist(), tr.col("lam").tolist(),
+                             tr.col("phi_prime").tolist()):
+            assert w == phi_prime(PenaltyKind.EXPONENTIAL, lam, tr.v_at(t - d))
 
 
 def _enumerated_activity(fset, lin0, mu, toggles, x_last):
