@@ -5,16 +5,14 @@
     cocomem bounds --config cfg.json
 
 Exit codes: 0 success, 1 config or usage error, 2 runtime failure, 3
-verification failure.  COCO_MEM_OUT overrides the output directory.
-`verify` and `bounds` print each seed's lines as it finishes; a seed
-that fails stops them with exit 2.
+verification failure.  `verify` and `bounds` print each seed's lines as
+it finishes; a seed that fails stops them with exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 
@@ -70,7 +68,7 @@ def main(argv: list[str] | None = None) -> int:
                 cfg.seeds = list(range(args.seeds))
             if args.parallel < 1:
                 raise ConfigError(f"--parallel must be at least 1, got {args.parallel}")
-            out_dir = args.out or os.environ.get("COCO_MEM_OUT") or cfg.out_dir
+            out_dir = args.out or cfg.out_dir
             summary = run_experiment(cfg, out_dir, parallel=args.parallel)
             print(json.dumps(summary, indent=2, sort_keys=True))
             return EXIT_RUNTIME if summary["seeds_failed"] else EXIT_OK

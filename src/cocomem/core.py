@@ -95,16 +95,12 @@ class MemoryFunctionOracle:
     Subclasses provide the window value and the memory-less lift
     value/gradient.  `grad_splat` must equal the sum of the partial
     gradients over all m+1 slots at a constant window (the chain rule of
-    the splat map x -> (x,...,x)).
-
-    `lipschitz` bounds both the joint-window Lipschitz constant and the
-    lift's gradient norm; `bound` bounds |value| over the feasible set.
+    the splat map x -> (x,...,x)).  The Lipschitz and range constants
+    of a family's oracles are its instance's `constants()`.
     """
 
     dim: int
     memory: int
-    lipschitz: float
-    bound: float
 
     def value(self, window: np.ndarray) -> float:
         """The value at an (m+1, d) window, row 0 the oldest decision."""

@@ -182,13 +182,10 @@ _KNOB = {"params": True}
 class _QuadraticTrackingLoss(MemoryFunctionOracle):
     """f(x_{t-m},...,x_t) = (1/(m+1)) sum_i 0.5 ||x_{t-i} - c||^2."""
 
-    def __init__(self, c: np.ndarray, m: int, radius: float):
+    def __init__(self, c: np.ndarray, m: int):
         self.c = c
         self.dim = c.size
         self.memory = m
-        reach = radius + float(np.linalg.norm(c))
-        self.lipschitz = reach
-        self.bound = 0.5 * reach * reach
 
     def value(self, window: np.ndarray) -> float:
         diff = window - self.c
@@ -205,13 +202,11 @@ class _QuadraticTrackingLoss(MemoryFunctionOracle):
 class _AffineBudgetConstraint(MemoryFunctionOracle):
     """g(x_{t-m},...,x_t) = (1/(m+1)) sum_i <d, x_{t-i}> - delta."""
 
-    def __init__(self, d_coef: np.ndarray, delta: float, m: int, radius: float):
+    def __init__(self, d_coef: np.ndarray, delta: float, m: int):
         self.d_coef = d_coef
         self.delta = delta
         self.dim = d_coef.size
         self.memory = m
-        self.lipschitz = float(np.linalg.norm(d_coef))
-        self.bound = self.lipschitz * radius + delta
 
     def value(self, window: np.ndarray) -> float:
         return float(np.mean(window @ self.d_coef)) - self.delta
@@ -253,8 +248,8 @@ class AppendixAInstance(_Instance):
     def check_params(m, horizon, radius, sigma, delta, gamma, mode, **_) -> None:
         """Range checks of the constructor's parameters; no instance is
         generated."""
-        if not (horizon >= m >= 0):
-            raise ValueError("need horizon >= memory >= 0")
+        if not (horizon >= m >= 0 and horizon >= 1):
+            raise ValueError("need horizon >= memory >= 0 and horizon >= 1")
         if min(radius, sigma, delta) <= 0 or gamma <= 0:
             raise ValueError("radius, sigma, delta, gamma must be positive")
         if mode not in ("stochastic", "adversarial"):
@@ -290,10 +285,10 @@ class AppendixAInstance(_Instance):
         return self.m
 
     def loss(self, t: int) -> MemoryFunctionOracle:
-        return _QuadraticTrackingLoss(self.c[t], self.m, self.radius)
+        return _QuadraticTrackingLoss(self.c[t], self.m)
 
     def constraint(self, t: int) -> MemoryFunctionOracle:
-        return _AffineBudgetConstraint(self.d_coef[t], self.delta, self.m, self.radius)
+        return _AffineBudgetConstraint(self.d_coef[t], self.delta, self.m)
 
     def round_evaluator(self, rounds: range, g_window: bool):
         """`evaluate(k, window, x)` for round rounds[k] in Python floats; see
@@ -372,18 +367,12 @@ class AppendixAInstance(_Instance):
 class _SeparableMemoryFunction(MemoryFunctionOracle):
     """sum_i <coeff_i, x_{t-i}> + offset_i over the window slots."""
 
-    def __init__(self, coeffs: np.ndarray, offsets: np.ndarray, radius: float):
+    def __init__(self, coeffs: np.ndarray, offsets: np.ndarray):
         # coeffs[i] multiplies x_{t-i} (delay order), shape (m+1, d)
         self.coeffs = coeffs
         self.offsets = offsets
         self.memory = coeffs.shape[0] - 1
         self.dim = coeffs.shape[1]
-        joint = math.sqrt(float(np.sum(coeffs * coeffs)))
-        lift = float(np.linalg.norm(coeffs.sum(axis=0)))
-        self.lipschitz = max(joint, lift)
-        self.bound = float(
-            np.sum(np.linalg.norm(coeffs, axis=1)) * radius + np.sum(np.abs(offsets))
-        )
 
     def value(self, window: np.ndarray) -> float:
         # window rows are oldest->newest; delay i touches row m-i
@@ -435,8 +424,8 @@ class SeparableLinearInstance(_Instance):
                      g_root, g_active_fraction, **_) -> None:
         """Range checks of the constructor's parameters; no instance is
         generated."""
-        if not (horizon >= m >= 0):
-            raise ValueError("need horizon >= memory >= 0")
+        if not (horizon >= m >= 0 and horizon >= 1):
+            raise ValueError("need horizon >= memory >= 0 and horizon >= 1")
         if radius <= 0:
             raise ValueError("radius must be positive")
         if min(drift, noise) < 0:
@@ -534,13 +523,13 @@ class SeparableLinearInstance(_Instance):
 
     def loss(self, t: int) -> MemoryFunctionOracle:
         coeffs = self.f_coef[t] if 0 < t <= self.horizon else np.zeros_like(self.f_coef[0])
-        return _SeparableMemoryFunction(coeffs, np.zeros(self.m + 1), self.radius)
+        return _SeparableMemoryFunction(coeffs, np.zeros(self.m + 1))
 
     def constraint(self, t: int) -> MemoryFunctionOracle:
         in_range = 0 < t <= self.horizon
         coeffs = self.g_coef[t] if in_range else np.zeros_like(self.g_coef[0])
         offs = self.g_off[t] if in_range else np.zeros(self.m + 1)
-        return _SeparableMemoryFunction(coeffs, offs, self.radius)
+        return _SeparableMemoryFunction(coeffs, offs)
 
     def round_evaluator(self, rounds: range, g_window: bool):
         """`evaluate(k, window, x)` for round rounds[k] in Python floats; see

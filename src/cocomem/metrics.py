@@ -27,7 +27,9 @@ _FEAS_TOL = 1e-12
 @dataclass
 class RunTrace:
     """One run: its per-round table (`core.round_table`, one row per
-    played round), its instance, and run-level extras."""
+    played round), its instance, and run-level extras.  Every optimistic
+    run is an `odaf` trace whose extras hold its `epochs` and their
+    `epoch_starts`; one epoch means lambda stayed fixed."""
 
     algorithm: str
     variant: Variant
@@ -340,9 +342,9 @@ class BoundReport:
 def theorem_bound_report(trace: RunTrace) -> BoundReport:
     """Measured regret/CCV against the explicit bounds of the trace's
     algorithm: penalty OGD's theorem, `check_odaftrl_regret`'s forward-regret
-    bound for an optimistic run at one lambda.  Penalty OGD's holds only if
-    every round played the theorem's lambda, a doubling run's only if it
-    made one epoch (lambda changes per epoch)."""
+    bound for an `odaf` run.  Penalty OGD's holds only if every round
+    played the theorem's lambda, ODAF's only if the run made one epoch (a
+    doubling run changes lambda per epoch)."""
     series = regret_and_ccv(trace)
     inst = trace.instance
     k = inst.constants()
@@ -352,11 +354,11 @@ def theorem_bound_report(trace: RunTrace) -> BoundReport:
                 for key, col in (("regret", series.regret_static_cum), ("ccv", series.ccv_cum))}
     theoretical: dict = {}
     preconditions: dict = {}
-    if trace.algorithm == "odaf_doubling":
+    if trace.algorithm == "odaf":
         preconditions["lambda_fixed_across_epochs"] = trace.extras["epochs"] == 1
-    if _one_lambda_odaf(trace):
-        check = check_odaftrl_regret(trace)
-        measured["forward_regret"], theoretical["forward_regret"] = check.lhs, check.rhs
+        if preconditions["lambda_fixed_across_epochs"]:
+            check = check_odaftrl_regret(trace)
+            measured["forward_regret"], theoretical["forward_regret"] = check.lhs, check.rhs
     elif trace.algorithm == "penalty_ogd":
         lam = lambda_theorem(trace.penalty_kind, inst)
         preconditions["lambda_theorem_tuned"] = bool(np.all(trace.col("lam") == lam))
@@ -473,7 +475,7 @@ def check_mu_monotone(trace: RunTrace) -> CheckResult:
     sets it back at each round of `extras["epoch_starts"]`, so the step
     into such a round's row is skipped."""
     diffs = np.diff(trace.col("eta_or_mu"))
-    restarts = np.array(trace.extras.get("epoch_starts", []), dtype=int) - trace.first_round
+    restarts = np.array(trace.extras["epoch_starts"], dtype=int) - trace.first_round
     diffs = np.delete(diffs, restarts[restarts > 0] - 1)
     ok = bool(np.all(diffs >= -1e-12))
     worst = float(np.min(diffs)) if diffs.size else 0.0
@@ -491,15 +493,8 @@ def check_ccv_replay(trace: RunTrace) -> CheckResult:
 # -- optimistic-run checks --------------------------------------------------
 
 
-def _one_lambda_odaf(trace: RunTrace) -> bool:
-    """Whether the trace is an optimistic run at one lambda: an `odaf` run,
-    or an `odaf_doubling` run of one epoch, which plays as `odaf` does."""
-    return trace.algorithm == "odaf" or (
-        trace.algorithm == "odaf_doubling" and trace.extras["epochs"] == 1)
-
-
 def _last_penalty(trace: RunTrace) -> Penalty:
-    """The penalty of the last round, the one lambda of an `odaf` run.  A
+    """The penalty of the last round, the one lambda of a one-epoch run.  A
     run that played no round has no lambda and weighs no violation, so
     any lambda gives the checks the same verdict: 1 stands in."""
     lam = trace.col("lam")
@@ -670,7 +665,7 @@ def invariant_suite(trace: RunTrace) -> list[CheckResult]:
             check_gradient_bound(trace),
             check_step_monotone(trace),
         ]
-    if _one_lambda_odaf(trace):
+    if trace.extras["epochs"] == 1:
         checks += [
             check_forward_consistency(trace),
             check_lemma_forward_chain(trace),

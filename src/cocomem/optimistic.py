@@ -1,6 +1,8 @@
 """Optimistic delayed-FTRL learner for memory problems with untrusted
 predictions, and the doubling trick that tunes its penalty parameter
 online by restarting the one learner of a run in place (`restart`).
+Both runners return an `odaf` trace that records the first round of
+each epoch; a fixed lambda makes one epoch.
 
 The memory effect is recast as gradient delay through the forward
 function
@@ -416,16 +418,17 @@ def run_optimistic(
     learner = OdafLearner(instance, variant, predictor, lam, alpha=alpha)
     for t in instance.rounds:
         learner.play_round(t)
-    return _trace("odaf", learner)
+    return _trace(learner, [instance.first_round])
 
 
-def _trace(algorithm: str, learner: OdafLearner, **extras) -> RunTrace:
-    """The trace of a finished run; `extras` follow alpha and the hints,
-    whose last row, h_{horizon + 1}, is committed but never played.  The
-    `lam` column is the run's only record of lambda, the `eps_*` columns
-    of the hint errors."""
+def _trace(learner: OdafLearner, epoch_starts: list[int], **extras) -> RunTrace:
+    """The `odaf` trace of a finished run; `extras` follow alpha, the
+    hints, whose last row, h_{horizon + 1}, is committed but never played,
+    and the epochs, one per round of `epoch_starts`.  The `lam` column is
+    the run's only record of lambda, the `eps_*` columns of the hint
+    errors."""
     return RunTrace(
-        algorithm=algorithm,
+        algorithm="odaf",
         variant=learner.variant,
         penalty_kind=PenaltyKind.EXPONENTIAL,
         records=learner.records,
@@ -433,6 +436,8 @@ def _trace(algorithm: str, learner: OdafLearner, **extras) -> RunTrace:
         extras={
             "alpha": learner.alpha,
             "hints": learner.hints,
+            "epochs": len(epoch_starts),
+            "epoch_starts": epoch_starts,
             **extras,
             "fixed_point_fallbacks": learner.fixed_point_fallbacks,
         },
@@ -476,4 +481,4 @@ def run_doubling(
             error = 0.0
             learner.restart(t, lambda_optimistic(budget, offset))
         error += learner.play_round(t)["eps_g"]
-    return _trace("odaf_doubling", learner, epochs=len(starts), epoch_starts=starts, mu1=mu1)
+    return _trace(learner, starts, mu1=mu1)

@@ -380,6 +380,8 @@ def run_optimistic(
             # row k is the hint h_{first_round + k}; the last one, for
             # round horizon + 1, is committed but never played
             "hints": np.array(list(learner.hints.values())),
+            "epochs": 1,
+            "epoch_starts": [instance.first_round],
             "fixed_point_fallbacks": learner.fixed_point_fallbacks,
         },
     )
@@ -495,7 +497,7 @@ def run_doubling(
         learner.play_round(t)
     sched = learner.schedule
     return RunTrace(
-        algorithm="odaf_doubling",
+        algorithm="odaf",
         variant=variant,
         penalty_kind=PenaltyKind.EXPONENTIAL,
         records=learner.records,

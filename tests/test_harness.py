@@ -235,18 +235,16 @@ def test_verify_experiment_passes(tmp_path):
     assert any("ogd_surrogate_regret" in line for line in lines)
 
 
-def test_cli_exit_codes(tmp_path, monkeypatch):
+def test_cli_exit_codes(tmp_path):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({**BASE, "seeds": [0]}))
+    cfg_out = tmp_path / "cfg_out"
+    cfg_path.write_text(json.dumps({**BASE, "seeds": [0], "out_dir": str(cfg_out)}))
     out = tmp_path / "out"
     assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
-    assert (out / "t_seed0.csv").exists()
-    # env var override of the output directory
-    env_out = tmp_path / "envout"
-    monkeypatch.setenv("COCO_MEM_OUT", str(env_out))
+    assert (out / "t_seed0.csv").exists() and not cfg_out.exists()
+    # without --out, the config's out_dir
     assert cli_main(["run", "--config", str(cfg_path)]) == 0
-    assert (env_out / "t_seed0.csv").exists()
-    monkeypatch.delenv("COCO_MEM_OUT")
+    assert (cfg_out / "t_seed0.csv").exists()
     # config errors
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({**BASE, "algorithm": "sorcery"}))
@@ -268,6 +266,19 @@ def test_verify_passes_on_every_shipped_config(name):
     assert {line.split(":")[0] for line in lines} == {f"seed {s}" for s in cfg.seeds}
     if cfg.algorithm == "penalty_ogd":
         assert any("surrogate_gradient_bound" in line for line in lines)
+
+
+@pytest.mark.parametrize("name", ["reference_stochastic", "reference_adversarial",
+                                  "optimistic_perfect", "doubling_noisy"])
+def test_a_trace_names_its_configs_algorithm(name):
+    """A doubling run's trace is an `odaf` trace too, and every `odaf`
+    trace lists the first round of each of its epochs."""
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.json")
+    tr = run_single(cfg, 0)
+    assert tr.algorithm == cfg.algorithm
+    if cfg.algorithm == "odaf":
+        assert tr.extras["epoch_starts"][0] == tr.first_round
+        assert tr.extras["epochs"] == len(tr.extras["epoch_starts"])
 
 
 @pytest.mark.parametrize("name, lo, hi, diameter", [
@@ -382,10 +393,13 @@ def test_checkpoint_marks():
     assert checkpoints(0, 8) == [1, 2, 4, 6, 8]
 
 
-@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("command", ["run", "verify", "bounds"])
 @pytest.mark.parametrize("env", [
     {"kind": "appendix_a", "m": 2, "horizon": 120, "sigmaa": 3},
     {"kind": "appendix_a", "m": 5, "horizon": 3},
+    # lambda = 1/sqrt(T) needs T >= 1: each family failed at run time
+    {"kind": "appendix_a", "m": 0, "horizon": 0},
+    {"kind": "separable_linear", "m": 0, "horizon": 0},
     {"kind": "appendix_a", "m": 2, "horizon": 120, "dim": 3},
     {"kind": "separable_linear", "m": 2, "horizon": 120, "g_mag": [0.2, 0.05]},
     {"kind": "separable_linear", "m": 2, "horizon": 120, "g_root": [0.9, 0.4]},
@@ -404,7 +418,8 @@ def test_checkpoint_marks():
     {"kind": "appendix_a", "m": 2, "horizon": 120, "delta": float("inf")},
     {"kind": "appendix_a", "m": 2, "horizon": 120, "gamma": float("nan")},
     {"kind": "separable_linear", "m": 2, "horizon": 120, "g_mag": [0.01, float("inf")]},
-], ids=["unknown_key", "horizon_below_m", "dim_3", "g_mag_reversed", "g_root_reversed",
+], ids=["unknown_key", "horizon_below_m", "appendix_a_horizon_0",
+        "separable_linear_horizon_0", "dim_3", "g_mag_reversed", "g_root_reversed",
         "g_root_reaches_1", "g_round_density_above_1", "g_active_fraction_negative",
         "blocks_0", "blocks_fractional", "noise_negative", "drift_infinite",
         "radius_infinite", "radius_nan", "sigma_nan", "delta_infinite", "gamma_nan",
@@ -414,7 +429,6 @@ def test_cli_rejects_bad_environment_parameters(tmp_path, capsys, monkeypatch, c
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({**BASE, "seeds": [0], "environment": env}))
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("COCO_MEM_OUT", raising=False)
     assert cli_main([command, "--config", str(cfg_path)]) == 1
     assert "config error:" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
@@ -452,7 +466,6 @@ def test_cli_rejects_negative_seeds(tmp_path, capsys, monkeypatch, command):
 def test_cli_rejects_non_integer_seeds(tmp_path, capsys, monkeypatch, command, seeds):
     # int() would truncate 0.9 and 1.5 to seeds 0 and 1, and True to 1
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("COCO_MEM_OUT", raising=False)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({**BASE, "seeds": seeds}))
     assert cli_main([command, "--config", str(cfg_path)]) == 1
@@ -520,7 +533,6 @@ def test_cli_rejects_private_environment_keys(tmp_path, capsys, monkeypatch, com
     # config they would reach the constructor as raw lists and fail every
     # seed at run time.  They are no fields, so they are unknown keys.
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("COCO_MEM_OUT", raising=False)
     env = {**BASE["environment"], key: [[[0.0]], [[0.0]]]}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({**BASE, "environment": env}))
@@ -533,7 +545,6 @@ def test_cli_rejects_private_environment_keys(tmp_path, capsys, monkeypatch, com
 def _rejected_by_both_commands(tmp_path, capsys, monkeypatch, obj):
     """`run` and `verify` each exit 1 with a config error and write nothing."""
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("COCO_MEM_OUT", raising=False)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(obj))
     for command in ("run", "verify"):

@@ -36,7 +36,7 @@ scale = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
 @st.composite
 def instance_params(draw):
     m = draw(st.integers(0, 6))
-    horizon = m + draw(st.integers(0, 60))
+    horizon = max(m + draw(st.integers(0, 60)), 1)  # T >= 1
     mag_lo = draw(st.floats(0.001, 0.5))
     root_lo = draw(st.floats(0.05, 0.9))
     return {

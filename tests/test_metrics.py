@@ -77,7 +77,7 @@ def test_best_in_hindsight_unconstrained_clamps_mean():
 
 
 def test_best_in_hindsight_single_round():
-    inst = AppendixAInstance(m=0, horizon=0, radius=15.0, seed=0)
+    inst = AppendixAInstance(m=1, horizon=1, radius=15.0, seed=0)
     inst.c[:, 0] = 4.0
     inst.d_coef[:, 0] = 0.1  # feasible up to 10, so x* = c
     b = best_in_hindsight(inst)
@@ -199,9 +199,10 @@ def test_bound_report_on_short_run():
 
 def test_bound_report_picks_the_theorem_of_the_algorithm():
     """Penalty OGD reports its own theorem, when every round played the
-    theorem's lambda; ODAF the delayed-FTRL bound on forward regret exactly
-    as the invariant check computes it; the doubling run no bound, since
-    its lambda changes per epoch."""
+    theorem's lambda; ODAF at a fixed lambda (one epoch) the delayed-FTRL
+    bound on forward regret exactly as the invariant check computes it;
+    a doubling run of several epochs no bound, since its lambda changes
+    per epoch."""
     inst = AppendixAInstance(m=1, horizon=200, seed=0)
     ogd = theorem_bound_report(run_penalty_ogd(inst, Variant.COCO_M2))
     assert set(ogd.theoretical) == {"regret", "ccv"}
@@ -217,7 +218,8 @@ def test_bound_report_picks_the_theorem_of_the_algorithm():
     rep, check = theorem_bound_report(tr), check_odaftrl_regret(tr)
     assert check.passed
     assert rep.measured["forward_regret"] == check.lhs
-    assert rep.theoretical == {"forward_regret": check.rhs} and rep.preconditions == {}
+    assert rep.theoretical == {"forward_regret": check.rhs}
+    assert rep.preconditions == {"lambda_fixed_across_epochs": True}
     inst = SeparableLinearInstance(m=2, horizon=200, seed=0, g_round_density=0.4,
                                    g_mag=(0.05, 0.2))
     rep = theorem_bound_report(run_doubling(inst, Variant.COCO_M2, NoisyPredictor(0.3, seed=0)))
@@ -238,7 +240,7 @@ def test_doubling_weight_check_is_per_epoch():
     """The doubling learner's FTRL weight restarts at each epoch start,
     where the check skips the step; a drop inside an epoch fails it, and
     the same drop at an epoch start passes (and fails a fixed-lambda run,
-    which has no epochs)."""
+    whose one epoch starts at the first round)."""
     inst = SeparableLinearInstance(m=2, horizon=300, seed=0)
     tr = run_doubling(inst, Variant.COCO_M2, NoisyPredictor(0.3, seed=0))
     assert invariant_suite(tr)[-1] == check_mu_monotone(tr)
@@ -248,22 +250,30 @@ def test_doubling_weight_check_is_per_epoch():
     assert start + 20 < len(tr.records)
     assert not check_mu_monotone(_mu_lowered(tr, start + 10)).passed
     assert check_mu_monotone(_mu_lowered(tr, start)).passed
-    fixed = dataclasses.replace(tr, algorithm="odaf", extras={})
+    fixed = dataclasses.replace(tr, extras={"epoch_starts": [tr.first_round]})
     assert not check_mu_monotone(_mu_lowered(fixed, start)).passed
 
 
 def test_a_one_epoch_doubling_run_is_audited_as_odaf(tmp_path, capsys):
     """On the optimistic_perfect environment at lam "doubling", seed 0
-    makes one epoch, whose records and hints are those of `odaf` at its
-    lambda; `verify` runs the four `odaf` checks on it and `bounds` reports
-    their forward-regret bound.  Seed 1 makes two epochs and gets neither."""
+    makes one epoch, whose trace is that of `run_optimistic` at its lambda
+    in every field but the doubling run's `mu1`; `verify` runs the four
+    fixed-lambda checks on it and `bounds` reports their forward-regret
+    bound.  Seed 1 makes two epochs and gets neither."""
     cfg = load_config(CONFIG_DIR / "optimistic_perfect.json")
     cfg = dataclasses.replace(cfg, lam="doubling", seeds=[0, 1])
     tr = run_single(cfg, 0)
     assert tr.extras["epochs"] == 1 and run_single(cfg, 1).extras["epochs"] == 2
     fixed = run_optimistic(tr.instance, tr.variant, PerfectPredictor(), lam=tr.col("lam")[0])
+    assert (tr.algorithm, tr.variant, tr.penalty_kind, tr.instance) == (
+        fixed.algorithm, fixed.variant, fixed.penalty_kind, fixed.instance)
     assert tr.records.tobytes() == fixed.records.tobytes()
-    assert tr.extras["hints"].tobytes() == fixed.extras["hints"].tobytes()
+    extras = dict(tr.extras)
+    assert extras.pop("mu1") > 0.0
+    assert list(extras) == list(fixed.extras)
+    assert extras.pop("hints").tobytes() == fixed.extras["hints"].tobytes()
+    assert extras == {key: v for key, v in fixed.extras.items() if key != "hints"}
+    assert extras["epochs"] == 1 and extras["epoch_starts"] == [tr.first_round]
     check = check_odaftrl_regret(tr)
 
     path = tmp_path / "doubling.json"

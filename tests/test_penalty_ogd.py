@@ -30,7 +30,6 @@ class Quadratic1D(MemoryFunctionOracle):
     def __init__(self, c, m=0):
         self.c = float(c)
         self.dim, self.memory = 1, m
-        self.lipschitz, self.bound = 100.0, 1e4
 
     def value(self, window):
         return 0.5 * (float(window[-1, 0]) - self.c) ** 2
@@ -45,7 +44,6 @@ class Affine1D(MemoryFunctionOracle):
     def __init__(self, a, b, m=0):
         self.a, self.b = float(a), float(b)
         self.dim, self.memory = 1, m
-        self.lipschitz, self.bound = abs(self.a), 100.0
 
     def value(self, window):
         return self.a * float(window[-1, 0]) + self.b

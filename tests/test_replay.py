@@ -63,7 +63,7 @@ def appendix_params(draw):
     m = draw(st.integers(0, 4))
     return AppendixAInstance, {
         "m": m,
-        "horizon": m + draw(st.integers(0, 30)),
+        "horizon": max(m + draw(st.integers(0, 30)), 1),  # T >= 1
         "radius": draw(st.floats(0.1, 20.0)),
         "sigma": draw(st.floats(0.1, 20.0)),
         "delta": draw(st.floats(0.1, 5.0)),
@@ -77,7 +77,7 @@ def appendix_params(draw):
 @st.composite
 def separable_params(draw):
     m = draw(st.integers(0, 4))
-    horizon = m + draw(st.integers(0, 30))
+    horizon = max(m + draw(st.integers(0, 30)), 1)  # T >= 1
     mag_lo = draw(st.floats(0.001, 0.5))
     root_lo = draw(st.floats(0.05, 0.9))
     # a config's ranges arrive as JSON lists, the defaults are tuples
