@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import os
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Literal
@@ -49,6 +48,7 @@ ALGORITHMS = ("penalty_ogd", "odaf")
 ENV_FAMILIES = {cls.kind: cls for cls in (AppendixAInstance, SeparableLinearInstance)}
 PREDICTORS = {cls.kind: cls for cls in (PerfectPredictor, ZeroPredictor, NoisyPredictor)}
 TRACEBACK_LINES = 10  # traceback tail kept per failed seed in the summary
+CSV_BLOCK_ROWS = 512  # rows of a CSV formatted and written at a time
 
 
 class ConfigError(ValueError):
@@ -213,18 +213,37 @@ def run_single(cfg: ExperimentConfig, seed: int) -> RunTrace:
 # CSV / summary emission
 
 
+def _reprs(col: np.ndarray) -> list[str]:
+    """`repr` of each float of `col`, called once per run of equal bit
+    patterns (which keeps -0.0 and each NaN payload apart)."""
+    bits = col.view(np.int64)
+    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    if len(starts) == len(col):
+        return list(map(repr, col.tolist()))
+    strs = np.array(list(map(repr, col[starts].tolist())), dtype=object)
+    return np.repeat(strs, np.diff(starts, append=len(col))).tolist()
+
+
 def emit_csv(trace: RunTrace, series: MetricSeries, path: str | Path) -> None:
     """One row per round under the fixed header; floats in shortest
-    round-trip decimal, coordinates semicolon-joined.  `V_t` is the
-    trace's cumulative violation `ccv_cum`."""
-    floats = [trace.col(name) for name in ("f_mem", "g_mem", "g_plus_recorded", "ccv_cum",
-                                           "eta_or_mu", "eps_f", "eps_g", "eps_z")]
-    floats += [series.regret_static_cum, series.regret_perround_cum, series.ccv_cum]
-    columns = [[str(t) for t in trace.col("t").tolist()],
-               [";".join(map(repr, x)) for x in trace.col("x").tolist()]]
-    columns += [list(map(repr, col.tolist())) for col in floats]
-    lines = [CSV_HEADER, *map(",".join, zip(*columns))]
-    Path(path).write_text("\n".join(lines) + "\n")
+    round-trip decimal, coordinates semicolon-joined.  `V_t` and `ccv_cum`
+    are the same column, the trace's cumulative violation.  Rows go out
+    in blocks of `CSV_BLOCK_ROWS`, so the text held does not grow with
+    the horizon; the file is complete and closed on return."""
+    floats = ("f_mem", "g_mem", "g_plus_recorded", "ccv_cum", "eta_or_mu",
+              "eps_f", "eps_g", "eps_z")
+    with open(path, "w") as fh:
+        fh.write(CSV_HEADER + "\n")
+        for lo in range(0, len(trace.records), CSV_BLOCK_ROWS):
+            rows = slice(lo, lo + CSV_BLOCK_ROWS)
+            x = trace.col("x")[rows]
+            coords = [_reprs(x[:, j]) for j in range(x.shape[1])]
+            cols = [list(map(str, trace.col("t")[rows].tolist())),
+                    coords[0] if len(coords) == 1 else list(map(";".join, zip(*coords)))]
+            cols += [_reprs(trace.col(name)[rows]) for name in floats]
+            cols += [_reprs(series.regret_static_cum[rows]),
+                     _reprs(series.regret_perround_cum[rows]), cols[5]]  # V_t again
+            fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
 
 
 def checkpoints(first_round: int, horizon: int) -> list[int]:
@@ -281,6 +300,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     results, failed = [], []
     workers = min(parallel, len(cfg.seeds))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futs = [(seed, pool.submit(_run_one_seed, cfg, seed, str(out)))
                     for seed in cfg.seeds]

@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import enum
 import inspect
 import json
@@ -121,7 +122,7 @@ def test_parallel_pool_never_exceeds_the_seed_count(tmp_path, monkeypatch):
             fut.set_result(fn(*args))
             return fut
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     two, one = _cfg(seeds=[0, 1]), _cfg(seeds=[0])
     run_experiment(two, tmp_path / "two_ser")
     run_experiment(one, tmp_path / "one_ser")
