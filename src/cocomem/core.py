@@ -118,8 +118,7 @@ class MemoryFunctionOracle:
 
 ROUND_FIELDS = (
     "t", "x", "f_mem", "f_splat", "g_mem", "g_splat", "g_plus_recorded", "v_dual",
-    "ccv_cum", "phi_prime", "lam", "surrogate", "grad_norm", "eta_or_mu",
-    "eps_f", "eps_g", "eps_z", "saturated",
+    "ccv_cum", "phi_prime", "lam", "grad_norm", "eta_or_mu", "eps_f", "eps_g", "eps_z",
 )
 
 
@@ -135,10 +134,10 @@ def round_table(n_rounds: int, dim: int) -> np.ndarray:
     penalty-OGD runs, where the dual update uses the lift while the CCV
     uses the window value).  `eta_or_mu` is the step size (OGD) or FTRL
     weight used to produce the next decision.  The eps_* fields stay 0
-    for non-optimistic runs; `saturated` marks rounds whose exponential
-    penalty hit its exponent cap.
+    for non-optimistic runs.  The surrogate sums (`metrics.surrogate_sum_*`)
+    and the exponent cap's saturation (`penalty.saturated` of `lam` and
+    `v_dual`) are derived from the columns, not stored.
     """
     fields = [("t", np.int64), ("x", float, (dim,))]
-    fields += [(name, float) for name in ROUND_FIELDS[2:-1]]
-    fields.append(("saturated", bool))
+    fields += [(name, float) for name in ROUND_FIELDS[2:]]
     return np.zeros(n_rounds, dtype=np.dtype((np.record, fields)))

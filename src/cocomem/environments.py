@@ -84,7 +84,6 @@ def _is_int(v) -> bool:
 _FIELD_TYPES = {
     "int": ("an integer", _is_int, int),
     "float": ("a finite number", is_number, float),
-    "float | None": ("a finite number or null", lambda v: v is None or is_number(v), float),
     "Literal['theorem', 'sqrt_t', 'doubling'] | float": (
         "a finite number or one of 'theorem', 'sqrt_t', 'doubling'",
         lambda v: v in ("theorem", "sqrt_t", "doubling") or is_number(v),
@@ -102,8 +101,8 @@ _FIELD_TYPES = {
 def check_fields(cls, values: dict) -> dict:
     """The fields of dataclass `cls` in `values`, defaults filling keys left
     out, each checked against its annotation's entry in `_FIELD_TYPES` and
-    cast (None stays None); TypeError on a bad value or an unknown or
-    missing key.  Enum fields are left out: their constructors check them."""
+    cast; TypeError on a bad value or an unknown or missing key.  Enum
+    fields are left out: their constructors check them."""
     if unknown := sorted(values.keys() - {f.name for f in fields(cls)}):
         raise TypeError(f"unknown keys {unknown}")
     typed = {}
@@ -115,7 +114,7 @@ def check_fields(cls, values: dict) -> dict:
             what, takes, cast = _FIELD_TYPES[f.type]
             if not takes(value):
                 raise TypeError(f"{f.name} must be {what}, got {value!r}")
-            typed[f.name] = None if value is None else cast(value)
+            typed[f.name] = cast(value)
     return typed
 
 

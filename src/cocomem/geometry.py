@@ -76,14 +76,18 @@ def minimize_linear(fset: Ball, g: np.ndarray) -> np.ndarray:
     return fset.center - fset.radius * g / n
 
 
-def regret_coefficient(fset: Ball, memory: int, alpha: float) -> float:
-    """(r_max/alpha + 1) * (m*|X| + sqrt(|X|^2 + alpha)): the constant in
-    front of the accumulated hint error in the delayed-FTRL regret bound.
-    r_max = (|X|/2)^2 / 2 is the maximum of the FTRL regularizer
-    0.5 ||x - center||^2 over the ball."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    d = fset.diameter
+def dub_alpha(fset: Ball) -> float:
+    """alpha = |X|^2, the scale of the optimistic learner's delayed
+    upper-bound (DUB) weights (Flaspohler et al. 2021), fixed by the set."""
+    return fset.diameter**2
+
+
+def regret_coefficient(fset: Ball, memory: int) -> float:
+    """(r_max/alpha + 1) * (m*|X| + sqrt(|X|^2 + alpha)), alpha =
+    `dub_alpha(fset)`: the constant in front of the accumulated hint error
+    in the delayed-FTRL regret bound.  r_max = (|X|/2)^2 / 2 is the maximum
+    of the FTRL regularizer 0.5 ||x - center||^2 over the ball."""
+    alpha, d = dub_alpha(fset), fset.diameter
     r_max = 0.5 * (d / 2.0) ** 2
     return (r_max / alpha + 1.0) * (memory * d + np.sqrt(d * d + alpha))
 

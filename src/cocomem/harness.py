@@ -67,7 +67,6 @@ class ExperimentConfig:
     lam: Literal["theorem", "sqrt_t", "doubling"] | float = "theorem"
     predictor: dict = field(default_factory=lambda: {"kind": "perfect"})
     error_estimate: float = 0.0
-    alpha: float | None = None
     seeds: list[int] = field(default_factory=lambda: [0])
     out_dir: str = "runs"
     name: str = "experiment"
@@ -88,7 +87,7 @@ class ExperimentConfig:
         """Keys the chosen learner never reads: a config that sets one is
         rejected rather than run as if it had not."""
         if self.algorithm == "penalty_ogd":
-            return {"predictor", "alpha", "error_estimate"}
+            return {"predictor", "error_estimate"}
         if not isinstance(self.lam, str):
             return {"error_estimate"}  # it only tunes lambda
         return set()
@@ -113,8 +112,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         if not isinstance(self.lam, str) and self.lam <= 0:
             raise ConfigError(f"lam must be positive, got {self.lam}")
-        if self.alpha is not None and self.alpha <= 0:
-            raise ConfigError(f"alpha must be positive, got {self.alpha}")
         if self.error_estimate < 0:
             raise ConfigError(f"error_estimate must be >= 0, got {self.error_estimate}")
         if not self.seeds:
@@ -201,12 +198,9 @@ def run_single(cfg: ExperimentConfig, seed: int) -> RunTrace:
 
     predictor = build_predictor(cfg, seed)
     if cfg.lam == "doubling":
-        return run_doubling(instance, cfg.variant, predictor, alpha=cfg.alpha,
-                            error_estimate=cfg.error_estimate)
-    return run_optimistic(
-        instance, cfg.variant, predictor,
-        lam=_lam(cfg, instance), error_estimate=cfg.error_estimate, alpha=cfg.alpha,
-    )
+        return run_doubling(instance, cfg.variant, predictor, error_estimate=cfg.error_estimate)
+    return run_optimistic(instance, cfg.variant, predictor, lam=_lam(cfg, instance),
+                          error_estimate=cfg.error_estimate)
 
 
 # ---------------------------------------------------------------------------

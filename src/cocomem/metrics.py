@@ -65,7 +65,10 @@ class RunTrace:
         return float(self.records["ccv_cum"][r - self.first_round])
 
     def validate(self) -> None:
-        """Recurrence and monotonicity of the violation bookkeeping."""
+        """Finite columns, and the recurrence and monotonicity of the violations."""
+        for name in self.records.dtype.names:  # `t` is an integer, the rest floats
+            if not np.isfinite(self.col(name)).all():
+                raise AssertionError(f"{name} has non-finite entries")
         ccv = self.col("ccv_cum")
         inc = self.col("g_plus_recorded")
         if not np.allclose(np.cumsum(inc), ccv, rtol=1e-9, atol=1e-9):
@@ -319,9 +322,9 @@ def ccv_rhs_exponential(T: int, m: int, diam: float, l_f: float, l_g: float,
     return inv_lam * math.log(diam * l_f * math.sqrt(2 * T) + 2 * f_bound * T)
 
 
-def odaftrl_regret_rhs(fset, m: int, alpha: float, hint_error_sum: float) -> float:
+def odaftrl_regret_rhs(fset, m: int, hint_error_sum: float) -> float:
     """Delayed-FTRL regret bound: C * sqrt(sum ||h_t - window grads||^2)."""
-    return regret_coefficient(fset, m, alpha) * math.sqrt(max(hint_error_sum, 0.0))
+    return regret_coefficient(fset, m) * math.sqrt(max(hint_error_sum, 0.0))
 
 
 @dataclass
@@ -408,7 +411,7 @@ def check_lemma_ogd_regret(trace: RunTrace) -> CheckResult:
     bench = best_in_hindsight(trace.instance)
     if not bench.feasible:
         return CheckResult("ogd_surrogate_regret", True, math.nan, math.nan, "empty benchmark")
-    lhs = float(np.sum(trace.col("surrogate"))) - bench.total
+    lhs = surrogate_sum_splat(trace) - bench.total
     rhs = math.sqrt(2.0) * trace.fset.diameter * math.sqrt(
         float(np.sum(trace.col("grad_norm") ** 2))
     )
@@ -427,7 +430,7 @@ def check_decomposition_ogd(trace: RunTrace) -> CheckResult:
     if len(v):  # V stays 0 over no rounds, where both Phi read 0
         lhs += Penalty(kind, float(lam[-1])).value(float(v[-1]))
         lhs -= Penalty(kind, float(lam[0])).value(float(v[0]))
-    rhs = float(np.sum(trace.col("surrogate"))) - bench.total
+    rhs = surrogate_sum_splat(trace) - bench.total
     return CheckResult("penalty_decomposition", lhs <= rhs + 1e-9 * max(1.0, abs(rhs)), lhs, rhs)
 
 
@@ -578,6 +581,13 @@ class ForwardFunctions:
         return np.sum((hints - win) ** 2, axis=1)
 
 
+def surrogate_sum_splat(trace: RunTrace) -> float:
+    """sum_t L_t(x_t,...,x_t): penalty OGD's surrogate at the lift, each
+    round's f_splat + Phi'(V_t) max(g_splat, 0)."""
+    g_pos = np.maximum(trace.col("g_splat"), 0.0)
+    return float(np.sum(trace.col("f_splat") + trace.col("phi_prime") * g_pos))
+
+
 def surrogate_sum_memory(trace: RunTrace) -> float:
     """sum_t L_t(window) with the delayed multipliers the learner used."""
     return float(
@@ -651,7 +661,7 @@ def check_odaftrl_regret(trace: RunTrace) -> CheckResult:
     fwd = ForwardFunctions(trace)
     lhs = fwd.played_sum() - bench.total
     err_sum = float(np.sum(fwd.hint_errors()))
-    rhs = odaftrl_regret_rhs(inst.fset, inst.m, trace.extras["alpha"], err_sum)
+    rhs = odaftrl_regret_rhs(inst.fset, inst.m, err_sum)
     return CheckResult("odaftrl_regret_bound", lhs <= rhs + 1e-8 * max(1.0, abs(rhs)), lhs, rhs)
 
 

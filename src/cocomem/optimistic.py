@@ -39,9 +39,9 @@ import operator
 import numpy as np
 
 from .core import Variant, round_table
-from .geometry import ftrl_argmin, regret_coefficient
+from .geometry import dub_alpha, ftrl_argmin, regret_coefficient
 from .metrics import RunTrace
-from .penalty import PenaltyKind, check_lambda, lambda_optimistic, phi_prime, saturated
+from .penalty import PenaltyKind, check_lambda, lambda_optimistic, phi_prime
 
 MAX_PATTERN_SLICES = 12
 _EXP = PenaltyKind.EXPONENTIAL
@@ -79,8 +79,7 @@ class OdafLearner:
     fresh.
     """
 
-    def __init__(self, instance, variant: Variant, predictor, lam: float,
-                 alpha: float | None = None):
+    def __init__(self, instance, variant: Variant, predictor, lam: float):
         if not hasattr(instance, "f_coef"):
             raise TypeError("optimistic learner needs a separable-slice instance")
         if variant is Variant.COCO_M and instance.constraint_memory:
@@ -92,7 +91,7 @@ class OdafLearner:
         self.fset = instance.fset
         self.predictor = predictor
         predictor.bind(instance)
-        self.alpha = _alpha(instance, alpha)
+        self.alpha = dub_alpha(self.fset)
         self.dual_delay = variant.dual_delay(self.m)
         self._vec, self._dot, self._sumsq = _vectors(self.dim)
         # shared by every sum that starts from zero: never updated in place
@@ -352,8 +351,7 @@ class OdafLearner:
         z = self._forward.get(s, self._zero)
         self.records[row] = (
             t, x_t, f_mem, f_spl, g_val, g_spl, inc, self.ccv, self.ccv, mult_t,
-            self.lam, f_mem + mult_t * inc, math.sqrt(dot(z, z)), mu,
-            eps_f, eps_g, eps_z, saturated(_EXP, self.lam, self.ccv),
+            self.lam, math.sqrt(dot(z, z)), mu, eps_f, eps_g, eps_z,
         )
         return self.records[row]
 
@@ -389,17 +387,11 @@ def _interval_patterns(toggles):
         yield tuple(flags)
 
 
-def _alpha(instance, alpha: float | None) -> float:
-    """The DUB weight scale; defaults to the squared diameter of the set."""
-    return float(alpha) if alpha is not None else instance.fset.diameter**2
-
-
-def _tuning(instance, variant: Variant, alpha: float | None) -> tuple[float, float, float]:
-    """(alpha, C, G d) of a run: the DUB weight scale, the delayed-FTRL
-    regret coefficient and lambda's offset, G times the dual delay d."""
-    alpha = _alpha(instance, alpha)
-    coeff = regret_coefficient(instance.fset, instance.m, alpha)
-    return alpha, coeff, instance.constants().g_bound * variant.dual_delay(instance.m)
+def _tuning(instance, variant: Variant) -> tuple[float, float]:
+    """(C, G d) of a run: the delayed-FTRL regret coefficient and lambda's
+    offset, G times the dual delay d."""
+    coeff = regret_coefficient(instance.fset, instance.m)
+    return coeff, instance.constants().g_bound * variant.dual_delay(instance.m)
 
 
 def run_optimistic(
@@ -408,25 +400,23 @@ def run_optimistic(
     predictor,
     lam: float | None = None,
     error_estimate: float = 0.0,
-    alpha: float | None = None,
 ) -> RunTrace:
     """Drive one optimistic run; lam defaults to the theorem tuning with
     the supplied estimate of the cumulative constraint prediction error."""
-    alpha, coeff, offset = _tuning(instance, variant, alpha)
     if lam is None:
+        coeff, offset = _tuning(instance, variant)
         lam = lambda_optimistic(coeff * math.sqrt(error_estimate), offset)
-    learner = OdafLearner(instance, variant, predictor, lam, alpha=alpha)
+    learner = OdafLearner(instance, variant, predictor, lam)
     for t in instance.rounds:
         learner.play_round(t)
     return _trace(learner, [instance.first_round])
 
 
 def _trace(learner: OdafLearner, epoch_starts: list[int], **extras) -> RunTrace:
-    """The `odaf` trace of a finished run; `extras` follow alpha, the
-    hints, whose last row, h_{horizon + 1}, is committed but never played,
-    and the epochs, one per round of `epoch_starts`.  The `lam` column is
-    the run's only record of lambda, the `eps_*` columns of the hint
-    errors."""
+    """The `odaf` trace of a finished run; `extras` follow the hints, whose
+    last row, h_{horizon + 1}, is committed but never played, and the
+    epochs, one per round of `epoch_starts`.  The `lam` column is the run's
+    only record of lambda, the `eps_*` columns of the hint errors."""
     return RunTrace(
         algorithm="odaf",
         variant=learner.variant,
@@ -434,7 +424,6 @@ def _trace(learner: OdafLearner, epoch_starts: list[int], **extras) -> RunTrace:
         records=learner.records,
         instance=learner.inst,
         extras={
-            "alpha": learner.alpha,
             "hints": learner.hints,
             "epochs": len(epoch_starts),
             "epoch_starts": epoch_starts,
@@ -459,7 +448,6 @@ def run_doubling(
     instance,
     variant: Variant,
     predictor,
-    alpha: float | None = None,
     error_estimate: float = 0.0,
 ) -> RunTrace:
     """Drive one optimistic run with online penalty tuning, the doubling
@@ -468,12 +456,11 @@ def run_doubling(
     `lambda_optimistic(budget, G d)`.  Round t starts epoch k + 1 when
     C sqrt(E) > budget, E the sum of eps_g over the rounds of epoch k so
     far; the learner restarts in place at t."""
-    alpha, coeff, offset = _tuning(instance, variant, alpha)
+    coeff, offset = _tuning(instance, variant)
     mu1 = budget = doubling_mu1(coeff, error_estimate)
     error = 0.0
     starts = [instance.first_round]
-    learner = OdafLearner(instance, variant, predictor, lambda_optimistic(budget, offset),
-                          alpha=alpha)
+    learner = OdafLearner(instance, variant, predictor, lambda_optimistic(budget, offset))
     for t in instance.rounds:
         if coeff * math.sqrt(error) > budget:
             starts.append(t)

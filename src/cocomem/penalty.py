@@ -16,7 +16,8 @@ from enum import Enum
 import numpy as np
 
 # exp argument cap; a binding cap signals misconfiguration (the theorem
-# tunings keep lam*V at O(log T)) and is surfaced via `saturated`.
+# tunings keep lam*V at O(log T)), and `saturated` reads it from a trace's
+# `lam` and `v_dual` columns.
 EXP_CAP = 700.0
 
 

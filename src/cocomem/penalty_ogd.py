@@ -29,7 +29,7 @@ import numpy as np
 from .core import MemoryFunctionOracle, Variant, fdot, round_table
 from .geometry import point_step, project
 from .metrics import RunTrace
-from .penalty import Penalty, PenaltyKind, check_lambda, lambda_theorem, phi_prime, saturated
+from .penalty import Penalty, PenaltyKind, check_lambda, lambda_theorem, phi_prime
 
 def surrogate_gradient(
     loss: MemoryFunctionOracle,
@@ -106,8 +106,7 @@ class PenaltyOgdLearner:
 
         self.records[row] = (
             t, x, f_mem, f_spl, g_mem, g_spl, g_plus, v, self.ccv, phi_prime, lam,
-            f_spl + phi_prime * max(g_spl, 0.0), float(np.linalg.norm(grad)), eta,
-            0.0, 0.0, 0.0, saturated(self.kind, lam, v),
+            float(np.linalg.norm(grad)), eta, 0.0, 0.0, 0.0,
         )
         self.played += 1
         self.x = x_next
@@ -147,9 +146,9 @@ def run_penalty_ogd(
     records = round_table(len(rounds), dim)
     for k, (t, lam) in enumerate(zip(rounds, lams)):
         f_mem, f_spl, f_grad, g_mem, g_spl, g_grad = evaluate(k, window, x)
-        g_plus, g_pos = max(g_mem, 0.0), max(g_spl, 0.0)
+        g_plus = max(g_mem, 0.0)
         # dual update first: the multiplier sees this round's violation
-        v += g_pos
+        v += max(g_spl, 0.0)
         ccv += g_plus
         pp = phi_prime(kind, lam, v)
         grad = f_grad
@@ -160,7 +159,7 @@ def run_penalty_ogd(
         eta = adaptive_step(diameter, grad_sq_sum)
         records[k] = (
             t, x, f_mem, f_spl, g_mem, g_spl, g_plus, v, ccv, pp, lam,
-            f_spl + pp * g_pos, math.sqrt(gg), eta, 0.0, 0.0, 0.0, saturated(kind, lam, v),
+            math.sqrt(gg), eta, 0.0, 0.0, 0.0,
         )
         x = step(x, eta, grad)
         window = window[dim:] + x

@@ -4,8 +4,30 @@ import math
 
 import numpy as np
 
+from cocomem.core import ROUND_FIELDS
 from cocomem.geometry import regret_coefficient
 from cocomem.metrics import RunTrace, best_in_hindsight, lift_loss_at
+from cocomem.penalty import saturated
+
+
+def pinned_layout(trace: RunTrace) -> np.ndarray:
+    """The trace table in the 18-column layout that the trace digests were
+    recorded in.  It also stored the played surrogate after `lam` (penalty
+    OGD's f_splat + Phi' max(g_splat, 0), ODAF's f_mem + Phi' g+) and the
+    exponent cap's saturation last; both are rebuilt from the columns."""
+    names = ROUND_FIELDS[:11] + ("surrogate",) + ROUND_FIELDS[11:]
+    dim = trace.instance.dim
+    table = np.zeros(len(trace.records), dtype=[("t", np.int64), ("x", float, (dim,))]
+                     + [(name, float) for name in names[2:]] + [("saturated", bool)])
+    for name in ROUND_FIELDS:
+        table[name] = trace.col(name)
+    if trace.algorithm == "penalty_ogd":
+        f, g_plus = trace.col("f_splat"), np.maximum(trace.col("g_splat"), 0.0)
+    else:
+        f, g_plus = trace.col("f_mem"), trace.col("g_plus_recorded")
+    table["surrogate"] = f + trace.col("phi_prime") * g_plus
+    table["saturated"] = saturated(trace.penalty_kind, trace.col("lam"), trace.col("v_dual"))
+    return table
 
 
 def constant_window(x, m: int) -> np.ndarray:
@@ -53,6 +75,6 @@ def doubling_epoch_bound(trace: RunTrace) -> float:
     and E_total the run's summed eps_g: epoch K - 1 ended when
     C sqrt(E) > 2^(K-2) mu1, and E <= E_total."""
     inst = trace.instance
-    coeff = regret_coefficient(inst.fset, inst.m, inst.fset.diameter**2)
+    coeff = regret_coefficient(inst.fset, inst.m)
     error = sum(trace.col("eps_g").tolist())
     return 2 + math.log2(coeff * math.sqrt(error) / trace.extras["mu1"])

@@ -23,7 +23,7 @@ from cocomem.core import Variant, round_table
 from cocomem.geometry import ftrl_argmin, regret_coefficient
 from cocomem.metrics import RunTrace
 from cocomem.optimistic import MAX_PATTERN_SLICES, doubling_mu1, huber
-from cocomem.penalty import Penalty, PenaltyKind, lambda_optimistic, saturated
+from cocomem.penalty import Penalty, PenaltyKind, lambda_optimistic
 
 class OdafLearner:
     """One optimistic run (or one epoch of the doubling wrapper).
@@ -41,7 +41,6 @@ class OdafLearner:
         variant: Variant,
         predictor,
         penalty: Penalty,
-        alpha: float | None = None,
         first_round: int | None = None,
         visibility_floor: int | None = None,
         x_hist: dict | None = None,
@@ -62,7 +61,7 @@ class OdafLearner:
         self.penalty = penalty
         self.predictor = predictor
         predictor.bind(instance)
-        self.alpha = float(alpha) if alpha is not None else self.fset.diameter**2
+        self.alpha = self.fset.diameter**2  # the DUB weight scale
         self.first = instance.first_round if first_round is None else first_round
         self.floor = self.first if visibility_floor is None else visibility_floor
         self.dual_delay = self.m + 1 if variant is Variant.COCO_M2 else 1
@@ -323,9 +322,9 @@ class OdafLearner:
         row = t - self.inst.first_round
         self.records[row] = (
             t, x_t, f_mem, f_spl, g_val, g_spl, inc, self.ccv, self.ccv, mult_t,
-            self.penalty.lam, f_mem + mult_t * inc,
+            self.penalty.lam,
             float(np.linalg.norm(self._forward.get(s, np.zeros(self.dim)))), self.mu_now,
-            eps_f, eps_g, eps_z, saturated(PenaltyKind.EXPONENTIAL, self.penalty.lam, self.ccv),
+            eps_f, eps_g, eps_z,
         )
         return self.records[row]
 
@@ -355,18 +354,15 @@ def run_optimistic(
     predictor,
     lam: float | None = None,
     error_estimate: float = 0.0,
-    alpha: float | None = None,
 ) -> RunTrace:
     """Drive one optimistic run; lam defaults to the theorem tuning with
     the supplied estimate of the cumulative constraint prediction error."""
-    alpha_val = float(alpha) if alpha is not None else instance.fset.diameter**2
     if lam is None:
         k = instance.constants()
-        coeff = regret_coefficient(instance.fset, instance.m, alpha_val)
+        coeff = regret_coefficient(instance.fset, instance.m)
         eff_m = instance.m if variant is Variant.COCO_M2 else 0
         lam = lambda_optimistic(coeff * math.sqrt(error_estimate), k.g_bound * (eff_m + 1))
-    learner = OdafLearner(instance, variant, predictor, Penalty(PenaltyKind.EXPONENTIAL, lam),
-                          alpha=alpha_val)
+    learner = OdafLearner(instance, variant, predictor, Penalty(PenaltyKind.EXPONENTIAL, lam))
     for t in range(instance.first_round, instance.horizon + 1):
         learner.play_round(t)
     return RunTrace(
@@ -376,7 +372,6 @@ def run_optimistic(
         records=learner.records,
         instance=instance,
         extras={
-            "alpha": alpha_val,
             # row k is the hint h_{first_round + k}; the last one, for
             # round horizon + 1, is committed but never played
             "hints": np.array(list(learner.hints.values())),
@@ -435,14 +430,12 @@ class DoublingLearner:
     collects every epoch's hints by round: a restart at round t commits
     h_t again, and the new epoch's h_t replaces the old one."""
 
-    def __init__(self, instance, variant: Variant, predictor,
-                 alpha: float | None = None, error_estimate: float = 0.0):
+    def __init__(self, instance, variant: Variant, predictor, error_estimate: float = 0.0):
         self.inst = instance
         self.variant = variant
         self.predictor = predictor
-        self.alpha = float(alpha) if alpha is not None else instance.fset.diameter**2
         k = instance.constants()
-        coeff = regret_coefficient(instance.fset, instance.m, self.alpha)
+        coeff = regret_coefficient(instance.fset, instance.m)
         offset = k.g_bound * ((instance.m + 1) if variant is Variant.COCO_M2 else 1)
         self.schedule = DoublingSchedule(coeff, offset, doubling_mu1(coeff, error_estimate))
         self.schedule.epoch_starts.append(instance.first_round)
@@ -464,7 +457,6 @@ class DoublingLearner:
             self.variant,
             self.predictor,
             Penalty(PenaltyKind.EXPONENTIAL, self.schedule.lam),
-            alpha=self.alpha,
             first_round=start_round,
             visibility_floor=start_round,
             x_hist=self.x_hist,
@@ -488,11 +480,9 @@ def run_doubling(
     instance,
     variant: Variant,
     predictor,
-    alpha: float | None = None,
     error_estimate: float = 0.0,
 ) -> RunTrace:
-    learner = DoublingLearner(instance, variant, predictor, alpha=alpha,
-                              error_estimate=error_estimate)
+    learner = DoublingLearner(instance, variant, predictor, error_estimate=error_estimate)
     for t in range(instance.first_round, instance.horizon + 1):
         learner.play_round(t)
     sched = learner.schedule
@@ -503,7 +493,6 @@ def run_doubling(
         records=learner.records,
         instance=instance,
         extras={
-            "alpha": learner.alpha,
             "hints": np.array([learner.hints[r] for r in sorted(learner.hints)]),
             "epochs": sched.epoch,
             "epoch_starts": list(sched.epoch_starts),

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from cocomem.core import Ball
 from cocomem.geometry import (
+    dub_alpha,
     ftrl_argmin,
     minimize_linear,
     point_step,
@@ -161,10 +162,10 @@ def test_float_argmin_on_a_2d_set_raises():
 
 def test_regret_coefficient_formula():
     b = Ball([0.0], 2.0)
-    alpha = 16.0  # diameter^2
+    assert dub_alpha(b) == 16.0  # diameter^2
     # (r_max/alpha + 1)(m*D + sqrt(D^2 + alpha)) with r_max = 2, D = 4
     want = (2.0 / 16.0 + 1.0) * (3 * 4.0 + np.sqrt(16.0 + 16.0))
-    assert regret_coefficient(b, 3, alpha) == pytest.approx(want)
+    assert regret_coefficient(b, 3) == pytest.approx(want)
 
 
 def test_regularizer_max_value():
@@ -173,7 +174,7 @@ def test_regularizer_max_value():
     for fset, far in ((Ball([0.0], 15.0), [15.0]), (Ball([1.0, -1.0], 15.0), [1.0, 14.0])):
         r_max = 0.5 * float(np.sum((np.array(far) - fset.center) ** 2))
         assert r_max == 0.5 * 15.0**2
-        assert regret_coefficient(fset, 0, 1.0) == pytest.approx((r_max + 1.0) * np.sqrt(900.0 + 1.0))
+        assert regret_coefficient(fset, 0) == pytest.approx((r_max / 900.0 + 1.0) * np.sqrt(1800.0))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

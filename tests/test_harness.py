@@ -512,8 +512,6 @@ ODAF_BASE = {
 
 
 @pytest.mark.parametrize("over", [
-    {"alpha": -1.0},
-    {"alpha": "abc"},
     {"error_estimate": -1.0},
     {"predictor": {"kind": "noisy", "scale": -0.5}},
 ])
@@ -525,6 +523,25 @@ def test_cli_rejects_bad_learner_parameters(tmp_path, capsys, over):
     assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
     assert "config error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_a_non_finite_trace_fails_run_and_verify(tmp_path, capsys):
+    """At sigma = 1e300 every round's f_mem, f_splat and grad_norm is
+    infinite, so the step is 0 and the learner never moves.  Such a trace
+    is no result: `run` records the seed as failed and exits 2, and
+    `verify`'s ccv_recurrence_replay fails on the first non-finite column."""
+    env = {"kind": "appendix_a", "m": 1, "horizon": 50, "sigma": 1e300}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**BASE, "environment": env, "seeds": [0]}))
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):  # the metrics of inf
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        [failed] = json.loads(capsys.readouterr().out)["seeds_failed"]
+        assert failed["error"] == "f_mem has non-finite entries"
+        assert cli_main(["verify", "--config", str(cfg_path)]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ("seed 0: [FAIL] ccv_recurrence_replay: lhs=nan rhs=nan "
+                        "f_mem has non-finite entries")
 
 
 @pytest.mark.parametrize("command", ["run", "verify"])
@@ -574,15 +591,20 @@ NOISY_BASE = {**ODAF_BASE, "predictor": {"kind": "noisy", "scale": 0.3}}
     {**ODAF_BASE, "predictor": {"kind": "noisy", "scale": "0.3"}},
     {**ODAF_BASE, "predictor": {"kind": "noisy", "scale": True}},
     {**BASE, "lam": "0.5"},
-    {**ODAF_BASE, "alpha": "2"},
     {**ODAF_BASE, "error_estimate": None},
     # dict() read a list of [key, value] pairs
     {**BASE, "environment": [["kind", "appendix_a"], ["m", 2], ["horizon", 120]]},
     {**ODAF_BASE, "predictor": [["kind", "perfect"]]},
+    # the DUB scale alpha is the decision set's squared diameter, for
+    # every learner: no config sets it
+    {**ODAF_BASE, "alpha": 0.5},
+    {**NOISY_BASE, "lam": "doubling", "alpha": 0.5},
+    {**BASE, "alpha": 0.5},
 ], ids=["top_level_typo", "scale_typo", "perfect_with_scale", "no_kind", "scale_nan",
         "scale_infinite", "scale_negative", "noisy_without_scale", "environment_seed",
         "noisy_seed", "perfect_seed", "scale_string", "scale_true", "lam_string",
-        "alpha_string", "error_estimate_null", "environment_pairs", "predictor_pairs"])
+        "error_estimate_null", "environment_pairs", "predictor_pairs", "odaf_alpha",
+        "doubling_alpha", "ogd_alpha"])
 def test_cli_rejects_keys_outside_the_schema(tmp_path, capsys, monkeypatch, obj):
     _rejected_by_both_commands(tmp_path, capsys, monkeypatch, obj)
 
@@ -591,11 +613,10 @@ def test_cli_rejects_keys_outside_the_schema(tmp_path, capsys, monkeypatch, obj)
     # penalty OGD plays without forecasts and tunes no optimistic lambda;
     # a key is rejected even when it holds its default
     {**BASE, "predictor": {"kind": "perfect"}},
-    {**BASE, "alpha": 0.5},
     {**BASE, "error_estimate": 0.0},
     # at a given lambda the error estimate would only have tuned lambda
     {**ODAF_BASE, "lam": 0.5, "error_estimate": 0.0},
-], ids=["ogd_predictor", "ogd_alpha", "ogd_error_estimate", "odaf_number_error_estimate"])
+], ids=["ogd_predictor", "ogd_error_estimate", "odaf_number_error_estimate"])
 def test_cli_rejects_a_key_the_learner_does_not_read(tmp_path, capsys, monkeypatch, obj):
     _rejected_by_both_commands(tmp_path, capsys, monkeypatch, obj)
 
@@ -660,16 +681,14 @@ def test_cli_rejects_a_lam_outside_the_rules(tmp_path, capsys, monkeypatch, obj)
 
 
 def test_keys_are_accepted_where_the_learner_reads_them():
-    ExperimentConfig.from_dict({**NOISY_BASE, "alpha": 0.5, "error_estimate": 0.1})
-    ExperimentConfig.from_dict({**NOISY_BASE, "lam": "doubling", "alpha": 0.5,
-                                "error_estimate": 0.1})
-    ExperimentConfig.from_dict({**NOISY_BASE, "lam": 0.5, "alpha": 0.5})
+    ExperimentConfig.from_dict({**NOISY_BASE, "error_estimate": 0.1})
+    ExperimentConfig.from_dict({**NOISY_BASE, "lam": "doubling", "error_estimate": 0.1})
 
 
 def test_config_fields_are_typed_once():
-    cfg = ExperimentConfig.from_dict({**ODAF_BASE, "error_estimate": 1, "alpha": 2})
+    cfg = ExperimentConfig.from_dict({**ODAF_BASE, "error_estimate": 1})
     assert (cfg.variant, cfg.penalty) == (Variant.COCO_M2, PenaltyKind.EXPONENTIAL)
-    assert type(cfg.error_estimate) is float and cfg.alpha == 2.0
+    assert type(cfg.error_estimate) is float and cfg.error_estimate == 1.0
     assert cfg.lam == "theorem" and cfg.predictor == {"kind": "perfect"}
     obj = {**ODAF_BASE}
     cfg = ExperimentConfig.from_dict(obj)
@@ -692,10 +711,9 @@ def test_build_predictor_dispatch():
     {**BASE, "name": ""},
     {**BASE, "out_dir": 5},
     {**BASE, "lam": True},
-    {**ODAF_BASE, "alpha": True},
     {**ODAF_BASE, "error_estimate": False},
 ], ids=["name_null", "name_with_directory", "name_empty", "out_dir_int", "lam_true",
-        "alpha_true", "error_estimate_false"])
+        "error_estimate_false"])
 def test_cli_rejects_mistyped_top_level_fields(tmp_path, capsys, monkeypatch, obj):
     # a null name wrote None_seed0.csv, a bool ran as 1.0 or 0.0, and a
     # name with a directory part or an integer out_dir failed every seed
@@ -748,7 +766,7 @@ def test_every_float_value_follows_the_number_rule():
     assert all(map(is_number, (0, -2, 0.5, 1e308, np.float64(0.3), np.int64(3))))
     assert not any(map(is_number, NOT_NUMBERS))
     # every float-typed value goes through it: each float field of the six
-    # classes, both halves of a pair, and a null only where it is allowed
+    # classes and both halves of a pair, none of which takes a null
     valid = {ExperimentConfig: vars(ExperimentConfig.from_dict(ODAF_BASE)),
              NoisyPredictor: {"scale": 0.3, "seed": 0}}
     checked = set()
@@ -759,19 +777,16 @@ def test_every_float_value_follows_the_number_rule():
             if "float" not in f.type:
                 continue
             for bad in NOT_NUMBERS:
-                if bad is None and f.type == "float | None":
-                    continue
                 for value in ([(bad, 0.5), (0.5, bad)] if f.type.startswith("tuple") else [bad]):
                     with pytest.raises(TypeError, match=f"{f.name} must be a"):
                         check_fields(cls, {**base, f.name: value})
             checked.add(cls)
     assert checked == {ExperimentConfig, *ENV_FAMILIES.values(), NoisyPredictor}
     # and where the values arrive: the config load and the constructor
-    for name in ("lam", "error_estimate", "alpha"):
+    for name in ("lam", "error_estimate"):
         for bad in NOT_NUMBERS:
-            if bad is not None or name != "alpha":  # None: no alpha
-                with pytest.raises(ConfigError, match=f"{name} must be a finite number"):
-                    ExperimentConfig.from_dict({**ODAF_BASE, name: bad})
+            with pytest.raises(ConfigError, match=f"{name} must be a finite number"):
+                ExperimentConfig.from_dict({**ODAF_BASE, name: bad})
     for bad in NOT_NUMBERS:
         with pytest.raises(TypeError, match="scale must be a finite number"):
             NoisyPredictor(bad)

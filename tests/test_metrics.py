@@ -41,6 +41,7 @@ from cocomem.metrics import (
     regret_rhs_exponential,
     regret_rhs_quadratic,
     surrogate_sum_memory,
+    surrogate_sum_splat,
     _grid_best,
 )
 from helpers import constant_window, prefix_static_regret, sqrt_t
@@ -104,7 +105,7 @@ def _toy_trace(inst, xs):
         g_mem = g.value(w)
         ccv += max(g_mem, 0.0)
         records[row] = (t, [x], f.value(w), f.value_splat([x]), g_mem, g.value_splat([x]),
-                        max(g_mem, 0.0), ccv, ccv, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, False)
+                        max(g_mem, 0.0), ccv, ccv, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     return RunTrace("penalty_ogd", Variant.COCO_M2, PenaltyKind.QUADRATIC, records, inst, {})
 
 
@@ -442,7 +443,7 @@ def _independent_sums(trace, U):
 def _comparator(trace):
     """The total the regret check subtracts, read back from its lhs."""
     if trace.algorithm == "penalty_ogd":
-        return float(np.sum(trace.col("surrogate"))) - check_lemma_ogd_regret(trace).lhs
+        return surrogate_sum_splat(trace) - check_lemma_ogd_regret(trace).lhs
     return ForwardFunctions(trace).played_sum() - check_odaftrl_regret(trace).lhs
 
 

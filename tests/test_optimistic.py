@@ -28,7 +28,7 @@ from cocomem.harness import ExperimentConfig, load_config, run_single
 from cocomem.metrics import ForwardFunctions, _decisions_by_round
 from cocomem.optimistic import OdafLearner, doubling_mu1, huber
 from cocomem.penalty import Penalty, lambda_optimistic, phi_prime
-from helpers import assert_v_at_reads_the_table, doubling_epoch_bound, error_sums
+from helpers import assert_v_at_reads_the_table, doubling_epoch_bound, error_sums, pinned_layout
 from reference_odaf import DoublingSchedule
 
 
@@ -279,10 +279,10 @@ def test_m0_run_matches_reference_memory_free_learner():
                                    g_round_density=0.4, g_mag=(0.05, 0.2))
     tr = run_optimistic(inst, Variant.COCO_M2, ZeroPredictor())
     lam = float(tr.col("lam")[-1])
-    alpha = tr.extras["alpha"]
     pen = Penalty(PenaltyKind.EXPONENTIAL, lam)
     fset = inst.fset
     d = fset.diameter
+    alpha = d * d  # the DUB weight scale |X|^2
 
     x = fset.center.copy()
     v_prev, v = 0.0, 0.0
@@ -435,8 +435,8 @@ def test_doubling_schedule_scripted_epochs(monkeypatch):
     learners = []
 
     class ScriptedLearner:
-        def __init__(self, instance, variant, predictor, lam, alpha=None):
-            self.inst, self.variant, self.alpha = instance, variant, alpha
+        def __init__(self, instance, variant, predictor, lam):
+            self.inst, self.variant = instance, variant
             self.records, self.hints = np.zeros(len(eps), dtype=[("lam", float)]), None
             self.fixed_point_fallbacks = 0
             self.lam, self.starts = lam, [instance.first_round]
@@ -451,7 +451,7 @@ def test_doubling_schedule_scripted_epochs(monkeypatch):
             return {"eps_g": eps[t - 1]}
 
     monkeypatch.setattr(optimistic, "OdafLearner", ScriptedLearner)
-    monkeypatch.setattr(optimistic, "_tuning", lambda instance, variant, alpha: (1.0, 1.0, 1.0))
+    monkeypatch.setattr(optimistic, "_tuning", lambda instance, variant: (1.0, 1.0))
     inst = types.SimpleNamespace(first_round=1, rounds=range(1, 10))
     tr = optimistic.run_doubling(inst, Variant.COCO_M2, None, error_estimate=1.0)
     assert learners[0].starts == [1, 4, 9] == tr.extras["epoch_starts"]
@@ -474,7 +474,7 @@ def test_doubling_arithmetic_reads_back_from_the_trace():
     for seed in range(5):
         tr = run_single(cfg, seed)
         inst = tr.instance
-        coeff = regret_coefficient(inst.fset, inst.m, inst.fset.diameter**2)
+        coeff = regret_coefficient(inst.fset, inst.m)
         offset = inst.constants().g_bound * (inst.m + 1)
         mu1, starts = tr.extras["mu1"], tr.extras["epoch_starts"]
         assert mu1 == doubling_mu1(coeff, cfg.error_estimate)
@@ -502,7 +502,7 @@ def test_theorem_lambda_is_the_doubling_formula(variant, constraint_memory, dela
     inst = SeparableLinearInstance(m=2, horizon=40, seed=3, constraint_memory=constraint_memory)
     error = 0.7
     tr = run_optimistic(inst, variant, PerfectPredictor(), error_estimate=error)
-    coeff = regret_coefficient(inst.fset, inst.m, inst.fset.diameter**2)
+    coeff = regret_coefficient(inst.fset, inst.m)
     sched = DoublingSchedule(coeff, inst.constants().g_bound * delay, coeff * math.sqrt(error))
     assert np.all(tr.col("lam") == sched.lam)
 
@@ -525,9 +525,10 @@ def test_doubling_epoch_count_obeys_budget_arithmetic():
         tr.validate()
 
 
-# sha256 prefixes of records.tobytes(), hints.tobytes() (odaf only) and the
-# error sums, recorded from the learner before its forecasts were memoized
-# per round; any flipped activity flag or reordered sum changes them
+# sha256 prefixes of records.tobytes() in `pinned_layout`, hints.tobytes()
+# (odaf only) and the error sums, recorded from the learner before its
+# forecasts were memoized per round; any flipped activity flag or
+# reordered sum changes them
 PINNED_TRACES = {
     ("odaf", "perfect", 0, 1): "6b5fdbc64019f20a",
     ("odaf", "perfect", 0, 2): "747cae2ee49b15bf",
@@ -565,7 +566,7 @@ def test_trace_bytes_are_pinned(case):
                  "noisy": NoisyPredictor(0.3, seed=m + d)}[kind]
     run = run_optimistic if runner == "odaf" else run_doubling
     tr = run(inst, Variant.COCO_M2, predictor)
-    h = hashlib.sha256(tr.records.tobytes())
+    h = hashlib.sha256(pinned_layout(tr).tobytes())
     if runner == "odaf":
         h.update(tr.extras["hints"].tobytes())
     h.update(repr(sorted(error_sums(tr).items())).encode())

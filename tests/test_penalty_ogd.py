@@ -16,10 +16,10 @@ from cocomem import (
 from cocomem.core import Ball, MemoryFunctionOracle
 from cocomem.harness import load_config, run_single
 from cocomem.metrics import theorem_bound_report
-from cocomem.penalty import lambda_quadratic, lambda_theorem
+from cocomem.penalty import lambda_quadratic, lambda_theorem, saturated
 from cocomem.penalty_ogd import PenaltyOgdLearner, adaptive_step, surrogate_gradient
 
-from helpers import sqrt_t
+from helpers import pinned_layout, sqrt_t
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -251,8 +251,29 @@ def test_float_loop_matches_reference_when_the_exponent_cap_binds():
     got = run_penalty_ogd(inst, Variant.COCO_M, PenaltyKind.EXPONENTIAL, 25.0).records
     with np.errstate(over="ignore"):  # |grad|^2 overflows to inf in both loops
         want = _reference_records(inst, Variant.COCO_M, PenaltyKind.EXPONENTIAL, 25.0)
-    assert want["saturated"].any()
+    assert saturated(PenaltyKind.EXPONENTIAL, want["lam"], want["v_dual"]).any()
     assert got.tobytes() == want.tobytes()
+
+
+# (count, sha256) of the per-round saturation flags of exponential-penalty
+# OGD under coco_m on AppendixAInstance(m=1, horizon=400, seed=0), recorded
+# when the trace stored them as a bool column
+PINNED_SATURATION = {
+    0.1: (90, "2cf2b95ed10edf1963ce1ba3bb1cf0a7a6d930013807e38838334b55ab6af1d7"),
+    1.0: (374, "b65817b51a88d8505efaea1b4cfb45e139c24a616d6100f355d50bd8161ed005"),
+}
+
+
+@pytest.mark.parametrize("lam", sorted(PINNED_SATURATION))
+def test_saturation_reads_back_from_lam_and_v_dual(lam):
+    """The exponent-cap guard rail is not stored: `penalty.saturated` of
+    the `lam` and `v_dual` columns flags the rounds the stored column did."""
+    inst = AppendixAInstance(m=1, horizon=400, seed=0)
+    tr = run_penalty_ogd(inst, Variant.COCO_M, PenaltyKind.EXPONENTIAL, lam)
+    flags = saturated(tr.penalty_kind, tr.col("lam"), tr.col("v_dual"))
+    count, digest = PINNED_SATURATION[lam]
+    assert flags.dtype == bool and int(flags.sum()) == count
+    assert hashlib.sha256(flags.tobytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
@@ -267,8 +288,8 @@ def test_float_loop_rejects_bad_lambda(value, kind):
         run_penalty_ogd(inst, Variant.COCO_M, kind, lams)
 
 
-# sha256 of records.tobytes() for seed 0 of the two shipped reference
-# configs, recorded with the oracle-driven loop
+# sha256 of records.tobytes() in `pinned_layout` for seed 0 of the two
+# shipped reference configs, recorded with the oracle-driven loop
 PINNED_REFERENCE_TRACES = {
     "reference_stochastic": "7f930d1763d1bfe6",
     "reference_adversarial": "b242f96ebbaf8db4",
@@ -279,7 +300,7 @@ PINNED_REFERENCE_TRACES = {
 def test_reference_trace_bytes_are_pinned(name):
     cfg = load_config(CONFIG_DIR / f"{name}.json")
     tr = run_single(cfg, 0)
-    digest = hashlib.sha256(tr.records.tobytes()).hexdigest()
+    digest = hashlib.sha256(pinned_layout(tr).tobytes()).hexdigest()
     assert digest[:16] == PINNED_REFERENCE_TRACES[name]
 
 
