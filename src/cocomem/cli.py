@@ -43,7 +43,7 @@ def _parser() -> argparse.ArgumentParser:
     config.add_argument("--config", required=True)
 
     run_p = sub.add_parser("run", parents=[config], help="run an experiment config across seeds")
-    run_p.add_argument("--out", default=None, help="output directory")
+    run_p.add_argument("--out", default=None, help="output directory (default runs/<name>)")
     run_p.add_argument("--seeds", type=int, default=None,
                        help="use seeds 0..N-1 instead of the config's list")
     run_p.add_argument("--parallel", type=int, default=1)
@@ -68,8 +68,7 @@ def main(argv: list[str] | None = None) -> int:
                 cfg.seeds = list(range(args.seeds))
             if args.parallel < 1:
                 raise ConfigError(f"--parallel must be at least 1, got {args.parallel}")
-            out_dir = args.out or cfg.out_dir
-            summary = run_experiment(cfg, out_dir, parallel=args.parallel)
+            summary = run_experiment(cfg, args.out, parallel=args.parallel)
             print(json.dumps(summary, indent=2, sort_keys=True))
             return EXIT_RUNTIME if summary["seeds_failed"] else EXIT_OK
         ok = True

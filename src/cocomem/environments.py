@@ -53,9 +53,8 @@ def _instance_rng(seed: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class InstanceConstants:
-    """Closed-form problem constants fed to the bound calculators."""
+    """Closed-form problem constants for the bound calculators (|X| is `fset.diameter`)."""
 
-    diameter: float
     l_f: float
     l_g: float
     f_bound: float
@@ -122,14 +121,14 @@ class _Instance:
     """What both instance families share.
 
     A family is a dataclass whose fields are its parameters in constructor
-    order; `_ARRAYS` maps the names of its generated arrays to their
-    dtypes.  Construction types the fields (`check_fields`), makes the
-    family's range checks (`check_params`; neither needs an instance, so a
-    config can be checked without generating), builds the decision set
-    (the ball of `radius` at the origin), and then either generates the
-    arrays (`_generate` sets them as attributes) or adopts the `_arrays`
-    passed in, in `_ARRAYS` order.  `to_json` and `from_json` are the
-    replay document's one writer and reader: `kind`, `rng` and `seed`,
+    order; `_ARRAYS` maps the names of its generated arrays to their dtypes.
+    Construction types the fields (`check_fields`), makes the family's range
+    checks (`check_params`; neither needs an instance, so a config can be
+    checked without generating), builds the decision set `fset` (the ball of
+    `radius` at the origin, which alone holds its `diameter`), then
+    generates the arrays (`_generate` sets them as attributes) or adopts the
+    `_arrays` passed in, in `_ARRAYS` order.  `to_json` and `from_json` are
+    the replay document's one writer and reader: `kind`, `rng` and `seed`,
     then the other fields in declaration order (those whose metadata sets
     `params` nested under "params"), then the arrays as nested lists.
     """
@@ -351,7 +350,6 @@ class AppendixAInstance(_Instance):
         l_f = self.radius + self.coef_bound * root_d
         l_g = self.coef_bound * root_d
         return InstanceConstants(
-            diameter=self.fset.diameter,
             l_f=l_f,
             l_g=l_g,
             f_bound=0.5 * l_f * l_f,
@@ -602,7 +600,6 @@ class SeparableLinearInstance(_Instance):
         f_bound = float(np.max(np.sum(f_norms * self.radius, axis=1)))
         g_bound = float(np.max(np.sum(g_norms * self.radius + np.abs(self.g_off), axis=1)))
         return InstanceConstants(
-            diameter=self.fset.diameter,
             l_f=float(max(joint_f.max(), lift_f.max())),
             l_g=float(max(joint_g.max(), lift_g.max(), 1e-12)),
             f_bound=f_bound,

@@ -68,7 +68,6 @@ class ExperimentConfig:
     predictor: dict = field(default_factory=lambda: {"kind": "perfect"})
     error_estimate: float = 0.0
     seeds: list[int] = field(default_factory=lambda: [0])
-    out_dir: str = "runs"
     name: str = "experiment"
 
     @classmethod
@@ -104,7 +103,7 @@ class ExperimentConfig:
             check_benchmark_dim(env["dim"])
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
-        # the name prefixes the files written into the output directory
+        # the name prefixes the files written and names their default directory
         if not self.name or os.path.basename(self.name) != self.name:
             raise ConfigError(f"name must be a file name with no directory part, "
                               f"got {self.name!r}")
@@ -194,6 +193,7 @@ def run_single(cfg: ExperimentConfig, seed: int) -> RunTrace:
     if cfg.algorithm == "penalty_ogd":
         return run_penalty_ogd(instance, cfg.variant, cfg.penalty, _lam(cfg, instance))
 
+    # imported per call: a wrapper set on `optimistic` (perfbench's tracer) must be the one run
     from .optimistic import run_doubling, run_optimistic
 
     predictor = build_predictor(cfg, seed)
@@ -283,13 +283,14 @@ def _seed_failure(seed: int, exc: BaseException, origin: BaseException | None = 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
                    parallel: int = 1) -> dict:
-    """Run every seed, write one CSV (plus instance JSON) per seed, and an
-    aggregate summary with per-checkpoint means and standard deviations.
-    Failed seeds are recorded and excluded from aggregates.  Seeds run in
-    at most `parallel` worker processes, never more than there are seeds
-    (a forked pool starts all its workers at the first task)."""
+    """Run every seed, write one CSV (plus instance JSON) per seed and an
+    aggregate summary with per-checkpoint means and standard deviations
+    into `out_dir` (default `runs/<name>`).  Failed seeds are recorded and
+    excluded from aggregates.  Seeds run in at most `parallel` worker
+    processes, never more than there are seeds (a forked pool starts all
+    its workers at the first task)."""
     cfg.validate()
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
+    out = Path(out_dir) if out_dir is not None else Path("runs", cfg.name)
     out.mkdir(parents=True, exist_ok=True)
     results, failed = [], []
     workers = min(parallel, len(cfg.seeds))
@@ -335,14 +336,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
 
 def _audit_seeds(cfg: ExperimentConfig, audit) -> list[tuple[int, object]]:
     """(seed, audit(trace)) of every config seed, in order.  A seed that
-    fails stops the audit with a RuntimeError that names it; a
-    ConfigError passes through as it is."""
+    fails stops the audit with a RuntimeError that names it."""
     out = []
     for seed in cfg.seeds:
         try:
             out.append((seed, audit(run_single(cfg, seed))))
-        except ConfigError:
-            raise
         except Exception as exc:  # noqa: BLE001 - named and raised again
             raise RuntimeError(f"seed {seed}: {exc}") from exc
     return out

@@ -91,9 +91,8 @@ class RunTrace:
 
 @dataclass
 class Benchmark:
-    x_star: np.ndarray | None
+    x_star: np.ndarray | None  # None (and total NaN) when the benchmark set is empty
     total: float
-    feasible: bool
 
 
 def _active_rounds(instance, upto: int | None) -> range:
@@ -148,9 +147,9 @@ def best_in_hindsight(instance, kind: str = "lift", upto: int | None = None) -> 
         return _grid_best(instance, kind, step, upto)
     iv = feasible_interval(instance, kind, upto)
     if iv is None:
-        return Benchmark(None, math.nan, False)
+        return Benchmark(None, math.nan)
     x, total = instance.lift_argmin_1d(*iv, _active_rounds(instance, upto))
-    return Benchmark(np.array([x]), total, True)
+    return Benchmark(np.array([x]), total)
 
 
 _GRID_POINT_CAP = 4_000_000
@@ -202,8 +201,8 @@ def _grid_best(instance, kind: str, resolution: float, upto: int | None) -> Benc
         if totals[k] < best_val:
             best_val, best_x = float(totals[k]), U[k]
     if best_x is None:
-        return Benchmark(None, math.nan, False)
-    return Benchmark(best_x, best_val, True)
+        return Benchmark(None, math.nan)
+    return Benchmark(best_x, best_val)
 
 
 def _chunks(n: int, size: int = 1024):
@@ -245,7 +244,7 @@ def regret_and_ccv(trace: RunTrace) -> MetricSeries:
     inst = trace.instance
     benchmark = best_in_hindsight(inst)
     f_mem = np.cumsum(trace.col("f_mem"))
-    if benchmark.feasible:
+    if benchmark.x_star is not None:
         bench = np.cumsum(lift_loss_at(inst, benchmark.x_star))
         if len(bench) != len(f_mem):
             raise ValueError("trace and instance round counts disagree")
@@ -351,7 +350,7 @@ def theorem_bound_report(trace: RunTrace) -> BoundReport:
     series = regret_and_ccv(trace)
     inst = trace.instance
     k = inst.constants()
-    T, m = inst.horizon, inst.m
+    T, m, diam = inst.horizon, inst.m, inst.fset.diameter
     # the cumulative series end at round T; a run with no rounds measures 0
     measured = {key: float(col[-1]) if len(col) else 0.0
                 for key, col in (("regret", series.regret_static_cum), ("ccv", series.ccv_cum))}
@@ -369,16 +368,16 @@ def theorem_bound_report(trace: RunTrace) -> BoundReport:
             preconditions["short_memory"] = short_memory_condition(T, m)
             preconditions["l_f_at_least_one"] = k.l_f >= 1.0
         if all(preconditions.values()) and trace.penalty_kind is PenaltyKind.QUADRATIC:
-            theoretical["regret"] = regret_rhs_quadratic(T, m, k.diameter, k.l_f, k.l_g)
+            theoretical["regret"] = regret_rhs_quadratic(T, m, diam, k.l_f, k.l_g)
             theoretical["ccv"] = ccv_rhs_quadratic(
-                T, m, k.diameter, k.l_f, k.l_g, k.f_bound,
+                T, m, diam, k.l_f, k.l_g, k.f_bound,
                 constraint_memory=trace.variant is Variant.COCO_M2,
             )
         elif all(preconditions.values()):
             theoretical["regret"] = regret_rhs_exponential(
-                T, m, k.diameter, k.l_f, k.l_g, k.g_bound, lam
+                T, m, diam, k.l_f, k.l_g, k.g_bound, lam
             )
-            theoretical["ccv"] = ccv_rhs_exponential(T, m, k.diameter, k.l_f, k.l_g, k.f_bound)
+            theoretical["ccv"] = ccv_rhs_exponential(T, m, diam, k.l_f, k.l_g, k.f_bound)
     slack = {
         key: (theoretical[key] / measured[key] if measured.get(key, 0) > 0 else math.inf)
         for key in theoretical
@@ -409,7 +408,7 @@ def check_lemma_ogd_regret(trace: RunTrace) -> CheckResult:
     constraint is <= 0, so the hinge term of the surrogate vanishes and
     the comparator is the best-in-hindsight total."""
     bench = best_in_hindsight(trace.instance)
-    if not bench.feasible:
+    if bench.x_star is None:
         return CheckResult("ogd_surrogate_regret", True, math.nan, math.nan, "empty benchmark")
     lhs = surrogate_sum_splat(trace) - bench.total
     rhs = math.sqrt(2.0) * trace.fset.diameter * math.sqrt(
@@ -423,7 +422,7 @@ def check_decomposition_ogd(trace: RunTrace) -> CheckResult:
     is at most the surrogate regret (the same best-in-hindsight
     comparator on both sides, where the surrogate's hinge term is 0)."""
     bench = best_in_hindsight(trace.instance)
-    if not bench.feasible:
+    if bench.x_star is None:
         return CheckResult("penalty_decomposition", True, math.nan, math.nan, "empty benchmark")
     lam, v, kind = trace.col("lam"), trace.col("v_dual"), trace.penalty_kind
     lhs = float(np.sum(trace.col("f_splat"))) - bench.total
@@ -629,7 +628,7 @@ def check_lemma_forward_chain(trace: RunTrace) -> CheckResult:
     share the slice-wise best-in-hindsight total as comparator."""
     inst = trace.instance
     bench = best_in_hindsight(inst, "slicewise")
-    if not bench.feasible:
+    if bench.x_star is None:
         return CheckResult("forward_chain", True, math.nan, math.nan, "empty benchmark")
     fwd = ForwardFunctions(trace)
     v_t = trace.v_at(inst.horizon)
@@ -656,7 +655,7 @@ def check_odaftrl_regret(trace: RunTrace) -> CheckResult:
     with the reconstructed hint errors (comparator as in the forward chain)."""
     inst = trace.instance
     bench = best_in_hindsight(inst, "slicewise")
-    if not bench.feasible:
+    if bench.x_star is None:
         return CheckResult("odaftrl_regret_bound", True, math.nan, math.nan, "empty benchmark")
     fwd = ForwardFunctions(trace)
     lhs = fwd.played_sum() - bench.total
@@ -667,7 +666,10 @@ def check_odaftrl_regret(trace: RunTrace) -> CheckResult:
 
 def invariant_suite(trace: RunTrace) -> list[CheckResult]:
     """Every runtime inequality that applies to this trace's algorithm."""
-    checks = [check_ccv_replay(trace), check_memory_identity(trace)]
+    replay = check_ccv_replay(trace)
+    if not replay.passed:  # the others would compute on non-finite or inconsistent columns
+        return [replay]
+    checks = [replay, check_memory_identity(trace)]
     if trace.algorithm == "penalty_ogd":
         return checks + [
             check_lemma_ogd_regret(trace),

@@ -71,12 +71,12 @@ class OdafLearner:
 
     The decision window (`x_hist`, round -> decision, holding the m + 2
     rounds a later round reads), the trace table (row t - first_round
-    holds round t; V_t enters its `ccv_cum` before x_{t+1} is committed),
-    the hints (row k is h_{first_round + k}), `fixed_point_fallbacks` and
-    `ccv` last the whole run.  `restart(t, lam)` starts an epoch at round
-    t: slices of rounds before t read as absent, as in the pre-history of
-    a cold start, and the gradient memory and hint-error statistics start
-    fresh.
+    holds round t; V_t enters its `ccv_cum`, the one home of the
+    cumulative violation, before x_{t+1} is committed), the hints (row k
+    is h_{first_round + k}) and `fixed_point_fallbacks` last the whole
+    run.  `restart(t, lam)` starts an epoch at round t: slices of rounds
+    before t read as absent, as in the pre-history of a cold start, and
+    the gradient memory and hint-error statistics start fresh.
     """
 
     def __init__(self, instance, variant: Variant, predictor, lam: float):
@@ -104,7 +104,6 @@ class OdafLearner:
         self._ccv_col = self.records["ccv_cum"]
         self.hints = np.zeros((instance.horizon - first + 2, self.dim))
         self.fixed_point_fallbacks = 0
-        self.ccv = 0.0
         self.restart(first, lam)
 
     def restart(self, t: int, lam: float) -> None:
@@ -335,9 +334,9 @@ class OdafLearner:
         else:
             g_val = next((v for i, _, _, v in g_rows if i == 0), 0.0)
         inc = max(g_val, 0.0)
-        self.ccv += inc
+        ccv = self.v_at(t - 1) + inc
         row = t - self.inst.first_round
-        self._ccv_col[row] = self.ccv  # the next decision's weights read V_t
+        self._ccv_col[row] = ccv  # the next decision's weights read V_t
 
         eps_z = eps_f = eps_g = 0.0
         s = t - m
@@ -350,7 +349,7 @@ class OdafLearner:
         g_spl = float(sum(dot(c, x_t) + off for _, c, off, _ in g_rows))
         z = self._forward.get(s, self._zero)
         self.records[row] = (
-            t, x_t, f_mem, f_spl, g_val, g_spl, inc, self.ccv, self.ccv, mult_t,
+            t, x_t, f_mem, f_spl, g_val, g_spl, inc, ccv, ccv, mult_t,
             self.lam, math.sqrt(dot(z, z)), mu, eps_f, eps_g, eps_z,
         )
         return self.records[row]

@@ -99,8 +99,8 @@ def lambda_theorem(kind: PenaltyKind, instance) -> float:
     the quadratic penalty, the short-memory tuning under the exponential."""
     if kind is PenaltyKind.QUADRATIC:
         return lambda_quadratic(instance.horizon)
-    k = instance.constants()
-    return lambda_exponential_short_memory(instance.horizon, instance.m, k.diameter, k.l_f, k.l_g)
+    T, m, k = instance.horizon, instance.m, instance.constants()
+    return lambda_exponential_short_memory(T, m, instance.fset.diameter, k.l_f, k.l_g)
 
 
 def lambda_optimistic(budget: float, offset: float) -> float:

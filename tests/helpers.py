@@ -39,7 +39,7 @@ def prefix_static_regret(trace: RunTrace, upto: int) -> float:
     """Static regret of the first rounds up to `upto`, against the
     best-in-hindsight point of that prefix."""
     bench = best_in_hindsight(trace.instance, upto=upto)
-    if not bench.feasible:
+    if bench.x_star is None:
         return math.nan
     n = upto - trace.first_round + 1
     f_mem = float(np.sum(trace.col("f_mem")[:n]))

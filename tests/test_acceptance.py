@@ -128,7 +128,7 @@ def test_c2_theorem_constant_inequalities():
         for seed in (0, 1, 2):
             inst = AppendixAInstance(m=m, horizon=horizon, seed=seed)
             k = inst.constants()
-            lam = lambda_exponential_short_memory(horizon, m, k.diameter, k.l_f, k.l_g)
+            lam = lambda_exponential_short_memory(horizon, m, inst.fset.diameter, k.l_f, k.l_g)
             tr = run_penalty_ogd(inst, Variant.COCO_M, PenaltyKind.EXPONENTIAL, lam)
             rep = theorem_bound_report(tr)
             assert rep.preconditions == {"short_memory": True, "l_f_at_least_one": True,
@@ -155,7 +155,7 @@ def _battery():
     for seed in (0, 1):
         inst = AppendixAInstance(m=1, horizon=300, seed=seed)
         k = inst.constants()
-        lam = lambda_exponential_short_memory(300, 1, k.diameter, k.l_f, k.l_g)
+        lam = lambda_exponential_short_memory(300, 1, inst.fset.diameter, k.l_f, k.l_g)
         runs.append(run_penalty_ogd(inst, Variant.COCO_M, PenaltyKind.EXPONENTIAL, lam))
     preds = [("perfect", lambda s: PerfectPredictor()),
              ("zero", lambda s: ZeroPredictor()),

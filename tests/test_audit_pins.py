@@ -46,25 +46,25 @@ PINNED_RUN_FILES = {
     ("doubling_noisy", "_seed0_instance.json"):
         "e10da15c5bfce05c7bff5b1d543d7403e6ec643446feb9ac713e141e303d17f8",
     ("doubling_noisy", "_summary.json"):
-        "53877940a0421e88f3b0a73dedfe16a1278ad1e5bebe8e82f8a70c0a7a38716c",
+        "a90f65f80d6dea9657b9490bfea89b65854e77c68264ac5fd4fa4160d9574cb3",
     ("optimistic_perfect", "_seed0.csv"):
         "613e63868e06951d18fa846f63b64d0f9aacb4f9650146b194ae9e131ba69986",
     ("optimistic_perfect", "_seed0_instance.json"):
         "ea99eea51ebb8250fa2b71ab4b736f5340b40d5e9dd37f952a5ffb98101dcb8f",
     ("optimistic_perfect", "_summary.json"):
-        "9ac50b75a6008d4b44a4021a7de4a82a41a470f163e0415d535dfa155e5e2f5a",
+        "cbd70efafafd356ea38089d10c53876599e69a4f78a38408c449a1578011eb99",
     ("reference_adversarial", "_seed0.csv"):
         "56abc57d844838166e0e091b42cef3ffad34bae56d3d557cfe57ed7ad6e79d33",
     ("reference_adversarial", "_seed0_instance.json"):
         "1ab09a709a86a38362d00c7e6846f0b3e7aa81c6956e657a99bbae429fc3f2a6",
     ("reference_adversarial", "_summary.json"):
-        "1b5af67b206a7a5fe4b27dda07cce576fbbaa95e2ba0b066cef425c45f0657c8",
+        "c4499343c2465a4b1ac0059304d8bcbf2c4d202a62b49b4ab6d2124fbfb8c4e4",
     ("reference_stochastic", "_seed0.csv"):
         "ad469cf2193bb1b0efaa792a8ddb44f93685ba0ba70b4e50766649648d105fa6",
     ("reference_stochastic", "_seed0_instance.json"):
         "c189efe26644d3d1a533f50b3936189524d800260d8e2abf37d20aaffe5eb4b9",
     ("reference_stochastic", "_summary.json"):
-        "5b38e86de13982fbcc17da04d1656a77fdbe31e0da0db44b4a0cd682e2f8a0f4",
+        "bbc5dd6800452fcda12be4f94e3a07fb90f2780f60b8bdced71a985a573be2b9",
 }
 
 

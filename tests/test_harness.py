@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import typing
+import warnings
 from concurrent.futures import Future
 from dataclasses import fields
 from pathlib import Path
@@ -236,16 +237,17 @@ def test_verify_experiment_passes(tmp_path):
     assert any("ogd_surrogate_regret" in line for line in lines)
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     cfg_path = tmp_path / "cfg.json"
-    cfg_out = tmp_path / "cfg_out"
-    cfg_path.write_text(json.dumps({**BASE, "seeds": [0], "out_dir": str(cfg_out)}))
+    cfg_path.write_text(json.dumps({**BASE, "seeds": [0]}))
     out = tmp_path / "out"
     assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
-    assert (out / "t_seed0.csv").exists() and not cfg_out.exists()
-    # without --out, the config's out_dir
+    assert (out / "t_seed0.csv").exists() and not (tmp_path / "runs").exists()
+    # without --out, runs/<name> under the working directory
     assert cli_main(["run", "--config", str(cfg_path)]) == 0
-    assert (cfg_out / "t_seed0.csv").exists()
+    assert sorted(p.name for p in (tmp_path / "runs" / "t").iterdir()) == [
+        "t_seed0.csv", "t_seed0_instance.json", "t_summary.json"]
     # config errors
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({**BASE, "algorithm": "sorcery"}))
@@ -529,19 +531,20 @@ def test_a_non_finite_trace_fails_run_and_verify(tmp_path, capsys):
     """At sigma = 1e300 every round's f_mem, f_splat and grad_norm is
     infinite, so the step is 0 and the learner never moves.  Such a trace
     is no result: `run` records the seed as failed and exits 2, and
-    `verify`'s ccv_recurrence_replay fails on the first non-finite column."""
+    `verify` prints one verdict, ccv_recurrence_replay's failure on the
+    first non-finite column, and runs no other check."""
     env = {"kind": "appendix_a", "m": 1, "horizon": 50, "sigma": 1e300}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({**BASE, "environment": env, "seeds": [0]}))
     out = tmp_path / "out"
-    with np.errstate(over="ignore", invalid="ignore"):  # the metrics of inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no check computes on the infinite columns
         assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
         [failed] = json.loads(capsys.readouterr().out)["seeds_failed"]
         assert failed["error"] == "f_mem has non-finite entries"
         assert cli_main(["verify", "--config", str(cfg_path)]) == 3
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == ("seed 0: [FAIL] ccv_recurrence_replay: lhs=nan rhs=nan "
-                        "f_mem has non-finite entries")
+    assert capsys.readouterr().out.splitlines() == [
+        "seed 0: [FAIL] ccv_recurrence_replay: lhs=nan rhs=nan f_mem has non-finite entries"]
 
 
 @pytest.mark.parametrize("command", ["run", "verify"])
@@ -600,11 +603,14 @@ NOISY_BASE = {**ODAF_BASE, "predictor": {"kind": "noisy", "scale": 0.3}}
     {**ODAF_BASE, "alpha": 0.5},
     {**NOISY_BASE, "lam": "doubling", "alpha": 0.5},
     {**BASE, "alpha": 0.5},
+    # the output directory is --out, else runs/<name>: no config sets it
+    {**BASE, "out_dir": "runs/t"},
+    {**BASE, "out_dir": 5},
 ], ids=["top_level_typo", "scale_typo", "perfect_with_scale", "no_kind", "scale_nan",
         "scale_infinite", "scale_negative", "noisy_without_scale", "environment_seed",
         "noisy_seed", "perfect_seed", "scale_string", "scale_true", "lam_string",
         "error_estimate_null", "environment_pairs", "predictor_pairs", "odaf_alpha",
-        "doubling_alpha", "ogd_alpha"])
+        "doubling_alpha", "ogd_alpha", "out_dir", "out_dir_int"])
 def test_cli_rejects_keys_outside_the_schema(tmp_path, capsys, monkeypatch, obj):
     _rejected_by_both_commands(tmp_path, capsys, monkeypatch, obj)
 
@@ -709,14 +715,13 @@ def test_build_predictor_dispatch():
     {**BASE, "name": None},
     {**BASE, "name": "a/b"},
     {**BASE, "name": ""},
-    {**BASE, "out_dir": 5},
     {**BASE, "lam": True},
     {**ODAF_BASE, "error_estimate": False},
-], ids=["name_null", "name_with_directory", "name_empty", "out_dir_int", "lam_true",
+], ids=["name_null", "name_with_directory", "name_empty", "lam_true",
         "error_estimate_false"])
 def test_cli_rejects_mistyped_top_level_fields(tmp_path, capsys, monkeypatch, obj):
     # a null name wrote None_seed0.csv, a bool ran as 1.0 or 0.0, and a
-    # name with a directory part or an integer out_dir failed every seed
+    # name with a directory part failed every seed
     _rejected_by_both_commands(tmp_path, capsys, monkeypatch, obj)
 
 

@@ -61,7 +61,7 @@ def test_best_in_hindsight_interval_example():
     # unconstrained argmin mean(c) = 2, so x* = 1
     inst = _two_round_instance([1.0, 3.0], [1.0, 1.0])
     b = best_in_hindsight(inst)
-    assert b.feasible and b.x_star[0] == pytest.approx(1.0)
+    assert b.x_star[0] == pytest.approx(1.0)
     # 0.5*(1-1)^2 + 0.5*(1-3)^2 = 2
     assert b.total == pytest.approx(2.0)
     g = _grid_best(inst, "lift", 1e-4, None)
@@ -452,7 +452,7 @@ def test_hinge_vanishes_at_the_benchmark_point(comparator_run):
     inst = tr.instance
     kind = "lift" if tr.algorithm == "penalty_ogd" else "slicewise"
     bench = best_in_hindsight(inst, kind)
-    assert bench.feasible
+    assert bench.x_star is not None
     A, b = inst.halfspaces(inst.rounds, kind)
     assert np.max(A @ bench.x_star + b) <= 1e-12
     assert _comparator(tr) == pytest.approx(bench.total, rel=1e-12, abs=1e-12)

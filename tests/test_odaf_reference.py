@@ -112,12 +112,12 @@ def test_doubling_shares_bounded_history_across_epochs(kind):
                                    g_round_density=0.6, g_mag=(0.05, 0.2))
     learner = optimistic.OdafLearner(inst, Variant.COCO_M2, PREDICTORS[kind](), 0.5)
     restarts = {20: 0.25, 21: 0.125, 90: 0.0625}
+    ccv = 0.0  # the running sum of the recorded violations, across restarts
     for t in inst.rounds:
         if t in restarts:
-            ccv = learner.ccv
             learner.restart(t, restarts[t])
-            assert learner.ccv == ccv and learner.lam == restarts[t]
-        learner.play_round(t)
-        assert len(learner.x_hist) <= inst.m + 2 and learner.v_at(t) == learner.ccv
+            assert learner.v_at(t - 1) == ccv and learner.lam == restarts[t]
+        ccv += learner.play_round(t)["g_plus_recorded"]
+        assert len(learner.x_hist) <= inst.m + 2 and learner.v_at(t) == ccv
         if t in restarts or t == inst.horizon:
             assert_v_at_reads_the_table(learner, t)

@@ -157,11 +157,11 @@ def test_decisions_are_bounded_and_v_at_reads_the_table(m):
     inst = SeparableLinearInstance(m=m, horizon=40, seed=4,
                                    g_round_density=0.6, g_mag=(0.05, 0.2))
     learner = OdafLearner(inst, Variant.COCO_M2, NoisyPredictor(0.3, seed=1), 0.5)
-    first = inst.first_round
+    first, ccv = inst.first_round, 0.0
     for t in range(first, 31):
-        learner.play_round(t)
+        ccv += learner.play_round(t)["g_plus_recorded"]  # the running sum
         assert len(learner.x_hist) <= m + 2
-        assert learner.v_at(t) == learner.ccv
+        assert learner.v_at(t) == ccv
     with pytest.raises(ValueError, match="no longer held"):
         forward_gradient(learner, first)
     assert first not in learner.x_hist
