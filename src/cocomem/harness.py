@@ -103,8 +103,8 @@ class ExperimentConfig:
             check_benchmark_dim(env["dim"])
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
-        # the name prefixes the files written and names their default directory
-        if not self.name or os.path.basename(self.name) != self.name:
+        # the name prefixes the files written and names their directory under `runs/`
+        if self.name in ("", ".", "..") or os.path.basename(self.name) != self.name:
             raise ConfigError(f"name must be a file name with no directory part, "
                               f"got {self.name!r}")
         if self.algorithm not in ALGORITHMS:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import Variant
 from .geometry import project, regret_coefficient
-from .penalty import Penalty, PenaltyKind, lambda_theorem, short_memory_condition
+from .penalty import Penalty, PenaltyKind, lambda_theorem, phi_prime, short_memory_condition
 
 _FEAS_TOL = 1e-12
 
@@ -359,7 +359,8 @@ def theorem_bound_report(trace: RunTrace) -> BoundReport:
     if trace.algorithm == "odaf":
         preconditions["lambda_fixed_across_epochs"] = trace.extras["epochs"] == 1
         if preconditions["lambda_fixed_across_epochs"]:
-            check = check_odaftrl_regret(trace)
+            fwd, bench = ForwardFunctions(trace), best_in_hindsight(inst, "slicewise")
+            check = check_odaftrl_regret(fwd, bench)
             measured["forward_regret"], theoretical["forward_regret"] = check.lhs, check.rhs
     elif trace.algorithm == "penalty_ogd":
         lam = lambda_theorem(trace.penalty_kind, inst)
@@ -402,12 +403,11 @@ class CheckResult:
         return f"[{tag}] {self.name}: lhs={self.lhs:.6g} rhs={self.rhs:.6g} {self.detail}"
 
 
-def check_lemma_ogd_regret(trace: RunTrace) -> CheckResult:
+def check_lemma_ogd_regret(trace: RunTrace, bench: Benchmark) -> CheckResult:
     """Surrogate regret against the adaptive-step OGD bound
-    sqrt(2) |X| sqrt(sum ||grad||^2).  On the benchmark set every lifted
-    constraint is <= 0, so the hinge term of the surrogate vanishes and
-    the comparator is the best-in-hindsight total."""
-    bench = best_in_hindsight(trace.instance)
+    sqrt(2) |X| sqrt(sum ||grad||^2).  On the `lift` benchmark set every
+    lifted constraint is <= 0, so the hinge term of the surrogate vanishes
+    and the comparator is its best-in-hindsight total `bench`."""
     if bench.x_star is None:
         return CheckResult("ogd_surrogate_regret", True, math.nan, math.nan, "empty benchmark")
     lhs = surrogate_sum_splat(trace) - bench.total
@@ -417,11 +417,10 @@ def check_lemma_ogd_regret(trace: RunTrace) -> CheckResult:
     return CheckResult("ogd_surrogate_regret", lhs <= rhs + 1e-9 * max(1.0, abs(rhs)), lhs, rhs)
 
 
-def check_decomposition_ogd(trace: RunTrace) -> CheckResult:
+def check_decomposition_ogd(trace: RunTrace, bench: Benchmark) -> CheckResult:
     """Penalty decomposition: memory-less regret + Phi(V_T) - Phi(V_m)
-    is at most the surrogate regret (the same best-in-hindsight
-    comparator on both sides, where the surrogate's hinge term is 0)."""
-    bench = best_in_hindsight(trace.instance)
+    is at most the surrogate regret (the same `lift` comparator `bench` on
+    both sides, where the surrogate's hinge term is 0)."""
     if bench.x_star is None:
         return CheckResult("penalty_decomposition", True, math.nan, math.nan, "empty benchmark")
     lam, v, kind = trace.col("lam"), trace.col("v_dual"), trace.penalty_kind
@@ -496,8 +495,8 @@ def check_ccv_replay(trace: RunTrace) -> CheckResult:
 
 
 def _last_penalty(trace: RunTrace) -> Penalty:
-    """The penalty of the last round, the one lambda of a one-epoch run.  A
-    run that played no round has no lambda and weighs no violation, so
+    """The last round's penalty, for the end-of-run Phi(V_T) and Phi'(V_T).
+    A run that played no round has no lambda and weighs no violation, so
     any lambda gives the checks the same verdict: 1 stands in."""
     lam = trace.col("lam")
     return Penalty(trace.penalty_kind, float(lam[-1]) if len(lam) else 1.0)
@@ -512,24 +511,26 @@ def _decisions_by_round(trace: RunTrace) -> np.ndarray:
 
 class ForwardFunctions:
     """The realized forward functions Z_t of an optimistic run, rebuilt
-    once per check from the instance arrays and the played decisions:
+    once per audit from the instance arrays and the played decisions:
     `decisions` by round 0..horizon (initial history included), the summed
     loss coefficient `loss_coef`, and `round_mult[r]`, the weight
-    Phi'(V_{r-d}) of round r's constraint slices (0 without any), d the
-    dual delay.  Per present constraint slice (r, i), in `np.nonzero`
-    order: `rounds`, `delays`, `coef`, `off`, `mult` and `value` at x_{r-i}."""
+    Phi'(V_{r-d}) of round r's constraint slices (0 without any) under its
+    row's lambda, d the dual delay: the learner's `phi_prime` there.  Per
+    present slice (r, i), in `np.nonzero` order: `rounds`, `delays`, `coef`,
+    `off`, `mult` and `value` at x_{r-i}."""
 
     def __init__(self, trace: RunTrace):
         inst = trace.instance
         self.trace = trace
-        self.penalty = _last_penalty(trace)
         delay = trace.variant.dual_delay(inst.m)
         self.decisions = _decisions_by_round(trace)
         self.loss_coef = inst.f_coef.sum(axis=(0, 1))
         self.rounds, self.delays = np.nonzero(inst.g_present)
         self.round_mult = np.zeros(inst.horizon + 1)
+        lam = trace.col("lam").tolist()
         for r in np.flatnonzero(inst.g_present.any(axis=1)).tolist():
-            self.round_mult[r] = self.penalty.prime(trace.v_at(r - delay))
+            self.round_mult[r] = phi_prime(trace.penalty_kind, lam[r - trace.first_round],
+                                           trace.v_at(r - delay))
         self.coef = inst.g_coef[self.rounds, self.delays]
         self.off = inst.g_off[self.rounds, self.delays]
         self.mult = self.round_mult[self.rounds]
@@ -595,12 +596,11 @@ def surrogate_sum_memory(trace: RunTrace) -> float:
     )
 
 
-def check_forward_consistency(trace: RunTrace) -> CheckResult:
+def check_forward_consistency(fwd: ForwardFunctions) -> CheckResult:
     """For five random constant points u: sum_t Z_t(u) equals
     sum_t L_t(u,...,u) exactly under zero padding; and the played surrogate
-    never exceeds the played forward sum."""
-    inst = trace.instance
-    fwd = ForwardFunctions(trace)
+    never exceeds the played forward sum.  Both weigh round t by its own lambda."""
+    inst = fwd.trace.instance
     rounds = _active_rounds(inst, None)
     slopes = inst.lift_slopes(rounds)
     g_lift_coef, g_lift_off = inst.halfspaces(rounds, "lift")
@@ -613,28 +613,27 @@ def check_forward_consistency(trace: RunTrace) -> CheckResult:
         z_sum = fwd.sum_at(u)
         l_sum = float(np.sum(slopes @ u) + mults @ np.maximum(g_lift_coef @ u + g_lift_off, 0.0))
         worst = max(worst, abs(z_sum - l_sum) / max(1.0, abs(z_sum)))
-    played, forward = surrogate_sum_memory(trace), fwd.played_sum()
+    played, forward = surrogate_sum_memory(fwd.trace), fwd.played_sum()
     if played > forward + 1e-8 * max(1.0, abs(forward)):
         return CheckResult("forward_vertical_consistency", False, played, forward,
                            "played surrogate exceeds forward sum")
     return CheckResult("forward_vertical_consistency", worst <= 1e-9, worst, 1e-9)
 
 
-def check_lemma_forward_chain(trace: RunTrace) -> CheckResult:
+def check_lemma_forward_chain(fwd: ForwardFunctions, bench: Benchmark) -> CheckResult:
     """Phi(V_T) - Phi(V_{m-1}) + memory regret (slice-wise benchmark) is at
     most the forward-function regret plus G d Phi'(V_T), d the variant's
     dual delay.  On the slice-wise benchmark set every constraint slice is
     <= 0, so the forward sum equals the summed lift there and both regrets
-    share the slice-wise best-in-hindsight total as comparator."""
-    inst = trace.instance
-    bench = best_in_hindsight(inst, "slicewise")
+    share the slice-wise best-in-hindsight total `bench` as comparator."""
     if bench.x_star is None:
         return CheckResult("forward_chain", True, math.nan, math.nan, "empty benchmark")
-    fwd = ForwardFunctions(trace)
+    trace = fwd.trace
+    inst, pen = trace.instance, _last_penalty(trace)
     v_t = trace.v_at(inst.horizon)
-    lhs = fwd.penalty.value(v_t) + float(np.sum(trace.col("f_mem"))) - bench.total
+    lhs = pen.value(v_t) + float(np.sum(trace.col("f_mem"))) - bench.total
     g_d = inst.constants().g_bound * trace.variant.dual_delay(inst.m)
-    rhs = fwd.played_sum() - bench.total + g_d * fwd.penalty.prime(v_t)
+    rhs = fwd.played_sum() - bench.total + g_d * pen.prime(v_t)
     return CheckResult("forward_chain", lhs <= rhs + 1e-8 * max(1.0, abs(rhs)), lhs, rhs)
 
 
@@ -650,14 +649,12 @@ def check_error_split(trace: RunTrace) -> CheckResult:
     return CheckResult("hint_error_split", e_z <= rhs + 1e-9 * max(1.0, rhs), e_z, rhs)
 
 
-def check_odaftrl_regret(trace: RunTrace) -> CheckResult:
+def check_odaftrl_regret(fwd: ForwardFunctions, bench: Benchmark) -> CheckResult:
     """Measured forward-function regret against the delayed-FTRL bound
     with the reconstructed hint errors (comparator as in the forward chain)."""
-    inst = trace.instance
-    bench = best_in_hindsight(inst, "slicewise")
     if bench.x_star is None:
         return CheckResult("odaftrl_regret_bound", True, math.nan, math.nan, "empty benchmark")
-    fwd = ForwardFunctions(trace)
+    inst = fwd.trace.instance
     lhs = fwd.played_sum() - bench.total
     err_sum = float(np.sum(fwd.hint_errors()))
     rhs = odaftrl_regret_rhs(inst.fset, inst.m, err_sum)
@@ -671,20 +668,22 @@ def invariant_suite(trace: RunTrace) -> list[CheckResult]:
         return [replay]
     checks = [replay, check_memory_identity(trace)]
     if trace.algorithm == "penalty_ogd":
+        bench = best_in_hindsight(trace.instance)
         return checks + [
-            check_lemma_ogd_regret(trace),
-            check_decomposition_ogd(trace),
+            check_lemma_ogd_regret(trace, bench),
+            check_decomposition_ogd(trace, bench),
             check_gradient_bound(trace),
             check_step_monotone(trace),
         ]
+    fwd = ForwardFunctions(trace)
+    checks.append(check_forward_consistency(fwd))
     if trace.extras["epochs"] == 1:
+        # the regret chain and the hint-error split read one lambda for the
+        # whole run: a doubling run of several epochs changes it between them
+        bench = best_in_hindsight(trace.instance, "slicewise")
         checks += [
-            check_forward_consistency(trace),
-            check_lemma_forward_chain(trace),
+            check_lemma_forward_chain(fwd, bench),
             check_error_split(trace),
-            check_odaftrl_regret(trace),
+            check_odaftrl_regret(fwd, bench),
         ]
-    # a doubling run of several epochs changes lambda between them: the
-    # fixed-lambda forward checks do not apply, the bookkeeping ones and
-    # the per-epoch weight do
     return checks + [check_mu_monotone(trace)]

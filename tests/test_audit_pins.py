@@ -17,9 +17,11 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 PINNED_STDOUT = {
     ("verify", "optimistic_perfect"):
         "0a5640ad6d8d1714a0b5951ab47d1c61ce6b07cdbb13880d5389f40a6540549d",
-    # the per-epoch ftrl_weight_monotone line follows the two bookkeeping checks
+    # several epochs: the two bookkeeping checks, forward_vertical_consistency
+    # (each round weighed by its own lambda) and the per-epoch
+    # ftrl_weight_monotone line
     ("verify", "doubling_noisy"):
-        "852d8aad552eca256c9279267635ce3f0b8b5912ee4bdcd370fa53bda0c55a02",
+        "d02d00fea98e4ba3a980eb57675d9af100a393d1512626a4ce8f8ea941ad377d",
     ("verify", "reference_stochastic"):
         "1e3202dcacd9594a436972f585eb48100fc1db45367dd1c3f0f7660558e571bb",
     ("verify", "reference_adversarial"):

@@ -257,8 +257,24 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     assert cli_main(["bounds", "--config", str(cfg_path)]) == 0
 
 
-@pytest.mark.parametrize("name", ["reference_stochastic", "reference_adversarial",
-                                  "optimistic_perfect", "doubling_noisy"])
+OGD_SUITE = ["ccv_recurrence_replay", "memory_deviation_bound", "ogd_surrogate_regret",
+             "penalty_decomposition", "surrogate_gradient_bound", "step_size_monotone"]
+
+# the checks seed 0 of each shipped config prints, in order: a doubling run
+# of several epochs gets the forward consistency but not the one-lambda
+# regret chain, hint-error split and delayed-FTRL bound
+SHIPPED_SUITES = {
+    "reference_stochastic": OGD_SUITE,
+    "reference_adversarial": OGD_SUITE,
+    "optimistic_perfect": ["ccv_recurrence_replay", "memory_deviation_bound",
+                           "forward_vertical_consistency", "forward_chain", "hint_error_split",
+                           "odaftrl_regret_bound", "ftrl_weight_monotone"],
+    "doubling_noisy": ["ccv_recurrence_replay", "memory_deviation_bound",
+                       "forward_vertical_consistency", "ftrl_weight_monotone"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_SUITES))
 def test_verify_passes_on_every_shipped_config(name):
     # every seed of the config's own list; the 1/sqrt(t) schedule makes
     # Phi' peak early in the reference runs, so the gradient bound must
@@ -269,6 +285,8 @@ def test_verify_passes_on_every_shipped_config(name):
     assert {line.split(":")[0] for line in lines} == {f"seed {s}" for s in cfg.seeds}
     if cfg.algorithm == "penalty_ogd":
         assert any("surrogate_gradient_bound" in line for line in lines)
+    assert [line.split("] ")[1].split(":")[0] for line in lines
+            if line.startswith("seed 0:")] == SHIPPED_SUITES[name]
 
 
 @pytest.mark.parametrize("name", ["reference_stochastic", "reference_adversarial",
@@ -715,13 +733,16 @@ def test_build_predictor_dispatch():
     {**BASE, "name": None},
     {**BASE, "name": "a/b"},
     {**BASE, "name": ""},
+    {**BASE, "name": "."},
+    {**BASE, "name": ".."},
     {**BASE, "lam": True},
     {**ODAF_BASE, "error_estimate": False},
-], ids=["name_null", "name_with_directory", "name_empty", "lam_true",
-        "error_estimate_false"])
+], ids=["name_null", "name_with_directory", "name_empty", "name_dot", "name_dot_dot",
+        "lam_true", "error_estimate_false"])
 def test_cli_rejects_mistyped_top_level_fields(tmp_path, capsys, monkeypatch, obj):
-    # a null name wrote None_seed0.csv, a bool ran as 1.0 or 0.0, and a
-    # name with a directory part failed every seed
+    # a null name wrote None_seed0.csv, a bool ran as 1.0 or 0.0, a name
+    # with a directory part failed every seed, and ".." wrote its files
+    # into the working directory
     _rejected_by_both_commands(tmp_path, capsys, monkeypatch, obj)
 
 

@@ -16,6 +16,7 @@ from cocomem import (
     Variant,
     best_in_hindsight,
     invariant_suite,
+    metrics,
     regret_and_ccv,
     run_doubling,
     run_optimistic,
@@ -216,7 +217,8 @@ def test_bound_report_picks_the_theorem_of_the_algorithm():
         assert rep.theoretical == {} and rep.slack == {}
     inst = SeparableLinearInstance(m=2, horizon=200, seed=0)
     tr = run_optimistic(inst, Variant.COCO_M2, PerfectPredictor())
-    rep, check = theorem_bound_report(tr), check_odaftrl_regret(tr)
+    rep = theorem_bound_report(tr)
+    check = check_odaftrl_regret(ForwardFunctions(tr), best_in_hindsight(inst, "slicewise"))
     assert check.passed
     assert rep.measured["forward_regret"] == check.lhs
     assert rep.theoretical == {"forward_regret": check.rhs}
@@ -235,6 +237,52 @@ def _mu_lowered(trace, row):
     mu = records["eta_or_mu"]
     mu[row] = min(mu[row - 1], mu[row + 1]) - 1.0
     return dataclasses.replace(trace, records=records)
+
+
+def test_forward_weights_read_each_rows_lambda():
+    """On a doubling run of several epochs the forward functions weigh
+    round r's constraint slices by Phi'(V_{r-d}) under round r's own
+    lambda: bit for bit the multiplier the learner recorded in that row,
+    where the last epoch's lambda alone would give another."""
+    inst = SeparableLinearInstance(m=2, horizon=300, seed=0, g_round_density=0.4,
+                                   g_mag=(0.05, 0.2))
+    tr = run_doubling(inst, Variant.COCO_M2, NoisyPredictor(0.3, seed=0))
+    rounds = np.flatnonzero(inst.g_present.any(axis=1))
+    rows = rounds - tr.first_round
+    lam = tr.col("lam")
+    assert tr.extras["epochs"] > 1 and np.any(lam[rows] != lam[-1])
+    fwd = ForwardFunctions(tr)
+    assert fwd.round_mult[rounds].tobytes() == tr.col("phi_prime")[rows].tobytes()
+    assert check_forward_consistency(fwd).passed
+
+
+def test_an_audit_rebuilds_and_solves_once(monkeypatch):
+    """One `invariant_suite` call rebuilds an `odaf` trace's forward
+    functions once and solves its benchmark once, and a penalty-OGD
+    trace's benchmark once: the checks that compare against them share
+    them."""
+    odaf = run_optimistic(SeparableLinearInstance(m=2, horizon=200, seed=0),
+                          Variant.COCO_M2, PerfectPredictor())
+    ogd = run_penalty_ogd(AppendixAInstance(m=1, horizon=200, seed=0), Variant.COCO_M2)
+    counts = {}
+    solve = metrics.best_in_hindsight
+
+    class CountingForward(ForwardFunctions):
+        def __init__(self, trace):
+            counts["builds"] += 1
+            super().__init__(trace)
+
+    def counting_solve(*args, **kwargs):
+        counts["solves"] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "ForwardFunctions", CountingForward)
+    monkeypatch.setattr(metrics, "best_in_hindsight", counting_solve)
+    for trace, builds in ((odaf, 1), (ogd, 0)):
+        counts.update(builds=0, solves=0)
+        results = invariant_suite(trace)
+        assert all(r.passed and math.isfinite(r.lhs) for r in results)
+        assert counts == {"builds": builds, "solves": 1}
 
 
 def test_doubling_weight_check_is_per_epoch():
@@ -259,8 +307,10 @@ def test_a_one_epoch_doubling_run_is_audited_as_odaf(tmp_path, capsys):
     """On the optimistic_perfect environment at lam "doubling", seed 0
     makes one epoch, whose trace is that of `run_optimistic` at its lambda
     in every field but the doubling run's `mu1`; `verify` runs the four
-    fixed-lambda checks on it and `bounds` reports their forward-regret
-    bound.  Seed 1 makes two epochs and gets neither."""
+    forward checks on it and `bounds` reports their forward-regret bound.
+    Seed 1 makes two epochs: `verify` runs only the forward consistency
+    of the four, which weighs each round by its own lambda, and `bounds`
+    reports no bound."""
     cfg = load_config(CONFIG_DIR / "optimistic_perfect.json")
     cfg = dataclasses.replace(cfg, lam="doubling", seeds=[0, 1])
     tr = run_single(cfg, 0)
@@ -275,7 +325,8 @@ def test_a_one_epoch_doubling_run_is_audited_as_odaf(tmp_path, capsys):
     assert extras.pop("hints").tobytes() == fixed.extras["hints"].tobytes()
     assert extras == {key: v for key, v in fixed.extras.items() if key != "hints"}
     assert extras["epochs"] == 1 and extras["epoch_starts"] == [tr.first_round]
-    check = check_odaftrl_regret(tr)
+    check = check_odaftrl_regret(ForwardFunctions(tr),
+                                 best_in_hindsight(tr.instance, "slicewise"))
 
     path = tmp_path / "doubling.json"
     path.write_text(json.dumps({**dataclasses.asdict(cfg), "variant": cfg.variant.value,
@@ -286,7 +337,7 @@ def test_a_one_epoch_doubling_run_is_audited_as_odaf(tmp_path, capsys):
                     if line.startswith(f"seed {seed}:")] for seed in (0, 1)}
     assert names[0] == [r.name for r in invariant_suite(fixed)]
     assert names[1] == ["ccv_recurrence_replay", "memory_deviation_bound",
-                        "ftrl_weight_monotone"]
+                        "forward_vertical_consistency", "ftrl_weight_monotone"]
     assert cli_main(["bounds", "--config", str(path)]) == 0
     reports = [json.loads(line.partition(": ")[2])
                for line in capsys.readouterr().out.splitlines()]
@@ -337,13 +388,14 @@ def test_played_surrogate_check_is_relative():
     cfg = load_config(CONFIG_DIR / "doubling_noisy.json")
     cfg = dataclasses.replace(cfg, lam=10.0)
     tr = run_single(cfg, 2)
-    check = check_forward_consistency(tr)
+    fwd = ForwardFunctions(tr)
+    check = check_forward_consistency(fwd)
     assert check.passed and check.rhs == 1e-9
-    played, forward = surrogate_sum_memory(tr), ForwardFunctions(tr).played_sum()
+    played, forward = surrogate_sum_memory(tr), fwd.played_sum()
     assert abs(forward) > 1e100 and played != forward
     records = tr.records.copy()
     records["f_mem"][7] += 1e-6 * max(1.0, abs(forward))
-    check = check_forward_consistency(dataclasses.replace(tr, records=records))
+    check = check_forward_consistency(ForwardFunctions(dataclasses.replace(tr, records=records)))
     assert not check.passed and check.lhs > check.rhs == forward
     assert "played surrogate exceeds forward sum" in str(check)
 
@@ -443,8 +495,10 @@ def _independent_sums(trace, U):
 def _comparator(trace):
     """The total the regret check subtracts, read back from its lhs."""
     if trace.algorithm == "penalty_ogd":
-        return surrogate_sum_splat(trace) - check_lemma_ogd_regret(trace).lhs
-    return ForwardFunctions(trace).played_sum() - check_odaftrl_regret(trace).lhs
+        bench = best_in_hindsight(trace.instance)
+        return surrogate_sum_splat(trace) - check_lemma_ogd_regret(trace, bench).lhs
+    fwd, bench = ForwardFunctions(trace), best_in_hindsight(trace.instance, "slicewise")
+    return fwd.played_sum() - check_odaftrl_regret(fwd, bench).lhs
 
 
 def test_hinge_vanishes_at_the_benchmark_point(comparator_run):

@@ -8,6 +8,8 @@ In one process, under a `sys.settrace` tracer of call events, it runs
 config in `configs/`.  Then it compiles each module of the package and
 prints, as `path:line name`, every code object in it (function, method,
 lambda, comprehension or class body) that no call entered, and a count.
+Last it prints the total line count of `src/cocomem/*.py` (as
+`wc -l` counts them), the other yardstick of how much code ships.
 A command that exits nonzero is reported on stderr and makes the script
 exit 1.  The script only measures; pytest does not collect it.
 """
@@ -68,8 +70,9 @@ def main() -> int:
     sys.path.insert(0, str(PACKAGE.parent))
     with tempfile.TemporaryDirectory() as out_dir:
         entered, failed = run_commands(out_dir)
-    total, unreached = 0, []
+    total, lines, unreached = 0, 0, []
     for path in sorted(PACKAGE.glob("*.py")):
+        lines += path.read_bytes().count(b"\n")
         for code in code_objects(path):
             total += 1
             if _key(code) not in entered:
@@ -78,6 +81,7 @@ def main() -> int:
     for path, line, name in sorted(unreached):
         print(f"{path}:{line} {name}")
     print(f"{len(unreached)} of {total} code objects in src/cocomem never entered")
+    print(f"{lines} lines in src/cocomem/*.py")
     for line in failed:
         print(line, file=sys.stderr)
     return 1 if failed else 0
