@@ -42,13 +42,13 @@ def as_decision(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
-def fdot(a, b) -> float:
-    """sum_j a_j * b_j over two sequences of Python floats, added one by
-    one in index order from 0.0 (a BLAS dot product of two or more terms
-    may group them differently)."""
+def fdot(a: np.ndarray, b: np.ndarray):
+    """sum_j a[..., j] * b[..., j] over the last axis, the products added
+    one by one in index order from 0.0 (np.sum adds 8 or more terms
+    pairwise, and a BLAS dot product may group them differently)."""
     s = 0.0
-    for aj, bj in zip(a, b):
-        s += aj * bj
+    for j in range(a.shape[-1]):
+        s = s + a[..., j] * b[..., j]
     return s
 
 

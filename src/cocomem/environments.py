@@ -18,18 +18,14 @@ families.  Predictors forecast not-yet-revealed slices as affine data
 (coefficient, plus offset for constraint slices).
 
 Besides the per-round oracles `loss(t)` / `constraint(t)`, each family
-reads its rows for loops that play in Python floats:
-`round_evaluator(rounds, g_window)` returns `evaluate(k, window, x)` for
-round rounds[k].  `window` is the flat tuple of the last m+1 decisions'
-coordinates, oldest decision first, and `x` the current decision (the
-last d of them).  It returns (f_mem, f_splat, f_grad, g_mem, g_splat,
-g_grad): the window values, the lifted values at x and the lift
-gradients at x (lists of floats); g_mem is g_splat when `g_window` is
-false.  Each sum adds its terms one by one in the oracles' order, which
-is numpy's order for fewer than 8 terms: in 1-D with m <= 6 the values
-match the oracles bit for bit.  numpy adds 8 or more terms pairwise, and
-BLAS may group the terms of a dot product in d > 1 dimensions, so there
-the last bits can differ.
+gives the penalty-OGD float loop its lift rows as data:
+`halfspaces(rounds, "lift")` for the constraint and `loss_lift(rounds)`
+for the loss gradient.  After the loop, `fill_values(table, g_window)`
+writes every round's window and lift values from the decision column,
+elementwise, each sum adding its terms one by one from 0.0 in the
+oracles' order (numpy's for fewer than 8 terms: in 1-D with m <= 6 the
+values match the oracles bit for bit; numpy adds 8 or more terms
+pairwise, and BLAS may group a dot product's terms at d > 1).
 """
 
 from __future__ import annotations
@@ -38,7 +34,7 @@ import functools
 import json
 import math
 import numbers
-from dataclasses import MISSING, InitVar, dataclass, field, fields
+from dataclasses import MISSING, InitVar, astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -168,6 +164,13 @@ class _Instance:
         arrays = [np.asarray(obj[name], dtype=dtype) for name, dtype in cls._ARRAYS.items()]
         return cls(**args, _arrays=arrays)
 
+    def _slots(self, X: np.ndarray) -> list[np.ndarray]:
+        """The m+1 window slots of every round, oldest first, as (n, d) views:
+        slot i of row k is decision k - m + i of the (n, d) decision column
+        X, the set center standing in before the first round."""
+        window = np.concatenate((np.tile(self.fset.center, (self.m, 1)), X))
+        return [window[i : i + len(X)] for i in range(self.m + 1)]
+
 
 # fields nested under "params" in the replay document
 _KNOB = {"params": True}
@@ -243,15 +246,18 @@ class AppendixAInstance(_Instance):
     _arrays: InitVar[tuple | None] = None
 
     @staticmethod
-    def check_params(m, horizon, radius, sigma, delta, gamma, mode, **_) -> None:
-        """Range checks of the constructor's parameters; no instance is
-        generated."""
+    def check_params(m, horizon, radius, sigma, delta, gamma, mode, dim, **_) -> None:
+        """Range checks of the constructor's parameters, the problem
+        constants' finiteness included; no instance is generated."""
         if not (horizon >= m >= 0 and horizon >= 1):
             raise ValueError("need horizon >= memory >= 0 and horizon >= 1")
         if min(radius, sigma, delta) <= 0 or gamma <= 0:
             raise ValueError("radius, sigma, delta, gamma must be positive")
         if mode not in ("stochastic", "adversarial"):
             raise ValueError(f"unknown mode {mode!r}")
+        k = AppendixAInstance.constants_of(radius, sigma, delta, gamma, dim)
+        if not all(map(math.isfinite, astuple(k))):
+            raise ValueError(f"the parameters give non-finite problem constants {k}")
 
     @property
     def coef_bound(self) -> float:
@@ -288,33 +294,26 @@ class AppendixAInstance(_Instance):
     def constraint(self, t: int) -> MemoryFunctionOracle:
         return _AffineBudgetConstraint(self.d_coef[t], self.delta, self.m)
 
-    def round_evaluator(self, rounds: range, g_window: bool):
-        """`evaluate(k, window, x)` for round rounds[k] in Python floats; see
-        the module docstring for the contract.  Each value repeats the
-        expression of `loss(t)` / `constraint(t)` term by term."""
-        span = slice(rounds.start, rounds.stop)
-        c_rows, d_rows = self.c[span].tolist(), self.d_coef[span].tolist()
-        delta, slots = self.delta, self.m + 1
+    def loss_lift(self, rounds: range) -> tuple[np.ndarray, bool]:
+        """(c, True): round rounds[k]'s f-lift gradient at x is x - c[k]."""
+        return self.c[rounds.start : rounds.stop], True
 
-        def evaluate(k, window, x):
-            c, d = c_rows[k], d_rows[k]
-            sq = s = 0.0
-            # the rows repeated once per window slot pair with the flat window
-            for wj, cj, dj in zip(window, c * slots, d * slots):
-                diff = wj - cj
+    def fill_values(self, table: np.ndarray, g_window: bool) -> None:
+        """Write f_mem, f_splat, g_mem (the window mean when `g_window`,
+        else g_splat) and g_splat from the decision column, each with the
+        terms of `loss(t)` / `constraint(t)` in their order: slots oldest
+        first, coordinates in index order."""
+        X, slots, c, d = table["x"], self.m + 1, self.c[self.m :], self.d_coef[self.m :]
+        sq, s = np.zeros(len(X)), np.zeros(len(X))
+        for w in self._slots(X):
+            for j in range(self.dim):
+                diff = w[:, j] - c[:, j]
                 sq += diff * diff
-                s += wj * dj
-            grad, lift_sq, dx = [], 0.0, 0.0
-            for xj, cj, dj in zip(x, c, d):
-                diff = xj - cj
-                grad.append(diff)
-                lift_sq += diff * diff
-                dx += dj * xj
-            g_splat = dx - delta
-            g_mem = s / slots - delta if g_window else g_splat
-            return 0.5 * sq / slots, 0.5 * lift_sq, grad, g_mem, g_splat, d
-
-        return evaluate
+                s += w[:, j] * d[:, j]
+        diff = X - c
+        table["f_mem"], table["f_splat"] = 0.5 * sq / slots, 0.5 * fdot(diff, diff)
+        table["g_splat"] = fdot(d, X) - self.delta
+        table["g_mem"] = s / slots - self.delta if g_window else table["g_splat"]
 
     # -- lift math over a round range, for the benchmark solvers ------------
 
@@ -346,14 +345,19 @@ class AppendixAInstance(_Instance):
         return 0.5 * (x - c) ** 2
 
     def constants(self) -> InstanceConstants:
-        root_d = math.sqrt(self.dim)
-        l_f = self.radius + self.coef_bound * root_d
-        l_g = self.coef_bound * root_d
+        return self.constants_of(self.radius, self.sigma, self.delta, self.gamma, self.dim)
+
+    @staticmethod
+    def constants_of(radius, sigma, delta, gamma, dim) -> InstanceConstants:
+        """The family's constants, which read only its parameters."""
+        root_d = math.sqrt(dim)
+        l_f = radius + gamma * sigma * root_d
+        l_g = gamma * sigma * root_d
         return InstanceConstants(
             l_f=l_f,
             l_g=l_g,
             f_bound=0.5 * l_f * l_f,
-            g_bound=l_g * self.radius + self.delta,
+            g_bound=l_g * radius + delta,
         )
 
 
@@ -528,35 +532,31 @@ class SeparableLinearInstance(_Instance):
         offs = self.g_off[t] if in_range else np.zeros(self.m + 1)
         return _SeparableMemoryFunction(coeffs, offs)
 
-    def round_evaluator(self, rounds: range, g_window: bool):
-        """`evaluate(k, window, x)` for round rounds[k] in Python floats; see
-        the module docstring for the contract.  Each value repeats the
-        expression of `loss(t)` / `constraint(t)` term by term, with the
-        per-round slice sums (lift slopes, summed offsets) taken up front."""
-        span = slice(rounds.start, rounds.stop)
-        shape = (len(rounds), (self.m + 1) * self.dim)
-        # slice coefficients in flat-window order: delay m (oldest) first
-        f_win = self.f_coef[span, ::-1].reshape(shape).tolist()
-        g_win = self.g_coef[span, ::-1].reshape(shape).tolist()
-        f_slope = self.lift_slopes(rounds).tolist()
-        g_slope = self.g_coef[span].sum(axis=1).tolist()
-        g_off = self.g_off[span].sum(axis=1).tolist()
+    def loss_lift(self, rounds: range) -> tuple[np.ndarray, bool]:
+        """(slopes, False): round rounds[k]'s f-lift gradient is slopes[k]."""
+        return self.lift_slopes(rounds), False
 
-        def window_value(coeffs, window):
-            s = 0.0
-            for cj, wj in zip(reversed(coeffs), reversed(window)):  # newest first
-                s += wj * cj
+    def fill_values(self, table: np.ndarray, g_window: bool) -> None:
+        """Write f_mem, f_splat, g_mem (the window sum when `g_window`, else
+        g_splat) and g_splat from the decision column, each with the terms
+        of `loss(t)` / `constraint(t)`: window slots newest first, and
+        coordinates last first, after the per-round slice sums (lift
+        slopes, summed offsets).  A sum from 0.0 is never -0.0, so the
+        loss's zero offset adds nothing."""
+        X, span, slots = table["x"], slice(self.m + 1, None), self._slots(table["x"])
+
+        def window_value(coef):
+            s = np.zeros(len(X))
+            for i, w in enumerate(reversed(slots)):  # delay i touches slot m - i
+                for j in reversed(range(self.dim)):
+                    s += w[:, j] * coef[:, i, j]
             return s
 
-        def evaluate(k, window, x):
-            # the loss has no offsets: its summed offset is 0.0
-            f_mem = window_value(f_win[k], window) + 0.0
-            f_splat = fdot(f_slope[k], x) + 0.0
-            g_splat = fdot(g_slope[k], x) + g_off[k]
-            g_mem = window_value(g_win[k], window) + g_off[k] if g_window else g_splat
-            return f_mem, f_splat, f_slope[k], g_mem, g_splat, g_slope[k]
-
-        return evaluate
+        A, b = self.halfspaces(self.rounds)
+        table["f_mem"] = window_value(self.f_coef[span])
+        table["f_splat"] = fdot(self.lift_slopes(self.rounds), X)
+        table["g_splat"] = fdot(A, X) + b
+        table["g_mem"] = window_value(self.g_coef[span]) + b if g_window else table["g_splat"]
 
     # -- lift math over a round range, for the benchmark solvers ------------
 

@@ -33,32 +33,30 @@ def project(fset: Ball, p) -> np.ndarray:
 def point_step(fset: Ball):
     """`step(x, eta, grad)`: the projected gradient step
     project(fset, x - eta * grad) for a point and gradient held as Python
-    floats, returned as a tuple.  It uses the expressions of `project`: a
-    clamp (d = 1) or radial scaling (d >= 2); a non-finite point raises
-    ValueError, as there."""
+    floats (d = 1) or (d,) arrays (d >= 2), returned as the same type.  It
+    uses the expressions of `project`: a clamp (d = 1) or radial scaling
+    (d >= 2), with the norm summed from 0.0 in index order (`fdot`); a
+    non-finite point raises ValueError, as there."""
     if fset.dim == 1:
         lo, hi = fset.lo.item(), fset.hi.item()
 
         def clamp(x, eta, grad):
-            v = x[0] - eta * grad[0]
+            v = x - eta * grad
             if not math.isfinite(v):
                 raise ValueError("decision has non-finite entries")
             v = v if v > lo else lo  # np.clip: lower bound first
-            return (v if v < hi else hi,)
+            return v if v < hi else hi
 
         return clamp
-    center, radius = fset.center.tolist(), fset.radius
+    center, radius = fset.center, fset.radius
 
     def scale(x, eta, grad):
-        p = [xj - eta * gj for xj, gj in zip(x, grad)]
-        if not all(map(math.isfinite, p)):
+        p = x - eta * grad
+        if not np.isfinite(p).all():
             raise ValueError("decision has non-finite entries")
-        diff = [v - c for v, c in zip(p, center)]
+        diff = p - center
         n = math.sqrt(fdot(diff, diff))
-        if n <= radius:
-            return tuple(p)
-        s = radius / n
-        return tuple([c + dv * s for c, dv in zip(center, diff)])
+        return p if n <= radius else center + diff * (radius / n)
 
     return scale
 

@@ -21,10 +21,10 @@ Phi'(V_{t-1}) instead of the delayed one.
 `OdafLearner` holds a vector as a Python float at d = 1 and as a (d,)
 float array at d >= 2, so `+`, `-` and scalar `*` serve both.  It reads
 each round's slice rows from the instance arrays as the round is played
-and takes Phi' from `penalty.phi_prime` of V_r, which it reads where
-the audit does, in the `ccv_cum` column of its trace table.  A forward
-gradient settles m rounds after its decision, so it keeps only the last
-O(m) rounds of decisions and slices.  Dot products, norms and sums of
+and keeps V_r only where the audit reads it, in the `ccv_cum` column of
+its trace table, taking `penalty.phi_prime` of it once per epoch.  A
+forward gradient settles m rounds after its decision, so it keeps only
+the last O(m) rounds of decisions, slices and Phi' weights.  Dot products, norms and sums of
 squares are one float product at d = 1 and numpy's own at d >= 2, so
 every value keeps the bits of the numpy learner in
 `tests/reference_odaf.py`, the reference the tests hold it to.
@@ -127,6 +127,9 @@ class OdafLearner:
         self._a: dict[int, float] = {}
         self._cum_sq = 0.0
         self._max_awin = 0.0
+        # played round q -> Phi'(V_q) at this epoch's lambda, while a later round reads it
+        played = range(max(t - self.dual_delay, self.inst.first_round), t)
+        self._weights = {q: phi_prime(_EXP, self.lam, self.v_at(q)) for q in played}
         # pre-step: commit x_t from an all-predicted hint
         self._decide_next(t - 1)
 
@@ -140,8 +143,9 @@ class OdafLearner:
 
     def _mult(self, r: int) -> float:
         """Penalty weight of round r's constraint slice inside the forward
-        function; prehistory and rounds not yet played read V = 0."""
-        return phi_prime(_EXP, self.lam, self.v_at(r - self.dual_delay))
+        function, Phi'(V_{r-d}); prehistory and rounds not yet played read
+        V = 0, whose weight is lambda itself (lambda e^0 = lambda)."""
+        return self._weights.get(r - self.dual_delay, self.lam)
 
     # -- forward gradients ----------------------------------------------------
 
@@ -337,6 +341,8 @@ class OdafLearner:
         ccv = self.v_at(t - 1) + inc
         row = t - self.inst.first_round
         self._ccv_col[row] = ccv  # the next decision's weights read V_t
+        self._weights[t] = phi_prime(_EXP, self.lam, ccv)
+        self._weights.pop(t - self.dual_delay - 1, None)  # no later round reads it
 
         eps_z = eps_f = eps_g = 0.0
         s = t - m

@@ -10,19 +10,22 @@ with the adaptive step  |X| / (sqrt(2) * sqrt(sum of squared surrogate
 gradient norms)).  The dual update precedes the gradient so the
 multiplier Phi'(V_t) reflects the current round's violation.
 
-`run_penalty_ogd` plays every round in Python floats: it reads each
-round's coefficient rows through the instance family's
-`round_evaluator`, computes Phi' with `penalty.phi_prime`, steps with
-`geometry.point_step` and writes each round's row of the trace table as
-it plays it, in the row order `PenaltyOgdLearner` uses.
-`PenaltyOgdLearner` is the reference implementation on the oracle
-protocol (`loss(t)` / `constraint(t)` objects, `Penalty`, `project`); the
-tests hold the float loop to it, bit for bit in 1-D with m <= 6.
+`run_penalty_ogd` plays in Python floats and runs only the recursion per
+round: g_splat, V, Phi' (`penalty.phi_prime`), the gradient, the step and
+the projection (`geometry.point_step`), reading each round's lift rows
+(`halfspaces`, `loss_lift`) as data and writing the decision, V, Phi',
+the gradient norm and the step into the trace table's columns.  The
+other columns are functions of the decisions, written after the loop by
+the family's `fill_values`.  `PenaltyOgdLearner` is the reference
+implementation on the oracle protocol (`loss(t)` / `constraint(t)`
+objects, `Penalty`, `project`); the tests hold the float loop to it, bit
+for bit in 1-D with m <= 6.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -115,6 +118,19 @@ class PenaltyOgdLearner:
         return self.records[row]
 
 
+def _vectors(fset, x_col: np.ndarray):
+    """(x, x_col, rows, dot) of the float loop, whose vectors are floats at
+    d = 1 and (d,) arrays at d >= 2: the set center, the decision column
+    to write, `rows(a)` iterating an (n, d) array's rows (at d = 1 through
+    a memoryview) and `fdot`, at d = 1 the one product: 0.0 + a * b differs
+    from it only in the sign of a zero, which no column reads."""
+    if fset.dim == 1:
+        return (fset.center.item(), memoryview(x_col[:, 0]), (lambda a: memoryview(a[:, 0])),
+                operator.mul)
+    return fset.center, x_col, iter, fdot
+
+
+@np.errstate(over="ignore", invalid="ignore")  # numpy overflows as floats do: silently
 def run_penalty_ogd(
     instance,
     variant: Variant,
@@ -130,43 +146,41 @@ def run_penalty_ogd(
     `instance.constraint(t)` with the same expressions (in 1-D with m <= 6
     also the same summation order, so the trace is byte-identical; see
     `environments` on longer sums).  Every lambda is checked before the
-    first round; each round writes its row of the trace table."""
-    rounds = instance.rounds
+    first round."""
+    rounds, fset = instance.rounds, instance.fset
     if lam is None:
         lam = lambda_theorem(kind, instance)
     # a length other than the round count fails to broadcast (ValueError)
-    lams = np.broadcast_to(lam, len(rounds)).tolist()
+    lams = np.broadcast_to(np.asarray(lam, dtype=float), len(rounds))
     check_lambda(lams)
-    evaluate = instance.round_evaluator(rounds, variant is Variant.COCO_M2)
-    step = point_step(instance.fset)
-    diameter, dim = instance.fset.diameter, instance.dim
-    x = tuple(instance.fset.center.tolist())
-    window = x * (instance.m + 1)
-    v = ccv = grad_sq_sum = 0.0
-    records = round_table(len(rounds), dim)
-    for k, (t, lam) in enumerate(zip(rounds, lams)):
-        f_mem, f_spl, f_grad, g_mem, g_spl, g_grad = evaluate(k, window, x)
-        g_plus = max(g_mem, 0.0)
+    A, b = instance.halfspaces(rounds, "lift")
+    f_rows, about_x = instance.loss_lift(rounds)
+    records = round_table(len(rounds), fset.dim)
+    x, x_col, rows, dot = _vectors(fset, records["x"])
+    v_col, pp_col, norm_col, eta_col = (
+        memoryview(records[name]) for name in ("v_dual", "phi_prime", "grad_norm", "eta_or_mu"))
+    step = point_step(fset)
+    v = grad_sq_sum = 0.0
+    for k, (lam_k, a, b_k, f) in enumerate(zip(memoryview(lams), rows(A), memoryview(b),
+                                                rows(f_rows))):
+        g_spl = dot(a, x) + b_k
         # dual update first: the multiplier sees this round's violation
         v += max(g_spl, 0.0)
-        ccv += g_plus
-        pp = phi_prime(kind, lam, v)
-        grad = f_grad
+        pp = phi_prime(kind, lam_k, v)
+        grad = x - f if about_x else f
         if pp != 0.0 and g_spl > 0.0:
-            grad = [fj + pp * gj for fj, gj in zip(f_grad, g_grad)]
-        gg = fdot(grad, grad)
+            grad = grad + pp * a
+        gg = dot(grad, grad)
         grad_sq_sum += gg
-        eta = adaptive_step(diameter, grad_sq_sum)
-        records[k] = (
-            t, x, f_mem, f_spl, g_mem, g_spl, g_plus, v, ccv, pp, lam,
-            math.sqrt(gg), eta, 0.0, 0.0, 0.0,
-        )
+        eta = adaptive_step(fset.diameter, grad_sq_sum)
+        x_col[k], v_col[k], pp_col[k], norm_col[k], eta_col[k] = x, v, pp, math.sqrt(gg), eta
         x = step(x, eta, grad)
-        window = window[dim:] + x
-    return RunTrace(
-        algorithm="penalty_ogd",
-        variant=variant,
-        penalty_kind=kind,
-        records=records,
-        instance=instance,
-    )
+    records["t"] = np.arange(rounds.start, rounds.stop)
+    records["lam"] = lams
+    instance.fill_values(records, variant is Variant.COCO_M2)
+    g_mem = records["g_mem"]
+    inc = np.where(g_mem < 0.0, 0.0, g_mem)  # max(g, 0.0): keeps -0.0 and nan
+    records["g_plus_recorded"] = inc
+    inc[:1] += 0.0  # the running sum starts from 0.0, so -0.0 adds as 0.0
+    np.cumsum(inc, out=records["ccv_cum"])
+    return RunTrace("penalty_ogd", variant, kind, records, instance)

@@ -197,8 +197,8 @@ def test_1d_ball_takes_the_interval_formulas(center, radius, p, eta, g):
         (lo.tobytes(), hi.tobytes(), c.tobytes())
     assert project(fset, [p]).tobytes() == np.clip([p], lo, hi).tobytes()
     step = np.array([p]) - eta * np.array([g])
-    got = point_step(fset)((p,), eta, (g,))
-    assert np.array(got).tobytes() == np.clip(step, lo, hi).tobytes()
+    got = point_step(fset)(p, eta, g)
+    assert np.array([got]).tobytes() == np.clip(step, lo, hi).tobytes()
     want = (lo if g > 0 else hi if g < 0 else c).tobytes()
     assert minimize_linear(fset, [g]).tobytes() == want
     for arg in (g, [g]):

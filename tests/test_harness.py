@@ -439,12 +439,15 @@ def test_checkpoint_marks():
     {"kind": "appendix_a", "m": 2, "horizon": 120, "delta": float("inf")},
     {"kind": "appendix_a", "m": 2, "horizon": 120, "gamma": float("nan")},
     {"kind": "separable_linear", "m": 2, "horizon": 120, "g_mag": [0.01, float("inf")]},
+    # finite, but the constants overflow (f_bound = inf): each failed its seeds (exit 2)
+    {"kind": "appendix_a", "m": 2, "horizon": 120, "sigma": 1e300},
+    {"kind": "appendix_a", "m": 2, "horizon": 120, "radius": 1e300},
 ], ids=["unknown_key", "horizon_below_m", "appendix_a_horizon_0",
         "separable_linear_horizon_0", "dim_3", "g_mag_reversed", "g_root_reversed",
         "g_root_reaches_1", "g_round_density_above_1", "g_active_fraction_negative",
         "blocks_0", "blocks_fractional", "noise_negative", "drift_infinite",
         "radius_infinite", "radius_nan", "sigma_nan", "delta_infinite", "gamma_nan",
-        "g_mag_infinite"])
+        "g_mag_infinite", "sigma_1e300", "radius_1e300"])
 def test_cli_rejects_bad_environment_parameters(tmp_path, capsys, monkeypatch, command, env):
     # checked when the config loads, before any instance is generated
     cfg_path = tmp_path / "cfg.json"
@@ -546,12 +549,14 @@ def test_cli_rejects_bad_learner_parameters(tmp_path, capsys, over):
 
 
 def test_a_non_finite_trace_fails_run_and_verify(tmp_path, capsys):
-    """At sigma = 1e300 every round's f_mem, f_splat and grad_norm is
-    infinite, so the step is 0 and the learner never moves.  Such a trace
-    is no result: `run` records the seed as failed and exits 2, and
-    `verify` prints one verdict, ccv_recurrence_replay's failure on the
-    first non-finite column, and runs no other check."""
-    env = {"kind": "appendix_a", "m": 1, "horizon": 50, "sigma": 1e300}
+    """At sigma = 6e153 the problem constants are finite, but a window of
+    16 slots sums squares past the largest double, so some rounds' f_mem
+    (and grad_norm) is infinite.  Such a trace is no result: `run` records
+    the seed as failed and exits 2, and `verify` prints one verdict,
+    ccv_recurrence_replay's failure on the first non-finite column, and
+    runs no other check.  (A sigma whose constants overflow is a config
+    error.)"""
+    env = {"kind": "appendix_a", "m": 15, "horizon": 50, "radius": 1.0, "sigma": 6e153}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({**BASE, "environment": env, "seeds": [0]}))
     out = tmp_path / "out"

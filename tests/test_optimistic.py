@@ -26,6 +26,7 @@ from cocomem.core import Ball
 from cocomem.geometry import ftrl_argmin, minimize_linear, project, regret_coefficient
 from cocomem.harness import ExperimentConfig, load_config, run_single
 from cocomem.metrics import ForwardFunctions, _decisions_by_round
+from cocomem import optimistic
 from cocomem.optimistic import OdafLearner, doubling_mu1, huber
 from cocomem.penalty import Penalty, lambda_optimistic, phi_prime
 from helpers import assert_v_at_reads_the_table, doubling_epoch_bound, error_sums, pinned_layout
@@ -644,6 +645,32 @@ def test_penalty_weights_read_the_audited_violation(obj):
         for t, lam, w in zip(tr.col("t").tolist(), tr.col("lam").tolist(),
                              tr.col("phi_prime").tolist()):
             assert w == phi_prime(PenaltyKind.EXPONENTIAL, lam, tr.v_at(t - d))
+
+
+@pytest.mark.parametrize("runner", [run_optimistic, run_doubling])
+def test_each_penalty_weight_is_computed_once_per_epoch(monkeypatch, runner):
+    """The learner takes Phi'(V_q) once for each played round q of an
+    epoch, however many hints weigh it (the weight was recomputed for each
+    toggle and pending slice, about 39 calls per round on a noisy run at
+    m = 10); prehistory and rounds not yet played weigh lambda itself.  A
+    doubling restart weighs again the d rounds before it, d the dual
+    delay, under the new lambda."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return phi_prime(*args)
+
+    monkeypatch.setattr(optimistic, "phi_prime", counting)
+    inst = SeparableLinearInstance(m=10, horizon=300, seed=0, g_round_density=0.4,
+                                   g_mag=(0.05, 0.2))
+    tr = runner(inst, Variant.COCO_M2, NoisyPredictor(0.3))
+    rounds, epochs = len(tr.records), tr.extras["epochs"]
+    assert len(calls) <= rounds + (epochs - 1) * tr.variant.dual_delay(inst.m)
+    if runner is run_optimistic:
+        assert len(calls) <= 2 * rounds
+    else:
+        assert epochs > 1
 
 
 def _enumerated_activity(fset, lin0, mu, toggles, x_last):

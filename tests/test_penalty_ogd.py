@@ -5,7 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_ogd
 from cocomem import (
     AppendixAInstance,
     PenaltyKind,
@@ -255,6 +258,49 @@ def test_float_loop_matches_reference_when_the_exponent_cap_binds():
     assert got.tobytes() == want.tobytes()
 
 
+# ---------------------------------------------------------------------------
+# The runner against the loop it replaced (tests/reference_ogd.py), which
+# evaluated every round's window through a per-round closure and wrote
+# one row tuple per round
+
+
+@pytest.mark.parametrize("family", ["appendix_a", "separable_linear"])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("variant,kind,mode", _RUNS)
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(m=st.integers(0, 7), seed=st.integers(0, 10_000), extra=st.integers(0, 50))
+def test_runner_matches_the_row_tuple_loop_byte_for_byte(family, dim, variant, kind, mode,
+                                                          m, seed, extra):
+    """Every column, decision and lambda included, has the bytes of the
+    per-round loop for any memory length: the window sums after the loop
+    add their terms in the closure's order, and every max, running sum and
+    summed offset keeps the sign of zero it gave."""
+    if family == "appendix_a":
+        inst = AppendixAInstance(m=m, horizon=m + 1 + extra, dim=dim, seed=seed,
+                                 mode="adversarial" if seed % 2 else "stochastic")
+    else:
+        inst = SeparableLinearInstance(m=m, horizon=m + 1 + extra, dim=dim, seed=seed,
+                                       g_round_density=0.6, g_mag=(0.05, 0.3))
+    lam = _lam(kind, mode, inst)
+    got = run_penalty_ogd(inst, variant, kind, lam).records
+    want = reference_ogd.run_penalty_ogd(inst, variant, kind, lam).records
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_runner_matches_the_row_tuple_loop_when_the_exponent_cap_binds(dim):
+    """With Phi' at the cap, |grad|^2 overflows to inf and the step to 0
+    in both loops, and the columns keep the same bytes."""
+    inst = AppendixAInstance(m=1, horizon=120, seed=5, mode="adversarial", dim=dim)
+    got = run_penalty_ogd(inst, Variant.COCO_M, PenaltyKind.EXPONENTIAL, 25.0).records
+    want = reference_ogd.run_penalty_ogd(inst, Variant.COCO_M, PenaltyKind.EXPONENTIAL,
+                                         25.0).records
+    assert saturated(PenaltyKind.EXPONENTIAL, want["lam"], want["v_dual"]).sum() > 100
+    assert np.isinf(want["grad_norm"]).any()
+    assert got.tobytes() == want.tobytes()
+
+
 # (count, sha256) of the per-round saturation flags of exponential-penalty
 # OGD under coco_m on AppendixAInstance(m=1, horizon=400, seed=0), recorded
 # when the trace stored them as a bool column
@@ -332,12 +378,14 @@ def test_no_lambda_plays_the_theorem_lambda(kind):
 
 
 def test_float_loop_heap_is_a_small_multiple_of_its_table():
-    """The float loop writes each round into the trace table as it plays
-    it, so besides the table its heap holds no per-round row list: on the
+    """The float loop writes each round into the trace table's columns as
+    it plays it, reading its rows and lambdas through memoryviews, so
+    besides the table its heap holds no per-round list: on the
     reference_stochastic environment at T = 20,000 the tracemalloc peak
-    of one run is at most 4x the table's bytes (a per-round row list
-    transposed after the loop peaked at 7x).  A short run first warms up
-    the one-time allocations."""
+    of one run is at most 2x the table's bytes (a per-round row list
+    transposed after the loop peaked at 7x, per-round lists of lambdas and
+    coefficient rows at 2.75x).  A short run first warms up the one-time
+    allocations."""
     env = load_config(CONFIG_DIR / "reference_stochastic.json").environment
     env = {key: value for key, value in env.items() if key != "kind"}
     warm = AppendixAInstance(**{**env, "horizon": 50}, seed=0)
@@ -350,4 +398,4 @@ def test_float_loop_heap_is_a_small_multiple_of_its_table():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * tr.records.nbytes
+    assert peak <= 2 * tr.records.nbytes
