@@ -61,7 +61,8 @@ class Ball:
     decision set: it admits an exact projection and a closed-form linear
     minimization.  At d = 1 it is the interval [lo, hi] = [center - radius,
     center + radius].  `center`, `lo` and `hi` are computed once and
-    read-only, since every reader shares them."""
+    read-only, since every reader shares them; at d = 1 `interval` holds
+    (lo, hi, center) as floats, for the float paths."""
 
     def __init__(self, center, radius: float):
         self.center = as_decision(center).copy()
@@ -74,6 +75,8 @@ class Ball:
         self.hi = self.center + self.radius
         for arr in (self.center, self.lo, self.hi):
             arr.flags.writeable = False
+        if self.dim == 1:
+            self.interval = (self.lo.item(), self.hi.item(), self.center.item())
 
     def contains(self, x, tol: float = 1e-9):
         """Membership of one point, or of every row of an (n, d) array."""
@@ -124,7 +127,7 @@ ROUND_FIELDS = (
 
 def round_table(n_rounds: int, dim: int) -> np.ndarray:
     """Zeroed structured array with one row per round; a learner writes
-    each row once, as a tuple in `ROUND_FIELDS` order.
+    each row once, as a tuple in `ROUND_FIELDS` order, or fills columns.
 
     Every field is a column (`table["f_mem"]`, `table["x"]` of shape
     (n_rounds, dim)); a row is a `np.record`, so `row.t` and `row.x` read

@@ -655,19 +655,21 @@ class Predictor:
     def forecasts(self, t: int) -> list:
         """Round t's P forecasts (f, g, g_off), pair (t + j, i) at index
         i (i + 1) / 2 + j, in the learner's vector type: floats at d = 1,
-        (d,) row views at d >= 2.  A round outside the held block starts
-        the next block, its non-finite forecasts set to zero pair by pair."""
+        as [f, g, g_off] lists from one `tolist` of the held row, and (d,)
+        row views at d >= 2.  A round outside the held block starts the
+        next block, its non-finite forecasts set to zero pair by pair."""
         if t not in self._held:
             self._block = ()  # dropped before the next block is built
             self._block, self._held = self._fill(t)
-        f, g, off = (rows[t - self._held.start] for rows in self._block)
-        if f.ndim == 1:
-            f, g = f.tolist(), g.tolist()
-        return list(zip(f, g, off.tolist()))
+        k = t - self._held.start
+        if self._instance.dim == 1:
+            return self._block[k].tolist()
+        f, g, off = self._block
+        return list(zip(f[k], g[k], off[k].tolist()))
 
     def _fill(self, t: int) -> tuple:
-        """((f, g, off), rounds) of the block of rounds from t, each array
-        with one row per round."""
+        """(block, rounds) of the block of rounds from t, one row per round:
+        an (n, P, 3) array of [f, g, g_off] at d = 1, else arrays (f, g, off)."""
         rounds = range(t, max(t + 1, min(t + self._block_rounds, self._instance.horizon + 2)))
         f = np.asarray(self.predict_f(rounds), dtype=float)
         g, off = (np.asarray(rows, dtype=float) for rows in self.predict_g(rounds))
@@ -677,9 +679,10 @@ class Predictor:
         bad = ~(np.isfinite(g).all(axis=1) & np.isfinite(off))
         if bad.any():
             g, off = np.where(bad[:, None], 0.0, g), np.where(bad, 0.0, off)
-        if self._instance.dim == 1:
-            f, g = f[:, 0], g[:, 0]
-        return tuple(a.reshape(len(rounds), -1, *a.shape[1:]) for a in (f, g, off)), rounds
+        n, d = len(rounds), self._instance.dim
+        if d == 1:
+            return np.stack((f[:, 0], g[:, 0], off), axis=-1).reshape(n, -1, 3), rounds
+        return (f.reshape(n, -1, d), g.reshape(n, -1, d), off.reshape(n, -1)), rounds
 
     def _pairs(self, rounds: range) -> np.ndarray:
         """(query round, slice round, delay) of each row of a block, as

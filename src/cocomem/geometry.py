@@ -38,7 +38,7 @@ def point_step(fset: Ball):
     (d >= 2), with the norm summed from 0.0 in index order (`fdot`); a
     non-finite point raises ValueError, as there."""
     if fset.dim == 1:
-        lo, hi = fset.lo.item(), fset.hi.item()
+        lo, hi, _ = fset.interval
 
         def clamp(x, eta, grad):
             v = x - eta * grad
@@ -90,19 +90,19 @@ def regret_coefficient(fset: Ball, memory: int) -> float:
     return (r_max / alpha + 1.0) * (memory * d + np.sqrt(d * d + alpha))
 
 
-def ftrl_argmin(fset: Ball, g, mu: float) -> np.ndarray:
+def ftrl_argmin(fset: Ball, g, mu: float):
     """Exact minimizer of <g, x> + mu * r(x) over the feasible set, with
     the regularizer r(x) = 0.5 ||x - center||^2 at the set's center.
 
     For mu > 0 the unconstrained optimum center - g/mu is projected onto
     the set (valid because r is centered at the set's center).  mu = 0
     degenerates to pure linear minimization.  At d = 1 a float g
-    takes the same steps in Python floats, with numpy's bits and errors;
-    a list, tuple or array g takes the numpy path.  Either way the result
-    is a (d,) array.
+    takes the same steps in Python floats, with numpy's bits and errors,
+    and returns a float; a list, tuple or array g takes the numpy path and
+    returns a (d,) array.
     """
     if isinstance(g, float) and fset.dim == 1:
-        return np.array([_ftrl_argmin_1d(fset, g, mu)])
+        return _ftrl_argmin_1d(fset, g, mu)
     g = np.asarray(g, dtype=float)
     if g.shape != (fset.dim,):
         raise ValueError(f"linear term has shape {g.shape}, expected ({fset.dim},)")
@@ -123,7 +123,7 @@ def _ftrl_argmin_1d(fset: Ball, g: float, mu: float) -> float:
         raise ValueError("linear term has non-finite entries")
     if mu < 0:
         raise ValueError("mu must be >= 0")
-    lo, hi, center = fset.lo.item(), fset.hi.item(), fset.center.item()
+    lo, hi, center = fset.interval
     if mu == 0.0:
         return lo if g > 0 else hi if g < 0 else center
     x = center - g / mu

@@ -19,15 +19,19 @@ slice sits at delay 0 and its multiplier uses the fresh violation
 Phi'(V_{t-1}) instead of the delayed one.
 
 `OdafLearner` holds a vector as a Python float at d = 1 and as a (d,)
-float array at d >= 2, so `+`, `-` and scalar `*` serve both.  It reads
-each round's slice rows from the instance arrays as the round is played
-and keeps V_r only where the audit reads it, in the `ccv_cum` column of
-its trace table, taking `penalty.phi_prime` of it once per epoch.  A
-forward gradient settles m rounds after its decision, so it keeps only
-the last O(m) rounds of decisions, slices and Phi' weights.  Dot products, norms and sums of
-squares are one float product at d = 1 and numpy's own at d >= 2, so
-every value keeps the bits of the numpy learner in
-`tests/reference_odaf.py`, the reference the tests hold it to.
+float array at d >= 2, so `+`, `-` and scalar `*` serve both.  Each round
+it runs only the recursion: it reads the round's slice rows through flat
+views of the instance arrays (memoryviews of floats at d = 1), updates V
+and Phi', the open and forward gradients, the hint and its errors and mu,
+and takes one FTRL step, writing those values into its trace table's
+columns.  V_r lives only in the `ccv_cum` column, where the audit reads
+it, and Phi'(V_r) is taken once per epoch.  A forward gradient settles m
+rounds after its decision, so the learner keeps only the last O(m)
+rounds of decisions, slices and weights.  `derive_columns` writes the
+columns that are functions of the decisions after the loop.  Dot
+products, norms and sums of squares are one float product at d = 1 and
+numpy's own at d >= 2, so every value keeps the bits of the numpy
+learner in `tests/reference_odaf.py`, the reference the tests hold it to.
 """
 
 from __future__ import annotations
@@ -54,15 +58,14 @@ def huber(x: float, y: float) -> float:
     return 0.5 * x * x - 0.5 * hinge * hinge
 
 
-def _vectors(dim: int):
-    """(vec, dot, sumsq) of the learner's vector type, a float at d = 1
-    and a (d,) float array at d >= 2: `vec` makes a vector of a length-d
-    sequence, and the reductions have the bits of numpy's `a @ b` and
+def _reductions(dim: int):
+    """(dot, sumsq) of the learner's vector type, a float at d = 1 and a
+    (d,) float array at d >= 2, with the bits of numpy's `a @ b` and
     `np.sum(a ** 2)`; numpy itself at d >= 2, where a BLAS dot may round
     as fma(a1, b1, a0 * b0)."""
     if dim == 1:
-        return (lambda p: float(p[0])), operator.mul, (lambda a: a * a)
-    return ((lambda p: np.asarray(p, dtype=float)), (lambda a, b: float(np.dot(a, b))),
+        return operator.mul, (lambda a: a * a)
+    return ((lambda a, b: float(np.dot(a, b))),
             (lambda a: float(np.sum(a ** 2))))
 
 
@@ -77,6 +80,7 @@ class OdafLearner:
     run.  `restart(t, lam)` starts an epoch at round t: slices of rounds
     before t read as absent, as in the pre-history of a cold start, and
     the gradient memory and hint-error statistics start fresh.
+    `derive_columns` fills the table's other columns after the last round.
     """
 
     def __init__(self, instance, variant: Variant, predictor, lam: float):
@@ -87,22 +91,35 @@ class OdafLearner:
         self.inst = instance
         self.variant = variant
         self.m = instance.m
-        self.dim = instance.dim
+        self.dim = dim = instance.dim
         self.fset = instance.fset
         self.predictor = predictor
         predictor.bind(instance)
         self.alpha = dub_alpha(self.fset)
         self.dual_delay = variant.dual_delay(self.m)
-        self._vec, self._dot, self._sumsq = _vectors(self.dim)
-        # shared by every sum that starts from zero: never updated in place
-        self._zero = self._vec(np.zeros(self.dim))
+        self._dot, self._sumsq = _reductions(dim)
 
         first = instance.first_round
-        center = self._vec(self.fset.center)
+        self.records = round_table(instance.horizon - first + 1, dim)
+        self.hints = np.zeros((instance.horizon - first + 2, dim))
+        # the rows the loop reads and writes: slice (t, i) is row t (m + 1) + i
+        # of the flat slice coefficients, round first + k row k of the decision
+        # and hint columns; floats through memoryviews at d = 1, (d,) rows at d >= 2
+        rows = (instance.f_coef.reshape(-1, dim), instance.g_coef.reshape(-1, dim),
+                self.records["x"], self.hints)
+        if dim == 1:
+            self._zero, center = 0.0, self.fset.interval[2]
+            rows = (memoryview(a[:, 0]) for a in rows)
+        else:
+            self._zero = np.zeros(dim)  # shared by every sum from zero: never updated in place
+            center = self.fset.center
+        self._f, self._g, self._x_col, self._hint_col = rows
+        self._off, self._present = (memoryview(a.reshape(-1)) for a in (instance.g_off,
+                                                                       instance.g_present))
+        self._ccv_col = memoryview(self.records["ccv_cum"])
+        self._cols = tuple(memoryview(self.records[name]) for name in (
+            "g_mem", "phi_prime", "grad_norm", "eta_or_mu", "eps_f", "eps_g", "eps_z"))
         self.x_hist = {r: center for r in range(first - self.m - 1, first)}
-        self.records = round_table(instance.horizon - first + 1, self.dim)
-        self._ccv_col = self.records["ccv_cum"]
-        self.hints = np.zeros((instance.horizon - first + 2, self.dim))
         self.fixed_point_fallbacks = 0
         self.restart(first, lam)
 
@@ -112,12 +129,9 @@ class OdafLearner:
         statistics start fresh, and x_t is committed again."""
         check_lambda(lam)
         self.lam = float(lam)  # keeps numpy scalars out of the float arithmetic
-        # slice rows this epoch sees: rounds before it (or without slices
-        # in the instance) read as absent
-        self._lo = max(t, self.m + 1)
-        # round r -> (loss rows, constraint rows active at the decision
-        # they touch, else None) of the slices revealed in round r
-        self._seen: dict[int, tuple] = {}
+        self.records["lam"][t - self.inst.first_round:] = self.lam
+        # round r -> its constraint rows active at the decision they touch, else None
+        self._seen: dict[int, list] = {}
         # decision s -> revealed part of grad Z_s, summed in delay order
         self._open: dict[int, float | np.ndarray] = {}
         self._forward: dict[int, float | np.ndarray] = {}
@@ -139,144 +153,126 @@ class OdafLearner:
         """Cumulative violation after round r, the table's `ccv_cum` row;
         rounds before the run and rounds not yet played (zero rows) read 0."""
         k = r - self.inst.first_round
-        return float(self._ccv_col[k]) if 0 <= k < len(self._ccv_col) else 0.0
-
-    def _mult(self, r: int) -> float:
-        """Penalty weight of round r's constraint slice inside the forward
-        function, Phi'(V_{r-d}); prehistory and rounds not yet played read
-        V = 0, whose weight is lambda itself (lambda e^0 = lambda)."""
-        return self._weights.get(r - self.dual_delay, self.lam)
+        return self._ccv_col[k] if 0 <= k < len(self._ccv_col) else 0.0
 
     # -- forward gradients ----------------------------------------------------
 
-    def _reveal(self, t: int, mult: float) -> tuple:
+    def _reveal(self, t: int, mult: float) -> float:
         """Read round t's slice rows, judge each constraint slice at the
         decision it touches, and add the revealed slices, the active
         constraint slices weighted by `mult`, to the open forward
-        gradients.  Returns (loss rows or None, [(i, coeff, offset,
-        value)] of the present constraint slices)."""
-        m, dot, xs = self.m, self._dot, self.x_hist
-        f, g_rows, active = None, [], [None] * (m + 1)
-        if self._lo <= t <= self.inst.horizon:
-            inst = self.inst
-            # floats at d = 1, row views at d >= 2
-            f, coef = inst.f_coef[t], inst.g_coef[t]
-            if self.dim == 1:
-                f, coef = f[:, 0].tolist(), coef[:, 0].tolist()
-            off = inst.g_off[t].tolist()
-            for i, present in enumerate(inst.g_present[t].tolist()):
-                if present:
-                    val = dot(coef[i], xs[t - i]) + off[i]
-                    g_rows.append((i, coef[i], off[i], val))
-                    if val > 0.0:
-                        active[i] = coef[i]
-        self._seen[t] = (f, active)
-        self._seen.pop(t - m - 1, None)
+        gradients.  Returns g_t: the sum of the present constraint slices'
+        values (COCO-M2), else the delay-0 slice's value, 0.0 when absent."""
+        m, dot, xs, opened, zero = self.m, self._dot, self.x_hist, self._open, self._zero
+        k, g, off, present = t * (m + 1), self._g, self._off, self._present
+        active = [None] * (m + 1)
+        g_sum = g_now = 0.0
         for i in range(m + 1):
-            z = self._open.get(t - i, self._zero)
-            if f is not None:
-                z = z + f[i]
+            if present[k + i]:
+                val = dot(g[k + i], xs[t - i]) + off[k + i]
+                g_sum += val
+                if i == 0:
+                    g_now = val
+                if val > 0.0:
+                    active[i] = g[k + i]
+        self._seen[t] = active
+        self._seen.pop(t - m - 1, None)
+        f = self._f
+        for i in range(m + 1):
+            z = opened.get(t - i, zero) + f[k + i]
             if active[i] is not None:
                 z = z + mult * active[i]
-            self._open[t - i] = z
-        return f, g_rows
+            opened[t - i] = z
+        return g_sum if self.variant is Variant.COCO_M2 else g_now
 
-    def _complete_round(self, s: int) -> tuple[float, float, float]:
-        """Settle grad Z_s and the weights of hint h_s; returns the hint's
-        errors (eps_Z, eps_f, eps_g), zero when no hint h_s exists."""
-        m = self.m
+    def _complete_round(self, s: int) -> tuple[float, float, float, float]:
+        """Settle grad Z_s and the weights of hint h_s; returns (||grad Z_s||,
+        eps_Z, eps_f, eps_g), the hint's errors zero when no hint h_s exists."""
+        m, dot, zero, fwd = self.m, self._dot, self._zero, self._forward
         z = self._open.pop(s)
-        self._forward[s] = z
-        self._forward.pop(s - m - 1, None)
+        fwd[s] = z
+        fwd.pop(s - m - 1, None)
         self._rev_sum = self._rev_sum + z
+        zn = math.sqrt(dot(z, z))
         pending = self._pending.pop(s, None)
         if pending is None:
-            return 0.0, 0.0, 0.0
+            return zn, 0.0, 0.0, 0.0
         hint, preds = pending
-        win = self._zero
+        win = zero
         for j in range(s - m, s + 1):
-            if j in self._forward:
-                win = win + self._forward[j]
+            if j in fwd:
+                win = win + fwd[j]
         diff = hint - win
-        err = math.sqrt(self._dot(diff, diff))
-        zn = math.sqrt(self._dot(z, z))
+        err = math.sqrt(dot(diff, diff))
         a = self.fset.diameter * min(err, zn)
         self._a[s] = a
         self._a.pop(s - m - 1, None)
         self._cum_sq += a * a + 2.0 * self.alpha * huber(err, zn)
-        return self._prediction_errors(diff, preds)
-
-    def _prediction_errors(self, diff, preds: list) -> tuple[float, float, float]:
-        """(eps_Z, eps_f, eps_g) of a hint once its forward gradient is
-        revealed; `diff` is the hint minus the revealed window sum."""
-        zero = self._zero
+        # each forecast's error against the revealed slice
+        f, seen = self._f, self._seen
         df = dg = zero
         for r, i, f_pred, g_pred in preds:
-            f, active = self._seen[r]
-            df = df + (f_pred - (zero if f is None else f[i]))
-            dg = dg + (g_pred - (zero if active[i] is None else active[i]))
-        return self._sumsq(diff), self._dot(df, df), self._dot(dg, dg)
+            df = df + (f_pred - f[r * (m + 1) + i])
+            active = seen[r][i]
+            dg = dg + (g_pred - (zero if active is None else active))
+        return zn, self._sumsq(diff), dot(df, df), dot(dg, dg)
 
     # -- hint assembly and the FTRL step ------------------------------------
-
-    def _pending_subtotal(self, s: int, t: int, preds: list, forecasts: list):
-        """Known-plus-predicted stand-in for grad Z_s, accumulated in the
-        same slice order as the settled gradient so perfect predictions
-        reproduce it bitwise; `forecasts` are those of round t + 1."""
-        z = self._open.get(s, self._zero)
-        x_s = self.x_hist[s]
-        for i in range(t - s + 1, self.m + 1):
-            r = s + i
-            f_pred, g, g_off = forecasts[i * (i + 1) // 2 + r - t - 1]
-            z = z + f_pred
-            active = self._dot(g, x_s) + g_off > 0.0
-            if active:
-                z = z + self._mult(r) * g
-            preds.append((r, i, f_pred, g if active else self._zero))
-        return z
 
     def _decide_next(self, t: int) -> float:
         """End-of-round-t work: assemble h_{t+1}, and commit x_{t+1}
         (self-consistent activity for the pending round); returns the
         FTRL weight mu_{t+1} that chose it."""
-        m, nxt, dot = self.m, t + 1, self._dot
+        m, nxt, dot, zero, xs = self.m, t + 1, self._dot, self._zero, self.x_hist
+        # round r's constraint slices weigh Phi'(V_{r-d}); prehistory and
+        # rounds not yet played read V = 0, whose weight is lambda itself
+        weight, lam, delay = self._weights.get, self.lam, self.dual_delay
         forecasts = self.predictor.forecasts(nxt)
         preds: list[tuple] = []
-        # pending decisions s = t+1-m .. t: known slices plus predictions
-        base = self._zero
+        # pending decisions s = t+1-m .. t: known slices plus predictions,
+        # accumulated in the same slice order as the settled gradient so
+        # perfect predictions reproduce it bitwise
+        base = zero
         for s in range(nxt - m, nxt):
-            base = base + self._pending_subtotal(s, t, preds, forecasts)
+            z, x_s = self._open.get(s, zero), xs[s]
+            for i in range(nxt - s, m + 1):
+                f_pred, g, g_off = forecasts[i * (i + 1) // 2 + s + i - nxt]
+                z = z + f_pred
+                if dot(g, x_s) + g_off > 0.0:
+                    z = z + weight(s + i - delay, lam) * g
+                else:
+                    g = zero
+                preds.append((s + i, i, f_pred, g))
+            base = base + z
         # predicted forward gradient of the decision being committed; each
         # constraint forecast with a nonzero coefficient may toggle, and
         # carries its weighted gradient
-        block = [forecasts[i * (i + 1) // 2 + i] for i in range(m + 1)]
-        toggles = []
-        for i, (_, g, g_off) in enumerate(block):
-            if dot(g, g) > 0.0:
-                toggles.append((i, g, g_off, self._mult(nxt + i) * g))
+        block = [forecasts[i * (i + 3) // 2] for i in range(m + 1)]  # pairs (nxt + i, i)
+        toggles = [(i, g, g_off, weight(nxt + i - delay, lam) * g)
+                   for i, (_, g, g_off) in enumerate(block) if dot(g, g) > 0.0]
 
         mu = (2.0 / self.alpha) * self._max_awin + math.sqrt(self._cum_sq) / self.alpha
-        f_block = self._zero
+        f_block = zero
         for f_pred, _, _ in block:
             f_block = f_block + f_pred
-        lin0 = self._rev_sum + base + f_block
-        x_next, flags = self._resolve_pending_activity(lin0, mu, toggles, self.x_hist[t])
+        x_next, flags = self._resolve_pending_activity(self._rev_sum + base + f_block, mu,
+                                                       toggles, xs[t])
         on = {i: term for (i, _, _, term), flag in zip(toggles, flags) if flag}
-        ztilde = self._zero
+        ztilde = zero
         for i, (f_pred, g, _) in enumerate(block):
             ztilde = ztilde + f_pred
             if i in on:
                 ztilde = ztilde + on[i]
-            preds.append((nxt + i, i, f_pred, g if i in on else self._zero))
+            preds.append((nxt + i, i, f_pred, g if i in on else zero))
         hint = base + ztilde
-        self.hints[nxt - self.inst.first_round] = hint
+        self._hint_col[nxt - self.inst.first_round] = hint
         self._pending[nxt] = (hint, preds)
-        self.x_hist[nxt] = x_next
-        self.x_hist.pop(nxt - m - 2, None)
+        xs[nxt] = x_next
+        xs.pop(nxt - m - 2, None)
         # fold the newest window sum into the lagged max AFTER mu used it
         s = t - m
         if s in self._a:
-            awin = sum(self._a.get(j, 0.0) for j in range(s - m + 1, s + 1))
+            awin = sum(map(self._a.get, range(s - m + 1, s + 1), itertools.repeat(0.0)))
             self._max_awin = max(self._max_awin, awin)
         return mu
 
@@ -291,74 +287,79 @@ class OdafLearner:
         fallback pattern and the k + 1 patterns between the sorted
         thresholds go before the 2^k enumeration, unless some pattern's
         decision could overflow: then the enumeration meets the error."""
-        fset, vec, dot = self.fset, self._vec, self._dot
+        fset, dot = self.fset, self._dot
         if not toggles:
-            return vec(ftrl_argmin(fset, lin0, mu)), ()
-
-        def flags_at(x):
-            return tuple(dot(g, x) + g_off > 0.0 for _, g, g_off, _ in toggles)
-
+            return ftrl_argmin(fset, lin0, mu), ()
+        last = tuple(dot(g, x_last) + g_off > 0.0 for _, g, g_off, _ in toggles)
         tried: dict[tuple, float | np.ndarray] = {}
-
-        def decide(pattern):
-            if pattern not in tried:
-                tried[pattern] = vec(ftrl_argmin(fset, _with_terms(lin0, toggles, pattern), mu))
-            return tried[pattern]
-
-        last = flags_at(x_last)
         candidates = ()
-        if self.dim == 1 and _decisions_finite(lin0, mu, toggles, fset.center.item()):
+        if self.dim == 1 and _decisions_finite(lin0, mu, toggles, fset.interval[2]):
             candidates = itertools.chain((last,), _interval_patterns(toggles))
         if len(toggles) <= MAX_PATTERN_SLICES:
             candidates = itertools.chain(
                 candidates, itertools.product((False, True), repeat=len(toggles)))
         for pattern in candidates:
-            if pattern not in tried and flags_at(decide(pattern)) == pattern:
-                return tried[pattern], pattern
+            if pattern not in tried:
+                x = tried[pattern] = ftrl_argmin(fset, _with_terms(lin0, toggles, pattern), mu)
+                if tuple(dot(g, x) + g_off > 0.0 for _, g, g_off, _ in toggles) == pattern:
+                    return x, pattern
         self.fixed_point_fallbacks += 1
-        return decide(last), last
+        if last not in tried:
+            tried[last] = ftrl_argmin(fset, _with_terms(lin0, toggles, last), mu)
+        return tried[last], last
 
     # -- one full round -------------------------------------------------------
 
-    def play_round(self, t: int) -> np.record:
+    def play_round(self, t: int) -> float:
         """Observe round t, settle the newly revealed forward gradient and
-        hint error, and commit the next decision."""
-        m, dot, xs = self.m, self._dot, self.x_hist
-        x_t = xs[t]
-        mult_t = self._mult(t)
-        f, g_rows = self._reveal(t, mult_t)
-        f_mem = 0.0
-        if f is not None:
-            for i in range(m + 1):
-                f_mem += dot(f[i], xs[t - i])
-        if self.variant is Variant.COCO_M2:
-            g_val = 0.0
-            for _, _, _, v in g_rows:
-                g_val += v
-        else:
-            g_val = next((v for i, _, _, v in g_rows if i == 0), 0.0)
-        inc = max(g_val, 0.0)
-        ccv = self.v_at(t - 1) + inc
-        row = t - self.inst.first_round
-        self._ccv_col[row] = ccv  # the next decision's weights read V_t
-        self._weights[t] = phi_prime(_EXP, self.lam, ccv)
-        self._weights.pop(t - self.dual_delay - 1, None)  # no later round reads it
-
-        eps_z = eps_f = eps_g = 0.0
-        s = t - m
-        if s >= 1:
-            eps_z, eps_f, eps_g = self._complete_round(s)
-
+        hint error, and commit the next decision; writes the round's
+        decision, g_mem, V, weight, gradient norm, mu and hint errors into
+        the table and returns eps_g, the doubling trick's input."""
+        k, weights, lam = t - self.inst.first_round, self._weights, self.lam
+        mult = weights.get(t - self.dual_delay, lam)
+        g_val = self._reveal(t, mult)
+        ccv = (self._ccv_col[k - 1] if k else 0.0) + max(g_val, 0.0)
+        self._ccv_col[k] = ccv  # the next decision's weights read V_t
+        weights[t] = phi_prime(_EXP, lam, ccv)
+        weights.pop(t - self.dual_delay - 1, None)  # no later round reads it
+        norm, eps_z, eps_f, eps_g = self._complete_round(t - self.m)
         mu = self._decide_next(t)
+        g_col, pp_col, norm_col, mu_col, ef_col, eg_col, ez_col = self._cols
+        self._x_col[k] = self.x_hist[t]
+        g_col[k], pp_col[k], norm_col[k], mu_col[k] = g_val, mult, norm, mu
+        ef_col[k], eg_col[k], ez_col[k] = eps_f, eps_g, eps_z
+        return eps_g
 
-        f_spl = float(sum(dot(fi, x_t) for fi in f)) if f is not None else 0.0
-        g_spl = float(sum(dot(c, x_t) + off for _, c, off, _ in g_rows))
-        z = self._forward.get(s, self._zero)
-        self.records[row] = (
-            t, x_t, f_mem, f_spl, g_val, g_spl, inc, ccv, ccv, mult_t,
-            self.lam, math.sqrt(dot(z, z)), mu, eps_f, eps_g, eps_z,
-        )
-        return self.records[row]
+    @np.errstate(over="ignore", invalid="ignore")  # numpy overflows as floats do: silently
+    def derive_columns(self) -> None:
+        """Write the columns that are functions of the decisions, after the
+        last round: t, f_mem, f_splat and g_splat, each summed from 0.0 in
+        delay order with the loop's products, g_plus_recorded and v_dual."""
+        inst, m, table = self.inst, self.m, self.records
+        rows = slice(inst.first_round, inst.horizon + 1)
+        f, g, off, present = (inst.f_coef[rows], inst.g_coef[rows], inst.g_off[rows],
+                              inst.g_present[rows])
+        x, center = table["x"], self.fset.center
+        if self.dim == 1:
+            (f, g, x), center, dot = (a[..., 0] for a in (f, g, x)), center.item(), operator.mul
+        else:
+            def dot(a, b):
+                return np.fromiter(map(self._dot, *np.broadcast_arrays(a, b)), float)
+        f_mem, f_splat, g_splat = (table[name] for name in ("f_mem", "f_splat", "g_splat"))
+        for i in range(m + 1):
+            # slice (t, i) touches x_{t-i}: the center before the first round
+            f_mem[:i] += dot(f[:i, i], center)
+            f_mem[i:] += dot(f[i:, i], x[:len(x) - i])
+            f_splat += dot(f[:, i], x)
+            g_i = dot(g[:, i], x)
+            g_i += off[:, i]
+            np.add(g_splat, g_i, out=g_splat, where=present[:, i])
+            del g_i  # one row of temporaries at a time
+        table["t"] = np.arange(rows.start, rows.stop)
+        table["g_plus_recorded"] = table["g_mem"]
+        g_plus = table["g_plus_recorded"]
+        g_plus[g_plus < 0.0] = 0.0  # max(g, 0.0): keeps -0.0 and nan
+        table["v_dual"] = table["ccv_cum"]
 
 
 def _with_terms(lin0, toggles, flags):
@@ -422,6 +423,7 @@ def _trace(learner: OdafLearner, epoch_starts: list[int], **extras) -> RunTrace:
     last row, h_{horizon + 1}, is committed but never played, and the
     epochs, one per round of `epoch_starts`.  The `lam` column is the run's
     only record of lambda, the `eps_*` columns of the hint errors."""
+    learner.derive_columns()
     return RunTrace(
         algorithm="odaf",
         variant=learner.variant,
@@ -472,5 +474,5 @@ def run_doubling(
             budget = 2.0 ** (len(starts) - 1) * mu1
             error = 0.0
             learner.restart(t, lambda_optimistic(budget, offset))
-        error += learner.play_round(t)["eps_g"]
+        error += learner.play_round(t)
     return _trace(learner, starts, mu1=mu1)

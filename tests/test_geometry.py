@@ -129,9 +129,9 @@ _RADII = st.sampled_from([2.0, 5e-324, 1e-300]) | st.floats(1e-3, 5.0)
 )
 def test_1d_box_argmin_has_the_numpy_bits_and_errors(center, radius, g, mu):
     """On an interval (a 1-D ball) the argmin of a float linear term (the
-    float path) equals project(center - g/mu) and minimize_linear bit for
-    bit (signed zeros included), and raises the same errors; so does a
-    one-element list, tuple or array, which takes the numpy path."""
+    float path, a float) equals project(center - g/mu) and minimize_linear
+    bit for bit (signed zeros included), and raises the same errors; so
+    does a one-element list, tuple or array, which takes the numpy path."""
     fset = Ball([center], radius)
     want = _numpy_argmin(fset, g, mu)
     for arg in (g, [g], (g,), np.array([g])):
@@ -141,9 +141,23 @@ def test_1d_box_argmin_has_the_numpy_bits_and_errors(center, radius, g, mu):
         except ValueError as exc:
             got = str(exc)
         else:
+            if arg is g:
+                assert type(x) is float
+                x = np.array([x])
             assert isinstance(x, np.ndarray) and x.shape == (1,) and x.dtype == float
             got = x.tobytes()
         assert got == want
+
+
+def test_1d_argmin_of_a_float_is_a_float():
+    """At d = 1 a float linear term gives a float decision, and a list or
+    an array of it the (1,) array of the same bits."""
+    b = Ball([0.5], 1.5)
+    for g, mu in ((3.0, 0.0), (-3.0, 0.0), (0.0, 0.0), (1.0, 2.0), (-100.0, 1.0), (-0.0, 4.0)):
+        x = ftrl_argmin(b, g, mu)
+        assert type(x) is float and b.interval[0] <= x <= b.interval[1]
+        for arg in ([g], np.array([g])):
+            assert ftrl_argmin(b, arg, mu).tobytes() == np.array([x]).tobytes()
 
 
 def test_1d_box_argmin_rejects_other_shapes():
@@ -202,4 +216,4 @@ def test_1d_ball_takes_the_interval_formulas(center, radius, p, eta, g):
     want = (lo if g > 0 else hi if g < 0 else c).tobytes()
     assert minimize_linear(fset, [g]).tobytes() == want
     for arg in (g, [g]):
-        assert ftrl_argmin(fset, arg, 0.0).tobytes() == want
+        assert np.array(ftrl_argmin(fset, arg, 0.0), ndmin=1).tobytes() == want

@@ -237,7 +237,7 @@ def test_verify_experiment_passes(tmp_path):
     assert any("ogd_surrogate_regret" in line for line in lines)
 
 
-def test_cli_exit_codes(tmp_path, monkeypatch):
+def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({**BASE, "seeds": [0]}))
@@ -253,6 +253,12 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     bad.write_text(json.dumps({**BASE, "algorithm": "sorcery"}))
     assert cli_main(["run", "--config", str(bad)]) == 1
     assert cli_main(["run", "--config", str(tmp_path / "missing.json")]) == 1
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b"\xff\xfe")
+    capsys.readouterr()
+    for command in ("run", "verify", "bounds"):
+        assert cli_main([command, "--config", str(not_utf8)]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
     # bounds subcommand
     assert cli_main(["bounds", "--config", str(cfg_path)]) == 0
 

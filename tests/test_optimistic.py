@@ -44,21 +44,22 @@ def _rows(inst, r, i):
 
 
 def last_played(learner):
-    """The newest round the learner has played, read from its trace table:
-    a played row holds its round number, which is at least 1."""
-    return max(int(learner.records["t"].max()), learner.inst.first_round - 1)
+    """The newest round the learner has played: the one before the newest
+    decision it has committed."""
+    return max(learner.x_hist) - 1
 
 
 def forward_gradient(learner, s):
     """grad Z_s as the learner holds it: available once every slice
     (s+i, i) is revealed and until m more rounds have settled; rounds
-    before the epoch's first settled forward round read as zero."""
+    before 1, which no slice touches, read as zero (the learner has not
+    restarted)."""
     if s > last_played(learner) - learner.m:  # the newest assembled forward round
         raise ValueError(f"forward gradient of round {s} is not revealed yet")
     z = learner._forward.get(s)
     if z is not None:
         return np.array(z, dtype=float, ndmin=1)
-    if s >= max(1, learner._lo - learner.m):
+    if s >= 1:
         raise ValueError(f"forward gradient of round {s} is no longer held")
     return np.zeros(learner.dim)
 
@@ -160,7 +161,8 @@ def test_decisions_are_bounded_and_v_at_reads_the_table(m):
     learner = OdafLearner(inst, Variant.COCO_M2, NoisyPredictor(0.3, seed=1), 0.5)
     first, ccv = inst.first_round, 0.0
     for t in range(first, 31):
-        ccv += learner.play_round(t)["g_plus_recorded"]  # the running sum
+        learner.play_round(t)
+        ccv += max(float(learner.records["g_mem"][t - first]), 0.0)  # the running sum of g+
         assert len(learner.x_hist) <= m + 2
         assert learner.v_at(t) == ccv
     with pytest.raises(ValueError, match="no longer held"):
@@ -449,7 +451,10 @@ def test_doubling_schedule_scripted_epochs(monkeypatch):
 
         def play_round(self, t):
             self.records["lam"][t - 1] = self.lam
-            return {"eps_g": eps[t - 1]}
+            return eps[t - 1]
+
+        def derive_columns(self):
+            pass  # the scripted table has only its lam column
 
     monkeypatch.setattr(optimistic, "OdafLearner", ScriptedLearner)
     monkeypatch.setattr(optimistic, "_tuning", lambda instance, variant: (1.0, 1.0))
