@@ -348,8 +348,9 @@ class OdafLearner:
         f_mem, f_splat, g_splat = (table[name] for name in ("f_mem", "f_splat", "g_splat"))
         for i in range(m + 1):
             # slice (t, i) touches x_{t-i}: the center before the first round
-            f_mem[:i] += dot(f[:i, i], center)
-            f_mem[i:] += dot(f[i:, i], x[:len(x) - i])
+            j = min(i, len(x))
+            f_mem[:j] += dot(f[:j, i], center)
+            f_mem[j:] += dot(f[j:, i], x[:len(x) - j])
             f_splat += dot(f[:, i], x)
             g_i = dot(g[:, i], x)
             g_i += off[:, i]

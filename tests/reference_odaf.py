@@ -316,8 +316,13 @@ class OdafLearner:
 
         self._decide_next(t)
 
-        f_spl = float(sum(float(f @ x_t) for _, f in f_rows))
-        g_spl = float(sum(_value(g, x_t) for _, g in g_rows))
+        # summed term by term from 0.0: from Python 3.12 on, sum() of floats
+        # compensates for rounding, which the learner's sums do not
+        f_spl = g_spl = 0.0
+        for _, f in f_rows:
+            f_spl += float(f @ x_t)
+        for _, g in g_rows:
+            g_spl += _value(g, x_t)
         mult_t = self._mult(t)
         row = t - self.inst.first_round
         self.records[row] = (

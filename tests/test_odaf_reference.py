@@ -65,6 +65,12 @@ DRAWN_ROUNDS = 116  # the most rounds Hypothesis draws
          density=0.6, seed=1)
 @example(runner="doubling", kind="noisy", m=4, d=1, memoryless=False, lam=None, rounds=160,
          density=0.6, seed=1)
+# fewer rounds than m: from every row some delays reach back past the
+# first round, to the center
+@example(runner="odaf", kind="perfect", m=4, d=1, memoryless=False, lam=None, rounds=3,
+         density=0.6, seed=1)
+@example(runner="doubling", kind="noisy", m=4, d=2, memoryless=False, lam=None, rounds=3,
+         density=0.6, seed=1)
 def test_float_learner_matches_numpy_reference(runner, kind, m, d, memoryless, lam,
                                                rounds, density, seed):
     # a ball, which at d = 1 is an interval; COCO_M needs constraints at delay 0
