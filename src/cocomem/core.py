@@ -9,6 +9,7 @@ window.
 
 from __future__ import annotations
 
+import re
 from enum import Enum
 
 import numpy as np
@@ -144,3 +145,34 @@ def round_table(n_rounds: int, dim: int) -> np.ndarray:
     fields = [("t", np.int64), ("x", float, (dim,))]
     fields += [(name, float) for name in ROUND_FIELDS[2:]]
     return np.zeros(n_rounds, dtype=np.dtype((np.record, fields)))
+
+
+# ---------------------------------------------------------------------------
+# Floats as text
+
+# orjson spells a finite float as `repr` does but for the exponent (e16,
+# e-7) and for [1e-5, 1e-4), in fixed point at a token's start (1820.00001
+# stays); each pattern starts with a literal, which `re` finds fast
+_EXPONENT = re.compile(r"e(-?)(\d+)")
+_FIXED_E5 = re.compile(r"0\.0000(?<![\d.]0\.0000)([1-9])(\d*)")
+
+
+def array_json(a: np.ndarray, spell) -> str:
+    """The JSON text of numeric array `a`, nested as `a.tolist()` with no
+    spaces: each finite float as `repr` writes it, each non-finite one as
+    `spell(value)` (`repr` writes nan, `json.dumps` NaN).  orjson writes
+    the digits at about a tenth of `repr`'s cost."""
+    # imported per call: its uuid and zoneinfo imports would slow `import cocomem`
+    import orjson
+
+    text = orjson.dumps(np.ascontiguousarray(a), option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    if a.dtype.kind != "f":
+        return text
+    if "e" in text:
+        text = _EXPONENT.sub(lambda m: f"e{m[1] or '+'}{m[2]:0>2}", text)
+    if "0.0000" in text:
+        text = _FIXED_E5.sub(lambda m: f"{m[1]}{m[2] and '.' + m[2]}e-05", text)
+    if "null" in text:  # orjson writes every non-finite float as null
+        parts, bad = text.split("null"), a[~np.isfinite(a)].tolist()
+        text = parts[0] + "".join(spell(v) + p for v, p in zip(bad, parts[1:]))
+    return text

@@ -38,7 +38,7 @@ from dataclasses import MISSING, InitVar, astuple, dataclass, field, fields
 
 import numpy as np
 
-from .core import Ball, MemoryFunctionOracle, fdot
+from .core import Ball, MemoryFunctionOracle, array_json, fdot
 
 RNG_NAME = "pcg64"
 
@@ -144,6 +144,9 @@ class _Instance:
         return range(self.first_round, self.horizon + 1)
 
     def to_json(self) -> str:
+        """The replay document, each array as `core.array_json` writes it,
+        spaced as `json.dumps` spaces a list; built in one join, so that at
+        most twice its text is held."""
         doc = {"kind": self.kind, "rng": RNG_NAME, "seed": self.seed}
         params = {}
         for f in fields(self):
@@ -151,8 +154,11 @@ class _Instance:
                 (params if f.metadata.get("params") else doc)[f.name] = getattr(self, f.name)
         if params:
             doc["params"] = params
-        doc.update((name, getattr(self, name).tolist()) for name in self._ARRAYS)
-        return json.dumps(doc)
+        parts = [json.dumps(doc)[:-1]]
+        for name in self._ARRAYS:
+            parts += [f', "{name}": ',
+                      array_json(getattr(self, name), json.dumps).replace(",", ", ")]
+        return "".join(parts + ["}"])
 
     @classmethod
     def from_json(cls, text: str):

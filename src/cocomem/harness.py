@@ -17,7 +17,7 @@ from typing import Literal
 
 import numpy as np
 
-from .core import Variant
+from .core import Variant, array_json
 from .environments import (
     RNG_NAME,
     AppendixAInstance,
@@ -207,37 +207,24 @@ def run_single(cfg: ExperimentConfig, seed: int) -> RunTrace:
 # CSV / summary emission
 
 
-def _reprs(col: np.ndarray) -> list[str]:
-    """`repr` of each float of `col`, called once per run of equal bit
-    patterns (which keeps -0.0 and each NaN payload apart)."""
-    bits = col.view(np.int64)
-    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
-    if len(starts) == len(col):
-        return list(map(repr, col.tolist()))
-    strs = np.array(list(map(repr, col[starts].tolist())), dtype=object)
-    return np.repeat(strs, np.diff(starts, append=len(col))).tolist()
-
-
 def emit_csv(trace: RunTrace, series: MetricSeries, path: str | Path) -> None:
-    """One row per round under the fixed header; floats in shortest
-    round-trip decimal, coordinates semicolon-joined.  `V_t` and `ccv_cum`
-    are the same column, the trace's cumulative violation.  Rows go out
-    in blocks of `CSV_BLOCK_ROWS`, so the text held does not grow with
-    the horizon; the file is complete and closed on return."""
-    floats = ("f_mem", "g_mem", "g_plus_recorded", "ccv_cum", "eta_or_mu",
-              "eps_f", "eps_g", "eps_z")
+    """One row per round under the fixed header; floats as `repr` writes
+    them (`core.array_json`), coordinates semicolon-joined.  `V_t` and
+    `ccv_cum` are the same column, the trace's cumulative violation.  Rows
+    go out in blocks of `CSV_BLOCK_ROWS`, so the text held does not grow
+    with the horizon; the file is complete and closed on return."""
+    cols = [trace.col(name) for name in ("f_mem", "g_mem", "g_plus_recorded", "ccv_cum",
+                                         "eta_or_mu", "eps_f", "eps_g", "eps_z")]
+    cols += [series.regret_static_cum, series.regret_perround_cum, trace.col("ccv_cum")]
     with open(path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
         for lo in range(0, len(trace.records), CSV_BLOCK_ROWS):
             rows = slice(lo, lo + CSV_BLOCK_ROWS)
-            x = trace.col("x")[rows]
-            coords = [_reprs(x[:, j]) for j in range(x.shape[1])]
-            cols = [list(map(str, trace.col("t")[rows].tolist())),
-                    coords[0] if len(coords) == 1 else list(map(";".join, zip(*coords)))]
-            cols += [_reprs(trace.col(name)[rows]) for name in floats]
-            cols += [_reprs(series.regret_static_cum[rows]),
-                     _reprs(series.regret_perround_cum[rows]), cols[5]]  # V_t again
-            fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
+            # "[[a,b],[c,d]]" holds one CSV row per inner list
+            xs = array_json(trace.col("x")[rows], repr)[2:-2].replace(",", ";").split("];[")
+            floats = array_json(np.column_stack([c[rows] for c in cols]), repr)[2:-2]
+            ts = map(str, trace.col("t")[rows].tolist())
+            fh.write("\n".join(map(",".join, zip(ts, xs, floats.split("],[")))) + "\n")
 
 
 def checkpoints(first_round: int, horizon: int) -> list[int]:

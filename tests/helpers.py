@@ -1,6 +1,7 @@
 """Helpers that several test modules share."""
 
 import math
+import struct
 
 import numpy as np
 
@@ -8,6 +9,17 @@ from cocomem.core import ROUND_FIELDS
 from cocomem.geometry import regret_coefficient
 from cocomem.metrics import RunTrace, best_in_hindsight, lift_loss_at
 from cocomem.penalty import saturated
+
+NAN_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0x7FF8_0000_0000_0001))[0]
+# floats whose text a writer can get wrong: signed zero, NaN payloads,
+# infinities, the subnormal minimum, both sides of `repr`'s switches to
+# exponent form (1e-4, 1e16) with the [1e-5, 1e-4) band between them,
+# 1820.0000192952139 (a fraction holding 0.0000), exponents of one to
+# three digits
+FLOAT_TRAPS = [0.0, -0.0, math.nan, -math.nan, NAN_PAYLOAD, math.inf, -math.inf,
+               5e-324, 1e16, 1e-5, 0.1, 1820.0000192952139, 7.921467553588983e-05,
+               -1.2541866619736307e-05, 9.999999999999999e-05, 1e-4, 9999999999999998.0,
+               1.2345678901234568e+17, 1e300, 1e-300]
 
 
 def pinned_layout(trace: RunTrace) -> np.ndarray:

@@ -1,20 +1,26 @@
 """The per-round slice generator that `SeparableLinearInstance._generate`
-replaced: the reference the generator is held to, byte for byte.
+replaced, and the replay-JSON writer that `_Instance.to_json` replaced:
+the references the two are held to, byte for byte.
 
 `ReferenceSeparableInstance._generate` is the loop the package shipped
 before the generator took each round's loss uniforms and density draw in
 one `random()` call and moved the slice arithmetic after the loop, kept
-here unchanged.  Every other method is the package's.
+here unchanged.  Every other method is the package's.  `to_json` is the
+writer the package shipped before it wrote each array's floats through
+`core.array_json`, kept unchanged but for taking the instance as an
+argument.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from dataclasses import fields
 
 import numpy as np
 
 from cocomem import SeparableLinearInstance
-from cocomem.environments import _instance_rng
+from cocomem.environments import RNG_NAME, _instance_rng
 
 
 class ReferenceSeparableInstance(SeparableLinearInstance):
@@ -54,3 +60,17 @@ class ReferenceSeparableInstance(SeparableLinearInstance):
                 self.g_coef[t, i] = coeff
                 self.g_off[t, i] = -root * sup
                 self.g_present[t, i] = True
+
+
+def to_json(inst) -> str:
+    """The replay-JSON writer that `_Instance.to_json` replaced: every
+    array turned into nested Python lists, then one `json.dumps`."""
+    doc = {"kind": inst.kind, "rng": RNG_NAME, "seed": inst.seed}
+    params = {}
+    for f in fields(inst):
+        if f.name != "seed":
+            (params if f.metadata.get("params") else doc)[f.name] = getattr(inst, f.name)
+    if params:
+        doc["params"] = params
+    doc.update((name, getattr(inst, name).tolist()) for name in inst._ARRAYS)
+    return json.dumps(doc)

@@ -1,9 +1,11 @@
 """`harness.emit_csv` against the whole-file writer it replaced
-(`reference_csv`), byte for byte; its heap at a long horizon; and the
-modules the CLI loads."""
+(`reference_csv`), byte for byte; `core.array_json`, the float writer it
+shares with the instance JSON, against `repr`; the writer's heap at a
+long horizon; and the modules the CLI loads."""
 
-import math
+import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -16,18 +18,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_csv
-from cocomem.core import round_table
+from cocomem.core import array_json, round_table
 from cocomem.harness import CSV_BLOCK_ROWS, emit_csv
 from cocomem.metrics import MetricSeries, RunTrace
+from helpers import FLOAT_TRAPS
 
 B = CSV_BLOCK_ROWS
 FLOAT_FIELDS = ("f_mem", "g_mem", "g_plus_recorded", "ccv_cum", "eta_or_mu",
                 "eps_f", "eps_g", "eps_z")
-NAN_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0x7FF8_0000_0000_0001))[0]
-SPECIAL = [0.0, -0.0, math.nan, -math.nan, NAN_PAYLOAD, math.inf, -math.inf,
-           5e-324, 1e16, 1e-5, 0.1]
 
-value = st.one_of(st.sampled_from(SPECIAL), st.floats())
+value = st.one_of(st.sampled_from(FLOAT_TRAPS), st.floats())
+# a float64 of any bit pattern: every NaN payload, subnormal and exponent
+bit_pattern = st.integers(0, 2**64 - 1).map(
+    lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
 # short runs, and runs long enough to cross one or two block boundaries
 run = st.tuples(value, st.one_of(st.integers(1, 3), st.integers(B - 2, 2 * B + 2)))
 runs = st.lists(run, min_size=1, max_size=6)
@@ -63,6 +66,20 @@ def test_block_writer_matches_the_whole_file_writer(tmp_path_factory, n, d, data
     assert (out / "block.csv").read_bytes() == (out / "whole.csv").read_bytes()
 
 
+@pytest.mark.parametrize("shape", [(-1,), (-1, 1), (-1, 3, 1)], ids=str)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(values=st.lists(st.one_of(value, bit_pattern), max_size=60))
+def test_array_json_spells_every_float_as_repr(shape, values):
+    """Over raw bit patterns and drawn floats, each token of
+    `array_json(a, repr)` is `repr` of its float, non-finite ones
+    included, and with `json.dumps` as the speller the text is
+    `json.dumps` of `a.tolist()`, nesting and all.  An orjson that
+    spells a number another way fails here."""
+    a = np.array(values[: len(values) // 3 * 3], dtype=float).reshape(shape)
+    assert re.findall(r"[^\[\],]+", array_json(a, repr)) == list(map(repr, a.ravel().tolist()))
+    assert array_json(a, json.dumps) == json.dumps(a.tolist(), separators=(",", ":"))
+
+
 def test_csv_heap_does_not_grow_with_the_horizon(tmp_path):
     """The writer holds one block of rows as text at a time: at T = 40,000
     with every float distinct its tracemalloc peak stays under 2 MB (the
@@ -87,13 +104,16 @@ def test_csv_heap_does_not_grow_with_the_horizon(tmp_path):
 
 
 def test_cli_import_loads_no_process_pool():
-    """The pool is imported only when seeds run in parallel, so `run`,
-    `verify` and `bounds` start without multiprocessing."""
+    """The pool is imported only when seeds run in parallel, and orjson
+    only when a run writes its text, so `run`, `verify` and `bounds`
+    start without multiprocessing and `verify` and `bounds` without
+    orjson."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     code = ("import cocomem.cli, sys; "
-            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & sys.modules.keys()))")
+            "print(sorted({'multiprocessing', 'concurrent.futures.process', 'orjson'} "
+            "& sys.modules.keys()))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"

@@ -1,17 +1,22 @@
 """The instance-replay JSON: both families' signatures, their round trip
-through `to_json` / `from_json` without generating, and the pinned bytes
-of the shipped configs' seed-0 documents."""
+through `to_json` / `from_json` without generating, the pinned bytes
+of the shipped configs' seed-0 documents, `to_json` against the list
+writer it replaced (`reference_instance.to_json`) and its heap."""
 
 import hashlib
 import inspect
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_instance
 from cocomem import AppendixAInstance, SeparableLinearInstance
 from cocomem.harness import build_instance, load_config
+from helpers import FLOAT_TRAPS
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -116,3 +121,44 @@ def test_json_round_trip_is_exact_and_never_generates(case):
     for name in family._ARRAYS:
         a, b = getattr(inst, name), getattr(back, name)
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(case=st.one_of(appendix_params(), separable_params()), data=st.data())
+def test_to_json_matches_the_list_writer(case, data):
+    """`to_json` writes the bytes of the writer it replaced, on arrays of
+    the family's shapes adopted through `_arrays` and filled with any
+    floats (signed zero, NaN, infinities, the [1e-5, 1e-4) band) or
+    drawn bools."""
+    family, params = case
+    generated, arrays = family(**params), []
+    for name, dtype in family._ARRAYS.items():
+        shape = getattr(generated, name).shape
+        elements = st.booleans() if dtype is bool else st.one_of(
+            st.sampled_from(FLOAT_TRAPS), st.floats())
+        drawn = data.draw(st.lists(elements, min_size=1, max_size=40))
+        arrays.append(np.resize(np.array(drawn, dtype=dtype), shape))
+    inst = family(**params, _arrays=arrays)
+    assert inst.to_json() == reference_instance.to_json(inst)
+
+
+@pytest.mark.parametrize("family, params", [
+    (AppendixAInstance, {"m": 3, "horizon": 40_000, "radius": 15.0, "sigma": 10.0,
+                         "delta": 1.0, "gamma": 3.0, "mode": "stochastic"}),
+    (SeparableLinearInstance, {"m": 2, "horizon": 20_000, "g_round_density": 0.4,
+                               "g_mag": (0.05, 0.2)}),
+], ids=["appendix_a", "separable_linear"])
+def test_to_json_heap_is_a_small_multiple_of_its_text(family, params):
+    """`to_json` turns no array into Python lists: its tracemalloc peak,
+    the returned text included, stays within 3x the text (the list
+    writer peaked at 6.8x on this Appendix A instance, 8.4x on this
+    separable one)."""
+    inst = family(**params)
+    inst.to_json()  # orjson's first import is not the writer's heap
+    tracemalloc.start()
+    try:
+        text = inst.to_json()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * len(text)
