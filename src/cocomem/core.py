@@ -157,6 +157,19 @@ _EXPONENT = re.compile(r"e(-?)(\d+)")
 _FIXED_E5 = re.compile(r"0\.0000(?<![\d.]0\.0000)([1-9])(\d*)")
 
 
+def _has_band_token(text: str) -> bool:
+    """Whether a token of `text` starts with 0.0000, as a value in [1e-5,
+    1e-4) does and a fraction such as 1820.00001 does not, in one
+    `str.find` scan: `_FIXED_E5`'s own search takes about 1.7x as long,
+    and three `in` tests 3x."""
+    i = text.find("0.0000")
+    while i >= 0:
+        if i == 0 or text[i - 1] in "[,-":
+            return True
+        i = text.find("0.0000", i + 6)
+    return False
+
+
 def array_json(a: np.ndarray, spell) -> str:
     """The JSON text of numeric array `a`, nested as `a.tolist()` with no
     spaces: each finite float as `repr` writes it, each non-finite one as
@@ -170,7 +183,7 @@ def array_json(a: np.ndarray, spell) -> str:
         return text
     if "e" in text:
         text = _EXPONENT.sub(lambda m: f"e{m[1] or '+'}{m[2]:0>2}", text)
-    if "0.0000" in text:
+    if _has_band_token(text):
         text = _FIXED_E5.sub(lambda m: f"{m[1]}{m[2] and '.' + m[2]}e-05", text)
     if "null" in text:  # orjson writes every non-finite float as null
         parts, bad = text.split("null"), a[~np.isfinite(a)].tolist()

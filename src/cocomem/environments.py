@@ -30,7 +30,6 @@ pairwise, and BLAS may group a dot product's terms at d > 1).
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import numbers
@@ -735,81 +734,6 @@ class ZeroPredictor(Predictor):
         return np.zeros((rows, self._instance.dim)), np.zeros(rows)
 
 
-# SeedSequence's pool hash (numpy.random.bit_generator): a pool of four
-# uint32 words, hashed and mixed with these multipliers and a 16-bit shift
-_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
-_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_XSHIFT = np.uint32(16)
-_POOL_SIZE = 4
-
-def _hash_steps(init: int, mult: int):
-    """The (xor, multiplier) uint32 scalars of successive hash steps: the
-    hash constant before and after each multiply, which do not depend on
-    the data."""
-    const = init
-    while True:
-        nxt = const * mult & 0xFFFFFFFF
-        yield np.uint32(const), np.uint32(nxt)
-        const = nxt
-
-
-def seed_sequence_words(entropy: np.ndarray) -> np.ndarray:
-    """The (N, 4) uint64 words `SeedSequence(row).generate_state(4,
-    np.uint64)` gives for each row of an (N, L) uint32 entropy array,
-    L >= 5, hashed for all rows at once.  Every operand is a uint32 array
-    or an `np.uint32` scalar, so each product wraps modulo 2^32 under any
-    numpy promotion rule."""
-    if entropy.dtype != np.uint32 or entropy.ndim != 2 or entropy.shape[1] <= _POOL_SIZE:
-        raise ValueError(f"need an (N, L >= 5) uint32 entropy array, got {entropy.dtype} {entropy.shape}")
-
-    def hashmix(value, steps):
-        xor, mult = next(steps)
-        value = (value ^ xor) * mult
-        return value ^ (value >> _XSHIFT)
-
-    def mix(x, y):
-        out = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return out ^ (out >> _XSHIFT)
-
-    # the pool: the first four words hashed, mixed into each other, then
-    # every later word mixed into each pool word
-    steps = _hash_steps(_HASH_INIT_A, _HASH_MULT_A)
-    pool = [hashmix(entropy[:, k], steps) for k in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src], steps))
-    for src in range(_POOL_SIZE, entropy.shape[1]):
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(entropy[:, src], steps))
-    # eight output words cycling over the pool, paired low word first
-    steps = _hash_steps(_HASH_INIT_B, _HASH_MULT_B)
-    words = np.empty((len(entropy), 4), dtype=np.uint64)
-    for k in range(4):
-        low = hashmix(pool[2 * k % _POOL_SIZE], steps)
-        high = hashmix(pool[(2 * k + 1) % _POOL_SIZE], steps)
-        words[:, k] = high.astype(np.uint64) << np.uint64(32) | low
-    return words
-
-
-@functools.cache
-def _words_seed_sequence() -> type:
-    """A seed sequence class with precomputed state: PCG64 seeds itself from
-    `generate_state(4, np.uint64)`, which returns the stored row.  Made on
-    first use, so that importing cocomem does not import numpy.random."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class Words(ISeedSequence):
-        def __init__(self, row: np.ndarray):
-            self._row = row
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self._row
-
-    return Words
-
-
 @dataclass(eq=False)
 class NoisyPredictor(Predictor):
     """True slices plus Gaussian perturbations of a given scale.
@@ -825,9 +749,12 @@ class NoisyPredictor(Predictor):
     keeps the hint's self-consistency search deterministic.  scale = 0
     coincides with the perfect predictor.
 
-    A block's SeedSequence words are hashed in numpy at once, and each
-    draw seeds a PCG64 from its row; no SeedSequence is built.  Query
-    rounds whose pairs pass 2^32 - 1 raise `OverflowError`.
+    A block's draws are computed in numpy arrays (`pcg`): its
+    SeedSequence words are hashed at once, and its PCG64 streams and
+    numpy's ziggurat run for all rows at once, bit for bit; a row whose
+    ziggurat rejects a draw is drawn by numpy's own generator, seeded
+    from its words.  No SeedSequence is built.  Query rounds whose pairs
+    pass 2^32 - 1 raise `OverflowError`.
     """
 
     kind = "noisy"
@@ -866,6 +793,8 @@ class NoisyPredictor(Predictor):
     def _draws(self, rounds: range) -> np.ndarray:
         """scale times the (n P, d + 1) draws of a block, row k P + i (i + 1)
         / 2 + j drawn from [seed, 7, t_k, t_k + j, i]."""
+        from . import pcg  # loaded on the first draw: `import cocomem` never compiles it
+
         keys = self._pairs(rounds)
         if rounds.start < 0 or keys[-1, 1] > 0xFFFFFFFF:
             raise OverflowError(f"noise rounds {rounds.start}..{keys[-1, 1]} do not fit in 32 bits")
@@ -873,10 +802,7 @@ class NoisyPredictor(Predictor):
         entropy[:, :-4] = self._seed_words
         entropy[:, -4] = 7
         entropy[:, -3:] = keys
-        z, seed_seq = np.empty((len(keys), self._instance.dim + 1)), _words_seed_sequence()
-        for row, out in zip(seed_sequence_words(entropy), z):
-            rng = np.random.Generator(np.random.PCG64(seed_seq(row)))
-            out[:] = rng.normal(size=len(out))
+        z = pcg.normal_rows(pcg.seed_sequence_words(entropy), self._instance.dim + 1)
         z *= self.scale
         return z
 

@@ -15,9 +15,10 @@ from cocomem import (
     SeparableLinearInstance,
     Variant,
     ZeroPredictor,
+    pcg,
     run_penalty_ogd,
 )
-from cocomem.environments import NOISE_BLOCK_ROWS, seed_sequence_words
+from cocomem.environments import NOISE_BLOCK_ROWS
 from helpers import constant_window
 
 
@@ -298,7 +299,7 @@ _WORD = st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1))
 def test_seed_words_are_the_seed_sequence_words(rows):
     """The batched hash gives, row by row, the uint64 state words of
     SeedSequence(row) that PCG64 seeds from."""
-    got = seed_sequence_words(np.array(rows, dtype=np.uint32))
+    got = pcg.seed_sequence_words(np.array(rows, dtype=np.uint32))
     want = [np.random.SeedSequence(row).generate_state(4, np.uint64) for row in rows]
     assert got.dtype == np.uint64 and got.shape == (len(rows), 4)
     assert np.array_equal(got, np.array(want))
@@ -308,7 +309,99 @@ def test_seed_words_are_the_seed_sequence_words(rows):
                                      np.zeros(5, np.uint32)], ids=["short_rows", "int64", "1d"])
 def test_seed_words_reject_other_entropy(entropy):
     with pytest.raises(ValueError, match="uint32 entropy"):
-        seed_sequence_words(entropy)
+        pcg.seed_sequence_words(entropy)
+
+
+def _numpy_rows(words, k):
+    return np.array([np.random.Generator(np.random.PCG64(pcg.Words(row))).normal(size=k)
+                     for row in words])
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_normal_rows_are_numpy_draws(k):
+    """Row j of `normal_rows` is Generator(PCG64(words[j])).normal(size=k)
+    bit for bit, over 20,000 rows of SeedSequence words; among them are
+    rows whose ziggurat rejects a draw in the base layer (idx 0), in the
+    layer that never returns on its first word (idx 1), in any other
+    layer, and only in the last column."""
+    entropy = np.random.default_rng(100 + k).integers(0, 2**32, (20_000, 5), dtype=np.uint32)
+    words = pcg.seed_sequence_words(entropy)
+    got, want = pcg.normal_rows(words, k), _numpy_rows(words, k)
+    assert got.shape == (len(words), k)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    r = pcg._outputs(words, k)
+    _, accepted = pcg._ziggurat_rows(r, *pcg._tables())
+    layer = r & np.uint64(0xFF)
+    for kind in (layer == 0, layer == 1, layer > 1):
+        assert (kind & ~accepted).any()
+    assert (accepted[:, :-1].all(axis=1) & ~accepted[:, -1]).any()
+    for j in np.flatnonzero(~accepted.all(axis=1))[:4]:  # one-row blocks, words kept as given
+        row = words[j : j + 1].copy()
+        assert pcg.normal_rows(row, k).tobytes() == want[j].tobytes()
+        assert np.array_equal(row, words[j : j + 1])
+
+
+def _numpy_first_draw(u: int) -> tuple[float, bool]:
+    """(numpy's normal(), whether it took one 64-bit word) when its PCG64's
+    next output is u: the state before the step to (hi = 0, lo = u), whose
+    XSL-RR output is u."""
+    mult, mod, inc = 0x2360ED051FC65DA44385DF649FCCF645, 1 << 128, 2**64 + 1
+    bits = np.random.PCG64(pcg.Words(np.zeros(4, np.uint64)))
+    bits.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                  "state": {"state": (u - inc) * pow(mult, -1, mod) % mod, "inc": inc}}
+    x = np.random.Generator(bits).normal()
+    return x, bits.state["state"]["state"] == u
+
+
+def test_derived_ziggurat_tables_match_numpy():
+    """On every layer and sign, the kernel's value of a word is numpy's
+    draw wherever numpy returns on that word (rabs = 0 gives +0.0 of
+    either sign; rabs = 1 returns wi on every layer, through the slow
+    path on layer 1), and each threshold is at most numpy's exact one,
+    found by binary search on a few layers: every word the kernel keeps,
+    numpy returns on.  numpy's layer 1 never returns on its first word."""
+    wi, ki = pcg._tables()
+    rabs = np.random.default_rng(7).integers(2, 2**52, 256).tolist()
+    for idx in range(256):
+        for a in (0, 1, rabs[idx]):
+            for sign in (0, 1):
+                u = a << 9 | sign << 8 | idx
+                x, first = _numpy_first_draw(u)
+                got, kept = pcg._ziggurat_rows(np.array([u], np.uint64), wi, ki)
+                if first or a <= 1:
+                    assert np.float64(x).tobytes() == got.tobytes(), (idx, a, sign)
+                assert first or not kept[0], (idx, a, sign)
+    for idx in (0, 1, 2, 128, 255):
+        lo, hi = 0, 1 << 52  # numpy returns on its first word for every rabs < lo
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if _numpy_first_draw(mid << 9 | idx)[1]:
+                lo = mid + 1
+            else:
+                hi = mid
+        assert ki[idx] <= lo, idx
+        assert ki[idx] >= lo * (1 - 2.0**-28), idx  # nearly all of numpy's fast path
+
+
+def test_wrong_tables_still_give_numpy_draws(monkeypatch):
+    """Tables that miss numpy's draws on the fixed check rows are
+    dropped to thresholds of 0: every row takes numpy's own path."""
+    derive = pcg._derive
+
+    def off_by_an_ulp():
+        wi, ki = derive()
+        return np.nextafter(wi, np.inf), ki
+
+    monkeypatch.setattr(pcg, "_derive", off_by_an_ulp)
+    pcg._tables.cache_clear()
+    try:
+        words = pcg.seed_sequence_words(
+            np.random.default_rng(3).integers(0, 2**32, (500, 6), dtype=np.uint32))
+        assert not pcg._tables()[1].any()
+        got = pcg.normal_rows(words, 3)
+        assert np.array_equal(got.view(np.uint64), _numpy_rows(words, 3).view(np.uint64))
+    finally:
+        pcg._tables.cache_clear()
 
 
 @pytest.mark.parametrize("m", [0, 2, 10])

@@ -26,7 +26,7 @@ from cocomem.core import Ball
 from cocomem.geometry import ftrl_argmin, minimize_linear, project, regret_coefficient
 from cocomem.harness import ExperimentConfig, load_config, run_single
 from cocomem.metrics import ForwardFunctions, _decisions_by_round
-from cocomem import optimistic
+from cocomem import optimistic, pcg
 from cocomem.optimistic import OdafLearner, doubling_mu1, huber
 from cocomem.penalty import Penalty, lambda_optimistic, phi_prime
 from helpers import assert_v_at_reads_the_table, doubling_epoch_bound, error_sums, pinned_layout
@@ -580,27 +580,37 @@ def test_trace_bytes_are_pinned(case):
 
 
 def test_a_doubling_run_draws_each_forecast_once(monkeypatch):
-    """A restarting noisy run_doubling builds one PCG64 per query round and
-    slice pair, seeded by [seed, 7, t, t + j, i] for first_round <= t <=
+    """A restarting noisy run_doubling draws one forecast per query round
+    and slice pair, keyed [seed, 7, t, t + j, i] for first_round <= t <=
     horizon + 1 and 0 <= j <= i <= m, each once: none past the last query
     round, none again after a restart or across a block boundary (341
-    rounds at m = 2)."""
+    rounds at m = 2).  Each key's row is hashed into the block kernel
+    once; numpy's own PCG64 is built only for rows of those keys (the
+    ones its ziggurat rejects a draw of), each at most once."""
     inst = SeparableLinearInstance(m=2, horizon=400, seed=3,
                                    g_round_density=0.6, g_mag=(0.05, 0.2))
-    real = np.random.PCG64
-    built = collections.Counter()
+    pcg.normal_rows(np.zeros((1, 4), np.uint64), 1)  # the tables' probes, built before counting
+    hashed, built = collections.Counter(), collections.Counter()
+    real_hash, real_pcg64 = pcg.seed_sequence_words, np.random.PCG64
 
-    def counting(seed_seq):
+    def hashing(entropy):
+        hashed.update(map(tuple, entropy.tolist()))
+        return real_hash(entropy)
+
+    def building(seed_seq):
         built[tuple(seed_seq.generate_state(4, np.uint64).tolist())] += 1
-        return real(seed_seq)
+        return real_pcg64(seed_seq)
 
-    monkeypatch.setattr(np.random, "PCG64", counting)
+    monkeypatch.setattr(pcg, "seed_sequence_words", hashing)
+    monkeypatch.setattr(np.random, "PCG64", building)
     tr = run_doubling(inst, Variant.COCO_M2, NoisyPredictor(0.3, seed=1))
     assert tr.extras["epochs"] > 1
-    want = {tuple(np.random.SeedSequence([1, 7, t, t + j, i]).generate_state(4, np.uint64).tolist())
-            for t in range(inst.first_round, inst.horizon + 2)
-            for i in range(inst.m + 1) for j in range(i + 1)}
-    assert set(built) == want
+    keys = [(1, 7, t, t + j, i) for t in range(inst.first_round, inst.horizon + 2)
+            for i in range(inst.m + 1) for j in range(i + 1)]
+    assert hashed == collections.Counter(keys)
+    words = {tuple(np.random.SeedSequence(list(key)).generate_state(4, np.uint64).tolist())
+             for key in keys}
+    assert built and set(built) <= words
     assert set(built.values()) == {1}
 
 
