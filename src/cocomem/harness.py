@@ -213,18 +213,22 @@ def emit_csv(trace: RunTrace, series: MetricSeries, path: str | Path) -> None:
     `ccv_cum` are the same column, the trace's cumulative violation.  Rows
     go out in blocks of `CSV_BLOCK_ROWS`, so the text held does not grow
     with the horizon; the file is complete and closed on return."""
-    cols = [trace.col(name) for name in ("f_mem", "g_mem", "g_plus_recorded", "ccv_cum",
-                                         "eta_or_mu", "eps_f", "eps_g", "eps_z")]
+    x = trace.col("x")
+    cols = [x[:, 0]] if x.shape[1] == 1 else []  # at d = 1 a float column like the others
+    cols += [trace.col(name) for name in ("f_mem", "g_mem", "g_plus_recorded", "ccv_cum",
+                                          "eta_or_mu", "eps_f", "eps_g", "eps_z")]
     cols += [series.regret_static_cum, series.regret_perround_cum, trace.col("ccv_cum")]
     with open(path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
         for lo in range(0, len(trace.records), CSV_BLOCK_ROWS):
             rows = slice(lo, lo + CSV_BLOCK_ROWS)
             # "[[a,b],[c,d]]" holds one CSV row per inner list
-            xs = array_json(trace.col("x")[rows], repr)[2:-2].replace(",", ";").split("];[")
-            floats = array_json(np.column_stack([c[rows] for c in cols]), repr)[2:-2]
-            ts = map(str, trace.col("t")[rows].tolist())
-            fh.write("\n".join(map(",".join, zip(ts, xs, floats.split("],[")))) + "\n")
+            fields = [map(str, trace.col("t")[rows].tolist())]
+            if x.shape[1] > 1:
+                fields.append(array_json(x[rows], repr)[2:-2].replace(",", ";").split("];["))
+            fields.append(array_json(np.column_stack([c[rows] for c in cols]), repr)[2:-2]
+                          .split("],["))
+            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 
 def checkpoints(first_round: int, horizon: int) -> list[int]:

@@ -19,19 +19,23 @@ slice sits at delay 0 and its multiplier uses the fresh violation
 Phi'(V_{t-1}) instead of the delayed one.
 
 `OdafLearner` holds a vector as a Python float at d = 1 and as a (d,)
-float array at d >= 2, so `+`, `-` and scalar `*` serve both.  Each round
-it runs only the recursion: it reads the round's slice rows through flat
-views of the instance arrays (memoryviews of floats at d = 1), updates V
-and Phi', the open and forward gradients, the hint and its errors and mu,
-and takes one FTRL step, writing those values into its trace table's
-columns.  V_r lives only in the `ccv_cum` column, where the audit reads
-it, and Phi'(V_r) is taken once per epoch.  A forward gradient settles m
-rounds after its decision, so the learner keeps only the last O(m)
-rounds of decisions, slices and weights.  `derive_columns` writes the
-columns that are functions of the decisions after the loop.  Dot
-products, norms and sums of squares are one float product at d = 1 and
-numpy's own at d >= 2, so every value keeps the bits of the numpy
-learner in `tests/reference_odaf.py`, the reference the tests hold it to.
+float array at d >= 2, so `+`, `-` and scalar `*` serve both.
+`OdafLearner.play` runs an epoch's rounds in one loop over local
+variables: the O(m) window dicts, the running sums, V, the views and
+the constants are bound once per call and written back when it returns.
+Each round runs only the recursion: it reads the round's slice rows
+through flat views of the instance arrays (memoryviews of floats at
+d = 1), updates V and Phi', the open and forward gradients, the hint and
+its errors and mu, and takes one FTRL step through this module's
+`ftrl_argmin`, writing those values into its trace table's columns.
+V_r lives only in the `ccv_cum` column, where the audit reads it, and
+Phi'(V_r) is taken once per epoch.  A forward gradient settles m rounds
+after its decision, so the learner keeps only the last O(m) rounds of
+decisions, slices and weights.  `derive_columns` writes the columns that
+are functions of the decisions after the loop.  Dot products, norms and
+sums of squares are one float product at d = 1 and numpy's own at
+d >= 2, so every value keeps the bits of the numpy learner in
+`tests/reference_odaf.py`, the reference the tests hold it to.
 """
 
 from __future__ import annotations
@@ -65,8 +69,7 @@ def _reductions(dim: int):
     as fma(a1, b1, a0 * b0)."""
     if dim == 1:
         return operator.mul, (lambda a: a * a)
-    return ((lambda a, b: float(np.dot(a, b))),
-            (lambda a: float(np.sum(a ** 2))))
+    return (lambda a, b: float(np.dot(a, b))), (lambda a: float(np.sum(a ** 2)))
 
 
 class OdafLearner:
@@ -79,7 +82,8 @@ class OdafLearner:
     is h_{first_round + k}) and `fixed_point_fallbacks` last the whole
     run.  `restart(t, lam)` starts an epoch at round t: slices of rounds
     before t read as absent, as in the pre-history of a cold start, and
-    the gradient memory and hint-error statistics start fresh.
+    the gradient memory and hint-error statistics start fresh.  `play(t,
+    stop)` plays an epoch's rounds in one call, `play_round(t)` one round;
     `derive_columns` fills the table's other columns after the last round.
     """
 
@@ -132,22 +136,17 @@ class OdafLearner:
         self.records["lam"][t - self.inst.first_round:] = self.lam
         # round r -> its constraint rows active at the decision they touch, else None
         self._seen: dict[int, list] = {}
-        # decision s -> revealed part of grad Z_s, summed in delay order
-        self._open: dict[int, float | np.ndarray] = {}
-        self._forward: dict[int, float | np.ndarray] = {}
+        # decision s -> revealed part of grad Z_s, summed in delay order, open or settled
+        self._open, self._forward = {}, {}
         self._rev_sum = self._zero
-        # hint round -> (hint, its forecasts) until the round's gradient settles
-        self._pending: dict[int, tuple] = {}
-        self._a: dict[int, float] = {}
-        self._cum_sq = 0.0
-        self._max_awin = 0.0
+        # hint round -> (hint, its forecasts) until the round's gradient settles, and
+        # settled hint round -> its DUB weight a, while the lagged window sum reads it
+        self._pending, self._a = {}, {}
+        self._cum_sq = self._max_awin = 0.0
         # played round q -> Phi'(V_q) at this epoch's lambda, while a later round reads it
         played = range(max(t - self.dual_delay, self.inst.first_round), t)
         self._weights = {q: phi_prime(_EXP, self.lam, self.v_at(q)) for q in played}
-        # pre-step: commit x_t from an all-predicted hint
-        self._decide_next(t - 1)
-
-    # -- cumulative violation, read from the trace table ---------------------
+        self.play(t - 1, t, observe=False)  # commit x_t from an all-predicted hint
 
     def v_at(self, r: int) -> float:
         """Cumulative violation after round r, the table's `ccv_cum` row;
@@ -155,132 +154,161 @@ class OdafLearner:
         k = r - self.inst.first_round
         return self._ccv_col[k] if 0 <= k < len(self._ccv_col) else 0.0
 
-    # -- forward gradients ----------------------------------------------------
+    def play_round(self, t: int) -> None:
+        """Play round t alone: `play(t, t + 1)`."""
+        self.play(t, t + 1)
 
-    def _reveal(self, t: int, mult: float) -> float:
-        """Read round t's slice rows, judge each constraint slice at the
-        decision it touches, and add the revealed slices, the active
-        constraint slices weighted by `mult`, to the open forward
-        gradients.  Returns g_t: the sum of the present constraint slices'
-        values (COCO-M2), else the delay-0 slice's value, 0.0 when absent."""
-        m, dot, xs, opened, zero = self.m, self._dot, self.x_hist, self._open, self._zero
-        k, g, off, present = t * (m + 1), self._g, self._off, self._present
-        active = [None] * (m + 1)
-        g_sum = g_now = 0.0
-        for i in range(m + 1):
-            if present[k + i]:
-                val = dot(g[k + i], xs[t - i]) + off[k + i]
-                g_sum += val
-                if i == 0:
-                    g_now = val
-                if val > 0.0:
-                    active[i] = g[k + i]
-        self._seen[t] = active
-        self._seen.pop(t - m - 1, None)
-        f = self._f
-        for i in range(m + 1):
-            z = opened.get(t - i, zero) + f[k + i]
-            if active[i] is not None:
-                z = z + mult * active[i]
-            opened[t - i] = z
-        return g_sum if self.variant is Variant.COCO_M2 else g_now
-
-    def _complete_round(self, s: int) -> tuple[float, float, float, float]:
-        """Settle grad Z_s and the weights of hint h_s; returns (||grad Z_s||,
-        eps_Z, eps_f, eps_g), the hint's errors zero when no hint h_s exists."""
-        m, dot, zero, fwd = self.m, self._dot, self._zero, self._forward
-        z = self._open.pop(s)
-        fwd[s] = z
-        fwd.pop(s - m - 1, None)
-        self._rev_sum = self._rev_sum + z
-        zn = math.sqrt(dot(z, z))
-        pending = self._pending.pop(s, None)
-        if pending is None:
-            return zn, 0.0, 0.0, 0.0
-        hint, preds = pending
-        win = zero
-        for j in range(s - m, s + 1):
-            if j in fwd:
-                win = win + fwd[j]
-        diff = hint - win
-        err = math.sqrt(dot(diff, diff))
-        a = self.fset.diameter * min(err, zn)
-        self._a[s] = a
-        self._a.pop(s - m - 1, None)
-        self._cum_sq += a * a + 2.0 * self.alpha * huber(err, zn)
-        # each forecast's error against the revealed slice
-        f, seen = self._f, self._seen
-        df = dg = zero
-        for r, i, f_pred, g_pred in preds:
-            df = df + (f_pred - f[r * (m + 1) + i])
-            active = seen[r][i]
-            dg = dg + (g_pred - (zero if active is None else active))
-        return zn, self._sumsq(diff), dot(df, df), dot(dg, dg)
-
-    # -- hint assembly and the FTRL step ------------------------------------
-
-    def _decide_next(self, t: int) -> float:
-        """End-of-round-t work: assemble h_{t+1}, and commit x_{t+1}
-        (self-consistent activity for the pending round); returns the
-        FTRL weight mu_{t+1} that chose it."""
-        m, nxt, dot, zero, xs = self.m, t + 1, self._dot, self._zero, self.x_hist
-        # round r's constraint slices weigh Phi'(V_{r-d}); prehistory and
-        # rounds not yet played read V = 0, whose weight is lambda itself
-        weight, lam, delay = self._weights.get, self.lam, self.dual_delay
-        forecasts = self.predictor.forecasts(nxt)
-        preds: list[tuple] = []
-        # pending decisions s = t+1-m .. t: known slices plus predictions,
-        # accumulated in the same slice order as the settled gradient so
-        # perfect predictions reproduce it bitwise
-        base = zero
-        for s in range(nxt - m, nxt):
-            z, x_s = self._open.get(s, zero), xs[s]
-            for i in range(nxt - s, m + 1):
-                f_pred, g, g_off = forecasts[i * (i + 1) // 2 + s + i - nxt]
-                z = z + f_pred
-                if dot(g, x_s) + g_off > 0.0:
-                    z = z + weight(s + i - delay, lam) * g
+    def play(self, t: int, stop: int, coeff: float = 0.0, budget: float = math.inf,
+             observe: bool = True) -> int:
+        """Play rounds t .. stop - 1 in one loop over local state, written
+        back on return; returns the round it stopped before: `stop`, or the
+        first round at which coeff sqrt(E) > budget, E the sum of eps_g over
+        this call's rounds (the doubling trick's restart rule).  Round t
+        reveals its slices, writes g_t and V_t, settles grad Z_{t-m} and the
+        errors of h_{t-m}, then assembles h_{t+1} and commits x_{t+1}; with
+        `observe` false (a restart's pre-step) only the last two."""
+        m, delay, lam, fset, alpha = self.m, self.dual_delay, self.lam, self.fset, self.alpha
+        m1, first, diam, zero = m + 1, self.inst.first_round, fset.diameter, self._zero
+        dot, sumsq, coco_m2 = self._dot, self._sumsq, self.variant is Variant.COCO_M2
+        f, g, off, present = self._f, self._g, self._off, self._present
+        x_col, hint_col, ccv_col = self._x_col, self._hint_col, self._ccv_col
+        g_col, pp_col, norm_col, mu_col, ef_col, eg_col, ez_col = self._cols
+        xs, seen, opened, fwd = self.x_hist, self._seen, self._open, self._forward
+        pending, a_win, weights, weight = self._pending, self._a, self._weights, self._weights.get
+        forecasts, resolve = self.predictor.forecasts, self._resolve_pending_activity
+        argmin, weigh, sqrt = ftrl_argmin, phi_prime, math.sqrt  # wrappers set on the module apply
+        rev_sum, cum_sq, max_awin = self._rev_sum, self._cum_sq, self._max_awin
+        # forecast index of pair (s + i, i) of pending decision s = t + 1 - u,
+        # and of pair (t + 1 + i, i) of the decision being committed
+        pend = [(u, [(i, i * (i + 1) // 2 + i - u) for i in range(u, m1)])
+                for u in range(m, 0, -1)]
+        own = [i * (i + 3) // 2 for i in range(m1)]
+        v = ccv_col[t - first - 1] if t > first else 0.0
+        x_now, error, stopped = xs[t], 0.0, stop
+        for t in range(t, stop):
+            if observe:
+                if coeff * sqrt(error) > budget:
+                    stopped = t
+                    break
+                k, r = t - first, t * m1
+                mult = weight(t - delay, lam)
+                active = seen[t] = [None] * m1
+                seen.pop(t - m1, None)
+                g_sum = g_now = 0.0
+                for i in range(m1):
+                    z = opened.get(t - i, zero) + f[r + i]
+                    if present[r + i]:
+                        val = dot(g[r + i], xs[t - i]) + off[r + i]
+                        g_sum += val
+                        if i == 0:
+                            g_now = val
+                        if val > 0.0:
+                            active[i] = g[r + i]
+                            z = z + mult * active[i]
+                    opened[t - i] = z
+                g_val = g_sum if coco_m2 else g_now
+                v = v + (0.0 if g_val < 0.0 else g_val)  # max(g_val, 0.0), -0.0 and nan kept
+                ccv_col[k] = v  # the next decision's weights read V_t
+                weights[t] = weigh(_EXP, lam, v)
+                weights.pop(t - delay - 1, None)  # no later round reads it
+                # settle grad Z_s and the weights of hint h_s
+                s = t - m
+                z = opened.pop(s)
+                fwd[s] = z
+                fwd.pop(s - m1, None)
+                rev_sum = rev_sum + z
+                norm = sqrt(dot(z, z))
+                settled = pending.pop(s, None)
+                if settled is None:
+                    eps_z = eps_f = eps_g = 0.0
                 else:
-                    g = zero
-                preds.append((s + i, i, f_pred, g))
-            base = base + z
-        # predicted forward gradient of the decision being committed; each
-        # constraint forecast with a nonzero coefficient may toggle, and
-        # carries its weighted gradient
-        block = [forecasts[i * (i + 3) // 2] for i in range(m + 1)]  # pairs (nxt + i, i)
-        toggles = [(i, g, g_off, weight(nxt + i - delay, lam) * g)
-                   for i, (_, g, g_off) in enumerate(block) if dot(g, g) > 0.0]
-
-        mu = (2.0 / self.alpha) * self._max_awin + math.sqrt(self._cum_sq) / self.alpha
-        f_block = zero
-        for f_pred, _, _ in block:
-            f_block = f_block + f_pred
-        x_next, flags = self._resolve_pending_activity(self._rev_sum + base + f_block, mu,
-                                                       toggles, xs[t])
-        on = {i: term for (i, _, _, term), flag in zip(toggles, flags) if flag}
-        ztilde = zero
-        for i, (f_pred, g, _) in enumerate(block):
-            ztilde = ztilde + f_pred
-            if i in on:
-                ztilde = ztilde + on[i]
-            preds.append((nxt + i, i, f_pred, g if i in on else zero))
-        hint = base + ztilde
-        self._hint_col[nxt - self.inst.first_round] = hint
-        self._pending[nxt] = (hint, preds)
-        xs[nxt] = x_next
-        xs.pop(nxt - m - 2, None)
-        # fold the newest window sum into the lagged max AFTER mu used it
-        s = t - m
-        if s in self._a:
-            awin = sum(map(self._a.get, range(s - m + 1, s + 1), itertools.repeat(0.0)))
-            self._max_awin = max(self._max_awin, awin)
-        return mu
+                    hint, preds = settled
+                    win = zero
+                    for j in range(s - m, s + 1):
+                        if j in fwd:
+                            win = win + fwd[j]
+                    diff = hint - win
+                    err = sqrt(dot(diff, diff))
+                    a = diam * (norm if norm < err else err)  # min(err, norm)
+                    a_win[s] = a
+                    a_win.pop(s - m1, None)
+                    cum_sq += a * a + 2.0 * alpha * huber(err, norm)
+                    # each forecast's error against the revealed slice
+                    df = dg = zero
+                    for q, i, f_pred, g_pred in preds:
+                        df = df + (f_pred - f[q * m1 + i])
+                        act = seen[q][i]
+                        dg = dg + (g_pred - (zero if act is None else act))
+                    eps_z, eps_f, eps_g = sumsq(diff), dot(df, df), dot(dg, dg)
+            # end of round t: assemble h_{t+1} and commit x_{t+1}; round r's
+            # constraint slices weigh Phi'(V_{r-d}), and prehistory and rounds
+            # not yet played read V = 0, whose weight is lambda itself
+            nxt = t + 1
+            fc = forecasts(nxt)
+            preds = []
+            # pending decisions s = t+1-m .. t: known slices plus predictions,
+            # accumulated in the same slice order as the settled gradient so
+            # perfect predictions reproduce it bitwise
+            base = zero
+            for u, pairs in pend:
+                s = nxt - u
+                z, x_s = opened.get(s, zero), xs[s]
+                for i, j in pairs:
+                    f_pred, gp, g_off = fc[j]
+                    z = z + f_pred
+                    if dot(gp, x_s) + g_off > 0.0:
+                        z = z + weight(s + i - delay, lam) * gp
+                    else:
+                        gp = zero
+                    preds.append((s + i, i, f_pred, gp))
+                base = base + z
+            # the decision being committed, pairs (t + 1 + i, i): each constraint
+            # forecast with a nonzero coefficient may toggle, and carries its
+            # weighted gradient; toggles switched on enter the hint in block order
+            f_block, toggles = zero, []
+            for i, j in enumerate(own):
+                f_pred, gp, g_off = fc[j]
+                f_block = f_block + f_pred
+                preds.append((nxt + i, i, f_pred, zero))
+                if dot(gp, gp) > 0.0:
+                    toggles.append((i, gp, g_off, weight(nxt + i - delay, lam) * gp))
+            mu = (2.0 / alpha) * max_awin + sqrt(cum_sq) / alpha
+            lin0, hint = rev_sum + base + f_block, base + f_block
+            x_next, flags = (resolve(lin0, mu, toggles, x_now) if toggles
+                             else (argmin(fset, lin0, mu), ()))
+            if True in flags:
+                on = {i: term for (i, _, _, term), flag in zip(toggles, flags) if flag}
+                ztilde = zero
+                for i, j in enumerate(own):
+                    f_pred, gp, _ = fc[j]
+                    ztilde = ztilde + f_pred
+                    if i in on:
+                        ztilde = ztilde + on[i]
+                        preds[i - m1] = (nxt + i, i, f_pred, gp)
+                hint = base + ztilde
+            hint_col[nxt - first] = hint
+            pending[nxt] = (hint, preds)
+            xs[nxt] = x_next
+            xs.pop(nxt - m - 2, None)
+            # fold the newest window sum into the lagged max AFTER mu used it
+            s = t - m
+            if s in a_win:
+                awin = sum(map(a_win.get, range(s - m + 1, s + 1), itertools.repeat(0.0)))
+                max_awin = awin if awin > max_awin else max_awin
+            if observe:
+                x_col[k] = x_now
+                g_col[k], pp_col[k], norm_col[k], mu_col[k] = g_val, mult, norm, mu
+                ef_col[k], eg_col[k], ez_col[k] = eps_f, eps_g, eps_z
+                error += eps_g
+            x_now = x_next
+        self._rev_sum, self._cum_sq, self._max_awin = rev_sum, cum_sq, max_awin
+        return stopped
 
     def _resolve_pending_activity(self, lin0, mu: float, toggles, x_last):
         """Search for an activity pattern of the pending round's constraint
-        forecasts that reproduces itself at the decision it induces; falls
-        back to judging activity at the last committed decision when no
-        pattern is self-consistent.
+        forecasts (at least one) that reproduces itself at the decision it
+        induces; falls back to judging activity at the last committed
+        decision when no pattern is self-consistent.
 
         In 1-D at most one pattern holds (each flag is monotone in x, and
         switching a toggle on moves the decision against its flag), so the
@@ -288,8 +316,6 @@ class OdafLearner:
         thresholds go before the 2^k enumeration, unless some pattern's
         decision could overflow: then the enumeration meets the error."""
         fset, dot = self.fset, self._dot
-        if not toggles:
-            return ftrl_argmin(fset, lin0, mu), ()
         last = tuple(dot(g, x_last) + g_off > 0.0 for _, g, g_off, _ in toggles)
         tried: dict[tuple, float | np.ndarray] = {}
         candidates = ()
@@ -307,28 +333,6 @@ class OdafLearner:
         if last not in tried:
             tried[last] = ftrl_argmin(fset, _with_terms(lin0, toggles, last), mu)
         return tried[last], last
-
-    # -- one full round -------------------------------------------------------
-
-    def play_round(self, t: int) -> float:
-        """Observe round t, settle the newly revealed forward gradient and
-        hint error, and commit the next decision; writes the round's
-        decision, g_mem, V, weight, gradient norm, mu and hint errors into
-        the table and returns eps_g, the doubling trick's input."""
-        k, weights, lam = t - self.inst.first_round, self._weights, self.lam
-        mult = weights.get(t - self.dual_delay, lam)
-        g_val = self._reveal(t, mult)
-        ccv = (self._ccv_col[k - 1] if k else 0.0) + max(g_val, 0.0)
-        self._ccv_col[k] = ccv  # the next decision's weights read V_t
-        weights[t] = phi_prime(_EXP, lam, ccv)
-        weights.pop(t - self.dual_delay - 1, None)  # no later round reads it
-        norm, eps_z, eps_f, eps_g = self._complete_round(t - self.m)
-        mu = self._decide_next(t)
-        g_col, pp_col, norm_col, mu_col, ef_col, eg_col, ez_col = self._cols
-        self._x_col[k] = self.x_hist[t]
-        g_col[k], pp_col[k], norm_col[k], mu_col[k] = g_val, mult, norm, mu
-        ef_col[k], eg_col[k], ez_col[k] = eps_f, eps_g, eps_z
-        return eps_g
 
     @np.errstate(over="ignore", invalid="ignore")  # numpy overflows as floats do: silently
     def derive_columns(self) -> None:
@@ -414,8 +418,7 @@ def run_optimistic(
         coeff, offset = _tuning(instance, variant)
         lam = lambda_optimistic(coeff * math.sqrt(error_estimate), offset)
     learner = OdafLearner(instance, variant, predictor, lam)
-    for t in instance.rounds:
-        learner.play_round(t)
+    learner.play(instance.rounds.start, instance.rounds.stop)
     return _trace(learner, [instance.first_round])
 
 
@@ -466,14 +469,11 @@ def run_doubling(
     far; the learner restarts in place at t."""
     coeff, offset = _tuning(instance, variant)
     mu1 = budget = doubling_mu1(coeff, error_estimate)
-    error = 0.0
-    starts = [instance.first_round]
+    t, stop = instance.rounds.start, instance.rounds.stop
+    starts = [t]
     learner = OdafLearner(instance, variant, predictor, lambda_optimistic(budget, offset))
-    for t in instance.rounds:
-        if coeff * math.sqrt(error) > budget:
-            starts.append(t)
-            budget = 2.0 ** (len(starts) - 1) * mu1
-            error = 0.0
-            learner.restart(t, lambda_optimistic(budget, offset))
-        error += learner.play_round(t)
+    while (t := learner.play(t, stop, coeff, budget)) < stop:
+        starts.append(t)
+        budget = 2.0 ** (len(starts) - 1) * mu1
+        learner.restart(t, lambda_optimistic(budget, offset))
     return _trace(learner, starts, mu1=mu1)

@@ -66,15 +66,32 @@ def test_block_writer_matches_the_whole_file_writer(tmp_path_factory, n, d, data
     assert (out / "block.csv").read_bytes() == (out / "whole.csv").read_bytes()
 
 
+def _many_tokens(seed: int) -> list:
+    """Hundreds of floats, many of which orjson spells otherwise: values in
+    [1e-5, 1e-4) of either sign, fractions such as 1820.00001 that must
+    stay, and a few nan and +-inf far apart."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(200, 600))
+    kinds = [rng.uniform(1e-5, 1e-4, n) * rng.choice([-1.0, 1.0], n),
+             rng.choice([1820.00001, -3.0000192952139, 10.00005, 0.00010000001, 7e-05], n),
+             rng.uniform(-1e3, 1e3, n)]
+    values = np.choose(rng.integers(0, 3, n), kinds)
+    where = rng.choice(n, int(rng.integers(0, 5)), replace=False)
+    values[where] = rng.choice([np.nan, np.inf, -np.inf], len(where))
+    return values.tolist()
+
+
 @pytest.mark.parametrize("shape", [(-1,), (-1, 1), (-1, 3, 1)], ids=str)
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(values=st.lists(st.one_of(value, bit_pattern), max_size=60))
+@given(values=st.lists(st.one_of(value, bit_pattern), max_size=60)
+       | st.integers(0, 2**32 - 1).map(_many_tokens))
 def test_array_json_spells_every_float_as_repr(shape, values):
     """Over raw bit patterns and drawn floats, each token of
     `array_json(a, repr)` is `repr` of its float, non-finite ones
     included, and with `json.dumps` as the speller the text is
-    `json.dumps` of `a.tolist()`, nesting and all.  An orjson that
-    spells a number another way fails here."""
+    `json.dumps` of `a.tolist()`, nesting and all.  Long arrays with many
+    tokens to rewrite far apart cover the per-token patches.  An orjson
+    that spells a number another way fails here."""
     a = np.array(values[: len(values) // 3 * 3], dtype=float).reshape(shape)
     assert re.findall(r"[^\[\],]+", array_json(a, repr)) == list(map(repr, a.ravel().tolist()))
     assert array_json(a, json.dumps) == json.dumps(a.tolist(), separators=(",", ":"))

@@ -426,9 +426,9 @@ def test_non_finite_predictions_fall_back_to_zero():
 
 def test_doubling_schedule_scripted_epochs(monkeypatch):
     """Hand-simulated bookkeeping of the package's `run_doubling`, driven
-    through a stand-in learner that plays a scripted eps_g per round, with
-    C = G d = 1 and error estimate 1 (so mu1 = 1): psi = sqrt(E) per
-    epoch, budgets 1, 2, 4.
+    through a stand-in learner that plays a scripted eps_g per round under
+    the restart rule of `OdafLearner.play`, with C = G d = 1 and error
+    estimate 1 (so mu1 = 1): psi = sqrt(E) per epoch, budgets 1, 2, 4.
 
     eps sequence [0, .5, .7, 0, 1.2, 2.5, 0, 9.0, 0] over rounds 1..9:
       round 4 check: sqrt(1.2) = 1.095 > 1  -> second epoch (budget 2)
@@ -442,16 +442,22 @@ def test_doubling_schedule_scripted_epochs(monkeypatch):
             self.inst, self.variant = instance, variant
             self.records, self.hints = np.zeros(len(eps), dtype=[("lam", float)]), None
             self.fixed_point_fallbacks = 0
-            self.lam, self.starts = lam, [instance.first_round]
+            self.lam, self.starts, self.calls = lam, [instance.first_round], []
             learners.append(self)
 
         def restart(self, t, lam):
             self.lam = lam
             self.starts.append(t)
 
-        def play_round(self, t):
-            self.records["lam"][t - 1] = self.lam
-            return eps[t - 1]
+        def play(self, t, stop, coeff, budget):
+            self.calls.append((t, coeff, budget))
+            error = 0.0  # the restart rule of `OdafLearner.play`
+            for t in range(t, stop):
+                if coeff * math.sqrt(error) > budget:
+                    return t
+                self.records["lam"][t - 1] = self.lam
+                error += eps[t - 1]
+            return stop
 
         def derive_columns(self):
             pass  # the scripted table has only its lam column
@@ -461,6 +467,8 @@ def test_doubling_schedule_scripted_epochs(monkeypatch):
     inst = types.SimpleNamespace(first_round=1, rounds=range(1, 10))
     tr = optimistic.run_doubling(inst, Variant.COCO_M2, None, error_estimate=1.0)
     assert learners[0].starts == [1, 4, 9] == tr.extras["epoch_starts"]
+    # one call per epoch, each with C and the epoch's budget
+    assert learners[0].calls == [(1, 1.0, 1.0), (4, 1.0, 2.0), (9, 1.0, 4.0)]
     assert tr.extras["epochs"] == 3 and tr.extras["mu1"] == 1.0
     # each round's lam column reads back its epoch's budget
     budgets = [1.0] * 3 + [2.0] * 5 + [4.0]
@@ -784,3 +792,37 @@ def test_noisy_doubling_at_m10_makes_few_argmin_calls(monkeypatch):
                                    g_round_density=0.4, g_mag=(0.05, 0.2))
     run_doubling(inst, Variant.COCO_M2, NoisyPredictor(0.3, seed=0))
     assert len(calls) <= 5 * len(inst.rounds)
+
+
+@pytest.mark.parametrize("runner", [run_optimistic, run_doubling])
+@pytest.mark.parametrize("noisy", [False, True], ids=["zero", "noisy"])
+def test_traced_names_see_every_decision(monkeypatch, runner, noisy):
+    """The names the benchmark's tracer wraps still see the learner's work:
+    `optimistic.ftrl_argmin` is called through the module at least once per
+    committed decision (x at the first round, one per round, one more per
+    restart), a run builds one `OdafLearner`, and that learner's
+    `fixed_point_fallbacks` is the trace's when the run returns.  A loop
+    that called the 1-D argmin directly would read as no FTRL calls.  Zero
+    forecasts never toggle, so there each decision is exactly one call."""
+    calls, learners = [], []
+    real_argmin, real_init = optimistic.ftrl_argmin, optimistic.OdafLearner.__init__
+
+    def counting(*args):
+        calls.append(1)
+        return real_argmin(*args)
+
+    def registering(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        learners.append(self)
+
+    monkeypatch.setattr(optimistic, "ftrl_argmin", counting)
+    monkeypatch.setattr(optimistic.OdafLearner, "__init__", registering)
+    inst = SeparableLinearInstance(m=2, horizon=300, seed=0, g_round_density=0.6,
+                                   g_mag=(0.05, 0.3))
+    tr = runner(inst, Variant.COCO_M2, NoisyPredictor(0.5, seed=0) if noisy else ZeroPredictor())
+    epochs, fallbacks = tr.extras["epochs"], tr.extras["fixed_point_fallbacks"]
+    assert epochs > 1 if runner is run_doubling else epochs == 1
+    decisions = len(tr.records) + epochs
+    assert len(calls) >= decisions if noisy else len(calls) == decisions
+    assert len(learners) == 1
+    assert learners[0].fixed_point_fallbacks == fallbacks and (fallbacks > 0) == noisy
