@@ -228,12 +228,12 @@ class _AffineBudgetConstraint(MemoryFunctionOracle):
 class AppendixAInstance(_Instance):
     """Quadratic tracking losses with an affine budget constraint.
 
-    Coefficients c_t, d_t live in [-B, B]^d with B = gamma * sigma.  The
-    stochastic mode draws them i.i.d. uniform on [-sigma, sigma]; the
-    adversarial mode mixes uniform draws (probability 0.4) with centered
-    Gaussians of std sigma (probability 0.6), re-drawing any Gaussian
-    sample whose magnitude exceeds B so the stated coefficient range
-    still holds.
+    Coefficients c_t, d_t live in [-B, B]^d with B = max(gamma, 1) * sigma,
+    the bound the family's constants are built from.  The stochastic mode
+    draws them i.i.d. uniform on [-sigma, sigma]; the adversarial mode
+    mixes uniform draws (probability 0.4) with centered Gaussians of std
+    sigma (probability 0.6), re-drawing any Gaussian sample whose
+    magnitude exceeds gamma * sigma (`coef_bound`).
     """
 
     kind = "appendix_a"
@@ -355,9 +355,8 @@ class AppendixAInstance(_Instance):
     @staticmethod
     def constants_of(radius, sigma, delta, gamma, dim) -> InstanceConstants:
         """The family's constants, which read only its parameters."""
-        root_d = math.sqrt(dim)
-        l_f = radius + gamma * sigma * root_d
-        l_g = gamma * sigma * root_d
+        l_g = max(gamma, 1.0) * sigma * math.sqrt(dim)
+        l_f = radius + l_g
         return InstanceConstants(
             l_f=l_f,
             l_g=l_g,

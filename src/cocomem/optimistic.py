@@ -83,7 +83,7 @@ class OdafLearner:
     run.  `restart(t, lam)` starts an epoch at round t: slices of rounds
     before t read as absent, as in the pre-history of a cold start, and
     the gradient memory and hint-error statistics start fresh.  `play(t,
-    stop)` plays an epoch's rounds in one call, `play_round(t)` one round;
+    stop)` plays rounds t .. stop - 1 (an epoch, or one round) in one call;
     `derive_columns` fills the table's other columns after the last round.
     """
 
@@ -153,10 +153,6 @@ class OdafLearner:
         rounds before the run and rounds not yet played (zero rows) read 0."""
         k = r - self.inst.first_round
         return self._ccv_col[k] if 0 <= k < len(self._ccv_col) else 0.0
-
-    def play_round(self, t: int) -> None:
-        """Play round t alone: `play(t, t + 1)`."""
-        self.play(t, t + 1)
 
     def play(self, t: int, stop: int, coeff: float = 0.0, budget: float = math.inf,
              observe: bool = True) -> int:
@@ -311,16 +307,32 @@ class OdafLearner:
         decision when no pattern is self-consistent.
 
         In 1-D at most one pattern holds (each flag is monotone in x, and
-        switching a toggle on moves the decision against its flag), so the
-        fallback pattern and the k + 1 patterns between the sorted
-        thresholds go before the 2^k enumeration, unless some pattern's
-        decision could overflow: then the enumeration meets the error."""
+        switching a toggle on moves the decision against its flag).  One pass
+        gives the fallback pattern, its linear term and the bound |center| +
+        (|lin0| + sum |term|) / mu on every decision (rounding is monotone).
+        If it is finite, the fallback pattern (its decision kept for a miss)
+        and the k + 1 patterns between the sorted thresholds go before the
+        2^k enumeration; else the enumeration alone meets the error."""
         fset, dot = self.fset, self._dot
-        last = tuple(dot(g, x_last) + g_off > 0.0 for _, g, g_off, _ in toggles)
-        tried: dict[tuple, float | np.ndarray] = {}
-        candidates = ()
-        if self.dim == 1 and _decisions_finite(lin0, mu, toggles, fset.interval[2]):
-            candidates = itertools.chain((last,), _interval_patterns(toggles))
+        tried, candidates = {}, ()
+        if self.dim == 1:
+            flags, lin, bound = [], lin0, abs(lin0)
+            for _, g, g_off, term in toggles:
+                flags.append(on := g * x_last + g_off > 0.0)
+                if on:
+                    lin = lin + term
+                bound += abs(term)
+            last = tuple(flags)
+            if math.isfinite(abs(fset.interval[2]) + bound / mu if mu != 0.0 else bound):
+                x = tried[last] = ftrl_argmin(fset, lin, mu)
+                for (_, g, g_off, _), on in zip(toggles, last):
+                    if (g * x + g_off > 0.0) != on:
+                        break
+                else:
+                    return x, last
+                candidates = _interval_patterns(toggles)
+        else:
+            last = tuple(dot(g, x_last) + g_off > 0.0 for _, g, g_off, _ in toggles)
         if len(toggles) <= MAX_PATTERN_SLICES:
             candidates = itertools.chain(
                 candidates, itertools.product((False, True), repeat=len(toggles)))
@@ -374,17 +386,6 @@ def _with_terms(lin0, toggles, flags):
         if on:
             lin = lin + term
     return lin
-
-
-def _decisions_finite(lin0: float, mu: float, toggles, center: float) -> bool:
-    """Whether every pattern's linear term and decision is finite: bounded
-    by |lin0| + sum |term| and |center| + that / mu (rounding is monotone)."""
-    bound = abs(lin0)
-    for _, _, _, term in toggles:
-        bound += abs(term)
-    if mu != 0.0:
-        bound = abs(center) + bound / mu
-    return math.isfinite(bound)
 
 
 def _interval_patterns(toggles):

@@ -263,6 +263,33 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     assert cli_main(["bounds", "--config", str(cfg_path)]) == 0
 
 
+def _appendix_a_verify_config(gamma, mode, horizon=400, seeds=(0, 1, 2, 3, 4), variant="coco_m2",
+                              **environment):
+    environment = {"kind": "appendix_a", "m": 3, "horizon": horizon, "radius": 15.0,
+                   "sigma": 10.0, "delta": 1.0, "gamma": gamma, "mode": mode, **environment}
+    return {"name": "gamma", "algorithm": "penalty_ogd", "variant": variant,
+            "environment": environment, "penalty": "quadratic", "lam": "sqrt_t",
+            "seeds": list(seeds)}
+
+
+@pytest.mark.parametrize("cfg", [
+    *(_appendix_a_verify_config(gamma, mode) for gamma in (0.1, 0.5, 0.9, 1.0)
+      for mode in ("stochastic", "adversarial")),
+    # lhs 5710 against rhs 607 at round 4 while l_g read gamma * sigma
+    _appendix_a_verify_config(0.1, "adversarial", horizon=187, seeds=[0], variant="coco_m",
+                              radius=18.15, sigma=18.29, delta=1.035),
+], ids=lambda cfg: "{gamma}-{mode}-T{horizon}".format(**cfg["environment"]))
+def test_verify_passes_appendix_a_below_gamma_one(cfg, tmp_path, capsys):
+    """Below gamma = 1 the uniform draws on [-sigma, sigma] exceed gamma
+    sigma, so the constants are built from max(gamma, 1) sigma and every
+    check, `surrogate_gradient_bound` among them, passes."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli_main(["verify", "--config", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert sum("surrogate_gradient_bound" in line for line in lines) == len(cfg["seeds"])
+
+
 OGD_SUITE = ["ccv_recurrence_replay", "memory_deviation_bound", "ogd_surrogate_regret",
              "penalty_decomposition", "surrogate_gradient_bound", "step_size_monotone"]
 

@@ -118,12 +118,12 @@ def test_forward_gradient_hand_sum():
     lam = 0.125
     learner = OdafLearner(inst, Variant.COCO_M2, PerfectPredictor(), lam)
     pen = Penalty(PenaltyKind.EXPONENTIAL, lam)
-    learner.play_round(2)
-    learner.play_round(3)
+    learner.play(2, 3)
+    learner.play(3, 4)
     # grad Z_2 = f(2,0) + f(3,1) + Phi'(V_0) * g(3,1)-part (absent)
     want = inst.f_coef[2, 0] + inst.f_coef[3, 1]
     assert np.allclose(forward_gradient(learner, 2), want)
-    learner.play_round(4)
+    learner.play(4, 5)
     # grad Z_3 = f(3,0) + f(4,1) + Phi'(V_1) * g(3,0) * [active at x_3]
     x3 = learner.x_hist[3]
     want = inst.f_coef[3, 0] + inst.f_coef[4, 1]
@@ -131,7 +131,7 @@ def test_forward_gradient_hand_sum():
         want = want + pen.prime(learner.v_at(1)) * inst.g_coef[3, 0]
     assert np.allclose(forward_gradient(learner, 3), want)
     for t in range(5, 7):
-        learner.play_round(t)
+        learner.play(t, t + 1)
     with pytest.raises(ValueError):
         forward_gradient(learner, 6)  # needs round 7 to reveal slice (7, 1)
 
@@ -143,7 +143,7 @@ def test_forward_gradient_m0_collapse():
     learner = OdafLearner(inst, Variant.COCO_M2, PerfectPredictor(), lam)
     pen = Penalty(PenaltyKind.EXPONENTIAL, lam)
     for t in range(1, 31):
-        learner.play_round(t)
+        learner.play(t, t + 1)
         f, g, off = _rows(inst, t, 0)
         want = f.copy()
         if float(g[0] * learner.x_hist[t]) + off > 0:
@@ -161,7 +161,7 @@ def test_decisions_are_bounded_and_v_at_reads_the_table(m):
     learner = OdafLearner(inst, Variant.COCO_M2, NoisyPredictor(0.3, seed=1), 0.5)
     first, ccv = inst.first_round, 0.0
     for t in range(first, 31):
-        learner.play_round(t)
+        learner.play(t, t + 1)
         ccv += max(float(learner.records["g_mem"][t - first]), 0.0)  # the running sum of g+
         assert len(learner.x_hist) <= m + 2
         assert learner.v_at(t) == ccv
@@ -759,27 +759,52 @@ def _toggles(draw):
 def test_1d_activity_search_matches_the_enumeration(toggles, lin0, mu, interval, where):
     """The 1-D search (fallback pattern, then the interval patterns of the
     sorted thresholds) returns the decision and pattern of the 2^k
-    enumeration and falls back in the same cases, or meets the same error."""
+    enumeration and falls back in the same cases, or meets the same error.
+    Counted at `optimistic.ftrl_argmin`, it solves no pattern twice, and
+    when the flags at the last decision hold at their own decision and the
+    bound |center| + (|lin0| + sum |term|) / mu is finite, it solves only
+    that pattern."""
     inst = SeparableLinearInstance(m=0, horizon=4, seed=0)
     learner = OdafLearner(inst, Variant.COCO_M2, ZeroPredictor(), 0.5)
     lo, hi = interval
     learner.fset = fset = Ball([(lo + hi) / 2], (hi - lo) / 2)  # exact for these literals
     x_last = lo + where * (hi - lo)
     want = _enumerated_activity(fset, lin0, mu, toggles, x_last)
-    before = learner.fixed_point_fallbacks
+    before, calls, real = learner.fixed_point_fallbacks, [], optimistic.ftrl_argmin
+
+    def counting(*args):
+        calls.append(repr(args[1]))  # the linear term
+        return real(*args)
+
     try:
-        x, pattern = learner._resolve_pending_activity(lin0, mu, toggles, x_last)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(optimistic, "ftrl_argmin", counting)
+            x, pattern = learner._resolve_pending_activity(lin0, mu, toggles, x_last)
     except ValueError as exc:
         got = str(exc)
     else:
         assert isinstance(x, float)
         got = x.hex(), pattern, learner.fixed_point_fallbacks - before
     assert got == want
+    # a linear term is solved at most as often as distinct patterns share it
+    patterns = itertools.product((False, True), repeat=len(toggles))
+    shared = collections.Counter(repr(optimistic._with_terms(lin0, toggles, p)) for p in patterns)
+    assert not collections.Counter(calls) - shared
+    last = tuple(g * x_last + off > 0.0 for _, g, off, _ in toggles)
+    bound = abs(lin0)
+    for *_, term in toggles:
+        bound += abs(term)
+    if math.isfinite(abs(fset.interval[2]) + bound / mu if mu else bound) and got[1:] == (last, 0):
+        assert len(calls) == 1
 
 
-def test_noisy_doubling_at_m10_makes_few_argmin_calls(monkeypatch):
-    """At m = 10 (up to 11 toggles a round) the 1-D search makes at most 5
-    FTRL argmin calls per round; the 2^k enumeration made 1054."""
+@pytest.mark.parametrize("m, horizon, pinned", [(2, 2000, (2195, 8)), (10, 1000, (3900, 1))])
+def test_noisy_doubling_argmin_calls_and_fallbacks_are_pinned(monkeypatch, m, horizon, pinned):
+    """Noisy doubling on seed 0 makes the pinned number of FTRL argmin
+    calls (counted at `optimistic.ftrl_argmin`) and fixed-point fallbacks:
+    a faster activity search must solve the same patterns.  At m = 10 (up
+    to 11 toggles a round) that is 3.9 calls a round; the 2^k enumeration
+    made 1054."""
     calls = []
     real = optimistic.ftrl_argmin
 
@@ -788,10 +813,10 @@ def test_noisy_doubling_at_m10_makes_few_argmin_calls(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(optimistic, "ftrl_argmin", counting)
-    inst = SeparableLinearInstance(m=10, horizon=1000, seed=0,
+    inst = SeparableLinearInstance(m=m, horizon=horizon, seed=0,
                                    g_round_density=0.4, g_mag=(0.05, 0.2))
-    run_doubling(inst, Variant.COCO_M2, NoisyPredictor(0.3, seed=0))
-    assert len(calls) <= 5 * len(inst.rounds)
+    tr = run_doubling(inst, Variant.COCO_M2, NoisyPredictor(0.3, seed=0))
+    assert (len(calls), tr.extras["fixed_point_fallbacks"]) == pinned
 
 
 @pytest.mark.parametrize("runner", [run_optimistic, run_doubling])
