@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .core import Ball, as_decision, fdot
+from .core import Ball, as_decision
 
 
 def project(fset: Ball, p) -> np.ndarray:
@@ -28,37 +28,6 @@ def project(fset: Ball, p) -> np.ndarray:
     if n <= fset.radius:
         return p.copy()
     return fset.center + diff * (fset.radius / n)
-
-
-def point_step(fset: Ball):
-    """`step(x, eta, grad)`: the projected gradient step
-    project(fset, x - eta * grad) for a point and gradient held as Python
-    floats (d = 1) or (d,) arrays (d >= 2), returned as the same type.  It
-    uses the expressions of `project`: a clamp (d = 1) or radial scaling
-    (d >= 2), with the norm summed from 0.0 in index order (`fdot`); a
-    non-finite point raises ValueError, as there."""
-    if fset.dim == 1:
-        lo, hi, _ = fset.interval
-
-        def clamp(x, eta, grad):
-            v = x - eta * grad
-            if not math.isfinite(v):
-                raise ValueError("decision has non-finite entries")
-            v = v if v > lo else lo  # np.clip: lower bound first
-            return v if v < hi else hi
-
-        return clamp
-    center, radius = fset.center, fset.radius
-
-    def scale(x, eta, grad):
-        p = x - eta * grad
-        if not np.isfinite(p).all():
-            raise ValueError("decision has non-finite entries")
-        diff = p - center
-        n = math.sqrt(fdot(diff, diff))
-        return p if n <= radius else center + diff * (radius / n)
-
-    return scale
 
 
 def minimize_linear(fset: Ball, g: np.ndarray) -> np.ndarray:

@@ -11,10 +11,13 @@ gradient norms)).  The dual update precedes the gradient so the
 multiplier Phi'(V_t) reflects the current round's violation.
 
 `run_penalty_ogd` plays in Python floats and runs only the recursion per
-round: g_splat, V, Phi' (`penalty.phi_prime`), the gradient, the step and
-the projection (`geometry.point_step`), reading each round's lift rows
-(`halfspaces`, `loss_lift`) as data and writing the decision, V, Phi',
-the gradient norm and the step into the trace table's columns.  The
+round: g_splat, V, Phi', the gradient, the step and the projection,
+reading each round's lift rows (`halfspaces`, `loss_lift`) as data and
+writing the decision, V, Phi', the gradient norm and the step into the
+trace table's columns.  Its loop writes the expressions of
+`penalty.phi_prime`, `adaptive_step` and `geometry.project` (the clamp at
+d = 1, the radial scaling at d >= 2) inline, so at d = 1 a round makes no
+Python function call; those functions stay the reference formulas.  The
 other columns are functions of the decisions, written after the loop by
 the family's `fill_values`.  `PenaltyOgdLearner` is the reference
 implementation on the oracle protocol (`loss(t)` / `constraint(t)`
@@ -30,9 +33,9 @@ import operator
 import numpy as np
 
 from .core import MemoryFunctionOracle, Variant, fdot, round_table
-from .geometry import point_step, project
+from .geometry import project
 from .metrics import RunTrace
-from .penalty import Penalty, PenaltyKind, check_lambda, lambda_theorem, phi_prime
+from .penalty import EXP_CAP, Penalty, PenaltyKind, check_lambda, lambda_theorem
 
 def surrogate_gradient(
     loss: MemoryFunctionOracle,
@@ -159,22 +162,39 @@ def run_penalty_ogd(
     x, x_col, rows, dot = _vectors(fset, records["x"])
     v_col, pp_col, norm_col, eta_col = (
         memoryview(records[name]) for name in ("v_dual", "phi_prime", "grad_norm", "eta_or_mu"))
-    step = point_step(fset)
+    one_d, quadratic = fset.dim == 1, kind is PenaltyKind.QUADRATIC
+    lo, hi, _ = fset.interval if one_d else (None, None, None)
+    center, radius, diameter = fset.center, fset.radius, fset.diameter
+    exp, sqrt, isfinite, root2 = math.exp, math.sqrt, math.isfinite, math.sqrt(2.0)
     v = grad_sq_sum = 0.0
     for k, (lam_k, a, b_k, f) in enumerate(zip(memoryview(lams), rows(A), memoryview(b),
                                                 rows(f_rows))):
         g_spl = dot(a, x) + b_k
         # dual update first: the multiplier sees this round's violation
-        v += max(g_spl, 0.0)
-        pp = phi_prime(kind, lam_k, v)
+        v += 0.0 if g_spl < 0.0 else g_spl  # max(g_spl, 0.0): keeps -0.0 and nan
+        pp = 2.0 * lam_k * v if quadratic else lam_k * exp(min(lam_k * v, EXP_CAP))
         grad = x - f if about_x else f
         if pp != 0.0 and g_spl > 0.0:
             grad = grad + pp * a
         gg = dot(grad, grad)
         grad_sq_sum += gg
-        eta = adaptive_step(fset.diameter, grad_sq_sum)
-        x_col[k], v_col[k], pp_col[k], norm_col[k], eta_col[k] = x, v, pp, math.sqrt(gg), eta
-        x = step(x, eta, grad)
+        eta = 0.0 if grad_sq_sum <= 0.0 else diameter / (root2 * sqrt(grad_sq_sum))
+        x_col[k] = x
+        v_col[k] = v
+        pp_col[k] = pp
+        norm_col[k] = sqrt(gg)
+        eta_col[k] = eta
+        # project(fset, x - eta * grad): the clamp or the radial scaling
+        x = x - eta * grad
+        if not (isfinite(x) if one_d else np.isfinite(x).all()):
+            raise ValueError("decision has non-finite entries")
+        if one_d:
+            x = x if x > lo else lo  # np.clip: lower bound first
+            x = x if x < hi else hi
+        else:
+            diff = x - center
+            n = sqrt(dot(diff, diff))
+            x = x if n <= radius else center + diff * (radius / n)
     records["t"] = np.arange(rounds.start, rounds.stop)
     records["lam"] = lams
     instance.fill_values(records, variant is Variant.COCO_M2)

@@ -8,10 +8,10 @@ from cocomem.geometry import (
     dub_alpha,
     ftrl_argmin,
     minimize_linear,
-    point_step,
     project,
     regret_coefficient,
 )
+from reference_ogd import point_step
 
 
 def test_box_projection_clamps():
@@ -200,8 +200,9 @@ def test_regularizer_max_value():
     g=st.sampled_from([0.0, -0.0]) | st.floats(-20.0, 20.0),
 )
 def test_1d_ball_takes_the_interval_formulas(center, radius, p, eta, g):
-    """A 1-D ball is the interval [c - r, c + r]: `project` and
-    `point_step` are np.clip onto it, and `minimize_linear` and
+    """A 1-D ball is the interval [c - r, c + r]: `project` and the
+    reference loop's `point_step` (whose clamp `run_penalty_ogd` writes
+    inline) are np.clip onto it, and `minimize_linear` and
     `ftrl_argmin` at mu = 0 the sign rule (lower end for g > 0, upper end
     for g < 0, the center for g = 0), bit for bit with signed zeros."""
     fset = Ball([center], radius)
@@ -211,8 +212,8 @@ def test_1d_ball_takes_the_interval_formulas(center, radius, p, eta, g):
         (lo.tobytes(), hi.tobytes(), c.tobytes())
     assert project(fset, [p]).tobytes() == np.clip([p], lo, hi).tobytes()
     step = np.array([p]) - eta * np.array([g])
-    got = point_step(fset)(p, eta, g)
-    assert np.array([got]).tobytes() == np.clip(step, lo, hi).tobytes()
+    got = point_step(fset)((p,), eta, (g,))
+    assert np.array(got).tobytes() == np.clip(step, lo, hi).tobytes()
     want = (lo if g > 0 else hi if g < 0 else c).tobytes()
     assert minimize_linear(fset, [g]).tobytes() == want
     for arg in (g, [g]):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -299,6 +300,56 @@ def test_runner_matches_the_row_tuple_loop_when_the_exponent_cap_binds(dim):
     assert saturated(PenaltyKind.EXPONENTIAL, want["lam"], want["v_dual"]).sum() > 100
     assert np.isinf(want["grad_norm"]).any()
     assert got.tobytes() == want.tobytes()
+
+
+def _python_calls(fn, *args) -> int:
+    """The number of Python function calls (profile `call` events) made
+    while running fn(*args); calls of C functions are not counted."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+@pytest.mark.parametrize("family", ["appendix_a", "separable_linear"])
+@pytest.mark.parametrize("kind", list(PenaltyKind))
+@pytest.mark.parametrize("mode", ["fixed", "sqrt_t"])
+def test_1d_loop_makes_no_python_call_per_round(family, kind, mode):
+    """At d = 1 the round loop writes Phi', the step, the dual update and
+    the clamp inline: a run of 500 rounds makes as many Python calls as a
+    run of 50, so none of them happens per round."""
+    counts = []
+    for horizon in (50, 500):
+        if family == "appendix_a":
+            inst = AppendixAInstance(m=2, horizon=horizon, seed=1, mode="adversarial")
+        else:
+            inst = SeparableLinearInstance(m=2, horizon=horizon, seed=1)
+        lam = sqrt_t(inst) if mode == "sqrt_t" else 0.1
+        counts.append(_python_calls(run_penalty_ogd, inst, Variant.COCO_M2, kind, lam))
+    assert counts[0] == counts[1]
+
+
+# radius 15 and about the largest sigma whose problem constants are finite
+# at m = 15 (the instance builds): the surrogate gradient overflows
+@pytest.mark.parametrize("dim,sigma", [(1, 6e153), (2, 3e153)])
+def test_a_non_finite_decision_raises_in_both_loops(dim, sigma):
+    """The inline clamp and radial scaling keep the check of the projected
+    step they replaced: a step to a non-finite point raises, in the runner
+    as in the reference loop."""
+    inst = AppendixAInstance(m=15, horizon=50, dim=dim, radius=15.0, sigma=sigma, seed=0)
+    for run in (run_penalty_ogd, reference_ogd.run_penalty_ogd):
+        with pytest.raises(ValueError, match="decision has non-finite entries"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            run(inst, Variant.COCO_M, PenaltyKind.QUADRATIC, sqrt_t(inst))
 
 
 # (count, sha256) of the per-round saturation flags of exponential-penalty
