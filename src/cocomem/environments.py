@@ -126,6 +126,9 @@ class _Instance:
     the replay document's one writer and reader: `kind`, `rng` and `seed`,
     then the other fields in declaration order (those whose metadata sets
     `params` nested under "params"), then the arrays as nested lists.
+    Round t's loss and constraint read the window x_{t-m} .. x_t, the set
+    center standing in for every round before `first_round`: `by_round`
+    states that rule, and `slots`, both learners and the audit read it.
     """
 
     def __post_init__(self, _arrays) -> None:
@@ -169,12 +172,17 @@ class _Instance:
         arrays = [np.asarray(obj[name], dtype=dtype) for name, dtype in cls._ARRAYS.items()]
         return cls(**args, _arrays=arrays)
 
-    def _slots(self, X: np.ndarray) -> list[np.ndarray]:
-        """The m+1 window slots of every round, oldest first, as (n, d) views:
-        slot i of row k is decision k - m + i of the (n, d) decision column
-        X, the set center standing in before the first round."""
-        window = np.concatenate((np.tile(self.fset.center, (self.m, 1)), X))
-        return [window[i : i + len(X)] for i in range(self.m + 1)]
+    def by_round(self, X: np.ndarray) -> np.ndarray:
+        """The (horizon + 1, d) decisions of rounds 0..horizon: the set
+        center before `first_round`, then the (n, d) decision column X."""
+        return np.concatenate((np.tile(self.fset.center, (self.first_round, 1)), X))
+
+    def slots(self, X: np.ndarray) -> list[np.ndarray]:
+        """The m+1 window slots of every round of the decision column X,
+        oldest first, as (n, d) views of `by_round(X)`: slot i of row k is
+        decision k - m + i of X, the set center before the first round."""
+        decisions, start = self.by_round(X), self.first_round - self.m
+        return [decisions[start + i : start + i + len(X)] for i in range(self.m + 1)]
 
 
 # fields nested under "params" in the replay document
@@ -310,7 +318,7 @@ class AppendixAInstance(_Instance):
         first, coordinates in index order."""
         X, slots, c, d = table["x"], self.m + 1, self.c[self.m :], self.d_coef[self.m :]
         sq, s = np.zeros(len(X)), np.zeros(len(X))
-        for w in self._slots(X):
+        for w in self.slots(X):
             for j in range(self.dim):
                 diff = w[:, j] - c[:, j]
                 sq += diff * diff
@@ -547,7 +555,7 @@ class SeparableLinearInstance(_Instance):
         coordinates last first, after the per-round slice sums (lift
         slopes, summed offsets).  A sum from 0.0 is never -0.0, so the
         loss's zero offset adds nothing."""
-        X, span, slots = table["x"], slice(self.m + 1, None), self._slots(table["x"])
+        X, span, slots = table["x"], slice(self.m + 1, None), self.slots(table["x"])
 
         def window_value(coef):
             s = np.zeros(len(X))

@@ -321,11 +321,6 @@ def ccv_rhs_exponential(T: int, m: int, diam: float, l_f: float, l_g: float,
     return inv_lam * math.log(diam * l_f * math.sqrt(2 * T) + 2 * f_bound * T)
 
 
-def odaftrl_regret_rhs(fset, m: int, hint_error_sum: float) -> float:
-    """Delayed-FTRL regret bound: C * sqrt(sum ||h_t - window grads||^2)."""
-    return regret_coefficient(fset, m) * math.sqrt(max(hint_error_sum, 0.0))
-
-
 @dataclass
 class BoundReport:
     measured: dict
@@ -438,7 +433,7 @@ def check_memory_identity(trace: RunTrace) -> CheckResult:
     lift, so  sum_t |f_mem - f_splat|  is at most L_f times the summed
     window-to-splat distances (history before the first round pinned to
     the set center)."""
-    X = _decisions_by_round(trace)
+    X = trace.instance.by_round(trace.col("x"))
     t = trace.col("t")
     dev_sq = np.zeros(len(t))
     for i in range(1, trace.m + 1):
@@ -502,28 +497,22 @@ def _last_penalty(trace: RunTrace) -> Penalty:
     return Penalty(trace.penalty_kind, float(lam[-1]) if len(lam) else 1.0)
 
 
-def _decisions_by_round(trace: RunTrace) -> np.ndarray:
-    """(horizon+1, d) array of decisions, initial history rows included."""
-    X = np.tile(trace.fset.center, (trace.horizon + 1, 1))
-    X[trace.col("t")] = trace.col("x")
-    return X
-
-
 class ForwardFunctions:
     """The realized forward functions Z_t of an optimistic run, rebuilt
     once per audit from the instance arrays and the played decisions:
-    `decisions` by round 0..horizon (initial history included), the summed
-    loss coefficient `loss_coef`, and `round_mult[r]`, the weight
+    `decisions`, the instance's `by_round` of the decision column, the
+    summed loss coefficient `loss_coef`, and `round_mult[r]`, the weight
     Phi'(V_{r-d}) of round r's constraint slices (0 without any) under its
     row's lambda, d the dual delay: the learner's `phi_prime` there.  Per
     present slice (r, i), in `np.nonzero` order: `rounds`, `delays`, `coef`,
-    `off`, `mult` and `value` at x_{r-i}."""
+    `off`, `mult` and `value` at x_{r-i}.  `played_total` is sum_t Z_t(x_t),
+    summed by diagonal (slice (r, i) at x_{r-i}), once for every check."""
 
     def __init__(self, trace: RunTrace):
         inst = trace.instance
         self.trace = trace
         delay = trace.variant.dual_delay(inst.m)
-        self.decisions = _decisions_by_round(trace)
+        self.decisions = inst.by_round(trace.col("x"))
         self.loss_coef = inst.f_coef.sum(axis=(0, 1))
         self.rounds, self.delays = np.nonzero(inst.g_present)
         self.round_mult = np.zeros(inst.horizon + 1)
@@ -536,22 +525,16 @@ class ForwardFunctions:
         self.mult = self.round_mult[self.rounds]
         touched = self.decisions[self.rounds - self.delays]
         self.value = np.sum(self.coef * touched, axis=1) + self.off
+        r, total = np.arange(inst.horizon + 1), 0.0
+        for i in range(inst.m + 1):
+            total += float(np.sum(inst.f_coef[:, i] * self.decisions[np.maximum(r - i, 0)]))
+        self.played_total = total + float(np.maximum(self.value, 0.0) @ self.mult)
 
     def sum_at(self, u: np.ndarray) -> float:
         """sum_t Z_t(u) at a constant point u (convex piecewise-linear)."""
         U = np.asarray(u, dtype=float)[None, :]
         vals = U @ self.loss_coef + np.maximum(U @ self.coef.T + self.off, 0.0) @ self.mult
         return float(vals[0])
-
-    def played_sum(self) -> float:
-        """sum_t Z_t(x_t), regrouped by diagonal: slice (r, i) contributes
-        at x_{r-i}."""
-        inst = self.trace.instance
-        rounds = np.arange(inst.horizon + 1)
-        total = 0.0
-        for i in range(inst.m + 1):
-            total += float(np.sum(inst.f_coef[:, i] * self.decisions[np.maximum(rounds - i, 0)]))
-        return total + float(np.maximum(self.value, 0.0) @ self.mult)
 
     def hint_errors(self) -> np.ndarray:
         """||h_tau - sum_{j=tau-m}^{tau} grad Z_j||^2 for every stored hint.
@@ -613,7 +596,7 @@ def check_forward_consistency(fwd: ForwardFunctions) -> CheckResult:
         z_sum = fwd.sum_at(u)
         l_sum = float(np.sum(slopes @ u) + mults @ np.maximum(g_lift_coef @ u + g_lift_off, 0.0))
         worst = max(worst, abs(z_sum - l_sum) / max(1.0, abs(z_sum)))
-    played, forward = surrogate_sum_memory(fwd.trace), fwd.played_sum()
+    played, forward = surrogate_sum_memory(fwd.trace), fwd.played_total
     if played > forward + 1e-8 * max(1.0, abs(forward)):
         return CheckResult("forward_vertical_consistency", False, played, forward,
                            "played surrogate exceeds forward sum")
@@ -633,7 +616,7 @@ def check_lemma_forward_chain(fwd: ForwardFunctions, bench: Benchmark) -> CheckR
     v_t = trace.v_at(inst.horizon)
     lhs = pen.value(v_t) + float(np.sum(trace.col("f_mem"))) - bench.total
     g_d = inst.constants().g_bound * trace.variant.dual_delay(inst.m)
-    rhs = fwd.played_sum() - bench.total + g_d * pen.prime(v_t)
+    rhs = fwd.played_total - bench.total + g_d * pen.prime(v_t)
     return CheckResult("forward_chain", lhs <= rhs + 1e-8 * max(1.0, abs(rhs)), lhs, rhs)
 
 
@@ -651,13 +634,14 @@ def check_error_split(trace: RunTrace) -> CheckResult:
 
 def check_odaftrl_regret(fwd: ForwardFunctions, bench: Benchmark) -> CheckResult:
     """Measured forward-function regret against the delayed-FTRL bound
-    with the reconstructed hint errors (comparator as in the forward chain)."""
+    C sqrt(sum ||h_t - window grads||^2) with the reconstructed hint errors
+    (comparator as in the forward chain)."""
     if bench.x_star is None:
         return CheckResult("odaftrl_regret_bound", True, math.nan, math.nan, "empty benchmark")
     inst = fwd.trace.instance
-    lhs = fwd.played_sum() - bench.total
+    lhs = fwd.played_total - bench.total
     err_sum = float(np.sum(fwd.hint_errors()))
-    rhs = odaftrl_regret_rhs(inst.fset, inst.m, err_sum)
+    rhs = regret_coefficient(inst.fset, inst.m) * math.sqrt(max(err_sum, 0.0))
     return CheckResult("odaftrl_regret_bound", lhs <= rhs + 1e-8 * max(1.0, abs(rhs)), lhs, rhs)
 
 

@@ -154,6 +154,7 @@ class OdafLearner:
         k = r - self.inst.first_round
         return self._ccv_col[k] if 0 <= k < len(self._ccv_col) else 0.0
 
+    @np.errstate(over="ignore", invalid="ignore")  # numpy overflows as floats do: silently
     def play(self, t: int, stop: int, coeff: float = 0.0, budget: float = math.inf,
              observe: bool = True) -> int:
         """Play rounds t .. stop - 1 in one loop over local state, written
@@ -349,33 +350,30 @@ class OdafLearner:
     @np.errstate(over="ignore", invalid="ignore")  # numpy overflows as floats do: silently
     def derive_columns(self) -> None:
         """Write the columns that are functions of the decisions, after the
-        last round: t, f_mem, f_splat and g_splat, each summed from 0.0 in
-        delay order with the loop's products, g_plus_recorded and v_dual."""
+        last round: t, f_mem (slice (t, i) reads the instance's window slot
+        m - i), f_splat and g_splat, each summed from 0.0 in delay order with
+        the loop's products, g_plus_recorded and v_dual."""
         inst, m, table = self.inst, self.m, self.records
         rows = slice(inst.first_round, inst.horizon + 1)
         f, g, off, present = (inst.f_coef[rows], inst.g_coef[rows], inst.g_off[rows],
                               inst.g_present[rows])
-        x, center = table["x"], self.fset.center
+        x, slots = table["x"], inst.slots(table["x"])
         if self.dim == 1:
-            (f, g, x), center, dot = (a[..., 0] for a in (f, g, x)), center.item(), operator.mul
+            (f, g, x, *slots), dot = (a[..., 0] for a in (f, g, x, *slots)), operator.mul
         else:
             def dot(a, b):
-                return np.fromiter(map(self._dot, *np.broadcast_arrays(a, b)), float)
+                return np.fromiter(map(self._dot, a, b), float)
         f_mem, f_splat, g_splat = (table[name] for name in ("f_mem", "f_splat", "g_splat"))
         for i in range(m + 1):
-            # slice (t, i) touches x_{t-i}: the center before the first round
-            j = min(i, len(x))
-            f_mem[:j] += dot(f[:j, i], center)
-            f_mem[j:] += dot(f[j:, i], x[:len(x) - j])
+            f_mem += dot(f[:, i], slots[m - i])
             f_splat += dot(f[:, i], x)
             g_i = dot(g[:, i], x)
             g_i += off[:, i]
             np.add(g_splat, g_i, out=g_splat, where=present[:, i])
             del g_i  # one row of temporaries at a time
         table["t"] = np.arange(rows.start, rows.stop)
-        table["g_plus_recorded"] = table["g_mem"]
-        g_plus = table["g_plus_recorded"]
-        g_plus[g_plus < 0.0] = 0.0  # max(g, 0.0): keeps -0.0 and nan
+        g_mem = table["g_mem"]
+        table["g_plus_recorded"] = np.where(g_mem < 0.0, 0.0, g_mem)  # max(g, 0.0): keeps -0.0, nan
         table["v_dual"] = table["ccv_cum"]
 
 

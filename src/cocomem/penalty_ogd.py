@@ -199,8 +199,7 @@ def run_penalty_ogd(
     records["lam"] = lams
     instance.fill_values(records, variant is Variant.COCO_M2)
     g_mem = records["g_mem"]
-    inc = np.where(g_mem < 0.0, 0.0, g_mem)  # max(g, 0.0): keeps -0.0 and nan
-    records["g_plus_recorded"] = inc
-    inc[:1] += 0.0  # the running sum starts from 0.0, so -0.0 adds as 0.0
-    np.cumsum(inc, out=records["ccv_cum"])
+    records["g_plus_recorded"] = np.where(g_mem < 0.0, 0.0, g_mem)  # max(g, 0.0): keeps -0.0, nan
+    # the running sum from 0.0, in which -0.0 adds as 0.0
+    np.cumsum(records["g_plus_recorded"] + 0.0, out=records["ccv_cum"])
     return RunTrace("penalty_ogd", variant, kind, records, instance)

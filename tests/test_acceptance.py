@@ -33,7 +33,6 @@ from cocomem.harness import ExperimentConfig, run_experiment
 from cocomem.metrics import lift_loss_at
 from cocomem.optimistic import huber
 from cocomem.penalty import lambda_exponential_short_memory, short_memory_condition
-from cocomem.penalty_ogd import adaptive_step  # noqa: F401  (surface exercised below)
 from cocomem.penalty_ogd import surrogate_gradient
 from helpers import doubling_epoch_bound, error_sums, prefix_static_regret, sqrt_t
 from reference_odaf import DoublingSchedule

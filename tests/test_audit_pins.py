@@ -38,6 +38,12 @@ PINNED_STDOUT = {
     # several epochs: no forward-regret bound, only the lambda precondition
     ("bounds", "doubling_noisy"):
         "98afd9e0cf359dea778ffc7454ad34af317cb8eac6c3aeb5e0be2b8d3e4bd3fc",
+    ("verify", "reference_theorem"):
+        "7ac5c49cc7c731eada43b8e5a653cbe645c5a3124b4f5426e0e2bd71d91f7bb4",
+    # lambda = 1/sqrt(T) in every round: the quadratic penalty's theorem
+    # bounds on regret and CCV
+    ("bounds", "reference_theorem"):
+        "e61b1a1469a3be78c3268e1f77dff88d3890fbe74203c532d852c46ade9c8105",
 }
 
 
@@ -67,6 +73,13 @@ PINNED_RUN_FILES = {
         "c189efe26644d3d1a533f50b3936189524d800260d8e2abf37d20aaffe5eb4b9",
     ("reference_stochastic", "_summary.json"):
         "bbc5dd6800452fcda12be4f94e3a07fb90f2780f60b8bdced71a985a573be2b9",
+    ("reference_theorem", "_seed0.csv"):
+        "458d8c85de3da65901f993b01cefa43c83eff732ae2e3cd9e71afcba08b23c2a",
+    # reference_stochastic's instance
+    ("reference_theorem", "_seed0_instance.json"):
+        "c189efe26644d3d1a533f50b3936189524d800260d8e2abf37d20aaffe5eb4b9",
+    ("reference_theorem", "_summary.json"):
+        "a09f1fa2610a98e04749c7daa263f0ef49627d039029146cd75174d0fa48bf2d",
 }
 
 

@@ -136,6 +136,29 @@ def test_separable_instance_bytes_are_pinned(params, digest):
     assert h.hexdigest()[:16] == digest
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(family=st.sampled_from([AppendixAInstance, SeparableLinearInstance]),
+       d=st.integers(1, 2), m=st.integers(0, 4), extra=st.integers(0, 12))
+def test_window_reads_the_center_before_the_first_round(family, d, m, extra):
+    """`by_round` row r is round r's decision from `first_round` on and the
+    set center before it, and slot i of row k of `slots` is decision
+    k - m + i of the column, the center where that index is negative.
+    Horizons from m up include runs with fewer rounds than m, and none."""
+    inst = family(m=m, horizon=max(m + extra, 1), dim=d, seed=extra)
+    first, center = inst.first_round, inst.fset.center
+    X = np.random.default_rng(extra).uniform(1.0, 2.0, size=(inst.horizon + 1 - first, d))
+    rows = inst.by_round(X)
+    assert rows.shape == (inst.horizon + 1, d)
+    for r, row in enumerate(rows):
+        assert np.array_equal(row, X[r - first] if r >= first else center)
+    slots = inst.slots(X)
+    assert len(slots) == m + 1
+    for i, w in enumerate(slots):
+        assert w.shape == X.shape
+        for k, row in enumerate(w):
+            assert np.array_equal(row, X[k - m + i] if k - m + i >= 0 else center)
+
+
 def test_separable_zero_outside_active_rounds():
     inst = SeparableLinearInstance(m=2, horizon=30, seed=0)
     # rounds <= m carry no slices

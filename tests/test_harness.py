@@ -299,6 +299,7 @@ OGD_SUITE = ["ccv_recurrence_replay", "memory_deviation_bound", "ogd_surrogate_r
 SHIPPED_SUITES = {
     "reference_stochastic": OGD_SUITE,
     "reference_adversarial": OGD_SUITE,
+    "reference_theorem": OGD_SUITE,
     "optimistic_perfect": ["ccv_recurrence_replay", "memory_deviation_bound",
                            "forward_vertical_consistency", "forward_chain", "hint_error_split",
                            "odaftrl_regret_bound", "ftrl_weight_monotone"],

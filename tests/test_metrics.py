@@ -391,7 +391,7 @@ def test_played_surrogate_check_is_relative():
     fwd = ForwardFunctions(tr)
     check = check_forward_consistency(fwd)
     assert check.passed and check.rhs == 1e-9
-    played, forward = surrogate_sum_memory(tr), fwd.played_sum()
+    played, forward = surrogate_sum_memory(tr), fwd.played_total
     assert abs(forward) > 1e100 and played != forward
     records = tr.records.copy()
     records["f_mem"][7] += 1e-6 * max(1.0, abs(forward))
@@ -498,7 +498,7 @@ def _comparator(trace):
         bench = best_in_hindsight(trace.instance)
         return surrogate_sum_splat(trace) - check_lemma_ogd_regret(trace, bench).lhs
     fwd, bench = ForwardFunctions(trace), best_in_hindsight(trace.instance, "slicewise")
-    return fwd.played_sum() - check_odaftrl_regret(fwd, bench).lhs
+    return fwd.played_total - check_odaftrl_regret(fwd, bench).lhs
 
 
 def test_hinge_vanishes_at_the_benchmark_point(comparator_run):

@@ -2,6 +2,7 @@
 (`reference_odaf`), and its memory bound."""
 
 import tracemalloc
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -87,6 +88,24 @@ def test_float_learner_matches_numpy_reference(runner, kind, m, d, memoryless, l
     assert got == want
     if rounds > DRAWN_ROUNDS:  # the last block starts after the first query round, m
         assert got_exc is None and predictor._held.start > m
+
+
+def test_float_learner_overflows_silently():
+    """The extreme-lambda example of the test above at d = 3, whose
+    multiplier overflows numpy's dot and square: the float learner warns
+    of nothing, as its d = 1 floats do not, and ends as the numpy learner
+    does, whose overflow warnings stay (a non-finite decision raises)."""
+    def make_instance():
+        return SeparableLinearInstance(m=0, horizon=59, dim=3, seed=39536,
+                                       g_round_density=0.6, g_mag=(0.05, 0.2))
+
+    args = (make_instance, Variant.COCO_M2, "zero", 12000.0)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        want = _outcome(ref, "odaf", *args)[:2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = _outcome(optimistic, "odaf", *args)[:2]
+    assert got == want == (None, ValueError)
 
 
 def _run_heap(horizon: int) -> tuple[int, int]:

@@ -25,7 +25,7 @@ from cocomem import (
 from cocomem.core import Ball
 from cocomem.geometry import ftrl_argmin, minimize_linear, project, regret_coefficient
 from cocomem.harness import ExperimentConfig, load_config, run_single
-from cocomem.metrics import ForwardFunctions, _decisions_by_round
+from cocomem.metrics import ForwardFunctions
 from cocomem import optimistic, pcg
 from cocomem.optimistic import OdafLearner, doubling_mu1, huber
 from cocomem.penalty import Penalty, lambda_optimistic, phi_prime
@@ -192,7 +192,7 @@ def test_zero_predictor_hint_enumeration_oracle():
     tr = run_optimistic(inst, Variant.COCO_M2, ZeroPredictor())
     pen = Penalty(PenaltyKind.EXPONENTIAL, float(tr.col("lam")[-1]))
     hints = tr.extras["hints"]
-    m, X = inst.m, _decisions_by_round(tr)
+    m, X = inst.m, inst.by_round(tr.col("x"))
     for tau, h in enumerate(hints, start=tr.first_round):
         want = np.zeros(inst.dim)
         for s in range(tau - m, tau + 1):
@@ -224,7 +224,7 @@ def test_violation_recurrence_replay():
     inst = SeparableLinearInstance(m=2, horizon=50, seed=4,
                                    g_round_density=0.5, g_mag=(0.05, 0.2))
     tr = run_optimistic(inst, Variant.COCO_M2, PerfectPredictor())
-    X = _decisions_by_round(tr)
+    X = inst.by_round(tr.col("x"))
     v = 0.0
     for rec in tr.records:
         val = 0.0
@@ -255,7 +255,7 @@ def test_ftrl_step_matches_grid_argmin():
     inst = SeparableLinearInstance(m=2, horizon=40, seed=7)
     tr = run_optimistic(inst, Variant.COCO_M2, NoisyPredictor(0.5, seed=1))
     pen = Penalty(PenaltyKind.EXPONENTIAL, float(tr.col("lam")[-1]))
-    m, first, X = inst.m, tr.first_round, _decisions_by_round(tr)
+    m, first, X = inst.m, tr.first_round, inst.by_round(tr.col("x"))
 
     grid = np.linspace(-2.0, 2.0, 400001)
     center = inst.fset.center[0]
@@ -317,7 +317,7 @@ def test_perfect_hints_reduce_to_follow_the_leader():
     inst = SeparableLinearInstance(m=1, horizon=50, seed=11, g_active_fraction=0.0)
     tr = run_optimistic(inst, Variant.COCO_M2, PerfectPredictor())
     pen = Penalty(PenaltyKind.EXPONENTIAL, float(tr.col("lam")[-1]))
-    X = _decisions_by_round(tr)
+    X = inst.by_round(tr.col("x"))
     for t in range(tr.first_round, 50):
         lead = np.zeros(1)
         for s in range(1, t + 2):
