@@ -171,9 +171,11 @@ def array_json(a: np.ndarray, spell) -> str:
         return text
     if "e" in text:  # the pattern starts with a literal, which `re` finds fast
         text = _EXPONENT.sub(lambda m: f"e{m[1] or '+'}{m[2]:0>2}", text)
-    # tokens that start with 0.0000, found by `str.find` (a regex search of
-    # the whole text takes about 1.7x as long) and patched one by one
-    parts, done, i = [], 0, text.find("0.0000")
+    # orjson writes [1e-5, 1e-4) in fixed point: only then look for the tokens
+    # that start with 0.0000, found by `str.find` (a regex search of the
+    # whole text takes about 1.7x as long) and patched one by one
+    b = np.abs(a)
+    parts, done, i = [], 0, text.find("0.0000") if ((b >= 1e-5) & (b < 1e-4)).any() else -1
     while i >= 0:
         if (i == 0 or text[i - 1] in "[,-") and (m := _FIXED_E5.match(text, i)):
             parts += text[done:i], f"{m[1]}{m[2] and '.' + m[2]}e-05"

@@ -158,8 +158,14 @@ class _Instance:
             doc["params"] = params
         parts = [json.dumps(doc)[:-1]]
         for name in self._ARRAYS:
-            parts += [f', "{name}": ',
-                      array_json(getattr(self, name), json.dumps).replace(",", ", ")]
+            a = getattr(self, name)
+            if a.ndim > 1 and a.shape[-1] == 1 and a.size:
+                # orjson opens one list per value of a trailing length-1 axis:
+                # write a[..., 0] and close and open that list at each comma
+                parts += [f', "{name}": [',
+                          array_json(a[..., 0], json.dumps).replace(",", "], ["), "]"]
+            else:
+                parts += [f', "{name}": ', array_json(a, json.dumps).replace(",", ", ")]
         return "".join(parts + ["}"])
 
     @classmethod

@@ -223,12 +223,18 @@ def emit_csv(trace: RunTrace, series: MetricSeries, path: str | Path) -> None:
         for lo in range(0, len(trace.records), CSV_BLOCK_ROWS):
             rows = slice(lo, lo + CSV_BLOCK_ROWS)
             # "[[a,b],[c,d]]" holds one CSV row per inner list
-            fields = [map(str, trace.col("t")[rows].tolist())]
+            fields = [array_json(trace.col("t")[rows], repr)[1:-1].split(",")]
             if x.shape[1] > 1:
                 fields.append(array_json(x[rows], repr)[2:-2].replace(",", ";").split("];["))
             fields.append(array_json(np.column_stack([c[rows] for c in cols]), repr)[2:-2]
                           .split("],["))
-            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
+            # the fields of every row interleaved with their separators, one join
+            k = 2 * len(fields)
+            parts = [","] * (k * len(fields[0]))
+            for j, field in enumerate(fields):
+                parts[2 * j :: k] = field
+            parts[k - 1 :: k] = ["\n"] * len(fields[0])
+            fh.write("".join(parts))
 
 
 def checkpoints(first_round: int, horizon: int) -> list[int]:
@@ -314,13 +320,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     }
     if results:
         marks = sorted(results[0]["checkpoints"], key=int)
-        for t in marks:
-            block = {}
-            for key in ("regret_static_per_round", "regret_perround_per_round",
-                        "ccv_per_round"):
-                vals = np.array([r["checkpoints"][t][key] for r in results])
-                block[key] = {"mean": float(np.mean(vals)), "std": float(np.std(vals))}
-            summary["checkpoints"][t] = block
+        keys = ("regret_static_per_round", "regret_perround_per_round", "ccv_per_round")
+        # row (mark, key), column seed: each row reduces as a 1-D call would, bit for bit
+        vals = np.array([[r["checkpoints"][t][k] for r in results] for t in marks for k in keys])
+        means, stds = (f(vals, axis=1).reshape(-1, len(keys)).tolist() for f in (np.mean, np.std))
+        for t, mean, std in zip(marks, means, stds):
+            summary["checkpoints"][t] = {key: {"mean": m, "std": s}
+                                         for key, m, s in zip(keys, mean, std)}
     (out / f"{cfg.name}_summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
     return summary
 

@@ -1,8 +1,9 @@
 """The audit and run output of the shipped configs, pinned byte for
 byte: the sha256 of `cocomem verify` and `cocomem bounds` stdout on
-seed 0 of each config, and of the three files `cocomem run` writes for
-seed 0 of each config.  A change that moves any of these digests changes
-a printed check value, bound or run output and must say why."""
+seed 0 of each config, of the three files `cocomem run` writes for
+seed 0 of each config, and of two configs' summaries over many seeds.
+A change that moves any of these digests changes a printed check value,
+bound or run output and must say why."""
 
 import hashlib
 import json
@@ -82,6 +83,16 @@ PINNED_RUN_FILES = {
         "a09f1fa2610a98e04749c7daa263f0ef49627d039029146cd75174d0fa48bf2d",
 }
 
+# `cocomem run`'s summary over seeds 0 .. n - 1: (config, n) -> sha256.  From
+# 8 seeds on, numpy's pairwise sum groups a mean or std otherwise than a
+# running sum does.
+PINNED_SUMMARIES = {
+    ("reference_stochastic", 10):
+        "2600bb0fb50488289e834724c124f389ac0eb8b5a00cf754681716fb950ad2a4",
+    ("doubling_noisy", 5):
+        "d90624522c5fd381d92936c92b9838de6cb9b8cf675bd88dfc2325f4f3d5e9be",
+}
+
 
 @pytest.mark.parametrize("command, name", sorted(PINNED_STDOUT))
 def test_audit_stdout_is_pinned(command, name, tmp_path, capsys):
@@ -125,3 +136,15 @@ def test_run_outputs_are_pinned(name, tmp_path, capsys):
             for (key, suffix), digest in PINNED_RUN_FILES.items() if key == name}
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert written == want
+
+
+@pytest.mark.parametrize("name, seeds", sorted(PINNED_SUMMARIES))
+def test_multi_seed_summaries_are_pinned(name, seeds, tmp_path, capsys):
+    cfg = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({**cfg, "seeds": list(range(seeds))}))
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256((out / f"{name}_summary.json").read_bytes()).hexdigest()
+    assert digest == PINNED_SUMMARIES[(name, seeds)]

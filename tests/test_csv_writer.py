@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_csv
+from cocomem import core
 from cocomem.core import array_json, round_table
 from cocomem.harness import CSV_BLOCK_ROWS, emit_csv
 from cocomem.metrics import MetricSeries, RunTrace
@@ -95,6 +96,29 @@ def test_array_json_spells_every_float_as_repr(shape, values):
     a = np.array(values[: len(values) // 3 * 3], dtype=float).reshape(shape)
     assert re.findall(r"[^\[\],]+", array_json(a, repr)) == list(map(repr, a.ravel().tolist()))
     assert array_json(a, json.dumps) == json.dumps(a.tolist(), separators=(",", ":"))
+
+
+@pytest.mark.parametrize("v, patched", [(1e-5, True), (np.nextafter(1e-4, 0.0), True),
+                                        (-1e-5, True), (1e-4, False),
+                                        (np.nextafter(1e-5, 0.0), False)])
+def test_array_json_patches_exactly_the_fixed_point_band(v, patched):
+    """orjson writes [1e-5, 1e-4) in fixed point, where `repr` does not:
+    those tokens, of either sign, are rewritten, one match each, and 1e-4
+    and the value below 1e-5 (orjson writes the one as `repr` does and the
+    other with an exponent) are matched by no band pattern."""
+    matches, pattern = [], core._FIXED_E5
+
+    class Spy:
+        def match(self, text, pos):
+            matches.append(pos)
+            return pattern.match(text, pos)
+
+    a = np.array([float(v), 1820.00001, 2.5])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_FIXED_E5", Spy())
+        text = array_json(a, repr)
+    assert text == f"[{float(v)!r},1820.00001,2.5]"
+    assert len(matches) == patched
 
 
 def test_csv_heap_does_not_grow_with_the_horizon(tmp_path):

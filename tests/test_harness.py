@@ -4,6 +4,7 @@ import enum
 import inspect
 import json
 import math
+import struct
 import typing
 import warnings
 from concurrent.futures import Future
@@ -13,6 +14,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cocomem import harness, optimistic
 from cocomem.cli import _parser
@@ -36,6 +39,7 @@ from cocomem.harness import (
 )
 from cocomem.metrics import regret_and_ccv
 from cocomem.penalty import PenaltyKind
+from helpers import FLOAT_TRAPS
 
 
 BASE = {
@@ -154,6 +158,38 @@ def test_summary_matches_external_average(tmp_path):
         assert got == pytest.approx(float(np.mean(per_seed[t])), rel=1e-12)
     assert summary["seeds_failed"] == []
     assert summary["rng"] == "pcg64"
+
+
+SUMMARY_KEYS = ("regret_static_per_round", "regret_perround_per_round", "ccv_per_round")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(cells=st.integers(1, 20).flatmap(lambda n: st.lists(
+    st.lists(st.one_of(st.sampled_from(FLOAT_TRAPS), st.floats()), min_size=n, max_size=n),
+    min_size=5 * len(SUMMARY_KEYS), max_size=5 * len(SUMMARY_KEYS))))
+def test_summary_takes_each_cells_mean_and_std_bit_for_bit(tmp_path_factory, cells):
+    """Over 1-20 seeds of any floats (nan and +-inf included), each summary
+    cell's mean and std have the bits of `np.mean` / `np.std` of that cell's
+    values alone, though the summary reduces every cell in one call."""
+    marks, seeds = ["12", "30", "60", "90", "120"], len(cells[0])
+    values = iter(cells)
+    per_cell = {(t, key): next(values) for t in marks for key in SUMMARY_KEYS}
+
+    def one_seed(cfg, seed, out_dir):
+        return {"seed": seed, "checkpoints": {
+            t: {key: per_cell[(t, key)][seed] for key in SUMMARY_KEYS} for t in marks}}
+
+    def bits(v):  # nan payloads and -0.0 compared too
+        return struct.pack("<d", v)
+
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+        mp.setattr(harness, "_run_one_seed", one_seed)
+        summary = run_experiment(_cfg(seeds=list(range(seeds))),
+                                 tmp_path_factory.mktemp("summary"))
+        want = {cell: (np.mean(v), np.std(v)) for cell, v in per_cell.items()}
+    for (t, key), (mean, std) in want.items():
+        got = summary["checkpoints"][t][key]
+        assert (bits(got["mean"]), bits(got["std"])) == (bits(mean), bits(std)), (t, key)
 
 
 def test_failed_seed_does_not_poison_aggregate(tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ writer it replaced (`reference_instance.to_json`) and its heap."""
 
 import hashlib
 import inspect
+import json
 import tracemalloc
 from pathlib import Path
 
@@ -140,6 +141,31 @@ def test_to_json_matches_the_list_writer(case, data):
         arrays.append(np.resize(np.array(drawn, dtype=dtype), shape))
     inst = family(**params, _arrays=arrays)
     assert inst.to_json() == reference_instance.to_json(inst)
+
+
+@pytest.mark.parametrize("shape", [(0, 1), (1, 1), (2, 1), (2, 1, 1), (3, 2, 1), (2, 0, 1),
+                                   (1,), (3,), (0,), (2, 3)], ids=str)
+def test_to_json_writes_trailing_length_1_axes_as_the_list_writer(shape):
+    """An array of two or more axes whose last has length 1 is written from
+    `a[..., 0]` with the inner brackets put back; empty arrays and 1-D ones
+    (a length-1 1-D array gains no brackets) take the plain path.  Each
+    array's text is `json.dumps(a.tolist())`, non-finite floats included."""
+    a = np.resize(np.array(FLOAT_TRAPS), shape)
+    inst = AppendixAInstance(m=0, horizon=1, _arrays=[a, -a])
+    doc = inst.to_json()
+    assert doc == reference_instance.to_json(inst)
+    assert doc.endswith(f', "c": {json.dumps(a.tolist())}, '
+                        f'"d_coef": {json.dumps((-a).tolist())}}}')
+
+
+def test_separable_instance_at_m0_d1_matches_the_list_writer():
+    """At m = 0 and d = 1 every separable array ends in a length-1 axis:
+    f_coef and g_coef are (T + 1, 1, 1), g_off and g_present (T + 1, 1)."""
+    inst = SeparableLinearInstance(m=0, horizon=60, dim=1, g_round_density=0.5, seed=3)
+    assert [getattr(inst, name).shape[-1] for name in inst._ARRAYS] == [1, 1, 1, 1]
+    doc = inst.to_json()
+    assert doc == reference_instance.to_json(inst)
+    assert SeparableLinearInstance.from_json(doc).to_json() == doc
 
 
 @pytest.mark.parametrize("family, params", [
