@@ -9,7 +9,6 @@ window.
 
 from __future__ import annotations
 
-import re
 from enum import Enum
 
 import numpy as np
@@ -150,40 +149,50 @@ def round_table(n_rounds: int, dim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Floats as text
 
-# orjson spells a finite float as `repr` does but for the exponent (e16,
-# e-7) and for [1e-5, 1e-4), in fixed point at a token's start (1820.00001
-# stays)
-_EXPONENT = re.compile(r"e(-?)(\d+)")
-_FIXED_E5 = re.compile(r"0\.0000([1-9])(\d*)")
+
+def _orjson_text(a: np.ndarray) -> tuple[str, list[int]]:
+    """orjson's JSON text of numeric array `a`, and the first-axis rows
+    holding a float that orjson spells otherwise than `repr`.  orjson
+    writes `repr`'s shortest round-trip digits (Ryu) at about a tenth of
+    its cost, in another notation only for a nonzero |v| < 1e-4 (0.00001,
+    1e-7), a |v| >= 1e16 (1e16) and a non-finite v (null)."""
+    # imported per call: its uuid and zoneinfo imports would slow `import cocomem`
+    import orjson
+
+    text = orjson.dumps(np.ascontiguousarray(a), option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    if a.dtype.kind != "f" or not a.size:
+        return text, []
+    b = np.abs(a)
+    odd = (b < 1e-4) & (b != 0.0) | ~(b < 1e16)  # ~: nan too
+    return text, list(dict.fromkeys((np.flatnonzero(odd) // (a.size // len(a))).tolist()))
+
+
+def _split_rows(a: np.ndarray, spell, text: str, respell: list[int]) -> list[str]:
+    k = a.ndim - 1
+    rows = text[k + 1 : len(text) - k - 1].split("]" * k + "," + "[" * k)
+    for i in respell:  # spell spaces a list as repr and json.dumps do
+        row = spell(a[i].tolist()).replace(", ", ",")
+        rows[i] = row[k : len(row) - k]
+    return rows
+
+
+def json_rows(a: np.ndarray, spell) -> list[str]:
+    """The text of each first-axis row of nonempty numeric array `a`, as
+    `array_json` writes it, split at the commas between rows: one number
+    per row of a 1-D array, "x,y" per row of an (n, 2) one, "[x],[y" per
+    row of an (n, 2, 1) one."""
+    return _split_rows(a, spell, *_orjson_text(a))
 
 
 def array_json(a: np.ndarray, spell) -> str:
     """The JSON text of numeric array `a`, nested as `a.tolist()` with no
     spaces: each finite float as `repr` writes it, each non-finite one as
-    `spell(value)` (`repr` writes nan, `json.dumps` NaN).  orjson writes
-    the digits at about a tenth of `repr`'s cost; only the tokens it
-    spells otherwise are rewritten."""
-    # imported per call: its uuid and zoneinfo imports would slow `import cocomem`
-    import orjson
-
-    text = orjson.dumps(np.ascontiguousarray(a), option=orjson.OPT_SERIALIZE_NUMPY).decode()
-    if a.dtype.kind != "f":
-        return text
-    if "e" in text:  # the pattern starts with a literal, which `re` finds fast
-        text = _EXPONENT.sub(lambda m: f"e{m[1] or '+'}{m[2]:0>2}", text)
-    # orjson writes [1e-5, 1e-4) in fixed point: only then look for the tokens
-    # that start with 0.0000, found by `str.find` (a regex search of the
-    # whole text takes about 1.7x as long) and patched one by one
-    b = np.abs(a)
-    parts, done, i = [], 0, text.find("0.0000") if ((b >= 1e-5) & (b < 1e-4)).any() else -1
-    while i >= 0:
-        if (i == 0 or text[i - 1] in "[,-") and (m := _FIXED_E5.match(text, i)):
-            parts += text[done:i], f"{m[1]}{m[2] and '.' + m[2]}e-05"
-            done = m.end()
-        i = text.find("0.0000", i + 6)
-    if parts:
-        text = "".join(parts) + text[done:]
-    if not np.isfinite(a).all():  # orjson writes every non-finite float as null
-        parts, bad = text.split("null"), a[~np.isfinite(a)].tolist()
-        text = parts[0] + "".join(spell(v) + p for v, p in zip(bad, parts[1:]))
+    `spell` writes it (`repr` writes nan, `json.dumps` NaN).  orjson writes
+    the text; only the first-axis rows holding a value it spells otherwise
+    are written again, as `spell(row.tolist())`."""
+    text, respell = _orjson_text(a)
+    if respell:
+        k = a.ndim - 1
+        rows = _split_rows(a, spell, text, respell)
+        text = "[" * (k + 1) + ("]" * k + "," + "[" * k).join(rows) + "]" * (k + 1)
     return text

@@ -6,7 +6,8 @@ radial scaling (d >= 2), and the regularized leader
 argmin_x <g, x> + mu * 0.5 ||x - c||^2  is a projected affine map of g.
 At d = 1 every function takes the interval's own expressions (np.clip,
 lower bound first, and the sign rule), which round differently from the
-radial ones.
+radial ones; `ftrl_argmin` takes them in Python floats for a float g, in
+its own frame, so a wrapper set on it sees each step of the float learner.
 """
 
 from __future__ import annotations
@@ -65,13 +66,25 @@ def ftrl_argmin(fset: Ball, g, mu: float):
 
     For mu > 0 the unconstrained optimum center - g/mu is projected onto
     the set (valid because r is centered at the set's center).  mu = 0
-    degenerates to pure linear minimization.  At d = 1 a float g
-    takes the same steps in Python floats, with numpy's bits and errors,
-    and returns a float; a list, tuple or array g takes the numpy path and
-    returns a (d,) array.
+    degenerates to pure linear minimization.  At d = 1 a float g takes
+    the same steps in Python floats, with numpy's bits and errors (the
+    sign rule of `minimize_linear`, the clamp of `project`: np.clip, lower
+    bound first), and returns a float; a list, tuple or array g takes the
+    numpy path and returns a (d,) array.
     """
     if isinstance(g, float) and fset.dim == 1:
-        return _ftrl_argmin_1d(fset, g, mu)
+        if not math.isfinite(g):
+            raise ValueError("linear term has non-finite entries")
+        if mu < 0:
+            raise ValueError("mu must be >= 0")
+        lo, hi, center = fset.interval
+        if mu == 0.0:
+            return lo if g > 0 else hi if g < 0 else center
+        x = center - g / mu
+        if not math.isfinite(x):
+            raise ValueError("decision has non-finite entries")
+        x = x if x > lo else lo
+        return x if x < hi else hi
     g = np.asarray(g, dtype=float)
     if g.shape != (fset.dim,):
         raise ValueError(f"linear term has shape {g.shape}, expected ({fset.dim},)")
@@ -82,21 +95,3 @@ def ftrl_argmin(fset: Ball, g, mu: float):
     if mu == 0.0:
         return minimize_linear(fset, g)
     return project(fset, fset.center - g / mu)
-
-
-def _ftrl_argmin_1d(fset: Ball, g: float, mu: float) -> float:
-    """`ftrl_argmin` on the interval in floats: the sign rule of
-    `minimize_linear` at mu = 0, else the clamp of `project` (np.clip:
-    lower bound first) applied to center - g/mu."""
-    if not math.isfinite(g):
-        raise ValueError("linear term has non-finite entries")
-    if mu < 0:
-        raise ValueError("mu must be >= 0")
-    lo, hi, center = fset.interval
-    if mu == 0.0:
-        return lo if g > 0 else hi if g < 0 else center
-    x = center - g / mu
-    if not math.isfinite(x):
-        raise ValueError("decision has non-finite entries")
-    x = x if x > lo else lo
-    return x if x < hi else hi

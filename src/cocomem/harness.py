@@ -17,7 +17,7 @@ from typing import Literal
 
 import numpy as np
 
-from .core import Variant, array_json
+from .core import Variant, array_json, json_rows
 from .environments import (
     RNG_NAME,
     AppendixAInstance,
@@ -209,7 +209,7 @@ def run_single(cfg: ExperimentConfig, seed: int) -> RunTrace:
 
 def emit_csv(trace: RunTrace, series: MetricSeries, path: str | Path) -> None:
     """One row per round under the fixed header; floats as `repr` writes
-    them (`core.array_json`), coordinates semicolon-joined.  `V_t` and
+    them (`core.json_rows`), coordinates semicolon-joined.  `V_t` and
     `ccv_cum` are the same column, the trace's cumulative violation.  Rows
     go out in blocks of `CSV_BLOCK_ROWS`, so the text held does not grow
     with the horizon; the file is complete and closed on return."""
@@ -222,12 +222,10 @@ def emit_csv(trace: RunTrace, series: MetricSeries, path: str | Path) -> None:
         fh.write(CSV_HEADER + "\n")
         for lo in range(0, len(trace.records), CSV_BLOCK_ROWS):
             rows = slice(lo, lo + CSV_BLOCK_ROWS)
-            # "[[a,b],[c,d]]" holds one CSV row per inner list
-            fields = [array_json(trace.col("t")[rows], repr)[1:-1].split(",")]
-            if x.shape[1] > 1:
+            fields = [json_rows(trace.col("t")[rows], repr)]
+            if x.shape[1] > 1:  # "[[a,b],[c,d]]" holds one CSV row per inner list
                 fields.append(array_json(x[rows], repr)[2:-2].replace(",", ";").split("];["))
-            fields.append(array_json(np.column_stack([c[rows] for c in cols]), repr)[2:-2]
-                          .split("],["))
+            fields.append(json_rows(np.column_stack([c[rows] for c in cols]), repr))
             # the fields of every row interleaved with their separators, one join
             k = 2 * len(fields)
             parts = [","] * (k * len(fields[0]))

@@ -113,22 +113,20 @@ def _half_space_intervals(instance, kind: str, rounds) -> tuple[np.ndarray, np.n
         raise ValueError("closed-form interval needs dim = 1")
     A, b = instance.halfspaces(rounds, kind)
     a = A[:, 0]
-    lo = np.full(len(a), float(instance.fset.lo[0]))
-    hi = np.full(len(a), float(instance.fset.hi[0]))
-    pos, neg = a > 0, a < 0
-    hi[pos] = np.minimum(hi[pos], -b[pos] / a[pos])
-    lo[neg] = np.maximum(lo[neg], -b[neg] / a[neg])
-    return lo, hi
+    lo, hi, _ = instance.fset.interval
+    cut = -b / np.where(a == 0.0, 1.0, a)  # a = 0 cuts nothing: its rows keep the extent
+    return np.where(a < 0, np.maximum(lo, cut), lo), np.where(a > 0, np.minimum(hi, cut), hi)
 
 
-def feasible_interval(instance, kind: str, upto: int | None = None):
-    """Exact 1-D feasible interval [lo, hi] for the requested benchmark set
-    (`lift` for the memory-less feasibility, `slicewise` for per-slice
-    feasibility); None when empty."""
-    lo, hi = _half_space_intervals(instance, kind, _active_rounds(instance, upto))
+def _interval_best(instance, lo: np.ndarray, hi: np.ndarray, rounds: range) -> Benchmark:
+    """The 1-D benchmark: the minimizer of the summed f-lift on the set's
+    extent cut by every interval [lo_k, hi_k], empty when they miss."""
     lo = float(np.max(lo, initial=instance.fset.lo[0]))
     hi = float(np.min(hi, initial=instance.fset.hi[0]))
-    return (lo, hi) if lo <= hi else None
+    if not lo <= hi:
+        return Benchmark(None, math.nan)
+    x, total = instance.lift_argmin_1d(lo, hi, rounds)
+    return Benchmark(np.array([x]), total)
 
 
 GRID_STEPS_PER_DIAMETER = 500  # 2-D comparator grid step: the set's diameter / 500
@@ -145,11 +143,8 @@ def best_in_hindsight(instance, kind: str = "lift", upto: int | None = None) -> 
     if instance.dim != 1:
         step = instance.fset.diameter / GRID_STEPS_PER_DIAMETER
         return _grid_best(instance, kind, step, upto)
-    iv = feasible_interval(instance, kind, upto)
-    if iv is None:
-        return Benchmark(None, math.nan)
-    x, total = instance.lift_argmin_1d(*iv, _active_rounds(instance, upto))
-    return Benchmark(np.array([x]), total)
+    rounds = _active_rounds(instance, upto)
+    return _interval_best(instance, *_half_space_intervals(instance, kind, rounds), rounds)
 
 
 _GRID_POINT_CAP = 4_000_000
@@ -210,14 +205,6 @@ def _chunks(n: int, size: int = 1024):
         yield slice(lo, min(lo + size, n))
 
 
-def per_round_min_series(instance, upto: int | None = None) -> np.ndarray:
-    """Per-round constrained minimum  min {f-lift(x) : g-lift(x) <= 0, x in X}:
-    the per-round comparator used by the experiment's regret curves (dim 1)."""
-    rounds = _active_rounds(instance, upto)
-    lo, hi = _half_space_intervals(instance, "lift", rounds)
-    return instance.lift_min_per_round(lo, hi, rounds)
-
-
 def lift_loss_at(instance, x: np.ndarray, upto: int | None = None) -> np.ndarray:
     """f-lift values f_t(x,...,x) per round at a fixed point."""
     return instance.lift_values(x[None, :], _active_rounds(instance, upto))[0]
@@ -235,15 +222,25 @@ class MetricSeries:
 
 
 def regret_and_ccv(trace: RunTrace) -> MetricSeries:
-    """All cumulative series against a fixed best-in-hindsight point.
+    """All cumulative series against a fixed best-in-hindsight point and,
+    in 1-D, against the per-round comparator: each round's lifted loss
+    minimized on its own lifted-feasible interval.  Both comparators read
+    one solve of the per-round intervals.
 
     When the benchmark set is empty the static regret is NaN; the run
     stays valid for violation accounting.  The per-round comparator is a
     1-D experiment metric and reads NaN in higher dimension.
     """
     inst = trace.instance
-    benchmark = best_in_hindsight(inst)
     f_mem = np.cumsum(trace.col("f_mem"))
+    if inst.dim == 1:
+        rounds = inst.rounds
+        lo, hi = _half_space_intervals(inst, "lift", rounds)
+        benchmark = _interval_best(inst, lo, hi, rounds)
+        per_round = f_mem - np.cumsum(inst.lift_min_per_round(lo, hi, rounds))
+    else:
+        benchmark = best_in_hindsight(inst)
+        per_round = np.full_like(f_mem, math.nan)
     if benchmark.x_star is not None:
         bench = np.cumsum(lift_loss_at(inst, benchmark.x_star))
         if len(bench) != len(f_mem):
@@ -251,10 +248,6 @@ def regret_and_ccv(trace: RunTrace) -> MetricSeries:
         static = f_mem - bench
     else:
         static = np.full_like(f_mem, math.nan)
-    if inst.dim == 1:
-        per_round = f_mem - np.cumsum(per_round_min_series(inst))
-    else:
-        per_round = np.full_like(f_mem, math.nan)
     return MetricSeries(
         regret_static_cum=static,
         regret_perround_cum=per_round,

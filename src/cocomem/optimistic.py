@@ -28,6 +28,10 @@ through flat views of the instance arrays (memoryviews of floats at
 d = 1), updates V and Phi', the open and forward gradients, the hint and
 its errors and mu, and takes one FTRL step through this module's
 `ftrl_argmin`, writing those values into its trace table's columns.
+Phi' (`penalty.phi_prime`'s formula), the Huber weight of a settled hint
+error and the lagged window sum are written inline, so at d = 1 a round
+with no constraint forecast to toggle calls Python only for its forecasts
+and its FTRL step.
 V_r lives only in the `ccv_cum` column, where the audit reads it, and
 Phi'(V_r) is taken once per epoch.  A forward gradient settles m rounds
 after its decision, so the learner keeps only the last O(m) rounds of
@@ -49,26 +53,19 @@ import numpy as np
 from .core import Variant, round_table
 from .geometry import dub_alpha, ftrl_argmin, regret_coefficient
 from .metrics import RunTrace
-from .penalty import PenaltyKind, check_lambda, lambda_optimistic, phi_prime
+from .penalty import EXP_CAP, PenaltyKind, check_lambda, lambda_optimistic, phi_prime
 
 MAX_PATTERN_SLICES = 12
 _EXP = PenaltyKind.EXPONENTIAL
-
-
-def huber(x: float, y: float) -> float:
-    """0.5 x^2 - 0.5 (|x| - |y|)_+^2, the robust square that the DUB
-    weights apply to hint errors."""
-    hinge = max(abs(x) - abs(y), 0.0)
-    return 0.5 * x * x - 0.5 * hinge * hinge
 
 
 def _reductions(dim: int):
     """(dot, sumsq) of the learner's vector type, a float at d = 1 and a
     (d,) float array at d >= 2, with the bits of numpy's `a @ b` and
     `np.sum(a ** 2)`; numpy itself at d >= 2, where a BLAS dot may round
-    as fma(a1, b1, a0 * b0)."""
+    as fma(a1, b1, a0 * b0).  At d = 1 sumsq is None: sumsq(a) is dot(a, a)."""
     if dim == 1:
-        return operator.mul, (lambda a: a * a)
+        return operator.mul, None
     return (lambda a, b: float(np.dot(a, b))), (lambda a: float(np.sum(a ** 2)))
 
 
@@ -173,7 +170,7 @@ class OdafLearner:
         xs, seen, opened, fwd = self.x_hist, self._seen, self._open, self._forward
         pending, a_win, weights, weight = self._pending, self._a, self._weights, self._weights.get
         forecasts, resolve = self.predictor.forecasts, self._resolve_pending_activity
-        argmin, weigh, sqrt = ftrl_argmin, phi_prime, math.sqrt  # wrappers set on the module apply
+        argmin, sqrt, exp = ftrl_argmin, math.sqrt, math.exp  # a wrapper set on the module applies
         rev_sum, cum_sq, max_awin = self._rev_sum, self._cum_sq, self._max_awin
         # forecast index of pair (s + i, i) of pending decision s = t + 1 - u,
         # and of pair (t + 1 + i, i) of the decision being committed
@@ -206,7 +203,7 @@ class OdafLearner:
                 g_val = g_sum if coco_m2 else g_now
                 v = v + (0.0 if g_val < 0.0 else g_val)  # max(g_val, 0.0), -0.0 and nan kept
                 ccv_col[k] = v  # the next decision's weights read V_t
-                weights[t] = weigh(_EXP, lam, v)
+                weights[t] = lam * exp(min(lam * v, EXP_CAP))  # phi_prime(_EXP, lam, v)
                 weights.pop(t - delay - 1, None)  # no later round reads it
                 # settle grad Z_s and the weights of hint h_s
                 s = t - m
@@ -225,18 +222,23 @@ class OdafLearner:
                         if j in fwd:
                             win = win + fwd[j]
                     diff = hint - win
-                    err = sqrt(dot(diff, diff))
+                    sq = dot(diff, diff)
+                    err = sqrt(sq)
                     a = diam * (norm if norm < err else err)  # min(err, norm)
                     a_win[s] = a
-                    a_win.pop(s - m1, None)
-                    cum_sq += a * a + 2.0 * alpha * huber(err, norm)
+                    a_win.pop(s - m, None)  # the m weights of the lagged window
+                    # the Huber weight 0.5 err^2 - 0.5 max(err - norm, 0)^2, err, norm >= 0
+                    hinge = err - norm
+                    hinge = 0.0 if hinge < 0.0 else hinge
+                    cum_sq += a * a + 2.0 * alpha * (0.5 * err * err - 0.5 * hinge * hinge)
                     # each forecast's error against the revealed slice
                     df = dg = zero
                     for q, i, f_pred, g_pred in preds:
                         df = df + (f_pred - f[q * m1 + i])
                         act = seen[q][i]
                         dg = dg + (g_pred - (zero if act is None else act))
-                    eps_z, eps_f, eps_g = sumsq(diff), dot(df, df), dot(dg, dg)
+                    eps_z = sq if sumsq is None else sumsq(diff)
+                    eps_f, eps_g = dot(df, df), dot(dg, dg)
             # end of round t: assemble h_{t+1} and commit x_{t+1}; round r's
             # constraint slices weigh Phi'(V_{r-d}), and prehistory and rounds
             # not yet played read V = 0, whose weight is lambda itself
@@ -290,7 +292,7 @@ class OdafLearner:
             # fold the newest window sum into the lagged max AFTER mu used it
             s = t - m
             if s in a_win:
-                awin = sum(map(a_win.get, range(s - m + 1, s + 1), itertools.repeat(0.0)))
+                awin = sum(a_win.values())
                 max_awin = awin if awin > max_awin else max_awin
             if observe:
                 x_col[k] = x_now

@@ -1,7 +1,9 @@
 """Helpers that several test modules share."""
 
+import collections
 import math
 import struct
+import sys
 
 import numpy as np
 
@@ -90,3 +92,22 @@ def doubling_epoch_bound(trace: RunTrace) -> float:
     coeff = regret_coefficient(inst.fset, inst.m)
     error = sum(trace.col("eps_g").tolist())
     return 2 + math.log2(coeff * math.sqrt(error) / trace.extras["mu1"])
+
+
+def python_calls(fn, *args) -> collections.Counter:
+    """The Python function calls (profile `call` events) made while
+    running fn(*args), by qualified name; calls of C functions are not
+    counted."""
+    calls = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code.co_qualname] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(previous)
+    return calls

@@ -22,8 +22,16 @@ import numpy as np
 from cocomem.core import Variant, round_table
 from cocomem.geometry import ftrl_argmin, regret_coefficient
 from cocomem.metrics import RunTrace
-from cocomem.optimistic import MAX_PATTERN_SLICES, doubling_mu1, huber
+from cocomem.optimistic import MAX_PATTERN_SLICES, doubling_mu1
 from cocomem.penalty import Penalty, PenaltyKind, lambda_optimistic
+
+
+def huber(x: float, y: float) -> float:
+    """0.5 x^2 - 0.5 (|x| - |y|)_+^2, the robust square that the DUB
+    weights apply to hint errors (the package's learner writes it inline)."""
+    hinge = max(abs(x) - abs(y), 0.0)
+    return 0.5 * x * x - 0.5 * hinge * hinge
+
 
 class OdafLearner:
     """One optimistic run (or one epoch of the doubling wrapper).

@@ -31,11 +31,10 @@ from cocomem.core import Ball
 from cocomem.geometry import ftrl_argmin, project
 from cocomem.harness import ExperimentConfig, run_experiment
 from cocomem.metrics import lift_loss_at
-from cocomem.optimistic import huber
 from cocomem.penalty import lambda_exponential_short_memory, short_memory_condition
 from cocomem.penalty_ogd import surrogate_gradient
 from helpers import doubling_epoch_bound, error_sums, prefix_static_regret, sqrt_t
-from reference_odaf import DoublingSchedule
+from reference_odaf import DoublingSchedule, huber
 
 SEEDS = list(range(10))
 

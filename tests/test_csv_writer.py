@@ -4,6 +4,7 @@ shares with the instance JSON, against `repr`; the writer's heap at a
 long horizon; and the modules the CLI loads."""
 
 import json
+import math
 import os
 import re
 import struct
@@ -14,12 +15,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import orjson
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_csv
-from cocomem import core
-from cocomem.core import array_json, round_table
+from cocomem.core import array_json, json_rows, round_table
 from cocomem.harness import CSV_BLOCK_ROWS, emit_csv
 from cocomem.metrics import MetricSeries, RunTrace
 from helpers import FLOAT_TRAPS
@@ -82,43 +83,63 @@ def _many_tokens(seed: int) -> list:
     return values.tolist()
 
 
-@pytest.mark.parametrize("shape", [(-1,), (-1, 1), (-1, 3, 1)], ids=str)
+# every edge of the notation orjson and `repr` share: [1e-4, 1e16), and 0
+THRESHOLDS = [0.0, 5e-324, float(np.nextafter(1e-5, 0.0)), 1e-5, float(np.nextafter(1e-4, 0.0)),
+              1e-4, float(np.nextafter(1e16, 0.0)), 1e16, math.inf, math.nan]
+
+
+def _threshold_examples(test):
+    """Each threshold and its negative, beside 2.5, as one example."""
+    for v in THRESHOLDS:
+        test = example(values=[v, -v, 2.5])(test)
+    return test
+
+
+@pytest.mark.parametrize("shape", [(-1,), (-1, 1), (-1, 3), (-1, 3, 1)], ids=str)
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(values=st.lists(st.one_of(value, bit_pattern), max_size=60)
        | st.integers(0, 2**32 - 1).map(_many_tokens))
+@_threshold_examples
 def test_array_json_spells_every_float_as_repr(shape, values):
     """Over raw bit patterns and drawn floats, each token of
     `array_json(a, repr)` is `repr` of its float, non-finite ones
     included, and with `json.dumps` as the speller the text is
-    `json.dumps` of `a.tolist()`, nesting and all.  Long arrays with many
-    tokens to rewrite far apart cover the per-token patches.  An orjson
-    that spells a number another way fails here."""
+    `json.dumps` of `a.tolist()`, nesting and all; `json_rows` writes
+    the same text row by row.  Long arrays with many tokens to rewrite
+    far apart cover the rows written again.  An orjson that spells a
+    number another way fails here."""
     a = np.array(values[: len(values) // 3 * 3], dtype=float).reshape(shape)
     assert re.findall(r"[^\[\],]+", array_json(a, repr)) == list(map(repr, a.ravel().tolist()))
     assert array_json(a, json.dumps) == json.dumps(a.tolist(), separators=(",", ":"))
+    if a.size:
+        k = a.ndim - 1
+        rows = [json.dumps(row, separators=(",", ":")) for row in a.tolist()]
+        assert json_rows(a, json.dumps) == [row[k : len(row) - k] for row in rows]
 
 
-@pytest.mark.parametrize("v, patched", [(1e-5, True), (np.nextafter(1e-4, 0.0), True),
-                                        (-1e-5, True), (1e-4, False),
-                                        (np.nextafter(1e-5, 0.0), False)])
-def test_array_json_patches_exactly_the_fixed_point_band(v, patched):
-    """orjson writes [1e-5, 1e-4) in fixed point, where `repr` does not:
-    those tokens, of either sign, are rewritten, one match each, and 1e-4
-    and the value below 1e-5 (orjson writes the one as `repr` does and the
-    other with an exponent) are matched by no band pattern."""
-    matches, pattern = [], core._FIXED_E5
+@pytest.mark.parametrize("shape", [(-1,), (-1, 2)], ids=str)
+@pytest.mark.parametrize("v, respelled", [
+    (0.0, False), (5e-324, True), (THRESHOLDS[2], True), (1e-5, True), (THRESHOLDS[4], True),
+    (1e-4, False), (THRESHOLDS[6], False), (1e16, True), (math.inf, True), (math.nan, True)])
+def test_only_rows_orjson_spells_otherwise_reach_the_speller(shape, v, respelled):
+    """A row reaches the speller exactly when it holds a nonzero |v| <
+    1e-4, a |v| >= 1e16 or a non-finite value, of either sign; orjson
+    writes every other float as `repr` does (5e-324 it writes as `repr`
+    does too, and the value rule passes it to the speller anyway)."""
+    for x in (v, -v):
+        a = np.array([1.5, 1820.00001, x, 0.1, -2.0, 3.0]).reshape(shape)
+        calls = []
 
-    class Spy:
-        def match(self, text, pos):
-            matches.append(pos)
-            return pattern.match(text, pos)
+        def spy(row):
+            calls.append(row)
+            return repr(row)
 
-    a = np.array([float(v), 1820.00001, 2.5])
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core, "_FIXED_E5", Spy())
-        text = array_json(a, repr)
-    assert text == f"[{float(v)!r},1820.00001,2.5]"
-    assert len(matches) == patched
+        assert array_json(a, spy) == json.dumps(a.tolist(), separators=(",", ":")).replace(
+            "NaN", "nan").replace("Infinity", "inf")
+        held = a[1] if a.ndim > 1 else a[2]  # the row holding x
+        assert repr(calls) == repr([held.tolist()] * respelled)
+        if not respelled:
+            assert orjson.dumps(x).decode() == repr(x)
 
 
 def test_csv_heap_does_not_grow_with_the_horizon(tmp_path):

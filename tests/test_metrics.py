@@ -35,15 +35,14 @@ from cocomem.metrics import (
     check_memory_identity,
     check_mu_monotone,
     check_odaftrl_regret,
-    feasible_interval,
     grid_points,
     lift_loss_at,
-    per_round_min_series,
     regret_rhs_exponential,
     regret_rhs_quadratic,
     surrogate_sum_memory,
     surrogate_sum_splat,
     _grid_best,
+    _half_space_intervals,
 )
 from helpers import constant_window, prefix_static_regret, sqrt_t
 
@@ -89,10 +88,29 @@ def test_best_in_hindsight_single_round():
 
 def test_per_round_comparator_series():
     inst = _two_round_instance([1.0, 3.0], [1.0, 1.0])
-    mins = per_round_min_series(inst)
+    tr = _toy_trace(inst, [1.0, 1.0])
+    s = regret_and_ccv(tr)
+    mins = np.diff(np.cumsum(tr.col("f_mem")) - s.regret_perround_cum, prepend=0.0)
     # round 0: min at x = c = 1 (feasible): 0; round 1: clamp(3, hi=1): 2
     assert mins[0] == pytest.approx(0.0)
     assert mins[1] == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("family", [AppendixAInstance, SeparableLinearInstance])
+def test_regret_and_ccv_solves_the_half_spaces_once(monkeypatch, family):
+    """At d = 1 the best fixed point and the per-round comparator read one
+    solve of the lifted half-spaces of a trace (each solved its own)."""
+    inst = family(m=1, horizon=60, seed=0)
+    tr = run_penalty_ogd(inst, Variant.COCO_M2)
+    calls, solve = [], inst.halfspaces
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(inst, "halfspaces", counting)
+    regret_and_ccv(tr)
+    assert calls == [(inst.rounds, "lift")]
 
 
 def _toy_trace(inst, xs):
@@ -410,8 +428,10 @@ def test_grid_resolution_consistency():
 
 def test_slicewise_benchmark_tighter_than_lift():
     inst = SeparableLinearInstance(m=2, horizon=200, seed=1)
-    lo_mp, hi_mp = feasible_interval(inst, "slicewise")
-    lo_l, hi_l = feasible_interval(inst, "lift")
+    (lo_mp, hi_mp), (lo_l, hi_l) = (
+        (np.max(lo, initial=inst.fset.lo[0]), np.min(hi, initial=inst.fset.hi[0]))
+        for lo, hi in (_half_space_intervals(inst, kind, inst.rounds)
+                       for kind in ("slicewise", "lift")))
     assert lo_l <= lo_mp <= hi_mp <= hi_l
     b = best_in_hindsight(inst, "slicewise")
     assert lo_mp - 1e-12 <= b.x_star[0] <= hi_mp + 1e-12

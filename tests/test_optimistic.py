@@ -27,10 +27,11 @@ from cocomem.geometry import ftrl_argmin, minimize_linear, project, regret_coeff
 from cocomem.harness import ExperimentConfig, load_config, run_single
 from cocomem.metrics import ForwardFunctions
 from cocomem import optimistic, pcg
-from cocomem.optimistic import OdafLearner, doubling_mu1, huber
+from cocomem.optimistic import OdafLearner, doubling_mu1
 from cocomem.penalty import Penalty, lambda_optimistic, phi_prime
-from helpers import assert_v_at_reads_the_table, doubling_epoch_bound, error_sums, pinned_layout
-from reference_odaf import DoublingSchedule
+from helpers import (assert_v_at_reads_the_table, doubling_epoch_bound, error_sums, pinned_layout,
+                     python_calls)
+from reference_odaf import DoublingSchedule, huber
 
 
 def _rows(inst, r, i):
@@ -73,6 +74,24 @@ def _forward_gradient(inst, tr, X, pen, s):
         if float(g @ X[s]) + off > 0:
             z += pen.prime(tr.v_at(s + i - inst.m - 1)) * g
     return z
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_1d_round_calls_only_its_forecasts_and_its_ftrl_step(variant):
+    """At d = 1 a round with no constraint forecast to toggle writes
+    Phi', the Huber weight, the sums of squares and the lagged window sum
+    inline: 200 more rounds make 200 more calls each of
+    `Predictor.forecasts` and `ftrl_argmin`, one frame per decision, and
+    no other Python call (the forecasts of both runs come from one held
+    block)."""
+    calls = []
+    for horizon in (40, 240):
+        inst = SeparableLinearInstance(m=2, horizon=horizon, seed=1,
+                                       constraint_memory=variant is Variant.COCO_M2)
+        calls.append(python_calls(run_optimistic, inst, variant, ZeroPredictor()))
+    calls[1].subtract(calls[0])
+    assert +calls[1] == {"Predictor.forecasts": 200, "ftrl_argmin": 200}
+    assert -calls[1] == {}
 
 
 def test_huber_examples():
@@ -677,7 +696,8 @@ def test_each_penalty_weight_is_computed_once_per_epoch(monkeypatch, runner):
     toggle and pending slice, about 39 calls per round on a noisy run at
     m = 10); prehistory and rounds not yet played weigh lambda itself.  A
     doubling restart weighs again the d rounds before it, d the dual
-    delay, under the new lambda."""
+    delay, under the new lambda, through `phi_prime`; the round loop
+    writes the formula inline, so only a restart calls it."""
     calls = []
 
     def counting(*args):
@@ -688,12 +708,9 @@ def test_each_penalty_weight_is_computed_once_per_epoch(monkeypatch, runner):
     inst = SeparableLinearInstance(m=10, horizon=300, seed=0, g_round_density=0.4,
                                    g_mag=(0.05, 0.2))
     tr = runner(inst, Variant.COCO_M2, NoisyPredictor(0.3))
-    rounds, epochs = len(tr.records), tr.extras["epochs"]
-    assert len(calls) <= rounds + (epochs - 1) * tr.variant.dual_delay(inst.m)
-    if runner is run_optimistic:
-        assert len(calls) <= 2 * rounds
-    else:
-        assert epochs > 1
+    epochs = tr.extras["epochs"]
+    assert len(calls) <= (epochs - 1) * tr.variant.dual_delay(inst.m)
+    assert epochs > 1 if runner is run_doubling else len(calls) == 0
 
 
 def _enumerated_activity(fset, lin0, mu, toggles, x_last):

@@ -1,6 +1,5 @@
 import hashlib
 import math
-import sys
 import tracemalloc
 from pathlib import Path
 
@@ -23,7 +22,7 @@ from cocomem.metrics import theorem_bound_report
 from cocomem.penalty import lambda_quadratic, lambda_theorem, saturated
 from cocomem.penalty_ogd import PenaltyOgdLearner, adaptive_step, surrogate_gradient
 
-from helpers import pinned_layout, sqrt_t
+from helpers import pinned_layout, python_calls, sqrt_t
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -302,24 +301,6 @@ def test_runner_matches_the_row_tuple_loop_when_the_exponent_cap_binds(dim):
     assert got.tobytes() == want.tobytes()
 
 
-def _python_calls(fn, *args) -> int:
-    """The number of Python function calls (profile `call` events) made
-    while running fn(*args); calls of C functions are not counted."""
-    calls = 0
-
-    def profile(frame, event, arg):
-        nonlocal calls
-        calls += event == "call"
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        fn(*args)
-    finally:
-        sys.setprofile(previous)
-    return calls
-
-
 @pytest.mark.parametrize("family", ["appendix_a", "separable_linear"])
 @pytest.mark.parametrize("kind", list(PenaltyKind))
 @pytest.mark.parametrize("mode", ["fixed", "sqrt_t"])
@@ -334,7 +315,7 @@ def test_1d_loop_makes_no_python_call_per_round(family, kind, mode):
         else:
             inst = SeparableLinearInstance(m=2, horizon=horizon, seed=1)
         lam = sqrt_t(inst) if mode == "sqrt_t" else 0.1
-        counts.append(_python_calls(run_penalty_ogd, inst, Variant.COCO_M2, kind, lam))
+        counts.append(sum(python_calls(run_penalty_ogd, inst, Variant.COCO_M2, kind, lam).values()))
     assert counts[0] == counts[1]
 
 
