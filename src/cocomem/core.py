@@ -164,6 +164,7 @@ def _orjson_text(a: np.ndarray) -> tuple[str, list[int]]:
         return text, []
     b = np.abs(a)
     odd = (b < 1e-4) & (b != 0.0) | ~(b < 1e16)  # ~: nan too
+    # the rows of the odd values, each once and in order
     return text, list(dict.fromkeys((np.flatnonzero(odd) // (a.size // len(a))).tolist()))
 
 

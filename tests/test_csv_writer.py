@@ -84,8 +84,8 @@ def _many_tokens(seed: int) -> list:
 
 
 # every edge of the notation orjson and `repr` share: [1e-4, 1e16), and 0
-THRESHOLDS = [0.0, 5e-324, float(np.nextafter(1e-5, 0.0)), 1e-5, float(np.nextafter(1e-4, 0.0)),
-              1e-4, float(np.nextafter(1e16, 0.0)), 1e16, math.inf, math.nan]
+BELOW_1E5, BELOW_1E4, BELOW_1E16 = (float(np.nextafter(v, 0.0)) for v in (1e-5, 1e-4, 1e16))
+THRESHOLDS = [0.0, 5e-324, BELOW_1E5, 1e-5, BELOW_1E4, 1e-4, BELOW_1E16, 1e16, math.inf, math.nan]
 
 
 def _threshold_examples(test):
@@ -119,8 +119,8 @@ def test_array_json_spells_every_float_as_repr(shape, values):
 
 @pytest.mark.parametrize("shape", [(-1,), (-1, 2)], ids=str)
 @pytest.mark.parametrize("v, respelled", [
-    (0.0, False), (5e-324, True), (THRESHOLDS[2], True), (1e-5, True), (THRESHOLDS[4], True),
-    (1e-4, False), (THRESHOLDS[6], False), (1e16, True), (math.inf, True), (math.nan, True)])
+    (0.0, False), (5e-324, True), (BELOW_1E5, True), (1e-5, True), (BELOW_1E4, True),
+    (1e-4, False), (BELOW_1E16, False), (1e16, True), (math.inf, True), (math.nan, True)])
 def test_only_rows_orjson_spells_otherwise_reach_the_speller(shape, v, respelled):
     """A row reaches the speller exactly when it holds a nonzero |v| <
     1e-4, a |v| >= 1e16 or a non-finite value, of either sign; orjson

@@ -428,10 +428,12 @@ def test_grid_resolution_consistency():
 
 def test_slicewise_benchmark_tighter_than_lift():
     inst = SeparableLinearInstance(m=2, horizon=200, seed=1)
-    (lo_mp, hi_mp), (lo_l, hi_l) = (
-        (np.max(lo, initial=inst.fset.lo[0]), np.min(hi, initial=inst.fset.hi[0]))
-        for lo, hi in (_half_space_intervals(inst, kind, inst.rounds)
-                       for kind in ("slicewise", "lift")))
+
+    def feasible(kind):
+        lo, hi = _half_space_intervals(inst, kind, inst.rounds)
+        return np.max(lo, initial=inst.fset.lo[0]), np.min(hi, initial=inst.fset.hi[0])
+
+    (lo_mp, hi_mp), (lo_l, hi_l) = feasible("slicewise"), feasible("lift")
     assert lo_l <= lo_mp <= hi_mp <= hi_l
     b = best_in_hindsight(inst, "slicewise")
     assert lo_mp - 1e-12 <= b.x_star[0] <= hi_mp + 1e-12
