@@ -14,8 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
+from .core import strict_json
 from .harness import (
     ConfigError,
     bounds_reports,
@@ -69,7 +70,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.parallel < 1:
                 raise ConfigError(f"--parallel must be at least 1, got {args.parallel}")
             summary = run_experiment(cfg, args.out, parallel=args.parallel)
-            print(json.dumps(summary, indent=2, sort_keys=True))
+            print(strict_json(summary, indent=2))
             return EXIT_RUNTIME if summary["seeds_failed"] else EXIT_OK
         ok = True
         for seed in cfg.seeds:  # a seed's lines print before a later seed can fail
@@ -78,7 +79,7 @@ def main(argv: list[str] | None = None) -> int:
                 seed_ok, lines = verify_experiment(one)
                 ok = ok and seed_ok
             else:
-                lines = [f"seed {seed}: {report.to_json()}" for _, report in bounds_reports(one)]
+                lines = [f"seed {seed}: {strict_json(asdict(r))}" for _, r in bounds_reports(one)]
             print("\n".join(lines))
         return EXIT_OK if ok else EXIT_VERIFY
     except ConfigError as exc:

@@ -9,6 +9,7 @@ window.
 
 from __future__ import annotations
 
+import json
 from enum import Enum
 
 import numpy as np
@@ -197,3 +198,13 @@ def array_json(a: np.ndarray, spell) -> str:
         rows = _split_rows(a, spell, text, respell)
         text = "[" * (k + 1) + ("]" * k + "," + "[" * k).join(rows) + "]" * (k + 1)
     return text
+
+
+def strict_json(doc, **kwargs) -> str:
+    """`json.dumps(doc, sort_keys=True, **kwargs)` in strict JSON: a non-finite
+    float at any depth reads null."""
+    try:
+        return json.dumps(doc, sort_keys=True, allow_nan=False, **kwargs)
+    except ValueError:  # a first pass's NaN or Infinity token parses back as None
+        doc = json.loads(json.dumps(doc, sort_keys=True), parse_constant=lambda _: None)
+        return json.dumps(doc, allow_nan=False, **kwargs)

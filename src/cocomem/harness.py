@@ -17,7 +17,7 @@ from typing import Literal
 
 import numpy as np
 
-from .core import Variant, array_json, json_rows
+from .core import Variant, json_rows, strict_json
 from .environments import (
     RNG_NAME,
     AppendixAInstance,
@@ -223,8 +223,8 @@ def emit_csv(trace: RunTrace, series: MetricSeries, path: str | Path) -> None:
         for lo in range(0, len(trace.records), CSV_BLOCK_ROWS):
             rows = slice(lo, lo + CSV_BLOCK_ROWS)
             fields = [json_rows(trace.col("t")[rows], repr)]
-            if x.shape[1] > 1:  # "[[a,b],[c,d]]" holds one CSV row per inner list
-                fields.append(array_json(x[rows], repr)[2:-2].replace(",", ";").split("];["))
+            if x.shape[1] > 1:  # each row's "a,b" as "a;b"
+                fields.append("\n".join(json_rows(x[rows], repr)).replace(",", ";").split("\n"))
             fields.append(json_rows(np.column_stack([c[rows] for c in cols]), repr))
             # the fields of every row interleaved with their separators, one join
             k = 2 * len(fields)
@@ -325,7 +325,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
         for t, mean, std in zip(marks, means, stds):
             summary["checkpoints"][t] = {key: {"mean": m, "std": s}
                                          for key, m, s in zip(keys, mean, std)}
-    (out / f"{cfg.name}_summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
+    (out / f"{cfg.name}_summary.json").write_text(strict_json(summary, indent=2))
     return summary
 
 

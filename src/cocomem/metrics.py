@@ -11,9 +11,8 @@ quantities against them.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -320,13 +319,6 @@ class BoundReport:
     theoretical: dict
     slack: dict
     preconditions: dict
-
-    def to_json(self) -> str:
-        """Strict JSON: a non-finite number, such as the infinite slack of
-        a measured side <= 0, reads null."""
-        doc = {part: {k: v if not isinstance(v, float) or math.isfinite(v) else None
-                      for k, v in d.items()} for part, d in asdict(self).items()}
-        return json.dumps(doc, sort_keys=True, allow_nan=False)
 
 
 def theorem_bound_report(trace: RunTrace) -> BoundReport:

@@ -35,11 +35,11 @@ and its FTRL step.
 V_r lives only in the `ccv_cum` column, where the audit reads it, and
 Phi'(V_r) is taken once per epoch.  A forward gradient settles m rounds
 after its decision, so the learner keeps only the last O(m) rounds of
-decisions, slices and weights.  `derive_columns` writes the columns that
-are functions of the decisions after the loop.  Dot products, norms and
-sums of squares are one float product at d = 1 and numpy's own at
-d >= 2, so every value keeps the bits of the numpy learner in
-`tests/reference_odaf.py`, the reference the tests hold it to.
+decisions, slices and weights.  The family's `fill_values` (penalty
+OGD's writer too) writes the columns that are functions of the decisions
+after the loop.  The loop's dot products, norms and sums of squares are
+one float product at d = 1 and numpy's own at d >= 2, so its values keep
+the bits of the numpy learner the tests hold it to, `tests/reference_odaf.py`.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ class OdafLearner:
     before t read as absent, as in the pre-history of a cold start, and
     the gradient memory and hint-error statistics start fresh.  `play(t,
     stop)` plays rounds t .. stop - 1 (an epoch, or one round) in one call;
-    `derive_columns` fills the table's other columns after the last round.
+    the family's `fill_values` writes the other columns after the last round.
     """
 
     def __init__(self, instance, variant: Variant, predictor, lam: float):
@@ -349,35 +349,6 @@ class OdafLearner:
             tried[last] = ftrl_argmin(fset, _with_terms(lin0, toggles, last), mu)
         return tried[last], last
 
-    @np.errstate(over="ignore", invalid="ignore")  # numpy overflows as floats do: silently
-    def derive_columns(self) -> None:
-        """Write the columns that are functions of the decisions, after the
-        last round: t, f_mem (slice (t, i) reads the instance's window slot
-        m - i), f_splat and g_splat, each summed from 0.0 in delay order with
-        the loop's products, g_plus_recorded and v_dual."""
-        inst, m, table = self.inst, self.m, self.records
-        rows = slice(inst.first_round, inst.horizon + 1)
-        f, g, off, present = (inst.f_coef[rows], inst.g_coef[rows], inst.g_off[rows],
-                              inst.g_present[rows])
-        x, slots = table["x"], inst.slots(table["x"])
-        if self.dim == 1:
-            (f, g, x, *slots), dot = (a[..., 0] for a in (f, g, x, *slots)), operator.mul
-        else:
-            def dot(a, b):
-                return np.fromiter(map(self._dot, a, b), float)
-        f_mem, f_splat, g_splat = (table[name] for name in ("f_mem", "f_splat", "g_splat"))
-        for i in range(m + 1):
-            f_mem += dot(f[:, i], slots[m - i])
-            f_splat += dot(f[:, i], x)
-            g_i = dot(g[:, i], x)
-            g_i += off[:, i]
-            np.add(g_splat, g_i, out=g_splat, where=present[:, i])
-            del g_i  # one row of temporaries at a time
-        table["t"] = np.arange(rows.start, rows.stop)
-        g_mem = table["g_mem"]
-        table["g_plus_recorded"] = np.where(g_mem < 0.0, 0.0, g_mem)  # max(g, 0.0): keeps -0.0, nan
-        table["v_dual"] = table["ccv_cum"]
-
 
 def _with_terms(lin0, toggles, flags):
     """lin0 plus the weighted gradients of the toggles switched on."""
@@ -428,7 +399,8 @@ def _trace(learner: OdafLearner, epoch_starts: list[int], **extras) -> RunTrace:
     last row, h_{horizon + 1}, is committed but never played, and the
     epochs, one per round of `epoch_starts`.  The `lam` column is the run's
     only record of lambda, the `eps_*` columns of the hint errors."""
-    learner.derive_columns()
+    learner.inst.fill_values(learner.records, False)  # g_mem is the loop's
+    learner.records["v_dual"] = learner.records["ccv_cum"]
     return RunTrace(
         algorithm="odaf",
         variant=learner.variant,

@@ -13,16 +13,16 @@ multiplier Phi'(V_t) reflects the current round's violation.
 `run_penalty_ogd` plays in Python floats and runs only the recursion per
 round: g_splat, V, Phi', the gradient, the step and the projection,
 reading each round's lift rows (`halfspaces`, `loss_lift`) as data and
-writing the decision, V, Phi', the gradient norm and the step into the
-trace table's columns.  Its loop writes the expressions of
-`penalty.phi_prime`, `adaptive_step` and `geometry.project` (the clamp at
-d = 1, the radial scaling at d >= 2) inline, so at d = 1 a round makes no
-Python function call; those functions stay the reference formulas.  The
-other columns are functions of the decisions, written after the loop by
-the family's `fill_values`.  `PenaltyOgdLearner` is the reference
-implementation on the oracle protocol (`loss(t)` / `constraint(t)`
-objects, `Penalty`, `project`); the tests hold the float loop to it, bit
-for bit in 1-D with m <= 6.
+writing the decision, g_splat (as g_mem), Phi', the gradient norm and
+the step into the trace table's columns.  Its loop writes the expressions
+of `penalty.phi_prime`, `adaptive_step` and `geometry.project` (the clamp
+at d = 1, the radial scaling at d >= 2) inline, so at d = 1 a round makes
+no Python function call; those functions stay the reference formulas.
+After the loop the family's `fill_values` writes the other functions of
+the decisions, as for ODAF, and V and the CCV are running sums of them.
+`PenaltyOgdLearner` is the reference implementation on the oracle
+protocol (`loss(t)` / `constraint(t)`, `Penalty`, `project`); the tests
+hold the float loop to it, bit for bit in 1-D with m <= 6.
 """
 
 from __future__ import annotations
@@ -160,8 +160,8 @@ def run_penalty_ogd(
     f_rows, about_x = instance.loss_lift(rounds)
     records = round_table(len(rounds), fset.dim)
     x, x_col, rows, dot = _vectors(fset, records["x"])
-    v_col, pp_col, norm_col, eta_col = (
-        memoryview(records[name]) for name in ("v_dual", "phi_prime", "grad_norm", "eta_or_mu"))
+    g_col, pp_col, norm_col, eta_col = (
+        memoryview(records[name]) for name in ("g_mem", "phi_prime", "grad_norm", "eta_or_mu"))
     one_d, quadratic = fset.dim == 1, kind is PenaltyKind.QUADRATIC
     lo, hi, _ = fset.interval if one_d else (None, None, None)
     center, radius, diameter = fset.center, fset.radius, fset.diameter
@@ -180,7 +180,7 @@ def run_penalty_ogd(
         grad_sq_sum += gg
         eta = 0.0 if grad_sq_sum <= 0.0 else diameter / (root2 * sqrt(grad_sq_sum))
         x_col[k] = x
-        v_col[k] = v
+        g_col[k] = g_spl
         pp_col[k] = pp
         norm_col[k] = sqrt(gg)
         eta_col[k] = eta
@@ -195,11 +195,10 @@ def run_penalty_ogd(
             diff = x - center
             n = sqrt(dot(diff, diff))
             x = x if n <= radius else center + diff * (radius / n)
-    records["t"] = np.arange(rounds.start, rounds.stop)
     records["lam"] = lams
     instance.fill_values(records, variant is Variant.COCO_M2)
-    g_mem = records["g_mem"]
-    records["g_plus_recorded"] = np.where(g_mem < 0.0, 0.0, g_mem)  # max(g, 0.0): keeps -0.0, nan
-    # the running sum from 0.0, in which -0.0 adds as 0.0
+    # V and the CCV: the loop's running sums from 0.0, in which -0.0 adds as 0.0
+    g_splat = records["g_splat"]
+    np.cumsum(np.where(g_splat < 0.0, 0.0, g_splat) + 0.0, out=records["v_dual"])
     np.cumsum(records["g_plus_recorded"] + 0.0, out=records["ccv_cum"])
     return RunTrace("penalty_ogd", variant, kind, records, instance)

@@ -5,7 +5,10 @@ reference the float learner is held to, bit for bit.
 its history in dicts that grow with the horizon; it is the learner the
 package shipped before `optimistic.OdafLearner` moved to Python floats
 with O(m) state, kept here unchanged but for the regularizer, which
-`ftrl_argmin` now takes from the feasible set.  `run_optimistic`,
+`ftrl_argmin` now takes from the feasible set, and for its value columns.
+The package's learner takes f_mem, f_splat and g_splat from the family's
+`fill_values`; here they come from `reference_ogd.separable_round_evaluator`,
+which adds the same terms one by one in the family's order.  `run_optimistic`,
 `DoublingLearner` and `run_doubling` drive it exactly as the package's
 runners drive theirs, and report the same extras.  `DoublingSchedule`
 keeps the doubling trick's epoch bookkeeping in a class of its own, so
@@ -24,6 +27,7 @@ from cocomem.geometry import ftrl_argmin, regret_coefficient
 from cocomem.metrics import RunTrace
 from cocomem.optimistic import MAX_PATTERN_SLICES, doubling_mu1
 from cocomem.penalty import Penalty, PenaltyKind, lambda_optimistic
+from reference_ogd import separable_round_evaluator
 
 
 def huber(x: float, y: float) -> float:
@@ -73,6 +77,7 @@ class OdafLearner:
         self.first = instance.first_round if first_round is None else first_round
         self.floor = self.first if visibility_floor is None else visibility_floor
         self.dual_delay = self.m + 1 if variant is Variant.COCO_M2 else 1
+        self._values = separable_round_evaluator(instance, instance.rounds, False)
 
         self.x_hist = x_hist if x_hist is not None else {}
         self.v_hist = v_hist if v_hist is not None else {}
@@ -297,12 +302,8 @@ class OdafLearner:
         hint error, and commit the next decision."""
         m = self.m
         x_t = self.x_hist[t]
-        f_rows = [(i, f) for i in range(m + 1) if (f := self._f_row(t, i)) is not None]
         g_rows = [(i, g) for i in range(m + 1) if (g := self._g_row(t, i)) is not None]
         # register true slices and their activity at the decisions they touch
-        f_mem = 0.0
-        for i, f in f_rows:
-            f_mem += float(f @ self.x_hist[t - i])
         g_vals = {}
         for i, g in g_rows:
             g_vals[i] = _value(g, self.x_hist[t - i])
@@ -324,15 +325,11 @@ class OdafLearner:
 
         self._decide_next(t)
 
-        # summed term by term from 0.0: from Python 3.12 on, sum() of floats
-        # compensates for rounding, which the learner's sums do not
-        f_spl = g_spl = 0.0
-        for _, f in f_rows:
-            f_spl += float(f @ x_t)
-        for _, g in g_rows:
-            g_spl += _value(g, x_t)
-        mult_t = self._mult(t)
+        # the window x_{t-m} .. x_t, oldest first, as one flat list of floats
         row = t - self.inst.first_round
+        window = [c for i in range(m, -1, -1) for c in self.x_hist[t - i].tolist()]
+        f_mem, f_spl, _, _, g_spl, _ = self._values(row, window, x_t.tolist())
+        mult_t = self._mult(t)
         self.records[row] = (
             t, x_t, f_mem, f_spl, g_val, g_spl, inc, self.ccv, self.ccv, mult_t,
             self.penalty.lam,

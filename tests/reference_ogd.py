@@ -5,10 +5,13 @@ replaced: the reference the package's runner is held to, byte for byte.
 `evaluate(k, window, x)`, which each family's `round_evaluator` builds
 from its rows as lists of Python floats, and writes one row tuple per
 round.  The two `round_evaluator`s were methods of `AppendixAInstance`
-and `SeparableLinearInstance`; they are kept here unchanged as functions
-of the instance, and the runner picks one by the instance's type.
-`fdot` and `point_step` are the dot product and the projected step as
-they were then, on sequences of Python floats at every d.
+and `SeparableLinearInstance`; they are kept here as functions of the
+instance, and the runner picks one by the instance's type.  They are
+unchanged but for the separable family's per-round slice sums, which
+`delay_sums` adds in Python in delay order rather than reading the
+package's.  `fdot` and `point_step` are the dot product and the
+projected step as they were then, on sequences of Python floats at
+every d.
 
 `evaluate(k, window, x)` serves round rounds[k].  `window` is the flat
 tuple of the last m+1 decisions' coordinates, oldest decision first, and
@@ -103,6 +106,18 @@ def appendix_a_round_evaluator(self, rounds: range, g_window: bool):
     return evaluate
 
 
+def delay_sums(rows) -> list:
+    """Each round's sum over its slices, for an (n, m + 1[, d]) array:
+    delay 0 first, the other delays added one by one in delay order."""
+    out = []
+    for row in rows.tolist():
+        s = row[0]
+        for term in row[1:]:
+            s = [a + b for a, b in zip(s, term)] if isinstance(s, list) else s + term
+        out.append(s)
+    return out
+
+
 def separable_round_evaluator(self, rounds: range, g_window: bool):
     """`evaluate(k, window, x)` for round rounds[k] in Python floats; see
     the module docstring for the contract.  Each value repeats the
@@ -113,9 +128,7 @@ def separable_round_evaluator(self, rounds: range, g_window: bool):
     # slice coefficients in flat-window order: delay m (oldest) first
     f_win = self.f_coef[span, ::-1].reshape(shape).tolist()
     g_win = self.g_coef[span, ::-1].reshape(shape).tolist()
-    f_slope = self.lift_slopes(rounds).tolist()
-    g_slope = self.g_coef[span].sum(axis=1).tolist()
-    g_off = self.g_off[span].sum(axis=1).tolist()
+    f_slope, g_slope, g_off = (delay_sums(a[span]) for a in (self.f_coef, self.g_coef, self.g_off))
 
     def window_value(coeffs, window):
         s = 0.0

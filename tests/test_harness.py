@@ -8,7 +8,7 @@ import struct
 import typing
 import warnings
 from concurrent.futures import Future
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from cocomem import harness, optimistic
 from cocomem.cli import _parser
 from cocomem.cli import main as cli_main
-from cocomem.core import Variant
+from cocomem.core import Variant, strict_json
 from cocomem.environments import _FIELD_TYPES, NoisyPredictor, check_fields, is_number
 from cocomem.harness import (
     CSV_HEADER,
@@ -190,6 +190,27 @@ def test_summary_takes_each_cells_mean_and_std_bit_for_bit(tmp_path_factory, cel
     for (t, key), (mean, std) in want.items():
         got = summary["checkpoints"][t][key]
         assert (bits(got["mean"]), bits(got["std"])) == (bits(mean), bits(std)), (t, key)
+
+
+def test_a_2d_run_summary_is_strict_json(tmp_path, capsys):
+    """At d = 2 the per-round regret has no comparator and reads nan: the
+    summary file and `run`'s stdout write it as null, in strict JSON."""
+    config = Path(__file__).resolve().parents[1] / "configs" / "reference_stochastic.json"
+    cfg = json.loads(config.read_text())
+    cfg["environment"] = {**cfg["environment"], "dim": 2, "horizon": 200}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**cfg, "seeds": [0, 1]}))
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 0
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    for text in (capsys.readouterr().out, (out / "reference_stochastic_summary.json").read_text()):
+        summary = json.loads(text, parse_constant=reject)
+        assert summary["seeds_completed"] == [0, 1]
+        cell = summary["checkpoints"]["200"]["regret_perround_per_round"]
+        assert cell == {"mean": None, "std": None}
 
 
 def test_failed_seed_does_not_poison_aggregate(tmp_path, monkeypatch):
@@ -448,7 +469,7 @@ def test_verify_and_bounds_name_the_seed_that_failed(tmp_path, capsys):
     _, verdicts = verify_experiment(seed3)
     [(_, report)] = harness.bounds_reports(seed3)
     assert len(verdicts) == 7
-    for command, lines in (("verify", verdicts), ("bounds", [f"seed 3: {report.to_json()}"])):
+    for command, lines in (("verify", verdicts), ("bounds", [f"seed 3: {strict_json(asdict(report))}"])):
         assert cli_main([command, "--config", str(cfg_path)]) == 2
         out, err = capsys.readouterr()
         assert out.splitlines() == lines

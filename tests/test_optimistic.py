@@ -32,6 +32,7 @@ from cocomem.penalty import Penalty, lambda_optimistic, phi_prime
 from helpers import (assert_v_at_reads_the_table, doubling_epoch_bound, error_sums, pinned_layout,
                      python_calls)
 from reference_odaf import DoublingSchedule, huber
+from reference_ogd import separable_round_evaluator
 
 
 def _rows(inst, r, i):
@@ -459,7 +460,9 @@ def test_doubling_schedule_scripted_epochs(monkeypatch):
     class ScriptedLearner:
         def __init__(self, instance, variant, predictor, lam):
             self.inst, self.variant = instance, variant
-            self.records, self.hints = np.zeros(len(eps), dtype=[("lam", float)]), None
+            self.records = np.zeros(len(eps), dtype=[(name, float) for name in (
+                "lam", "ccv_cum", "v_dual")])
+            self.hints = None
             self.fixed_point_fallbacks = 0
             self.lam, self.starts, self.calls = lam, [instance.first_round], []
             learners.append(self)
@@ -478,12 +481,11 @@ def test_doubling_schedule_scripted_epochs(monkeypatch):
                 error += eps[t - 1]
             return stop
 
-        def derive_columns(self):
-            pass  # the scripted table has only its lam column
-
     monkeypatch.setattr(optimistic, "OdafLearner", ScriptedLearner)
     monkeypatch.setattr(optimistic, "_tuning", lambda instance, variant: (1.0, 1.0))
-    inst = types.SimpleNamespace(first_round=1, rounds=range(1, 10))
+    # the scripted table has no decisions, so no column derives from them
+    inst = types.SimpleNamespace(first_round=1, rounds=range(1, 10),
+                                 fill_values=lambda table, g_window: None)
     tr = optimistic.run_doubling(inst, Variant.COCO_M2, None, error_estimate=1.0)
     assert learners[0].starts == [1, 4, 9] == tr.extras["epoch_starts"]
     # one call per epoch, each with C and the epoch's budget
@@ -560,33 +562,34 @@ def test_doubling_epoch_count_obeys_budget_arithmetic():
 
 # sha256 prefixes of records.tobytes() in `pinned_layout`, hints.tobytes()
 # (odaf only) and the error sums, recorded from the learner before its
-# forecasts were memoized per round; any flipped activity flag or
+# forecasts were memoized per round, with f_mem, f_splat and g_splat since
+# summed in the family's `fill_values` order; any flipped activity flag or
 # reordered sum changes them
 PINNED_TRACES = {
     ("odaf", "perfect", 0, 1): "6b5fdbc64019f20a",
-    ("odaf", "perfect", 0, 2): "747cae2ee49b15bf",
+    ("odaf", "perfect", 0, 2): "5096d01303f54e18",
     ("odaf", "perfect", 2, 1): "318773802fc9fd78",
-    ("odaf", "perfect", 2, 2): "1109d342918cc36b",
+    ("odaf", "perfect", 2, 2): "d26132c89cb38b42",
     ("odaf", "zero", 0, 1): "3ee9c0747c63a173",
-    ("odaf", "zero", 0, 2): "c553cfbb68c99bb2",
-    ("odaf", "zero", 2, 1): "711415ea35fb4f94",
-    ("odaf", "zero", 2, 2): "914641f09062e97b",
+    ("odaf", "zero", 0, 2): "908c8e7829a77cc7",
+    ("odaf", "zero", 2, 1): "1a71038ba661bd23",
+    ("odaf", "zero", 2, 2): "5907a5254da8e811",
     ("odaf", "noisy", 0, 1): "7f28a0a97faaeaa6",
-    ("odaf", "noisy", 0, 2): "8fcf6687ad7925c3",
-    ("odaf", "noisy", 2, 1): "921b1982f43e30a4",
-    ("odaf", "noisy", 2, 2): "f8bc0509df6adc37",
+    ("odaf", "noisy", 0, 2): "2b2474a9c547d151",
+    ("odaf", "noisy", 2, 1): "3e13444f3c49686e",
+    ("odaf", "noisy", 2, 2): "624a939c4cf6212d",
     ("doubling", "perfect", 0, 1): "bfa707642007e1a1",
-    ("doubling", "perfect", 0, 2): "8f548e4d28bf2a1c",
+    ("doubling", "perfect", 0, 2): "bbc3cb2ee9187b8b",
     ("doubling", "perfect", 2, 1): "a0f7f63072a66ac2",
-    ("doubling", "perfect", 2, 2): "4527718465d15034",
+    ("doubling", "perfect", 2, 2): "42b2ecf4a1f8202e",
     ("doubling", "zero", 0, 1): "84cb416377eb6f4c",
-    ("doubling", "zero", 0, 2): "78d855aed91ef8d4",
-    ("doubling", "zero", 2, 1): "17ef0db03d73cda9",
-    ("doubling", "zero", 2, 2): "6801c6280e3c393f",
+    ("doubling", "zero", 0, 2): "617658264a13bb3a",
+    ("doubling", "zero", 2, 1): "796f5a675ea98f2f",
+    ("doubling", "zero", 2, 2): "c04584daba397694",
     ("doubling", "noisy", 0, 1): "707b15d7ed5074d7",
-    ("doubling", "noisy", 0, 2): "000a5e4bcc9af44f",
+    ("doubling", "noisy", 0, 2): "f9d2ad8e3dfffa78",
     ("doubling", "noisy", 2, 1): "fa5e66b21c31c4a5",
-    ("doubling", "noisy", 2, 2): "0ea3e2cfab0a629c",
+    ("doubling", "noisy", 2, 2): "5494ce19752de0bf",
 }
 
 
@@ -604,6 +607,34 @@ def test_trace_bytes_are_pinned(case):
         h.update(tr.extras["hints"].tobytes())
     h.update(repr(sorted(error_sums(tr).items())).encode())
     assert h.hexdigest()[:16] == PINNED_TRACES[case]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(runner=st.sampled_from([run_optimistic, run_doubling]),
+       kind=st.sampled_from(["perfect", "zero", "noisy"]), m=st.integers(0, 4),
+       d=st.integers(1, 3), variant=st.sampled_from(Variant), rounds=st.integers(1, 40),
+       seed=st.integers(0, 2**16))
+def test_value_columns_are_the_term_by_term_values_at_the_decisions(runner, kind, m, d, variant,
+                                                                    rounds, seed):
+    """ODAF's f_mem, f_splat and g_splat are byte for byte the values of
+    the term-by-term evaluator that penalty OGD's columns match too,
+    `reference_ogd.separable_round_evaluator`, at ODAF's own decisions: both
+    learners sum the window and the lift in the family's one order."""
+    inst = SeparableLinearInstance(m=m, horizon=m + rounds, dim=d, seed=seed,
+                                   constraint_memory=variant is Variant.COCO_M2,
+                                   g_round_density=0.6, g_mag=(0.05, 0.2))
+    predictor = {"perfect": PerfectPredictor(), "zero": ZeroPredictor(),
+                 "noisy": NoisyPredictor(0.4, seed=3)}[kind]
+    tr = runner(inst, variant, predictor)
+    evaluate = separable_round_evaluator(inst, inst.rounds, False)
+    x = inst.by_round(tr.col("x")).tolist()  # the center before the first round
+    want = []
+    for k, t in enumerate(inst.rounds):
+        window = [c for r in range(t - m, t + 1) for c in x[r]]
+        f_mem, f_splat, _, _, g_splat, _ = evaluate(k, window, x[t])
+        want.append((f_mem, f_splat, g_splat))
+    got = np.column_stack([tr.col(name) for name in ("f_mem", "f_splat", "g_splat")])
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 def test_a_doubling_run_draws_each_forecast_once(monkeypatch):
