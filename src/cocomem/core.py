@@ -10,6 +10,8 @@ window.
 from __future__ import annotations
 
 import json
+import math
+import operator
 from enum import Enum
 
 import numpy as np
@@ -45,11 +47,16 @@ def as_decision(x, dim: int | None = None) -> np.ndarray:
 
 def fdot(a: np.ndarray, b: np.ndarray):
     """sum_j a[..., j] * b[..., j] over the last axis, the products added
-    one by one in index order from 0.0 (np.sum adds 8 or more terms
-    pairwise, and a BLAS dot product may group them differently)."""
+    one by one in index order from 0.0: the one order in which the package
+    sums every d-vector's products, so no value depends on the BLAS build
+    (a BLAS dot may group the terms otherwise, and np.sum adds 8 or more
+    pairwise).  Two (d,) vectors give a Python float, summed over their
+    `tolist()`; wider arrays give an array over the leading axes."""
+    pairs = (zip(a.tolist(), b.tolist()) if a.ndim == 1
+             else ((a[..., j], b[..., j]) for j in range(a.shape[-1])))
     s = 0.0
-    for j in range(a.shape[-1]):
-        s = s + a[..., j] * b[..., j]
+    for aj, bj in pairs:
+        s = s + aj * bj
     return s
 
 
@@ -86,7 +93,20 @@ class Ball:
 
     def support(self, g: np.ndarray) -> float:
         """sup_{x in set} <g, x> (support function)."""
-        return float(g @ self.center) + self.radius * float(np.linalg.norm(g))
+        return fdot(g, self.center) + self.radius * math.sqrt(fdot(g, g))
+
+
+def float_vectors(fset: Ball):
+    """(zero, center, rows, dot) of a learner's float loop, whose vectors
+    are Python floats at d = 1 and (d,) float arrays at d >= 2, so that +,
+    - and scalar * serve both: the zero vector (never updated in place),
+    the set center, `rows(a)` giving the rows of an (n, d) array (floats
+    through a memoryview at d = 1) and the dot product, `fdot`'s order at
+    every d (at d = 1 the one product: 0.0 + a * b differs from it only in
+    the sign of a zero, which no column reads)."""
+    if fset.dim == 1:
+        return 0.0, fset.interval[2], (lambda a: memoryview(a[:, 0])), operator.mul
+    return np.zeros(fset.dim), fset.center, np.asarray, fdot
 
 
 # ---------------------------------------------------------------------------

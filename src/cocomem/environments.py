@@ -21,11 +21,11 @@ Besides the per-round oracles `loss(t)` / `constraint(t)`, each family
 gives the penalty-OGD float loop its lift rows as data:
 `halfspaces(rounds, "lift")` for the constraint and `loss_lift(rounds)`
 for the loss gradient.  After either learner's loop, `fill_values(table,
-g_window)` writes every round's window and lift values from the decision
-column, elementwise, each sum adding its terms one by one from 0.0 in
-the oracles' order (numpy's for fewer than 8 terms: in 1-D with m <= 6
-the values match the oracles bit for bit; numpy adds 8 or more terms
-pairwise, and BLAS may group a dot product's terms at d > 1).
+variant)` writes every round's window and lift values from the decision
+column, elementwise, each sum adding its terms one by one from 0.0,
+coordinates in index order (`core.fdot`'s order, so no value depends on
+the BLAS build; in 1-D with m <= 6 the values match the oracles, whose
+numpy sums add 8 or more terms pairwise, bit for bit).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import MISSING, InitVar, astuple, dataclass, field, fields
 
 import numpy as np
 
-from .core import Ball, MemoryFunctionOracle, array_json, fdot
+from .core import Ball, MemoryFunctionOracle, Variant, array_json, fdot
 
 RNG_NAME = "pcg64"
 
@@ -191,12 +191,15 @@ class _Instance:
         return [decisions[start + i : start + i + len(X)] for i in range(self.m + 1)]
 
     @np.errstate(over="ignore", invalid="ignore")  # numpy overflows as floats do: silently
-    def fill_values(self, table: np.ndarray, g_window: bool) -> None:
+    def fill_values(self, table: np.ndarray, variant: Variant) -> None:
         """Write the trace columns that are functions of the decisions `x`:
-        `t`, the family's values (`_fill`; g_mem only when `g_window`, else
-        the loop's stays) and g_plus_recorded = max(g_mem, 0.0), -0.0 and nan kept."""
+        `t`, the family's values (`_fill`), g_mem (the constraint window
+        under `coco_m2`, else the lift g_splat) and g_plus_recorded =
+        max(g_mem, 0.0), -0.0 and nan kept."""
         table["t"] = np.arange(self.first_round, self.horizon + 1)
-        self._fill(table, g_window)
+        self._fill(table, variant is Variant.COCO_M2)
+        if variant is not Variant.COCO_M2:
+            table["g_mem"] = table["g_splat"]
         table["g_plus_recorded"] = np.where(table["g_mem"] < 0.0, 0.0, table["g_mem"])
 
 
@@ -488,7 +491,7 @@ class SeparableLinearInstance(_Instance):
         self.g_present = np.zeros((T + 1, m + 1), dtype=bool)
 
         w = rng.normal(size=d)
-        w /= np.linalg.norm(w)
+        w /= math.sqrt(fdot(w, w))
         base_sign = 1.0 if rng.uniform() < 0.5 else -1.0
         n_active = T - m
         block_len = max(1, math.ceil(n_active / max(1, self.blocks)))
@@ -546,9 +549,9 @@ class SeparableLinearInstance(_Instance):
             center = self.fset.center
             sup = np.empty(len(hits))
             for h, row in enumerate(coeff):
-                row /= np.linalg.norm(row)
+                row /= math.sqrt(fdot(row, row))
                 row *= mag[h]
-                sup[h] = self.fset.support(row) - float(row @ center)
+                sup[h] = self.fset.support(row) - fdot(row, center)
         self.g_coef[t_hit, i_hit] = coeff
         self.g_off[t_hit, i_hit] = -root * sup
         self.g_present[t_hit, i_hit] = True
@@ -573,17 +576,17 @@ class SeparableLinearInstance(_Instance):
 
     def _fill(self, table: np.ndarray, g_window: bool) -> None:
         """Write f_mem, f_splat, g_splat and, when `g_window`, g_mem (the
-        window sum) from the decision column, each with the terms of
-        `loss(t)` / `constraint(t)`: window slots newest first, and
-        coordinates last first, after the per-round slice sums (lift
-        slopes, summed offsets).  A sum from 0.0 is never -0.0, so the
-        loss's zero offset adds nothing."""
+        window sum) from the decision column, each sum from 0.0: window
+        slots newest first (in delay order) and coordinates in index
+        order, the lifts after the per-round slice sums (lift slopes,
+        summed offsets).  A sum from 0.0 is never -0.0, so the loss's
+        zero offset adds nothing."""
         X, span, slots = table["x"], slice(self.m + 1, None), self.slots(table["x"])
 
         def window_value(coef):
             s = np.zeros(len(X))
             for i, w in enumerate(reversed(slots)):  # delay i touches slot m - i
-                for j in reversed(range(self.dim)):
+                for j in range(self.dim):
                     s += w[:, j] * coef[:, i, j]
             return s
 

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .core import Ball, as_decision
+from .core import Ball, as_decision, fdot
 
 
 def project(fset: Ball, p) -> np.ndarray:
@@ -25,7 +25,7 @@ def project(fset: Ball, p) -> np.ndarray:
     if fset.dim == 1:
         return np.clip(p, fset.lo, fset.hi)
     diff = p - fset.center
-    n = float(np.linalg.norm(diff))
+    n = math.sqrt(fdot(diff, diff))
     if n <= fset.radius:
         return p.copy()
     return fset.center + diff * (fset.radius / n)
@@ -38,7 +38,7 @@ def minimize_linear(fset: Ball, g: np.ndarray) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     if fset.dim == 1:
         return np.where(g > 0, fset.lo, np.where(g < 0, fset.hi, fset.center))
-    n = float(np.linalg.norm(g))
+    n = math.sqrt(fdot(g, g))
     if n == 0.0:
         return fset.center.copy()
     return fset.center - fset.radius * g / n

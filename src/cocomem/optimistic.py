@@ -37,36 +37,26 @@ Phi'(V_r) is taken once per epoch.  A forward gradient settles m rounds
 after its decision, so the learner keeps only the last O(m) rounds of
 decisions, slices and weights.  The family's `fill_values` (penalty
 OGD's writer too) writes the columns that are functions of the decisions
-after the loop.  The loop's dot products, norms and sums of squares are
-one float product at d = 1 and numpy's own at d >= 2, so its values keep
-the bits of the numpy learner the tests hold it to, `tests/reference_odaf.py`.
+after the loop, g_mem too (the loop's g_t has its bits, so V is the
+running sum of the recorded g+).  The loop's dot products, norms and sums
+of squares add in index order from 0.0 (`core.float_vectors`), as those
+of the numpy learner the tests hold it to, `tests/reference_odaf.py`, do.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 
 import numpy as np
 
-from .core import Variant, round_table
+from .core import Variant, float_vectors, round_table
 from .geometry import dub_alpha, ftrl_argmin, regret_coefficient
 from .metrics import RunTrace
 from .penalty import EXP_CAP, PenaltyKind, check_lambda, lambda_optimistic, phi_prime
 
 MAX_PATTERN_SLICES = 12
 _EXP = PenaltyKind.EXPONENTIAL
-
-
-def _reductions(dim: int):
-    """(dot, sumsq) of the learner's vector type, a float at d = 1 and a
-    (d,) float array at d >= 2, with the bits of numpy's `a @ b` and
-    `np.sum(a ** 2)`; numpy itself at d >= 2, where a BLAS dot may round
-    as fma(a1, b1, a0 * b0).  At d = 1 sumsq is None: sumsq(a) is dot(a, a)."""
-    if dim == 1:
-        return operator.mul, None
-    return (lambda a, b: float(np.dot(a, b))), (lambda a: float(np.sum(a ** 2)))
 
 
 class OdafLearner:
@@ -98,28 +88,22 @@ class OdafLearner:
         predictor.bind(instance)
         self.alpha = dub_alpha(self.fset)
         self.dual_delay = variant.dual_delay(self.m)
-        self._dot, self._sumsq = _reductions(dim)
+        self._zero, center, rows, self._dot = float_vectors(self.fset)
 
         first = instance.first_round
         self.records = round_table(instance.horizon - first + 1, dim)
         self.hints = np.zeros((instance.horizon - first + 2, dim))
         # the rows the loop reads and writes: slice (t, i) is row t (m + 1) + i
         # of the flat slice coefficients, round first + k row k of the decision
-        # and hint columns; floats through memoryviews at d = 1, (d,) rows at d >= 2
-        rows = (instance.f_coef.reshape(-1, dim), instance.g_coef.reshape(-1, dim),
-                self.records["x"], self.hints)
-        if dim == 1:
-            self._zero, center = 0.0, self.fset.interval[2]
-            rows = (memoryview(a[:, 0]) for a in rows)
-        else:
-            self._zero = np.zeros(dim)  # shared by every sum from zero: never updated in place
-            center = self.fset.center
-        self._f, self._g, self._x_col, self._hint_col = rows
+        # and hint columns
+        self._f, self._g, self._x_col, self._hint_col = (rows(a) for a in (
+            instance.f_coef.reshape(-1, dim), instance.g_coef.reshape(-1, dim),
+            self.records["x"], self.hints))
         self._off, self._present = (memoryview(a.reshape(-1)) for a in (instance.g_off,
                                                                        instance.g_present))
         self._ccv_col = memoryview(self.records["ccv_cum"])
         self._cols = tuple(memoryview(self.records[name]) for name in (
-            "g_mem", "phi_prime", "grad_norm", "eta_or_mu", "eps_f", "eps_g", "eps_z"))
+            "phi_prime", "grad_norm", "eta_or_mu", "eps_f", "eps_g", "eps_z"))
         self.x_hist = {r: center for r in range(first - self.m - 1, first)}
         self.fixed_point_fallbacks = 0
         self.restart(first, lam)
@@ -163,10 +147,10 @@ class OdafLearner:
         `observe` false (a restart's pre-step) only the last two."""
         m, delay, lam, fset, alpha = self.m, self.dual_delay, self.lam, self.fset, self.alpha
         m1, first, diam, zero = m + 1, self.inst.first_round, fset.diameter, self._zero
-        dot, sumsq, coco_m2 = self._dot, self._sumsq, self.variant is Variant.COCO_M2
+        dot, coco_m2 = self._dot, self.variant is Variant.COCO_M2
         f, g, off, present = self._f, self._g, self._off, self._present
         x_col, hint_col, ccv_col = self._x_col, self._hint_col, self._ccv_col
-        g_col, pp_col, norm_col, mu_col, ef_col, eg_col, ez_col = self._cols
+        pp_col, norm_col, mu_col, ef_col, eg_col, ez_col = self._cols
         xs, seen, opened, fwd = self.x_hist, self._seen, self._open, self._forward
         pending, a_win, weights, weight = self._pending, self._a, self._weights, self._weights.get
         forecasts, resolve = self.predictor.forecasts, self._resolve_pending_activity
@@ -222,8 +206,8 @@ class OdafLearner:
                         if j in fwd:
                             win = win + fwd[j]
                     diff = hint - win
-                    sq = dot(diff, diff)
-                    err = sqrt(sq)
+                    eps_z = dot(diff, diff)
+                    err = sqrt(eps_z)
                     a = diam * (norm if norm < err else err)  # min(err, norm)
                     a_win[s] = a
                     a_win.pop(s - m, None)  # the m weights of the lagged window
@@ -237,7 +221,6 @@ class OdafLearner:
                         df = df + (f_pred - f[q * m1 + i])
                         act = seen[q][i]
                         dg = dg + (g_pred - (zero if act is None else act))
-                    eps_z = sq if sumsq is None else sumsq(diff)
                     eps_f, eps_g = dot(df, df), dot(dg, dg)
             # end of round t: assemble h_{t+1} and commit x_{t+1}; round r's
             # constraint slices weigh Phi'(V_{r-d}), and prehistory and rounds
@@ -296,7 +279,7 @@ class OdafLearner:
                 max_awin = awin if awin > max_awin else max_awin
             if observe:
                 x_col[k] = x_now
-                g_col[k], pp_col[k], norm_col[k], mu_col[k] = g_val, mult, norm, mu
+                pp_col[k], norm_col[k], mu_col[k] = mult, norm, mu
                 ef_col[k], eg_col[k], ez_col[k] = eps_f, eps_g, eps_z
                 error += eps_g
             x_now = x_next
@@ -399,7 +382,7 @@ def _trace(learner: OdafLearner, epoch_starts: list[int], **extras) -> RunTrace:
     last row, h_{horizon + 1}, is committed but never played, and the
     epochs, one per round of `epoch_starts`.  The `lam` column is the run's
     only record of lambda, the `eps_*` columns of the hint errors."""
-    learner.inst.fill_values(learner.records, False)  # g_mem is the loop's
+    learner.inst.fill_values(learner.records, learner.variant)
     learner.records["v_dual"] = learner.records["ccv_cum"]
     return RunTrace(
         algorithm="odaf",

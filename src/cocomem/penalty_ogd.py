@@ -13,8 +13,8 @@ multiplier Phi'(V_t) reflects the current round's violation.
 `run_penalty_ogd` plays in Python floats and runs only the recursion per
 round: g_splat, V, Phi', the gradient, the step and the projection,
 reading each round's lift rows (`halfspaces`, `loss_lift`) as data and
-writing the decision, g_splat (as g_mem), Phi', the gradient norm and
-the step into the trace table's columns.  Its loop writes the expressions
+writing the decision, Phi', the gradient norm and the step into the
+table's columns, on `core.float_vectors`.  Its loop writes the expressions
 of `penalty.phi_prime`, `adaptive_step` and `geometry.project` (the clamp
 at d = 1, the radial scaling at d >= 2) inline, so at d = 1 a round makes
 no Python function call; those functions stay the reference formulas.
@@ -28,11 +28,10 @@ hold the float loop to it, bit for bit in 1-D with m <= 6.
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 
-from .core import MemoryFunctionOracle, Variant, fdot, round_table
+from .core import MemoryFunctionOracle, Variant, float_vectors, round_table
 from .geometry import project
 from .metrics import RunTrace
 from .penalty import EXP_CAP, Penalty, PenaltyKind, check_lambda, lambda_theorem
@@ -121,18 +120,6 @@ class PenaltyOgdLearner:
         return self.records[row]
 
 
-def _vectors(fset, x_col: np.ndarray):
-    """(x, x_col, rows, dot) of the float loop, whose vectors are floats at
-    d = 1 and (d,) arrays at d >= 2: the set center, the decision column
-    to write, `rows(a)` iterating an (n, d) array's rows (at d = 1 through
-    a memoryview) and `fdot`, at d = 1 the one product: 0.0 + a * b differs
-    from it only in the sign of a zero, which no column reads."""
-    if fset.dim == 1:
-        return (fset.center.item(), memoryview(x_col[:, 0]), (lambda a: memoryview(a[:, 0])),
-                operator.mul)
-    return fset.center, x_col, iter, fdot
-
-
 @np.errstate(over="ignore", invalid="ignore")  # numpy overflows as floats do: silently
 def run_penalty_ogd(
     instance,
@@ -159,9 +146,10 @@ def run_penalty_ogd(
     A, b = instance.halfspaces(rounds, "lift")
     f_rows, about_x = instance.loss_lift(rounds)
     records = round_table(len(rounds), fset.dim)
-    x, x_col, rows, dot = _vectors(fset, records["x"])
-    g_col, pp_col, norm_col, eta_col = (
-        memoryview(records[name]) for name in ("g_mem", "phi_prime", "grad_norm", "eta_or_mu"))
+    _, x, rows, dot = float_vectors(fset)
+    x_col = rows(records["x"])
+    pp_col, norm_col, eta_col = (
+        memoryview(records[name]) for name in ("phi_prime", "grad_norm", "eta_or_mu"))
     one_d, quadratic = fset.dim == 1, kind is PenaltyKind.QUADRATIC
     lo, hi, _ = fset.interval if one_d else (None, None, None)
     center, radius, diameter = fset.center, fset.radius, fset.diameter
@@ -180,7 +168,6 @@ def run_penalty_ogd(
         grad_sq_sum += gg
         eta = 0.0 if grad_sq_sum <= 0.0 else diameter / (root2 * sqrt(grad_sq_sum))
         x_col[k] = x
-        g_col[k] = g_spl
         pp_col[k] = pp
         norm_col[k] = sqrt(gg)
         eta_col[k] = eta
@@ -196,7 +183,7 @@ def run_penalty_ogd(
             n = sqrt(dot(diff, diff))
             x = x if n <= radius else center + diff * (radius / n)
     records["lam"] = lams
-    instance.fill_values(records, variant is Variant.COCO_M2)
+    instance.fill_values(records, variant)
     # V and the CCV: the loop's running sums from 0.0, in which -0.0 adds as 0.0
     g_splat = records["g_splat"]
     np.cumsum(np.where(g_splat < 0.0, 0.0, g_splat) + 0.0, out=records["v_dual"])

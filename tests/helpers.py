@@ -1,12 +1,15 @@
 """Helpers that several test modules share."""
 
 import collections
+import hashlib
 import math
 import struct
 import sys
 
 import numpy as np
 
+from cocomem import (NoisyPredictor, PerfectPredictor, SeparableLinearInstance, Variant,
+                     ZeroPredictor, run_doubling, run_optimistic)
 from cocomem.core import ROUND_FIELDS
 from cocomem.geometry import regret_coefficient
 from cocomem.metrics import RunTrace, best_in_hindsight, lift_loss_at
@@ -44,6 +47,32 @@ def pinned_layout(trace: RunTrace) -> np.ndarray:
     return table
 
 
+def instance_digest(inst) -> str:
+    """sha256 prefix of a separable instance's f_coef, g_coef, g_off and
+    g_present bytes, the digest of the instance pins."""
+    h = hashlib.sha256()
+    for a in (inst.f_coef, inst.g_coef, inst.g_off, inst.g_present):
+        h.update(a.tobytes())
+    return h.hexdigest()[:16]
+
+
+def trace_digest(runner: str, kind: str, m: int, d: int) -> str:
+    """sha256 prefix of `pinned_layout`, the hints (odaf only) and the
+    error sums of the trace pin (runner, kind, m, d): a coco_m2 run on a
+    150-round separable instance with dense, strong constraint slices."""
+    inst = SeparableLinearInstance(m=m, horizon=150, dim=d, seed=10 * m + d,
+                                   g_round_density=0.4, g_mag=(0.05, 0.2))
+    predictor = {"perfect": PerfectPredictor(), "zero": ZeroPredictor(),
+                 "noisy": NoisyPredictor(0.3, seed=m + d)}[kind]
+    run = run_optimistic if runner == "odaf" else run_doubling
+    tr = run(inst, Variant.COCO_M2, predictor)
+    h = hashlib.sha256(pinned_layout(tr).tobytes())
+    if runner == "odaf":
+        h.update(tr.extras["hints"].tobytes())
+    h.update(repr(sorted(error_sums(tr).items())).encode())
+    return h.hexdigest()[:16]
+
+
 def constant_window(x, m: int) -> np.ndarray:
     """The (m+1, d) memory window (x, ..., x) of an oracle's `value`."""
     return np.tile(np.atleast_1d(np.asarray(x, dtype=float)), (m + 1, 1))
@@ -68,6 +97,15 @@ def assert_v_at_reads_the_table(learner, played):
     for r in range(first - inst.m - 2, inst.horizon + inst.m + 3):
         want = float(ccv[r - first]) if first <= r <= played else 0.0
         assert learner.v_at(r) == want and type(learner.v_at(r)) is float
+
+
+def played_violation(learner, t: int) -> float:
+    """max(g_t, 0) of played round t, as the finished run's trace records
+    it: the family's `fill_values` on a copy of the learner's table (the
+    loop writes the decisions, not g_t)."""
+    table = learner.records.copy()
+    learner.inst.fill_values(table, learner.variant)
+    return float(table["g_plus_recorded"][t - learner.inst.first_round])
 
 
 def error_sums(trace: RunTrace) -> dict:

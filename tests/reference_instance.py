@@ -5,7 +5,9 @@ the references the two are held to, byte for byte.
 `ReferenceSeparableInstance._generate` is the loop the package shipped
 before the generator took each round's loss uniforms and density draw in
 one `random()` call and moved the slice arithmetic after the loop, kept
-here unchanged.  Every other method is the package's.  `to_json` is the
+here unchanged but for its norms and dot products, which add in index
+order from 0.0 (`reference_ogd.fdot`), the package's one order, where
+numpy's BLAS may round otherwise.  Every other method is the package's.  `to_json` is the
 writer the package shipped before it wrote each array's floats through
 `core.array_json`, kept unchanged but for taking the instance as an
 argument.
@@ -21,6 +23,7 @@ import numpy as np
 
 from cocomem import SeparableLinearInstance
 from cocomem.environments import RNG_NAME, _instance_rng
+from reference_ogd import fdot
 
 
 class ReferenceSeparableInstance(SeparableLinearInstance):
@@ -33,7 +36,7 @@ class ReferenceSeparableInstance(SeparableLinearInstance):
         self.g_present = np.zeros((T + 1, m + 1), dtype=bool)
 
         w = rng.normal(size=d)
-        w /= np.linalg.norm(w)
+        w /= math.sqrt(fdot(w.tolist(), w.tolist()))
         base_sign = 1.0 if rng.uniform() < 0.5 else -1.0
         n_active = T - m
         block_len = max(1, math.ceil(n_active / max(1, self.blocks)))
@@ -49,10 +52,10 @@ class ReferenceSeparableInstance(SeparableLinearInstance):
             if rng.uniform() < self.g_round_density:
                 i = int(rng.integers(0, m + 1)) if self.constraint_memory else 0
                 direction = rng.normal(size=d)
-                direction /= np.linalg.norm(direction)
+                direction /= math.sqrt(fdot(direction.tolist(), direction.tolist()))
                 mag = rng.uniform(*self.g_mag)
                 coeff = mag * direction
-                sup = self.fset.support(coeff) - float(coeff @ self.fset.center)
+                sup = self.fset.support(coeff) - fdot(coeff.tolist(), self.fset.center.tolist())
                 if rng.uniform() < self.g_active_fraction:
                     root = rng.uniform(*self.g_root)
                 else:

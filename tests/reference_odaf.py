@@ -5,7 +5,9 @@ reference the float learner is held to, bit for bit.
 its history in dicts that grow with the horizon; it is the learner the
 package shipped before `optimistic.OdafLearner` moved to Python floats
 with O(m) state, kept here unchanged but for the regularizer, which
-`ftrl_argmin` now takes from the feasible set, and for its value columns.
+`ftrl_argmin` now takes from the feasible set, for its value columns,
+and for its dot products and norms, which add in index order from 0.0
+(`_dot`), the package's one order, where numpy's BLAS may round otherwise.
 The package's learner takes f_mem, f_splat and g_splat from the family's
 `fill_values`; here they come from `reference_ogd.separable_round_evaluator`,
 which adds the same terms one by one in the family's order.  `run_optimistic`,
@@ -27,7 +29,7 @@ from cocomem.geometry import ftrl_argmin, regret_coefficient
 from cocomem.metrics import RunTrace
 from cocomem.optimistic import MAX_PATTERN_SLICES, doubling_mu1
 from cocomem.penalty import Penalty, PenaltyKind, lambda_optimistic
-from reference_ogd import separable_round_evaluator
+from reference_ogd import fdot, separable_round_evaluator
 
 
 def huber(x: float, y: float) -> float:
@@ -164,8 +166,8 @@ class OdafLearner:
         if s not in self.hints:
             return 0.0, 0.0, 0.0
         diff = self.hints[s] - self._window_sum(s)
-        err = float(np.linalg.norm(diff))
-        zn = float(np.linalg.norm(z))
+        err = math.sqrt(_dot(diff, diff))
+        zn = math.sqrt(_dot(z, z))
         a = self.fset.diameter * min(err, zn)
         self._a[s] = a
         self._b[s] = huber(err, zn)
@@ -195,14 +197,14 @@ class OdafLearner:
     def _prediction_errors(self, tau: int, diff: np.ndarray) -> tuple[float, float, float]:
         """(eps_Z, eps_f, eps_g) of hint h_tau once grad Z_tau is revealed;
         `diff` is h_tau minus the revealed window sum."""
-        eps_z = float(np.sum(diff ** 2))
+        eps_z = _dot(diff, diff)
         df = np.zeros(self.dim)
         dg = np.zeros(self.dim)
         for (r, i), (f_pred, g_pred) in self._hint_preds[tau].items():
             f = self._f_row(r, i)
             df += f_pred - (f if f is not None else 0.0)
             dg += g_pred - (self.inst.g_coef[r, i] if self._g_active.get((r, i)) else 0.0)
-        return eps_z, float(df @ df), float(dg @ dg)
+        return eps_z, _dot(df, df), _dot(dg, dg)
 
     # -- hint assembly and the FTRL step ------------------------------------
 
@@ -252,7 +254,7 @@ class OdafLearner:
         # carries its weighted gradient
         block = [self._forecast(nxt + i, i) for i in range(m + 1)]
         toggles = [(i, g, self._mult(nxt + i) * g[0])
-                   for i, (_, g) in enumerate(block) if g[0] @ g[0] > 0.0]
+                   for i, (_, g) in enumerate(block) if _dot(g[0], g[0]) > 0.0]
 
         _, _, mu = self.odaf_weights(t)
         self.mu_now = mu
@@ -330,18 +332,23 @@ class OdafLearner:
         window = [c for i in range(m, -1, -1) for c in self.x_hist[t - i].tolist()]
         f_mem, f_spl, _, _, g_spl, _ = self._values(row, window, x_t.tolist())
         mult_t = self._mult(t)
+        z = self._forward.get(s, np.zeros(self.dim))
         self.records[row] = (
             t, x_t, f_mem, f_spl, g_val, g_spl, inc, self.ccv, self.ccv, mult_t,
-            self.penalty.lam,
-            float(np.linalg.norm(self._forward.get(s, np.zeros(self.dim)))), self.mu_now,
+            self.penalty.lam, math.sqrt(_dot(z, z)), self.mu_now,
             eps_f, eps_g, eps_z,
         )
         return self.records[row]
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """The dot product of two (d,) arrays, added in index order from 0.0."""
+    return fdot(a.tolist(), b.tolist())
+
+
 def _value(g: tuple[np.ndarray, float], x: np.ndarray) -> float:
     """Value at x of an affine constraint slice or forecast (coeff, offset)."""
-    return float(g[0] @ x) + g[1]
+    return _dot(g[0], x) + g[1]
 
 
 def _active(g: tuple[np.ndarray, float], x: np.ndarray) -> bool:

@@ -7,9 +7,11 @@ from its rows as lists of Python floats, and writes one row tuple per
 round.  The two `round_evaluator`s were methods of `AppendixAInstance`
 and `SeparableLinearInstance`; they are kept here as functions of the
 instance, and the runner picks one by the instance's type.  They are
-unchanged but for the separable family's per-round slice sums, which
-`delay_sums` adds in Python in delay order rather than reading the
-package's.  `fdot` and `point_step` are the dot product and the
+unchanged but for two sums of the separable family: its per-round slice
+sums, which `delay_sums` adds in Python in delay order rather than
+reading the package's, and its window sum, which adds each slot's
+coordinates in index order, the package's one order (it added them last
+first).  `fdot` and `point_step` are the dot product and the
 projected step as they were then, on sequences of Python floats at
 every d.
 
@@ -123,8 +125,8 @@ def separable_round_evaluator(self, rounds: range, g_window: bool):
     the module docstring for the contract.  Each value repeats the
     expression of `loss(t)` / `constraint(t)` term by term, with the
     per-round slice sums (lift slopes, summed offsets) taken up front."""
-    span = slice(rounds.start, rounds.stop)
-    shape = (len(rounds), (self.m + 1) * self.dim)
+    span, dim = slice(rounds.start, rounds.stop), self.dim
+    shape = (len(rounds), (self.m + 1) * dim)
     # slice coefficients in flat-window order: delay m (oldest) first
     f_win = self.f_coef[span, ::-1].reshape(shape).tolist()
     g_win = self.g_coef[span, ::-1].reshape(shape).tolist()
@@ -132,8 +134,9 @@ def separable_round_evaluator(self, rounds: range, g_window: bool):
 
     def window_value(coeffs, window):
         s = 0.0
-        for cj, wj in zip(reversed(coeffs), reversed(window)):  # newest first
-            s += wj * cj
+        for i in range(len(window) - dim, -1, -dim):  # newest first, coordinates in order
+            for cj, wj in zip(coeffs[i : i + dim], window[i : i + dim]):
+                s += wj * cj
         return s
 
     def evaluate(k, window, x):

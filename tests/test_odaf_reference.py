@@ -17,7 +17,7 @@ from cocomem import (
     ZeroPredictor,
     optimistic,
 )
-from helpers import assert_v_at_reads_the_table, error_sums
+from helpers import assert_v_at_reads_the_table, error_sums, played_violation
 
 PREDICTORS = {"perfect": PerfectPredictor, "zero": ZeroPredictor,
               "noisy": lambda: NoisyPredictor(0.4, seed=3)}
@@ -82,9 +82,7 @@ def test_float_learner_matches_numpy_reference(runner, kind, m, d, memoryless, l
                                        constraint_memory=not memoryless,
                                        g_round_density=density, g_mag=(0.05, 0.2))
 
-    with warnings.catch_warnings():  # the numpy learner warns of overflow; see the next test
-        warnings.simplefilter("ignore", RuntimeWarning)
-        want, want_exc, _ = _outcome(ref, runner, make_instance, variant, kind, lam)
+    want, want_exc, _ = _outcome(ref, runner, make_instance, variant, kind, lam)
     got, got_exc, predictor = _outcome(optimistic, runner, make_instance, variant, kind, lam)
     assert got_exc is want_exc
     assert got == want
@@ -94,18 +92,17 @@ def test_float_learner_matches_numpy_reference(runner, kind, m, d, memoryless, l
 
 def test_float_learner_overflows_silently():
     """The extreme-lambda example of the test above at d = 3, whose
-    multiplier overflows numpy's dot and square: the float learner warns
-    of nothing, as its d = 1 floats do not, and ends as the numpy learner
-    does, whose overflow warnings stay (a non-finite decision raises)."""
+    multiplier overflows the dot products and squares: both learners warn
+    of nothing, since both take them in Python floats, as at d = 1, and
+    both end in the ValueError of a non-finite decision."""
     def make_instance():
         return SeparableLinearInstance(m=0, horizon=59, dim=3, seed=39536,
                                        g_round_density=0.6, g_mag=(0.05, 0.2))
 
     args = (make_instance, Variant.COCO_M2, "zero", 12000.0)
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        want = _outcome(ref, "odaf", *args)[:2]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
+        want = _outcome(ref, "odaf", *args)[:2]
         got = _outcome(optimistic, "odaf", *args)[:2]
     assert got == want == (None, ValueError)
 
@@ -157,7 +154,7 @@ def test_doubling_shares_bounded_history_across_epochs(kind):
             learner.restart(t, restarts[t])
             assert learner.v_at(t - 1) == ccv and learner.lam == restarts[t]
         learner.play(t, t + 1)
-        ccv += max(float(learner.records["g_mem"][t - inst.first_round]), 0.0)
+        ccv += played_violation(learner, t)
         assert len(learner.x_hist) <= inst.m + 2 and learner.v_at(t) == ccv
         if t in restarts or t == inst.horizon:
             assert_v_at_reads_the_table(learner, t)

@@ -1,5 +1,4 @@
 import collections
-import hashlib
 import itertools
 import json
 import math
@@ -29,8 +28,8 @@ from cocomem.metrics import ForwardFunctions
 from cocomem import optimistic, pcg
 from cocomem.optimistic import OdafLearner, doubling_mu1
 from cocomem.penalty import Penalty, lambda_optimistic, phi_prime
-from helpers import (assert_v_at_reads_the_table, doubling_epoch_bound, error_sums, pinned_layout,
-                     python_calls)
+from helpers import (assert_v_at_reads_the_table, doubling_epoch_bound, error_sums,
+                     played_violation, python_calls, trace_digest)
 from reference_odaf import DoublingSchedule, huber
 from reference_ogd import separable_round_evaluator
 
@@ -182,7 +181,7 @@ def test_decisions_are_bounded_and_v_at_reads_the_table(m):
     first, ccv = inst.first_round, 0.0
     for t in range(first, 31):
         learner.play(t, t + 1)
-        ccv += max(float(learner.records["g_mem"][t - first]), 0.0)  # the running sum of g+
+        ccv += played_violation(learner, t)  # the running sum of g+
         assert len(learner.x_hist) <= m + 2
         assert learner.v_at(t) == ccv
     with pytest.raises(ValueError, match="no longer held"):
@@ -485,7 +484,7 @@ def test_doubling_schedule_scripted_epochs(monkeypatch):
     monkeypatch.setattr(optimistic, "_tuning", lambda instance, variant: (1.0, 1.0))
     # the scripted table has no decisions, so no column derives from them
     inst = types.SimpleNamespace(first_round=1, rounds=range(1, 10),
-                                 fill_values=lambda table, g_window: None)
+                                 fill_values=lambda table, variant: None)
     tr = optimistic.run_doubling(inst, Variant.COCO_M2, None, error_estimate=1.0)
     assert learners[0].starts == [1, 4, 9] == tr.extras["epoch_starts"]
     # one call per epoch, each with C and the epoch's budget
@@ -560,53 +559,42 @@ def test_doubling_epoch_count_obeys_budget_arithmetic():
         tr.validate()
 
 
-# sha256 prefixes of records.tobytes() in `pinned_layout`, hints.tobytes()
-# (odaf only) and the error sums, recorded from the learner before its
-# forecasts were memoized per round, with f_mem, f_splat and g_splat since
-# summed in the family's `fill_values` order; any flipped activity flag or
-# reordered sum changes them
+# `trace_digest`s, recorded from the learner before its forecasts were
+# memoized per round, with f_mem, f_splat and g_splat since summed in the
+# family's `fill_values` order, and the d = 2 pins since every d-vector
+# adds in index order; any flipped activity flag or reordered sum changes
+# them (`test_blas_kernel` computes the d = 2 ones under another BLAS kernel)
 PINNED_TRACES = {
     ("odaf", "perfect", 0, 1): "6b5fdbc64019f20a",
-    ("odaf", "perfect", 0, 2): "5096d01303f54e18",
+    ("odaf", "perfect", 0, 2): "531558f4eb2cbf93",
     ("odaf", "perfect", 2, 1): "318773802fc9fd78",
-    ("odaf", "perfect", 2, 2): "d26132c89cb38b42",
+    ("odaf", "perfect", 2, 2): "7add57487b4fcb9a",
     ("odaf", "zero", 0, 1): "3ee9c0747c63a173",
-    ("odaf", "zero", 0, 2): "908c8e7829a77cc7",
+    ("odaf", "zero", 0, 2): "1b182baf1271b620",
     ("odaf", "zero", 2, 1): "1a71038ba661bd23",
-    ("odaf", "zero", 2, 2): "5907a5254da8e811",
+    ("odaf", "zero", 2, 2): "480eee0c83f979a1",
     ("odaf", "noisy", 0, 1): "7f28a0a97faaeaa6",
-    ("odaf", "noisy", 0, 2): "2b2474a9c547d151",
+    ("odaf", "noisy", 0, 2): "be1199e8782c8cd7",
     ("odaf", "noisy", 2, 1): "3e13444f3c49686e",
-    ("odaf", "noisy", 2, 2): "624a939c4cf6212d",
+    ("odaf", "noisy", 2, 2): "06ffb59a8320f867",
     ("doubling", "perfect", 0, 1): "bfa707642007e1a1",
-    ("doubling", "perfect", 0, 2): "bbc3cb2ee9187b8b",
+    ("doubling", "perfect", 0, 2): "347432041a3f86fa",
     ("doubling", "perfect", 2, 1): "a0f7f63072a66ac2",
-    ("doubling", "perfect", 2, 2): "42b2ecf4a1f8202e",
+    ("doubling", "perfect", 2, 2): "28ab120ca6c47e56",
     ("doubling", "zero", 0, 1): "84cb416377eb6f4c",
-    ("doubling", "zero", 0, 2): "617658264a13bb3a",
+    ("doubling", "zero", 0, 2): "9f8c0821abbf7f20",
     ("doubling", "zero", 2, 1): "796f5a675ea98f2f",
-    ("doubling", "zero", 2, 2): "c04584daba397694",
+    ("doubling", "zero", 2, 2): "34acfe5049871b9c",
     ("doubling", "noisy", 0, 1): "707b15d7ed5074d7",
-    ("doubling", "noisy", 0, 2): "f9d2ad8e3dfffa78",
+    ("doubling", "noisy", 0, 2): "0ebb509cc4a45937",
     ("doubling", "noisy", 2, 1): "fa5e66b21c31c4a5",
-    ("doubling", "noisy", 2, 2): "5494ce19752de0bf",
+    ("doubling", "noisy", 2, 2): "955a1508dbd4f10d",
 }
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_TRACES), ids=lambda c: "-".join(map(str, c)))
 def test_trace_bytes_are_pinned(case):
-    runner, kind, m, d = case
-    inst = SeparableLinearInstance(m=m, horizon=150, dim=d, seed=10 * m + d,
-                                   g_round_density=0.4, g_mag=(0.05, 0.2))
-    predictor = {"perfect": PerfectPredictor(), "zero": ZeroPredictor(),
-                 "noisy": NoisyPredictor(0.3, seed=m + d)}[kind]
-    run = run_optimistic if runner == "odaf" else run_doubling
-    tr = run(inst, Variant.COCO_M2, predictor)
-    h = hashlib.sha256(pinned_layout(tr).tobytes())
-    if runner == "odaf":
-        h.update(tr.extras["hints"].tobytes())
-    h.update(repr(sorted(error_sums(tr).items())).encode())
-    assert h.hexdigest()[:16] == PINNED_TRACES[case]
+    assert trace_digest(*case) == PINNED_TRACES[case]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -616,25 +604,28 @@ def test_trace_bytes_are_pinned(case):
        seed=st.integers(0, 2**16))
 def test_value_columns_are_the_term_by_term_values_at_the_decisions(runner, kind, m, d, variant,
                                                                     rounds, seed):
-    """ODAF's f_mem, f_splat and g_splat are byte for byte the values of
-    the term-by-term evaluator that penalty OGD's columns match too,
-    `reference_ogd.separable_round_evaluator`, at ODAF's own decisions: both
-    learners sum the window and the lift in the family's one order."""
+    """ODAF's f_mem, f_splat, g_mem and g_splat are byte for byte the
+    values of the term-by-term evaluator that penalty OGD's columns match
+    too, `reference_ogd.separable_round_evaluator`, at ODAF's own
+    decisions: both learners sum the window and the lift in the family's
+    one order.  And the loop's V is the running sum of those g+."""
     inst = SeparableLinearInstance(m=m, horizon=m + rounds, dim=d, seed=seed,
                                    constraint_memory=variant is Variant.COCO_M2,
                                    g_round_density=0.6, g_mag=(0.05, 0.2))
     predictor = {"perfect": PerfectPredictor(), "zero": ZeroPredictor(),
                  "noisy": NoisyPredictor(0.4, seed=3)}[kind]
     tr = runner(inst, variant, predictor)
-    evaluate = separable_round_evaluator(inst, inst.rounds, False)
+    evaluate = separable_round_evaluator(inst, inst.rounds, variant is Variant.COCO_M2)
     x = inst.by_round(tr.col("x")).tolist()  # the center before the first round
     want = []
     for k, t in enumerate(inst.rounds):
         window = [c for r in range(t - m, t + 1) for c in x[r]]
-        f_mem, f_splat, _, _, g_splat, _ = evaluate(k, window, x[t])
-        want.append((f_mem, f_splat, g_splat))
-    got = np.column_stack([tr.col(name) for name in ("f_mem", "f_splat", "g_splat")])
+        f_mem, f_splat, _, g_mem, g_splat, _ = evaluate(k, window, x[t])
+        want.append((f_mem, f_splat, g_mem, g_splat))
+    got = np.column_stack([tr.col(name) for name in ("f_mem", "f_splat", "g_mem", "g_splat")])
     assert got.tobytes() == np.array(want).tobytes()
+    # the loop sums V from its own g_t: what lets the family write g_mem
+    assert tr.col("ccv_cum").tobytes() == np.cumsum(tr.col("g_plus_recorded") + 0.0).tobytes()
 
 
 def test_a_doubling_run_draws_each_forecast_once(monkeypatch):
