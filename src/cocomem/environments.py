@@ -537,21 +537,12 @@ class SeparableLinearInstance(_Instance):
         if not hits:
             return
         t_hit, i_hit, coeff, mag, root = (np.array(col) for col in zip(*hits))
-        if d == 1:
-            # the set is an interval and every per-hit norm, dot and support
-            # sum has one term (the norm of [z] is sqrt(z * z)), so the per-hit
-            # expressions hold elementwise
-            coeff /= np.sqrt(coeff * coeff)
-            coeff *= mag[:, None]
-            lo, hi = self.fset.lo, self.fset.hi
-            sup = (np.where(coeff >= 0, coeff * hi, coeff * lo) - coeff * self.fset.center)[:, 0]
-        else:
-            center = self.fset.center
-            sup = np.empty(len(hits))
-            for h, row in enumerate(coeff):
-                row /= math.sqrt(fdot(row, row))
-                row *= mag[h]
-                sup[h] = self.fset.support(row) - fdot(row, center)
+        # one row per hit, each norm and dot added in index order (fdot);
+        # support(coeff) = coeff . center + radius * |coeff|, as Ball.support
+        coeff /= np.sqrt(fdot(coeff, coeff))[:, None]
+        coeff *= mag[:, None]
+        along = fdot(coeff, self.fset.center)
+        sup = along + self.fset.radius * np.sqrt(fdot(coeff, coeff)) - along
         self.g_coef[t_hit, i_hit] = coeff
         self.g_off[t_hit, i_hit] = -root * sup
         self.g_present[t_hit, i_hit] = True

@@ -319,8 +319,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     if results:
         marks = sorted(results[0]["checkpoints"], key=int)
         keys = ("regret_static_per_round", "regret_perround_per_round", "ccv_per_round")
-        # row (mark, key), column seed: each row reduces as a 1-D call would, bit for bit
-        vals = np.array([[r["checkpoints"][t][k] for r in results] for t in marks for k in keys])
+        # row (mark, key), column seed: each row reduces as a 1-D call would, bit for bit;
+        # a run with no played round has no mark and no row
+        vals = np.array([[r["checkpoints"][t][k] for r in results] for t in marks for k in keys]
+                        ).reshape(len(marks) * len(keys), len(results))
         means, stds = (f(vals, axis=1).reshape(-1, len(keys)).tolist() for f in (np.mean, np.std))
         for t, mean, std in zip(marks, means, stds):
             summary["checkpoints"][t] = {key: {"mean": m, "std": s}

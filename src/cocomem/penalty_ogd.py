@@ -15,14 +15,15 @@ round: g_splat, V, Phi', the gradient, the step and the projection,
 reading each round's lift rows (`halfspaces`, `loss_lift`) as data and
 writing the decision, Phi', the gradient norm and the step into the
 table's columns, on `core.float_vectors`.  Its loop writes the expressions
-of `penalty.phi_prime`, `adaptive_step` and `geometry.project` (the clamp
-at d = 1, the radial scaling at d >= 2) inline, so at d = 1 a round makes
-no Python function call; those functions stay the reference formulas.
+of `penalty.phi_prime`, the adaptive step and `geometry.project` (the
+clamp at d = 1, the radial scaling at d >= 2) inline, so at d = 1 a round
+makes no Python function call.
 After the loop the family's `fill_values` writes the other functions of
 the decisions, as for ODAF, and V and the CCV are running sums of them.
-`PenaltyOgdLearner` is the reference implementation on the oracle
-protocol (`loss(t)` / `constraint(t)`, `Penalty`, `project`); the tests
-hold the float loop to it, bit for bit in 1-D with m <= 6.
+`tests/reference_ogd.py` holds the two references this loop is tested
+against: `PenaltyOgdLearner` on the oracle protocol (`loss(t)` /
+`constraint(t)`, `Penalty`, `project`), matched bit for bit in 1-D with
+m <= 6, and the per-round loop this one replaced, matched byte for byte.
 """
 
 from __future__ import annotations
@@ -31,93 +32,10 @@ import math
 
 import numpy as np
 
-from .core import MemoryFunctionOracle, Variant, float_vectors, round_table
-from .geometry import project
+from .core import Variant, float_vectors, round_table
+from .geometry import project  # noqa: F401  the step the loop inlines; perfbench wraps it here
 from .metrics import RunTrace
-from .penalty import EXP_CAP, Penalty, PenaltyKind, check_lambda, lambda_theorem
-
-def surrogate_gradient(
-    loss: MemoryFunctionOracle,
-    constraint: MemoryFunctionOracle,
-    x: np.ndarray,
-    phi_prime: float,
-) -> np.ndarray:
-    """grad f(x,..,x) + Phi'(V) * grad g+(x,..,x); the hinge subgradient is
-    zero whenever the lifted constraint value is <= 0."""
-    grad = loss.grad_splat(x)
-    if phi_prime != 0.0 and constraint.value_splat(x) > 0.0:
-        grad = grad + phi_prime * constraint.grad_splat(x)
-    return grad
-
-
-def adaptive_step(diameter: float, grad_sq_sum: float) -> float:
-    """|X| / (sqrt(2) sqrt(sum_tau ||grad||^2)); zero while no gradient has
-    been seen, so the update is a no-op."""
-    if grad_sq_sum <= 0.0:
-        return 0.0
-    return diameter / (math.sqrt(2.0) * math.sqrt(grad_sq_sum))
-
-
-class PenaltyOgdLearner:
-    """Single-run learner state; one instance per (config, seed).  It
-    plays one round per entry of `lams`, the k-th with lambda `lams[k]`,
-    and writes it into row k of `records`.  `window` is the (m+1, d) array
-    of the last m+1 decisions, oldest first, with the set center standing
-    in before the first round."""
-
-    def __init__(self, fset, memory: int, variant: Variant, kind: PenaltyKind,
-                 lams: list[float]):
-        self.fset = fset
-        self.m = memory
-        self.variant = variant
-        self.kind = kind
-        self.lams = lams
-        self.x = fset.center
-        self.window = np.tile(self.x, (memory + 1, 1))
-        self.grad_sq_sum = 0.0
-        self.v_dual = 0.0
-        self.ccv = 0.0
-        self.records = round_table(len(lams), fset.dim)
-        self.played = 0
-
-    def play_round(self, t: int, loss: MemoryFunctionOracle,
-                   constraint: MemoryFunctionOracle) -> np.record:
-        if loss.dim != self.fset.dim or constraint.dim != self.fset.dim:
-            raise ValueError("oracle dimension does not match the feasible set")
-        if loss.memory != self.m or constraint.memory != self.m:
-            raise ValueError("oracle memory length does not match the learner")
-        x = self.x
-        f_mem = loss.value(self.window)
-        f_spl = loss.value_splat(x)
-        g_spl = constraint.value_splat(x)
-        if self.variant is Variant.COCO_M2:
-            g_mem = constraint.value(self.window)
-        else:
-            g_mem = g_spl
-        g_plus = max(g_mem, 0.0)
-
-        # dual update first: the multiplier sees this round's violation
-        self.v_dual += max(g_spl, 0.0)
-        v = self.v_dual
-        self.ccv += g_plus
-
-        row = self.played
-        lam = self.lams[row]
-        phi_prime = Penalty(self.kind, lam).prime(v)
-        grad = surrogate_gradient(loss, constraint, x, phi_prime)
-        self.grad_sq_sum += float(grad @ grad)
-        eta = adaptive_step(self.fset.diameter, self.grad_sq_sum)
-        x_next = project(self.fset, x - eta * grad)
-
-        self.records[row] = (
-            t, x, f_mem, f_spl, g_mem, g_spl, g_plus, v, self.ccv, phi_prime, lam,
-            float(np.linalg.norm(grad)), eta, 0.0, 0.0, 0.0,
-        )
-        self.played += 1
-        self.x = x_next
-        self.window[:-1] = self.window[1:]
-        self.window[-1] = x_next
-        return self.records[row]
+from .penalty import EXP_CAP, PenaltyKind, check_lambda, lambda_theorem
 
 
 @np.errstate(over="ignore", invalid="ignore")  # numpy overflows as floats do: silently
@@ -132,11 +50,11 @@ def run_penalty_ogd(
     `lam` is the penalty parameter: None for the theorem's
     (`lambda_theorem`), a number for every round, or a 1-D array with one
     value per played round; the `lam` column records it.  Round for round
-    this repeats `PenaltyOgdLearner.play_round` fed by `instance.loss(t)` /
-    `instance.constraint(t)` with the same expressions (in 1-D with m <= 6
-    also the same summation order, so the trace is byte-identical; see
-    `environments` on longer sums).  Every lambda is checked before the
-    first round."""
+    this repeats `PenaltyOgdLearner.play_round` of `tests/reference_ogd.py`
+    fed by `instance.loss(t)` / `instance.constraint(t)` with the same
+    expressions (in 1-D with m <= 6 also the same summation order, so the
+    trace is byte-identical; see `environments` on longer sums).  Every
+    lambda is checked before the first round."""
     rounds, fset = instance.rounds, instance.fset
     if lam is None:
         lam = lambda_theorem(kind, instance)

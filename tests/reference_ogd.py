@@ -1,10 +1,17 @@
-"""The penalty-OGD float loop that `cocomem.penalty_ogd.run_penalty_ogd`
-replaced: the reference the package's runner is held to, byte for byte.
+"""The two references that `cocomem.penalty_ogd.run_penalty_ogd` is held to.
 
-`run_penalty_ogd` here plays every round through a per-round closure,
-`evaluate(k, window, x)`, which each family's `round_evaluator` builds
-from its rows as lists of Python floats, and writes one row tuple per
-round.  The two `round_evaluator`s were methods of `AppendixAInstance`
+`PenaltyOgdLearner` plays penalty OGD on the oracle protocol: one round
+per `play_round(t, instance.loss(t), instance.constraint(t))`, with
+`surrogate_gradient`, `adaptive_step`, `Penalty` and `project`.  The
+package's runner matches it bit for bit in 1-D with m <= 6, and to
+`rtol=1e-12` elsewhere, where its numpy dot products and norms may round
+differently from the runner's index-order sums.
+
+`run_penalty_ogd` here is the float loop that the package's runner
+replaced, and the runner matches it byte for byte.  It plays every round
+through a per-round closure, `evaluate(k, window, x)`, which each
+family's `round_evaluator` builds from its rows as lists of Python
+floats, and writes one row tuple per round.  The two `round_evaluator`s were methods of `AppendixAInstance`
 and `SeparableLinearInstance`; they are kept here as functions of the
 instance, and the runner picks one by the instance's type.  They are
 unchanged but for two sums of the separable family: its per-round slice
@@ -29,11 +36,95 @@ import math
 
 import numpy as np
 
-from cocomem.core import Ball, Variant, round_table
+from cocomem.core import Ball, MemoryFunctionOracle, Variant, round_table
 from cocomem.environments import AppendixAInstance, SeparableLinearInstance
+from cocomem.geometry import project
 from cocomem.metrics import RunTrace
-from cocomem.penalty import PenaltyKind, check_lambda, lambda_theorem, phi_prime
-from cocomem.penalty_ogd import adaptive_step
+from cocomem.penalty import Penalty, PenaltyKind, check_lambda, lambda_theorem, phi_prime
+
+
+def surrogate_gradient(
+    loss: MemoryFunctionOracle,
+    constraint: MemoryFunctionOracle,
+    x: np.ndarray,
+    phi_prime: float,
+) -> np.ndarray:
+    """grad f(x,..,x) + Phi'(V) * grad g+(x,..,x); the hinge subgradient is
+    zero whenever the lifted constraint value is <= 0."""
+    grad = loss.grad_splat(x)
+    if phi_prime != 0.0 and constraint.value_splat(x) > 0.0:
+        grad = grad + phi_prime * constraint.grad_splat(x)
+    return grad
+
+
+def adaptive_step(diameter: float, grad_sq_sum: float) -> float:
+    """|X| / (sqrt(2) sqrt(sum_tau ||grad||^2)); zero while no gradient has
+    been seen, so the update is a no-op."""
+    if grad_sq_sum <= 0.0:
+        return 0.0
+    return diameter / (math.sqrt(2.0) * math.sqrt(grad_sq_sum))
+
+
+class PenaltyOgdLearner:
+    """Single-run learner state; one instance per (config, seed).  It
+    plays one round per entry of `lams`, the k-th with lambda `lams[k]`,
+    and writes it into row k of `records`.  `window` is the (m+1, d) array
+    of the last m+1 decisions, oldest first, with the set center standing
+    in before the first round."""
+
+    def __init__(self, fset, memory: int, variant: Variant, kind: PenaltyKind,
+                 lams: list[float]):
+        self.fset = fset
+        self.m = memory
+        self.variant = variant
+        self.kind = kind
+        self.lams = lams
+        self.x = fset.center
+        self.window = np.tile(self.x, (memory + 1, 1))
+        self.grad_sq_sum = 0.0
+        self.v_dual = 0.0
+        self.ccv = 0.0
+        self.records = round_table(len(lams), fset.dim)
+        self.played = 0
+
+    def play_round(self, t: int, loss: MemoryFunctionOracle,
+                   constraint: MemoryFunctionOracle) -> np.record:
+        if loss.dim != self.fset.dim or constraint.dim != self.fset.dim:
+            raise ValueError("oracle dimension does not match the feasible set")
+        if loss.memory != self.m or constraint.memory != self.m:
+            raise ValueError("oracle memory length does not match the learner")
+        x = self.x
+        f_mem = loss.value(self.window)
+        f_spl = loss.value_splat(x)
+        g_spl = constraint.value_splat(x)
+        if self.variant is Variant.COCO_M2:
+            g_mem = constraint.value(self.window)
+        else:
+            g_mem = g_spl
+        g_plus = max(g_mem, 0.0)
+
+        # dual update first: the multiplier sees this round's violation
+        self.v_dual += max(g_spl, 0.0)
+        v = self.v_dual
+        self.ccv += g_plus
+
+        row = self.played
+        lam = self.lams[row]
+        phi_prime = Penalty(self.kind, lam).prime(v)
+        grad = surrogate_gradient(loss, constraint, x, phi_prime)
+        self.grad_sq_sum += float(grad @ grad)
+        eta = adaptive_step(self.fset.diameter, self.grad_sq_sum)
+        x_next = project(self.fset, x - eta * grad)
+
+        self.records[row] = (
+            t, x, f_mem, f_spl, g_mem, g_spl, g_plus, v, self.ccv, phi_prime, lam,
+            float(np.linalg.norm(grad)), eta, 0.0, 0.0, 0.0,
+        )
+        self.played += 1
+        self.x = x_next
+        self.window[:-1] = self.window[1:]
+        self.window[-1] = x_next
+        return self.records[row]
 
 
 def fdot(a, b) -> float:

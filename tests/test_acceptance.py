@@ -32,7 +32,6 @@ from cocomem.geometry import ftrl_argmin, project
 from cocomem.harness import ExperimentConfig, run_experiment
 from cocomem.metrics import lift_loss_at
 from cocomem.penalty import lambda_exponential_short_memory, short_memory_condition
-from cocomem.penalty_ogd import surrogate_gradient
 from helpers import doubling_epoch_bound, error_sums, prefix_static_regret, sqrt_t
 from reference_odaf import DoublingSchedule, huber
 
@@ -313,23 +312,28 @@ def test_c7_huber_inequality():
 
 
 def test_c7_surrogate_gradient_finite_differences():
-    inst = AppendixAInstance(m=2, horizon=50, seed=3)
-    rng = np.random.default_rng(3)
+    # the gradient the runner descends: |d/dx (f_splat + Phi' max(g_splat, 0))|
+    # at each played x, with Phi' the round's own; larger lambdas make the
+    # hinge term count in more rounds
     h = 1e-5
-    checked = 0
-    while checked < 100:
-        t = int(rng.integers(2, 51))
-        x = float(rng.uniform(-14.0, 14.0))
-        pp = float(rng.uniform(0.0, 3.0))
-        loss, cons = inst.loss(t), inst.constraint(t)
-        if abs(cons.value_splat([x])) < 10 * h:
-            continue  # keep clear of the hinge kink
-        lag = lambda z: loss.value_splat([z]) + pp * max(cons.value_splat([z]), 0.0)
-        fd = (lag(x + h) - lag(x - h)) / (2 * h)
-        got = surrogate_gradient(loss, cons, np.array([x]), pp)[0]
-        assert got == pytest.approx(fd, rel=1e-6, abs=1e-6)
-        checked += 1
-    print("criterion 7d PASS (surrogate gradient vs central differences, 100 points)")
+    checked = hinged = 0
+    for lam in (0.05, 0.5, 5.0):
+        inst = AppendixAInstance(m=2, horizon=50, seed=3)
+        tr = run_penalty_ogd(inst, Variant.COCO_M, PenaltyKind.QUADRATIC, lam)
+        for rec in tr.records:
+            loss, cons = inst.loss(int(rec.t)), inst.constraint(int(rec.t))
+            x, pp = float(rec.x[0]), float(rec.phi_prime)
+            g = cons.value_splat([x])
+            if abs(g) < 10 * h:
+                continue  # keep clear of the hinge kink
+            lag = lambda z: loss.value_splat([z]) + pp * max(cons.value_splat([z]), 0.0)
+            fd = abs(lag(x + h) - lag(x - h)) / (2 * h)
+            assert rec.grad_norm == pytest.approx(fd, rel=1e-6, abs=1e-6)
+            checked += 1
+            hinged += pp > 0.0 and g > 0.0
+    assert hinged > 0
+    print(f"criterion 7d PASS (runner gradient norm vs central differences, "
+          f"{checked} rounds, {hinged} with the hinge active)")
 
 
 def test_c7_full_run_determinism(tmp_path):

@@ -549,6 +549,35 @@ def test_cli_rejects_bad_environment_parameters(tmp_path, capsys, monkeypatch, c
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
+ZERO_ROUNDS = {
+    "penalty_ogd": {"penalty": "quadratic", "lam": "theorem"},
+    "odaf": {"penalty": "exponential", "lam": "theorem", "predictor": {"kind": "perfect"},
+             "error_estimate": 0.0},
+}
+
+
+@pytest.mark.parametrize("parallel", ["1", "2"])
+@pytest.mark.parametrize("algorithm", sorted(ZERO_ROUNDS))
+def test_run_with_no_played_round_writes_an_empty_summary(tmp_path, capsys, algorithm,
+                                                          parallel):
+    # horizon == m: the first round is m + 1, so no round is played and no
+    # checkpoint exists; the summary still lists both seeds as completed
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        **BASE, **ZERO_ROUNDS[algorithm], "algorithm": algorithm, "seeds": [0, 1],
+        "environment": {"kind": "separable_linear", "m": 2, "horizon": 2}}))
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(out),
+                     "--parallel", parallel]) == 0
+    summary = json.loads((out / "t_summary.json").read_text())
+    assert summary["seeds_completed"] == [0, 1] and summary["seeds_failed"] == []
+    assert summary["checkpoints"] == {}
+    assert json.loads(capsys.readouterr().out) == summary
+    assert sorted(p.name for p in out.iterdir()) == [
+        "t_seed0.csv", "t_seed0_instance.json", "t_seed1.csv", "t_seed1_instance.json",
+        "t_summary.json"]
+
+
 @pytest.mark.parametrize("parallel", ["1", "2"])
 def test_cli_rejects_duplicate_seeds(tmp_path, capsys, parallel):
     # run serially the seed would be played twice; under --parallel two

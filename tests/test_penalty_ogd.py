@@ -20,9 +20,9 @@ from cocomem.core import Ball, MemoryFunctionOracle
 from cocomem.harness import load_config, run_single
 from cocomem.metrics import theorem_bound_report
 from cocomem.penalty import lambda_quadratic, lambda_theorem, saturated
-from cocomem.penalty_ogd import PenaltyOgdLearner, adaptive_step, surrogate_gradient
 
 from helpers import pinned_layout, python_calls, sqrt_t
+from reference_ogd import PenaltyOgdLearner, adaptive_step, surrogate_gradient
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
