@@ -661,7 +661,8 @@ class Predictor:
     (n P, d) and offsets (n P,).  `forecasts` calls each once per block of
     up to `NOISE_BLOCK_ROWS` // P rounds, ending at the last query round,
     horizon + 1, and holds the block, so a round asked twice (as a restart
-    does) gets the same forecasts.
+    does) gets the same forecasts.  Row t of `f_error` holds round t's loss
+    forecasts minus the true slices, added in `hint_pairs` order.
     """
 
     kind = "base"
@@ -681,6 +682,11 @@ class Predictor:
         self._pair_j = np.arange(len(self._pair_i)) - self._pair_i * (self._pair_i + 1) // 2
         self._block_rounds = max(1, NOISE_BLOCK_ROWS // len(self._pair_i))
         self._held, self._block = range(0), ()
+        # a hint's pairs (t + dq, i) as (dq, i, forecast index) in the optimistic
+        # learner's order: those of decision t - u for u = m .. 0, each by delay i >= u
+        m, self.f_error = instance.m, np.zeros((instance.horizon + 2, instance.dim))
+        self.hint_pairs = [(i - u, i, i * (i + 1) // 2 + i - u)
+                           for u in range(m, -1, -1) for i in range(u, m + 1)]
 
     def forecasts(self, t: int) -> list:
         """Round t's P forecasts (f, g, g_off), pair (t + j, i) at index
@@ -698,8 +704,8 @@ class Predictor:
         return list(zip(f[k], g[k], off[k].tolist()))
 
     def _fill(self, t: int) -> tuple:
-        """(block, rounds) of the block of rounds from t, one row per round:
-        an (n, P, 3) array of [f, g, g_off] at d = 1, else arrays (f, g, off)."""
+        """(block, rounds) of the block of rounds from t, whose `f_error` rows it
+        writes: an (n, P, 3) array of [f, g, g_off] at d = 1, else arrays (f, g, off)."""
         rounds = range(t, max(t + 1, min(t + self._block_rounds, self._instance.horizon + 2)))
         f = np.asarray(self.predict_f(rounds), dtype=float)
         g, off = (np.asarray(rows, dtype=float) for rows in self.predict_g(rounds))
@@ -710,6 +716,13 @@ class Predictor:
         if bad.any():
             g, off = np.where(bad[:, None], 0.0, g), np.where(bad, 0.0, off)
         n, d = len(rounds), self._instance.dim
+        if t >= 0:  # no learner asks a round before 0, which has no f_error row
+            fc, rows = f.reshape(n, -1, d), self.f_error[t:rounds.stop]
+            rows[...] = 0.0
+            for dq, i, j in self.hint_pairs:  # added one by one from 0.0, as the learner does
+                true = self._instance.f_coef[t + dq:rounds.stop + dq, i]  # none past the horizon
+                rows[:len(true)] += fc[:len(true), j] - true
+                rows[len(true):] += fc[len(true):, j]
         if d == 1:
             return np.stack((f[:, 0], g[:, 0], off), axis=-1).reshape(n, -1, 3), rounds
         return (f.reshape(n, -1, d), g.reshape(n, -1, d), off.reshape(n, -1)), rounds

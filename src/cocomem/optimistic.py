@@ -25,13 +25,16 @@ variables: the O(m) window dicts, the running sums, V, the views and
 the constants are bound once per call and written back when it returns.
 Each round runs only the recursion: it reads the round's slice rows
 through flat views of the instance arrays (memoryviews of floats at
-d = 1), updates V and Phi', the open and forward gradients, the hint and
-its errors and mu, and takes one FTRL step through this module's
-`ftrl_argmin`, writing those values into its trace table's columns.
+d = 1), updates V and Phi', the open and forward gradients, the hint, its
+errors eps_Z and eps_g, and mu, and takes one FTRL step through this
+module's `ftrl_argmin`, writing those values into its trace table's columns.
 Phi' (`penalty.phi_prime`'s formula), the Huber weight of a settled hint
 error and the lagged window sum are written inline, so at d = 1 a round
 with no constraint forecast to toggle calls Python only for its forecasts
-and its FTRL step.
+and its FTRL step.  A hint keeps only its constraint forecasts judged active;
+eps_g adds its terms only if one of them or a slice of the hint's rounds was
+active (else each is +0.0).  eps_f depends on no decision: `play` writes it
+after its loop from the loss errors the predictor records (`f_error`).
 V_r lives only in the `ccv_cum` column, where the audit reads it, and
 Phi'(V_r) is taken once per epoch.  A forward gradient settles m rounds
 after its decision, so the learner keeps only the last O(m) rounds of
@@ -50,7 +53,7 @@ import math
 
 import numpy as np
 
-from .core import Variant, float_vectors, round_table
+from .core import Variant, fdot, float_vectors, round_table
 from .geometry import dub_alpha, ftrl_argmin, regret_coefficient
 from .metrics import RunTrace
 from .penalty import EXP_CAP, PenaltyKind, check_lambda, lambda_optimistic, phi_prime
@@ -103,7 +106,7 @@ class OdafLearner:
                                                                        instance.g_present))
         self._ccv_col = memoryview(self.records["ccv_cum"])
         self._cols = tuple(memoryview(self.records[name]) for name in (
-            "phi_prime", "grad_norm", "eta_or_mu", "eps_f", "eps_g", "eps_z"))
+            "phi_prime", "grad_norm", "eta_or_mu", "eps_g", "eps_z"))
         self.x_hist = {r: center for r in range(first - self.m - 1, first)}
         self.fixed_point_fallbacks = 0
         self.restart(first, lam)
@@ -117,10 +120,12 @@ class OdafLearner:
         self.records["lam"][t - self.inst.first_round:] = self.lam
         # round r -> its constraint rows active at the decision they touch, else None
         self._seen: dict[int, list] = {}
+        self._epoch, self._last_active = t, -1  # epoch start, last round with an active row
         # decision s -> revealed part of grad Z_s, summed in delay order, open or settled
         self._open, self._forward = {}, {}
         self._rev_sum = self._zero
-        # hint round -> (hint, its forecasts) until the round's gradient settles, and
+        # hint round -> (hint, {forecast index: g} of its constraint forecasts
+        # judged active) until the round's gradient settles, and
         # settled hint round -> its DUB weight a, while the lagged window sum reads it
         self._pending, self._a = {}, {}
         self._cum_sq = self._max_awin = 0.0
@@ -144,28 +149,30 @@ class OdafLearner:
         this call's rounds (the doubling trick's restart rule).  Round t
         reveals its slices, writes g_t and V_t, settles grad Z_{t-m} and the
         errors of h_{t-m}, then assembles h_{t+1} and commits x_{t+1}; with
-        `observe` false (a restart's pre-step) only the last two."""
+        `observe` false (a restart's pre-step) only the last two.  The
+        eps_f rows of the rounds played are written after the loop."""
         m, delay, lam, fset, alpha = self.m, self.dual_delay, self.lam, self.fset, self.alpha
         m1, first, diam, zero = m + 1, self.inst.first_round, fset.diameter, self._zero
         dot, coco_m2 = self._dot, self.variant is Variant.COCO_M2
         f, g, off, present = self._f, self._g, self._off, self._present
         x_col, hint_col, ccv_col = self._x_col, self._hint_col, self._ccv_col
-        pp_col, norm_col, mu_col, ef_col, eg_col, ez_col = self._cols
+        pp_col, norm_col, mu_col, eg_col, ez_col = self._cols
         xs, seen, opened, fwd = self.x_hist, self._seen, self._open, self._forward
         pending, a_win, weights, weight = self._pending, self._a, self._weights, self._weights.get
         forecasts, resolve = self.predictor.forecasts, self._resolve_pending_activity
         argmin, sqrt, exp = ftrl_argmin, math.sqrt, math.exp  # a wrapper set on the module applies
-        rev_sum, cum_sq, max_awin = self._rev_sum, self._cum_sq, self._max_awin
-        # forecast index of pair (s + i, i) of pending decision s = t + 1 - u,
-        # and of pair (t + 1 + i, i) of the decision being committed
-        pend = [(u, [(i, i * (i + 1) // 2 + i - u) for i in range(u, m1)])
-                for u in range(m, 0, -1)]
-        own = [i * (i + 3) // 2 for i in range(m1)]
+        rev_sum, cum_sq, max_awin, last_active = (self._rev_sum, self._cum_sq, self._max_awin,
+                                                  self._last_active)
+        # the hint's pairs in `hint_pairs` order: (delay, forecast index) of those of
+        # pending decision s = t + 1 - u, then the indices of the committed one's (u = 0)
+        hint_pairs = self.predictor.hint_pairs
+        pend = [(u, [(i, j) for dq, i, j in hint_pairs if i - dq == u]) for u in range(m, 0, -1)]
+        own = [j for dq, i, j in hint_pairs if dq == i]
         v = ccv_col[t - first - 1] if t > first else 0.0
-        x_now, error, stopped = xs[t], 0.0, stop
+        x_now, error, start, stopped, bounded = xs[t], 0.0, t, stop, budget < math.inf
         for t in range(t, stop):
             if observe:
-                if coeff * sqrt(error) > budget:
+                if bounded and coeff * sqrt(error) > budget:
                     stopped = t
                     break
                 k, r = t - first, t * m1
@@ -183,6 +190,7 @@ class OdafLearner:
                         if val > 0.0:
                             active[i] = g[r + i]
                             z = z + mult * active[i]
+                            last_active = t
                     opened[t - i] = z
                 g_val = g_sum if coco_m2 else g_now
                 v = v + (0.0 if g_val < 0.0 else g_val)  # max(g_val, 0.0), -0.0 and nan kept
@@ -198,9 +206,9 @@ class OdafLearner:
                 norm = sqrt(dot(z, z))
                 settled = pending.pop(s, None)
                 if settled is None:
-                    eps_z = eps_f = eps_g = 0.0
+                    eps_z = eps_g = 0.0
                 else:
-                    hint, preds = settled
+                    hint, acts = settled
                     win = zero
                     for j in range(s - m, s + 1):
                         if j in fwd:
@@ -215,19 +223,21 @@ class OdafLearner:
                     hinge = err - norm
                     hinge = 0.0 if hinge < 0.0 else hinge
                     cum_sq += a * a + 2.0 * alpha * (0.5 * err * err - 0.5 * hinge * hinge)
-                    # each forecast's error against the revealed slice
-                    df = dg = zero
-                    for q, i, f_pred, g_pred in preds:
-                        df = df + (f_pred - f[q * m1 + i])
-                        act = seen[q][i]
-                        dg = dg + (g_pred - (zero if act is None else act))
-                    eps_f, eps_g = dot(df, df), dot(dg, dg)
+                    # each constraint forecast's error against the revealed slice, in
+                    # pair order: every term is +0.0 unless a forecast or a slice of
+                    # rounds s .. t was active
+                    eps_g = 0.0
+                    if acts or last_active >= s:
+                        dg = zero
+                        for dq, i, j in hint_pairs:
+                            act = seen[s + dq][i]
+                            dg = dg + (acts.get(j, zero) - (zero if act is None else act))
+                        eps_g = dot(dg, dg)
             # end of round t: assemble h_{t+1} and commit x_{t+1}; round r's
             # constraint slices weigh Phi'(V_{r-d}), and prehistory and rounds
             # not yet played read V = 0, whose weight is lambda itself
             nxt = t + 1
-            fc = forecasts(nxt)
-            preds = []
+            fc, acts = forecasts(nxt), {}
             # pending decisions s = t+1-m .. t: known slices plus predictions,
             # accumulated in the same slice order as the settled gradient so
             # perfect predictions reproduce it bitwise
@@ -240,9 +250,7 @@ class OdafLearner:
                     z = z + f_pred
                     if dot(gp, x_s) + g_off > 0.0:
                         z = z + weight(s + i - delay, lam) * gp
-                    else:
-                        gp = zero
-                    preds.append((s + i, i, f_pred, gp))
+                        acts[j] = gp
                 base = base + z
             # the decision being committed, pairs (t + 1 + i, i): each constraint
             # forecast with a nonzero coefficient may toggle, and carries its
@@ -251,7 +259,6 @@ class OdafLearner:
             for i, j in enumerate(own):
                 f_pred, gp, g_off = fc[j]
                 f_block = f_block + f_pred
-                preds.append((nxt + i, i, f_pred, zero))
                 if dot(gp, gp) > 0.0:
                     toggles.append((i, gp, g_off, weight(nxt + i - delay, lam) * gp))
             mu = (2.0 / alpha) * max_awin + sqrt(cum_sq) / alpha
@@ -266,10 +273,10 @@ class OdafLearner:
                     ztilde = ztilde + f_pred
                     if i in on:
                         ztilde = ztilde + on[i]
-                        preds[i - m1] = (nxt + i, i, f_pred, gp)
+                        acts[j] = gp
                 hint = base + ztilde
             hint_col[nxt - first] = hint
-            pending[nxt] = (hint, preds)
+            pending[nxt] = (hint, acts)
             xs[nxt] = x_next
             xs.pop(nxt - m - 2, None)
             # fold the newest window sum into the lagged max AFTER mu used it
@@ -280,10 +287,15 @@ class OdafLearner:
             if observe:
                 x_col[k] = x_now
                 pp_col[k], norm_col[k], mu_col[k] = mult, norm, mu
-                ef_col[k], eg_col[k], ez_col[k] = eps_f, eps_g, eps_z
+                eg_col[k], ez_col[k] = eps_g, eps_z
                 error += eps_g
             x_now = x_next
         self._rev_sum, self._cum_sq, self._max_awin = rev_sum, cum_sq, max_awin
+        self._last_active = last_active
+        if observe:  # eps_f of row t from the epoch's (m + 1)th on: h_{t-m}'s loss error
+            lo = max(start, self._epoch + m)
+            err = self.predictor.f_error[lo - m:stopped - m]
+            self.records["eps_f"][lo - first:stopped - first] = fdot(err, err)
         return stopped
 
     def _resolve_pending_activity(self, lin0, mu: float, toggles, x_last):
