@@ -9,13 +9,14 @@ Two instance families:
   one slice per delay, for the optimistic delayed-FTRL learner.
 
 Instances draw every coefficient from a seeded PCG64 stream before round
-one, so the sequence never depends on the learner's play and replays are
+one (the separable family reads its raw words, `pcg.RawWords`), so the
+sequence never depends on the learner's play and replays are
 bit-identical.  Each family is a dataclass whose fields are its
-parameters, declared once; the shared base `_Instance` checks them,
-builds the decision set, generates or adopts the arrays, and holds the
-one replay-JSON writer (`to_json`) and reader (`from_json`) of both
-families.  Predictors forecast not-yet-revealed slices as affine data
-(coefficient, plus offset for constraint slices).
+parameters, declared once; the shared base `_Instance` checks them, builds
+the decision set, generates or adopts the arrays, and holds the one
+replay-JSON writer (`to_json`) and reader (`from_json`) of both families.
+Predictors forecast not-yet-revealed slices as affine data (coefficient,
+plus offset for constraint slices).
 
 Besides the per-round oracles `loss(t)` / `constraint(t)`, each family
 gives the penalty-OGD float loop its lift rows as data:
@@ -496,34 +497,44 @@ class SeparableLinearInstance(_Instance):
         n_active = T - m
         block_len = max(1, math.ceil(n_active / max(1, self.blocks)))
 
-        # Round t draws, in stream order, its (m+1)*d loss uniforms, its
-        # density draw and, in a hit round, the constraint draws.  PCG64
-        # hands out doubles as one flat sequence, so the first two are one
-        # random() row.  uniform(-1, 1) is -1 + 2u of the same double u (2u
-        # is exact, so FMA contraction cannot change it) and uniform() is u.
-        # The hit draws stay generator calls: integers() reads PCG64's
-        # buffered upper 32 bits, which carry from hit to hit, and
-        # uniform(a, b) over a non-dyadic range rounds as numpy's C does.
-        k = (m + 1) * d
-        draws = np.empty((n_active, k + 1))
-        hits = []
-        for t, row in enumerate(draws, start=m + 1):
-            rng.random(out=row)
-            if row[k] < self.g_round_density:
-                i = int(rng.integers(0, m + 1)) if self.constraint_memory else 0
-                direction = rng.normal(size=d)
-                mag = rng.uniform(*self.g_mag)
-                if rng.random() < self.g_active_fraction:
-                    root = rng.uniform(*self.g_root)
-                else:
-                    root = rng.uniform(1.05, 1.5)
-                hits.append((t, i, direction, mag, root))
+        # Round t draws, in stream order, its (m+1)*d loss uniforms and its
+        # density draw, then in a hit round `_hit`'s draws.  A walk over raw
+        # words (`pcg.RawWords`) gives each draw its words as numpy's
+        # generator takes them; numpy decodes them after it, uniform(a, b) as
+        # a + (b - a) u.  numpy's generator draws a hit that it would reject
+        # (a Lemire retry, a ziggurat slow path), or all if not `uniform_exact`.
+        from . import pcg  # loaded with the first instance: `import cocomem` never compiles it
+
+        k, dens = (m + 1) * d, self.g_round_density
+        words = pcg.RawWords(rng, dens)
+        n_int = m + 1 if self.constraint_memory and m > 0 else 0  # integers(0, 1) takes no word
+        reject, exact = (0xFFFFFFFF - m) % max(n_int, 1), pcg.uniform_exact()  # Lemire's threshold
+        starts, hits, drawn, pos, buf, last = [0] * n_active, [], {}, 0, (0, 0), -1
+        for r in range(n_active):  # a round takes at most k + d + 5 words but for rejections
+            while pos > last:  # no call but at a block's end; a new block holds the expected words
+                words.extend(math.ceil((n_active - r) * (k + 1 + dens * (d + 4))) + k + d + 5)
+                below, fast, last = words.below, words.fast, len(words.below) - (k + d + 5)
+            starts[r], pos = pos, pos + k + 1
+            if not below[pos - 1]:
+                continue
+            j, i, ok, after = pos, 0, exact, buf
+            if n_int:  # the buffered upper half, else a new word's lower half
+                word = int(words.raw[j])
+                half, after, j = ((buf[1], (0, 0), j) if buf[0] else
+                                  (word & 0xFFFFFFFF, (1, word >> 32), j + 1))
+                i, ok = half * n_int >> 32, ok and half * n_int & 0xFFFFFFFF >= reject
+            if ok and all(fast[j:j + d]):
+                pos, buf = j + d + 3, after
+            else:  # i and j are placeholders, overwritten from `drawn`
+                drawn[len(hits)], pos, buf = words.draw(pos, buf, self._hit)
+            hits.append((m + 1 + r, i, j))
+        draws = words.u[np.array(starts, dtype=np.intp)[:, None] + np.arange(k)]
 
         # f_coef[t] = (drift * sign * w + noise * u') / (m + 1): one round's
         # elementwise operations, in place for all rounds (IEEE addition
         # commutes, so adding the drift term second changes no bit)
         f = self.f_coef[m + 1:]
-        f[...] = draws[:, :k].reshape(n_active, m + 1, d)
+        f[...] = draws.reshape(n_active, m + 1, d)
         f *= 2.0
         f -= 1.0
         f *= self.noise
@@ -536,7 +547,15 @@ class SeparableLinearInstance(_Instance):
         # -root * (support(coeff) - coeff . center)
         if not hits:
             return
-        t_hit, i_hit, coeff, mag, root = (np.array(col) for col in zip(*hits))
+        t_hit, i_hit, j = (np.array(col) for col in zip(*hits))
+        coeff = words.normal[j[:, None] + np.arange(d)]
+        mag, active, root = words.u[j + d + np.arange(3)[:, None]]
+        (low, high), (root_low, root_high) = self.g_mag, self.g_root
+        mag = low + (high - low) * mag
+        root = np.where(active < self.g_active_fraction, root_low + (root_high - root_low) * root,
+                        1.05 + (1.5 - 1.05) * root)
+        for h, values in drawn.items():
+            i_hit[h], coeff[h], mag[h], root[h] = values
         # one row per hit, each norm and dot added in index order (fdot);
         # support(coeff) = coeff . center + radius * |coeff|, as Ball.support
         coeff /= np.sqrt(fdot(coeff, coeff))[:, None]
@@ -546,6 +565,13 @@ class SeparableLinearInstance(_Instance):
         self.g_coef[t_hit, i_hit] = coeff
         self.g_off[t_hit, i_hit] = -root * sup
         self.g_present[t_hit, i_hit] = True
+
+    def _hit(self, rng: np.random.Generator) -> tuple:
+        """A hit round's draws from numpy's generator: delay, direction, magnitude, root."""
+        i = int(rng.integers(0, self.m + 1)) if self.constraint_memory else 0
+        direction, mag = rng.normal(size=self.dim), rng.uniform(*self.g_mag)
+        root = self.g_root if rng.random() < self.g_active_fraction else (1.05, 1.5)
+        return i, direction, mag, rng.uniform(*root)
 
     @property
     def first_round(self) -> int:
@@ -681,7 +707,7 @@ class Predictor:
         self._pair_i = np.repeat(np.arange(instance.m + 1), np.arange(1, instance.m + 2))
         self._pair_j = np.arange(len(self._pair_i)) - self._pair_i * (self._pair_i + 1) // 2
         self._block_rounds = max(1, NOISE_BLOCK_ROWS // len(self._pair_i))
-        self._held, self._block = range(0), ()
+        self._held, self._block, self._rows_held = range(0), (), (range(0), None)
         # a hint's pairs (t + dq, i) as (dq, i, forecast index) in the optimistic
         # learner's order: those of decision t - u for u = m .. 0, each by delay i >= u
         m, self.f_error = instance.m, np.zeros((instance.horizon + 2, instance.dim))
@@ -709,6 +735,7 @@ class Predictor:
         rounds = range(t, max(t + 1, min(t + self._block_rounds, self._instance.horizon + 2)))
         f = np.asarray(self.predict_f(rounds), dtype=float)
         g, off = (np.asarray(rows, dtype=float) for rows in self.predict_g(rounds))
+        self._rows_held = (range(0), None)  # the rows both hooks shared, not kept past the block
         bad = ~np.isfinite(f).all(axis=1)
         if bad.any():
             f = np.where(bad[:, None], 0.0, f)
@@ -746,6 +773,14 @@ class Predictor:
         g[~live], off[~live] = 0.0, 0.0
         return f, g, off
 
+    _make_rows = _true_rows  # a block's (f, g, off) forecast rows, for `_rows`
+
+    def _rows(self, rounds: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A block's forecast rows (f, g, off), made once for both hooks."""
+        if self._rows_held[0] != rounds:
+            self._rows_held = (rounds, self._make_rows(rounds))
+        return self._rows_held[1]
+
 
 class PerfectPredictor(Predictor):
     """Returns the true slices."""
@@ -753,10 +788,10 @@ class PerfectPredictor(Predictor):
     kind = "perfect"
 
     def predict_f(self, rounds):
-        return self._true_rows(rounds)[0]
+        return self._rows(rounds)[0]
 
     def predict_g(self, rounds):
-        return self._true_rows(rounds)[1:]
+        return self._rows(rounds)[1:]
 
 
 class ZeroPredictor(Predictor):
@@ -812,20 +847,14 @@ class NoisyPredictor(Predictor):
         # the seed as SeedSequence splits an integer: 32-bit words, low first
         self._seed_words = [(self.seed >> k) & 0xFFFFFFFF
                             for k in range(0, max(self.seed.bit_length(), 1), 32)]
-        self._rows_held = (range(0), None)
 
-    def _rows(self, rounds: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """A block's forecast rows (f, g, off), made once for both hooks."""
-        if self._rows_held[0] == rounds:
-            return self._rows_held[1]
-        self._rows_held = (range(0), None)  # dropped before the next block is made
-        z = self._draws(rounds) if self.scale > 0 else None
+    def _make_rows(self, rounds: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        z = self._draws(rounds) if self.scale > 0 else None  # drawn before the rows it adds to
         f, g, off = self._true_rows(rounds)
         if z is not None:
             f += z[:, :-1]
             g += z[:, :-1]
             off += z[:, -1]
-        self._rows_held = (rounds, (f, g, off))
         return f, g, off
 
     def _draws(self, rounds: range) -> np.ndarray:
@@ -840,9 +869,8 @@ class NoisyPredictor(Predictor):
         entropy[:, :-4] = self._seed_words
         entropy[:, -4] = 7
         entropy[:, -3:] = keys
-        z = pcg.normal_rows(pcg.seed_sequence_words(entropy), self._instance.dim + 1)
-        z *= self.scale
-        return z
+        words = pcg.seed_sequence_words(entropy)
+        return self.scale * pcg.normal_rows(words, self._instance.dim + 1)
 
     def predict_f(self, rounds):
         return self._rows(rounds)[0]

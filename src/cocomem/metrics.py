@@ -501,10 +501,11 @@ class ForwardFunctions:
         self.loss_coef = inst.f_coef.sum(axis=(0, 1))
         self.rounds, self.delays = np.nonzero(inst.g_present)
         self.round_mult = np.zeros(inst.horizon + 1)
-        lam = trace.col("lam").tolist()
+        first, lam = trace.first_round, trace.col("lam").tolist()
+        ccv = trace.col("ccv_cum").tolist()  # V_{r-d} read as `trace.v_at` reads it
         for r in np.flatnonzero(inst.g_present.any(axis=1)).tolist():
-            self.round_mult[r] = phi_prime(trace.penalty_kind, lam[r - trace.first_round],
-                                           trace.v_at(r - delay))
+            v = ccv[min(r - delay - first, len(ccv) - 1)] if r - delay >= first else 0.0
+            self.round_mult[r] = phi_prime(trace.penalty_kind, lam[r - first], v)
         self.coef = inst.g_coef[self.rounds, self.delays]
         self.off = inst.g_off[self.rounds, self.delays]
         self.mult = self.round_mult[self.rounds]

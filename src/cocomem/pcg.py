@@ -1,9 +1,9 @@
-"""numpy's seeding and normal draws for many seeds at once, bit for bit.
+"""numpy's seeding and draws, computed on whole numpy arrays, bit for bit.
 
 `seed_sequence_words` hashes rows of uint32 entropy into the uint64 words
 `SeedSequence(row).generate_state(4, np.uint64)` gives; `normal_rows`
 draws from each row of words what `Generator(PCG64(...)).normal(size=k)`
-draws.  Both work on whole numpy arrays.
+draws; `RawWords` decodes one generator's next 64-bit words in blocks.
 
 PCG64 (O'Neill 2014) is a 128-bit LCG, state <- state * M + inc, whose
 64-bit output is the XSL-RR of the new state; here the state is two
@@ -13,8 +13,8 @@ with a draw that does not is redrawn by numpy's own generator, since a
 rejected draw takes more words and shifts every later draw of the row.
 The ziggurat's tables are read off the installed numpy once per process.
 
-Imported on a noisy predictor's first draw, so that `import cocomem`
-does not compile it.
+Imported on a separable instance's generation or a noisy predictor's
+first draw, so that `import cocomem` does not compile it.
 """
 
 from __future__ import annotations
@@ -245,3 +245,54 @@ def _tables() -> tuple[np.ndarray, np.ndarray]:
         ki[:] = 0
     wi.flags.writeable = ki.flags.writeable = False  # shared by every caller
     return wi, ki
+
+
+# ---------------------------------------------------------------------------
+# One generator's words
+
+@functools.cache
+def uniform_exact() -> bool:
+    """Whether numpy's `uniform(a, b)` is a + (b - a) u, u the word's double,
+    each step rounded, on 256 probes: false where numpy's C fuses it."""
+    k, gen = np.arange(1.0, 257.0), np.random.default_rng(0)
+    low, high, u = 1 / k, 1 / k + 3 / (k + 2), np.random.default_rng(0).random(len(k))
+    got = [gen.uniform(a, b) for a, b in zip(low.tolist(), high.tolist())]
+    return got == (low + (high - low) * u).tolist()
+
+
+class RawWords:
+    """A generator's next 64-bit words `raw`, drawn with `random_raw` in
+    blocks (`extend`) and decoded a block at once: word j's `random()`
+    double (w >> 11) 2^-53 `u[j]`, `below[j]` = u[j] < `threshold`, and
+    `normal[j]` = its `normal()` if `fast[j]`, which returns on it alone."""
+
+    def __init__(self, gen: np.random.Generator, threshold: float):
+        self.gen, self.bits, self.threshold = gen, gen.bit_generator, threshold
+        self.start = self.end = self.bits.state
+        self.raw, self.u, self.normal = np.empty(0, np.uint64), np.empty(0), np.empty(0)
+        self.below = self.fast = b""
+
+    def extend(self, n: int) -> None:
+        self.bits.state = self.end
+        raw = self.bits.random_raw(n)
+        self.end = self.bits.state
+        u, (normal, fast) = (raw >> np.uint64(11)) * 2.0**-53, _ziggurat_rows(raw, *_tables())
+        self.raw, self.u, self.normal = (np.concatenate(pair) for pair in
+                                         ((self.raw, raw), (self.u, u), (self.normal, normal)))
+        self.below += (u < self.threshold).tobytes()
+        self.fast += fast.tobytes()
+
+    def draw(self, j: int, uint32: tuple[int, int], fn) -> tuple:
+        """(fn(gen), k, uint32 after): fn run on numpy's generator from word j
+        with PCG64's uint32 buffer (has_uint32, uinteger), k the word after
+        its last, counted by stepping the LCG at most 4096 times."""
+        self.bits.state = self.start
+        state = self.bits.advance(j).state  # advancing clears the buffer
+        self.bits.state = dict(state, has_uint32=uint32[0], uinteger=uint32[1])
+        value, after = fn(self.gen), self.bits.state
+        s, inc = state["state"]["state"], state["state"]["inc"]
+        for k in range(j, j + 4096):
+            if s == after["state"]["state"]:
+                return value, k, (after["has_uint32"], after["uinteger"])
+            s = (s * _MULT + inc) % _MOD
+        raise RuntimeError(f"numpy's draw from word {j} took more than 4096 words")

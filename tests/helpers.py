@@ -132,15 +132,19 @@ def doubling_epoch_bound(trace: RunTrace) -> float:
     return 2 + math.log2(coeff * math.sqrt(error) / trace.extras["mu1"])
 
 
-def python_calls(fn, *args) -> collections.Counter:
+def python_calls(fn, *args, c_calls: bool = False) -> collections.Counter:
     """The Python function calls (profile `call` events) made while
-    running fn(*args), by qualified name; calls of C functions are not
-    counted."""
+    running fn(*args), by qualified name; with `c_calls`, the calls of
+    built-in functions and methods too (`c_call` events), by theirs.
+    numpy's Cython methods, the generator's draws among them, raise
+    neither event: `CountingGenerator` turns its draws into Python calls."""
     calls = collections.Counter()
 
     def profile(frame, event, arg):
         if event == "call":
             calls[frame.f_code.co_qualname] += 1
+        elif c_calls and event == "c_call":
+            calls[getattr(arg, "__qualname__", repr(arg))] += 1
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -149,3 +153,31 @@ def python_calls(fn, *args) -> collections.Counter:
     finally:
         sys.setprofile(previous)
     return calls
+
+
+class CountingPCG64(np.random.PCG64):
+    """numpy's PCG64 whose word draws and jumps are Python calls, which
+    `python_calls` counts."""
+
+    def random_raw(self, *args, **kwargs):
+        return super().random_raw(*args, **kwargs)
+
+    def advance(self, delta):
+        return super().advance(delta)
+
+
+class CountingGenerator(np.random.Generator):
+    """numpy's generator whose draws are Python calls, which
+    `python_calls` counts; its stream is the base class's."""
+
+    def random(self, *args, **kwargs):
+        return super().random(*args, **kwargs)
+
+    def integers(self, *args, **kwargs):
+        return super().integers(*args, **kwargs)
+
+    def normal(self, *args, **kwargs):
+        return super().normal(*args, **kwargs)
+
+    def uniform(self, *args, **kwargs):
+        return super().uniform(*args, **kwargs)

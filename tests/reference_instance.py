@@ -3,14 +3,18 @@ replaced, and the replay-JSON writer that `_Instance.to_json` replaced:
 the references the two are held to, byte for byte.
 
 `ReferenceSeparableInstance._generate` is the loop the package shipped
-before the generator took each round's loss uniforms and density draw in
-one `random()` call and moved the slice arithmetic after the loop, kept
-here unchanged but for its norms and dot products, which add in index
-order from 0.0 (`reference_ogd.fdot`), the package's one order, where
-numpy's BLAS may round otherwise.  Every other method is the package's.  `to_json` is the
-writer the package shipped before it wrote each array's floats through
-`core.array_json`, kept unchanged but for taking the instance as an
-argument.
+before the generator read its stream as blocks of raw PCG64 words
+(`cocomem.pcg.RawWords`, which loads `cocomem.pcg` at the first separable
+instance) and moved the slice arithmetic after the walk over them: one
+numpy generator call per round and five per constraint slice, in stream
+order.  It is kept unchanged but for its norms and dot products, which
+add in index order from 0.0 (`reference_ogd.fdot`), the package's one
+order, where numpy's BLAS may round otherwise.  It takes its generator
+from `_instance_rng` in this module's namespace, so a test can hand both
+generators one built stream.  Every other method is the package's.
+`to_json` is the writer the package shipped before it wrote each array's
+floats through `core.array_json`, kept unchanged but for taking the
+instance as an argument.
 """
 
 from __future__ import annotations

@@ -167,10 +167,10 @@ def test_csv_heap_does_not_grow_with_the_horizon(tmp_path):
 
 def test_cli_import_loads_no_process_pool():
     """The pool is imported only when seeds run in parallel, orjson only
-    when a run writes its text, and `cocomem.pcg` only when a noisy
-    predictor draws, so `run`, `verify` and `bounds` start without
-    multiprocessing or the draw kernel and `verify` and `bounds` without
-    orjson."""
+    when a run writes its text, and `cocomem.pcg` only when a separable
+    instance is generated or a noisy predictor draws, so `run`, `verify`
+    and `bounds` start without multiprocessing or the draw kernel and
+    `verify` and `bounds` without orjson."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}

@@ -18,7 +18,7 @@ from cocomem import (
     run_penalty_ogd,
 )
 from cocomem.environments import NOISE_BLOCK_ROWS
-from helpers import constant_window, instance_digest
+from helpers import constant_window, instance_digest, python_calls
 
 
 def test_default_parameters_match_reference_experiment():
@@ -500,6 +500,18 @@ def test_noisy_predictor_state_does_not_grow_with_the_horizon():
     about 112 KB."""
     _noisy_predictor_heap(500)
     assert _noisy_predictor_heap(4000) <= _noisy_predictor_heap(500) + 16 * 1024
+
+
+@pytest.mark.parametrize("predictor", [PerfectPredictor(), NoisyPredictor(0.3, seed=1)])
+def test_a_block_gathers_its_true_slices_once(predictor):
+    """Both hooks of a block share one gather of the instance's slices
+    (`_true_rows`), which the predictor drops once the block is made."""
+    inst = SeparableLinearInstance(m=2, horizon=2000, seed=0)
+    predictor.bind(inst)
+    rounds = range(inst.first_round, inst.horizon + 2)  # six blocks of 341 rounds
+    calls = python_calls(lambda: [predictor.forecasts(t) for t in rounds])
+    assert calls["Predictor._true_rows"] == calls["Predictor._fill"] == 6
+    assert predictor._rows_held == (range(0), None)
 
 
 def test_invalid_parameters_rejected():

@@ -44,7 +44,7 @@ from cocomem.metrics import (
     _grid_best,
     _half_space_intervals,
 )
-from helpers import constant_window, prefix_static_regret, sqrt_t
+from helpers import constant_window, prefix_static_regret, python_calls, sqrt_t
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -272,6 +272,8 @@ def test_forward_weights_read_each_rows_lambda():
     fwd = ForwardFunctions(tr)
     assert fwd.round_mult[rounds].tobytes() == tr.col("phi_prime")[rows].tobytes()
     assert check_forward_consistency(fwd).passed
+    # V_{r-d} is read off the `ccv_cum` column, not by one `v_at` call per round
+    assert "RunTrace.v_at" not in python_calls(ForwardFunctions, tr)
 
 
 def test_an_audit_rebuilds_and_solves_once(monkeypatch):
