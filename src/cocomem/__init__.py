@@ -6,7 +6,6 @@ The package namespace holds the documented entry points; every other
 name is imported from its module (`cocomem.core`, `cocomem.metrics`, ...).
 """
 
-from .core import Variant
 from .environments import (
     AppendixAInstance,
     NoisyPredictor,
@@ -32,7 +31,6 @@ __all__ = [
     "PerfectPredictor",
     "RunTrace",
     "SeparableLinearInstance",
-    "Variant",
     "ZeroPredictor",
     "best_in_hindsight",
     "invariant_suite",

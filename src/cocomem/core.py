@@ -12,25 +12,8 @@ from __future__ import annotations
 import json
 import math
 import operator
-from enum import Enum
 
 import numpy as np
-
-
-class Variant(Enum):
-    """Which problem flavor a run solves.
-
-    COCO_M2: both losses and constraints depend on the last m+1 decisions.
-    COCO_M : losses have memory, constraints depend on the current decision.
-    """
-
-    COCO_M = "coco_m"
-    COCO_M2 = "coco_m2"
-
-    def dual_delay(self, m: int) -> int:
-        """d such that round r's constraint slices weigh Phi'(V_{r-d}): m + 1
-        when constraints carry memory, 1 when they see only x_t."""
-        return m + 1 if self is Variant.COCO_M2 else 1
 
 
 def as_decision(x, dim: int | None = None) -> np.ndarray:
@@ -153,10 +136,10 @@ def round_table(n_rounds: int, dim: int) -> np.ndarray:
     Every field is a column (`table["f_mem"]`, `table["x"]` of shape
     (n_rounds, dim)); a row is a `np.record`, so `row.t` and `row.x` read
     one round.  `v_dual` is the cumulative memory-less violation driving
-    the penalty; `ccv_cum` is the variant's official cumulative
-    constraint violation (they coincide except for the double-memory
-    penalty-OGD runs, where the dual update uses the lift while the CCV
-    uses the window value).  `eta_or_mu` is the step size (OGD) or FTRL
+    the penalty; `ccv_cum` is the run's official cumulative constraint
+    violation (they coincide except for penalty-OGD runs on constraints
+    with memory, where the dual update uses the lift while the CCV uses
+    the window value).  `eta_or_mu` is the step size (OGD) or FTRL
     weight used to produce the next decision.  The eps_* fields stay 0
     for non-optimistic runs.  The surrogate sums (`metrics.surrogate_sum_*`)
     and the exponent cap's saturation (`penalty.saturated` of `lam` and

@@ -21,12 +21,12 @@ plus offset for constraint slices).
 Besides the per-round oracles `loss(t)` / `constraint(t)`, each family
 gives the penalty-OGD float loop its lift rows as data:
 `halfspaces(rounds, "lift")` for the constraint and `loss_lift(rounds)`
-for the loss gradient.  After either learner's loop, `fill_values(table,
-variant)` writes every round's window and lift values from the decision
-column, elementwise, each sum adding its terms one by one from 0.0,
-coordinates in index order (`core.fdot`'s order, so no value depends on
-the BLAS build; in 1-D with m <= 6 the values match the oracles, whose
-numpy sums add 8 or more terms pairwise, bit for bit).
+for the loss gradient.  After either learner's loop, `fill_values(table)`
+writes every round's window and lift values from the decision column,
+elementwise, each sum adding its terms one by one from 0.0, coordinates
+in index order (`core.fdot`'s order, so no value depends on the BLAS
+build; in 1-D with m <= 6 the values match the oracles, whose numpy sums
+add 8 or more terms pairwise, bit for bit).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import MISSING, InitVar, astuple, dataclass, field, fields
 
 import numpy as np
 
-from .core import Ball, MemoryFunctionOracle, Variant, array_json, fdot
+from .core import Ball, MemoryFunctionOracle, array_json, fdot
 
 RNG_NAME = "pcg64"
 
@@ -75,7 +75,7 @@ def _is_int(v) -> bool:
 # The type rule of every config value: field annotation (a string, by
 # postponed evaluation) -> (what its value must be, the test, the cast made
 # once the test passes; float() would read "2" or true, int() truncate 0.9
-# and dict() read [key, value] pairs).  Enum fields have no entry.
+# and dict() read [key, value] pairs).  The enum `penalty` has no entry.
 _FIELD_TYPES = {
     "int": ("an integer", _is_int, int),
     "float": ("a finite number", is_number, float),
@@ -96,8 +96,8 @@ _FIELD_TYPES = {
 def check_fields(cls, values: dict) -> dict:
     """The fields of dataclass `cls` in `values`, defaults filling keys left
     out, each checked against its annotation's entry in `_FIELD_TYPES` and
-    cast; TypeError on a bad value or an unknown or missing key.  Enum
-    fields are left out: their constructors check them."""
+    cast; TypeError on a bad value or an unknown or missing key.  A field
+    with no entry (an enum) is left out: its constructor checks it."""
     if unknown := sorted(values.keys() - {f.name for f in fields(cls)}):
         raise TypeError(f"unknown keys {unknown}")
     typed = {}
@@ -146,6 +146,12 @@ class _Instance:
     def rounds(self) -> range:
         return range(self.first_round, self.horizon + 1)
 
+    @property
+    def dual_delay(self) -> int:
+        """d such that round r's constraint slices weigh Phi'(V_{r-d}): m + 1
+        when the constraints have memory, 1 when they read only x_t."""
+        return self.m + 1 if self.constraint_memory else 1
+
     def to_json(self) -> str:
         """The replay document, each array as `core.array_json` writes it,
         spaced as `json.dumps` spaces a list; built in one join, so that at
@@ -192,14 +198,14 @@ class _Instance:
         return [decisions[start + i : start + i + len(X)] for i in range(self.m + 1)]
 
     @np.errstate(over="ignore", invalid="ignore")  # numpy overflows as floats do: silently
-    def fill_values(self, table: np.ndarray, variant: Variant) -> None:
+    def fill_values(self, table: np.ndarray) -> None:
         """Write the trace columns that are functions of the decisions `x`:
         `t`, the family's values (`_fill`), g_mem (the constraint window
-        under `coco_m2`, else the lift g_splat) and g_plus_recorded =
-        max(g_mem, 0.0), -0.0 and nan kept."""
+        when `constraint_memory` is set, else the lift g_splat) and
+        g_plus_recorded = max(g_mem, 0.0), -0.0 and nan kept."""
         table["t"] = np.arange(self.first_round, self.horizon + 1)
-        self._fill(table, variant is Variant.COCO_M2)
-        if variant is not Variant.COCO_M2:
+        self._fill(table)
+        if not self.constraint_memory:
             table["g_mem"] = table["g_splat"]
         table["g_plus_recorded"] = np.where(table["g_mem"] < 0.0, 0.0, table["g_mem"])
 
@@ -260,7 +266,9 @@ class AppendixAInstance(_Instance):
     draws them i.i.d. uniform on [-sigma, sigma]; the adversarial mode
     mixes uniform draws (probability 0.4) with centered Gaussians of std
     sigma (probability 0.6), re-drawing any Gaussian sample whose
-    magnitude exceeds gamma * sigma (`coef_bound`).
+    magnitude exceeds gamma * sigma (`coef_bound`).  The constraint is
+    the window mean, or its lift when `constraint_memory` is false; the
+    coefficients do not depend on it.
     """
 
     kind = "appendix_a"
@@ -275,6 +283,7 @@ class AppendixAInstance(_Instance):
     mode: str = "stochastic"
     seed: int = 0
     dim: int = 1
+    constraint_memory: bool = True
     _arrays: InitVar[tuple | None] = None
 
     @staticmethod
@@ -330,11 +339,11 @@ class AppendixAInstance(_Instance):
         """(c, True): round rounds[k]'s f-lift gradient at x is x - c[k]."""
         return self.c[rounds.start : rounds.stop], True
 
-    def _fill(self, table: np.ndarray, g_window: bool) -> None:
-        """Write f_mem, f_splat, g_splat and, when `g_window`, g_mem (the
-        window mean) from the decision column, each with the terms of
-        `loss(t)` / `constraint(t)` in their order: slots oldest first,
-        coordinates in index order."""
+    def _fill(self, table: np.ndarray) -> None:
+        """Write f_mem, f_splat, g_splat and, when `constraint_memory` is
+        set, g_mem (the window mean) from the decision column, each with
+        the terms of `loss(t)` / `constraint(t)` in their order: slots
+        oldest first, coordinates in index order."""
         X, slots, c, d = table["x"], self.m + 1, self.c[self.m :], self.d_coef[self.m :]
         sq, s = np.zeros(len(X)), np.zeros(len(X))
         for w in self.slots(X):
@@ -345,7 +354,7 @@ class AppendixAInstance(_Instance):
         diff = X - c
         table["f_mem"], table["f_splat"] = 0.5 * sq / slots, 0.5 * fdot(diff, diff)
         table["g_splat"] = fdot(d, X) - self.delta
-        if g_window:
+        if self.constraint_memory:
             table["g_mem"] = s / slots - self.delta
 
     # -- lift math over a round range, for the benchmark solvers ------------
@@ -591,13 +600,13 @@ class SeparableLinearInstance(_Instance):
         """(slopes, False): round rounds[k]'s f-lift gradient is slopes[k]."""
         return self.lift_slopes(rounds), False
 
-    def _fill(self, table: np.ndarray, g_window: bool) -> None:
-        """Write f_mem, f_splat, g_splat and, when `g_window`, g_mem (the
-        window sum) from the decision column, each sum from 0.0: window
-        slots newest first (in delay order) and coordinates in index
-        order, the lifts after the per-round slice sums (lift slopes,
-        summed offsets).  A sum from 0.0 is never -0.0, so the loss's
-        zero offset adds nothing."""
+    def _fill(self, table: np.ndarray) -> None:
+        """Write f_mem, f_splat, g_splat and, when `constraint_memory` is
+        set, g_mem (the window sum) from the decision column, each sum
+        from 0.0: window slots newest first (in delay order) and
+        coordinates in index order, the lifts after the per-round slice
+        sums (lift slopes, summed offsets).  A sum from 0.0 is never -0.0,
+        so the loss's zero offset adds nothing."""
         X, span, slots = table["x"], slice(self.m + 1, None), self.slots(table["x"])
 
         def window_value(coef):
@@ -611,7 +620,7 @@ class SeparableLinearInstance(_Instance):
         table["f_mem"] = window_value(self.f_coef[span])
         table["f_splat"] = fdot(self.lift_slopes(self.rounds), X)
         table["g_splat"] = fdot(A, X) + b
-        if g_window:
+        if self.constraint_memory:
             table["g_mem"] = window_value(self.g_coef[span]) + b
 
     # -- lift math over a round range, for the benchmark solvers ------------

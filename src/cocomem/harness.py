@@ -17,7 +17,7 @@ from typing import Literal
 
 import numpy as np
 
-from .core import Variant, json_rows, strict_json
+from .core import json_rows, strict_json
 from .environments import (
     RNG_NAME,
     AppendixAInstance,
@@ -61,7 +61,6 @@ class ExperimentConfig:
     their defaults, declared nowhere else."""
 
     algorithm: str
-    variant: Variant
     environment: dict
     penalty: PenaltyKind = PenaltyKind.QUADRATIC
     lam: Literal["theorem", "sqrt_t", "doubling"] | float = "theorem"
@@ -72,6 +71,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
+        if isinstance(obj, dict) and "variant" in obj:
+            raise ConfigError("the variant key is gone: the environment's constraint_memory "
+                              "(true or false) says whether constraints have memory")
         try:  # the constructor rejects a key that is not a field
             cfg = cls(**obj)
         except TypeError as exc:
@@ -92,11 +94,11 @@ class ExperimentConfig:
         return set()
 
     def validate(self) -> None:
-        """Type every field (`check_fields`; the enums by their constructors)
+        """Type every field (`check_fields`; the enum by its constructor)
         and both nested parts, and check the values (ConfigError).  The CLI
         and the benchmark set `seeds` after loading, so a run validates again."""
         try:
-            self.variant, self.penalty = Variant(self.variant), PenaltyKind(self.penalty)
+            self.penalty = PenaltyKind(self.penalty)
             vars(self).update(check_fields(ExperimentConfig, vars(self)))
             env = self._check_part("environment", ENV_FAMILIES)
             self._check_part("predictor", PREDICTORS)
@@ -126,19 +128,14 @@ class ExperimentConfig:
         if self.lam == "doubling" and self.algorithm != "odaf":
             raise ConfigError("the doubling trick tunes lambda for odaf only")
         if self.algorithm == "penalty_ogd":
-            if self.penalty is PenaltyKind.EXPONENTIAL and self.variant is not Variant.COCO_M:
-                raise ConfigError(
-                    "the exponential-penalty descent covers memory-less constraints only"
-                )
+            if self.penalty is PenaltyKind.EXPONENTIAL and env["constraint_memory"]:
+                raise ConfigError("the exponential-penalty descent covers memory-less "
+                                  "constraints only: set constraint_memory to false")
         else:
             if self.environment["kind"] != "separable_linear":
                 raise ConfigError("the optimistic learners need separable linear slices")
             if self.penalty is not PenaltyKind.EXPONENTIAL:
                 raise ConfigError("the optimistic learners use the exponential penalty")
-            if self.variant is Variant.COCO_M and env["constraint_memory"]:
-                raise ConfigError(
-                    "memory-less-constraint runs need constraint_memory=false slices"
-                )
 
     def _check_part(self, key: str, classes: dict) -> dict:
         """The typed field values of the nested part `key`, checked as its
@@ -191,15 +188,15 @@ def run_single(cfg: ExperimentConfig, seed: int) -> RunTrace:
     """One (config, seed) pipeline: instance generation plus the full run."""
     instance = build_instance(cfg, seed)
     if cfg.algorithm == "penalty_ogd":
-        return run_penalty_ogd(instance, cfg.variant, cfg.penalty, _lam(cfg, instance))
+        return run_penalty_ogd(instance, cfg.penalty, _lam(cfg, instance))
 
     # imported per call: a wrapper set on `optimistic` (perfbench's tracer) must be the one run
     from .optimistic import run_doubling, run_optimistic
 
     predictor = build_predictor(cfg, seed)
     if cfg.lam == "doubling":
-        return run_doubling(instance, cfg.variant, predictor, error_estimate=cfg.error_estimate)
-    return run_optimistic(instance, cfg.variant, predictor, lam=_lam(cfg, instance),
+        return run_doubling(instance, predictor, error_estimate=cfg.error_estimate)
+    return run_optimistic(instance, predictor, lam=_lam(cfg, instance),
                           error_estimate=cfg.error_estimate)
 
 
@@ -283,10 +280,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     into `out_dir` (default `runs/<name>`).  Failed seeds are recorded and
     excluded from aggregates.  Seeds run in at most `parallel` worker
     processes, never more than there are seeds (a forked pool starts all
-    its workers at the first task)."""
+    its workers at the first task).  An output path that is a file or lies
+    below one is a ConfigError, and nothing is written."""
     cfg.validate()
     out = Path(out_dir) if out_dir is not None else Path("runs", cfg.name)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"cannot make output directory {str(out)!r}: {exc.strerror}") from exc
     results, failed = [], []
     workers = min(parallel, len(cfg.seeds))
     if workers > 1:
@@ -310,7 +311,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
                 failed.append(_seed_failure(seed, exc))
 
     summary: dict = {
-        "config": {**asdict(cfg), "variant": cfg.variant.value, "penalty": cfg.penalty.value},
+        "config": {**asdict(cfg), "penalty": cfg.penalty.value},
         "rng": RNG_NAME,
         "seeds_completed": [r["seed"] for r in results],
         "seeds_failed": failed,

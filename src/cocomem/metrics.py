@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Variant
 from .geometry import project, regret_coefficient
 from .penalty import Penalty, PenaltyKind, lambda_theorem, phi_prime, short_memory_condition
 
@@ -31,7 +30,6 @@ class RunTrace:
     `epoch_starts`; one epoch means lambda stayed fixed."""
 
     algorithm: str
-    variant: Variant
     penalty_kind: PenaltyKind
     records: np.ndarray
     instance: object
@@ -325,8 +323,9 @@ def theorem_bound_report(trace: RunTrace) -> BoundReport:
     """Measured regret/CCV against the explicit bounds of the trace's
     algorithm: penalty OGD's theorem, `check_odaftrl_regret`'s forward-regret
     bound for an `odaf` run.  Penalty OGD's holds only if every round
-    played the theorem's lambda, ODAF's only if the run made one epoch (a
-    doubling run changes lambda per epoch)."""
+    played the theorem's lambda, and the exponential penalty's only on
+    memory-less constraints with a short window; ODAF's only if the run
+    made one epoch (a doubling run changes lambda per epoch)."""
     series = regret_and_ccv(trace)
     inst = trace.instance
     k = inst.constants()
@@ -346,14 +345,13 @@ def theorem_bound_report(trace: RunTrace) -> BoundReport:
         lam = lambda_theorem(trace.penalty_kind, inst)
         preconditions["lambda_theorem_tuned"] = bool(np.all(trace.col("lam") == lam))
         if trace.penalty_kind is PenaltyKind.EXPONENTIAL:
+            preconditions["memoryless_constraints"] = not inst.constraint_memory
             preconditions["short_memory"] = short_memory_condition(T, m)
             preconditions["l_f_at_least_one"] = k.l_f >= 1.0
         if all(preconditions.values()) and trace.penalty_kind is PenaltyKind.QUADRATIC:
             theoretical["regret"] = regret_rhs_quadratic(T, m, diam, k.l_f, k.l_g)
-            theoretical["ccv"] = ccv_rhs_quadratic(
-                T, m, diam, k.l_f, k.l_g, k.f_bound,
-                constraint_memory=trace.variant is Variant.COCO_M2,
-            )
+            theoretical["ccv"] = ccv_rhs_quadratic(T, m, diam, k.l_f, k.l_g, k.f_bound,
+                                                   constraint_memory=inst.constraint_memory)
         elif all(preconditions.values()):
             theoretical["regret"] = regret_rhs_exponential(
                 T, m, diam, k.l_f, k.l_g, k.g_bound, lam
@@ -496,7 +494,7 @@ class ForwardFunctions:
     def __init__(self, trace: RunTrace):
         inst = trace.instance
         self.trace = trace
-        delay = trace.variant.dual_delay(inst.m)
+        delay = inst.dual_delay
         self.decisions = inst.by_round(trace.col("x"))
         self.loss_coef = inst.f_coef.sum(axis=(0, 1))
         self.rounds, self.delays = np.nonzero(inst.g_present)
@@ -591,7 +589,7 @@ def check_forward_consistency(fwd: ForwardFunctions) -> CheckResult:
 
 def check_lemma_forward_chain(fwd: ForwardFunctions, bench: Benchmark) -> CheckResult:
     """Phi(V_T) - Phi(V_{m-1}) + memory regret (slice-wise benchmark) is at
-    most the forward-function regret plus G d Phi'(V_T), d the variant's
+    most the forward-function regret plus G d Phi'(V_T), d the instance's
     dual delay.  On the slice-wise benchmark set every constraint slice is
     <= 0, so the forward sum equals the summed lift there and both regrets
     share the slice-wise best-in-hindsight total `bench` as comparator."""
@@ -601,7 +599,7 @@ def check_lemma_forward_chain(fwd: ForwardFunctions, bench: Benchmark) -> CheckR
     inst, pen = trace.instance, _last_penalty(trace)
     v_t = trace.v_at(inst.horizon)
     lhs = pen.value(v_t) + float(np.sum(trace.col("f_mem"))) - bench.total
-    g_d = inst.constants().g_bound * trace.variant.dual_delay(inst.m)
+    g_d = inst.constants().g_bound * inst.dual_delay
     rhs = fwd.played_total - bench.total + g_d * pen.prime(v_t)
     return CheckResult("forward_chain", lhs <= rhs + 1e-8 * max(1.0, abs(rhs)), lhs, rhs)
 

@@ -53,7 +53,7 @@ import math
 
 import numpy as np
 
-from .core import Variant, fdot, float_vectors, round_table
+from .core import fdot, float_vectors, round_table
 from .geometry import dub_alpha, ftrl_argmin, regret_coefficient
 from .metrics import RunTrace
 from .penalty import EXP_CAP, PenaltyKind, check_lambda, lambda_optimistic, phi_prime
@@ -77,20 +77,16 @@ class OdafLearner:
     the family's `fill_values` writes the other columns after the last round.
     """
 
-    def __init__(self, instance, variant: Variant, predictor, lam: float):
+    def __init__(self, instance, predictor, lam: float):
         if not hasattr(instance, "f_coef"):
             raise TypeError("optimistic learner needs a separable-slice instance")
-        if variant is Variant.COCO_M and instance.constraint_memory:
-            raise ValueError("memory-less-constraint variant needs constraint slices at delay 0")
         self.inst = instance
-        self.variant = variant
         self.m = instance.m
         self.dim = dim = instance.dim
         self.fset = instance.fset
         self.predictor = predictor
         predictor.bind(instance)
         self.alpha = dub_alpha(self.fset)
-        self.dual_delay = variant.dual_delay(self.m)
         self._zero, center, rows, self._dot = float_vectors(self.fset)
 
         first = instance.first_round
@@ -130,7 +126,7 @@ class OdafLearner:
         self._pending, self._a = {}, {}
         self._cum_sq = self._max_awin = 0.0
         # played round q -> Phi'(V_q) at this epoch's lambda, while a later round reads it
-        played = range(max(t - self.dual_delay, self.inst.first_round), t)
+        played = range(max(t - self.inst.dual_delay, self.inst.first_round), t)
         self._weights = {q: phi_prime(_EXP, self.lam, self.v_at(q)) for q in played}
         self.play(t - 1, t, observe=False)  # commit x_t from an all-predicted hint
 
@@ -151,9 +147,9 @@ class OdafLearner:
         errors of h_{t-m}, then assembles h_{t+1} and commits x_{t+1}; with
         `observe` false (a restart's pre-step) only the last two.  The
         eps_f rows of the rounds played are written after the loop."""
-        m, delay, lam, fset, alpha = self.m, self.dual_delay, self.lam, self.fset, self.alpha
+        m, delay, lam, fset, alpha = self.m, self.inst.dual_delay, self.lam, self.fset, self.alpha
         m1, first, diam, zero = m + 1, self.inst.first_round, fset.diameter, self._zero
-        dot, coco_m2 = self._dot, self.variant is Variant.COCO_M2
+        dot, g_window = self._dot, self.inst.constraint_memory
         f, g, off, present = self._f, self._g, self._off, self._present
         x_col, hint_col, ccv_col = self._x_col, self._hint_col, self._ccv_col
         pp_col, norm_col, mu_col, eg_col, ez_col = self._cols
@@ -192,7 +188,7 @@ class OdafLearner:
                             z = z + mult * active[i]
                             last_active = t
                     opened[t - i] = z
-                g_val = g_sum if coco_m2 else g_now
+                g_val = g_sum if g_window else g_now
                 v = v + (0.0 if g_val < 0.0 else g_val)  # max(g_val, 0.0), -0.0 and nan kept
                 ccv_col[k] = v  # the next decision's weights read V_t
                 weights[t] = lam * exp(min(lam * v, EXP_CAP))  # phi_prime(_EXP, lam, v)
@@ -365,26 +361,21 @@ def _interval_patterns(toggles):
         yield tuple(flags)
 
 
-def _tuning(instance, variant: Variant) -> tuple[float, float]:
+def _tuning(instance) -> tuple[float, float]:
     """(C, G d) of a run: the delayed-FTRL regret coefficient and lambda's
     offset, G times the dual delay d."""
     coeff = regret_coefficient(instance.fset, instance.m)
-    return coeff, instance.constants().g_bound * variant.dual_delay(instance.m)
+    return coeff, instance.constants().g_bound * instance.dual_delay
 
 
-def run_optimistic(
-    instance,
-    variant: Variant,
-    predictor,
-    lam: float | None = None,
-    error_estimate: float = 0.0,
-) -> RunTrace:
+def run_optimistic(instance, predictor, lam: float | None = None,
+                   error_estimate: float = 0.0) -> RunTrace:
     """Drive one optimistic run; lam defaults to the theorem tuning with
     the supplied estimate of the cumulative constraint prediction error."""
     if lam is None:
-        coeff, offset = _tuning(instance, variant)
+        coeff, offset = _tuning(instance)
         lam = lambda_optimistic(coeff * math.sqrt(error_estimate), offset)
-    learner = OdafLearner(instance, variant, predictor, lam)
+    learner = OdafLearner(instance, predictor, lam)
     learner.play(instance.rounds.start, instance.rounds.stop)
     return _trace(learner, [instance.first_round])
 
@@ -394,11 +385,10 @@ def _trace(learner: OdafLearner, epoch_starts: list[int], **extras) -> RunTrace:
     last row, h_{horizon + 1}, is committed but never played, and the
     epochs, one per round of `epoch_starts`.  The `lam` column is the run's
     only record of lambda, the `eps_*` columns of the hint errors."""
-    learner.inst.fill_values(learner.records, learner.variant)
+    learner.inst.fill_values(learner.records)
     learner.records["v_dual"] = learner.records["ccv_cum"]
     return RunTrace(
         algorithm="odaf",
-        variant=learner.variant,
         penalty_kind=PenaltyKind.EXPONENTIAL,
         records=learner.records,
         instance=learner.inst,
@@ -423,23 +413,18 @@ def doubling_mu1(regret_coeff: float, error_estimate: float) -> float:
     return max(regret_coeff * math.sqrt(max(error_estimate, 0.0)), floor)
 
 
-def run_doubling(
-    instance,
-    variant: Variant,
-    predictor,
-    error_estimate: float = 0.0,
-) -> RunTrace:
+def run_doubling(instance, predictor, error_estimate: float = 0.0) -> RunTrace:
     """Drive one optimistic run with online penalty tuning, the doubling
     trick (Shalev-Shwartz 2012, section 2.3.1).  Epoch k has the budget
     2^(k-1) mu1, mu1 = `doubling_mu1(C, error_estimate)`, and plays
     `lambda_optimistic(budget, G d)`.  Round t starts epoch k + 1 when
     C sqrt(E) > budget, E the sum of eps_g over the rounds of epoch k so
     far; the learner restarts in place at t."""
-    coeff, offset = _tuning(instance, variant)
+    coeff, offset = _tuning(instance)
     mu1 = budget = doubling_mu1(coeff, error_estimate)
     t, stop = instance.rounds.start, instance.rounds.stop
     starts = [t]
-    learner = OdafLearner(instance, variant, predictor, lambda_optimistic(budget, offset))
+    learner = OdafLearner(instance, predictor, lambda_optimistic(budget, offset))
     while (t := learner.play(t, stop, coeff, budget)) < stop:
         starts.append(t)
         budget = 2.0 ** (len(starts) - 1) * mu1

@@ -74,8 +74,8 @@ class Penalty:
 
 
 def lambda_quadratic(horizon: int) -> float:
-    """lam = 1/sqrt(T): the quadratic-penalty tuning for both problem
-    variants."""
+    """lam = 1/sqrt(T): the quadratic-penalty tuning, whether or not the
+    constraints have memory."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     return 1.0 / math.sqrt(horizon)

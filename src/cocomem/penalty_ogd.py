@@ -32,19 +32,15 @@ import math
 
 import numpy as np
 
-from .core import Variant, float_vectors, round_table
+from .core import float_vectors, round_table
 from .geometry import project  # noqa: F401  the step the loop inlines; perfbench wraps it here
 from .metrics import RunTrace
 from .penalty import EXP_CAP, PenaltyKind, check_lambda, lambda_theorem
 
 
 @np.errstate(over="ignore", invalid="ignore")  # numpy overflows as floats do: silently
-def run_penalty_ogd(
-    instance,
-    variant: Variant,
-    kind: PenaltyKind = PenaltyKind.QUADRATIC,
-    lam: float | np.ndarray | None = None,
-) -> RunTrace:
+def run_penalty_ogd(instance, kind: PenaltyKind = PenaltyKind.QUADRATIC,
+                    lam: float | np.ndarray | None = None) -> RunTrace:
     """Play the instance's rounds in Python floats and collect the trace.
 
     `lam` is the penalty parameter: None for the theorem's
@@ -101,9 +97,9 @@ def run_penalty_ogd(
             n = sqrt(dot(diff, diff))
             x = x if n <= radius else center + diff * (radius / n)
     records["lam"] = lams
-    instance.fill_values(records, variant)
+    instance.fill_values(records)
     # V and the CCV: the loop's running sums from 0.0, in which -0.0 adds as 0.0
     g_splat = records["g_splat"]
     np.cumsum(np.where(g_splat < 0.0, 0.0, g_splat) + 0.0, out=records["v_dual"])
     np.cumsum(records["g_plus_recorded"] + 0.0, out=records["ccv_cum"])
-    return RunTrace("penalty_ogd", variant, kind, records, instance)
+    return RunTrace("penalty_ogd", kind, records, instance)

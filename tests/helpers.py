@@ -8,8 +8,8 @@ import sys
 
 import numpy as np
 
-from cocomem import (NoisyPredictor, PerfectPredictor, SeparableLinearInstance, Variant,
-                     ZeroPredictor, run_doubling, run_optimistic)
+from cocomem import (NoisyPredictor, PerfectPredictor, SeparableLinearInstance, ZeroPredictor,
+                     run_doubling, run_optimistic)
 from cocomem.core import ROUND_FIELDS
 from cocomem.geometry import regret_coefficient
 from cocomem.metrics import RunTrace, best_in_hindsight, lift_loss_at
@@ -58,14 +58,14 @@ def instance_digest(inst) -> str:
 
 def trace_digest(runner: str, kind: str, m: int, d: int) -> str:
     """sha256 prefix of `pinned_layout`, the hints (odaf only) and the
-    error sums of the trace pin (runner, kind, m, d): a coco_m2 run on a
-    150-round separable instance with dense, strong constraint slices."""
+    error sums of the trace pin (runner, kind, m, d): a run on a 150-round
+    separable instance with dense, strong constraint slices."""
     inst = SeparableLinearInstance(m=m, horizon=150, dim=d, seed=10 * m + d,
                                    g_round_density=0.4, g_mag=(0.05, 0.2))
     predictor = {"perfect": PerfectPredictor(), "zero": ZeroPredictor(),
                  "noisy": NoisyPredictor(0.3, seed=m + d)}[kind]
     run = run_optimistic if runner == "odaf" else run_doubling
-    tr = run(inst, Variant.COCO_M2, predictor)
+    tr = run(inst, predictor)
     h = hashlib.sha256(pinned_layout(tr).tobytes())
     if runner == "odaf":
         h.update(tr.extras["hints"].tobytes())
@@ -104,7 +104,7 @@ def played_violation(learner, t: int) -> float:
     it: the family's `fill_values` on a copy of the learner's table (the
     loop writes the decisions, not g_t)."""
     table = learner.records.copy()
-    learner.inst.fill_values(table, learner.variant)
+    learner.inst.fill_values(table)
     return float(table["g_plus_recorded"][t - learner.inst.first_round])
 
 

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from cocomem.core import Variant, round_table
+from cocomem.core import round_table
 from cocomem.geometry import ftrl_argmin, regret_coefficient
 from cocomem.metrics import RunTrace
 from cocomem.optimistic import MAX_PATTERN_SLICES, doubling_mu1
@@ -52,7 +52,6 @@ class OdafLearner:
     def __init__(
         self,
         instance,
-        variant: Variant,
         predictor,
         penalty: Penalty,
         first_round: int | None = None,
@@ -65,10 +64,7 @@ class OdafLearner:
             raise ValueError("the optimistic learner uses the exponential penalty")
         if not hasattr(instance, "f_coef"):
             raise TypeError("optimistic learner needs a separable-slice instance")
-        if variant is Variant.COCO_M and instance.constraint_memory:
-            raise ValueError("memory-less-constraint variant needs constraint slices at delay 0")
         self.inst = instance
-        self.variant = variant
         self.m = instance.m
         self.dim = instance.dim
         self.fset = instance.fset
@@ -78,8 +74,8 @@ class OdafLearner:
         self.alpha = self.fset.diameter**2  # the DUB weight scale
         self.first = instance.first_round if first_round is None else first_round
         self.floor = self.first if visibility_floor is None else visibility_floor
-        self.dual_delay = self.m + 1 if variant is Variant.COCO_M2 else 1
-        self._values = separable_round_evaluator(instance, instance.rounds, False)
+        self.dual_delay = self.m + 1 if instance.constraint_memory else 1
+        self._values = separable_round_evaluator(instance, instance.rounds)
 
         self.x_hist = x_hist if x_hist is not None else {}
         self.v_hist = v_hist if v_hist is not None else {}
@@ -310,7 +306,7 @@ class OdafLearner:
         for i, g in g_rows:
             g_vals[i] = _value(g, self.x_hist[t - i])
             self._g_active[(t, i)] = g_vals[i] > 0.0
-        if self.variant is Variant.COCO_M2:
+        if self.inst.constraint_memory:
             g_val = 0.0
             for v in g_vals.values():
                 g_val += v
@@ -367,7 +363,6 @@ def _with_terms(lin0: np.ndarray, toggles, flags) -> np.ndarray:
 
 def run_optimistic(
     instance,
-    variant: Variant,
     predictor,
     lam: float | None = None,
     error_estimate: float = 0.0,
@@ -377,14 +372,13 @@ def run_optimistic(
     if lam is None:
         k = instance.constants()
         coeff = regret_coefficient(instance.fset, instance.m)
-        eff_m = instance.m if variant is Variant.COCO_M2 else 0
+        eff_m = instance.m if instance.constraint_memory else 0
         lam = lambda_optimistic(coeff * math.sqrt(error_estimate), k.g_bound * (eff_m + 1))
-    learner = OdafLearner(instance, variant, predictor, Penalty(PenaltyKind.EXPONENTIAL, lam))
+    learner = OdafLearner(instance, predictor, Penalty(PenaltyKind.EXPONENTIAL, lam))
     for t in range(instance.first_round, instance.horizon + 1):
         learner.play_round(t)
     return RunTrace(
         algorithm="odaf",
-        variant=variant,
         penalty_kind=PenaltyKind.EXPONENTIAL,
         records=learner.records,
         instance=instance,
@@ -447,13 +441,12 @@ class DoublingLearner:
     collects every epoch's hints by round: a restart at round t commits
     h_t again, and the new epoch's h_t replaces the old one."""
 
-    def __init__(self, instance, variant: Variant, predictor, error_estimate: float = 0.0):
+    def __init__(self, instance, predictor, error_estimate: float = 0.0):
         self.inst = instance
-        self.variant = variant
         self.predictor = predictor
         k = instance.constants()
         coeff = regret_coefficient(instance.fset, instance.m)
-        offset = k.g_bound * ((instance.m + 1) if variant is Variant.COCO_M2 else 1)
+        offset = k.g_bound * ((instance.m + 1) if instance.constraint_memory else 1)
         self.schedule = DoublingSchedule(coeff, offset, doubling_mu1(coeff, error_estimate))
         self.schedule.epoch_starts.append(instance.first_round)
         self.x_hist: dict = {}
@@ -471,7 +464,6 @@ class DoublingLearner:
     def _spawn(self, start_round: int) -> None:
         self.inner = OdafLearner(
             self.inst,
-            self.variant,
             self.predictor,
             Penalty(PenaltyKind.EXPONENTIAL, self.schedule.lam),
             first_round=start_round,
@@ -495,17 +487,15 @@ class DoublingLearner:
 
 def run_doubling(
     instance,
-    variant: Variant,
     predictor,
     error_estimate: float = 0.0,
 ) -> RunTrace:
-    learner = DoublingLearner(instance, variant, predictor, error_estimate=error_estimate)
+    learner = DoublingLearner(instance, predictor, error_estimate=error_estimate)
     for t in range(instance.first_round, instance.horizon + 1):
         learner.play_round(t)
     sched = learner.schedule
     return RunTrace(
         algorithm="odaf",
-        variant=variant,
         penalty_kind=PenaltyKind.EXPONENTIAL,
         records=learner.records,
         instance=instance,

@@ -27,7 +27,8 @@ tuple of the last m+1 decisions' coordinates, oldest decision first, and
 `x` the current decision (the last d of them).  It returns (f_mem,
 f_splat, f_grad, g_mem, g_splat, g_grad): the window values, the lifted
 values at x and the lift gradients at x (lists of floats); g_mem is
-g_splat when `g_window` is false.  Each sum adds its terms one by one.
+g_splat when the instance's `constraint_memory` is false.  Each sum
+adds its terms one by one.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import math
 
 import numpy as np
 
-from cocomem.core import Ball, MemoryFunctionOracle, Variant, round_table
+from cocomem.core import Ball, MemoryFunctionOracle, round_table
 from cocomem.environments import AppendixAInstance, SeparableLinearInstance
 from cocomem.geometry import project
 from cocomem.metrics import RunTrace
@@ -70,13 +71,15 @@ class PenaltyOgdLearner:
     plays one round per entry of `lams`, the k-th with lambda `lams[k]`,
     and writes it into row k of `records`.  `window` is the (m+1, d) array
     of the last m+1 decisions, oldest first, with the set center standing
-    in before the first round."""
+    in before the first round.  `constraint_memory` is the instance's flag:
+    the recorded violation is the constraint's window value when it is
+    set, else its lift."""
 
-    def __init__(self, fset, memory: int, variant: Variant, kind: PenaltyKind,
+    def __init__(self, fset, memory: int, constraint_memory: bool, kind: PenaltyKind,
                  lams: list[float]):
         self.fset = fset
         self.m = memory
-        self.variant = variant
+        self.constraint_memory = constraint_memory
         self.kind = kind
         self.lams = lams
         self.x = fset.center
@@ -97,7 +100,7 @@ class PenaltyOgdLearner:
         f_mem = loss.value(self.window)
         f_spl = loss.value_splat(x)
         g_spl = constraint.value_splat(x)
-        if self.variant is Variant.COCO_M2:
+        if self.constraint_memory:
             g_mem = constraint.value(self.window)
         else:
             g_mem = g_spl
@@ -170,13 +173,13 @@ def point_step(fset: Ball):
     return scale
 
 
-def appendix_a_round_evaluator(self, rounds: range, g_window: bool):
+def appendix_a_round_evaluator(self, rounds: range):
     """`evaluate(k, window, x)` for round rounds[k] in Python floats; see
     the module docstring for the contract.  Each value repeats the
     expression of `loss(t)` / `constraint(t)` term by term."""
     span = slice(rounds.start, rounds.stop)
     c_rows, d_rows = self.c[span].tolist(), self.d_coef[span].tolist()
-    delta, slots = self.delta, self.m + 1
+    delta, slots, g_window = self.delta, self.m + 1, self.constraint_memory
 
     def evaluate(k, window, x):
         c, d = c_rows[k], d_rows[k]
@@ -211,12 +214,12 @@ def delay_sums(rows) -> list:
     return out
 
 
-def separable_round_evaluator(self, rounds: range, g_window: bool):
+def separable_round_evaluator(self, rounds: range):
     """`evaluate(k, window, x)` for round rounds[k] in Python floats; see
     the module docstring for the contract.  Each value repeats the
     expression of `loss(t)` / `constraint(t)` term by term, with the
     per-round slice sums (lift slopes, summed offsets) taken up front."""
-    span, dim = slice(rounds.start, rounds.stop), self.dim
+    span, dim, g_window = slice(rounds.start, rounds.stop), self.dim, self.constraint_memory
     shape = (len(rounds), (self.m + 1) * dim)
     # slice coefficients in flat-window order: delay m (oldest) first
     f_win = self.f_coef[span, ::-1].reshape(shape).tolist()
@@ -249,7 +252,6 @@ _EVALUATORS = {
 
 def run_penalty_ogd(
     instance,
-    variant: Variant,
     kind: PenaltyKind = PenaltyKind.QUADRATIC,
     lam: float | np.ndarray | None = None,
 ) -> RunTrace:
@@ -266,7 +268,7 @@ def run_penalty_ogd(
     # a length other than the round count fails to broadcast (ValueError)
     lams = np.broadcast_to(lam, len(rounds)).tolist()
     check_lambda(lams)
-    evaluate = _EVALUATORS[type(instance)](instance, rounds, variant is Variant.COCO_M2)
+    evaluate = _EVALUATORS[type(instance)](instance, rounds)
     step = point_step(instance.fset)
     diameter, dim = instance.fset.diameter, instance.dim
     x = tuple(instance.fset.center.tolist())
@@ -294,7 +296,6 @@ def run_penalty_ogd(
         window = window[dim:] + x
     return RunTrace(
         algorithm="penalty_ogd",
-        variant=variant,
         penalty_kind=kind,
         records=records,
         instance=instance,

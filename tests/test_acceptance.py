@@ -17,7 +17,6 @@ from cocomem import (
     PenaltyKind,
     PerfectPredictor,
     SeparableLinearInstance,
-    Variant,
     ZeroPredictor,
     best_in_hindsight,
     invariant_suite,
@@ -45,8 +44,8 @@ SEEDS = list(range(10))
 @pytest.fixture(scope="module")
 def reference_runs():
     """The reference experiment: m=3, T=4000, R=15, sigma=10, delta=1,
-    gamma=3, quadratic penalty on the 1/sqrt(t) schedule, double-memory
-    variant, 10 seeds per adversary mode."""
+    gamma=3, quadratic penalty on the 1/sqrt(t) schedule, constraints
+    with memory, 10 seeds per adversary mode."""
     t0 = time.perf_counter()
     out = {}
     for mode in ("stochastic", "adversarial"):
@@ -54,7 +53,7 @@ def reference_runs():
         for seed in SEEDS:
             inst = AppendixAInstance(m=3, horizon=4000, radius=15.0, sigma=10.0,
                                      delta=1.0, gamma=3.0, mode=mode, seed=seed)
-            tr = run_penalty_ogd(inst, Variant.COCO_M2, PenaltyKind.QUADRATIC, sqrt_t(inst))
+            tr = run_penalty_ogd(inst, PenaltyKind.QUADRATIC, sqrt_t(inst))
             traces.append((tr, regret_and_ccv(tr)))
         out[mode] = traces
     out["elapsed"] = time.perf_counter() - t0
@@ -71,8 +70,8 @@ def optimistic_runs():
     for seed in SEEDS:
         inst = SeparableLinearInstance(m=2, horizon=2000, seed=seed,
                                        g_active_fraction=0.0)
-        runs["perfect"].append(run_optimistic(inst, Variant.COCO_M2, PerfectPredictor()))
-        runs["zero"].append(run_optimistic(inst, Variant.COCO_M2, ZeroPredictor()))
+        runs["perfect"].append(run_optimistic(inst, PerfectPredictor()))
+        runs["zero"].append(run_optimistic(inst, ZeroPredictor()))
     return runs
 
 
@@ -108,27 +107,30 @@ def test_c2_theorem_constant_inequalities():
     checked = 0
     for horizon in (500, 2000, 8000):
         for m in (1, 3):
-            for variant in (Variant.COCO_M2, Variant.COCO_M):
+            for memory in (True, False):
                 for seed in (0, 1, 2):
-                    inst = AppendixAInstance(m=m, horizon=horizon, seed=seed)
-                    tr = run_penalty_ogd(inst, variant, PenaltyKind.QUADRATIC)
+                    inst = AppendixAInstance(m=m, horizon=horizon, seed=seed,
+                                             constraint_memory=memory)
+                    tr = run_penalty_ogd(inst, PenaltyKind.QUADRATIC)
                     rep = theorem_bound_report(tr)
+                    where = f"T={horizon} m={m} constraint_memory={memory} seed={seed}"
                     assert rep.measured["regret"] <= rep.theoretical["regret"], (
-                        f"T={horizon} m={m} {variant} seed={seed}: regret bound broken")
+                        f"{where}: regret bound broken")
                     assert rep.measured["ccv"] <= rep.theoretical["ccv"], (
-                        f"T={horizon} m={m} {variant} seed={seed}: ccv bound broken")
+                        f"{where}: ccv bound broken")
                     checked += 1
     for horizon in (500, 2000, 8000):
         m = 1
         assert short_memory_condition(horizon, m)
         assert not short_memory_condition(horizon, 3)
         for seed in (0, 1, 2):
-            inst = AppendixAInstance(m=m, horizon=horizon, seed=seed)
+            inst = AppendixAInstance(m=m, horizon=horizon, seed=seed, constraint_memory=False)
             k = inst.constants()
             lam = lambda_exponential_short_memory(horizon, m, inst.fset.diameter, k.l_f, k.l_g)
-            tr = run_penalty_ogd(inst, Variant.COCO_M, PenaltyKind.EXPONENTIAL, lam)
+            tr = run_penalty_ogd(inst, PenaltyKind.EXPONENTIAL, lam)
             rep = theorem_bound_report(tr)
-            assert rep.preconditions == {"short_memory": True, "l_f_at_least_one": True,
+            assert rep.preconditions == {"memoryless_constraints": True, "short_memory": True,
+                                         "l_f_at_least_one": True,
                                          "lambda_theorem_tuned": True}
             assert rep.measured["regret"] <= rep.theoretical["regret"]
             assert rep.measured["ccv"] <= rep.theoretical["ccv"]
@@ -143,17 +145,18 @@ def test_c2_theorem_constant_inequalities():
 def _battery():
     runs = []
     for m in (1, 3):
-        for variant in (Variant.COCO_M2, Variant.COCO_M):
+        for memory in (True, False):
             for mode in ("fixed", "sqrt_t"):
                 for seed in (0, 1):
-                    inst = AppendixAInstance(m=m, horizon=300, seed=seed)
+                    inst = AppendixAInstance(m=m, horizon=300, seed=seed,
+                                             constraint_memory=memory)
                     lam = sqrt_t(inst) if mode == "sqrt_t" else 1.0 / math.sqrt(300)
-                    runs.append(run_penalty_ogd(inst, variant, PenaltyKind.QUADRATIC, lam))
+                    runs.append(run_penalty_ogd(inst, PenaltyKind.QUADRATIC, lam))
     for seed in (0, 1):
-        inst = AppendixAInstance(m=1, horizon=300, seed=seed)
+        inst = AppendixAInstance(m=1, horizon=300, seed=seed, constraint_memory=False)
         k = inst.constants()
         lam = lambda_exponential_short_memory(300, 1, inst.fset.diameter, k.l_f, k.l_g)
-        runs.append(run_penalty_ogd(inst, Variant.COCO_M, PenaltyKind.EXPONENTIAL, lam))
+        runs.append(run_penalty_ogd(inst, PenaltyKind.EXPONENTIAL, lam))
     preds = [("perfect", lambda s: PerfectPredictor()),
              ("zero", lambda s: ZeroPredictor()),
              ("noisy", lambda s: NoisyPredictor(0.3, seed=s))]
@@ -162,11 +165,11 @@ def _battery():
             for seed in (0, 1):
                 inst = SeparableLinearInstance(m=m, horizon=250, seed=seed,
                                                g_round_density=0.3, g_mag=(0.02, 0.08))
-                runs.append(run_optimistic(inst, Variant.COCO_M2, mk(seed)))
+                runs.append(run_optimistic(inst, mk(seed)))
     for _, mk in preds[::2]:
         inst = SeparableLinearInstance(m=1, horizon=250, seed=0, constraint_memory=False,
                                        g_round_density=0.3, g_mag=(0.02, 0.08))
-        runs.append(run_optimistic(inst, Variant.COCO_M, mk(0)))
+        runs.append(run_optimistic(inst, mk(0)))
     return runs
 
 
@@ -178,7 +181,8 @@ def test_c3_lemma_suite_on_every_run():
         for res in invariant_suite(trace):
             n_checks += 1
             if not res.passed:
-                failures.append(f"{trace.algorithm}/{trace.variant.value}: {res}")
+                memory = trace.instance.constraint_memory
+                failures.append(f"{trace.algorithm}/constraint_memory={memory}: {res}")
     assert not failures, "\n".join(failures)
     print(f"criterion 3 PASS ({n_checks} lemma/identity checks across {n_runs} runs)")
 
@@ -256,7 +260,7 @@ def test_c6_doubling_epochs():
     for seed in range(5):
         inst = SeparableLinearInstance(m=2, horizon=300, seed=seed,
                                        g_round_density=0.4, g_mag=(0.05, 0.2))
-        tr = run_doubling(inst, Variant.COCO_M2, NoisyPredictor(0.4, seed=seed))
+        tr = run_doubling(inst, NoisyPredictor(0.4, seed=seed))
         n = tr.extras["epochs"]
         assert n == 1 or n <= doubling_epoch_bound(tr), seed
         counts.append(n)
@@ -318,8 +322,8 @@ def test_c7_surrogate_gradient_finite_differences():
     h = 1e-5
     checked = hinged = 0
     for lam in (0.05, 0.5, 5.0):
-        inst = AppendixAInstance(m=2, horizon=50, seed=3)
-        tr = run_penalty_ogd(inst, Variant.COCO_M, PenaltyKind.QUADRATIC, lam)
+        inst = AppendixAInstance(m=2, horizon=50, seed=3, constraint_memory=False)
+        tr = run_penalty_ogd(inst, PenaltyKind.QUADRATIC, lam)
         for rec in tr.records:
             loss, cons = inst.loss(int(rec.t)), inst.constraint(int(rec.t))
             x, pp = float(rec.x[0]), float(rec.phi_prime)
@@ -339,7 +343,6 @@ def test_c7_surrogate_gradient_finite_differences():
 def test_c7_full_run_determinism(tmp_path):
     cfg = ExperimentConfig.from_dict({
         "algorithm": "penalty_ogd",
-        "variant": "coco_m2",
         "environment": {"kind": "appendix_a", "m": 2, "horizon": 200},
         "penalty": "quadratic",
         "lam": "sqrt_t",

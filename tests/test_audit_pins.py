@@ -45,6 +45,13 @@ PINNED_STDOUT = {
     # bounds on regret and CCV
     ("bounds", "reference_theorem"):
         "e61b1a1469a3be78c3268e1f77dff88d3890fbe74203c532d852c46ade9c8105",
+    # the exponential penalty without constraint memory at the theorem's
+    # short-memory lambda (m = 1 <= T^(1/6) / (log T)^(1/3) at T = 4000)
+    ("verify", "reference_exponential"):
+        "854e4960edcb7add1c9a4b3418bc7f51a75e64e27f60c3cdd24462d12a1b1ae8",
+    # every precondition holds: both exponential-penalty bounds
+    ("bounds", "reference_exponential"):
+        "71505b55cd2bef5ffb89c8c07e1cb7a467b7de407f01c21511c8e306a3f01788",
 }
 
 
@@ -55,32 +62,38 @@ PINNED_RUN_FILES = {
     ("doubling_noisy", "_seed0_instance.json"):
         "e10da15c5bfce05c7bff5b1d543d7403e6ec643446feb9ac713e141e303d17f8",
     ("doubling_noisy", "_summary.json"):
-        "a90f65f80d6dea9657b9490bfea89b65854e77c68264ac5fd4fa4160d9574cb3",
+        "c6b8753d3f9ed194d3a6f6b01ed8b783388a5b3769af458487d06b5db743ac9c",
     ("optimistic_perfect", "_seed0.csv"):
         "613e63868e06951d18fa846f63b64d0f9aacb4f9650146b194ae9e131ba69986",
     ("optimistic_perfect", "_seed0_instance.json"):
         "ea99eea51ebb8250fa2b71ab4b736f5340b40d5e9dd37f952a5ffb98101dcb8f",
     ("optimistic_perfect", "_summary.json"):
-        "cbd70efafafd356ea38089d10c53876599e69a4f78a38408c449a1578011eb99",
+        "76b812c35a3ba666f8dfb5c7578941cf2024079e69e1775f45e943e41e7e0d48",
+    ("reference_exponential", "_seed0.csv"):
+        "435af4f792096037d0eb576dbc960b48b557ea6399776903311a2b5f90c2670c",
+    ("reference_exponential", "_seed0_instance.json"):
+        "2bc6db65d94c7388286c923b07936ec1cf738a7894c709d8cbeabcf25d6caec2",
+    ("reference_exponential", "_summary.json"):
+        "defd02362aaf208231c88c76adc78de9a3796bc8481cc6a104af37ee31d6f457",
     ("reference_adversarial", "_seed0.csv"):
         "56abc57d844838166e0e091b42cef3ffad34bae56d3d557cfe57ed7ad6e79d33",
     ("reference_adversarial", "_seed0_instance.json"):
-        "1ab09a709a86a38362d00c7e6846f0b3e7aa81c6956e657a99bbae429fc3f2a6",
+        "c293d0bd8e465ed40466dd3866cc48c348b8a47385f59068d7aaf30e135d776e",
     ("reference_adversarial", "_summary.json"):
-        "c4499343c2465a4b1ac0059304d8bcbf2c4d202a62b49b4ab6d2124fbfb8c4e4",
+        "485a45e2b78cba6f475ee08613323736795cb2d1698c3cadcbeb650632c473a9",
     ("reference_stochastic", "_seed0.csv"):
         "ad469cf2193bb1b0efaa792a8ddb44f93685ba0ba70b4e50766649648d105fa6",
     ("reference_stochastic", "_seed0_instance.json"):
-        "c189efe26644d3d1a533f50b3936189524d800260d8e2abf37d20aaffe5eb4b9",
+        "a8f96e932c31a4fb18b8a8e1e27f88b8115decee12246573f03de17ef75e6ce1",
     ("reference_stochastic", "_summary.json"):
-        "bbc5dd6800452fcda12be4f94e3a07fb90f2780f60b8bdced71a985a573be2b9",
+        "c18559fd974bc5ffea5d2fe520a828c53874065f243486f1da2e7eb0cae61641",
     ("reference_theorem", "_seed0.csv"):
         "458d8c85de3da65901f993b01cefa43c83eff732ae2e3cd9e71afcba08b23c2a",
     # reference_stochastic's instance
     ("reference_theorem", "_seed0_instance.json"):
-        "c189efe26644d3d1a533f50b3936189524d800260d8e2abf37d20aaffe5eb4b9",
+        "a8f96e932c31a4fb18b8a8e1e27f88b8115decee12246573f03de17ef75e6ce1",
     ("reference_theorem", "_summary.json"):
-        "a09f1fa2610a98e04749c7daa263f0ef49627d039029146cd75174d0fa48bf2d",
+        "ce93997a3cd73e84492d4421a109588fb74db112b111e15821c9880022547961",
 }
 
 # `cocomem run`'s summary over seeds 0 .. n - 1: (config, n) -> sha256.  From
@@ -88,10 +101,20 @@ PINNED_RUN_FILES = {
 # running sum does.
 PINNED_SUMMARIES = {
     ("reference_stochastic", 10):
-        "2600bb0fb50488289e834724c124f389ac0eb8b5a00cf754681716fb950ad2a4",
+        "972a60bb7f961b580a645c575b5f8543133cc3125a9ab76585b2616ecef7828a",
     ("doubling_noisy", 5):
-        "d90624522c5fd381d92936c92b9838de6cb9b8cf675bd88dfc2325f4f3d5e9be",
+        "2884e497f1151696976730cf106f7df263b9294264d2e1116475bdb898f7ffaa",
 }
+
+
+def test_every_shipped_config_is_pinned():
+    """Each `configs/*.json` has its `verify`, `bounds` and `run` pins, so a
+    shipped config cannot go unpinned."""
+    names = sorted(path.stem for path in CONFIG_DIR.glob("*.json"))
+    for command in ("verify", "bounds"):
+        assert sorted(name for cmd, name in PINNED_STDOUT if cmd == command) == names
+    for suffix in ("_seed0.csv", "_seed0_instance.json", "_summary.json"):
+        assert sorted(name for name, sfx in PINNED_RUN_FILES if sfx == suffix) == names
 
 
 @pytest.mark.parametrize("command, name", sorted(PINNED_STDOUT))

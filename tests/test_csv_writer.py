@@ -47,7 +47,7 @@ def _column(draw, n: int) -> np.ndarray:
 def _trace(tab: np.ndarray, static: np.ndarray, perround: np.ndarray):
     series = MetricSeries(regret_static_cum=static, regret_perround_cum=perround,
                           ccv_cum=tab["ccv_cum"])
-    return RunTrace("penalty_ogd", None, None, tab, None), series
+    return RunTrace("penalty_ogd", None, tab, None), series
 
 
 @pytest.mark.parametrize("d", (1, 2))

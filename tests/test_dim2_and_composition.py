@@ -6,7 +6,6 @@ import pytest
 
 from cocomem import (
     AppendixAInstance,
-    Variant,
     invariant_suite,
     regret_and_ccv,
     run_penalty_ogd,
@@ -23,7 +22,7 @@ from helpers import sqrt_t
 def ball_trace():
     inst = AppendixAInstance(m=2, horizon=80, seed=1, dim=2, radius=5.0,
                              sigma=2.0, gamma=3.0)
-    return run_penalty_ogd(inst, Variant.COCO_M2, lam=sqrt_t(inst))
+    return run_penalty_ogd(inst, lam=sqrt_t(inst))
 
 
 def test_ball_run_stays_feasible_and_valid(ball_trace):
@@ -40,7 +39,7 @@ def test_ball_run_metrics_and_bounds(ball_trace):
     # the 1/sqrt(t) schedule misses the theorem's lambda: no bound is reported
     rep = theorem_bound_report(ball_trace)
     assert rep.preconditions == {"lambda_theorem_tuned": False} and rep.theoretical == {}
-    rep = theorem_bound_report(run_penalty_ogd(ball_trace.instance, Variant.COCO_M2))
+    rep = theorem_bound_report(run_penalty_ogd(ball_trace.instance))
     assert rep.preconditions == {"lambda_theorem_tuned": True}
     assert rep.measured["regret"] <= rep.theoretical["regret"]
     assert rep.measured["ccv"] <= rep.theoretical["ccv"]

@@ -12,7 +12,6 @@ from cocomem import (
     NoisyPredictor,
     PerfectPredictor,
     SeparableLinearInstance,
-    Variant,
     ZeroPredictor,
     pcg,
     run_penalty_ogd,
@@ -50,8 +49,8 @@ def test_same_seed_is_bitwise_identical():
 def test_instance_unaffected_by_play():
     inst = AppendixAInstance(m=2, horizon=40, seed=1)
     before = inst.c.copy(), inst.d_coef.copy()
-    run_penalty_ogd(inst, Variant.COCO_M2)
-    run_penalty_ogd(inst, Variant.COCO_M)
+    run_penalty_ogd(inst)
+    run_penalty_ogd(inst, lam=0.3)
     assert np.array_equal(inst.c, before[0]) and np.array_equal(inst.d_coef, before[1])
 
 
@@ -152,6 +151,26 @@ def test_window_reads_the_center_before_the_first_round(family, d, m, extra):
         assert w.shape == X.shape
         for k, row in enumerate(w):
             assert np.array_equal(row, X[k - m + i] if k - m + i >= 0 else center)
+
+
+@pytest.mark.parametrize("constraint_memory", [True, False])
+@pytest.mark.parametrize("family", [AppendixAInstance, SeparableLinearInstance],
+                         ids=lambda c: c.kind)
+def test_constraint_memory_sets_g_mem_and_the_dual_delay(family, constraint_memory):
+    """An instance's `constraint_memory` decides what `fill_values`
+    records as the constraint and the instance's dual delay: without
+    memory g_mem is the lift g_splat, bit for bit, and the delay is 1; with
+    memory g_mem is the window value, and the delay is m + 1."""
+    inst = family(m=2, horizon=80, seed=4, constraint_memory=constraint_memory)
+    assert inst.dual_delay == (inst.m + 1 if constraint_memory else 1)
+    tr = run_penalty_ogd(inst, lam=0.5)
+    g_mem, g_splat = tr.col("g_mem"), tr.col("g_splat")
+    assert (g_mem.tobytes() == g_splat.tobytes()) is not constraint_memory
+    if constraint_memory:  # the window value, slot by slot
+        window = inst.slots(tr.col("x"))
+        for k, t in enumerate(inst.rounds):
+            value = inst.constraint(t).value(np.stack([w[k] for w in window]))
+            assert g_mem[k] == pytest.approx(value, rel=1e-12, abs=1e-12)
 
 
 def test_separable_zero_outside_active_rounds():

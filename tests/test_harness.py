@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from cocomem import harness, optimistic
 from cocomem.cli import _parser
 from cocomem.cli import main as cli_main
-from cocomem.core import Variant, strict_json
+from cocomem.core import strict_json
 from cocomem.environments import _FIELD_TYPES, NoisyPredictor, check_fields, is_number
 from cocomem.harness import (
     CSV_HEADER,
@@ -44,7 +44,6 @@ from helpers import FLOAT_TRAPS
 
 BASE = {
     "algorithm": "penalty_ogd",
-    "variant": "coco_m2",
     "environment": {"kind": "appendix_a", "m": 2, "horizon": 120},
     "penalty": "quadratic",
     "lam": "sqrt_t",
@@ -252,38 +251,38 @@ def test_failed_seed_records_type_and_traceback(tmp_path, monkeypatch):
 
 
 def test_invalid_combinations_rejected():
+    memoryless = {**BASE["environment"], "constraint_memory": False}
     with pytest.raises(ConfigError):
         _cfg(algorithm="odaf")  # optimistic needs separable slices
+    for env in (BASE["environment"], {"kind": "separable_linear", "m": 1, "horizon": 50}):
+        with pytest.raises(ConfigError, match="constraint_memory"):
+            # exponential descent needs memory-less constraints
+            _cfg(penalty="exponential", lam="theorem", environment=env)
     with pytest.raises(ConfigError):
-        _cfg(penalty="exponential")  # exponential descent needs coco_m
-    with pytest.raises(ConfigError):
-        _cfg(penalty="exponential", variant="coco_m",
+        _cfg(penalty="exponential", environment=memoryless,
              lam="sqrt_t")  # schedule is quadratic-only
     with pytest.raises(ConfigError):
         _cfg(algorithm="odaf",
              environment={"kind": "separable_linear", "m": 1, "horizon": 50},
              penalty="quadratic")
     with pytest.raises(ConfigError):
-        _cfg(algorithm="odaf", variant="coco_m",
-             environment={"kind": "separable_linear", "m": 1, "horizon": 50},
-             penalty="exponential")  # memory-less variant needs delay-0 slices
-    with pytest.raises(ConfigError):
         _cfg(lam=0.0)  # a number must be positive
     with pytest.raises(ConfigError):
         _cfg(environment={"kind": "nowhere"})
     with pytest.raises(ConfigError):
         _cfg(seeds=[])
-    # the five supported problem rows all validate
-    _cfg(variant="coco_m")
+    # the six supported problem rows all validate
+    _cfg(environment=memoryless)
     _cfg()
-    _cfg(algorithm="odaf", variant="coco_m2", penalty="exponential",
+    _cfg(penalty="exponential", lam="theorem", environment=memoryless)
+    _cfg(algorithm="odaf", penalty="exponential",
          lam="theorem",
          environment={"kind": "separable_linear", "m": 1, "horizon": 50})
-    _cfg(algorithm="odaf", variant="coco_m", penalty="exponential",
+    _cfg(algorithm="odaf", penalty="exponential",
          lam="theorem",
          environment={"kind": "separable_linear", "m": 1, "horizon": 50,
                       "constraint_memory": False})
-    _cfg(algorithm="odaf", variant="coco_m2", penalty="exponential",
+    _cfg(algorithm="odaf", penalty="exponential",
          lam="doubling",
          environment={"kind": "separable_linear", "m": 1, "horizon": 50})
 
@@ -318,13 +317,43 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         assert capsys.readouterr().err.startswith("config error:")
     # bounds subcommand
     assert cli_main(["bounds", "--config", str(cfg_path)]) == 0
+    # an --out path that is a file, or lies below one, is bad input, and
+    # nothing is written
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    for bad_out in (blocker, blocker / "sub"):
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(bad_out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(bad_out) in err
+        assert sorted(tmp_path.rglob("*")) == before and blocker.read_text() == ""
+    # a seed that cannot write its own files is a runtime failure
+    (tmp_path / "taken" / "t_seed0.csv").mkdir(parents=True)
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "taken")]) == 2
 
 
-def _appendix_a_verify_config(gamma, mode, horizon=400, seeds=(0, 1, 2, 3, 4), variant="coco_m2",
-                              **environment):
+@pytest.mark.parametrize("variant", ["coco_m", "coco_m2"])
+@pytest.mark.parametrize("command", ["run", "verify", "bounds"])
+def test_the_variant_key_is_rejected_in_favour_of_constraint_memory(command, variant, tmp_path,
+                                                                    capsys, monkeypatch):
+    """Whether constraints have memory is the environment's
+    `constraint_memory`: a config that still says `variant` exits 1 with a
+    config error that names the field, and writes nothing."""
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**BASE, "variant": variant}))
+    assert cli_main([command, "--config", str(cfg_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:") and "constraint_memory" in captured.err
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def _appendix_a_verify_config(gamma, mode, horizon=400, seeds=(0, 1, 2, 3, 4), **environment):
     environment = {"kind": "appendix_a", "m": 3, "horizon": horizon, "radius": 15.0,
                    "sigma": 10.0, "delta": 1.0, "gamma": gamma, "mode": mode, **environment}
-    return {"name": "gamma", "algorithm": "penalty_ogd", "variant": variant,
+    return {"name": "gamma", "algorithm": "penalty_ogd",
             "environment": environment, "penalty": "quadratic", "lam": "sqrt_t",
             "seeds": list(seeds)}
 
@@ -333,8 +362,8 @@ def _appendix_a_verify_config(gamma, mode, horizon=400, seeds=(0, 1, 2, 3, 4), v
     *(_appendix_a_verify_config(gamma, mode) for gamma in (0.1, 0.5, 0.9, 1.0)
       for mode in ("stochastic", "adversarial")),
     # lhs 5710 against rhs 607 at round 4 while l_g read gamma * sigma
-    _appendix_a_verify_config(0.1, "adversarial", horizon=187, seeds=[0], variant="coco_m",
-                              radius=18.15, sigma=18.29, delta=1.035),
+    _appendix_a_verify_config(0.1, "adversarial", horizon=187, seeds=[0],
+                              constraint_memory=False, radius=18.15, sigma=18.29, delta=1.035),
 ], ids=lambda cfg: "{gamma}-{mode}-T{horizon}".format(**cfg["environment"]))
 def test_verify_passes_appendix_a_below_gamma_one(cfg, tmp_path, capsys):
     """Below gamma = 1 the uniform draws on [-sigma, sigma] exceed gamma
@@ -646,7 +675,6 @@ def test_lam_number_is_parsed_as_a_float():
 
 ODAF_BASE = {
     "algorithm": "odaf",
-    "variant": "coco_m2",
     "environment": {"kind": "separable_linear", "m": 1, "horizon": 40},
     "penalty": "exponential",
     "seeds": [0],
@@ -815,7 +843,8 @@ def test_lam_makes_the_runner_call_of_the_lambda_it_replaces(monkeypatch, before
     # a number is finite and positive (1e400 parses as infinity)
     {**BASE, "lam": 0}, {**BASE, "lam": -1}, {**BASE, "lam": 1e400}, {**BASE, "lam": "abc"},
     # the 1/sqrt(t) schedule is penalty OGD's, with the quadratic penalty
-    {**BASE, "penalty": "exponential", "variant": "coco_m"},
+    {**BASE, "penalty": "exponential",
+     "environment": {**BASE["environment"], "constraint_memory": False}},
     {**ODAF_BASE, "lam": "sqrt_t"},
     # the doubling trick tunes odaf's lambda
     {**BASE, "lam": "doubling"},
@@ -836,7 +865,7 @@ def test_keys_are_accepted_where_the_learner_reads_them():
 
 def test_config_fields_are_typed_once():
     cfg = ExperimentConfig.from_dict({**ODAF_BASE, "error_estimate": 1})
-    assert (cfg.variant, cfg.penalty) == (Variant.COCO_M2, PenaltyKind.EXPONENTIAL)
+    assert cfg.penalty is PenaltyKind.EXPONENTIAL
     assert type(cfg.error_estimate) is float and cfg.error_estimate == 1.0
     assert cfg.lam == "theorem" and cfg.predictor == {"kind": "perfect"}
     obj = {**ODAF_BASE}
@@ -877,12 +906,14 @@ def test_cli_rejects_mistyped_top_level_fields(tmp_path, capsys, monkeypatch, ob
     {**BASE["environment"], "m": True},
     {**BASE["environment"], "radius": True},
     {**BASE["environment"], "mode": 1},
+    {**BASE["environment"], "constraint_memory": 1},
     {**ODAF_BASE["environment"], "constraint_memory": 0},
     {**ODAF_BASE["environment"], "noise": "0.5"},
     {**ODAF_BASE["environment"], "g_mag": [0.01, True]},
     {**ODAF_BASE["environment"], "g_root": [0.4, 0.5, 0.9]},
 ], ids=["horizon_float", "dim_true", "m_true", "radius_true", "mode_int",
-        "constraint_memory_0", "noise_string", "g_mag_bool", "g_root_triple"])
+        "appendix_constraint_memory_1", "constraint_memory_0", "noise_string", "g_mag_bool",
+        "g_root_triple"])
 def test_cli_rejects_mistyped_environment_fields(tmp_path, capsys, monkeypatch, env):
     # each field is checked against its dataclass annotation when the
     # config loads: True ran as 1, and 0 was written into the replay JSON

@@ -13,7 +13,6 @@ from cocomem import (
     PerfectPredictor,
     RunTrace,
     SeparableLinearInstance,
-    Variant,
     best_in_hindsight,
     invariant_suite,
     metrics,
@@ -101,7 +100,7 @@ def test_regret_and_ccv_solves_the_half_spaces_once(monkeypatch, family):
     """At d = 1 the best fixed point and the per-round comparator read one
     solve of the lifted half-spaces of a trace (each solved its own)."""
     inst = family(m=1, horizon=60, seed=0)
-    tr = run_penalty_ogd(inst, Variant.COCO_M2)
+    tr = run_penalty_ogd(inst)
     calls, solve = [], inst.halfspaces
 
     def counting(*args, **kwargs):
@@ -125,7 +124,7 @@ def _toy_trace(inst, xs):
         ccv += max(g_mem, 0.0)
         records[row] = (t, [x], f.value(w), f.value_splat([x]), g_mem, g.value_splat([x]),
                         max(g_mem, 0.0), ccv, ccv, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    return RunTrace("penalty_ogd", Variant.COCO_M2, PenaltyKind.QUADRATIC, records, inst, {})
+    return RunTrace("penalty_ogd", PenaltyKind.QUADRATIC, records, inst, {})
 
 
 def test_benchmark_replay_has_zero_memoryless_regret():
@@ -157,7 +156,7 @@ def test_three_round_hand_tally():
 
 def test_memory_identity_on_real_run():
     inst = AppendixAInstance(m=3, horizon=120, seed=6)
-    tr = run_penalty_ogd(inst, Variant.COCO_M2)
+    tr = run_penalty_ogd(inst)
     s = regret_and_ccv(tr)
     deviation = float(np.sum(tr.col("f_mem") - tr.col("f_splat")))
     x_star = best_in_hindsight(inst).x_star
@@ -170,7 +169,7 @@ def test_memory_deviation_bound_catches_inflated_window_loss():
     """A window loss that drifts further from its lift than L_f times the
     window's distance to the splat allows must fail the check."""
     inst = AppendixAInstance(m=3, horizon=120, seed=6)
-    tr = run_penalty_ogd(inst, Variant.COCO_M2)
+    tr = run_penalty_ogd(inst)
     res = check_memory_identity(tr)
     assert res.passed and 0.0 < res.lhs < res.rhs
     tr.col("f_mem")[:] += 2.0 * res.rhs / len(tr.records)
@@ -209,7 +208,7 @@ def test_exponential_rhs_requires_unit_lipschitz():
 
 def test_bound_report_on_short_run():
     inst = AppendixAInstance(m=1, horizon=200, seed=0)
-    tr = run_penalty_ogd(inst, Variant.COCO_M2)
+    tr = run_penalty_ogd(inst)
     rep = theorem_bound_report(tr)
     assert rep.measured["regret"] <= rep.theoretical["regret"]
     assert rep.measured["ccv"] <= rep.theoretical["ccv"]
@@ -224,17 +223,24 @@ def test_bound_report_picks_the_theorem_of_the_algorithm():
     a doubling run of several epochs no bound, since its lambda changes
     per epoch."""
     inst = AppendixAInstance(m=1, horizon=200, seed=0)
-    ogd = theorem_bound_report(run_penalty_ogd(inst, Variant.COCO_M2))
+    ogd = theorem_bound_report(run_penalty_ogd(inst))
     assert set(ogd.theoretical) == {"regret", "ccv"}
     assert ogd.preconditions == {"lambda_theorem_tuned": True}
-    for penalty, variant, lam in (
-            (PenaltyKind.QUADRATIC, Variant.COCO_M2, sqrt_t(inst)),
-            (PenaltyKind.EXPONENTIAL, Variant.COCO_M, 0.01)):
-        rep = theorem_bound_report(run_penalty_ogd(inst, variant, penalty, lam))
+    for penalty, memory, lam in (
+            (PenaltyKind.QUADRATIC, True, sqrt_t(inst)),
+            (PenaltyKind.EXPONENTIAL, False, 0.01)):
+        played = AppendixAInstance(m=1, horizon=200, seed=0, constraint_memory=memory)
+        rep = theorem_bound_report(run_penalty_ogd(played, penalty, lam))
         assert rep.preconditions["lambda_theorem_tuned"] is False
         assert rep.theoretical == {} and rep.slack == {}
+    # the exponential penalty's theorem covers memory-less constraints only
+    for memory in (True, False):
+        played = AppendixAInstance(m=1, horizon=200, seed=0, constraint_memory=memory)
+        rep = theorem_bound_report(run_penalty_ogd(played, PenaltyKind.EXPONENTIAL))
+        assert rep.preconditions["memoryless_constraints"] is not memory
+        assert set(rep.theoretical) == (set() if memory else {"regret", "ccv"})
     inst = SeparableLinearInstance(m=2, horizon=200, seed=0)
-    tr = run_optimistic(inst, Variant.COCO_M2, PerfectPredictor())
+    tr = run_optimistic(inst, PerfectPredictor())
     rep = theorem_bound_report(tr)
     check = check_odaftrl_regret(ForwardFunctions(tr), best_in_hindsight(inst, "slicewise"))
     assert check.passed
@@ -243,7 +249,7 @@ def test_bound_report_picks_the_theorem_of_the_algorithm():
     assert rep.preconditions == {"lambda_fixed_across_epochs": True}
     inst = SeparableLinearInstance(m=2, horizon=200, seed=0, g_round_density=0.4,
                                    g_mag=(0.05, 0.2))
-    rep = theorem_bound_report(run_doubling(inst, Variant.COCO_M2, NoisyPredictor(0.3, seed=0)))
+    rep = theorem_bound_report(run_doubling(inst, NoisyPredictor(0.3, seed=0)))
     assert rep.theoretical == {} and rep.slack == {}
     assert rep.preconditions == {"lambda_fixed_across_epochs": False}
 
@@ -264,7 +270,7 @@ def test_forward_weights_read_each_rows_lambda():
     where the last epoch's lambda alone would give another."""
     inst = SeparableLinearInstance(m=2, horizon=300, seed=0, g_round_density=0.4,
                                    g_mag=(0.05, 0.2))
-    tr = run_doubling(inst, Variant.COCO_M2, NoisyPredictor(0.3, seed=0))
+    tr = run_doubling(inst, NoisyPredictor(0.3, seed=0))
     rounds = np.flatnonzero(inst.g_present.any(axis=1))
     rows = rounds - tr.first_round
     lam = tr.col("lam")
@@ -281,9 +287,8 @@ def test_an_audit_rebuilds_and_solves_once(monkeypatch):
     functions once and solves its benchmark once, and a penalty-OGD
     trace's benchmark once: the checks that compare against them share
     them."""
-    odaf = run_optimistic(SeparableLinearInstance(m=2, horizon=200, seed=0),
-                          Variant.COCO_M2, PerfectPredictor())
-    ogd = run_penalty_ogd(AppendixAInstance(m=1, horizon=200, seed=0), Variant.COCO_M2)
+    odaf = run_optimistic(SeparableLinearInstance(m=2, horizon=200, seed=0), PerfectPredictor())
+    ogd = run_penalty_ogd(AppendixAInstance(m=1, horizon=200, seed=0))
     counts = {}
     solve = metrics.best_in_hindsight
 
@@ -311,7 +316,7 @@ def test_doubling_weight_check_is_per_epoch():
     the same drop at an epoch start passes (and fails a fixed-lambda run,
     whose one epoch starts at the first round)."""
     inst = SeparableLinearInstance(m=2, horizon=300, seed=0)
-    tr = run_doubling(inst, Variant.COCO_M2, NoisyPredictor(0.3, seed=0))
+    tr = run_doubling(inst, NoisyPredictor(0.3, seed=0))
     assert invariant_suite(tr)[-1] == check_mu_monotone(tr)
     assert check_mu_monotone(tr).passed
     assert np.min(np.diff(tr.col("eta_or_mu"))) < -1.0  # the restarts
@@ -335,9 +340,9 @@ def test_a_one_epoch_doubling_run_is_audited_as_odaf(tmp_path, capsys):
     cfg = dataclasses.replace(cfg, lam="doubling", seeds=[0, 1])
     tr = run_single(cfg, 0)
     assert tr.extras["epochs"] == 1 and run_single(cfg, 1).extras["epochs"] == 2
-    fixed = run_optimistic(tr.instance, tr.variant, PerfectPredictor(), lam=tr.col("lam")[0])
-    assert (tr.algorithm, tr.variant, tr.penalty_kind, tr.instance) == (
-        fixed.algorithm, fixed.variant, fixed.penalty_kind, fixed.instance)
+    fixed = run_optimistic(tr.instance, PerfectPredictor(), lam=tr.col("lam")[0])
+    assert (tr.algorithm, tr.penalty_kind, tr.instance) == (
+        fixed.algorithm, fixed.penalty_kind, fixed.instance)
     assert tr.records.tobytes() == fixed.records.tobytes()
     extras = dict(tr.extras)
     assert extras.pop("mu1") > 0.0
@@ -349,8 +354,7 @@ def test_a_one_epoch_doubling_run_is_audited_as_odaf(tmp_path, capsys):
                                  best_in_hindsight(tr.instance, "slicewise"))
 
     path = tmp_path / "doubling.json"
-    path.write_text(json.dumps({**dataclasses.asdict(cfg), "variant": cfg.variant.value,
-                                "penalty": cfg.penalty.value}))
+    path.write_text(json.dumps({**dataclasses.asdict(cfg), "penalty": cfg.penalty.value}))
     assert cli_main(["verify", "--config", str(path)]) == 0
     lines = capsys.readouterr().out.splitlines()
     names = {seed: [line.split("]")[1].split(":")[0].strip() for line in lines
@@ -374,7 +378,7 @@ def test_checks_of_a_run_with_no_rounds_pass(tmp_path, capsys):
     `bounds` exit 0 with every learner, and `bounds` prints strict JSON
     that measures regret and CCV 0 over the zero rounds."""
     inst = SeparableLinearInstance(m=2, horizon=2, seed=0)
-    tr = run_optimistic(inst, Variant.COCO_M2, PerfectPredictor())
+    tr = run_optimistic(inst, PerfectPredictor())
     assert len(tr.records) == 0
     results = invariant_suite(tr)
     assert len(results) == 7 and all(r.passed for r in results)
@@ -384,7 +388,7 @@ def test_checks_of_a_run_with_no_rounds_pass(tmp_path, capsys):
 
     env = {"kind": "separable_linear", "m": 2, "horizon": 2, "radius": 2.0}
     for algorithm, lam in (("odaf", "theorem"), ("odaf", "doubling"), ("penalty_ogd", "theorem")):
-        cfg = {"algorithm": algorithm, "variant": "coco_m2", "environment": env, "lam": lam}
+        cfg = {"algorithm": algorithm, "environment": env, "lam": lam}
         if algorithm != "penalty_ogd":
             cfg["penalty"] = "exponential"
         path = tmp_path / f"{algorithm}_{lam}.json"
@@ -447,7 +451,7 @@ def test_slicewise_benchmark_tighter_than_lift():
 
 def test_prefix_static_regret_uses_prefix_benchmark():
     inst = AppendixAInstance(m=1, horizon=100, seed=2)
-    tr = run_penalty_ogd(inst, Variant.COCO_M2)
+    tr = run_penalty_ogd(inst)
     r_half = prefix_static_regret(tr, 50)
     n = 50 - tr.first_round + 1
     bench = best_in_hindsight(inst, upto=50)
@@ -476,12 +480,12 @@ def test_grid_points_dimensions():
 def _ogd_run(family, dim):
     cls = AppendixAInstance if family == "appendix_a" else SeparableLinearInstance
     inst = cls(m=2, horizon=150, seed=0, dim=dim)
-    return run_penalty_ogd(inst, Variant.COCO_M2, lam=sqrt_t(inst))
+    return run_penalty_ogd(inst, lam=sqrt_t(inst))
 
 
 def _odaf_run(dim):
     inst = SeparableLinearInstance(m=2, horizon=100 if dim == 1 else 60, seed=0, dim=dim)
-    return run_optimistic(inst, Variant.COCO_M2, PerfectPredictor())
+    return run_optimistic(inst, PerfectPredictor())
 
 
 COMPARATOR_RUNS = {

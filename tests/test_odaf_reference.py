@@ -14,7 +14,6 @@ from cocomem import (
     NoisyPredictor,
     PerfectPredictor,
     SeparableLinearInstance,
-    Variant,
     ZeroPredictor,
     optimistic,
 )
@@ -24,15 +23,15 @@ PREDICTORS = {"perfect": PerfectPredictor, "zero": ZeroPredictor,
               "noisy": lambda: NoisyPredictor(0.4, seed=3)}
 
 
-def _outcome(module, runner, make_instance, variant, kind, lam):
+def _outcome(module, runner, make_instance, kind, lam):
     """(trace facts, None) of one run, or (None, exception type) if it
     raised; then the predictor the run used."""
     inst, predictor = make_instance(), PREDICTORS[kind]()
     try:
         if runner == "odaf":
-            tr = module.run_optimistic(inst, variant, predictor, lam=lam)
+            tr = module.run_optimistic(inst, predictor, lam=lam)
         else:
-            tr = module.run_doubling(inst, variant, predictor)
+            tr = module.run_doubling(inst, predictor)
     except Exception as exc:  # noqa: BLE001 - the type is compared
         return None, type(exc), predictor
     hints = tr.extras.get("hints")
@@ -88,17 +87,15 @@ DRAWN_ROUNDS = 116  # the most rounds Hypothesis draws
          density=1.0, g_active=0.0, seed=0)
 def test_float_learner_matches_numpy_reference(runner, kind, m, d, memoryless, lam,
                                                rounds, density, g_active, seed):
-    # a ball, which at d = 1 is an interval; COCO_M needs constraints at delay 0
-    variant = Variant.COCO_M if memoryless else Variant.COCO_M2
-
+    # a ball, which at d = 1 is an interval
     def make_instance():
         return SeparableLinearInstance(m=m, horizon=m + rounds, dim=d, seed=seed,
                                        constraint_memory=not memoryless,
                                        g_round_density=density, g_active_fraction=g_active,
                                        g_mag=(0.05, 0.2))
 
-    want, want_exc, _ = _outcome(ref, runner, make_instance, variant, kind, lam)
-    got, got_exc, predictor = _outcome(optimistic, runner, make_instance, variant, kind, lam)
+    want, want_exc, _ = _outcome(ref, runner, make_instance, kind, lam)
+    got, got_exc, predictor = _outcome(optimistic, runner, make_instance, kind, lam)
     assert got_exc is want_exc
     assert got == want
     if rounds > DRAWN_ROUNDS:  # the last block starts after the first query round, m
@@ -135,7 +132,7 @@ def test_float_learner_overflows_silently():
         return SeparableLinearInstance(m=0, horizon=59, dim=3, seed=39536,
                                        g_round_density=0.6, g_mag=(0.05, 0.2))
 
-    args = (make_instance, Variant.COCO_M2, "zero", 12000.0)
+    args = (make_instance, "zero", 12000.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         want = _outcome(ref, "odaf", *args)[:2]
@@ -148,7 +145,7 @@ def _run_heap(horizon: int) -> tuple[int, int]:
     inst = SeparableLinearInstance(m=2, horizon=horizon, seed=0)
     tracemalloc.start()
     try:
-        tr = optimistic.run_optimistic(inst, Variant.COCO_M2, PerfectPredictor())
+        tr = optimistic.run_optimistic(inst, PerfectPredictor())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -182,7 +179,7 @@ def test_doubling_shares_bounded_history_across_epochs(kind):
     readable from the trace table."""
     inst = SeparableLinearInstance(m=3, horizon=200, seed=1,
                                    g_round_density=0.6, g_mag=(0.05, 0.2))
-    learner = optimistic.OdafLearner(inst, Variant.COCO_M2, PREDICTORS[kind](), 0.5)
+    learner = optimistic.OdafLearner(inst, PREDICTORS[kind](), 0.5)
     restarts = {20: 0.25, 21: 0.125, 90: 0.0625}
     ccv = 0.0  # the running sum of the recorded violations, across restarts
     for t in inst.rounds:
@@ -209,7 +206,7 @@ def test_eps_f_is_the_loss_error_of_each_pending_hint(kind, d, per_call):
     m = 3
     inst = SeparableLinearInstance(m=m, horizon=120, dim=d, seed=1,
                                    g_round_density=0.6, g_mag=(0.05, 0.2))
-    learner = optimistic.OdafLearner(inst, Variant.COCO_M2, PREDICTORS[kind](), 0.5)
+    learner = optimistic.OdafLearner(inst, PREDICTORS[kind](), 0.5)
     restarts = {20: 0.25, 21: 0.125, 90: 0.0625}
     starts = [inst.first_round, *restarts]
     epochs = list(zip(starts, starts[1:] + [inst.horizon + 1]))

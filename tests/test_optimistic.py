@@ -15,7 +15,6 @@ from cocomem import (
     PenaltyKind,
     PerfectPredictor,
     SeparableLinearInstance,
-    Variant,
     ZeroPredictor,
     optimistic,
     run_doubling,
@@ -76,8 +75,8 @@ def _forward_gradient(inst, tr, X, pen, s):
     return z
 
 
-@pytest.mark.parametrize("variant", list(Variant))
-def test_1d_round_calls_only_its_forecasts_and_its_ftrl_step(variant):
+@pytest.mark.parametrize("constraint_memory", [True, False])
+def test_1d_round_calls_only_its_forecasts_and_its_ftrl_step(constraint_memory):
     """At d = 1 a round with no constraint forecast to toggle writes
     Phi', the Huber weight, the sums of squares and the lagged window sum
     inline: 200 more rounds make 200 more calls each of
@@ -87,8 +86,8 @@ def test_1d_round_calls_only_its_forecasts_and_its_ftrl_step(variant):
     calls = []
     for horizon in (40, 240):
         inst = SeparableLinearInstance(m=2, horizon=horizon, seed=1,
-                                       constraint_memory=variant is Variant.COCO_M2)
-        calls.append(python_calls(run_optimistic, inst, variant, ZeroPredictor()))
+                                       constraint_memory=constraint_memory)
+        calls.append(python_calls(run_optimistic, inst, ZeroPredictor()))
     calls[1].subtract(calls[0])
     assert +calls[1] == {"Predictor.forecasts": 200, "ftrl_argmin": 200}
     assert -calls[1] == {}
@@ -135,7 +134,7 @@ def test_forward_gradient_hand_sum():
     # it, while the learner still holds it and the decision it touches
     inst = _hand_instance()
     lam = 0.125
-    learner = OdafLearner(inst, Variant.COCO_M2, PerfectPredictor(), lam)
+    learner = OdafLearner(inst, PerfectPredictor(), lam)
     pen = Penalty(PenaltyKind.EXPONENTIAL, lam)
     learner.play(2, 3)
     learner.play(3, 4)
@@ -159,7 +158,7 @@ def test_forward_gradient_m0_collapse():
     # with m = 0 round t settles grad Z_t; check it before the next round
     inst = SeparableLinearInstance(m=0, horizon=30, seed=5)
     lam = 0.25
-    learner = OdafLearner(inst, Variant.COCO_M2, PerfectPredictor(), lam)
+    learner = OdafLearner(inst, PerfectPredictor(), lam)
     pen = Penalty(PenaltyKind.EXPONENTIAL, lam)
     for t in range(1, 31):
         learner.play(t, t + 1)
@@ -177,7 +176,7 @@ def test_decisions_are_bounded_and_v_at_reads_the_table(m):
     played round stays readable from the trace table."""
     inst = SeparableLinearInstance(m=m, horizon=40, seed=4,
                                    g_round_density=0.6, g_mag=(0.05, 0.2))
-    learner = OdafLearner(inst, Variant.COCO_M2, NoisyPredictor(0.3, seed=1), 0.5)
+    learner = OdafLearner(inst, NoisyPredictor(0.3, seed=1), 0.5)
     first, ccv = inst.first_round, 0.0
     for t in range(first, 31):
         learner.play(t, t + 1)
@@ -197,7 +196,7 @@ def test_decisions_are_bounded_and_v_at_reads_the_table(m):
 
 def test_perfect_hint_matches_window_exactly():
     inst = SeparableLinearInstance(m=2, horizon=120, seed=1)
-    tr = run_optimistic(inst, Variant.COCO_M2, PerfectPredictor())
+    tr = run_optimistic(inst, PerfectPredictor())
     assert error_sums(tr) == {"z": 0.0, "f": 0.0, "g": 0.0}
     assert np.all(tr.col("eps_z") == 0.0)
     assert np.all(tr.col("eta_or_mu") == 0.0)
@@ -208,7 +207,7 @@ def test_zero_predictor_hint_enumeration_oracle():
     known slice set independently: h_tau covers decisions s = tau-m..tau,
     of which only slices revealed before round tau contribute."""
     inst = SeparableLinearInstance(m=1, horizon=60, seed=2)
-    tr = run_optimistic(inst, Variant.COCO_M2, ZeroPredictor())
+    tr = run_optimistic(inst, ZeroPredictor())
     pen = Penalty(PenaltyKind.EXPONENTIAL, float(tr.col("lam")[-1]))
     hints = tr.extras["hints"]
     m, X = inst.m, inst.by_round(tr.col("x"))
@@ -231,7 +230,7 @@ def test_prediction_error_m0_collapse():
     # (zero) predicted forward gradient, and eps_f at round t is exactly
     # ||f coefficient of round t||^2
     inst = SeparableLinearInstance(m=0, horizon=40, seed=3)
-    tr = run_optimistic(inst, Variant.COCO_M2, ZeroPredictor())
+    tr = run_optimistic(inst, ZeroPredictor())
     assert np.all(tr.extras["hints"] == 0.0)
     for rec in tr.records:
         f = _rows(inst, rec.t, 0)[0]
@@ -242,7 +241,7 @@ def test_prediction_error_m0_collapse():
 def test_violation_recurrence_replay():
     inst = SeparableLinearInstance(m=2, horizon=50, seed=4,
                                    g_round_density=0.5, g_mag=(0.05, 0.2))
-    tr = run_optimistic(inst, Variant.COCO_M2, PerfectPredictor())
+    tr = run_optimistic(inst, PerfectPredictor())
     X = inst.by_round(tr.col("x"))
     v = 0.0
     for rec in tr.records:
@@ -254,25 +253,22 @@ def test_violation_recurrence_replay():
         assert rec.ccv_cum == pytest.approx(v, rel=1e-12, abs=1e-12)
 
 
-def test_memoryless_constraint_variant_uses_fresh_violation():
+def test_memoryless_constraints_use_fresh_violation():
     inst = SeparableLinearInstance(m=1, horizon=60, seed=6, constraint_memory=False,
                                    g_round_density=0.5, g_mag=(0.05, 0.2))
-    tr = run_optimistic(inst, Variant.COCO_M, PerfectPredictor())
+    tr = run_optimistic(inst, PerfectPredictor())
     v = 0.0
     for rec in tr.records:
         _, g, off = _rows(inst, rec.t, 0)
         v += max(float(g @ rec.x) + off, 0.0)
         assert rec.ccv_cum == pytest.approx(v, rel=1e-12, abs=1e-12)
-    with pytest.raises(ValueError):
-        run_optimistic(SeparableLinearInstance(m=1, horizon=20, seed=0),
-                       Variant.COCO_M, PerfectPredictor())
 
 
 def test_ftrl_step_matches_grid_argmin():
     """The committed decision minimizes <revealed + hint, x> + mu r(x),
     checked against a fine grid from the trace alone."""
     inst = SeparableLinearInstance(m=2, horizon=40, seed=7)
-    tr = run_optimistic(inst, Variant.COCO_M2, NoisyPredictor(0.5, seed=1))
+    tr = run_optimistic(inst, NoisyPredictor(0.5, seed=1))
     pen = Penalty(PenaltyKind.EXPONENTIAL, float(tr.col("lam")[-1]))
     m, first, X = inst.m, tr.first_round, inst.by_round(tr.col("x"))
 
@@ -299,7 +295,7 @@ def test_m0_run_matches_reference_memory_free_learner():
     optimistic penalty learner (zero hints) reproduces the m=0 run."""
     inst = SeparableLinearInstance(m=0, horizon=80, seed=8,
                                    g_round_density=0.4, g_mag=(0.05, 0.2))
-    tr = run_optimistic(inst, Variant.COCO_M2, ZeroPredictor())
+    tr = run_optimistic(inst, ZeroPredictor())
     lam = float(tr.col("lam")[-1])
     pen = Penalty(PenaltyKind.EXPONENTIAL, lam)
     fset = inst.fset
@@ -334,7 +330,7 @@ def test_perfect_hints_reduce_to_follow_the_leader():
     the full linear leader sum through the next round's forward
     gradient."""
     inst = SeparableLinearInstance(m=1, horizon=50, seed=11, g_active_fraction=0.0)
-    tr = run_optimistic(inst, Variant.COCO_M2, PerfectPredictor())
+    tr = run_optimistic(inst, PerfectPredictor())
     pen = Penalty(PenaltyKind.EXPONENTIAL, float(tr.col("lam")[-1]))
     X = inst.by_round(tr.col("x"))
     for t in range(tr.first_round, 50):
@@ -347,7 +343,7 @@ def test_perfect_hints_reduce_to_follow_the_leader():
 
 def test_hint_error_reconstruction_matches_recorded():
     inst = SeparableLinearInstance(m=2, horizon=60, seed=9)
-    tr = run_optimistic(inst, Variant.COCO_M2, NoisyPredictor(0.3, seed=2))
+    tr = run_optimistic(inst, NoisyPredictor(0.3, seed=2))
     errs = ForwardFunctions(tr).hint_errors()
     recorded = tr.col("eps_z")
     # recorded errors cover hints up to horizon - m; reconstruction covers all
@@ -426,7 +422,7 @@ def test_non_finite_predictions_fall_back_to_zero():
             return np.full_like(g, np.inf), off + 1.0
 
     inst = SeparableLinearInstance(m=1, horizon=30, seed=10)
-    tr = run_optimistic(inst, Variant.COCO_M2, BrokenPredictor())
+    tr = run_optimistic(inst, BrokenPredictor())
     assert np.all(np.isfinite(tr.extras["hints"]))
     for rec in tr.records:
         assert np.isfinite(rec.eps_z) and abs(rec.x[0]) <= 2.0 + 1e-12
@@ -438,7 +434,7 @@ def test_non_finite_predictions_fall_back_to_zero():
             g, off = super().predict_g(rounds)
             return g + 1.0, off + np.nan
 
-    tr = run_optimistic(inst, Variant.COCO_M2, BrokenOffsetPredictor())
+    tr = run_optimistic(inst, BrokenOffsetPredictor())
     assert np.all(np.isfinite(tr.extras["hints"]))
     assert np.all(np.isfinite(tr.col("x"))) and np.all(np.isfinite(tr.col("eps_g")))
 
@@ -457,8 +453,8 @@ def test_doubling_schedule_scripted_epochs(monkeypatch):
     learners = []
 
     class ScriptedLearner:
-        def __init__(self, instance, variant, predictor, lam):
-            self.inst, self.variant = instance, variant
+        def __init__(self, instance, predictor, lam):
+            self.inst = instance
             self.records = np.zeros(len(eps), dtype=[(name, float) for name in (
                 "lam", "ccv_cum", "v_dual")])
             self.hints = None
@@ -481,11 +477,11 @@ def test_doubling_schedule_scripted_epochs(monkeypatch):
             return stop
 
     monkeypatch.setattr(optimistic, "OdafLearner", ScriptedLearner)
-    monkeypatch.setattr(optimistic, "_tuning", lambda instance, variant: (1.0, 1.0))
+    monkeypatch.setattr(optimistic, "_tuning", lambda instance: (1.0, 1.0))
     # the scripted table has no decisions, so no column derives from them
     inst = types.SimpleNamespace(first_round=1, rounds=range(1, 10),
-                                 fill_values=lambda table, variant: None)
-    tr = optimistic.run_doubling(inst, Variant.COCO_M2, None, error_estimate=1.0)
+                                 fill_values=lambda table: None)
+    tr = optimistic.run_doubling(inst, None, error_estimate=1.0)
     assert learners[0].starts == [1, 4, 9] == tr.extras["epoch_starts"]
     # one call per epoch, each with C and the epoch's budget
     assert learners[0].calls == [(1, 1.0, 1.0), (4, 1.0, 2.0), (9, 1.0, 4.0)]
@@ -527,15 +523,14 @@ def test_doubling_arithmetic_reads_back_from_the_trace():
         assert n <= doubling_epoch_bound(tr), seed
 
 
-@pytest.mark.parametrize("variant, constraint_memory, delay", [
-    (Variant.COCO_M2, True, 3), (Variant.COCO_M, False, 1)])
-def test_theorem_lambda_is_the_doubling_formula(variant, constraint_memory, delay):
+@pytest.mark.parametrize("constraint_memory, delay", [(True, 3), (False, 1)])
+def test_theorem_lambda_is_the_doubling_formula(constraint_memory, delay):
     """The theorem tuning with error estimate E is the doubling schedule's
     lambda at budget C sqrt(E) and offset G d, bit for bit (m = 2, so the
     dual delay d is m + 1 = 3 with constraint memory and 1 without)."""
     inst = SeparableLinearInstance(m=2, horizon=40, seed=3, constraint_memory=constraint_memory)
     error = 0.7
-    tr = run_optimistic(inst, variant, PerfectPredictor(), error_estimate=error)
+    tr = run_optimistic(inst, PerfectPredictor(), error_estimate=error)
     coeff = regret_coefficient(inst.fset, inst.m)
     sched = DoublingSchedule(coeff, inst.constants().g_bound * delay, coeff * math.sqrt(error))
     assert np.all(tr.col("lam") == sched.lam)
@@ -543,7 +538,7 @@ def test_theorem_lambda_is_the_doubling_formula(variant, constraint_memory, dela
 
 def test_doubling_zero_errors_never_restart():
     inst = SeparableLinearInstance(m=2, horizon=80, seed=0)
-    tr = run_doubling(inst, Variant.COCO_M2, PerfectPredictor())
+    tr = run_doubling(inst, PerfectPredictor())
     assert tr.extras["epochs"] == 1
     assert tr.extras["epoch_starts"] == [3]
 
@@ -552,7 +547,7 @@ def test_doubling_epoch_count_obeys_budget_arithmetic():
     for seed in range(3):
         inst = SeparableLinearInstance(m=2, horizon=150, seed=seed,
                                        g_round_density=0.4, g_mag=(0.05, 0.2))
-        tr = run_doubling(inst, Variant.COCO_M2, NoisyPredictor(0.4, seed=seed))
+        tr = run_doubling(inst, NoisyPredictor(0.4, seed=seed))
         n = tr.extras["epochs"]
         if n > 1:
             assert n <= doubling_epoch_bound(tr), seed
@@ -600,22 +595,23 @@ def test_trace_bytes_are_pinned(case):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(runner=st.sampled_from([run_optimistic, run_doubling]),
        kind=st.sampled_from(["perfect", "zero", "noisy"]), m=st.integers(0, 4),
-       d=st.integers(1, 3), variant=st.sampled_from(Variant), rounds=st.integers(1, 40),
+       d=st.integers(1, 3), constraint_memory=st.booleans(), rounds=st.integers(1, 40),
        seed=st.integers(0, 2**16))
-def test_value_columns_are_the_term_by_term_values_at_the_decisions(runner, kind, m, d, variant,
-                                                                    rounds, seed):
+def test_value_columns_are_the_term_by_term_values_at_the_decisions(runner, kind, m, d,
+                                                                    constraint_memory, rounds,
+                                                                    seed):
     """ODAF's f_mem, f_splat, g_mem and g_splat are byte for byte the
     values of the term-by-term evaluator that penalty OGD's columns match
     too, `reference_ogd.separable_round_evaluator`, at ODAF's own
     decisions: both learners sum the window and the lift in the family's
     one order.  And the loop's V is the running sum of those g+."""
     inst = SeparableLinearInstance(m=m, horizon=m + rounds, dim=d, seed=seed,
-                                   constraint_memory=variant is Variant.COCO_M2,
+                                   constraint_memory=constraint_memory,
                                    g_round_density=0.6, g_mag=(0.05, 0.2))
     predictor = {"perfect": PerfectPredictor(), "zero": ZeroPredictor(),
                  "noisy": NoisyPredictor(0.4, seed=3)}[kind]
-    tr = runner(inst, variant, predictor)
-    evaluate = separable_round_evaluator(inst, inst.rounds, variant is Variant.COCO_M2)
+    tr = runner(inst, predictor)
+    evaluate = separable_round_evaluator(inst, inst.rounds)
     x = inst.by_round(tr.col("x")).tolist()  # the center before the first round
     want = []
     for k, t in enumerate(inst.rounds):
@@ -652,7 +648,7 @@ def test_a_doubling_run_draws_each_forecast_once(monkeypatch):
 
     monkeypatch.setattr(pcg, "seed_sequence_words", hashing)
     monkeypatch.setattr(np.random, "PCG64", building)
-    tr = run_doubling(inst, Variant.COCO_M2, NoisyPredictor(0.3, seed=1))
+    tr = run_doubling(inst, NoisyPredictor(0.3, seed=1))
     assert tr.extras["epochs"] > 1
     keys = [(1, 7, t, t + j, i) for t in range(inst.first_round, inst.horizon + 2)
             for i in range(inst.m + 1) for j in range(i + 1)]
@@ -690,13 +686,13 @@ def _shipped(name: str) -> dict:
     return json.loads(path.read_text())
 
 
-# doubling_noisy with memory-less constraints, played by the COCO-M variant
-COCO_M_NOISY = {**_shipped("doubling_noisy"), "name": "coco_m_noisy", "variant": "coco_m"}
-COCO_M_NOISY["environment"] = {**COCO_M_NOISY["environment"], "constraint_memory": False}
+# doubling_noisy with memory-less constraints
+MEMORYLESS_NOISY = {**_shipped("doubling_noisy"), "name": "memoryless_noisy"}
+MEMORYLESS_NOISY["environment"] = {**MEMORYLESS_NOISY["environment"], "constraint_memory": False}
 
 
 @pytest.mark.parametrize("obj", [_shipped("optimistic_perfect"), _shipped("doubling_noisy"),
-                                 COCO_M_NOISY], ids=lambda obj: obj["name"])
+                                 MEMORYLESS_NOISY], ids=lambda obj: obj["name"])
 def test_penalty_weights_read_the_audited_violation(obj):
     """Every round's `phi_prime` is Phi'(V_{t-d}) at that round's lambda,
     bit for bit, with V read by `RunTrace.v_at` as the audit reads it: the
@@ -704,7 +700,7 @@ def test_penalty_weights_read_the_audited_violation(obj):
     cfg = ExperimentConfig.from_dict(obj)
     for seed in (0, 1):
         tr = run_single(cfg, seed)
-        d = tr.variant.dual_delay(tr.instance.m)
+        d = tr.instance.dual_delay
         assert tr.v_at(tr.horizon - d) > 0.0  # the weights move off lambda
         for t, lam, w in zip(tr.col("t").tolist(), tr.col("lam").tolist(),
                              tr.col("phi_prime").tolist()):
@@ -729,9 +725,9 @@ def test_each_penalty_weight_is_computed_once_per_epoch(monkeypatch, runner):
     monkeypatch.setattr(optimistic, "phi_prime", counting)
     inst = SeparableLinearInstance(m=10, horizon=300, seed=0, g_round_density=0.4,
                                    g_mag=(0.05, 0.2))
-    tr = runner(inst, Variant.COCO_M2, NoisyPredictor(0.3))
+    tr = runner(inst, NoisyPredictor(0.3))
     epochs = tr.extras["epochs"]
-    assert len(calls) <= (epochs - 1) * tr.variant.dual_delay(inst.m)
+    assert len(calls) <= (epochs - 1) * inst.dual_delay
     assert epochs > 1 if runner is run_doubling else len(calls) == 0
 
 
@@ -804,7 +800,7 @@ def test_1d_activity_search_matches_the_enumeration(toggles, lin0, mu, interval,
     bound |center| + (|lin0| + sum |term|) / mu is finite, it solves only
     that pattern."""
     inst = SeparableLinearInstance(m=0, horizon=4, seed=0)
-    learner = OdafLearner(inst, Variant.COCO_M2, ZeroPredictor(), 0.5)
+    learner = OdafLearner(inst, ZeroPredictor(), 0.5)
     lo, hi = interval
     learner.fset = fset = Ball([(lo + hi) / 2], (hi - lo) / 2)  # exact for these literals
     x_last = lo + where * (hi - lo)
@@ -854,7 +850,7 @@ def test_noisy_doubling_argmin_calls_and_fallbacks_are_pinned(monkeypatch, m, ho
     monkeypatch.setattr(optimistic, "ftrl_argmin", counting)
     inst = SeparableLinearInstance(m=m, horizon=horizon, seed=0,
                                    g_round_density=0.4, g_mag=(0.05, 0.2))
-    tr = run_doubling(inst, Variant.COCO_M2, NoisyPredictor(0.3, seed=0))
+    tr = run_doubling(inst, NoisyPredictor(0.3, seed=0))
     assert (len(calls), tr.extras["fixed_point_fallbacks"]) == pinned
 
 
@@ -883,7 +879,7 @@ def test_traced_names_see_every_decision(monkeypatch, runner, noisy):
     monkeypatch.setattr(optimistic.OdafLearner, "__init__", registering)
     inst = SeparableLinearInstance(m=2, horizon=300, seed=0, g_round_density=0.6,
                                    g_mag=(0.05, 0.3))
-    tr = runner(inst, Variant.COCO_M2, NoisyPredictor(0.5, seed=0) if noisy else ZeroPredictor())
+    tr = runner(inst, NoisyPredictor(0.5, seed=0) if noisy else ZeroPredictor())
     epochs, fallbacks = tr.extras["epochs"], tr.extras["fixed_point_fallbacks"]
     assert epochs > 1 if runner is run_doubling else epochs == 1
     decisions = len(tr.records) + epochs

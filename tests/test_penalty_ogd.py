@@ -13,7 +13,6 @@ from cocomem import (
     AppendixAInstance,
     PenaltyKind,
     SeparableLinearInstance,
-    Variant,
     run_penalty_ogd,
 )
 from cocomem.core import Ball, MemoryFunctionOracle
@@ -101,7 +100,7 @@ def test_single_round_hand_trace():
     # at 0), quadratic lam=0.5: V=0, Phi'=0, grad = -2, sum = 4,
     # eta = 30/(sqrt(2)*2) = 10.6066..., x1 = clamp(0 + 21.2132..) = 15
     fset = Ball([0.0], 15.0)
-    learner = PenaltyOgdLearner(fset, 0, Variant.COCO_M, PenaltyKind.QUADRATIC, [0.5])
+    learner = PenaltyOgdLearner(fset, 0, False, PenaltyKind.QUADRATIC, [0.5])
     rec = learner.play_round(1, Quadratic1D(2.0), Affine1D(1.0, -1.0))
     assert rec.v_dual == 0.0
     assert rec.phi_prime == 0.0
@@ -113,7 +112,7 @@ def test_single_round_hand_trace():
 def test_fixed_point_when_nothing_moves():
     # constant loss and satisfied constraint: zero gradients, x never moves
     fset = Ball([0.0], 15.0)
-    learner = PenaltyOgdLearner(fset, 0, Variant.COCO_M, PenaltyKind.QUADRATIC, [0.5] * 9)
+    learner = PenaltyOgdLearner(fset, 0, False, PenaltyKind.QUADRATIC, [0.5] * 9)
     for t in range(1, 10):
         rec = learner.play_round(t, Quadratic1D(0.0), Affine1D(1.0, -1.0))
         assert rec.eta_or_mu == 0.0
@@ -125,18 +124,17 @@ def test_dual_update_precedes_gradient():
     # start at x=0 with constraint x + 1 > 0 active: the same round's
     # violation must already scale the constraint gradient
     fset = Ball([0.0], 15.0)
-    learner = PenaltyOgdLearner(fset, 0, Variant.COCO_M, PenaltyKind.QUADRATIC, [0.5])
+    learner = PenaltyOgdLearner(fset, 0, False, PenaltyKind.QUADRATIC, [0.5])
     rec = learner.play_round(1, Quadratic1D(0.0), Affine1D(1.0, 1.0))
     assert rec.v_dual == pytest.approx(1.0)
     # grad = f' + 2*lam*V * g' = 0 + 2*0.5*1*1 = 1
     assert rec.grad_norm == pytest.approx(1.0)
 
 
-def test_variants_differ_only_in_recorded_violation():
-    inst = AppendixAInstance(m=3, horizon=80, seed=2)
-    tr2 = run_penalty_ogd(inst, Variant.COCO_M2)
-    tr1 = run_penalty_ogd(inst, Variant.COCO_M)
-    # identical play: the dual update uses the lift in both variants
+def test_constraint_memory_changes_only_the_recorded_violation():
+    tr2 = run_penalty_ogd(AppendixAInstance(m=3, horizon=80, seed=2))
+    tr1 = run_penalty_ogd(AppendixAInstance(m=3, horizon=80, seed=2, constraint_memory=False))
+    # identical play: the dual update uses the lift with or without constraint memory
     assert np.array_equal(tr1.col("x"), tr2.col("x"))
     # the recorded CCV increment differs: window value vs lift value
     g2 = tr2.col("g_plus_recorded")
@@ -148,7 +146,7 @@ def test_variants_differ_only_in_recorded_violation():
 
 def test_every_decision_feasible_and_steps_shrink():
     inst = AppendixAInstance(m=3, horizon=120, seed=4)
-    tr = run_penalty_ogd(inst, Variant.COCO_M2, lam=sqrt_t(inst))
+    tr = run_penalty_ogd(inst, lam=sqrt_t(inst))
     for rec in tr.records:
         assert abs(rec.x[0]) <= 15.0 + 1e-12
     eta = tr.col("eta_or_mu")
@@ -157,7 +155,7 @@ def test_every_decision_feasible_and_steps_shrink():
 
 def test_oracle_shape_mismatch_rejected():
     fset = Ball([0.0], 1.0)
-    learner = PenaltyOgdLearner(fset, 1, Variant.COCO_M, PenaltyKind.QUADRATIC, [0.5])
+    learner = PenaltyOgdLearner(fset, 1, False, PenaltyKind.QUADRATIC, [0.5])
     with pytest.raises(ValueError):
         learner.play_round(1, Quadratic1D(0.0, m=0), Affine1D(1.0, -1.0, m=1))
 
@@ -170,7 +168,7 @@ def test_learner_window_holds_the_last_decisions():
     fset = Ball([0.5], 15.0)
     for m in (0, 1, 3):
         n = 4 * (m + 1)
-        learner = PenaltyOgdLearner(fset, m, Variant.COCO_M2, PenaltyKind.QUADRATIC, [0.5] * n)
+        learner = PenaltyOgdLearner(fset, m, True, PenaltyKind.QUADRATIC, [0.5] * n)
         played = [fset.center] * (m + 1)
         for t in range(1, n + 1):
             loss = Quadratic1D(rng.uniform(-10, 10), m)
@@ -188,21 +186,24 @@ def test_learner_window_holds_the_last_decisions():
 # The float loop of run_penalty_ogd against the oracle-protocol reference
 
 
-def _reference_records(instance, variant, kind, lam):
+def _reference_records(instance, kind, lam):
     """PenaltyOgdLearner fed by instance.loss(t) / instance.constraint(t)."""
     first = instance.first_round
     lams = np.broadcast_to(lam, instance.horizon - first + 1).tolist()
-    learner = PenaltyOgdLearner(instance.fset, instance.m, variant, kind, lams)
+    learner = PenaltyOgdLearner(instance.fset, instance.m, instance.constraint_memory, kind,
+                                lams)
     for t in range(first, instance.horizon + 1):
         learner.play_round(t, instance.loss(t), instance.constraint(t))
     return learner.records
 
 
-def _instance(family, m, dim, seed):
+def _instance(family, m, dim, seed, constraint_memory):
     if family == "appendix_a":
         mode = "adversarial" if seed % 2 else "stochastic"
-        return AppendixAInstance(m=m, horizon=160, dim=dim, mode=mode, seed=seed)
+        return AppendixAInstance(m=m, horizon=160, dim=dim, mode=mode, seed=seed,
+                                 constraint_memory=constraint_memory)
     return SeparableLinearInstance(m=m, horizon=160, dim=dim, seed=seed,
+                                   constraint_memory=constraint_memory,
                                    g_round_density=0.6, g_mag=(0.05, 0.3))
 
 
@@ -214,27 +215,28 @@ def _lam(kind, mode, instance):
     return 0.05
 
 
-# every (variant, penalty, schedule) combination ExperimentConfig.validate
-# accepts for penalty_ogd: the 1/sqrt(t) schedule goes with the quadratic
-# penalty, the exponential penalty with memory-less constraints
+# every (constraint memory, penalty, schedule) combination
+# ExperimentConfig.validate accepts for penalty_ogd: the 1/sqrt(t) schedule
+# goes with the quadratic penalty, the exponential penalty with memory-less
+# constraints
 _RUNS = [
-    (Variant.COCO_M, PenaltyKind.QUADRATIC, "fixed"),
-    (Variant.COCO_M, PenaltyKind.QUADRATIC, "sqrt_t"),
-    (Variant.COCO_M2, PenaltyKind.QUADRATIC, "fixed"),
-    (Variant.COCO_M2, PenaltyKind.QUADRATIC, "sqrt_t"),
-    (Variant.COCO_M, PenaltyKind.EXPONENTIAL, "fixed"),
+    (False, PenaltyKind.QUADRATIC, "fixed"),
+    (False, PenaltyKind.QUADRATIC, "sqrt_t"),
+    (True, PenaltyKind.QUADRATIC, "fixed"),
+    (True, PenaltyKind.QUADRATIC, "sqrt_t"),
+    (False, PenaltyKind.EXPONENTIAL, "fixed"),
 ]
 
 
 @pytest.mark.parametrize("family", ["appendix_a", "separable_linear"])
 @pytest.mark.parametrize("m", [0, 1, 3, 7])
 @pytest.mark.parametrize("dim", [1, 2])
-@pytest.mark.parametrize("variant,kind,mode", _RUNS)
-def test_float_loop_matches_oracle_reference(family, m, dim, variant, kind, mode):
-    inst = _instance(family, m, dim, seed=10 * m + dim)
+@pytest.mark.parametrize("constraint_memory,kind,mode", _RUNS)
+def test_float_loop_matches_oracle_reference(family, m, dim, constraint_memory, kind, mode):
+    inst = _instance(family, m, dim, 10 * m + dim, constraint_memory)
     lam = _lam(kind, mode, inst)
-    got = run_penalty_ogd(inst, variant, kind, lam).records
-    want = _reference_records(inst, variant, kind, lam)
+    got = run_penalty_ogd(inst, kind, lam).records
+    want = _reference_records(inst, kind, lam)
     assert got.dtype == want.dtype and len(got) == len(want)
     if dim == 1 and m <= 6:
         # every sum has fewer than 8 terms, which numpy adds one by one
@@ -250,10 +252,11 @@ def test_float_loop_matches_oracle_reference(family, m, dim, variant, kind, mode
 
 def test_float_loop_matches_reference_when_the_exponent_cap_binds():
     # a large exponential lambda drives lam * V past the cap within a few rounds
-    inst = AppendixAInstance(m=1, horizon=120, seed=5, mode="adversarial")
-    got = run_penalty_ogd(inst, Variant.COCO_M, PenaltyKind.EXPONENTIAL, 25.0).records
+    inst = AppendixAInstance(m=1, horizon=120, seed=5, mode="adversarial",
+                             constraint_memory=False)
+    got = run_penalty_ogd(inst, PenaltyKind.EXPONENTIAL, 25.0).records
     with np.errstate(over="ignore"):  # |grad|^2 overflows to inf in both loops
-        want = _reference_records(inst, Variant.COCO_M, PenaltyKind.EXPONENTIAL, 25.0)
+        want = _reference_records(inst, PenaltyKind.EXPONENTIAL, 25.0)
     assert saturated(PenaltyKind.EXPONENTIAL, want["lam"], want["v_dual"]).any()
     assert got.tobytes() == want.tobytes()
 
@@ -266,24 +269,26 @@ def test_float_loop_matches_reference_when_the_exponent_cap_binds():
 
 @pytest.mark.parametrize("family", ["appendix_a", "separable_linear"])
 @pytest.mark.parametrize("dim", [1, 2])
-@pytest.mark.parametrize("variant,kind,mode", _RUNS)
+@pytest.mark.parametrize("constraint_memory,kind,mode", _RUNS)
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
 @given(m=st.integers(0, 7), seed=st.integers(0, 10_000), extra=st.integers(0, 50))
-def test_runner_matches_the_row_tuple_loop_byte_for_byte(family, dim, variant, kind, mode,
-                                                          m, seed, extra):
+def test_runner_matches_the_row_tuple_loop_byte_for_byte(family, dim, constraint_memory, kind,
+                                                          mode, m, seed, extra):
     """Every column, decision and lambda included, has the bytes of the
     per-round loop for any memory length: the window sums after the loop
     add their terms in the closure's order, and every max, running sum and
     summed offset keeps the sign of zero it gave."""
     if family == "appendix_a":
         inst = AppendixAInstance(m=m, horizon=m + 1 + extra, dim=dim, seed=seed,
-                                 mode="adversarial" if seed % 2 else "stochastic")
+                                 mode="adversarial" if seed % 2 else "stochastic",
+                                 constraint_memory=constraint_memory)
     else:
         inst = SeparableLinearInstance(m=m, horizon=m + 1 + extra, dim=dim, seed=seed,
+                                       constraint_memory=constraint_memory,
                                        g_round_density=0.6, g_mag=(0.05, 0.3))
     lam = _lam(kind, mode, inst)
-    got = run_penalty_ogd(inst, variant, kind, lam).records
-    want = reference_ogd.run_penalty_ogd(inst, variant, kind, lam).records
+    got = run_penalty_ogd(inst, kind, lam).records
+    want = reference_ogd.run_penalty_ogd(inst, kind, lam).records
     assert got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
 
@@ -292,10 +297,10 @@ def test_runner_matches_the_row_tuple_loop_byte_for_byte(family, dim, variant, k
 def test_runner_matches_the_row_tuple_loop_when_the_exponent_cap_binds(dim):
     """With Phi' at the cap, |grad|^2 overflows to inf and the step to 0
     in both loops, and the columns keep the same bytes."""
-    inst = AppendixAInstance(m=1, horizon=120, seed=5, mode="adversarial", dim=dim)
-    got = run_penalty_ogd(inst, Variant.COCO_M, PenaltyKind.EXPONENTIAL, 25.0).records
-    want = reference_ogd.run_penalty_ogd(inst, Variant.COCO_M, PenaltyKind.EXPONENTIAL,
-                                         25.0).records
+    inst = AppendixAInstance(m=1, horizon=120, seed=5, mode="adversarial", dim=dim,
+                             constraint_memory=False)
+    got = run_penalty_ogd(inst, PenaltyKind.EXPONENTIAL, 25.0).records
+    want = reference_ogd.run_penalty_ogd(inst, PenaltyKind.EXPONENTIAL, 25.0).records
     assert saturated(PenaltyKind.EXPONENTIAL, want["lam"], want["v_dual"]).sum() > 100
     assert np.isinf(want["grad_norm"]).any()
     assert got.tobytes() == want.tobytes()
@@ -315,7 +320,7 @@ def test_1d_loop_makes_no_python_call_per_round(family, kind, mode):
         else:
             inst = SeparableLinearInstance(m=2, horizon=horizon, seed=1)
         lam = sqrt_t(inst) if mode == "sqrt_t" else 0.1
-        counts.append(sum(python_calls(run_penalty_ogd, inst, Variant.COCO_M2, kind, lam).values()))
+        counts.append(sum(python_calls(run_penalty_ogd, inst, kind, lam).values()))
     assert counts[0] == counts[1]
 
 
@@ -326,16 +331,17 @@ def test_a_non_finite_decision_raises_in_both_loops(dim, sigma):
     """The inline clamp and radial scaling keep the check of the projected
     step they replaced: a step to a non-finite point raises, in the runner
     as in the reference loop."""
-    inst = AppendixAInstance(m=15, horizon=50, dim=dim, radius=15.0, sigma=sigma, seed=0)
+    inst = AppendixAInstance(m=15, horizon=50, dim=dim, radius=15.0, sigma=sigma, seed=0,
+                             constraint_memory=False)
     for run in (run_penalty_ogd, reference_ogd.run_penalty_ogd):
         with pytest.raises(ValueError, match="decision has non-finite entries"), \
                 np.errstate(over="ignore", invalid="ignore"):
-            run(inst, Variant.COCO_M, PenaltyKind.QUADRATIC, sqrt_t(inst))
+            run(inst, PenaltyKind.QUADRATIC, sqrt_t(inst))
 
 
 # (count, sha256) of the per-round saturation flags of exponential-penalty
-# OGD under coco_m on AppendixAInstance(m=1, horizon=400, seed=0), recorded
-# when the trace stored them as a bool column
+# OGD on AppendixAInstance(m=1, horizon=400, seed=0) without constraint
+# memory, recorded when the trace stored them as a bool column
 PINNED_SATURATION = {
     0.1: (90, "2cf2b95ed10edf1963ce1ba3bb1cf0a7a6d930013807e38838334b55ab6af1d7"),
     1.0: (374, "b65817b51a88d8505efaea1b4cfb45e139c24a616d6100f355d50bd8161ed005"),
@@ -346,8 +352,8 @@ PINNED_SATURATION = {
 def test_saturation_reads_back_from_lam_and_v_dual(lam):
     """The exponent-cap guard rail is not stored: `penalty.saturated` of
     the `lam` and `v_dual` columns flags the rounds the stored column did."""
-    inst = AppendixAInstance(m=1, horizon=400, seed=0)
-    tr = run_penalty_ogd(inst, Variant.COCO_M, PenaltyKind.EXPONENTIAL, lam)
+    inst = AppendixAInstance(m=1, horizon=400, seed=0, constraint_memory=False)
+    tr = run_penalty_ogd(inst, PenaltyKind.EXPONENTIAL, lam)
     flags = saturated(tr.penalty_kind, tr.col("lam"), tr.col("v_dual"))
     count, digest = PINNED_SATURATION[lam]
     assert flags.dtype == bool and int(flags.sum()) == count
@@ -357,13 +363,13 @@ def test_saturation_reads_back_from_lam_and_v_dual(lam):
 @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
 @pytest.mark.parametrize("kind", list(PenaltyKind))
 def test_float_loop_rejects_bad_lambda(value, kind):
-    inst = AppendixAInstance(m=1, horizon=20, seed=0)
+    inst = AppendixAInstance(m=1, horizon=20, seed=0, constraint_memory=False)
     with pytest.raises(ValueError, match="penalty parameter"):
-        run_penalty_ogd(inst, Variant.COCO_M, kind, value)
+        run_penalty_ogd(inst, kind, value)
     lams = np.full(len(inst.rounds), 0.5)
     lams[-1] = value  # one bad round of a per-round schedule
     with pytest.raises(ValueError, match="penalty parameter"):
-        run_penalty_ogd(inst, Variant.COCO_M, kind, lams)
+        run_penalty_ogd(inst, kind, lams)
 
 
 # sha256 of records.tobytes() in `pinned_layout` for seed 0 of the two
@@ -386,10 +392,10 @@ def test_the_lam_column_is_the_only_record_of_lambda():
     """A per-round schedule and a single lambda alike are recorded in the
     `lam` column, one value per played round, and in no extra."""
     inst = AppendixAInstance(m=1, horizon=30, seed=0)
-    tr = run_penalty_ogd(inst, Variant.COCO_M2, lam=sqrt_t(inst))
+    tr = run_penalty_ogd(inst, lam=sqrt_t(inst))
     assert tr.extras == {}
     assert tr.col("lam").tolist() == [1.0 / math.sqrt(max(t, 1)) for t in inst.rounds]
-    fixed = run_penalty_ogd(inst, Variant.COCO_M2, lam=0.3)
+    fixed = run_penalty_ogd(inst, lam=0.3)
     assert fixed.extras == {}
     assert fixed.col("lam").tolist() == [0.3] * len(inst.rounds)
 
@@ -399,14 +405,14 @@ def test_no_lambda_plays_the_theorem_lambda(kind):
     """lam=None is the theorem's lambda in every round, under either
     penalty, so the theorem's lambda precondition holds; a per-round
     lambda array of another length than the round count is rejected."""
-    inst = AppendixAInstance(m=1, horizon=200, seed=3)
-    tr = run_penalty_ogd(inst, Variant.COCO_M, kind)
+    inst = AppendixAInstance(m=1, horizon=200, seed=3, constraint_memory=False)
+    tr = run_penalty_ogd(inst, kind)
     assert np.all(tr.col("lam") == lambda_theorem(kind, inst))
     assert theorem_bound_report(tr).preconditions["lambda_theorem_tuned"] is True
     n = len(inst.rounds)
     for length in (n - 1, n + 1):
         with pytest.raises(ValueError):
-            run_penalty_ogd(inst, Variant.COCO_M, kind, np.full(length, 0.1))
+            run_penalty_ogd(inst, kind, np.full(length, 0.1))
 
 
 def test_float_loop_heap_is_a_small_multiple_of_its_table():
@@ -421,12 +427,12 @@ def test_float_loop_heap_is_a_small_multiple_of_its_table():
     env = load_config(CONFIG_DIR / "reference_stochastic.json").environment
     env = {key: value for key, value in env.items() if key != "kind"}
     warm = AppendixAInstance(**{**env, "horizon": 50}, seed=0)
-    run_penalty_ogd(warm, Variant.COCO_M2, lam=sqrt_t(warm))
+    run_penalty_ogd(warm, lam=sqrt_t(warm))
     inst = AppendixAInstance(**{**env, "horizon": 20_000}, seed=0)
     lam = sqrt_t(inst)
     tracemalloc.start()
     try:
-        tr = run_penalty_ogd(inst, Variant.COCO_M2, lam=lam)
+        tr = run_penalty_ogd(inst, lam=lam)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -27,6 +27,7 @@ SIGNATURES = {
     AppendixAInstance: [
         ("m", 3), ("horizon", 4000), ("radius", 15.0), ("sigma", 10.0), ("delta", 1.0),
         ("gamma", 3.0), ("mode", "stochastic"), ("seed", 0), ("dim", 1),
+        ("constraint_memory", True),
     ],
     SeparableLinearInstance: [
         ("m", 2), ("horizon", 2000), ("radius", 2.0), ("dim", 1), ("seed", 0),
@@ -46,8 +47,9 @@ def test_family_signature_is_pinned(family):
 # sha256 of the seed-0 instance JSON that `cocomem run` writes for each
 # shipped config
 PINNED_INSTANCE_JSON = {
-    "reference_stochastic": "c189efe26644d3d1a533f50b3936189524d800260d8e2abf37d20aaffe5eb4b9",
-    "reference_adversarial": "1ab09a709a86a38362d00c7e6846f0b3e7aa81c6956e657a99bbae429fc3f2a6",
+    "reference_stochastic": "a8f96e932c31a4fb18b8a8e1e27f88b8115decee12246573f03de17ef75e6ce1",
+    "reference_adversarial": "c293d0bd8e465ed40466dd3866cc48c348b8a47385f59068d7aaf30e135d776e",
+    "reference_exponential": "2bc6db65d94c7388286c923b07936ec1cf738a7894c709d8cbeabcf25d6caec2",
     "optimistic_perfect": "ea99eea51ebb8250fa2b71ab4b736f5340b40d5e9dd37f952a5ffb98101dcb8f",
     "doubling_noisy": "e10da15c5bfce05c7bff5b1d543d7403e6ec643446feb9ac713e141e303d17f8",
 }
@@ -77,6 +79,7 @@ def appendix_params(draw):
         "mode": draw(st.sampled_from(["stochastic", "adversarial"])),
         "seed": draw(st.integers(0, 10**6)),
         "dim": draw(st.integers(1, 2)),
+        "constraint_memory": draw(st.booleans()),
     }
 
 
