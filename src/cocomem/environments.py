@@ -181,7 +181,9 @@ class _Instance:
         if obj.get("kind") != cls.kind:
             raise ValueError(f"not a {cls.kind} document")
         values = {**obj, **obj.get("params", {})}
-        args = {f.name: values[f.name] for f in fields(cls)}
+        args = {f.name: values.get(f.name) for f in fields(cls)}
+        if missing := sorted({*args, *cls._ARRAYS} - values.keys()):
+            raise ValueError(f"the {cls.kind} document lacks {', '.join(missing)}")
         arrays = [np.asarray(obj[name], dtype=dtype) for name, dtype in cls._ARRAYS.items()]
         return cls(**args, _arrays=arrays)
 
@@ -288,8 +290,9 @@ class AppendixAInstance(_Instance):
 
     @staticmethod
     def check_params(m, horizon, radius, sigma, delta, gamma, mode, dim, **_) -> None:
-        """Range checks of the constructor's parameters, the problem
-        constants' finiteness included; no instance is generated."""
+        """Range checks of the constructor's parameters, the finiteness of
+        the problem constants and of (m + 1) l_f^2, which bounds a window's
+        sum of squares, included; no instance is generated."""
         if not (horizon >= m >= 0 and horizon >= 1):
             raise ValueError("need horizon >= memory >= 0 and horizon >= 1")
         if min(radius, sigma, delta) <= 0 or gamma <= 0:
@@ -297,8 +300,8 @@ class AppendixAInstance(_Instance):
         if mode not in ("stochastic", "adversarial"):
             raise ValueError(f"unknown mode {mode!r}")
         k = AppendixAInstance.constants_of(radius, sigma, delta, gamma, dim)
-        if not all(map(math.isfinite, astuple(k))):
-            raise ValueError(f"the parameters give non-finite problem constants {k}")
+        if not all(map(math.isfinite, (*astuple(k), (m + 1) * k.l_f * k.l_f))):
+            raise ValueError(f"the parameters give a non-finite (m + 1) l_f^2 or constant in {k}")
 
     @property
     def coef_bound(self) -> float:
@@ -695,9 +698,9 @@ class Predictor:
     returns the loss rows (n P, d), `predict_g(rounds)` the constraint rows
     (n P, d) and offsets (n P,).  `forecasts` calls each once per block of
     up to `NOISE_BLOCK_ROWS` // P rounds, ending at the last query round,
-    horizon + 1, and holds the block, so a round asked twice (as a restart
-    does) gets the same forecasts.  Row t of `f_error` holds round t's loss
-    forecasts minus the true slices, added in `hint_pairs` order.
+    the horizon, and holds the block; the learner asks each round once.
+    Row t of `f_error` holds round t's loss forecasts minus the true
+    slices, added in `hint_pairs` order.
     """
 
     kind = "base"
@@ -719,7 +722,7 @@ class Predictor:
         self._held, self._block, self._rows_held = range(0), (), (range(0), None)
         # a hint's pairs (t + dq, i) as (dq, i, forecast index) in the optimistic
         # learner's order: those of decision t - u for u = m .. 0, each by delay i >= u
-        m, self.f_error = instance.m, np.zeros((instance.horizon + 2, instance.dim))
+        m, self.f_error = instance.m, np.zeros((instance.horizon + 1, instance.dim))
         self.hint_pairs = [(i - u, i, i * (i + 1) // 2 + i - u)
                            for u in range(m, -1, -1) for i in range(u, m + 1)]
 
@@ -741,7 +744,7 @@ class Predictor:
     def _fill(self, t: int) -> tuple:
         """(block, rounds) of the block of rounds from t, whose `f_error` rows it
         writes: an (n, P, 3) array of [f, g, g_off] at d = 1, else arrays (f, g, off)."""
-        rounds = range(t, max(t + 1, min(t + self._block_rounds, self._instance.horizon + 2)))
+        rounds = range(t, max(t + 1, min(t + self._block_rounds, self._instance.horizon + 1)))
         f = np.asarray(self.predict_f(rounds), dtype=float)
         g, off = (np.asarray(rows, dtype=float) for rows in self.predict_g(rounds))
         self._rows_held = (range(0), None)  # the rows both hooks shared, not kept past the block

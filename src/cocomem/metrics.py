@@ -533,8 +533,8 @@ class ForwardFunctions:
         on = self.value > 0.0
         g_grad = np.zeros_like(inst.g_coef)
         g_grad[self.rounds[on], self.delays[on]] = self.mult[on, None] * self.coef[on]
-        # grad Z_s for s = 0 .. newest hint round
-        s = np.arange(taus[-1] + 1)
+        # grad Z_s for s = 0 .. newest hint round (none in a run of no rounds)
+        s = np.arange(first + len(hints))
         Z = np.zeros((len(s), inst.dim))
         for i in range(m + 1):
             has = (s + i > m) & (s + i <= horizon)  # rounds with slices

@@ -9,25 +9,25 @@ function
 
     Z_t(x_t) = sum_{i=0..m} [ f_{t+i}^i(x_t) + Phi'(V_{t+i-m-1}) g_{t+i}^{i,+}(x_t) ]
 
-whose gradient is fully revealed only at the end of round t+m.  Each
-round the learner assembles a hint for the still-missing window of
-forward gradients by mixing revealed slices with predictor output, then
-plays the regularized leader on revealed gradients plus hint, with the
-regularization weight driven by past hint errors (the delayed
-upper-bound sequence).  With memory-less constraints the constraint
-slice sits at delay 0 and its multiplier uses the fresh violation
-Phi'(V_{t-1}) instead of the delayed one.
+whose gradient is fully revealed only at the end of round t+m.  Round t
+first assembles a hint h_t for the still-missing window of forward
+gradients by mixing revealed slices with predictor output, and commits
+x_t, the regularized leader on revealed gradients plus hint, with the
+regularization weight mu_t driven by past hint errors (the delayed
+upper-bound sequence); then it observes round t.  With memory-less
+constraints the constraint slice sits at delay 0 and its multiplier uses
+the fresh violation Phi'(V_{t-1}) instead of the delayed one.
 
 `OdafLearner` holds a vector as a Python float at d = 1 and as a (d,)
 float array at d >= 2, so `+`, `-` and scalar `*` serve both.
 `OdafLearner.play` runs an epoch's rounds in one loop over local
 variables: the O(m) window dicts, the running sums, V, the views and
 the constants are bound once per call and written back when it returns.
-Each round runs only the recursion: it reads the round's slice rows
-through flat views of the instance arrays (memoryviews of floats at
-d = 1), updates V and Phi', the open and forward gradients, the hint, its
-errors eps_Z and eps_g, and mu, and takes one FTRL step through this
-module's `ftrl_argmin`, writing those values into its trace table's columns.
+Each round runs only the recursion: it builds the hint, takes one FTRL
+step through this module's `ftrl_argmin`, then reads the round's slice
+rows through flat views of the instance arrays (memoryviews of floats at
+d = 1) and updates V and Phi', the open and forward gradients, the errors
+eps_Z and eps_g, and mu, writing those values into its table's columns.
 Phi' (`penalty.phi_prime`'s formula), the Huber weight of a settled hint
 error and the lagged window sum are written inline, so at d = 1 a round
 with no constraint forecast to toggle calls Python only for its forecasts
@@ -65,15 +65,15 @@ _EXP = PenaltyKind.EXPONENTIAL
 class OdafLearner:
     """One optimistic run, restarted in place at each doubling epoch.
 
-    The decision window (`x_hist`, round -> decision, holding the m + 2
+    The decision window (`x_hist`, round -> decision, holding the m + 1
     rounds a later round reads), the trace table (row t - first_round
     holds round t; V_t enters its `ccv_cum`, the one home of the
     cumulative violation, before x_{t+1} is committed), the hints (row k
     is h_{first_round + k}) and `fixed_point_fallbacks` last the whole
     run.  `restart(t, lam)` starts an epoch at round t: slices of rounds
     before t read as absent, as in the pre-history of a cold start, and
-    the gradient memory and hint-error statistics start fresh.  `play(t,
-    stop)` plays rounds t .. stop - 1 (an epoch, or one round) in one call;
+    the statistics start fresh; x_t is not yet committed.  `play(t, stop)`
+    plays rounds t .. stop - 1, each committing x_t and then observing t;
     the family's `fill_values` writes the other columns after the last round.
     """
 
@@ -91,7 +91,7 @@ class OdafLearner:
 
         first = instance.first_round
         self.records = round_table(instance.horizon - first + 1, dim)
-        self.hints = np.zeros((instance.horizon - first + 2, dim))
+        self.hints = np.zeros((instance.horizon - first + 1, dim))
         # the rows the loop reads and writes: slice (t, i) is row t (m + 1) + i
         # of the flat slice coefficients, round first + k row k of the decision
         # and hint columns
@@ -109,8 +109,8 @@ class OdafLearner:
 
     def restart(self, t: int, lam: float) -> None:
         """Start an epoch at round t with penalty parameter lam: slices of
-        rounds before t read as absent, the gradient memory and hint-error
-        statistics start fresh, and x_t is committed again."""
+        rounds before t read as absent, and the gradient memory and
+        hint-error statistics start fresh (mu_t = 0) before x_t is committed."""
         check_lambda(lam)
         self.lam = float(lam)  # keeps numpy scalars out of the float arithmetic
         self.records["lam"][t - self.inst.first_round:] = self.lam
@@ -124,11 +124,10 @@ class OdafLearner:
         # judged active) until the round's gradient settles, and
         # settled hint round -> its DUB weight a, while the lagged window sum reads it
         self._pending, self._a = {}, {}
-        self._cum_sq = self._max_awin = 0.0
+        self._cum_sq = self._max_awin = self._mu = 0.0  # the DUB sums, the next commit's mu
         # played round q -> Phi'(V_q) at this epoch's lambda, while a later round reads it
         played = range(max(t - self.inst.dual_delay, self.inst.first_round), t)
         self._weights = {q: phi_prime(_EXP, self.lam, self.v_at(q)) for q in played}
-        self.play(t - 1, t, observe=False)  # commit x_t from an all-predicted hint
 
     def v_at(self, r: int) -> float:
         """Cumulative violation after round r, the table's `ccv_cum` row;
@@ -137,16 +136,15 @@ class OdafLearner:
         return self._ccv_col[k] if 0 <= k < len(self._ccv_col) else 0.0
 
     @np.errstate(over="ignore", invalid="ignore")  # numpy overflows as floats do: silently
-    def play(self, t: int, stop: int, coeff: float = 0.0, budget: float = math.inf,
-             observe: bool = True) -> int:
+    def play(self, t: int, stop: int, coeff: float = 0.0, budget: float = math.inf) -> int:
         """Play rounds t .. stop - 1 in one loop over local state, written
         back on return; returns the round it stopped before: `stop`, or the
         first round at which coeff sqrt(E) > budget, E the sum of eps_g over
-        this call's rounds (the doubling trick's restart rule).  Round t
-        reveals its slices, writes g_t and V_t, settles grad Z_{t-m} and the
-        errors of h_{t-m}, then assembles h_{t+1} and commits x_{t+1}; with
-        `observe` false (a restart's pre-step) only the last two.  The
-        eps_f rows of the rounds played are written after the loop."""
+        this call's rounds (the doubling trick's restart rule), whose
+        decision is then not committed.  Round t assembles h_t and commits
+        x_t, then reveals its slices, writes g_t and V_t, settles grad Z_{t-m}
+        and the errors of h_{t-m}, and takes mu_{t+1}.  The eps_f rows of the
+        rounds played are written after the loop."""
         m, delay, lam, fset, alpha = self.m, self.inst.dual_delay, self.lam, self.fset, self.alpha
         m1, first, diam, zero = m + 1, self.inst.first_round, fset.diameter, self._zero
         dot, g_window = self._dot, self.inst.constraint_memory
@@ -157,89 +155,30 @@ class OdafLearner:
         pending, a_win, weights, weight = self._pending, self._a, self._weights, self._weights.get
         forecasts, resolve = self.predictor.forecasts, self._resolve_pending_activity
         argmin, sqrt, exp = ftrl_argmin, math.sqrt, math.exp  # a wrapper set on the module applies
-        rev_sum, cum_sq, max_awin, last_active = (self._rev_sum, self._cum_sq, self._max_awin,
-                                                  self._last_active)
+        rev_sum, cum_sq, max_awin, mu, last_active = (self._rev_sum, self._cum_sq, self._max_awin,
+                                                      self._mu, self._last_active)
         # the hint's pairs in `hint_pairs` order: (delay, forecast index) of those of
-        # pending decision s = t + 1 - u, then the indices of the committed one's (u = 0)
+        # pending decision s = t - u, then the indices of the committed one's (u = 0)
         hint_pairs = self.predictor.hint_pairs
         pend = [(u, [(i, j) for dq, i, j in hint_pairs if i - dq == u]) for u in range(m, 0, -1)]
         own = [j for dq, i, j in hint_pairs if dq == i]
         v = ccv_col[t - first - 1] if t > first else 0.0
-        x_now, error, start, stopped, bounded = xs[t], 0.0, t, stop, budget < math.inf
+        x_last, error, start, stopped, bounded = xs[t - 1], 0.0, t, stop, budget < math.inf
         for t in range(t, stop):
-            if observe:
-                if bounded and coeff * sqrt(error) > budget:
-                    stopped = t
-                    break
-                k, r = t - first, t * m1
-                mult = weight(t - delay, lam)
-                active = seen[t] = [None] * m1
-                seen.pop(t - m1, None)
-                g_sum = g_now = 0.0
-                for i in range(m1):
-                    z = opened.get(t - i, zero) + f[r + i]
-                    if present[r + i]:
-                        val = dot(g[r + i], xs[t - i]) + off[r + i]
-                        g_sum += val
-                        if i == 0:
-                            g_now = val
-                        if val > 0.0:
-                            active[i] = g[r + i]
-                            z = z + mult * active[i]
-                            last_active = t
-                    opened[t - i] = z
-                g_val = g_sum if g_window else g_now
-                v = v + (0.0 if g_val < 0.0 else g_val)  # max(g_val, 0.0), -0.0 and nan kept
-                ccv_col[k] = v  # the next decision's weights read V_t
-                weights[t] = lam * exp(min(lam * v, EXP_CAP))  # phi_prime(_EXP, lam, v)
-                weights.pop(t - delay - 1, None)  # no later round reads it
-                # settle grad Z_s and the weights of hint h_s
-                s = t - m
-                z = opened.pop(s)
-                fwd[s] = z
-                fwd.pop(s - m1, None)
-                rev_sum = rev_sum + z
-                norm = sqrt(dot(z, z))
-                settled = pending.pop(s, None)
-                if settled is None:
-                    eps_z = eps_g = 0.0
-                else:
-                    hint, acts = settled
-                    win = zero
-                    for j in range(s - m, s + 1):
-                        if j in fwd:
-                            win = win + fwd[j]
-                    diff = hint - win
-                    eps_z = dot(diff, diff)
-                    err = sqrt(eps_z)
-                    a = diam * (norm if norm < err else err)  # min(err, norm)
-                    a_win[s] = a
-                    a_win.pop(s - m, None)  # the m weights of the lagged window
-                    # the Huber weight 0.5 err^2 - 0.5 max(err - norm, 0)^2, err, norm >= 0
-                    hinge = err - norm
-                    hinge = 0.0 if hinge < 0.0 else hinge
-                    cum_sq += a * a + 2.0 * alpha * (0.5 * err * err - 0.5 * hinge * hinge)
-                    # each constraint forecast's error against the revealed slice, in
-                    # pair order: every term is +0.0 unless a forecast or a slice of
-                    # rounds s .. t was active
-                    eps_g = 0.0
-                    if acts or last_active >= s:
-                        dg = zero
-                        for dq, i, j in hint_pairs:
-                            act = seen[s + dq][i]
-                            dg = dg + (acts.get(j, zero) - (zero if act is None else act))
-                        eps_g = dot(dg, dg)
-            # end of round t: assemble h_{t+1} and commit x_{t+1}; round r's
-            # constraint slices weigh Phi'(V_{r-d}), and prehistory and rounds
-            # not yet played read V = 0, whose weight is lambda itself
-            nxt = t + 1
-            fc, acts = forecasts(nxt), {}
-            # pending decisions s = t+1-m .. t: known slices plus predictions,
+            if bounded and coeff * sqrt(error) > budget:
+                stopped = t
+                break
+            # assemble h_t and commit x_t; round r's constraint slices weigh
+            # Phi'(V_{r-d}), and prehistory and rounds not yet played read V = 0,
+            # whose weight is lambda itself
+            k, r = t - first, t * m1
+            fc, acts = forecasts(t), {}
+            # pending decisions s = t-m .. t-1: known slices plus predictions,
             # accumulated in the same slice order as the settled gradient so
             # perfect predictions reproduce it bitwise
             base = zero
             for u, pairs in pend:
-                s = nxt - u
+                s = t - u
                 z, x_s = opened.get(s, zero), xs[s]
                 for i, j in pairs:
                     f_pred, gp, g_off = fc[j]
@@ -248,7 +187,7 @@ class OdafLearner:
                         z = z + weight(s + i - delay, lam) * gp
                         acts[j] = gp
                 base = base + z
-            # the decision being committed, pairs (t + 1 + i, i): each constraint
+            # the decision being committed, pairs (t + i, i): each constraint
             # forecast with a nonzero coefficient may toggle, and carries its
             # weighted gradient; toggles switched on enter the hint in block order
             f_block, toggles = zero, []
@@ -256,11 +195,10 @@ class OdafLearner:
                 f_pred, gp, g_off = fc[j]
                 f_block = f_block + f_pred
                 if dot(gp, gp) > 0.0:
-                    toggles.append((i, gp, g_off, weight(nxt + i - delay, lam) * gp))
-            mu = (2.0 / alpha) * max_awin + sqrt(cum_sq) / alpha
+                    toggles.append((i, gp, g_off, weight(t + i - delay, lam) * gp))
             lin0, hint = rev_sum + base + f_block, base + f_block
-            x_next, flags = (resolve(lin0, mu, toggles, x_now) if toggles
-                             else (argmin(fset, lin0, mu), ()))
+            x_now, flags = (resolve(lin0, mu, toggles, x_last) if toggles
+                            else (argmin(fset, lin0, mu), ()))
             if True in flags:
                 on = {i: term for (i, _, _, term), flag in zip(toggles, flags) if flag}
                 ztilde = zero
@@ -271,27 +209,83 @@ class OdafLearner:
                         ztilde = ztilde + on[i]
                         acts[j] = gp
                 hint = base + ztilde
-            hint_col[nxt - first] = hint
-            pending[nxt] = (hint, acts)
-            xs[nxt] = x_next
-            xs.pop(nxt - m - 2, None)
-            # fold the newest window sum into the lagged max AFTER mu used it
+            hint_col[k] = hint
+            pending[t] = (hint, acts)
+            xs[t] = x_now
+            xs.pop(t - m1, None)  # no later round reads it
+            # reveal round t
+            mult = weight(t - delay, lam)
+            active = seen[t] = [None] * m1
+            seen.pop(t - m1, None)
+            g_sum = g_now = 0.0
+            for i in range(m1):
+                z = opened.get(t - i, zero) + f[r + i]
+                if present[r + i]:
+                    val = dot(g[r + i], xs[t - i]) + off[r + i]
+                    g_sum += val
+                    if i == 0:
+                        g_now = val
+                    if val > 0.0:
+                        active[i] = g[r + i]
+                        z = z + mult * active[i]
+                        last_active = t
+                opened[t - i] = z
+            g_val = g_sum if g_window else g_now
+            v = v + (0.0 if g_val < 0.0 else g_val)  # max(g_val, 0.0), -0.0 and nan kept
+            ccv_col[k] = v  # the next decision's weights read V_t
+            weights[t] = lam * exp(min(lam * v, EXP_CAP))  # phi_prime(_EXP, lam, v)
+            weights.pop(t - delay - 1, None)  # no later round reads it
+            # settle grad Z_s and the weights of hint h_s
             s = t - m
+            z = opened.pop(s)
+            fwd[s] = z
+            fwd.pop(s - m1, None)
+            rev_sum = rev_sum + z
+            norm = sqrt(dot(z, z))
+            settled = pending.pop(s, None)
+            if settled is None:
+                eps_z = eps_g = 0.0
+            else:
+                hint, acts = settled
+                win = zero
+                for j in range(s - m, s + 1):
+                    if j in fwd:
+                        win = win + fwd[j]
+                diff = hint - win
+                eps_z = dot(diff, diff)
+                err = sqrt(eps_z)
+                a = diam * (norm if norm < err else err)  # min(err, norm)
+                a_win[s] = a
+                a_win.pop(s - m, None)  # the m weights of the lagged window
+                # the Huber weight 0.5 err^2 - 0.5 max(err - norm, 0)^2, err, norm >= 0
+                hinge = err - norm
+                hinge = 0.0 if hinge < 0.0 else hinge
+                cum_sq += a * a + 2.0 * alpha * (0.5 * err * err - 0.5 * hinge * hinge)
+                # each constraint forecast's error against the revealed slice, in
+                # pair order: every term is +0.0 unless a forecast or a slice of
+                # rounds s .. t was active
+                eps_g = 0.0
+                if acts or last_active >= s:
+                    dg = zero
+                    for dq, i, j in hint_pairs:
+                        act = seen[s + dq][i]
+                        dg = dg + (acts.get(j, zero) - (zero if act is None else act))
+                    eps_g = dot(dg, dg)
+            # mu_{t+1}, then fold the newest window sum into the lagged max
+            mu = (2.0 / alpha) * max_awin + sqrt(cum_sq) / alpha
             if s in a_win:
                 awin = sum(a_win.values())
                 max_awin = awin if awin > max_awin else max_awin
-            if observe:
-                x_col[k] = x_now
-                pp_col[k], norm_col[k], mu_col[k] = mult, norm, mu
-                eg_col[k], ez_col[k] = eps_g, eps_z
-                error += eps_g
-            x_now = x_next
-        self._rev_sum, self._cum_sq, self._max_awin = rev_sum, cum_sq, max_awin
+            x_col[k] = x_last = x_now
+            pp_col[k], norm_col[k], mu_col[k] = mult, norm, mu
+            eg_col[k], ez_col[k] = eps_g, eps_z
+            error += eps_g
+        self._rev_sum, self._cum_sq, self._max_awin, self._mu = rev_sum, cum_sq, max_awin, mu
         self._last_active = last_active
-        if observe:  # eps_f of row t from the epoch's (m + 1)th on: h_{t-m}'s loss error
-            lo = max(start, self._epoch + m)
-            err = self.predictor.f_error[lo - m:stopped - m]
-            self.records["eps_f"][lo - first:stopped - first] = fdot(err, err)
+        # eps_f of row t from the epoch's (m + 1)th on: h_{t-m}'s loss error
+        lo = max(start, self._epoch + m)
+        err = self.predictor.f_error[lo - m:stopped - m]
+        self.records["eps_f"][lo - first:stopped - first] = fdot(err, err)
         return stopped
 
     def _resolve_pending_activity(self, lin0, mu: float, toggles, x_last):
@@ -381,10 +375,10 @@ def run_optimistic(instance, predictor, lam: float | None = None,
 
 
 def _trace(learner: OdafLearner, epoch_starts: list[int], **extras) -> RunTrace:
-    """The `odaf` trace of a finished run; `extras` follow the hints, whose
-    last row, h_{horizon + 1}, is committed but never played, and the
-    epochs, one per round of `epoch_starts`.  The `lam` column is the run's
-    only record of lambda, the `eps_*` columns of the hint errors."""
+    """The `odaf` trace of a finished run; `extras` follow the hints, one
+    row per played round, and the epochs, one per round of `epoch_starts`.
+    The `lam` column is the run's only record of lambda, the `eps_*`
+    columns of the hint errors."""
     learner.inst.fill_values(learner.records)
     learner.records["v_dual"] = learner.records["ccv_cum"]
     return RunTrace(

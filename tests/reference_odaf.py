@@ -7,8 +7,10 @@ package shipped before `optimistic.OdafLearner` moved to Python floats
 with O(m) state, kept here unchanged but for the regularizer, which
 `ftrl_argmin` now takes from the feasible set, for its value columns,
 and for its dot products and norms, which add in index order from 0.0
-(`_dot`), the package's one order, where numpy's BLAS may round otherwise.
-The package's learner takes f_mem, f_splat and g_splat from the family's
+(`_dot`), the package's one order, where numpy's BLAS may round otherwise,
+and for its round order: `play_round(t)` commits x_t and then observes
+round t, with no pre-step and no commit for horizon + 1, as the
+package's learner does.  The package's learner takes f_mem, f_splat and g_splat from the family's
 `fill_values`; here they come from `reference_ogd.separable_round_evaluator`,
 which adds the same terms one by one in the family's order.  `run_optimistic`,
 `DoublingLearner` and `run_doubling` drive it exactly as the package's
@@ -108,9 +110,6 @@ class OdafLearner:
         self.mu_now = 0.0
         self.fixed_point_fallbacks = 0
         self.ccv = 0.0 if not self.v_hist else self.v_hist[max(self.v_hist)]
-
-        # pre-step: commit the first decision from an all-predicted hint
-        self._decide_next(self.first - 1)
 
     # -- slice rows (epoch floor applied) ------------------------------------
 
@@ -234,47 +233,41 @@ class OdafLearner:
                 preds[(r, i)] = (f_pred, self._zero)
         return z
 
-    def _decide_next(self, t: int) -> None:
-        """End-of-round-t work: assemble h_{t+1}, compute mu_{t+1}, and
-        commit x_{t+1} (self-consistent activity for the pending round)."""
-        m, nxt = self.m, t + 1
-        self._forecast_round = nxt
-        self._forecasts = self.predictor.forecasts(nxt)
+    def _decide(self, t: int) -> None:
+        """Start-of-round-t work: assemble h_t and commit x_t with mu_t
+        (self-consistent activity for the pending round)."""
+        m = self.m
+        self._forecast_round = t
+        self._forecasts = self.predictor.forecasts(t)
         preds: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        # pending decisions s = t+1-m .. t: known slices plus predictions
+        # pending decisions s = t-m .. t-1: known slices plus predictions
         base = np.zeros(self.dim)
-        for s in range(nxt - m, nxt):
-            base = base + self._pending_subtotal(s, t, preds)
+        for s in range(t - m, t):
+            base = base + self._pending_subtotal(s, t - 1, preds)
         # predicted forward gradient of the decision being committed; each
         # constraint forecast with a nonzero coefficient may toggle, and
         # carries its weighted gradient
-        block = [self._forecast(nxt + i, i) for i in range(m + 1)]
-        toggles = [(i, g, self._mult(nxt + i) * g[0])
+        block = [self._forecast(t + i, i) for i in range(m + 1)]
+        toggles = [(i, g, self._mult(t + i) * g[0])
                    for i, (_, g) in enumerate(block) if _dot(g[0], g[0]) > 0.0]
 
-        _, _, mu = self.odaf_weights(t)
-        self.mu_now = mu
         f_block = np.zeros(self.dim)
         for f_pred, _ in block:
             f_block += f_pred
         lin0 = self._rev_sum + base + f_block
-        x_next, flags = self._resolve_pending_activity(lin0, mu, toggles, self.x_hist[t])
+        x_t, flags = self._resolve_pending_activity(lin0, self.mu_now, toggles, self.x_hist[t - 1])
         on = {i: term for (i, _, term), flag in zip(toggles, flags) if flag}
         ztilde = np.zeros(self.dim)
         for i, (f_pred, g) in enumerate(block):
             ztilde += f_pred
             if i in on:
                 ztilde += on[i]
-                preds[(nxt + i, i)] = (f_pred, g[0])
+                preds[(t + i, i)] = (f_pred, g[0])
             else:
-                preds[(nxt + i, i)] = (f_pred, self._zero)
-        self.hints[nxt] = base + ztilde
-        self._hint_preds[nxt] = preds
-        self.x_hist[nxt] = x_next
-        # fold the newest window sum into the lagged max AFTER mu used it
-        s = t - self.m
-        if s in self._a:
-            self._max_awin = max(self._max_awin, self._awin(s))
+                preds[(t + i, i)] = (f_pred, self._zero)
+        self.hints[t] = base + ztilde
+        self._hint_preds[t] = preds
+        self.x_hist[t] = x_t
 
     def _resolve_pending_activity(self, lin0: np.ndarray, mu: float, toggles,
                                   x_last: np.ndarray):
@@ -296,9 +289,10 @@ class OdafLearner:
     # -- one full round -------------------------------------------------------
 
     def play_round(self, t: int) -> np.record:
-        """Observe round t, settle the newly revealed forward gradient and
-        hint error, and commit the next decision."""
+        """Commit x_t, then observe round t, settle the newly revealed
+        forward gradient and hint error, and compute mu_{t+1}."""
         m = self.m
+        self._decide(t)
         x_t = self.x_hist[t]
         g_rows = [(i, g) for i in range(m + 1) if (g := self._g_row(t, i)) is not None]
         # register true slices and their activity at the decisions they touch
@@ -320,8 +314,10 @@ class OdafLearner:
         s = t - m
         if s >= 1:
             eps_z, eps_f, eps_g = self._complete_round(s)
-
-        self._decide_next(t)
+        _, _, self.mu_now = self.odaf_weights(t)
+        # fold the newest window sum into the lagged max AFTER mu used it
+        if s in self._a:
+            self._max_awin = max(self._max_awin, self._awin(s))
 
         # the window x_{t-m} .. x_t, oldest first, as one flat list of floats
         row = t - self.inst.first_round
@@ -383,8 +379,7 @@ def run_optimistic(
         records=learner.records,
         instance=instance,
         extras={
-            # row k is the hint h_{first_round + k}; the last one, for
-            # round horizon + 1, is committed but never played
+            # row k is the hint h_{first_round + k}
             "hints": np.array(list(learner.hints.values())),
             "epochs": 1,
             "epoch_starts": [instance.first_round],
@@ -438,8 +433,7 @@ class DoublingLearner:
     """Optimistic learner with online penalty tuning (one inner learner per
     epoch; decisions and the violation path persist across restarts, the
     gradient memory and hint-error statistics start fresh).  `hints`
-    collects every epoch's hints by round: a restart at round t commits
-    h_t again, and the new epoch's h_t replaces the old one."""
+    collects every epoch's hints by round, one per played round."""
 
     def __init__(self, instance, predictor, error_estimate: float = 0.0):
         self.inst = instance
@@ -472,7 +466,6 @@ class DoublingLearner:
             v_hist=self.v_hist,
             records=self.records,
         )
-        self.hints.update(self.inner.hints)
 
     def play_round(self, t: int) -> np.record:
         if self.schedule.should_restart():
@@ -480,7 +473,7 @@ class DoublingLearner:
             self._closed_fallbacks += self.inner.fixed_point_fallbacks
             self._spawn(t)
         rec = self.inner.play_round(t)
-        self.hints[t + 1] = self.inner.hints[t + 1]
+        self.hints[t] = self.inner.hints[t]
         self.schedule.observe(rec.eps_g)
         return rec
 

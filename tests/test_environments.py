@@ -445,14 +445,14 @@ def test_wrong_tables_still_give_numpy_draws(monkeypatch):
 def test_noisy_draws_are_the_contract_draws_across_blocks(m, monkeypatch):
     """Each forecast is the true row plus the SeedSequence([seed, 7, t, r, i])
     draw, with no SeedSequence built, for the pairs (t + j, i), 0 <= j <= i
-    <= m: on both sides of a block boundary, for a round asked twice (as a
-    restart does), a round before the current block and the last query
-    round, horizon + 1."""
+    <= m: on both sides of a block boundary, for a round asked twice, a
+    round before the current block and the last query round, the
+    horizon."""
     per_block = NOISE_BLOCK_ROWS // ((m + 1) * (m + 2) // 2)
     inst = SeparableLinearInstance(m=m, horizon=m + per_block + 20, dim=2, seed=2,
                                    g_round_density=0.6, g_mag=(0.05, 0.2))
     seed, scale, d = 2**33 + 9, 0.25, inst.dim
-    first, last = inst.first_round, inst.horizon + 1
+    first, last = inst.first_round, inst.horizon
     rounds = [first, first + 1, first + per_block - 1, first + per_block, first + per_block,
               first + 2, last]
     want = {}
@@ -496,13 +496,13 @@ def test_noisy_draws_up_to_the_last_uint32_round():
 
 def _noisy_predictor_heap(horizon: int) -> int:
     """tracemalloc peak of a noisy predictor answering the learner's
-    queries of every round up to the last, horizon + 1, at m = 2."""
+    queries of every round up to the last, the horizon, at m = 2."""
     inst = SeparableLinearInstance(m=2, horizon=horizon, seed=0)
     p = NoisyPredictor(0.3, seed=4)
     p.bind(inst)
     tracemalloc.start()
     try:
-        for t in range(inst.first_round, horizon + 2):
+        for t in range(inst.first_round, horizon + 1):
             p.forecasts(t)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -527,7 +527,7 @@ def test_a_block_gathers_its_true_slices_once(predictor):
     (`_true_rows`), which the predictor drops once the block is made."""
     inst = SeparableLinearInstance(m=2, horizon=2000, seed=0)
     predictor.bind(inst)
-    rounds = range(inst.first_round, inst.horizon + 2)  # six blocks of 341 rounds
+    rounds = inst.rounds  # six blocks of 341 rounds
     calls = python_calls(lambda: [predictor.forecasts(t) for t in rounds])
     assert calls["Predictor._true_rows"] == calls["Predictor._fill"] == 6
     assert predictor._rows_held == (range(0), None)

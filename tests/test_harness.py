@@ -562,12 +562,15 @@ def test_checkpoint_marks():
     # finite, but the constants overflow (f_bound = inf): each failed its seeds (exit 2)
     {"kind": "appendix_a", "m": 2, "horizon": 120, "sigma": 1e300},
     {"kind": "appendix_a", "m": 2, "horizon": 120, "radius": 1e300},
+    # finite constants, but a window's sum of squares, up to (m + 1) l_f^2,
+    # overflows: f_mem was infinite and each seed failed (exit 2)
+    {"kind": "appendix_a", "m": 15, "horizon": 50, "radius": 1.0, "sigma": 6e153},
 ], ids=["unknown_key", "horizon_below_m", "appendix_a_horizon_0",
         "separable_linear_horizon_0", "dim_3", "g_mag_reversed", "g_root_reversed",
         "g_root_reaches_1", "g_round_density_above_1", "g_active_fraction_negative",
         "blocks_0", "blocks_fractional", "noise_negative", "drift_infinite",
         "radius_infinite", "radius_nan", "sigma_nan", "delta_infinite", "gamma_nan",
-        "g_mag_infinite", "sigma_1e300", "radius_1e300"])
+        "g_mag_infinite", "sigma_1e300", "radius_1e300", "window_squares_overflow"])
 def test_cli_rejects_bad_environment_parameters(tmp_path, capsys, monkeypatch, command, env):
     # checked when the config loads, before any instance is generated
     cfg_path = tmp_path / "cfg.json"
@@ -697,25 +700,26 @@ def test_cli_rejects_bad_learner_parameters(tmp_path, capsys, over):
 
 
 def test_a_non_finite_trace_fails_run_and_verify(tmp_path, capsys):
-    """At sigma = 6e153 the problem constants are finite, but a window of
-    16 slots sums squares past the largest double, so some rounds' f_mem
-    (and grad_norm) is infinite.  Such a trace is no result: `run` records
-    the seed as failed and exits 2, and `verify` prints one verdict,
-    ccv_recurrence_replay's failure on the first non-finite column, and
-    runs no other check.  (A sigma whose constants overflow is a config
-    error.)"""
-    env = {"kind": "appendix_a", "m": 15, "horizon": 50, "radius": 1.0, "sigma": 6e153}
+    """At lambda = 1e160 the quadratic penalty's weight is finite, but the
+    squared norm of the gradient it scales passes the largest double, so
+    grad_norm is infinite once a constraint is violated (the step size is
+    then 0.0 and the decisions stay finite).  Such a trace is no result:
+    `run` records the seed as failed and exits 2, and `verify` prints one
+    verdict, ccv_recurrence_replay's failure on the first non-finite
+    column, and runs no other check.  (Parameters whose constants or
+    window sums of squares overflow are a config error.)"""
+    env = {"kind": "appendix_a", "m": 15, "horizon": 50}
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({**BASE, "environment": env, "seeds": [0]}))
+    cfg_path.write_text(json.dumps({**BASE, "environment": env, "lam": 1e160, "seeds": [0]}))
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no check computes on the infinite columns
         assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
         [failed] = json.loads(capsys.readouterr().out)["seeds_failed"]
-        assert failed["error"] == "f_mem has non-finite entries"
+        assert failed["error"] == "grad_norm has non-finite entries"
         assert cli_main(["verify", "--config", str(cfg_path)]) == 3
     assert capsys.readouterr().out.splitlines() == [
-        "seed 0: [FAIL] ccv_recurrence_replay: lhs=nan rhs=nan f_mem has non-finite entries"]
+        "seed 0: [FAIL] ccv_recurrence_replay: lhs=nan rhs=nan grad_norm has non-finite entries"]
 
 
 @pytest.mark.parametrize("command", ["run", "verify"])

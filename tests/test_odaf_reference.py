@@ -188,7 +188,7 @@ def test_doubling_shares_bounded_history_across_epochs(kind):
             assert learner.v_at(t - 1) == ccv and learner.lam == restarts[t]
         learner.play(t, t + 1)
         ccv += played_violation(learner, t)
-        assert len(learner.x_hist) <= inst.m + 2 and learner.v_at(t) == ccv
+        assert len(learner.x_hist) <= inst.m + 1 and learner.v_at(t) == ccv
         if t in restarts or t == inst.horizon:
             assert_v_at_reads_the_table(learner, t)
 

@@ -324,9 +324,10 @@ def test_1d_loop_makes_no_python_call_per_round(family, kind, mode):
     assert counts[0] == counts[1]
 
 
-# radius 15 and about the largest sigma whose problem constants are finite
-# at m = 15 (the instance builds): the surrogate gradient overflows
-@pytest.mark.parametrize("dim,sigma", [(1, 6e153), (2, 3e153)])
+# radius 15 and about the largest sigma whose window sums of squares are
+# finite at m = 15 (the instance builds): at 1e10 times the 1/sqrt(t)
+# lambda the surrogate gradient overflows
+@pytest.mark.parametrize("dim,sigma", [(1, 1e153), (2, 7e152)])
 def test_a_non_finite_decision_raises_in_both_loops(dim, sigma):
     """The inline clamp and radial scaling keep the check of the projected
     step they replaced: a step to a non-finite point raises, in the runner
@@ -336,7 +337,7 @@ def test_a_non_finite_decision_raises_in_both_loops(dim, sigma):
     for run in (run_penalty_ogd, reference_ogd.run_penalty_ogd):
         with pytest.raises(ValueError, match="decision has non-finite entries"), \
                 np.errstate(over="ignore", invalid="ignore"):
-            run(inst, PenaltyKind.QUADRATIC, sqrt_t(inst))
+            run(inst, PenaltyKind.QUADRATIC, 1e10 * sqrt_t(inst))
 
 
 # (count, sha256) of the per-round saturation flags of exponential-penalty

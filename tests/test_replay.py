@@ -55,15 +55,31 @@ PINNED_INSTANCE_JSON = {
 }
 
 
-@pytest.mark.parametrize("name, digest", PINNED_INSTANCE_JSON.items())
-def test_shipped_instance_json_is_pinned(name, digest):
+@pytest.mark.parametrize("name", PINNED_INSTANCE_JSON)
+def test_shipped_instance_json_is_pinned(name):
     doc = build_instance(load_config(CONFIG_DIR / f"{name}.json"), 0).to_json()
-    assert hashlib.sha256(doc.encode()).hexdigest() == digest
+    assert hashlib.sha256(doc.encode()).hexdigest() == PINNED_INSTANCE_JSON[name]
 
 
 def test_reader_rejects_the_other_family():
     with pytest.raises(ValueError, match="not a separable_linear document"):
         SeparableLinearInstance.from_json(AppendixAInstance(m=1, horizon=3).to_json())
+
+
+@pytest.mark.parametrize("family", list(SIGNATURES), ids=lambda c: c.kind)
+def test_reader_names_the_fields_a_document_lacks(family):
+    """A document without some field or array is rejected with a
+    ValueError that names the family and each missing name, sorted; no
+    default stands in for it."""
+    obj = json.loads(family(m=1, horizon=3).to_json())
+    del obj["constraint_memory"]
+    with pytest.raises(ValueError, match=f"^the {family.kind} document lacks constraint_memory$"):
+        family.from_json(json.dumps(obj))
+    array = next(iter(family._ARRAYS))
+    del obj["m"], obj[array]
+    lacks = ", ".join(sorted(["m", "constraint_memory", array]))
+    with pytest.raises(ValueError, match=f"^the {family.kind} document lacks {lacks}$"):
+        family.from_json(json.dumps(obj))
 
 
 @st.composite
