@@ -1,5 +1,5 @@
-"""Shared domain types: decision vectors, the decision set, function
-oracles with memory, and the per-round trace table.
+"""Shared domain types: decision vectors, the decision set and the
+per-round trace table.
 
 A decision is a plain 1-D numpy array of finite floats.  A memory window
 is an (m+1, d) array of the last m+1 decisions in round order (row 0 the
@@ -90,34 +90,6 @@ def float_vectors(fset: Ball):
     if fset.dim == 1:
         return 0.0, fset.interval[2], (lambda a: memoryview(a[:, 0])), operator.mul
     return np.zeros(fset.dim), fset.center, np.asarray, fdot
-
-
-# ---------------------------------------------------------------------------
-# Function oracles
-
-
-class MemoryFunctionOracle:
-    """A convex function of a memory window with closed-form gradients.
-
-    Subclasses provide the window value and the memory-less lift
-    value/gradient.  `grad_splat` must equal the sum of the partial
-    gradients over all m+1 slots at a constant window (the chain rule of
-    the splat map x -> (x,...,x)).  The Lipschitz and range constants
-    of a family's oracles are its instance's `constants()`.
-    """
-
-    dim: int
-    memory: int
-
-    def value(self, window: np.ndarray) -> float:
-        """The value at an (m+1, d) window, row 0 the oldest decision."""
-        raise NotImplementedError
-
-    def value_splat(self, x) -> float:
-        return self.value(np.tile(as_decision(x), (self.memory + 1, 1)))
-
-    def grad_splat(self, x) -> np.ndarray:
-        raise NotImplementedError
 
 
 # ---------------------------------------------------------------------------

@@ -18,15 +18,15 @@ replay-JSON writer (`to_json`) and reader (`from_json`) of both families.
 Predictors forecast not-yet-revealed slices as affine data (coefficient,
 plus offset for constraint slices).
 
-Besides the per-round oracles `loss(t)` / `constraint(t)`, each family
-gives the penalty-OGD float loop its lift rows as data:
+Each family gives the penalty-OGD float loop its lift rows as data:
 `halfspaces(rounds, "lift")` for the constraint and `loss_lift(rounds)`
 for the loss gradient.  After either learner's loop, `fill_values(table)`
 writes every round's window and lift values from the decision column,
 elementwise, each sum adding its terms one by one from 0.0, coordinates
 in index order (`core.fdot`'s order, so no value depends on the BLAS
-build; in 1-D with m <= 6 the values match the oracles, whose numpy sums
-add 8 or more terms pairwise, bit for bit).
+build; in 1-D with m <= 6 the values match the per-round oracles of
+`tests/reference_instance.py`, whose numpy sums add 8 or more terms
+pairwise, bit for bit).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import MISSING, InitVar, astuple, dataclass, field, fields
 
 import numpy as np
 
-from .core import Ball, MemoryFunctionOracle, array_json, fdot
+from .core import Ball, array_json, fdot
 
 RNG_NAME = "pcg64"
 
@@ -219,8 +219,10 @@ _KNOB = {"params": True}
 # ---------------------------------------------------------------------------
 # Appendix-style quadratic/affine environment
 
+# `loss(t)` / `constraint(t)`: only the tests' oracles call them, and perfbench counts them
 
-class _QuadraticTrackingLoss(MemoryFunctionOracle):
+
+class _QuadraticTrackingLoss:
     """f(x_{t-m},...,x_t) = (1/(m+1)) sum_i 0.5 ||x_{t-i} - c||^2."""
 
     def __init__(self, c: np.ndarray, m: int):
@@ -240,7 +242,7 @@ class _QuadraticTrackingLoss(MemoryFunctionOracle):
         return np.asarray(x, dtype=float) - self.c
 
 
-class _AffineBudgetConstraint(MemoryFunctionOracle):
+class _AffineBudgetConstraint:
     """g(x_{t-m},...,x_t) = (1/(m+1)) sum_i <d, x_{t-i}> - delta."""
 
     def __init__(self, d_coef: np.ndarray, delta: float, m: int):
@@ -332,10 +334,10 @@ class AppendixAInstance(_Instance):
     def first_round(self) -> int:
         return self.m
 
-    def loss(self, t: int) -> MemoryFunctionOracle:
+    def loss(self, t: int) -> _QuadraticTrackingLoss:
         return _QuadraticTrackingLoss(self.c[t], self.m)
 
-    def constraint(self, t: int) -> MemoryFunctionOracle:
+    def constraint(self, t: int) -> _AffineBudgetConstraint:
         return _AffineBudgetConstraint(self.d_coef[t], self.delta, self.m)
 
     def loss_lift(self, rounds: range) -> tuple[np.ndarray, bool]:
@@ -407,29 +409,6 @@ class AppendixAInstance(_Instance):
 
 # ---------------------------------------------------------------------------
 # Separable linear environment
-
-
-class _SeparableMemoryFunction(MemoryFunctionOracle):
-    """sum_i <coeff_i, x_{t-i}> + offset_i over the window slots."""
-
-    def __init__(self, coeffs: np.ndarray, offsets: np.ndarray):
-        # coeffs[i] multiplies x_{t-i} (delay order), shape (m+1, d)
-        self.coeffs = coeffs
-        self.offsets = offsets
-        self.memory = coeffs.shape[0] - 1
-        self.dim = coeffs.shape[1]
-
-    def value(self, window: np.ndarray) -> float:
-        # window rows are oldest->newest; delay i touches row m-i
-        rows = window[::-1]
-        return float(np.sum(rows * self.coeffs)) + float(np.sum(self.offsets))
-
-    def value_splat(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(self.coeffs.sum(axis=0) @ x) + float(np.sum(self.offsets))
-
-    def grad_splat(self, x) -> np.ndarray:
-        return self.coeffs.sum(axis=0)
 
 
 def _delay_sum(a: np.ndarray) -> np.ndarray:
@@ -589,16 +568,6 @@ class SeparableLinearInstance(_Instance):
     def first_round(self) -> int:
         return self.m + 1
 
-    def loss(self, t: int) -> MemoryFunctionOracle:
-        coeffs = self.f_coef[t] if 0 < t <= self.horizon else np.zeros_like(self.f_coef[0])
-        return _SeparableMemoryFunction(coeffs, np.zeros(self.m + 1))
-
-    def constraint(self, t: int) -> MemoryFunctionOracle:
-        in_range = 0 < t <= self.horizon
-        coeffs = self.g_coef[t] if in_range else np.zeros_like(self.g_coef[0])
-        offs = self.g_off[t] if in_range else np.zeros(self.m + 1)
-        return _SeparableMemoryFunction(coeffs, offs)
-
     def loss_lift(self, rounds: range) -> tuple[np.ndarray, bool]:
         """(slopes, False): round rounds[k]'s f-lift gradient is slopes[k]."""
         return self.lift_slopes(rounds), False
@@ -689,8 +658,9 @@ class Predictor:
     Round t forecasts the P = (m + 1)(m + 2) / 2 slice pairs (t + j, i),
     0 <= j <= i <= m: the loss coefficient f and the constraint slice as
     affine data (g, g_off), active at x when `g @ x + g_off > 0`.  An
-    absent slice forecasts (zeros, 0.0), never active; a non-finite loss
-    (constraint) forecast of a pair reads zero.
+    absent slice forecasts (zeros, 0.0), never active (the noisy predictor
+    today perturbs it too); a non-finite loss (constraint) forecast of a
+    pair reads zero.
 
     A subclass's fields are checked as an instance family's are.  It
     defines two hooks over a range of n query rounds t_k, row
@@ -832,7 +802,8 @@ class NoisyPredictor(Predictor):
     components (they are correlated); this is kept so that recorded runs
     replay.  Draws are fresh per query round and frozen within one, which
     keeps the hint's self-consistency search deterministic.  scale = 0
-    coincides with the perfect predictor.
+    coincides with the perfect predictor.  Today a pair whose slice is
+    absent (r <= m, r > horizon) is perturbed too, so it may be active.
 
     A block's draws are computed in numpy arrays (`pcg`): its
     SeedSequence words are hashed at once, and its PCG64 streams and

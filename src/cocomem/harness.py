@@ -8,6 +8,7 @@ and results are byte-identical across reruns of the same config.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import traceback
@@ -106,8 +107,9 @@ class ExperimentConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
         # the name prefixes the files written and names their directory under `runs/`
-        if self.name in ("", ".", "..") or os.path.basename(self.name) != self.name:
-            raise ConfigError(f"name must be a file name with no directory part, "
+        if (self.name in ("", ".", "..") or os.path.basename(self.name) != self.name
+                or "\0" in self.name):
+            raise ConfigError(f"name must be a file name with no directory part or NUL, "
                               f"got {self.name!r}")
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
@@ -280,13 +282,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     into `out_dir` (default `runs/<name>`).  Failed seeds are recorded and
     excluded from aggregates.  Seeds run in at most `parallel` worker
     processes, never more than there are seeds (a forked pool starts all
-    its workers at the first task).  An output path that is a file or lies
-    below one is a ConfigError, and nothing is written."""
+    its workers at the first task).  An output directory that cannot be
+    made is a ConfigError, and no directory made on the way is left."""
     cfg.validate()
     out = Path(out_dir) if out_dir is not None else Path("runs", cfg.name)
+    missing = list(itertools.filterfalse(os.path.exists, (out, *out.parents)))  # deepest first
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:
+    except OSError as exc:
+        for p in filter(os.path.isdir, missing):
+            p.rmdir()
         raise ConfigError(f"cannot make output directory {str(out)!r}: {exc.strerror}") from exc
     results, failed = [], []
     workers = min(parallel, len(cfg.seeds))

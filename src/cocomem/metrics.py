@@ -72,9 +72,6 @@ class RunTrace:
             raise AssertionError("ccv_cum does not replay from g_plus_recorded")
         if np.any(np.diff(ccv) < -1e-12):
             raise AssertionError("ccv_cum decreased")
-        v = self.col("v_dual")
-        if np.any(np.diff(v) < -1e-12):
-            raise AssertionError("v_dual decreased")
 
 
 # ---------------------------------------------------------------------------

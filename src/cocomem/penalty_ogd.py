@@ -21,9 +21,10 @@ makes no Python function call.
 After the loop the family's `fill_values` writes the other functions of
 the decisions, as for ODAF, and V and the CCV are running sums of them.
 `tests/reference_ogd.py` holds the two references this loop is tested
-against: `PenaltyOgdLearner` on the oracle protocol (`loss(t)` /
-`constraint(t)`, `Penalty`, `project`), matched bit for bit in 1-D with
-m <= 6, and the per-round loop this one replaced, matched byte for byte.
+against: `PenaltyOgdLearner` on per-round oracles
+(`reference_instance.oracles`, `Penalty`, `project`), matched bit for
+bit in 1-D with m <= 6, and the per-round loop this one replaced,
+matched byte for byte.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def run_penalty_ogd(instance, kind: PenaltyKind = PenaltyKind.QUADRATIC,
     (`lambda_theorem`), a number for every round, or a 1-D array with one
     value per played round; the `lam` column records it.  Round for round
     this repeats `PenaltyOgdLearner.play_round` of `tests/reference_ogd.py`
-    fed by `instance.loss(t)` / `instance.constraint(t)` with the same
+    fed by `oracles(instance, t)` of `tests/reference_instance.py` with the same
     expressions (in 1-D with m <= 6 also the same summation order, so the
     trace is byte-identical; see `environments` on longer sums).  Every
     lambda is checked before the first round."""

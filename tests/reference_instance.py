@@ -1,6 +1,6 @@
 """The per-round slice generator that `SeparableLinearInstance._generate`
-replaced, and the replay-JSON writer that `_Instance.to_json` replaced:
-the references the two are held to, byte for byte.
+replaced, the replay-JSON writer that `_Instance.to_json` replaced, and
+the per-round oracles of both instance families.
 
 `ReferenceSeparableInstance._generate` is the loop the package shipped
 before the generator read its stream as blocks of raw PCG64 words
@@ -14,7 +14,18 @@ from `_instance_rng` in this module's namespace, so a test can hand both
 generators one built stream.  Every other method is the package's.
 `to_json` is the writer the package shipped before it wrote each array's
 floats through `core.array_json`, kept unchanged but for taking the
-instance as an argument.
+instance as an argument.  The package holds both of these to the
+references byte for byte.
+
+`oracles(instance, t)` gives round t's loss and constraint as objects,
+the second description of a round that the reference learner
+(`reference_ogd.PenaltyOgdLearner`) and the per-round tests read; the
+package reads the same data as slice arrays.  An oracle has `dim` and
+`memory` m, `value(window)` at an (m+1, d) window, row 0 the oldest
+decision, and the lift `value_splat(x)` and `grad_splat(x)` at the
+constant window (x, ..., x), the gradient being the sum of the partial
+gradients over all m+1 slots.  Their Lipschitz and range constants are
+the instance's `constants()`.
 """
 
 from __future__ import annotations
@@ -25,7 +36,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from cocomem import SeparableLinearInstance
+from cocomem import AppendixAInstance, SeparableLinearInstance
 from cocomem.environments import RNG_NAME, _instance_rng
 from reference_ogd import fdot
 
@@ -81,3 +92,42 @@ def to_json(inst) -> str:
         doc["params"] = params
     doc.update((name, getattr(inst, name).tolist()) for name in inst._ARRAYS)
     return json.dumps(doc)
+
+
+class _SeparableMemoryFunction:
+    """sum_i <coeff_i, x_{t-i}> + offset_i over the window slots."""
+
+    def __init__(self, coeffs: np.ndarray, offsets: np.ndarray):
+        # coeffs[i] multiplies x_{t-i} (delay order), shape (m+1, d)
+        self.coeffs = coeffs
+        self.offsets = offsets
+        self.memory = coeffs.shape[0] - 1
+        self.dim = coeffs.shape[1]
+
+    def value(self, window: np.ndarray) -> float:
+        # window rows are oldest->newest; delay i touches row m-i
+        rows = window[::-1]
+        return float(np.sum(rows * self.coeffs)) + float(np.sum(self.offsets))
+
+    def value_splat(self, x) -> float:
+        x = np.asarray(x, dtype=float)
+        return float(self.coeffs.sum(axis=0) @ x) + float(np.sum(self.offsets))
+
+    def grad_splat(self, x) -> np.ndarray:
+        return self.coeffs.sum(axis=0)
+
+
+def oracles(instance, t: int) -> tuple:
+    """Round t's (loss, constraint) oracles: `instance.loss(t)` /
+    `.constraint(t)` of an `AppendixAInstance`, and a separable instance's
+    slices of round t as `_SeparableMemoryFunction`s, zero outside rounds
+    (0, horizon]."""
+    if isinstance(instance, AppendixAInstance):
+        return instance.loss(t), instance.constraint(t)
+    no_offsets = np.zeros(instance.m + 1)
+    if 0 < t <= instance.horizon:
+        f, g, off = instance.f_coef[t], instance.g_coef[t], instance.g_off[t]
+    else:
+        f = g = np.zeros_like(instance.f_coef[0])
+        off = no_offsets
+    return _SeparableMemoryFunction(f, no_offsets), _SeparableMemoryFunction(g, off)

@@ -1,8 +1,9 @@
 """The two references that `cocomem.penalty_ogd.run_penalty_ogd` is held to.
 
-`PenaltyOgdLearner` plays penalty OGD on the oracle protocol: one round
-per `play_round(t, instance.loss(t), instance.constraint(t))`, with
-`surrogate_gradient`, `adaptive_step`, `Penalty` and `project`.  The
+`PenaltyOgdLearner` plays penalty OGD on per-round oracles: one round
+per `play_round(t, *oracles(instance, t))` (`reference_instance.oracles`,
+which describes an oracle), with `surrogate_gradient`, `adaptive_step`,
+`Penalty` and `project`.  The
 package's runner matches it bit for bit in 1-D with m <= 6, and to
 `rtol=1e-12` elsewhere, where its numpy dot products and norms may round
 differently from the runner's index-order sums.
@@ -37,19 +38,14 @@ import math
 
 import numpy as np
 
-from cocomem.core import Ball, MemoryFunctionOracle, round_table
+from cocomem.core import Ball, round_table
 from cocomem.environments import AppendixAInstance, SeparableLinearInstance
 from cocomem.geometry import project
 from cocomem.metrics import RunTrace
 from cocomem.penalty import Penalty, PenaltyKind, check_lambda, lambda_theorem, phi_prime
 
 
-def surrogate_gradient(
-    loss: MemoryFunctionOracle,
-    constraint: MemoryFunctionOracle,
-    x: np.ndarray,
-    phi_prime: float,
-) -> np.ndarray:
+def surrogate_gradient(loss, constraint, x: np.ndarray, phi_prime: float) -> np.ndarray:
     """grad f(x,..,x) + Phi'(V) * grad g+(x,..,x); the hinge subgradient is
     zero whenever the lifted constraint value is <= 0."""
     grad = loss.grad_splat(x)
@@ -90,8 +86,7 @@ class PenaltyOgdLearner:
         self.records = round_table(len(lams), fset.dim)
         self.played = 0
 
-    def play_round(self, t: int, loss: MemoryFunctionOracle,
-                   constraint: MemoryFunctionOracle) -> np.record:
+    def play_round(self, t: int, loss, constraint) -> np.record:
         if loss.dim != self.fset.dim or constraint.dim != self.fset.dim:
             raise ValueError("oracle dimension does not match the feasible set")
         if loss.memory != self.m or constraint.memory != self.m:
@@ -176,7 +171,8 @@ def point_step(fset: Ball):
 def appendix_a_round_evaluator(self, rounds: range):
     """`evaluate(k, window, x)` for round rounds[k] in Python floats; see
     the module docstring for the contract.  Each value repeats the
-    expression of `loss(t)` / `constraint(t)` term by term."""
+    expression of the round's oracles (`reference_instance.oracles`)
+    term by term."""
     span = slice(rounds.start, rounds.stop)
     c_rows, d_rows = self.c[span].tolist(), self.d_coef[span].tolist()
     delta, slots, g_window = self.delta, self.m + 1, self.constraint_memory
@@ -217,8 +213,9 @@ def delay_sums(rows) -> list:
 def separable_round_evaluator(self, rounds: range):
     """`evaluate(k, window, x)` for round rounds[k] in Python floats; see
     the module docstring for the contract.  Each value repeats the
-    expression of `loss(t)` / `constraint(t)` term by term, with the
-    per-round slice sums (lift slopes, summed offsets) taken up front."""
+    expression of the round's oracles (`reference_instance.oracles`)
+    term by term, with the per-round slice sums (lift slopes, summed
+    offsets) taken up front."""
     span, dim, g_window = slice(rounds.start, rounds.stop), self.dim, self.constraint_memory
     shape = (len(rounds), (self.m + 1) * dim)
     # slice coefficients in flat-window order: delay m (oldest) first

@@ -32,6 +32,7 @@ from cocomem.harness import ExperimentConfig, run_experiment
 from cocomem.metrics import lift_loss_at
 from cocomem.penalty import lambda_exponential_short_memory, short_memory_condition
 from helpers import doubling_epoch_bound, error_sums, prefix_static_regret, sqrt_t
+from reference_instance import oracles
 from reference_odaf import DoublingSchedule, huber
 
 SEEDS = list(range(10))
@@ -325,7 +326,7 @@ def test_c7_surrogate_gradient_finite_differences():
         inst = AppendixAInstance(m=2, horizon=50, seed=3, constraint_memory=False)
         tr = run_penalty_ogd(inst, PenaltyKind.QUADRATIC, lam)
         for rec in tr.records:
-            loss, cons = inst.loss(int(rec.t)), inst.constraint(int(rec.t))
+            loss, cons = oracles(inst, int(rec.t))
             x, pp = float(rec.x[0]), float(rec.phi_prime)
             g = cons.value_splat([x])
             if abs(g) < 10 * h:

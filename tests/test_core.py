@@ -5,13 +5,14 @@ from cocomem import AppendixAInstance, SeparableLinearInstance
 from cocomem.core import Ball
 
 from helpers import constant_window
+from reference_instance import oracles
 
 
 def test_splat_matches_lift_on_instance_oracles():
     inst = AppendixAInstance(m=2, horizon=20, seed=3)
     rng = np.random.default_rng(0)
     for t in (2, 7, 19):
-        f, g = inst.loss(t), inst.constraint(t)
+        f, g = oracles(inst, t)
         for _ in range(5):
             x = rng.uniform(-15, 15, size=1)
             assert f.value(constant_window(x, 2)) == pytest.approx(f.value_splat(x), rel=1e-12)
@@ -42,8 +43,8 @@ def test_instance_oracles_respect_declared_bounds():
     for inst in instances:
         k = inst.constants()
         for t in inst.rounds:
-            for oracle, bound, lip in ((inst.loss(t), k.f_bound, k.l_f),
-                                       (inst.constraint(t), k.g_bound, k.l_g)):
+            for oracle, bound, lip in zip(oracles(inst, t), (k.f_bound, k.g_bound),
+                                          (k.l_f, k.l_g)):
                 w1 = _ball_windows(rng, 20, inst.m, inst.fset)
                 w2 = _ball_windows(rng, 20, inst.m, inst.fset)
                 for a, b in zip(w1, w2):
@@ -58,7 +59,7 @@ def test_grad_splat_matches_finite_differences():
     rng = np.random.default_rng(2)
     h = 1e-5
     for t in (2, 11, 29):
-        for oracle in (inst.loss(t), inst.constraint(t)):
+        for oracle in oracles(inst, t):
             for _ in range(17):
                 x = rng.uniform(-14, 14)
                 fd = (oracle.value_splat([x + h]) - oracle.value_splat([x - h])) / (2 * h)

@@ -893,15 +893,31 @@ def test_build_predictor_dispatch():
     {**BASE, "name": ""},
     {**BASE, "name": "."},
     {**BASE, "name": ".."},
+    {**BASE, "name": "a\0b"},
     {**BASE, "lam": True},
     {**ODAF_BASE, "error_estimate": False},
 ], ids=["name_null", "name_with_directory", "name_empty", "name_dot", "name_dot_dot",
-        "lam_true", "error_estimate_false"])
+        "name_nul", "lam_true", "error_estimate_false"])
 def test_cli_rejects_mistyped_top_level_fields(tmp_path, capsys, monkeypatch, obj):
     # a null name wrote None_seed0.csv, a bool ran as 1.0 or 0.0, a name
-    # with a directory part failed every seed, and ".." wrote its files
-    # into the working directory
+    # with a directory part failed every seed, ".." wrote its files into
+    # the working directory, and `run` failed at run time on a NUL
     _rejected_by_both_commands(tmp_path, capsys, monkeypatch, obj)
+
+
+def test_run_rejects_a_name_too_long_for_a_directory(tmp_path, capsys, monkeypatch):
+    """`runs/<name>` cannot be made for a name past the file system's
+    limit: `run` exits 1 with a config error and leaves no `runs/`
+    behind, as it does for an `--out` path that cannot be made."""
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**BASE, "name": "n" * 300}))
+    for out in ([], ["--out", str(tmp_path / "new" / ("n" * 300))]):
+        assert cli_main(["run", "--config", str(cfg_path), *out]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: cannot make output directory")
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 @pytest.mark.parametrize("env", [

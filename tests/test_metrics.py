@@ -29,6 +29,7 @@ from cocomem.metrics import (
     GRID_STEPS_PER_DIAMETER,
     ForwardFunctions,
     ccv_rhs_quadratic,
+    check_ccv_replay,
     check_forward_consistency,
     check_lemma_ogd_regret,
     check_memory_identity,
@@ -44,6 +45,7 @@ from cocomem.metrics import (
     _half_space_intervals,
 )
 from helpers import constant_window, prefix_static_regret, python_calls, sqrt_t
+from reference_instance import oracles
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -118,7 +120,7 @@ def _toy_trace(inst, xs):
     records = round_table(len(xs), 1)
     ccv = 0.0
     for row, (t, x) in enumerate(zip(inst.rounds, xs)):
-        f, g = inst.loss(t), inst.constraint(t)
+        f, g = oracles(inst, t)
         w = constant_window(x, inst.m)
         g_mem = g.value(w)
         ccv += max(g_mem, 0.0)
@@ -475,6 +477,23 @@ def test_grid_points_dimensions():
 # The regret checks take their comparator from the benchmark solvers: on the
 # benchmark set every lifted (or slice-wise) constraint is <= 0, so the
 # hinge term of the surrogate, and of the forward functions, vanishes there.
+
+
+def test_ccv_replay_fails_on_a_broken_recurrence_and_on_a_decrease():
+    """`check_ccv_replay` fails an `odaf` trace whose `ccv_cum` does not
+    replay from `g_plus_recorded`, and one whose `ccv_cum` falls at a round
+    with no violation by less than the replay tolerance, so that only the
+    monotonicity check sees it."""
+    tr = _odaf_run(1)
+    assert check_ccv_replay(tr).passed
+    k = 1 + int(np.flatnonzero(tr.col("g_plus_recorded")[1:] == 0.0)[0])
+    for name, change, message in (
+            ("g_plus_recorded", 1.0, "ccv_cum does not replay from g_plus_recorded"),
+            ("ccv_cum", -1e-10, "ccv_cum decreased")):
+        broken = dataclasses.replace(tr, records=tr.records.copy())
+        broken.records[name][k] += change
+        assert str(check_ccv_replay(broken)) == \
+            f"[FAIL] ccv_recurrence_replay: lhs=nan rhs=nan {message}"
 
 
 def _ogd_run(family, dim):

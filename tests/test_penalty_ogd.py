@@ -15,18 +15,19 @@ from cocomem import (
     SeparableLinearInstance,
     run_penalty_ogd,
 )
-from cocomem.core import Ball, MemoryFunctionOracle
+from cocomem.core import Ball
 from cocomem.harness import load_config, run_single
 from cocomem.metrics import theorem_bound_report
 from cocomem.penalty import lambda_quadratic, lambda_theorem, saturated
 
 from helpers import pinned_layout, python_calls, sqrt_t
+from reference_instance import oracles
 from reference_ogd import PenaltyOgdLearner, adaptive_step, surrogate_gradient
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
-class Quadratic1D(MemoryFunctionOracle):
+class Quadratic1D:
     """0.5 (x - c)^2 on the newest slot only (memory-less test loss)."""
 
     def __init__(self, c, m=0):
@@ -36,11 +37,14 @@ class Quadratic1D(MemoryFunctionOracle):
     def value(self, window):
         return 0.5 * (float(window[-1, 0]) - self.c) ** 2
 
+    def value_splat(self, x):
+        return 0.5 * (float(np.asarray(x)[0]) - self.c) ** 2
+
     def grad_splat(self, x):
         return np.array([float(np.asarray(x)[0]) - self.c])
 
 
-class Affine1D(MemoryFunctionOracle):
+class Affine1D:
     """a*x + b on the newest slot (memory-less test constraint)."""
 
     def __init__(self, a, b, m=0):
@@ -49,6 +53,9 @@ class Affine1D(MemoryFunctionOracle):
 
     def value(self, window):
         return self.a * float(window[-1, 0]) + self.b
+
+    def value_splat(self, x):
+        return self.a * float(np.asarray(x)[0]) + self.b
 
     def grad_splat(self, x):
         return np.array([self.a])
@@ -183,17 +190,17 @@ def test_learner_window_holds_the_last_decisions():
 
 
 # ---------------------------------------------------------------------------
-# The float loop of run_penalty_ogd against the oracle-protocol reference
+# The float loop of run_penalty_ogd against the per-round oracle reference
 
 
 def _reference_records(instance, kind, lam):
-    """PenaltyOgdLearner fed by instance.loss(t) / instance.constraint(t)."""
+    """PenaltyOgdLearner fed by each round's `oracles(instance, t)`."""
     first = instance.first_round
     lams = np.broadcast_to(lam, instance.horizon - first + 1).tolist()
     learner = PenaltyOgdLearner(instance.fset, instance.m, instance.constraint_memory, kind,
                                 lams)
     for t in range(first, instance.horizon + 1):
-        learner.play_round(t, instance.loss(t), instance.constraint(t))
+        learner.play_round(t, *oracles(instance, t))
     return learner.records
 
 
